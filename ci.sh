@@ -15,6 +15,15 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> benchmark package tests (workload smoke runs, BENCHMARK.json contract)"
+# benchmark/ is its own package outside the root workspace, so tier-1
+# above does not reach it. Its tests run all four workloads in --smoke
+# mode (<= 2 s each, every correctness check on) and hold BENCHMARK.json
+# equal to the metric names report.rs prints — a change that breaks a
+# workload's byte verification or the contract fails here, not at the
+# next benchmark run.
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> smoke bench (tiny sizes, schema-validated JSON, offline)"
 # Runs every suite in --smoke mode into a scratch directory, then re-parses
 # the emitted BENCH_*.json through the harness's schema validator. Also
@@ -88,9 +97,13 @@ echo "==> cluster smoke (live brick daemons on loopback, kill -9, rebuild)"
 # verdict and loss-signature lines (timing-dependent `info` lines are
 # excluded). Loopback only, no network access.
 ./target/release/nsr cluster-inject --bricks 4 --plan kill9-single --seed 42 \
-    --trace-out "$SMOKE_DIR/cluster-trace.jsonl" | grep -q 'verdict=NO-LOSS lost=0'
+    --trace-out "$SMOKE_DIR/cluster-trace.jsonl" \
+    --metrics-out "$SMOKE_DIR/cluster-metrics.jsonl" | grep -q 'verdict=NO-LOSS lost=0'
 ./target/release/nsr obs-check --file "$SMOKE_DIR/cluster-trace.jsonl" \
     --require span:net.rebuild,event:net.detect.dead,event:net.cluster.kill9
+# The rebuild must account for its own time, phase by phase.
+./target/release/nsr obs-check --file "$SMOKE_DIR/cluster-metrics.jsonl" \
+    --require net.rebuild.fetch_s,net.rebuild.reconstruct_s,net.rebuild.put_s,net.rebuild.commit_s
 ./target/release/nsr report --trace "$SMOKE_DIR/cluster-trace.jsonl" --check
 ./target/release/nsr cluster-inject --bricks 6 --plan kill9-burst --seed 1 \
     | grep -E '^(campaign|verdict|loss)' > "$SMOKE_DIR/burst-a.txt"

@@ -160,6 +160,19 @@ impl Error {
         }
     }
 
+    /// Whether this error leaves a connection's byte stream in an unknown
+    /// state (transport and framing faults), as opposed to a well-framed
+    /// typed reply after which the next request can reuse the stream.
+    pub(crate) fn breaks_stream(&self) -> bool {
+        matches!(
+            self,
+            Error::Io { .. }
+                | Error::Timeout { .. }
+                | Error::Decode { .. }
+                | Error::Protocol { .. }
+        )
+    }
+
     /// Whether a retry with backoff can plausibly clear this error
     /// (transient transport faults) as opposed to a permanent condition
     /// (decode errors, data loss, configuration errors).

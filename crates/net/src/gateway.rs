@@ -9,11 +9,18 @@
 //! coordinator that re-replicates a dead brick's shards onto spares.
 //!
 //! Fan-out determinism contract: the fast path never changes *what* a
-//! request returns, only how many are in flight. Shard assembly is by
-//! index, any fast-path miss falls back to the serial per-shard retry
-//! path (`fanout: false` in [`GatewayConfig`] forces that reference
-//! path wholesale), and rebuild keeps its serial per-shard commit
-//! order — which is why seeded campaign replays stay byte-identical
+//! request returns, only how many are in flight. `get`, rebuild and
+//! scrub fetch through one routine (`fetch_shards`) and `put`, rebuild
+//! and scrub write through one routine (`store_shards`); each is one
+//! pipelined fan-out round, then the serial per-shard retry path for
+//! whatever missed (`fanout: false` in [`GatewayConfig`] forces that
+//! reference path wholesale), with results assembled by index. Rebuild
+//! commits — layout, checkpoint, report, trace events — only after an
+//! object's writes have settled, strictly in lost-position order and
+//! only up to the first failed write, and takes back any shard the
+//! fan-out landed past that point. That is why `RepairReport`,
+//! `export_meta()` and the resumable checkpoint are what the serial
+//! path produces, and why seeded campaign replays stay byte-identical
 //! with fan-out enabled.
 //!
 //! Consistency model: an object's metadata (length + shard layout) is
@@ -90,9 +97,10 @@ pub struct GatewayConfig {
     /// connections get dropped and the next request pays a
     /// reconnect-plus-retry. Zero disables the keepalive thread.
     pub keepalive_refresh: Duration,
-    /// Serve put/get through the pipelined shard fan-out fast path.
-    /// `false` forces the serial per-shard reference path the fan-out
-    /// must match byte-for-byte (the property tests compare the two).
+    /// Serve put/get and run rebuild/scrub through the pipelined shard
+    /// fan-out fast path. `false` forces the serial per-shard reference
+    /// path the fan-out must match byte-for-byte (the property tests
+    /// compare the two).
     pub fanout: bool,
 }
 
@@ -472,55 +480,12 @@ impl Gateway {
                 });
             }
             let layout = rotate_pick(&healthy, object, r);
-            let mut failure: Option<(u32, Error)> = None;
-            let mut written: Vec<(u32, u32)> = Vec::new();
-            // Fast path: pipelined scatter-gather — every shard request
-            // goes out on its brick's pooled connection before any
-            // reply is awaited, and replies are collected in shard-index
-            // order. A position that misses (stale connection, fresh
-            // death) falls through to the per-shard retry path below;
-            // put_shard is idempotent, so the overlap is harmless.
-            let fanned: Vec<bool> = if self.cfg.fanout {
-                self.pool
-                    .fanout(
-                        &layout,
-                        "put_shard",
-                        |pos, c| {
-                            send_ctx(c, ctx)?;
-                            c.send_put_shard(object, pos as u32, shards[pos].as_ref())
-                        },
-                        |_pos, c| c.recv_put_reply(),
-                    )
-                    .into_iter()
-                    .map(|res| res.is_ok())
-                    .collect()
-            } else {
-                vec![false; shards.len()]
-            };
-            // Fanned positions are already durable on their bricks —
-            // record them up front so an abandoned layout scrubs every
-            // orphan, including ones past a later retry failure.
-            for (pos, &ok) in fanned.iter().enumerate() {
-                if ok {
-                    written.push((layout[pos], pos as u32));
-                }
-            }
-            for (pos, shard) in shards.iter().enumerate() {
-                if fanned[pos] {
-                    continue;
-                }
-                let target = layout[pos];
-                match self.shard_op_with_retry(target, "put_shard", |c| {
-                    send_ctx(c, ctx)?;
-                    c.put_shard(object, pos as u32, shard.as_ref())
-                }) {
-                    Ok(()) => written.push((target, pos as u32)),
-                    Err(e) => {
-                        failure = Some((target, e));
-                        break;
-                    }
-                }
-            }
+            // Every shard request goes out before any reply is awaited;
+            // a position that misses (stale connection, fresh death)
+            // takes the per-shard retry path.
+            let (done, failure) = self.store_shards(object, &layout, ctx, |pos| {
+                (pos as u32, shards[pos].as_ref())
+            });
             match failure {
                 None => {
                     self.meta.lock().expect("meta lock").insert(
@@ -534,15 +499,17 @@ impl Gateway {
                     obs::PUTS.inc();
                     return Ok(());
                 }
-                Some((brick, err)) => {
+                Some((at, err)) => {
                     // Metadata never committed: scrub the orphan shards
-                    // (best effort) and rule the failed brick out of the
-                    // next layout.
-                    for (target, pos) in written {
-                        let _ =
-                            self.shard_op(target, "delete_shard", |c| c.delete_shard(object, pos));
+                    // (best effort, including fanned-out ones past the
+                    // failure) and rule the failed brick out of the next
+                    // layout.
+                    for pos in (0..r).filter(|&pos| done[pos]) {
+                        let _ = self.shard_op(layout[pos], "delete_shard", |c| {
+                            c.delete_shard(object, pos as u32)
+                        });
                     }
-                    excluded.insert(brick);
+                    excluded.insert(layout[at]);
                     if excluded.len() + r > self.brick_count() {
                         return Err(err);
                     }
@@ -579,67 +546,20 @@ impl Gateway {
                 .collect()
         };
         let mut shards: Vec<Option<Vec<u8>>> = vec![None; r];
-        let mut have = 0usize;
-        // Fast path: pipeline-fetch every readable data position, plus
-        // just enough readable parity to reach k when data bricks are
-        // known-unreadable. One outstanding request per brick, replies
-        // assembled in shard-index order.
-        if self.cfg.fanout {
-            let mut wanted: Vec<usize> = (0..k).filter(|&pos| readable[pos]).collect();
-            let mut need = k.saturating_sub(wanted.len());
-            for (pos, &ok) in readable.iter().enumerate().take(r).skip(k) {
-                if need == 0 {
-                    break;
-                }
-                if ok {
-                    wanted.push(pos);
-                    need -= 1;
-                }
-            }
-            if !wanted.is_empty() {
-                let bricks: Vec<u32> = wanted.iter().map(|&pos| meta.layout[pos]).collect();
-                let results = self.pool.fanout(
-                    &bricks,
-                    "get_shard",
-                    |i, c| {
-                        send_ctx(c, ctx)?;
-                        c.send_request(&Frame::GetShard {
-                            object,
-                            pos: wanted[i] as u32,
-                        })
-                    },
-                    |i, c| c.recv_shard("get_shard", object, wanted[i] as u32),
-                );
-                for (i, res) in results.into_iter().enumerate() {
-                    if let Ok(data) = res {
-                        if data.len() == meta.shard_len as usize {
-                            shards[wanted[i]] = Some(data);
-                            have += 1;
-                        }
-                    }
-                }
-            }
-        }
-        // Reference path and fan-out fallback: data shards first (a
-        // healthy read needs nothing else), then parity from surviving
-        // bricks until k shards are in hand — with the full per-shard
-        // retry policy. Positions the fan-out already filled are kept.
-        for pos in 0..r {
-            if have >= k && pos >= k {
+        // Every readable data position (a healthy read needs nothing
+        // else), plus just enough readable parity to reach k when data
+        // bricks are known-unreadable.
+        let mut wanted: Vec<usize> = (0..k).filter(|&pos| readable[pos]).collect();
+        let need = k - wanted.len();
+        wanted.extend((k..r).filter(|&pos| readable[pos]).take(need));
+        let mut have = self.fetch_into(object, &meta, &wanted, false, ctx, &mut shards);
+        // A wanted shard that stayed unavailable through its retries is
+        // made up from the remaining readable parity, one at a time.
+        for pos in (k..r).filter(|&pos| readable[pos] && !wanted.contains(&pos)) {
+            if have >= k {
                 break;
             }
-            if !readable[pos] || shards[pos].is_some() {
-                continue;
-            }
-            if let Ok(data) = self.shard_op_with_retry(meta.layout[pos], "get_shard", |c| {
-                send_ctx(c, ctx)?;
-                c.get_shard(object, pos as u32)
-            }) {
-                if data.len() == meta.shard_len as usize {
-                    shards[pos] = Some(data);
-                    have += 1;
-                }
-            }
+            have += self.fetch_into(object, &meta, &[pos], false, ctx, &mut shards);
         }
         let data_complete = shards[..k].iter().all(Option::is_some);
         if !data_complete {
@@ -714,32 +634,30 @@ impl Gateway {
         }
         span.field("failed_bricks", || Json::Num(failed.len() as f64));
         span.field("resumed_from", || Json::Num(resumed_from as f64));
-        let failed_set: BTreeSet<u32> = failed.iter().copied().collect();
+        // Only objects with a shard on a failed brick need this pass.
         let objects: Vec<(u64, ObjectMeta)> = self
             .meta
             .lock()
             .expect("meta lock")
             .iter()
+            .filter(|(_, m)| m.layout.iter().any(|b| failed.contains(b)))
             .map(|(&id, m)| (id, m.clone()))
             .collect();
         let r = self.redundancy();
         let k = self.codec.data_shards();
         for (id, m) in objects {
             let lost: Vec<usize> = (0..r)
-                .filter(|&pos| failed_set.contains(&m.layout[pos]))
+                .filter(|&pos| failed.contains(&m.layout[pos]))
                 .collect();
-            if lost.is_empty() {
-                continue;
-            }
             if lost.len() > self.tolerated() {
                 report.lost_objects.push(id);
                 continue;
             }
+            // Ascending, so membership is a binary search.
             let healthy: Vec<u32> = self.detector.lock().expect("detector lock").healthy();
-            let healthy_set: BTreeSet<u32> = healthy.iter().copied().collect();
             // Plan the reads: sources the detector believes can serve.
             let sources: Vec<usize> = (0..r)
-                .filter(|pos| !lost.contains(pos) && healthy_set.contains(&m.layout[*pos]))
+                .filter(|pos| !lost.contains(pos) && healthy.binary_search(&m.layout[*pos]).is_ok())
                 .collect();
             if sources.len() < k {
                 // Not an interruption — the detector already knows these
@@ -763,77 +681,42 @@ impl Gateway {
                 report.deferred_objects.push(id);
                 continue;
             }
+            let mut lap = nsr_obs::metrics_timer();
             let mut shards: Vec<Option<Vec<u8>>> = vec![None; r];
-            let mut have = 0usize;
-            // Fan out the k primary source fetches across scoped
-            // threads (retry backoff sleeps overlap instead of
-            // serializing); any shortfall walks the remaining sources
-            // serially, exactly like the reference path.
-            let primary: Vec<usize> = sources.iter().copied().take(k).collect();
-            for (i, res) in self
-                .parallel_fetch(id, &m.layout, &primary, true)
-                .into_iter()
-                .enumerate()
-            {
-                if let Ok(data) = res {
-                    if data.len() == m.shard_len as usize {
-                        shards[primary[i]] = Some(data);
-                        have += 1;
-                    }
-                }
-            }
-            for &pos in sources.iter().skip(k) {
+            // The k primary sources in one fan-out round; any shortfall
+            // walks the remaining sources one at a time.
+            let mut have = self.fetch_into(id, &m, &sources[..k], true, ctx, &mut shards);
+            for &pos in &sources[k..] {
                 if have >= k {
                     break;
                 }
-                if let Ok(data) = self.shard_op_with_retry(m.layout[pos], "rebuild_fetch", |c| {
-                    send_ctx(c, ctx)?;
-                    c.rebuild_fetch(id, pos as u32)
-                }) {
-                    if data.len() == m.shard_len as usize {
-                        shards[pos] = Some(data);
-                        have += 1;
-                    }
-                }
+                have += self.fetch_into(id, &m, &[pos], true, ctx, &mut shards);
             }
             if have < k {
-                // Planned sources stopped serving mid-transfer: the
-                // typed interruption, with the per-shard checkpoint.
-                obs::REBUILD_INTERRUPTED.inc();
-                let checkpoint = self.rebuild_checkpoint.load(Ordering::SeqCst);
-                span.field("outcome", || Json::Str("interrupted".into()));
-                return Err(Error::RebuildInterrupted {
-                    resumed_from: checkpoint,
-                });
+                // Planned sources stopped serving mid-transfer.
+                return Err(self.interrupted(&mut span));
             }
+            obs::lap(&mut lap, &obs::REBUILD_FETCH_S);
             self.codec.reconstruct(&mut shards)?;
-            for (i, &pos) in lost.iter().enumerate() {
-                // Consecutive offsets modulo the spare count: distinct
-                // spares per lost position (lost.len() ≤ spares.len()
-                // was checked above), rotated by id for balance.
-                let spare = spares[(id as usize + i) % spares.len()];
-                let shard = shards[pos].as_deref().expect("reconstructed");
-                match self.shard_op_with_retry(spare, "put_shard", |c| {
-                    send_ctx(c, ctx)?;
-                    c.put_shard(id, pos as u32, shard)
-                }) {
-                    Ok(()) => {}
-                    Err(
-                        Error::Io { .. } | Error::Timeout { .. } | Error::RetriesExhausted { .. },
-                    ) => {
-                        // The chosen spare died between health snapshot
-                        // and transfer — same interruption semantics as
-                        // a source death.
-                        obs::REBUILD_INTERRUPTED.inc();
-                        let checkpoint = self.rebuild_checkpoint.load(Ordering::SeqCst);
-                        span.field("outcome", || Json::Str("interrupted".into()));
-                        return Err(Error::RebuildInterrupted {
-                            resumed_from: checkpoint,
-                        });
-                    }
-                    Err(e) => return Err(e),
-                }
-                // Per-shard commit: the new home is durable immediately.
+            obs::lap(&mut lap, &obs::REBUILD_RECONSTRUCT_S);
+            // Consecutive offsets modulo the spare count: distinct
+            // spares per lost position (lost.len() ≤ spares.len() was
+            // checked above), rotated by id for balance.
+            let targets: Vec<u32> = (0..lost.len())
+                .map(|i| spares[(id as usize + i) % spares.len()])
+                .collect();
+            let (done, failure) = self.store_shards(id, &targets, ctx, |i| {
+                let shard = shards[lost[i]].as_deref().expect("reconstructed");
+                (lost[i] as u32, shard)
+            });
+            obs::lap(&mut lap, &obs::REBUILD_PUT_S);
+            // Per-shard commit, strictly in lost-position order and only
+            // up to the first failed write: each new home is durable in
+            // the layout immediately, exactly as the serial path leaves
+            // it.
+            let committed = failure.as_ref().map_or(lost.len(), |&(at, _)| at);
+            for (&pos, &spare) in lost.iter().zip(&targets).take(committed) {
+                let bytes = m.shard_len as u64;
                 self.meta
                     .lock()
                     .expect("meta lock")
@@ -842,15 +725,35 @@ impl Gateway {
                     .layout[pos] = spare;
                 self.rebuild_checkpoint.fetch_add(1, Ordering::SeqCst);
                 report.shards_moved += 1;
-                report.bytes_moved += shard.len() as u64;
+                report.bytes_moved += bytes;
                 obs::REBUILD_SHARDS.inc();
-                obs::REBUILD_BYTES.add(shard.len() as u64);
+                obs::REBUILD_BYTES.add(bytes);
                 nsr_obs::trace::event("net.rebuild.shard", || {
                     vec![
                         ("object", Json::Num(id as f64)),
                         ("pos", Json::Num(pos as f64)),
                         ("spare", Json::Num(spare as f64)),
                     ]
+                });
+            }
+            obs::lap(&mut lap, &obs::REBUILD_COMMIT_S);
+            if let Some((at, err)) = failure {
+                // Shards the fan-out landed past the failed position were
+                // never committed; the serial path would not have written
+                // them, so take them back (best effort).
+                for i in (at + 1..lost.len()).filter(|&i| done[i]) {
+                    let _ = self.shard_op(targets[i], "delete_shard", |c| {
+                        c.delete_shard(id, lost[i] as u32)
+                    });
+                }
+                return Err(match err {
+                    // The chosen spare died between health snapshot and
+                    // transfer — same interruption semantics as a source
+                    // death.
+                    Error::Io { .. } | Error::Timeout { .. } | Error::RetriesExhausted { .. } => {
+                        self.interrupted(&mut span)
+                    }
+                    e => e,
                 });
             }
             report.objects_repaired += 1;
@@ -893,13 +796,8 @@ impl Gateway {
         let mut span = Span::enter("net.scrub");
         let ctx = nsr_obs::current_context();
         let mut report = RepairReport::default();
-        let healthy_set: BTreeSet<u32> = self
-            .detector
-            .lock()
-            .expect("detector lock")
-            .healthy()
-            .into_iter()
-            .collect();
+        // Ascending, so membership is a binary search.
+        let healthy: Vec<u32> = self.detector.lock().expect("detector lock").healthy();
         let objects: Vec<(u64, ObjectMeta)> = self
             .meta
             .lock()
@@ -909,21 +807,18 @@ impl Gateway {
             .collect();
         let r = self.redundancy();
         let k = self.codec.data_shards();
-        'objects: for (id, m) in objects {
+        for (id, m) in objects {
+            let mut lap = nsr_obs::metrics_timer();
             let mut shards: Vec<Option<Vec<u8>>> = vec![None; r];
             let mut missing: Vec<usize> = Vec::new();
-            // Probe every healthy layout brick concurrently, then
+            // Probe every healthy layout brick in one fan-out round, then
             // classify the results in position order (deterministic).
             let probe: Vec<usize> = (0..r)
-                .filter(|&pos| healthy_set.contains(&m.layout[pos]))
+                .filter(|&pos| healthy.binary_search(&m.layout[pos]).is_ok())
                 .collect();
             let mut unavailable = r - probe.len();
-            for (i, res) in self
-                .parallel_fetch(id, &m.layout, &probe, true)
-                .into_iter()
-                .enumerate()
-            {
-                let pos = probe[i];
+            let probed = self.fetch_shards(id, &m.layout, &probe, true, ctx);
+            for (res, &pos) in probed.into_iter().zip(&probe) {
                 match res {
                     Ok(data) if data.len() == m.shard_len as usize => shards[pos] = Some(data),
                     Ok(_) | Err(Error::ShardNotFound { .. }) => missing.push(pos),
@@ -932,6 +827,7 @@ impl Gateway {
                     Err(_) => unavailable += 1,
                 }
             }
+            obs::lap(&mut lap, &obs::REBUILD_FETCH_S);
             if missing.is_empty() {
                 continue;
             }
@@ -945,31 +841,36 @@ impl Gateway {
                 continue;
             }
             self.codec.reconstruct(&mut shards)?;
-            for &pos in &missing {
-                let shard = shards[pos].as_deref().expect("reconstructed");
-                if self
-                    .shard_op_with_retry(m.layout[pos], "put_shard", |c| {
-                        send_ctx(c, ctx)?;
-                        c.put_shard(id, pos as u32, shard)
-                    })
-                    .is_err()
-                {
-                    report.deferred_objects.push(id);
-                    continue 'objects;
-                }
+            obs::lap(&mut lap, &obs::REBUILD_RECONSTRUCT_S);
+            let targets: Vec<u32> = missing.iter().map(|&pos| m.layout[pos]).collect();
+            let (done, failure) = self.store_shards(id, &targets, ctx, |i| {
+                let shard = shards[missing[i]].as_deref().expect("reconstructed");
+                (missing[i] as u32, shard)
+            });
+            obs::lap(&mut lap, &obs::REBUILD_PUT_S);
+            // The layout never changes, so a restored shard counts where
+            // it landed — including one the fan-out wrote past a failed
+            // position, which the next pass will find present.
+            for i in (0..missing.len()).filter(|&i| done[i]) {
+                let (pos, brick, bytes) = (missing[i], targets[i], m.shard_len as u64);
                 report.shards_moved += 1;
-                report.bytes_moved += shard.len() as u64;
+                report.bytes_moved += bytes;
                 obs::REBUILD_SHARDS.inc();
-                obs::REBUILD_BYTES.add(shard.len() as u64);
+                obs::REBUILD_BYTES.add(bytes);
                 nsr_obs::trace::event("net.scrub.shard", || {
                     vec![
                         ("object", Json::Num(id as f64)),
                         ("pos", Json::Num(pos as f64)),
-                        ("brick", Json::Num(m.layout[pos] as f64)),
+                        ("brick", Json::Num(brick as f64)),
                     ]
                 });
             }
-            report.objects_repaired += 1;
+            obs::lap(&mut lap, &obs::REBUILD_COMMIT_S);
+            if failure.is_some() {
+                report.deferred_objects.push(id);
+            } else {
+                report.objects_repaired += 1;
+            }
         }
         span.field("shards_restored", || Json::Num(report.shards_moved as f64));
         Ok(report)
@@ -1095,53 +996,137 @@ impl Gateway {
         self.pool.with(id, op, f)
     }
 
-    /// Fetches `positions` of `object` concurrently — one scoped thread
-    /// per position, each running the full per-shard retry policy, so
-    /// backoff sleeps overlap instead of serializing (positions map to
-    /// distinct bricks, hence distinct pool lanes). Results are
-    /// assembled in `positions` order; with `cfg.fanout` disabled the
-    /// fetches run serially, which is the reference behavior the
-    /// parallel path must match.
-    fn parallel_fetch(
+    /// Fetches `positions` of `object` from their layout bricks, results
+    /// aligned with `positions`: one pipelined [`ConnectionPool::fanout`]
+    /// round, then the per-shard retry path for each position that
+    /// missed in transit. With `cfg.fanout` off (or a single position)
+    /// every fetch takes the retry path, serially — the reference the
+    /// fan-out must match. `get`, rebuild and scrub all fetch here.
+    fn fetch_shards(
         &self,
         object: u64,
         layout: &[u32],
         positions: &[usize],
         rebuild: bool,
+        ctx: Option<SpanContext>,
     ) -> Vec<Result<Vec<u8>, Error>> {
         let op: &'static str = if rebuild {
             "rebuild_fetch"
         } else {
             "get_shard"
         };
-        // Captured here, on the caller's thread — the scoped fetch
-        // threads below have no span stack of their own, so the open
-        // rebuild/scrub span must travel into them by value.
-        let ctx = nsr_obs::current_context();
-        let fetch_one = |pos: usize| {
+        let request = |pos: u32| {
+            if rebuild {
+                Frame::RebuildFetch { object, pos }
+            } else {
+                Frame::GetShard { object, pos }
+            }
+        };
+        let with_retry = |pos: usize| {
             self.shard_op_with_retry(layout[pos], op, |c| {
                 send_ctx(c, ctx)?;
-                if rebuild {
-                    c.rebuild_fetch(object, pos as u32)
-                } else {
-                    c.get_shard(object, pos as u32)
-                }
+                c.send_request(&request(pos as u32))?;
+                c.recv_shard(op, object, pos as u32)
             })
         };
         if !self.cfg.fanout || positions.len() <= 1 {
-            return positions.iter().map(|&pos| fetch_one(pos)).collect();
+            return positions.iter().map(|&pos| with_retry(pos)).collect();
         }
-        std::thread::scope(|s| {
-            let fetch_one = &fetch_one;
-            let handles: Vec<_> = positions
-                .iter()
-                .map(|&pos| s.spawn(move || fetch_one(pos)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("fetch thread"))
-                .collect()
-        })
+        let bricks: Vec<u32> = positions.iter().map(|&pos| layout[pos]).collect();
+        let mut results = self.pool.fanout(
+            &bricks,
+            op,
+            |i, c| {
+                send_ctx(c, ctx)?;
+                c.send_request(&request(positions[i] as u32))
+            },
+            |i, c| c.recv_shard(op, object, positions[i] as u32),
+        );
+        for (res, &pos) in results.iter_mut().zip(positions) {
+            if matches!(res, Err(e) if e.is_transient()) {
+                *res = with_retry(pos);
+            }
+        }
+        results
+    }
+
+    /// [`fetch_shards`](Self::fetch_shards) assembled by position: every
+    /// full-length reply lands in `shards[pos]`. Returns how many did.
+    fn fetch_into(
+        &self,
+        object: u64,
+        m: &ObjectMeta,
+        positions: &[usize],
+        rebuild: bool,
+        ctx: Option<SpanContext>,
+        shards: &mut [Option<Vec<u8>>],
+    ) -> usize {
+        let fetched = self.fetch_shards(object, &m.layout, positions, rebuild, ctx);
+        let mut got = 0;
+        for (res, &pos) in fetched.into_iter().zip(positions) {
+            if let Some(data) = res.ok().filter(|d| d.len() == m.shard_len as usize) {
+                shards[pos] = Some(data);
+                got += 1;
+            }
+        }
+        got
+    }
+
+    /// Stores shard `i` of `object` — `shard(i)` gives its position and
+    /// (borrowed) bytes — on `targets[i]`: one pipelined fan-out round,
+    /// then the per-shard retry path, in index order, for every shard
+    /// not yet acknowledged (put_shard is idempotent, so the overlap is
+    /// harmless; with `cfg.fanout` off that is all of them — the
+    /// reference path). Stops at the first shard whose retries fail and
+    /// returns its index and error beside the per-shard acknowledgements;
+    /// past that index only shards the fan-out reached are acknowledged.
+    fn store_shards<'a>(
+        &self,
+        object: u64,
+        targets: &[u32],
+        ctx: Option<SpanContext>,
+        shard: impl Fn(usize) -> (u32, &'a [u8]),
+    ) -> (Vec<bool>, Option<(usize, Error)>) {
+        let mut done: Vec<bool> = if self.cfg.fanout && targets.len() > 1 {
+            let acks = self.pool.fanout(
+                targets,
+                "put_shard",
+                |i, c| {
+                    send_ctx(c, ctx)?;
+                    let (pos, data) = shard(i);
+                    c.send_put_shard(object, pos, data)
+                },
+                |_i, c| c.recv_put_reply(),
+            );
+            acks.iter().map(Result::is_ok).collect()
+        } else {
+            vec![false; targets.len()]
+        };
+        for i in 0..targets.len() {
+            if done[i] {
+                continue;
+            }
+            let (pos, data) = shard(i);
+            let put = self.shard_op_with_retry(targets[i], "put_shard", |c| {
+                send_ctx(c, ctx)?;
+                c.put_shard(object, pos, data)
+            });
+            match put {
+                Ok(()) => done[i] = true,
+                Err(e) => return (done, Some((i, e))),
+            }
+        }
+        (done, None)
+    }
+
+    /// Counts and types a pass cut short by a source or spare that
+    /// stopped serving mid-transfer; the per-shard checkpoint is kept.
+    fn interrupted(&self, span: &mut Span) -> Error {
+        obs::REBUILD_INTERRUPTED.inc();
+        span.field("outcome", || Json::Str("interrupted".into()));
+        Error::RebuildInterrupted {
+            resumed_from: self.rebuild_checkpoint.load(Ordering::SeqCst),
+        }
     }
 
     /// `shard_op` under the retry policy: transient errors back off

@@ -4,6 +4,8 @@
 //! Instrumentation sits on request boundaries and health transitions —
 //! never inside the per-byte socket loops.
 
+use std::time::Instant;
+
 use nsr_obs::{Counter, Gauge, Histogram};
 
 /// Frames served by brick daemons (any request kind).
@@ -43,6 +45,17 @@ pub static REBUILD_SHARDS: Counter = Counter::new("net.rebuild.shards_moved");
 pub static REBUILD_BYTES: Counter = Counter::new("net.rebuild.bytes_moved");
 /// Rebuild passes interrupted by a mid-transfer source death.
 pub static REBUILD_INTERRUPTED: Counter = Counter::new("net.rebuild.interrupted");
+/// Seconds per object spent fetching source shards (rebuild and scrub:
+/// the fan-out round plus any per-shard retries).
+pub static REBUILD_FETCH_S: Histogram = Histogram::new("net.rebuild.fetch_s");
+/// Seconds per repaired object spent in erasure reconstruction.
+pub static REBUILD_RECONSTRUCT_S: Histogram = Histogram::new("net.rebuild.reconstruct_s");
+/// Seconds per repaired object spent writing the re-created shards to
+/// their spares (rebuild) or layout bricks (scrub).
+pub static REBUILD_PUT_S: Histogram = Histogram::new("net.rebuild.put_s");
+/// Seconds per repaired object spent committing: layout update under
+/// the metadata lock, checkpoint, counters and trace events.
+pub static REBUILD_COMMIT_S: Histogram = Histogram::new("net.rebuild.commit_s");
 /// Telemetry scrapes served by this process (brick or gateway).
 pub static SCRAPE_REQUESTS: Counter = Counter::new("net.scrape.requests");
 /// Trace lines shipped in scrape replies by this process.
@@ -70,7 +83,22 @@ pub fn register() {
     REBUILD_SHARDS.register();
     REBUILD_BYTES.register();
     REBUILD_INTERRUPTED.register();
+    REBUILD_FETCH_S.register();
+    REBUILD_RECONSTRUCT_S.register();
+    REBUILD_PUT_S.register();
+    REBUILD_COMMIT_S.register();
     SCRAPE_REQUESTS.register();
     SCRAPE_LINES.register();
     SCRAPES_COLLECTED.register();
+}
+
+/// Observes the seconds since `*lap` into `phase` and starts the next
+/// lap. `lap` comes from [`nsr_obs::metrics_timer`], so with metrics
+/// disabled it is `None` and no clock is read.
+pub(crate) fn lap(lap: &mut Option<Instant>, phase: &'static Histogram) {
+    if let Some(t0) = lap {
+        let now = Instant::now();
+        phase.observe(now.duration_since(*t0).as_secs_f64());
+        *t0 = now;
+    }
 }

@@ -42,6 +42,19 @@ struct Slot {
     last_used: Instant,
 }
 
+impl Slot {
+    /// Books the outcome of one exchange on this lane: a completed one —
+    /// success or a well-framed typed error reply — refreshes the idle
+    /// clock; one that broke the transport or the framing leaves the
+    /// stream in an unknown state, so the connection is dropped.
+    fn settle<T>(&mut self, res: &Result<T, Error>) {
+        match res {
+            Err(e) if e.breaks_stream() => self.client = None,
+            _ => self.last_used = Instant::now(),
+        }
+    }
+}
+
 struct PoolInner {
     addrs: Mutex<Vec<SocketAddr>>,
     /// `lanes[brick][lane]` — one mutexed slot per connection.
@@ -118,8 +131,10 @@ impl ConnectionPool {
     }
 
     /// Runs `f` on a pooled connection to brick `id`, dialing one if no
-    /// lane is connected. Any error drops the connection so the next
-    /// checkout starts clean; connect failures are reported as `op`.
+    /// lane is connected. A transport or framing error drops the
+    /// connection so the next checkout starts clean (a typed reply such
+    /// as shard-not-found leaves the stream in sync and the lane warm);
+    /// connect failures are reported as `op`.
     pub fn with<T>(
         &self,
         id: u32,
@@ -129,18 +144,9 @@ impl ConnectionPool {
         let mut slot = self.lock_lane(id);
         self.inner.ensure_connected(&mut slot, id, op)?;
         let client = slot.client.as_mut().expect("connected");
-        match f(client) {
-            Ok(v) => {
-                slot.last_used = Instant::now();
-                Ok(v)
-            }
-            Err(e) => {
-                // Transport state is unknown after any failure: drop the
-                // connection so the next attempt starts clean.
-                slot.client = None;
-                Err(e)
-            }
-        }
+        let res = f(client);
+        slot.settle(&res);
+        res
     }
 
     /// Pipelined scatter-gather over the (distinct) bricks in `ids`:
@@ -149,7 +155,8 @@ impl ConnectionPool {
     /// index in caller order. Each connection carries exactly one
     /// outstanding request, so a failure on one brick never desyncs
     /// another — the result vector is per-index, aligned with `ids`,
-    /// and failed indices have had their connection dropped.
+    /// and indices that failed in transport or framing have had their
+    /// connection dropped.
     pub fn fanout<T>(
         &self,
         ids: &[u32],
@@ -197,16 +204,9 @@ impl ConnectionPool {
                 continue;
             }
             let slot = guards[i].as_mut().expect("acquired");
-            match recv(i, slot.client.as_mut().expect("connected")) {
-                Ok(v) => {
-                    slot.last_used = Instant::now();
-                    results[i] = Some(Ok(v));
-                }
-                Err(e) => {
-                    slot.client = None;
-                    results[i] = Some(Err(e));
-                }
-            }
+            let res = recv(i, slot.client.as_mut().expect("connected"));
+            slot.settle(&res);
+            results[i] = Some(res);
         }
         results
             .into_iter()

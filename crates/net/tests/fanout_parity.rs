@@ -7,6 +7,13 @@
 //! (returned bytes AND `ReadMode` per get) must match entry for entry.
 //! Both clusters share the jitter seed, so layouts are identical and
 //! the only variable is the serving path.
+//!
+//! The repair path gets the same treatment: a kill script — detected
+//! deaths, deaths the detector has not seen yet (a source or a spare
+//! that stops serving mid-pass), an emptied brick rejoining — runs in
+//! both modes, and every `repair_all` / `scrub_repair` result, the
+//! `export_meta()` text and every brick's `list_shards()` must match
+//! after each step.
 
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -16,7 +23,7 @@ use nsr_net::brick::{BrickConfig, BrickServer};
 use nsr_net::client::BrickClient;
 use nsr_net::clock::MockClock;
 use nsr_net::detector::{DetectorConfig, Health};
-use nsr_net::gateway::{Gateway, GatewayConfig, ReadMode, RetryPolicy};
+use nsr_net::gateway::{Gateway, GatewayConfig, ReadMode, RepairReport, RetryPolicy};
 use nsr_net::Error;
 
 struct Cluster {
@@ -72,12 +79,20 @@ impl Cluster {
         self.gw.pump_heartbeats();
     }
 
-    fn kill_brick(&mut self, id: usize) {
+    /// Stops a brick without telling the detector: until the next
+    /// heartbeat rounds the gateway still plans around it.
+    fn stop_brick(&mut self, id: usize) {
         let mut c = BrickClient::connect(self.addrs[id], Duration::from_millis(300))
             .expect("connect for kill");
         c.shutdown().expect("shutdown");
         if let Some(h) = self.handles[id].take() {
             h.join().expect("join").expect("brick run");
+        }
+    }
+
+    fn kill_brick(&mut self, id: usize) {
+        if self.handles[id].is_some() {
+            self.stop_brick(id);
         }
         for _ in 0..50 {
             self.pump();
@@ -86,6 +101,62 @@ impl Cluster {
             }
         }
         panic!("brick {id} never declared dead");
+    }
+}
+
+impl Cluster {
+    /// Restarts a stopped brick on a fresh port with an empty store and
+    /// pumps until the gateway has adopted it back as healthy.
+    fn rejoin_empty(&mut self, id: usize) {
+        let (addr, handle) = BrickServer::bind("127.0.0.1:0", BrickConfig::new(id as u32))
+            .expect("rebind brick")
+            .spawn();
+        self.addrs[id] = addr;
+        self.handles[id] = Some(handle);
+        self.gw.set_brick_addr(id as u32, addr);
+        for _ in 0..32 {
+            self.pump();
+            self.gw.adopt_rejoined();
+            if self.gw.health_summary()[id].1 == Health::Healthy {
+                return;
+            }
+        }
+        panic!("brick {id} never re-adopted");
+    }
+
+    /// What the cluster holds right now: the metadata export and every
+    /// running brick's shard inventory (`None` for a stopped brick).
+    fn state(&self) -> ClusterState {
+        let inventories = (0..self.addrs.len())
+            .map(|id| {
+                self.handles[id].as_ref()?;
+                let mut c = BrickClient::connect(self.addrs[id], Duration::from_millis(300))
+                    .expect("connect for inventory");
+                let mut entries = c.list_shards().expect("list_shards");
+                entries.sort_unstable();
+                Some(entries)
+            })
+            .collect();
+        (self.gw.export_meta(), inventories)
+    }
+
+    /// Shard positions whose committed home differs from `before`.
+    fn moved_since(&self, before: &[(u64, Vec<u32>)]) -> u64 {
+        before
+            .iter()
+            .map(|(object, old)| {
+                let now = self.gw.object_layout(*object).expect("layout");
+                old.iter().zip(&now).filter(|(a, b)| a != b).count() as u64
+            })
+            .sum()
+    }
+
+    fn layouts(&self) -> Vec<(u64, Vec<u32>)> {
+        self.gw
+            .object_ids()
+            .into_iter()
+            .map(|o| (o, self.gw.object_layout(o).expect("layout")))
+            .collect()
     }
 }
 
@@ -187,4 +258,171 @@ fn fanout_degraded_read_survives_exactly_t_dead_bricks() {
     let (data, mode) = c.gw.get(1).expect("degraded get at t dead");
     assert_eq!(data, want);
     assert_eq!(mode, ReadMode::Degraded);
+}
+
+/// `export_meta()` text and per-brick sorted `list_shards()`.
+type ClusterState = (String, Vec<Option<Vec<(u64, u32)>>>);
+
+/// One repair-path step: what the call returned and what it left behind.
+type RepairStep = (Result<RepairReport, Error>, ClusterState);
+
+/// Runs `script` in the serial reference mode and with the fan-out at
+/// pool sizes 1, 2 and 8, and requires identical steps. Returns the
+/// reference steps for scenario-specific assertions.
+fn assert_repair_parity(script: fn(bool, usize) -> Vec<RepairStep>) -> Vec<RepairStep> {
+    let reference = script(false, 1);
+    for pool_size in [1usize, 2, 8] {
+        let fast = script(true, pool_size);
+        assert_eq!(fast.len(), reference.len());
+        for (step, (want, got)) in reference.iter().zip(&fast).enumerate() {
+            assert_eq!(want, got, "step {step}, pool_size = {pool_size}");
+        }
+    }
+    reference
+}
+
+/// Every object reads back healthy with its own bytes.
+fn assert_all_healthy(c: &Cluster) {
+    for object in c.gw.object_ids() {
+        let (data, mode) = c.gw.get(object).expect("get after repair");
+        assert_eq!(data, payload(object), "object {object} bytes");
+        assert_eq!(mode, ReadMode::Healthy, "object {object}");
+    }
+}
+
+/// 2+2 over ten bricks, objects 0..10 laid out `[o, o+1, o+2, o+3] mod
+/// 10`. Bricks 0 and 1 die and are detected; `silent` bricks stop
+/// without a detector round just before the pass. Steps: the first pass,
+/// then — once detection has caught up — the resumed pass.
+fn interrupted_repair(
+    fanout: bool,
+    pool_size: usize,
+    skip: &[u64],
+    silent: &[usize],
+) -> Vec<RepairStep> {
+    let mut c = cluster(10, 2, 2, fanout, pool_size);
+    for object in (0..10u64).filter(|o| !skip.contains(o)) {
+        c.gw.put(object, &payload(object)).expect("put");
+    }
+    let before = c.layouts();
+    c.kill_brick(0);
+    c.kill_brick(1);
+    for &id in silent {
+        c.stop_brick(id);
+    }
+    let first = c.gw.repair_all();
+    let checkpoint = match &first {
+        Err(Error::RebuildInterrupted { resumed_from }) => *resumed_from,
+        other => panic!("expected RebuildInterrupted, got {other:?}"),
+    };
+    assert!(checkpoint > 0, "the pass was cut mid-way, not at its start");
+    assert_eq!(
+        checkpoint,
+        c.moved_since(&before),
+        "checkpoint equals shards committed"
+    );
+    let mut steps = vec![(first, c.state())];
+    for &id in silent {
+        c.kill_brick(id);
+    }
+    let resumed = c.gw.repair_all();
+    let report = resumed.as_ref().expect("resumed pass");
+    assert_eq!(report.resumed_from, checkpoint);
+    steps.push((resumed, c.state()));
+    steps
+}
+
+#[test]
+fn clean_repair_matches_serial_at_every_pool_size() {
+    // 3+2 over eight bricks: two detected deaths leave objects with one
+    // and with two lost shards, and three spares to rotate over.
+    fn script(fanout: bool, pool_size: usize) -> Vec<RepairStep> {
+        let mut c = cluster(8, 3, 2, fanout, pool_size);
+        for object in 1..=12u64 {
+            c.gw.put(object, &payload(object)).expect("put");
+        }
+        c.kill_brick(2);
+        c.kill_brick(3);
+        let repaired = c.gw.repair_all();
+        assert_all_healthy(&c);
+        vec![(repaired, c.state())]
+    }
+    let reference = assert_repair_parity(script);
+    let report = reference[0].0.as_ref().expect("clean pass");
+    assert!(
+        report.shards_moved > report.objects_repaired,
+        "some objects lost two shards"
+    );
+    assert_eq!(report.lost_objects, Vec::<u64>::new());
+    assert_eq!(report.deferred_objects, Vec::<u64>::new());
+}
+
+#[test]
+fn repair_interrupted_by_a_source_death_matches_serial_and_resumes() {
+    // Bricks 7 and 8 are obj7's primary sources (layout [7, 8, 9, 0])
+    // and nobody's spare before it: obj0 repairs, obj7 cannot reach k.
+    fn script(fanout: bool, pool_size: usize) -> Vec<RepairStep> {
+        interrupted_repair(fanout, pool_size, &[], &[7, 8])
+    }
+    let reference = assert_repair_parity(script);
+    let resumed = reference[1].0.as_ref().expect("resumed pass");
+    assert!(
+        resumed.shards_moved > 0,
+        "the resumed pass finishes the work"
+    );
+}
+
+#[test]
+fn repair_interrupted_by_a_spare_death_matches_serial_and_resumes() {
+    // Brick 6 is no affected object's source. With obj1 left out it is
+    // first met as the *first* of obj9's two targets (6, 7): the fan-out
+    // has already landed the second shard on brick 7 when the first
+    // fails, and must take it back to leave what the serial path leaves.
+    fn script(fanout: bool, pool_size: usize) -> Vec<RepairStep> {
+        interrupted_repair(fanout, pool_size, &[1], &[6])
+    }
+    let reference = assert_repair_parity(script);
+    let (interrupted, (_, inventories)) = &reference[0];
+    assert_eq!(
+        interrupted,
+        &Err(Error::RebuildInterrupted { resumed_from: 5 })
+    );
+    let on_seven = inventories[7].as_ref().expect("brick 7 runs");
+    assert!(
+        !on_seven.contains(&(9, 2)),
+        "uncommitted shard left on brick 7"
+    );
+    let resumed = reference[1].0.as_ref().expect("resumed pass");
+    assert_eq!(resumed.lost_objects, Vec::<u64>::new());
+}
+
+#[test]
+fn scrub_after_an_emptied_brick_rejoins_matches_serial() {
+    // 2+2 over five bricks leaves one spare, so with bricks 0 and 1 dead
+    // the repair pass can only defer; both come back empty, are adopted,
+    // and the scrub re-creates one or two shards per object in place.
+    fn script(fanout: bool, pool_size: usize) -> Vec<RepairStep> {
+        let mut c = cluster(5, 2, 2, fanout, pool_size);
+        for object in 0..10u64 {
+            c.gw.put(object, &payload(object)).expect("put");
+        }
+        c.kill_brick(0);
+        c.kill_brick(1);
+        let mut steps = vec![(c.gw.repair_all(), c.state())];
+        c.rejoin_empty(0);
+        c.rejoin_empty(1);
+        steps.push((c.gw.scrub_repair(), c.state()));
+        assert_all_healthy(&c);
+        steps.push((c.gw.scrub_repair(), c.state()));
+        steps
+    }
+    let reference = assert_repair_parity(script);
+    let deferred = reference[0].0.as_ref().expect("repair pass");
+    assert_eq!(deferred.shards_moved, 0, "nowhere to move shards to");
+    assert_eq!(deferred.deferred_objects.len(), 10);
+    let scrub = reference[1].0.as_ref().expect("scrub");
+    assert_eq!(scrub.objects_repaired, 10);
+    assert!(scrub.shards_moved > 10, "some objects lost two shards");
+    let idle = reference[2].0.as_ref().expect("idle scrub");
+    assert_eq!(idle.shards_moved, 0);
 }
