@@ -169,6 +169,12 @@ echo "==> serving smoke (workload generator, pool metrics, serving bench gate)"
     --metrics-out "$SMOKE_DIR/workload-metrics.jsonl" | grep -q '^rebuilding'
 ./target/release/nsr obs-check --file "$SMOKE_DIR/workload-metrics.jsonl" \
     --require net.pool.reuses,net.pool.keepalives,net.serving.put_s,net.serving.get_s
+# The same three phases with objects larger than any socket read buffer:
+# 1 MiB + 1 at 6+2 is 171 KiB shards with a zero-padded tail, so healthy
+# gets land in place past the buffer, degraded gets reconstruct into the
+# result, and the rebuild moves large shards — every get byte-verified.
+./target/release/nsr workload --ops 40 --object-bytes 1048577 --objects 16 \
+    --bricks 9 --data 6 --parity 2 --seed 7 | grep -q '^rebuilding'
 ./target/release/nsr bench --suite serving --smoke --out-dir "$SMOKE_DIR"
 ./target/release/nsr bench --check --out-dir "$SMOKE_DIR"
 cp "$SMOKE_DIR/BENCH_serving.json" "$SMOKE_DIR/BENCH_serving.old.json"

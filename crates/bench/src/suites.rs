@@ -677,13 +677,15 @@ pub fn sim_suite(mode: Mode) -> Result<Suite, String> {
 
 /// The networked-brick-store suite: wire-codec throughput plus a live
 /// loopback cluster of four in-process brick threads at geometry
-/// `2 + 1` — healthy put/get, degraded (reconstructing) get, and the
-/// wall clock from a brick going silent to the detector declaring it
-/// dead. The percentile cases are single-shot wall-clock measurements,
-/// not iterated medians: a detection cannot be replayed without
-/// re-killing a brick, so those numbers are indicative (like everything
-/// here) rather than statistically tight. The rebuild rate is read by
-/// the repo benchmark's `degraded_rebuild` workload.
+/// `2 + 1` — a scrape round trip, a traced put, and the wall clock from
+/// a brick going silent to the detector declaring it dead. The
+/// percentile cases are single-shot wall-clock measurements, not
+/// iterated medians: a detection cannot be replayed without re-killing a
+/// brick, so those numbers are indicative (like everything here) rather
+/// than statistically tight. Healthy put/get, the degraded get and the
+/// rebuild rate are read by the repo benchmark at the same 64 KiB
+/// geometry (`gateway.put_p50_us`, `gateway.get_p50_us`,
+/// `degraded.get_p50_us`, `rebuild.mib_per_s`), not here.
 pub fn net_suite(mode: Mode) -> Result<Suite, String> {
     use std::time::{Duration, Instant};
 
@@ -751,16 +753,6 @@ pub fn net_suite(mode: Mode) -> Result<Suite, String> {
     }
 
     let data: Vec<u8> = (0..obj_bytes).map(|i| (i * 13 + 5) as u8).collect();
-    results.push(
-        t.measure(&format!("put/healthy_{label}"), obj_bytes as u64, || {
-            gw.put(0, &data).expect("put")
-        }),
-    );
-    results.push(
-        t.measure(&format!("get/healthy_{label}"), obj_bytes as u64, || {
-            gw.get(0).expect("get")
-        }),
-    );
 
     // Live scrape round-trip: one `Scrape` frame against a brick; the
     // reply serializes the metrics registry plus the trace delta at the
@@ -771,10 +763,10 @@ pub fn net_suite(mode: Mode) -> Result<Suite, String> {
         results.push(t.measure("scrape/round_trip", 0, || sc.scrape(0, 64).expect("scrape")));
     }
 
-    // Remote-span overhead: the same healthy put with tracing live, so
+    // Remote-span overhead: a healthy put with tracing live, so
     // every data op ships a `TraceCtx` prefix frame and each brick
-    // opens a remote handler span. The delta against `put/healthy_*`
-    // is the cross-process propagation cost.
+    // opens a remote handler span. What that costs over an untraced
+    // put is the repo benchmark's `obs.traced_put_overhead_frac`.
     let was_trace = nsr_obs::trace_enabled();
     nsr_obs::set_trace_enabled(true);
     results.push(t.measure(
@@ -853,34 +845,6 @@ pub fn net_suite(mode: Mode) -> Result<Suite, String> {
             items_per_iter: 0,
         });
     }
-
-    // Degraded read: store object 1 (layout [1, 2, 3]), take down brick
-    // 1 — its first data shard — and measure the reconstructing read.
-    // The rebuild rate itself is read by the repo benchmark
-    // (`degraded_rebuild`: `secondary_p50_us`, `rebuild.mib_per_s`), over
-    // 1,024 objects per pass, not here.
-    gw.put(1, &data).map_err(err("load put"))?;
-    let mut c = BrickClient::connect(addrs[1], Duration::from_millis(250))
-        .map_err(err("connect for kill"))?;
-    c.shutdown().map_err(err("shutdown"))?;
-    if let Some(h) = handles[1].take() {
-        let _ = h.join();
-    }
-    for _ in 0..500 {
-        if gw
-            .pump_heartbeats()
-            .iter()
-            .any(|tr| tr.brick == 1 && tr.to == Health::Dead)
-        {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    results.push(
-        t.measure(&format!("get/degraded_{label}"), obj_bytes as u64, || {
-            gw.get(1).expect("degraded get")
-        }),
-    );
 
     // Orderly teardown of the surviving brick threads.
     for (id, slot) in handles.iter_mut().enumerate() {

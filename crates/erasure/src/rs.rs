@@ -334,24 +334,87 @@ impl ReedSolomon {
                 found: shards.len(),
             });
         }
-        if plan.missing.iter().any(|&m| shards[m].is_some()) {
+        if plan.missing.iter().any(|&m| shards[m].is_some())
+            || plan.survivors.iter().any(|&i| shards[i].is_none())
+        {
             return Err(Error::DecodePlanMismatch);
         }
-        let mut survivors: Vec<&[u8]> = Vec::with_capacity(self.data_shards);
-        for &i in &plan.survivors {
-            survivors.push(shards[i].as_deref().ok_or(Error::DecodePlanMismatch)?);
+        let len = shards[plan.survivors[0]].as_ref().map_or(0, Vec::len);
+        for &m in &plan.missing {
+            shards[m] = Some(vec![0u8; len]);
         }
-        let len = self.check_sizes(&survivors, self.data_shards)?;
-        let mut rebuilt: Vec<Vec<u8>> = Vec::with_capacity(plan.missing.len());
-        for row in &plan.rows {
-            let mut shard = vec![0u8; len];
-            for (c, &coeff) in row.iter().enumerate() {
-                mul_acc(&mut shard, survivors[c], coeff);
+        let mut views: Vec<&mut [u8]> = shards
+            .iter_mut()
+            .map(|s| s.as_deref_mut().unwrap_or_default())
+            .collect();
+        let applied = self.reconstruct_into(plan, &mut views, &plan.missing);
+        if applied.is_err() {
+            for &m in &plan.missing {
+                shards[m] = None;
             }
-            rebuilt.push(shard);
         }
-        for (&m, shard) in plan.missing.iter().zip(rebuilt) {
-            shards[m] = Some(shard);
+        applied
+    }
+
+    /// Applies a [`DecodePlan`] over borrowed buffers: `shards` is the
+    /// full `R`-wide stripe view, the plan's survivors are read, and each
+    /// position in `rebuild` — any subset of the plan's missing shards —
+    /// is computed straight into its buffer, whose prior contents are
+    /// ignored (the first coefficient overwrites, the rest accumulate).
+    /// Positions that are neither survivors nor in `rebuild` are not
+    /// touched and may be empty, so a reader that only needs the missing
+    /// *data* shards never pays for the parity it did not fetch.
+    ///
+    /// # Errors
+    ///
+    /// * [`Error::ShardCountMismatch`] / [`Error::ShardSizeMismatch`] for
+    ///   a stripe of the wrong width or a survivor or rebuild buffer whose
+    ///   length differs from the first survivor's.
+    /// * [`Error::DecodePlanMismatch`] if `rebuild` names a position the
+    ///   plan does not reconstruct, or names one twice.
+    pub fn reconstruct_into(
+        &self,
+        plan: &DecodePlan,
+        shards: &mut [&mut [u8]],
+        rebuild: &[usize],
+    ) -> Result<()> {
+        if shards.len() != self.total_shards() {
+            return Err(Error::ShardCountMismatch {
+                expected: self.total_shards(),
+                found: shards.len(),
+            });
+        }
+        // Split the view: survivors are read, rebuilt positions written.
+        // Both plan lists are ascending, so index order is plan order.
+        let mut survivors: Vec<&[u8]> = Vec::with_capacity(self.data_shards);
+        let mut outputs: Vec<(&[Gf], &mut [u8])> = Vec::with_capacity(rebuild.len());
+        let len = shards[plan.survivors[0]].len();
+        for (i, shard) in shards.iter_mut().enumerate() {
+            let is_survivor = plan.survivors.binary_search(&i).is_ok();
+            if !is_survivor && !rebuild.contains(&i) {
+                continue;
+            }
+            if shard.len() != len {
+                return Err(Error::ShardSizeMismatch {
+                    expected: len,
+                    index: i,
+                    found: shard.len(),
+                });
+            }
+            if is_survivor {
+                survivors.push(&**shard);
+            } else if let Ok(j) = plan.missing.binary_search(&i) {
+                outputs.push((&plan.rows[j], &mut **shard));
+            }
+        }
+        if outputs.len() != rebuild.len() {
+            return Err(Error::DecodePlanMismatch);
+        }
+        for (row, out) in outputs {
+            mul_into(out, survivors[0], row[0]);
+            for (&coeff, src) in row.iter().zip(&survivors).skip(1) {
+                mul_acc(out, src, coeff);
+            }
         }
         Ok(())
     }
@@ -606,6 +669,66 @@ mod tests {
         assert!(matches!(
             code.reconstruct_with_plan(&plan, &mut wrong).unwrap_err(),
             Error::DecodePlanMismatch
+        ));
+    }
+
+    #[test]
+    fn reconstruct_into_rebuilds_only_what_is_asked() {
+        // Data shards 1 and 3 are gone and parity 7 was never fetched (an
+        // empty view): the reader wants only the data back.
+        let code = ReedSolomon::new(5, 3).unwrap();
+        let full = code.encode(&sample_data(5, 77)).unwrap();
+        let plan = code.plan_reconstruction(&[1, 3, 7]).unwrap();
+        let mut bufs = full.clone();
+        for lost in [1, 3] {
+            bufs[lost].fill(0xee); // dirty: prior contents must not leak
+        }
+        bufs[7].clear();
+        let mut views: Vec<&mut [u8]> = bufs.iter_mut().map(Vec::as_mut_slice).collect();
+        code.reconstruct_into(&plan, &mut views, &[1, 3]).unwrap();
+        assert_eq!(&bufs[..7], &full[..7]);
+        assert!(bufs[7].is_empty());
+
+        // A parity shard rebuilds the same way, into an owned buffer.
+        bufs[7] = vec![0x11; 77];
+        let mut views: Vec<&mut [u8]> = bufs.iter_mut().map(Vec::as_mut_slice).collect();
+        code.reconstruct_into(&plan, &mut views, &[7]).unwrap();
+        assert_eq!(bufs, full);
+    }
+
+    #[test]
+    fn reconstruct_into_validates_its_view() {
+        let code = ReedSolomon::new(4, 2).unwrap();
+        let full = code.encode(&sample_data(4, 16)).unwrap();
+        let plan = code.plan_reconstruction(&[0, 5]).unwrap();
+        let view = |bufs: &mut Vec<Vec<u8>>, rebuild: &[usize]| {
+            let mut views: Vec<&mut [u8]> = bufs.iter_mut().map(Vec::as_mut_slice).collect();
+            code.reconstruct_into(&plan, &mut views, rebuild)
+        };
+        // A survivor, a duplicate, or a position outside the plan.
+        for rebuild in [&[1usize][..], &[0, 0], &[0, 9]] {
+            assert_eq!(
+                view(&mut full.clone(), rebuild).unwrap_err(),
+                Error::DecodePlanMismatch
+            );
+        }
+        let mut short_out = full.clone();
+        short_out[0].pop();
+        assert!(matches!(
+            view(&mut short_out, &[0]).unwrap_err(),
+            Error::ShardSizeMismatch { index: 0, .. }
+        ));
+        let mut short_survivor = full.clone();
+        short_survivor[2].pop();
+        assert!(matches!(
+            view(&mut short_survivor, &[0]).unwrap_err(),
+            Error::ShardSizeMismatch { index: 2, .. }
+        ));
+        let mut narrow = full.clone();
+        narrow.pop();
+        assert!(matches!(
+            view(&mut narrow, &[0]).unwrap_err(),
+            Error::ShardCountMismatch { .. }
         ));
     }
 

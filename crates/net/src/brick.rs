@@ -44,7 +44,20 @@ impl BrickConfig {
     }
 }
 
-type ShardMap = BTreeMap<(u64, u32), Vec<u8>>;
+/// Shards are shared buffers: a read clones the handle under the map
+/// lock and writes the bytes to its socket after the lock is released,
+/// so a large shard is neither copied nor does sending it hold up the
+/// other connections; an overwrite swaps the handle, so a read sees one
+/// whole version or the other.
+type ShardMap = BTreeMap<(u64, u32), Arc<Vec<u8>>>;
+
+/// What a request is answered with.
+enum Reply {
+    /// A stored shard, written straight from the shared buffer.
+    Shard(Arc<Vec<u8>>),
+    /// Anything else.
+    Frame(Frame),
+}
 
 /// Per-server telemetry shared by every connection handler: the scrape
 /// snapshot sequence (bumped per served scrape, echoed on heartbeat
@@ -209,11 +222,11 @@ fn handle_connection(
         let shutting_down = matches!(request, Frame::Shutdown);
         let reply = dispatch(request, cfg, shards, pending_ctx.take(), telemetry);
         // Shard replies bypass the generic encoder: header from the
-        // stack, payload straight from the owned buffer, no copy.
+        // stack, payload straight from the stored buffer, no copy.
         match &reply {
-            Frame::ShardData { data } => crate::wire::write_shard_data(&mut writer, data)?,
-            Frame::Ok => crate::wire::write_ok(&mut writer)?,
-            other => write_frame(&mut writer, other)?,
+            Reply::Shard(data) => crate::wire::write_shard_data(&mut writer, data)?,
+            Reply::Frame(Frame::Ok) => crate::wire::write_ok(&mut writer)?,
+            Reply::Frame(other) => write_frame(&mut writer, other)?,
         }
         if shutting_down {
             stop.store(true, Ordering::SeqCst);
@@ -230,21 +243,24 @@ fn dispatch(
     shards: &Mutex<ShardMap>,
     ctx: Option<SpanContext>,
     telemetry: &Telemetry,
-) -> Frame {
-    match request {
-        // By-value dispatch: the decoded shard bytes move straight into
-        // the store, so a put never copies the payload on the brick.
+) -> Reply {
+    Reply::Frame(match request {
+        // By-value dispatch: the decoded shard bytes — read off the wire
+        // into an exactly-sized buffer — move straight into the store,
+        // so a put never copies the payload on the brick.
         Frame::PutShard { object, pos, data } => {
             let _span = handler_span("net.brick.put", ctx, cfg.id, object, pos);
-            shards
+            let displaced = shards
                 .lock()
                 .expect("shard map lock")
-                .insert((object, pos), data);
+                .insert((object, pos), Arc::new(data));
+            // Freed (if no read still holds it) after the lock is gone.
+            drop(displaced);
             Frame::Ok
         }
         Frame::GetShard { object, pos } => {
             let _span = handler_span("net.brick.get", ctx, cfg.id, object, pos);
-            fetch_shard(shards, object, pos)
+            return fetch_shard(shards, object, pos);
         }
         Frame::RebuildFetch { object, pos } => {
             let _span = handler_span("net.brick.rebuild_fetch", ctx, cfg.id, object, pos);
@@ -255,7 +271,7 @@ fn dispatch(
                     ("pos", Json::Num(pos as f64)),
                 ]
             });
-            fetch_shard(shards, object, pos)
+            return fetch_shard(shards, object, pos);
         }
         Frame::DeleteShard { object, pos } => {
             let _span = handler_span("net.brick.delete", ctx, cfg.id, object, pos);
@@ -287,7 +303,7 @@ fn dispatch(
             code: reply_code::BAD_REQUEST,
             detail: format!("unexpected request frame `{}`", other.name()),
         },
-    }
+    })
 }
 
 /// Opens the brick-side handler span for a data operation. With a
@@ -343,13 +359,19 @@ fn scrape_reply(cursor: u64, max_lines: u32, cfg: &BrickConfig, telemetry: &Tele
     }
 }
 
-fn fetch_shard(shards: &Mutex<ShardMap>, object: u64, pos: u32) -> Frame {
-    match shards.lock().expect("shard map lock").get(&(object, pos)) {
-        Some(data) => Frame::ShardData { data: data.clone() },
-        None => Frame::ErrorReply {
+fn fetch_shard(shards: &Mutex<ShardMap>, object: u64, pos: u32) -> Reply {
+    // The lock covers the lookup and a reference-count bump, nothing else.
+    let found = shards
+        .lock()
+        .expect("shard map lock")
+        .get(&(object, pos))
+        .cloned();
+    match found {
+        Some(data) => Reply::Shard(data),
+        None => Reply::Frame(Frame::ErrorReply {
             code: reply_code::SHARD_NOT_FOUND,
             detail: format!("obj{object} pos{pos}"),
-        },
+        }),
     }
 }
 
@@ -380,6 +402,50 @@ mod tests {
         assert_eq!(ack.brick_id, 7);
         assert_eq!(ack.shards, 0);
         c.shutdown().expect("shutdown");
+        handle.join().expect("join").expect("run");
+    }
+
+    #[test]
+    fn a_read_racing_overwrites_sees_one_whole_version() {
+        // One connection overwrites a 256 KiB shard with alternating
+        // all-0xAA / all-0x55 payloads while another reads it in a loop.
+        // Reads send from the shared buffer with the map lock released, so
+        // what keeps a reply from mixing two versions is that an overwrite
+        // swaps the buffer rather than writing into it.
+        const LEN: usize = 256 * 1024;
+        const OVERWRITES: usize = 200;
+        let (addr, handle) = start();
+        let mut writer = BrickClient::connect(addr, Duration::from_secs(2)).expect("connect");
+        let mut reader = BrickClient::connect(addr, Duration::from_secs(2)).expect("connect");
+        writer.put_shard(1, 0, &vec![0xAA; LEN]).expect("first put");
+        let go = std::sync::Barrier::new(2);
+        let done = AtomicBool::new(false);
+        let reads = std::thread::scope(|s| {
+            s.spawn(|| {
+                go.wait();
+                for i in 0..OVERWRITES {
+                    let byte = if i % 2 == 0 { 0x55 } else { 0xAA };
+                    writer.put_shard(1, 0, &vec![byte; LEN]).expect("overwrite");
+                }
+                done.store(true, Ordering::SeqCst);
+            });
+            go.wait();
+            let mut reads = 0usize;
+            while !done.load(Ordering::SeqCst) || reads == 0 {
+                let got = reader.get_shard(1, 0).expect("get");
+                assert_eq!(got.len(), LEN);
+                assert!(
+                    got[0] == 0xAA || got[0] == 0x55,
+                    "a byte nobody wrote: {:#x}",
+                    got[0]
+                );
+                assert!(got.iter().all(|&b| b == got[0]), "torn read #{reads}");
+                reads += 1;
+            }
+            reads
+        });
+        assert!(reads > 0);
+        writer.shutdown().expect("shutdown");
         handle.join().expect("join").expect("run");
     }
 

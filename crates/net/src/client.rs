@@ -6,7 +6,11 @@
 //! classic blocking pair (`request`, `put_shard`, …) and split
 //! send/receive halves (`send_*` / `recv_*`) that let the gateway keep
 //! one request outstanding per brick connection and collect the replies
-//! afterwards — the pipelined shard fan-out. Retry, backoff and routing
+//! afterwards — the pipelined shard fan-out. A fetched shard lands where
+//! the caller says: `recv_shard_into` reads the payload from the socket
+//! straight into a caller-supplied slice (what the gateway uses — one
+//! copy, no allocation), `recv_shard` / `get_shard` into a fresh `Vec`
+//! for callers with nowhere to put it yet. Retry, backoff and routing
 //! policy live in the gateway's connection pool, which redials a fresh
 //! `BrickClient` when an operation fails.
 
@@ -15,7 +19,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 use crate::error::Error;
-use crate::wire::{read_frame, reply_code, write_frame, Frame};
+use crate::wire::{read_frame, read_shard_into, reply_code, write_frame, Frame, ShardReply};
 
 /// Fields of a heartbeat acknowledgement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,13 +99,7 @@ impl BrickClient {
     /// Reads one reply frame for an outstanding request (a connection
     /// closing before the reply is a typed transport error).
     pub fn recv_reply(&mut self) -> Result<Frame, Error> {
-        match read_frame(&mut self.reader)? {
-            Some(reply) => Ok(reply),
-            None => Err(Error::Io {
-                op: "read_reply",
-                detail: "connection closed before reply".to_string(),
-            }),
-        }
+        read_frame(&mut self.reader)?.ok_or_else(closed_before_reply)
     }
 
     /// Sends one request and reads its response.
@@ -135,10 +133,26 @@ impl BrickClient {
     ) -> Result<Vec<u8>, Error> {
         match self.recv_reply()? {
             Frame::ShardData { data } => Ok(data),
-            Frame::ErrorReply { code, .. } if code == reply_code::SHARD_NOT_FOUND => {
-                Err(Error::ShardNotFound { object, pos })
-            }
-            other => Err(unexpected(op, other)),
+            other => Err(fetch_refused(op, object, pos, other)),
+        }
+    }
+
+    /// Reads the reply to an outstanding shard fetch straight into
+    /// `dst`, which must be exactly the shard's length — the payload
+    /// crosses user space once, from the socket to where the caller
+    /// wants it (see [`read_shard_into`]). A whole shard of any other
+    /// length is [`Error::ShardLength`] and leaves the connection usable.
+    pub fn recv_shard_into(
+        &mut self,
+        op: &'static str,
+        object: u64,
+        pos: u32,
+        dst: &mut [u8],
+    ) -> Result<(), Error> {
+        match read_shard_into(&mut self.reader, dst)? {
+            ShardReply::Filled => Ok(()),
+            ShardReply::Other(reply) => Err(fetch_refused(op, object, pos, reply)),
+            ShardReply::Eof => Err(closed_before_reply()),
         }
     }
 
@@ -148,25 +162,10 @@ impl BrickClient {
         self.recv_put_reply()
     }
 
-    /// Fetches one shard.
+    /// Fetches one shard into a fresh buffer.
     pub fn get_shard(&mut self, object: u64, pos: u32) -> Result<Vec<u8>, Error> {
-        self.fetch(Frame::GetShard { object, pos }, object, pos)
-    }
-
-    /// Fetches one shard on behalf of a rebuild (distinct wire tag so
-    /// rebuild traffic is separately traceable on the brick).
-    pub fn rebuild_fetch(&mut self, object: u64, pos: u32) -> Result<Vec<u8>, Error> {
-        self.fetch(Frame::RebuildFetch { object, pos }, object, pos)
-    }
-
-    fn fetch(&mut self, req: Frame, object: u64, pos: u32) -> Result<Vec<u8>, Error> {
-        let op = if matches!(req, Frame::RebuildFetch { .. }) {
-            "rebuild_fetch"
-        } else {
-            "get_shard"
-        };
-        self.send_request(&req)?;
-        self.recv_shard(op, object, pos)
+        self.send_request(&Frame::GetShard { object, pos })?;
+        self.recv_shard("get_shard", object, pos)
     }
 
     /// Removes one shard (idempotent).
@@ -260,6 +259,23 @@ impl BrickClient {
             Frame::Ok => Ok(()),
             other => Err(unexpected("shutdown", other)),
         }
+    }
+}
+
+fn closed_before_reply() -> Error {
+    Error::Io {
+        op: "read_reply",
+        detail: "connection closed before reply".to_string(),
+    }
+}
+
+/// Types a reply to a shard fetch that is not the shard.
+fn fetch_refused(op: &'static str, object: u64, pos: u32, got: Frame) -> Error {
+    match got {
+        Frame::ErrorReply { code, .. } if code == reply_code::SHARD_NOT_FOUND => {
+            Error::ShardNotFound { object, pos }
+        }
+        other => unexpected(op, other),
     }
 }
 

@@ -47,6 +47,14 @@ pub enum Error {
         /// Shard position within the object's redundancy set.
         pos: u32,
     },
+    /// A brick answered a fetch with a whole, well-framed shard of the
+    /// wrong size (the payload was skipped, so the stream stays in sync).
+    ShardLength {
+        /// Bytes the caller's destination holds.
+        expected: usize,
+        /// Bytes the brick sent.
+        found: usize,
+    },
     /// A retried operation exhausted its backoff budget.
     RetriesExhausted {
         /// The operation that kept failing.
@@ -109,6 +117,9 @@ impl fmt::Display for Error {
             Error::ShardNotFound { object, pos } => {
                 write!(f, "shard (obj{object}, pos {pos}) not stored on this brick")
             }
+            Error::ShardLength { expected, found } => {
+                write!(f, "brick sent a {found}-byte shard, expected {expected}")
+            }
             Error::RetriesExhausted { op, attempts, last } => {
                 write!(
                     f,
@@ -163,7 +174,7 @@ impl Error {
     /// Whether this error leaves a connection's byte stream in an unknown
     /// state (transport and framing faults), as opposed to a well-framed
     /// typed reply after which the next request can reuse the stream.
-    pub(crate) fn breaks_stream(&self) -> bool {
+    pub fn breaks_stream(&self) -> bool {
         matches!(
             self,
             Error::Io { .. }

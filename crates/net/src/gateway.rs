@@ -23,6 +23,16 @@
 //! path produces, and why seeded campaign replays stay byte-identical
 //! with fan-out enabled.
 //!
+//! Copy budget: a fetched shard goes from its socket straight to where
+//! it is needed. `fetch_shards` lands every position in a caller-supplied
+//! buffer; `get` allocates its result once and hands each data position
+//! its slice of it, and a degraded `get` rebuilds only the missing *data*
+//! positions, directly into their slices (parity gets scratch buffers,
+//! and only once a data brick is out of reach). Rebuild and scrub run
+//! the same two routines over owned per-position buffers they keep from
+//! object to object. There is no per-shard `Vec` and no concatenation
+//! anywhere on the read path (DESIGN §3h has the before/after count).
+//!
 //! Consistency model: an object's metadata (length + shard layout) is
 //! committed only after every shard of a put has been acknowledged, so
 //! a gateway or brick crash mid-put can never produce a torn object —
@@ -545,24 +555,41 @@ impl Gateway {
                 .map(|&b| det.health(b).map(Health::readable).unwrap_or(false))
                 .collect()
         };
-        let mut shards: Vec<Option<Vec<u8>>> = vec![None; r];
+        // The result is allocated once, k whole shards wide (the tail
+        // shard's padding is cut off at the end), and every data shard is
+        // fetched — or, if its brick is gone, rebuilt — straight into
+        // its slice of it. Parity lands in scratch buffers that exist
+        // only once a read needs them.
+        let shard_len = meta.shard_len as usize;
+        let mut out = vec![0u8; k * shard_len];
+        let mut parity: Vec<Vec<u8>> = vec![Vec::new(); r - k];
+        let mut present = vec![false; r];
+        let mut fetch = |positions: &[usize]| {
+            for &pos in positions.iter().filter(|&&pos| pos >= k) {
+                parity[pos - k] = vec![0u8; shard_len];
+            }
+            let mut stripe = data_and_parity(&mut out, &mut parity, shard_len);
+            let fetched =
+                self.fetch_shards(object, &meta.layout, positions, &mut stripe, false, ctx);
+            mark_present(&fetched, positions, &mut present)
+        };
         // Every readable data position (a healthy read needs nothing
         // else), plus just enough readable parity to reach k when data
         // bricks are known-unreadable.
         let mut wanted: Vec<usize> = (0..k).filter(|&pos| readable[pos]).collect();
         let need = k - wanted.len();
         wanted.extend((k..r).filter(|&pos| readable[pos]).take(need));
-        let mut have = self.fetch_into(object, &meta, &wanted, false, ctx, &mut shards);
+        let mut have = fetch(&wanted);
         // A wanted shard that stayed unavailable through its retries is
         // made up from the remaining readable parity, one at a time.
         for pos in (k..r).filter(|&pos| readable[pos] && !wanted.contains(&pos)) {
             if have >= k {
                 break;
             }
-            have += self.fetch_into(object, &meta, &[pos], false, ctx, &mut shards);
+            have += fetch(&[pos]);
         }
-        let data_complete = shards[..k].iter().all(Option::is_some);
-        if !data_complete {
+        let lost_data: Vec<usize> = (0..k).filter(|&pos| !present[pos]).collect();
+        if !lost_data.is_empty() {
             if have < k {
                 let missing = r - have;
                 obs::LOSS_GETS.inc();
@@ -573,7 +600,9 @@ impl Gateway {
                     tolerated: self.tolerated(),
                 });
             }
-            self.codec.reconstruct(&mut shards)?;
+            // Only the data: parity this read never fetched stays unbuilt.
+            let mut stripe = data_and_parity(&mut out, &mut parity, shard_len);
+            self.rebuild_shards(&mut stripe, &present, &lost_data)?;
             obs::DEGRADED_GETS.inc();
             nsr_obs::trace::event("net.get.degraded", || {
                 vec![
@@ -582,13 +611,9 @@ impl Gateway {
                 ]
             });
         }
-        let mut out = Vec::with_capacity(meta.len as usize);
-        for shard in shards[..k].iter() {
-            out.extend_from_slice(shard.as_deref().expect("data shards complete"));
-        }
         out.truncate(meta.len as usize);
         obs::GETS.inc();
-        let mode = if data_complete {
+        let mode = if lost_data.is_empty() {
             ReadMode::Healthy
         } else {
             ReadMode::Degraded
@@ -645,6 +670,8 @@ impl Gateway {
             .collect();
         let r = self.redundancy();
         let k = self.codec.data_shards();
+        // One owned buffer per position, kept from object to object.
+        let mut bufs: Vec<Vec<u8>> = vec![Vec::new(); r];
         for (id, m) in objects {
             let lost: Vec<usize> = (0..r)
                 .filter(|&pos| failed.contains(&m.layout[pos]))
@@ -682,22 +709,27 @@ impl Gateway {
                 continue;
             }
             let mut lap = nsr_obs::metrics_timer();
-            let mut shards: Vec<Option<Vec<u8>>> = vec![None; r];
+            let mut stripe = sized_stripe(&mut bufs, m.shard_len as usize);
+            let mut present = vec![false; r];
+            let mut fetch = |positions: &[usize]| {
+                let fetched = self.fetch_shards(id, &m.layout, positions, &mut stripe, true, ctx);
+                mark_present(&fetched, positions, &mut present)
+            };
             // The k primary sources in one fan-out round; any shortfall
             // walks the remaining sources one at a time.
-            let mut have = self.fetch_into(id, &m, &sources[..k], true, ctx, &mut shards);
+            let mut have = fetch(&sources[..k]);
             for &pos in &sources[k..] {
                 if have >= k {
                     break;
                 }
-                have += self.fetch_into(id, &m, &[pos], true, ctx, &mut shards);
+                have += fetch(&[pos]);
             }
             if have < k {
                 // Planned sources stopped serving mid-transfer.
                 return Err(self.interrupted(&mut span));
             }
             obs::lap(&mut lap, &obs::REBUILD_FETCH_S);
-            self.codec.reconstruct(&mut shards)?;
+            self.rebuild_shards(&mut stripe, &present, &lost)?;
             obs::lap(&mut lap, &obs::REBUILD_RECONSTRUCT_S);
             // Consecutive offsets modulo the spare count: distinct
             // spares per lost position (lost.len() ≤ spares.len() was
@@ -706,8 +738,7 @@ impl Gateway {
                 .map(|i| spares[(id as usize + i) % spares.len()])
                 .collect();
             let (done, failure) = self.store_shards(id, &targets, ctx, |i| {
-                let shard = shards[lost[i]].as_deref().expect("reconstructed");
-                (lost[i] as u32, shard)
+                (lost[i] as u32, bufs[lost[i]].as_slice())
             });
             obs::lap(&mut lap, &obs::REBUILD_PUT_S);
             // Per-shard commit, strictly in lost-position order and only
@@ -807,9 +838,12 @@ impl Gateway {
             .collect();
         let r = self.redundancy();
         let k = self.codec.data_shards();
+        // One owned buffer per position, kept from object to object.
+        let mut bufs: Vec<Vec<u8>> = vec![Vec::new(); r];
         for (id, m) in objects {
             let mut lap = nsr_obs::metrics_timer();
-            let mut shards: Vec<Option<Vec<u8>>> = vec![None; r];
+            let mut stripe = sized_stripe(&mut bufs, m.shard_len as usize);
+            let mut present = vec![false; r];
             let mut missing: Vec<usize> = Vec::new();
             // Probe every healthy layout brick in one fan-out round, then
             // classify the results in position order (deterministic).
@@ -817,11 +851,14 @@ impl Gateway {
                 .filter(|&pos| healthy.binary_search(&m.layout[pos]).is_ok())
                 .collect();
             let mut unavailable = r - probe.len();
-            let probed = self.fetch_shards(id, &m.layout, &probe, true, ctx);
+            let probed = self.fetch_shards(id, &m.layout, &probe, &mut stripe, true, ctx);
             for (res, &pos) in probed.into_iter().zip(&probe) {
                 match res {
-                    Ok(data) if data.len() == m.shard_len as usize => shards[pos] = Some(data),
-                    Ok(_) | Err(Error::ShardNotFound { .. }) => missing.push(pos),
+                    Ok(()) => present[pos] = true,
+                    // Absent, or there at the wrong size: restore it.
+                    Err(Error::ShardNotFound { .. } | Error::ShardLength { .. }) => {
+                        missing.push(pos)
+                    }
                     // A probe that fails in transit is neither present
                     // nor restorable right now.
                     Err(_) => unavailable += 1,
@@ -831,8 +868,7 @@ impl Gateway {
             if missing.is_empty() {
                 continue;
             }
-            let present = shards.iter().filter(|s| s.is_some()).count();
-            if present < k {
+            if present.iter().filter(|&&p| p).count() < k {
                 if unavailable > 0 {
                     report.deferred_objects.push(id);
                 } else {
@@ -840,12 +876,11 @@ impl Gateway {
                 }
                 continue;
             }
-            self.codec.reconstruct(&mut shards)?;
+            self.rebuild_shards(&mut stripe, &present, &missing)?;
             obs::lap(&mut lap, &obs::REBUILD_RECONSTRUCT_S);
             let targets: Vec<u32> = missing.iter().map(|&pos| m.layout[pos]).collect();
             let (done, failure) = self.store_shards(id, &targets, ctx, |i| {
-                let shard = shards[missing[i]].as_deref().expect("reconstructed");
-                (missing[i] as u32, shard)
+                (missing[i] as u32, bufs[missing[i]].as_slice())
             });
             obs::lap(&mut lap, &obs::REBUILD_PUT_S);
             // The layout never changes, so a restored shard counts where
@@ -927,6 +962,15 @@ impl Gateway {
                 .split(',')
                 .map(|s| s.parse::<u32>().map_err(|_| bad()))
                 .collect::<Result<Vec<u32>, Error>>()?;
+            // `get` sizes its result from these two before any brick has
+            // answered: a shard must fit a frame, and k of them the object.
+            let max_shard = crate::wire::MAX_FRAME_LEN - 5;
+            let holds = self.codec.data_shards() as u64 * u64::from(shard_len);
+            if shard_len == 0 || shard_len > max_shard || len > holds {
+                return Err(Error::Decode {
+                    what: format!("object {id}: shard_len {shard_len} cannot hold len {len}"),
+                });
+            }
             if layout.len() != self.redundancy() {
                 return Err(Error::Decode {
                     what: format!(
@@ -996,20 +1040,25 @@ impl Gateway {
         self.pool.with(id, op, f)
     }
 
-    /// Fetches `positions` of `object` from their layout bricks, results
-    /// aligned with `positions`: one pipelined [`ConnectionPool::fanout`]
-    /// round, then the per-shard retry path for each position that
-    /// missed in transit. With `cfg.fanout` off (or a single position)
-    /// every fetch takes the retry path, serially — the reference the
-    /// fan-out must match. `get`, rebuild and scrub all fetch here.
+    /// Fetches `positions` of `object` from their layout bricks, each
+    /// straight into its buffer in `stripe` (the full-width view of the
+    /// object's shards; every buffer asked for is one shard long), with
+    /// results aligned with `positions`: one pipelined
+    /// [`ConnectionPool::fanout`] round, then the per-shard retry path
+    /// for each position that missed in transit. With `cfg.fanout` off
+    /// (or a single position) every fetch takes the retry path, serially
+    /// — the reference the fan-out must match. A buffer whose fetch
+    /// failed holds no particular bytes. `get`, rebuild and scrub all
+    /// fetch here.
     fn fetch_shards(
         &self,
         object: u64,
         layout: &[u32],
         positions: &[usize],
+        stripe: &mut [&mut [u8]],
         rebuild: bool,
         ctx: Option<SpanContext>,
-    ) -> Vec<Result<Vec<u8>, Error>> {
+    ) -> Vec<Result<(), Error>> {
         let op: &'static str = if rebuild {
             "rebuild_fetch"
         } else {
@@ -1022,15 +1071,18 @@ impl Gateway {
                 Frame::GetShard { object, pos }
             }
         };
-        let with_retry = |pos: usize| {
+        let with_retry = |pos: usize, dst: &mut [u8]| {
             self.shard_op_with_retry(layout[pos], op, |c| {
                 send_ctx(c, ctx)?;
                 c.send_request(&request(pos as u32))?;
-                c.recv_shard(op, object, pos as u32)
+                c.recv_shard_into(op, object, pos as u32, dst)
             })
         };
         if !self.cfg.fanout || positions.len() <= 1 {
-            return positions.iter().map(|&pos| with_retry(pos)).collect();
+            return positions
+                .iter()
+                .map(|&pos| with_retry(pos, stripe[pos]))
+                .collect();
         }
         let bricks: Vec<u32> = positions.iter().map(|&pos| layout[pos]).collect();
         let mut results = self.pool.fanout(
@@ -1040,36 +1092,29 @@ impl Gateway {
                 send_ctx(c, ctx)?;
                 c.send_request(&request(positions[i] as u32))
             },
-            |i, c| c.recv_shard(op, object, positions[i] as u32),
+            |i, c| c.recv_shard_into(op, object, positions[i] as u32, stripe[positions[i]]),
         );
         for (res, &pos) in results.iter_mut().zip(positions) {
             if matches!(res, Err(e) if e.is_transient()) {
-                *res = with_retry(pos);
+                *res = with_retry(pos, stripe[pos]);
             }
         }
         results
     }
 
-    /// [`fetch_shards`](Self::fetch_shards) assembled by position: every
-    /// full-length reply lands in `shards[pos]`. Returns how many did.
-    fn fetch_into(
+    /// Rebuilds positions `want` of a stripe from the shards marked
+    /// `present` (at least `k`), straight into their buffers in `stripe`
+    /// and nothing else — `get` asks for its missing data shards, rebuild
+    /// and scrub for the shards they are about to write back.
+    fn rebuild_shards(
         &self,
-        object: u64,
-        m: &ObjectMeta,
-        positions: &[usize],
-        rebuild: bool,
-        ctx: Option<SpanContext>,
-        shards: &mut [Option<Vec<u8>>],
-    ) -> usize {
-        let fetched = self.fetch_shards(object, &m.layout, positions, rebuild, ctx);
-        let mut got = 0;
-        for (res, &pos) in fetched.into_iter().zip(positions) {
-            if let Some(data) = res.ok().filter(|d| d.len() == m.shard_len as usize) {
-                shards[pos] = Some(data);
-                got += 1;
-            }
-        }
-        got
+        stripe: &mut [&mut [u8]],
+        present: &[bool],
+        want: &[usize],
+    ) -> Result<(), Error> {
+        let absent: Vec<usize> = (0..present.len()).filter(|&pos| !present[pos]).collect();
+        let plan = self.codec.plan_reconstruction(&absent)?;
+        Ok(self.codec.reconstruct_into(&plan, stripe, want)?)
     }
 
     /// Stores shard `i` of `object` — `shard(i)` gives its position and
@@ -1198,6 +1243,42 @@ impl AsRef<[u8]> for ShardBuf<'_> {
     }
 }
 
+/// Books one [`Gateway::fetch_shards`] round: marks every position that
+/// landed and returns how many did.
+fn mark_present(fetched: &[Result<(), Error>], positions: &[usize], present: &mut [bool]) -> usize {
+    let mut landed = 0;
+    for (res, &pos) in fetched.iter().zip(positions) {
+        present[pos] = res.is_ok();
+        landed += usize::from(res.is_ok());
+    }
+    landed
+}
+
+/// The stripe view a `get` fetches and rebuilds through: the result
+/// buffer cut into its `k` data shards, then the parity scratch buffers
+/// (empty until a read needs them).
+fn data_and_parity<'a>(
+    data: &'a mut [u8],
+    parity: &'a mut [Vec<u8>],
+    shard_len: usize,
+) -> Vec<&'a mut [u8]> {
+    data.chunks_mut(shard_len)
+        .chain(parity.iter_mut().map(Vec::as_mut_slice))
+        .collect()
+}
+
+/// The stripe view rebuild and scrub work through: every owned buffer
+/// made one shard long (a no-op while objects keep their size; stale
+/// bytes are harmless, a position counts only once fetched or rebuilt).
+fn sized_stripe(bufs: &mut [Vec<u8>], shard_len: usize) -> Vec<&mut [u8]> {
+    bufs.iter_mut()
+        .map(|buf| {
+            buf.resize(shard_len, 0);
+            buf.as_mut_slice()
+        })
+        .collect()
+}
+
 /// Sends the remote trace context ahead of a data-op request when one
 /// is open. With tracing disabled (or no open span) `ctx` is `None` and
 /// nothing extra crosses the wire — legacy single-process behavior.
@@ -1275,5 +1356,20 @@ mod tests {
             gw.import_meta("nsr-net-meta/v1\nobject 1 len 10 shard_len 4 layout 0,1\n"),
             Err(Error::Decode { .. })
         ));
+        // Sizes a get would allocate from: no empty shards, none larger
+        // than a frame, and k of them must hold the object.
+        for sizes in [
+            "len 0 shard_len 0",
+            "len 10 shard_len 3",
+            "len 10 shard_len 4000000000",
+        ] {
+            let text = format!("nsr-net-meta/v1\nobject 1 {sizes} layout 0,1,2,3,4\n");
+            assert!(
+                matches!(gw.import_meta(&text), Err(Error::Decode { .. })),
+                "{sizes}"
+            );
+        }
+        gw.import_meta("nsr-net-meta/v1\nobject 1 len 10 shard_len 4 layout 0,1,2,3,4\n")
+            .expect("3 x 4 bytes hold 10");
     }
 }

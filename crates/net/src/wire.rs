@@ -31,12 +31,16 @@ pub const MAX_FRAME_LEN: u32 = 1 << 26;
 /// — no intermediate copy of the bulk bytes.
 pub const IO_WRITE_BUF_LEN: usize = 4 * 1024;
 
-/// `BufReader` capacity for connection sockets. Deliberately large
-/// enough that a whole shard frame at the benchmark geometries arrives
-/// in one blocking `read` wakeup instead of a header read plus a
-/// second payload read — on the serving path a syscall costs more than
-/// the buffer memcpy it avoids.
-pub const IO_READ_BUF_LEN: usize = 128 * 1024;
+/// `BufReader` capacity for connection sockets. Sized to sit between
+/// the two kinds of frame: every control frame and every small-object
+/// shard (683 B at 4 KiB objects, 10.9 KiB at 64 KiB) arrives whole in
+/// one blocking `read` — header and payload together, because there a
+/// syscall costs more than the buffer memcpy it avoids — while a large
+/// shard (171 KiB at 1 MiB objects) overflows it, so all but the head
+/// of its payload is read from the socket straight into its final
+/// destination (see [`read_shard_into`]) instead of bouncing through
+/// the buffer: past a few tens of KiB the memcpy is the larger cost.
+pub const IO_READ_BUF_LEN: usize = 16 * 1024;
 
 /// Remote error codes carried by [`Frame::ErrorReply`].
 pub mod reply_code {
@@ -514,10 +518,16 @@ fn write_all_vectored2(w: &mut impl Write, a: &[u8], b: &[u8]) -> std::io::Resul
     let total = a.len() + b.len();
     let mut off = 0;
     while off < total {
-        let n = if off < a.len() {
-            w.write_vectored(&[std::io::IoSlice::new(&a[off..]), std::io::IoSlice::new(b)])?
+        let written = if off < a.len() {
+            w.write_vectored(&[std::io::IoSlice::new(&a[off..]), std::io::IoSlice::new(b)])
         } else {
-            w.write(&b[off - a.len()..])?
+            w.write(&b[off - a.len()..])
+        };
+        let n = match written {
+            Ok(n) => n,
+            // As `write_all` does: a signal is not a transport fault.
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
         };
         if n == 0 {
             return Err(std::io::Error::new(
@@ -534,6 +544,64 @@ fn write_all_vectored2(w: &mut impl Write, a: &[u8], b: &[u8]) -> std::io::Resul
 /// `Ok(None)` (peer closed between frames); EOF mid-frame is a decode
 /// error.
 pub fn read_frame(r: &mut impl BufRead) -> Result<Option<Frame>, Error> {
+    match read_header(r)? {
+        Some((len, tag)) => read_rest(r, len, tag).map(Some),
+        None => Ok(None),
+    }
+}
+
+/// What [`read_shard_into`] found on the wire.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ShardReply {
+    /// The peer closed the connection between frames.
+    Eof,
+    /// A [`Frame::ShardData`] of exactly the destination's length; its
+    /// payload is in the destination.
+    Filled,
+    /// Any other well-formed frame, decoded as [`read_frame`] would.
+    Other(Frame),
+}
+
+/// Reads the reply to a shard fetch, landing a [`Frame::ShardData`]
+/// payload directly in `dst` instead of a fresh `Vec`: whatever part of
+/// it the reader already buffered is copied out, the rest is read from
+/// the stream straight into `dst` (a `BufReader` hands reads at least as
+/// large as its buffer to the socket). Every other frame, and every
+/// malformed one, comes out exactly as [`read_frame`] reports it.
+///
+/// A well-formed shard of any other length is skipped whole and reported
+/// as [`Error::ShardLength`]: `dst` is untouched and the stream is still
+/// in sync, so the connection stays usable.
+pub fn read_shard_into(r: &mut impl BufRead, dst: &mut [u8]) -> Result<ShardReply, Error> {
+    let Some((len, tag)) = read_header(r)? else {
+        return Ok(ShardReply::Eof);
+    };
+    if tag != TAG_SHARD_DATA || len < 5 {
+        return read_rest(r, len, tag).map(ShardReply::Other);
+    }
+    if let Err(verdict) = read_bulk_head::<4>(r, len, tag) {
+        return verdict.map(ShardReply::Other);
+    }
+    if len - 5 == dst.len() {
+        read_body(r, dst, len)?;
+        return Ok(ShardReply::Filled);
+    }
+    let found = len - 5;
+    let skipped = std::io::copy(&mut r.take(found as u64), &mut std::io::sink())
+        .map_err(|e| Error::from_io("read_frame", &e))?;
+    if skipped < found as u64 {
+        return Err(truncated(len));
+    }
+    Err(Error::ShardLength {
+        expected: dst.len(),
+        found,
+    })
+}
+
+/// Reads and checks a frame's length prefix and tag — the one place the
+/// zero-length and [`MAX_FRAME_LEN`] guards live. `Ok(None)` is a clean
+/// EOF before any length byte.
+fn read_header(r: &mut impl Read) -> Result<Option<(usize, u8)>, Error> {
     let mut len_buf = [0u8; 4];
     match read_exact_or_eof(r, &mut len_buf)? {
         ReadOutcome::Eof => return Ok(None),
@@ -555,84 +623,84 @@ pub fn read_frame(r: &mut impl BufRead) -> Result<Option<Frame>, Error> {
             what: format!("frame length {len} exceeds maximum {MAX_FRAME_LEN}"),
         });
     }
-    let len = len as usize;
     let mut tag = [0u8; 1];
-    read_body(r, &mut tag, len)?;
+    read_body(r, &mut tag, len as usize)?;
+    Ok(Some((len as usize, tag[0])))
+}
+
+/// Reads the rest of a `len`-byte frame body whose tag is already
+/// consumed, and decodes it.
+fn read_rest(r: &mut impl Read, len: usize, tag: u8) -> Result<Frame, Error> {
     if len == 1 {
         // Tag-only frames (`Ok`, the hot put acknowledgement) decode
         // straight from the stack — no per-reply heap allocation.
-        return Frame::decode(&tag).map(Some);
+        return Frame::decode(&[tag]);
     }
-    // Bulk fast path for the two shard-carrying frames: read the fixed
-    // header, then the payload straight into an exactly-sized buffer —
-    // no oversized allocation and no memmove to strip the header off.
-    match tag[0] {
+    match tag {
+        // The two shard-carrying frames: read the fixed fields, then the
+        // payload straight into the exactly-sized buffer the frame (and,
+        // for a put, the brick's store) keeps — no oversized allocation,
+        // no memmove to strip the header off, and for a payload larger
+        // than the reader's buffer no bounce through it either.
         TAG_PUT_SHARD if len >= 17 => {
-            let mut hdr = [0u8; 16];
-            read_body(r, &mut hdr, len)?;
-            let dlen = u32::from_le_bytes(hdr[12..16].try_into().expect("len checked")) as usize;
-            if dlen == len - 17 {
-                let data = read_bulk(r, dlen, len)?;
-                return Ok(Some(Frame::PutShard {
-                    object: u64::from_le_bytes(hdr[..8].try_into().expect("len checked")),
-                    pos: u32::from_le_bytes(hdr[8..12].try_into().expect("len checked")),
-                    data,
-                }));
-            }
-            // The byte-count field disagrees with the frame length:
-            // drain the rest of the body and let the strict decoder
-            // report it exactly as it always has.
-            let mut body = vec![0u8; len];
-            body[0] = tag[0];
-            body[1..17].copy_from_slice(&hdr);
-            read_body(r, &mut body[17..], len)?;
-            return Frame::decode(&body).map(Some);
+            let head: [u8; 16] = match read_bulk_head(r, len, tag) {
+                Ok(head) => head,
+                Err(verdict) => return verdict,
+            };
+            let mut data = vec![0u8; len - 17];
+            read_body(r, &mut data, len)?;
+            Ok(Frame::PutShard {
+                object: u64::from_le_bytes(head[..8].try_into().expect("len checked")),
+                pos: u32::from_le_bytes(head[8..12].try_into().expect("len checked")),
+                data,
+            })
         }
         TAG_SHARD_DATA if len >= 5 => {
-            let mut hdr = [0u8; 4];
-            read_body(r, &mut hdr, len)?;
-            let dlen = u32::from_le_bytes(hdr) as usize;
-            if dlen == len - 5 {
-                return Ok(Some(Frame::ShardData {
-                    data: read_bulk(r, dlen, len)?,
-                }));
+            if let Err(verdict) = read_bulk_head::<4>(r, len, tag) {
+                return verdict;
             }
-            let mut body = vec![0u8; len];
-            body[0] = tag[0];
-            body[1..5].copy_from_slice(&hdr);
-            read_body(r, &mut body[5..], len)?;
-            return Frame::decode(&body).map(Some);
+            let mut data = vec![0u8; len - 5];
+            read_body(r, &mut data, len)?;
+            Ok(Frame::ShardData { data })
         }
-        _ => {}
+        _ => read_strict(r, len, tag, &[]),
     }
-    let mut body = vec![0u8; len];
-    body[0] = tag[0];
-    read_body(r, &mut body[1..], len)?;
-    Frame::decode(&body).map(Some)
 }
 
-/// Reads a `dlen`-byte shard payload by copying straight out of the
-/// reader's internal buffer — unlike `read_exact` into `vec![0; dlen]`,
-/// the destination is never zero-filled first, which saves a full
-/// payload-sized memset on every shard that crosses the wire.
-fn read_bulk(r: &mut impl BufRead, dlen: usize, len: usize) -> Result<Vec<u8>, Error> {
-    let mut data = Vec::with_capacity(dlen);
-    while data.len() < dlen {
-        let chunk = match r.fill_buf() {
-            Ok(c) => c,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(Error::from_io("read_frame", &e)),
-        };
-        if chunk.is_empty() {
-            return Err(Error::Decode {
-                what: format!("connection closed mid-frame (expected {len} body bytes)"),
-            });
-        }
-        let take = chunk.len().min(dlen - data.len());
-        data.extend_from_slice(&chunk[..take]);
-        r.consume(take);
+/// Reads the `N` fixed bytes between a shard-carrying frame's tag and
+/// its payload, the last four of which count the payload. When that
+/// count disagrees with the frame length the rest of the body is drained
+/// and `Err` carries the strict decoder's verdict on the whole of it —
+/// reported exactly as it always has been, never reshaped to fit.
+fn read_bulk_head<const N: usize>(
+    r: &mut impl Read,
+    len: usize,
+    tag: u8,
+) -> Result<[u8; N], Result<Frame, Error>> {
+    let mut head = [0u8; N];
+    read_body(r, &mut head, len).map_err(Err)?;
+    let dlen = u32::from_le_bytes(head[N - 4..].try_into().expect("len checked")) as usize;
+    if dlen == len - 1 - N {
+        Ok(head)
+    } else {
+        Err(read_strict(r, len, tag, &head))
     }
-    Ok(data)
+}
+
+/// Reads what is left of a `len`-byte body after its tag and `head`, and
+/// hands the whole body to the strict decoder.
+fn read_strict(r: &mut impl Read, len: usize, tag: u8, head: &[u8]) -> Result<Frame, Error> {
+    let mut body = vec![0u8; len];
+    body[0] = tag;
+    body[1..1 + head.len()].copy_from_slice(head);
+    read_body(r, &mut body[1 + head.len()..], len)?;
+    Frame::decode(&body)
+}
+
+fn truncated(len: usize) -> Error {
+    Error::Decode {
+        what: format!("connection closed mid-frame (expected {len} body bytes)"),
+    }
 }
 
 /// Reads `buf` fully or reports the mid-frame truncation error for a
@@ -640,9 +708,7 @@ fn read_bulk(r: &mut impl BufRead, dlen: usize, len: usize) -> Result<Vec<u8>, E
 fn read_body(r: &mut impl Read, buf: &mut [u8], len: usize) -> Result<(), Error> {
     match read_exact_or_eof(r, buf)? {
         ReadOutcome::Full => Ok(()),
-        ReadOutcome::Eof | ReadOutcome::Partial(_) => Err(Error::Decode {
-            what: format!("connection closed mid-frame (expected {len} body bytes)"),
-        }),
+        ReadOutcome::Eof | ReadOutcome::Partial(_) => Err(truncated(len)),
     }
 }
 
@@ -854,6 +920,57 @@ mod tests {
         let mut fast = Vec::new();
         write_ok(&mut fast).unwrap();
         assert_eq!(fast, Frame::Ok.encode());
+    }
+
+    /// Accepts at most three bytes per call and reports `Interrupted` on
+    /// the calls listed, the way a signal landing mid-`write` does.
+    struct ChoppyWriter {
+        out: Vec<u8>,
+        calls: usize,
+        interrupt_on: [usize; 2],
+    }
+
+    impl Write for ChoppyWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            if self.interrupt_on.contains(&self.calls) {
+                return Err(std::io::ErrorKind::Interrupted.into());
+            }
+            let n = buf.len().min(3);
+            self.out.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn specialized_writers_survive_short_writes_and_eintr() {
+        // Call 3 is inside either header (the gathered-write arm), call 12
+        // inside the payload (the plain-write arm): both must retry, as
+        // `write_all` does, not fail the frame and cost the lane.
+        let data: Vec<u8> = (0..40u8).collect();
+        let choppy = || ChoppyWriter {
+            out: Vec::new(),
+            calls: 0,
+            interrupt_on: [3, 12],
+        };
+        let mut w = choppy();
+        write_put_shard(&mut w, 123, 4, &data).unwrap();
+        let frame = Frame::PutShard {
+            object: 123,
+            pos: 4,
+            data: data.clone(),
+        };
+        assert_eq!(w.out, frame.encode());
+        assert!(w.calls > 12, "both interruptions were met");
+
+        let mut w = choppy();
+        write_shard_data(&mut w, &data).unwrap();
+        assert_eq!(w.out, Frame::ShardData { data }.encode());
+        assert!(w.calls > 12);
     }
 
     #[test]

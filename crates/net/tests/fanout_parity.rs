@@ -8,6 +8,12 @@
 //! Both clusters share the jitter seed, so layouts are identical and
 //! the only variable is the serving path.
 //!
+//! A second read script covers every shape a get can take — object
+//! lengths from empty to a padded 1 MiB stripe, crossed with which
+//! shards are out of reach and how the gateway finds out — and holds
+//! bytes, `ReadMode` and the typed loss past `t` to the serial path and
+//! to the payload.
+//!
 //! The repair path gets the same treatment: a kill script — detected
 //! deaths, deaths the detector has not seen yet (a source or a spare
 //! that stops serving mid-pass), an emptied brick rejoining — runs in
@@ -258,6 +264,113 @@ fn fanout_degraded_read_survives_exactly_t_dead_bricks() {
     let (data, mode) = c.gw.get(1).expect("degraded get at t dead");
     assert_eq!(data, want);
     assert_eq!(mode, ReadMode::Degraded);
+}
+
+/// Geometry of the read-shape matrix: 3 + 2 on exactly five bricks, and
+/// object ids that are multiples of five, so every layout is
+/// `[0, 1, 2, 3, 4]` — bricks 0–2 hold data, 3–4 parity.
+const K: usize = 3;
+const T: usize = 2;
+
+/// Empty, sub-stripe, one byte per shard, whole small shards, a padded
+/// tail past 64 KiB, and shards larger than any socket read buffer.
+const SHAPE_LENS: [usize; 7] = [0, 1, K - 1, K, 6 * 1024, 64 * 1024 + 1, 1024 * 1024 + 3];
+
+/// What is out of reach when the reads run.
+#[derive(Debug, Clone, Copy)]
+enum Fault {
+    /// These bricks are dead and the detector knows it.
+    Down(&'static [usize]),
+    /// Data position 1 of every object was deleted on its brick behind
+    /// the gateway's back: the brick is healthy, so the miss is a
+    /// `ShardNotFound` in the middle of the fan-out.
+    Deleted,
+}
+
+/// Unlike `payload`, the bytes do not repeat with period 256, so the
+/// shards of one object differ even at power-of-two shard lengths and a
+/// shard landed in the wrong slice of the result shows.
+fn shaped_payload(object: u64, len: usize) -> Vec<u8> {
+    (0..len)
+        .map(|i| {
+            (object as usize)
+                .wrapping_mul(17)
+                .wrapping_add(i * 29 + i / 251) as u8
+        })
+        .collect()
+}
+
+type ReadOutcome = Result<(Vec<u8>, ReadMode), Error>;
+
+/// Stores one object per length, applies `fault`, reads each back.
+fn shapes_transcript(fanout: bool, pool_size: usize, fault: Fault) -> Vec<(usize, ReadOutcome)> {
+    let mut c = cluster(K + T, K, T, fanout, pool_size);
+    let objects: Vec<(u64, usize)> = SHAPE_LENS
+        .iter()
+        .enumerate()
+        .map(|(i, &len)| ((i * (K + T)) as u64, len))
+        .collect();
+    for &(object, len) in &objects {
+        c.gw.put(object, &shaped_payload(object, len)).expect("put");
+        assert_eq!(c.gw.object_layout(object), Some(vec![0, 1, 2, 3, 4]));
+    }
+    match fault {
+        Fault::Down(bricks) => bricks.iter().for_each(|&id| c.kill_brick(id)),
+        Fault::Deleted => {
+            let mut brick = BrickClient::connect(c.addrs[1], Duration::from_millis(300))
+                .expect("connect behind the gateway");
+            for &(object, _) in &objects {
+                brick.delete_shard(object, 1).expect("delete");
+            }
+        }
+    }
+    objects
+        .iter()
+        .map(|&(object, len)| (len, c.gw.get(object)))
+        .collect()
+}
+
+#[test]
+fn get_matches_serial_on_every_shape_at_every_pool_size() {
+    let readable = [
+        (Fault::Down(&[]), ReadMode::Healthy),
+        (Fault::Down(&[0]), ReadMode::Degraded),
+        (Fault::Down(&[1]), ReadMode::Degraded),
+        (Fault::Down(&[2]), ReadMode::Degraded),
+        (Fault::Down(&[0, 2]), ReadMode::Degraded),
+        (Fault::Down(&[1, 4]), ReadMode::Degraded),
+        // Parity alone out of reach: nothing to reconstruct.
+        (Fault::Down(&[3, 4]), ReadMode::Healthy),
+        (Fault::Deleted, ReadMode::Degraded),
+    ];
+    for (fault, mode) in readable {
+        let reference = shapes_transcript(false, 1, fault);
+        for (i, (len, got)) in reference.iter().enumerate() {
+            let object = (i * (K + T)) as u64;
+            let want = Ok((shaped_payload(object, *len), mode));
+            assert!(got == &want, "{fault:?}, {len}-byte object, serial");
+        }
+        for pool_size in [1usize, 2, 8] {
+            let fast = shapes_transcript(true, pool_size, fault);
+            assert!(fast == reference, "{fault:?}, pool_size = {pool_size}");
+        }
+    }
+    // One brick past t: a typed loss with the same accounting both ways.
+    for fault in [Fault::Down(&[0, 1, 2]), Fault::Down(&[1, 3, 4])] {
+        let reference = shapes_transcript(false, 1, fault);
+        for (i, (_, got)) in reference.iter().enumerate() {
+            let lost = Err(Error::DataLoss {
+                object: (i * (K + T)) as u64,
+                missing: T + 1,
+                tolerated: T,
+            });
+            assert_eq!(got, &lost, "{fault:?}, serial");
+        }
+        for pool_size in [1usize, 2, 8] {
+            let fast = shapes_transcript(true, pool_size, fault);
+            assert_eq!(fast, reference, "{fault:?}, pool_size = {pool_size}");
+        }
+    }
 }
 
 /// `export_meta()` text and per-brick sorted `list_shards()`.

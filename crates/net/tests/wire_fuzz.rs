@@ -5,8 +5,15 @@
 //! corrupted length prefixes, pure noise — decoding either returns the
 //! encoded value or a typed [`Error::Decode`]. Never a panic, never a
 //! silently wrong frame on an untouched encoding.
+//!
+//! The second half holds the in-place shard reader to the frame reader,
+//! differentially: over the same bytes, delivered in the same dribbles,
+//! `read_shard_into` must land exactly the payload `read_frame` would
+//! have returned, or return the identical frame or the identical error.
 
-use nsr_net::wire::{read_frame, Frame, MAX_FRAME_LEN};
+use std::io::{BufReader, Read};
+
+use nsr_net::wire::{read_frame, read_shard_into, Frame, ShardReply, MAX_FRAME_LEN};
 use nsr_net::Error;
 use nsr_rng::rngs::StdRng;
 use nsr_rng::{Rng, SeedableRng};
@@ -172,6 +179,204 @@ fn oversized_and_zero_lengths_reject_typed() {
         match decode_bytes(&bytes) {
             Err(Error::Decode { .. }) => {}
             other => panic!("length {len} must reject typed, got {other:?}"),
+        }
+    }
+}
+
+/// Hands out at most `chunk` bytes per `read`, like a socket whose
+/// segments arrive one at a time.
+struct Dribble<'a> {
+    bytes: &'a [u8],
+    chunk: usize,
+}
+
+impl Read for Dribble<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = buf.len().min(self.chunk).min(self.bytes.len());
+        buf[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes = &self.bytes[n..];
+        Ok(n)
+    }
+}
+
+/// Buffer capacity of the readers under test: small, so payloads on
+/// both sides of it are cheap to cut at every byte. The production
+/// readers differ only in this number.
+const CAP: usize = 64;
+
+/// Bytes per `read`: a trickle, an odd small segment, and just under and
+/// just over what the buffer can take at once.
+const CHUNKS: [usize; 4] = [1, 7, CAP - 1, CAP + 1];
+
+/// Shard sizes around the buffer capacity: empty, one byte, one short of
+/// full, full, one over (the first payload part of which bypasses the
+/// buffer), and several buffers' worth.
+const SHARD_LENS: [usize; 6] = [0, 1, CAP - 1, CAP, CAP + 1, 3 * CAP];
+
+fn dribble(bytes: &[u8], chunk: usize) -> BufReader<Dribble<'_>> {
+    BufReader::with_capacity(CAP, Dribble { bytes, chunk })
+}
+
+fn shard_frame(len: usize) -> Frame {
+    Frame::ShardData {
+        data: (0..len).map(|i| (i * 37 + 11) as u8).collect(),
+    }
+}
+
+/// Reads `bytes` once with each reader and requires the same outcome.
+fn assert_same_outcome(bytes: &[u8], dst_len: usize, chunk: usize) {
+    let want = read_frame(&mut dribble(bytes, chunk));
+    let mut dst = vec![0xCD; dst_len];
+    let got = read_shard_into(&mut dribble(bytes, chunk), &mut dst);
+    let ctx = format!("{} bytes, dst {dst_len}, {chunk} per read", bytes.len());
+    match (want, got) {
+        (Ok(None), Ok(ShardReply::Eof)) => {}
+        (Ok(Some(Frame::ShardData { data })), Ok(ShardReply::Filled)) => {
+            assert_eq!(data, dst, "payload in place: {ctx}")
+        }
+        (Ok(Some(Frame::ShardData { data })), Err(e @ Error::ShardLength { .. })) => {
+            let (expected, found) = (dst_len, data.len());
+            assert_ne!(expected, found, "{ctx}");
+            assert_eq!(e, Error::ShardLength { expected, found }, "{ctx}");
+            assert!(dst.iter().all(|&b| b == 0xCD), "dst untouched: {ctx}");
+        }
+        (Ok(Some(frame)), Ok(ShardReply::Other(other))) => {
+            assert!(!matches!(frame, Frame::ShardData { .. }), "{ctx}");
+            assert_eq!(frame, other, "{ctx}");
+        }
+        (Err(want), Err(got)) => {
+            assert!(matches!(want, Error::Decode { .. }), "{want:?}: {ctx}");
+            assert!(want.breaks_stream());
+            assert_eq!(want, got, "{ctx}");
+        }
+        (want, got) => panic!("read_frame {want:?} but read_shard_into {got:?}: {ctx}"),
+    }
+}
+
+#[test]
+fn shard_reader_matches_frame_reader_on_every_frame_kind() {
+    let mut rng = StdRng::seed_from_u64(0x5eed_0005);
+    let mut kinds = std::collections::BTreeSet::new();
+    for _ in 0..200 {
+        let frame = random_frame(&mut rng);
+        kinds.insert(frame.name());
+        let enc = frame.encode();
+        // A destination that fits when the frame is a shard, and one
+        // that does not.
+        let fits = match &frame {
+            Frame::ShardData { data } => data.len(),
+            _ => rng.random_range_usize(0, 2 * CAP),
+        };
+        let cuts: Vec<usize> = if enc.len() <= 256 {
+            (0..=enc.len()).collect()
+        } else {
+            (0..32)
+                .map(|_| rng.random_range_usize(0, enc.len() + 1))
+                .collect()
+        };
+        for chunk in CHUNKS {
+            for &cut in &cuts {
+                assert_same_outcome(&enc[..cut], fits, chunk);
+                assert_same_outcome(&enc[..cut], fits + 1, chunk);
+            }
+        }
+    }
+    assert_eq!(kinds.len(), 15, "every frame kind drawn: {kinds:?}");
+}
+
+#[test]
+fn shard_reader_matches_frame_reader_around_the_buffer_capacity() {
+    for len in SHARD_LENS {
+        let enc = shard_frame(len).encode();
+        for chunk in CHUNKS {
+            // The stream cut at every byte offset, whole frame included.
+            for cut in 0..=enc.len() {
+                for dst_len in [len, len + 1, len.saturating_sub(1), 0] {
+                    assert_same_outcome(&enc[..cut], dst_len, chunk);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn shard_reader_reports_lying_byte_counts_as_the_frame_reader_does() {
+    // The byte-count field (bytes 5..9) disagrees with the frame length:
+    // both readers drain the body and give the strict decoder's verdict.
+    for len in SHARD_LENS {
+        let honest = shard_frame(len).encode();
+        for lie in [len + 1, len.wrapping_sub(1), 0, u32::MAX as usize] {
+            if lie == len {
+                continue;
+            }
+            let mut enc = honest.clone();
+            enc[5..9].copy_from_slice(&(lie as u32).to_le_bytes());
+            for chunk in CHUNKS {
+                for dst_len in [len, lie.min(4 * CAP)] {
+                    assert!(matches!(
+                        read_frame(&mut dribble(&enc, chunk)),
+                        Err(Error::Decode { .. })
+                    ));
+                    assert_same_outcome(&enc, dst_len, chunk);
+                    assert_same_outcome(&enc[..enc.len() - 1], dst_len, chunk);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn shard_reader_rejects_bad_length_prefixes_as_the_frame_reader_does() {
+    for len in [0u32, MAX_FRAME_LEN + 1, u32::MAX] {
+        let mut bytes = len.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&shard_frame(8).encode()[4..]);
+        for chunk in CHUNKS {
+            assert!(read_shard_into(&mut dribble(&bytes, chunk), &mut [0u8; 8]).is_err());
+            assert_same_outcome(&bytes, 8, chunk);
+        }
+    }
+}
+
+#[test]
+fn wrong_sized_shard_is_typed_and_leaves_the_stream_in_sync() {
+    // A whole shard that does not fit its destination is skipped, not
+    // half-read: the error says the lane survives, and the next frame on
+    // the same connection decodes.
+    let next = Frame::HeartbeatAck {
+        seq: 9,
+        brick_id: 2,
+        shards: 1,
+        snap_seq: 0,
+        load: 7,
+    };
+    for len in SHARD_LENS {
+        let mut stream = shard_frame(len).encode();
+        stream.extend_from_slice(&next.encode());
+        for chunk in CHUNKS {
+            for dst_len in [len + 1, len + 2 * CAP, len / 2] {
+                if dst_len == len {
+                    continue;
+                }
+                let mut r = dribble(&stream, chunk);
+                let mut dst = vec![0u8; dst_len];
+                let err = read_shard_into(&mut r, &mut dst).expect_err("wrong size");
+                assert_eq!(
+                    err,
+                    Error::ShardLength {
+                        expected: dst_len,
+                        found: len
+                    }
+                );
+                assert!(!err.breaks_stream(), "the lane survives");
+                assert_eq!(read_frame(&mut r), Ok(Some(next.clone())));
+            }
+            // And after a shard that did fit.
+            let mut r = dribble(&stream, chunk);
+            let mut dst = vec![0u8; len];
+            assert_eq!(read_shard_into(&mut r, &mut dst), Ok(ShardReply::Filled));
+            assert_eq!(shard_frame(len), Frame::ShardData { data: dst });
+            assert_eq!(read_frame(&mut r), Ok(Some(next.clone())));
+            assert_eq!(read_shard_into(&mut r, &mut []), Ok(ShardReply::Eof));
         }
     }
 }
