@@ -188,6 +188,19 @@ if ./target/release/nsr bench --compare "$SMOKE_DIR/BENCH_serving.old.json" \
     exit 1
 fi
 
+echo "==> sweep smoke (figure sweep, worker-count identity, evaluator counters)"
+# A figure-14 sweep must print the same CSV at 1 and 4 workers, and its
+# metrics snapshot must carry the evaluator's bind/reuse counters and the
+# batched-solve counter: every sweep cell is one solve through a compiled
+# elimination program, none through the absorbing analysis.
+./target/release/nsr sweep --figure 14 --csv --workers 1 > "$SMOKE_DIR/sweep-w1.csv"
+./target/release/nsr sweep --figure 14 --csv --workers 4 > "$SMOKE_DIR/sweep-w4.csv"
+diff "$SMOKE_DIR/sweep-w1.csv" "$SMOKE_DIR/sweep-w4.csv"
+./target/release/nsr sweep --figure 14 --csv \
+    --metrics-out "$SMOKE_DIR/sweep-metrics.jsonl" > /dev/null
+./target/release/nsr obs-check --file "$SMOKE_DIR/sweep-metrics.jsonl" \
+    --require core.sweep.skeleton_builds,core.sweep.skeleton_reuses,markov.batch.solves
+
 echo "==> planner smoke (grid search, golden frontier, plan bench gate)"
 # The 3x3x3 golden grid must reproduce the checked-in frontier CSV
 # byte-for-byte at 1 and 4 workers and in exhaustive mode (the planner's

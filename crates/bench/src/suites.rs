@@ -402,7 +402,9 @@ pub fn solvers_suite(mode: Mode) -> Result<Suite, String> {
                 }),
             );
         }
-        // The topology-cache hot path: rescale a prebuilt skeleton.
+        // Rescaling a prebuilt skeleton: what `ctmc()` and `exact_chain`
+        // do (the sweep path writes rates into a compiled program
+        // instead).
         let skeleton = model.chain_skeleton().map_err(err("skeleton"))?;
         let rates = model.transition_rates();
         results.push(t.measure(&format!("recursive_chain/rescale_k{k}"), 0, || {
@@ -426,8 +428,8 @@ pub fn solvers_suite(mode: Mode) -> Result<Suite, String> {
     results.push(t.measure("evaluate_ft2_ir5", 0, || {
         config.evaluate(&params).expect("eval")
     }));
-    // The same evaluation through a reused topology cache (the sweep
-    // engine's per-point cost).
+    // The same evaluation through a reused evaluator (the sweep engine's
+    // per-point cost: no bind, no scratch allocation).
     let mut cached = CachedEvaluator::new(config);
     let _ = cached.evaluate(&params).map_err(err("warm cache"))?;
     results.push(t.measure("evaluate_ft2_ir5_cached", 0, || {
@@ -441,13 +443,13 @@ pub fn solvers_suite(mode: Mode) -> Result<Suite, String> {
     })
 }
 
-/// The sweep-engine suite: full Figure-14-style sensitivity sweeps at
-/// several worker counts, plus the serial hard-error-rate extension
-/// sweep. Every case records `items_per_iter` (configuration evaluations
-/// per sweep) so reports expose evaluations-per-second directly; the
-/// `workers_N` cases document the scaling actually achieved on the
-/// recording machine (a single-core container cannot show >1× — the
-/// byte-identity of the outputs is pinned by tests instead).
+/// The sweep-engine suite: a full Figure-14 sensitivity sweep and the
+/// hard-error-rate extension sweep, both serial. Every case records
+/// `items_per_iter` (configuration evaluations per sweep) so reports
+/// expose evaluations-per-second directly. There are no `workers_N`
+/// rows: on the one-core recording host they timed thread spawn (a
+/// serial sweep costs less than one spawn), and the byte-identity of
+/// parallel output is pinned by tests, not by a timing.
 pub fn sweep_suite(mode: Mode) -> Result<Suite, String> {
     let t = mode.timing();
     let mut results = Vec::new();
@@ -455,18 +457,12 @@ pub fn sweep_suite(mode: Mode) -> Result<Suite, String> {
 
     let probe = figure_sweep(14, &params, 1).map_err(err("fig14"))?;
     let fig14_items = (probe.rows.len() * probe.configs().len()) as u64;
-    let worker_counts: &[usize] = match mode {
-        Mode::Full => &[1, 2, 4],
-        Mode::Smoke => &[1, 2],
-    };
-    for &w in worker_counts {
-        results.push(
-            t.measure(&format!("fig14_sweep/workers_{w}"), 0, || {
-                figure_sweep(14, &params, w).expect("sweep")
-            })
-            .with_items(fig14_items),
-        );
-    }
+    results.push(
+        t.measure("fig14_sweep/workers_1", 0, || {
+            figure_sweep(14, &params, 1).expect("sweep")
+        })
+        .with_items(fig14_items),
+    );
 
     if mode == Mode::Full {
         let her = nsr_core::sweep::ext_hard_error_rate(&params).map_err(err("ext her"))?;
@@ -1225,9 +1221,7 @@ mod tests {
         let suite = sweep_suite(Mode::Smoke).expect("suite");
         assert_eq!(suite.file_name(), "BENCH_sweep.json");
         let names: Vec<&str> = suite.results.iter().map(|m| m.name.as_str()).collect();
-        for expected in ["fig14_sweep/workers_1", "fig14_sweep/workers_2"] {
-            assert!(names.contains(&expected), "missing {expected} in {names:?}");
-        }
+        assert_eq!(names, ["fig14_sweep/workers_1"]);
         for m in &suite.results {
             // fig14: 6 grid points × 3 sensitivity configs.
             assert_eq!(m.items_per_iter, 18, "{}", m.name);

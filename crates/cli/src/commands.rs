@@ -790,7 +790,7 @@ fn plan_grid(args: &ParsedArgs) -> Result<String> {
     );
     let _ = writeln!(
         out,
-        "elimination programs: {} compiled, {} reused",
+        "elimination programs: {} bound, {} reused",
         report.skeleton_builds, report.skeleton_reuses
     );
     if !report.infeasible_examples.is_empty() {

@@ -2,12 +2,18 @@
 //! evaluation: parameters → rebuild rates → Markov models → events per
 //! PB-year.
 
+use std::sync::{Arc, Mutex};
+
+use nsr_markov::{BatchProgram, BatchSolver};
+
 use crate::internal_raid::InternalRaidSystem;
 use crate::metrics::Reliability;
 use crate::no_raid::NoRaidSystem;
 use crate::params::Params;
 use crate::raid::{ArrayModel, InternalRaid};
 use crate::rebuild::{RebuildModel, RebuildRate};
+use crate::recursive::RecursiveModel;
+use crate::units::Hours;
 use crate::{Error, Result};
 
 /// One of the paper's redundancy configurations: an internal RAID level
@@ -87,9 +93,9 @@ impl Configuration {
     ///
     /// One-shot convenience over [`CachedEvaluator`]; sweep workloads
     /// that evaluate the same configuration at many parameter points
-    /// should hold a [`CachedEvaluator`] instead, which builds the chain
-    /// topology once and only replaces rates per point. Both paths
-    /// produce identical values by construction.
+    /// should hold a [`CachedEvaluator`] instead, which keeps its solver
+    /// scratch and rate buffer across points. Both are the same code
+    /// path and produce identical values.
     ///
     /// # Errors
     ///
@@ -97,38 +103,205 @@ impl Configuration {
     /// * [`Error::Infeasible`] if the fault tolerance does not fit the
     ///   redundancy set (`t >= R`), the node set is too small, or the node
     ///   has too few drives for its internal RAID level.
+    /// * [`Error::Markov`] if the exact solve is refused: a rate vector
+    ///   under which some state cannot reach data loss, or one whose
+    ///   elimination overflows to a non-finite MTTDL.
     pub fn evaluate(&self, params: &Params) -> Result<Evaluation> {
         CachedEvaluator::new(*self).evaluate(params)
     }
+
+    /// The paper's closed-form reliability alone — pure arithmetic, no
+    /// chain solve. The planner's first pass runs on this.
+    ///
+    /// # Errors
+    ///
+    /// The validation and feasibility errors of
+    /// [`Configuration::evaluate`].
+    pub fn closed_form(&self, params: &Params) -> Result<Reliability> {
+        params.validate()?;
+        let model = SystemModel::build(*self, params)?;
+        Reliability::from_mttdl(
+            model.closed_form_mttdl(),
+            params.logical_capacity(self.node_ft),
+        )
+    }
+
+    /// Builds the exact CTMC underlying this configuration — the chain the
+    /// `exact` numbers of [`Configuration::evaluate`] come from — and the
+    /// id of its fully-operational root state. Useful for transient
+    /// (mission-reliability) queries, for simulation estimators that
+    /// want the chain itself, and as the input of the
+    /// `AbsorbingAnalysis` oracle the evaluator is tested against.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Configuration::evaluate`].
+    pub fn exact_chain(&self, params: &Params) -> Result<(nsr_markov::Ctmc, nsr_markov::StateId)> {
+        params.validate()?;
+        let model = SystemModel::build(*self, params)?;
+        let (skeleton, root) = self.skeleton()?;
+        let mut rates = Vec::new();
+        model.transition_rates_into(&mut rates);
+        Ok((skeleton.with_rates(&rates)?, root))
+    }
+
+    /// The chain topology of this configuration's class and its root.
+    fn skeleton(&self) -> Result<(nsr_markov::Ctmc, nsr_markov::StateId)> {
+        match self.internal {
+            InternalRaid::None => RecursiveModel::skeleton(self.node_ft),
+            _ => InternalRaidSystem::skeleton(self.node_ft),
+        }
+    }
 }
 
-/// A reusable evaluator for sweep workloads: the configuration's chain
-/// *topology* (states, labels, transition structure) is built on the
-/// first evaluation and cached; every later evaluation only computes a
-/// fresh rate vector and rescales the cached skeleton via
-/// [`nsr_markov::Ctmc::with_rates`]. Because the models' `ctmc()` is
-/// itself skeleton + rates, the cached path produces chains equal to the
-/// one-shot path by construction.
+/// The paper's model of one configuration at one parameter point: the
+/// one place `(Configuration, &Params)` becomes a [`NoRaidSystem`] or an
+/// [`InternalRaidSystem`], shared by the evaluator, the planner's
+/// closed-form pass and [`Configuration::exact_chain`].
+struct SystemModel {
+    kind: ModelKind,
+    node_rebuild: RebuildRate,
+    /// Distributed drive rebuild `μ_d` without internal RAID, the
+    /// re-stripe rate with it.
+    drive_repair: RebuildRate,
+}
+
+enum ModelKind {
+    NoRaid(NoRaidSystem),
+    Ir(InternalRaidSystem),
+}
+
+impl SystemModel {
+    /// `params` must already have passed [`Params::validate`].
+    fn build(config: Configuration, params: &Params) -> Result<SystemModel> {
+        let t = config.node_ft;
+        let rebuild = RebuildModel::from_validated(*params);
+        let lambda_n = params.node.failure_rate();
+        let lambda_d = params.drive.failure_rate();
+        let c_her = params.drive.c_her();
+        let (n, r, d) = (
+            params.system.node_count,
+            params.system.redundancy_set_size,
+            params.node.drives_per_node,
+        );
+        let node_rebuild = rebuild.node_rebuild(t)?;
+        let (kind, drive_repair) = match config.internal {
+            InternalRaid::None => {
+                let drive_rebuild = rebuild.drive_rebuild(t)?;
+                let sys = NoRaidSystem::new(
+                    t,
+                    n,
+                    r,
+                    d,
+                    lambda_n,
+                    lambda_d,
+                    node_rebuild.rate,
+                    drive_rebuild.rate,
+                    c_her,
+                )?;
+                (ModelKind::NoRaid(sys), drive_rebuild)
+            }
+            raid => {
+                let restripe = rebuild.restripe()?;
+                let array = ArrayModel::new(raid, d, lambda_d, restripe.rate, c_her)?;
+                let sys = InternalRaidSystem::new(
+                    n,
+                    r,
+                    t,
+                    lambda_n,
+                    array.rates_paper(),
+                    node_rebuild.rate,
+                )?;
+                (ModelKind::Ir(sys), restripe)
+            }
+        };
+        Ok(SystemModel {
+            kind,
+            node_rebuild,
+            drive_repair,
+        })
+    }
+
+    fn closed_form_mttdl(&self) -> Hours {
+        match &self.kind {
+            ModelKind::NoRaid(sys) => sys.mttdl_paper(),
+            ModelKind::Ir(sys) => sys.mttdl_paper(),
+        }
+    }
+
+    /// The point's rate vector, in the class skeleton's transition order.
+    fn transition_rates_into(&self, rates: &mut Vec<f64>) {
+        match &self.kind {
+            ModelKind::NoRaid(sys) => sys.recursive().transition_rates_into(rates),
+            ModelKind::Ir(sys) => sys.transition_rates_into(rates),
+        }
+    }
+}
+
+/// Compiled elimination programs, one per topology class
+/// `(internal RAID?, node fault tolerance)`, shared by every evaluator in
+/// the process. A class's chain structure is a pure function of that
+/// key, so its program is compiled on first use and handed out as an
+/// `Arc` afterwards. Nothing keyed on `Params` or rates is ever stored
+/// here: every evaluation still builds its own rate vector and runs its
+/// own numeric elimination.
+static PROGRAMS: Mutex<Vec<(TopologyKey, Arc<BatchProgram>)>> = Mutex::new(Vec::new());
+
+/// `(node has internal RAID, node fault tolerance)`: everything a chain's
+/// structure depends on. RAID 5 and RAID 6 share the birth–death chain.
+type TopologyKey = (bool, u32);
+
+/// The shared program for `config`'s topology class, compiling it if
+/// this is the class's first use in the process. Compilation happens
+/// under the lock (once per class) and emits no span or event, so a
+/// trace does not depend on which evaluator happened to come first.
+fn program_for(config: Configuration) -> Result<Arc<BatchProgram>> {
+    let key: TopologyKey = (config.internal != InternalRaid::None, config.node_ft);
+    let mut programs = PROGRAMS
+        .lock()
+        .expect("program registry poisoned: a compile panicked");
+    if let Some((_, program)) = programs.iter().find(|(k, _)| *k == key) {
+        return Ok(Arc::clone(program));
+    }
+    let (skeleton, root) = config.skeleton()?;
+    let program = Arc::new(BatchProgram::compile(&skeleton, root)?);
+    programs.push((key, Arc::clone(&program)));
+    Ok(program)
+}
+
+/// A reusable evaluator for sweep workloads. The exact MTTDL of every
+/// point comes from one numeric GTH elimination through the compiled
+/// program of the configuration's topology class
+/// ([`nsr_markov::BatchSolver`]): the evaluator binds the class's shared
+/// program on its first evaluation, and per point only writes the
+/// model's rates into a reused buffer and solves in reused scratch —
+/// after the first call an evaluation allocates nothing. No chain is
+/// built, cloned or looked up by label on this path;
+/// [`nsr_markov::AbsorbingAnalysis`] over [`Configuration::exact_chain`]
+/// stays as the independent oracle the result is pinned bit-identical
+/// to.
 ///
-/// The cache key is the configuration alone: for every model in this
-/// crate the topology depends only on the fault tolerance, never on the
-/// swept parameters (node counts, rates and error probabilities all
-/// enter as rates).
+/// What is shared is topology only: for every model in this crate it
+/// depends on the fault tolerance and on whether the node has internal
+/// RAID, never on the swept parameters (node counts, rates and error
+/// probabilities all enter as rates).
 #[derive(Debug, Clone)]
 pub struct CachedEvaluator {
     config: Configuration,
-    skeleton: Option<nsr_markov::Ctmc>,
+    solver: Option<BatchSolver>,
+    rates: Vec<f64>,
     skeleton_builds: u64,
     skeleton_reuses: u64,
 }
 
 impl CachedEvaluator {
-    /// Creates an evaluator for one configuration with an empty topology
-    /// cache.
+    /// Creates an evaluator for one configuration, not yet bound to its
+    /// class's program.
     pub fn new(config: Configuration) -> CachedEvaluator {
         CachedEvaluator {
             config,
-            skeleton: None,
+            solver: None,
+            rates: Vec::new(),
             skeleton_builds: 0,
             skeleton_reuses: 0,
         }
@@ -139,23 +312,24 @@ impl CachedEvaluator {
         self.config
     }
 
-    /// Chain topologies this instance has built (0 or 1; the cache key is
-    /// the configuration, which is fixed per evaluator).
+    /// Times this instance bound its class's elimination program (0 or
+    /// 1): its first exact solve, whether the process-wide registry
+    /// compiled the program then or handed out one compiled earlier — so
+    /// the count does not depend on what ran before in the process.
     pub fn skeleton_builds(&self) -> u64 {
         self.skeleton_builds
     }
 
-    /// Evaluations served from the cached topology — the skeleton-reuse
-    /// rate of a sweep or planner workload is
+    /// Exact solves served by the already-bound program — the
+    /// skeleton-reuse rate of a sweep or planner workload is
     /// `reuses / (builds + reuses)`.
     pub fn skeleton_reuses(&self) -> u64 {
         self.skeleton_reuses
     }
 
-    /// Resets the per-instance build/reuse counters (the cached topology
-    /// itself is kept — dropping it would only force a redundant
-    /// rebuild). Lets a caller measure the reuse rate of one phase of a
-    /// longer-lived evaluator.
+    /// Resets the per-instance build/reuse counters (the bound program
+    /// and scratch are kept). Lets a caller measure the reuse rate of
+    /// one phase of a longer-lived evaluator.
     pub fn reset_metrics(&mut self) {
         self.skeleton_builds = 0;
         self.skeleton_reuses = 0;
@@ -173,7 +347,7 @@ impl CachedEvaluator {
         crate::obs::EVALS.inc();
         let mut span = nsr_obs::trace::Span::enter("core.evaluate");
         span.field("config", || nsr_obs::Json::Str(self.config.to_string()));
-        let out = self.evaluate_inner(params);
+        let out = self.evaluate_validated(params);
         if let Ok(e) = &out {
             span.field("closed_form_mttdl_h", || {
                 nsr_obs::Json::Num(e.closed_form.mttdl_hours)
@@ -184,151 +358,34 @@ impl CachedEvaluator {
     }
 
     /// Body of [`CachedEvaluator::evaluate`], split out so the tracing
-    /// span can observe the result on both the `None` and internal-RAID
-    /// paths.
-    fn evaluate_inner(&mut self, params: &Params) -> Result<Evaluation> {
-        let t = self.config.node_ft;
-        let rebuild = RebuildModel::new(*params)?;
-        let lambda_n = params.node.failure_rate();
-        let lambda_d = params.drive.failure_rate();
-        let c_her = params.drive.c_her();
-        let (n, r, d) = (
-            params.system.node_count,
-            params.system.redundancy_set_size,
-            params.node.drives_per_node,
-        );
-
-        let node_rebuild = rebuild.node_rebuild(t)?;
-        let capacity = params.logical_capacity(t);
-
-        match self.config.internal {
-            InternalRaid::None => {
-                let drive_rebuild = rebuild.drive_rebuild(t)?;
-                let sys = NoRaidSystem::new(
-                    t,
-                    n,
-                    r,
-                    d,
-                    lambda_n,
-                    lambda_d,
-                    node_rebuild.rate,
-                    drive_rebuild.rate,
-                    c_her,
-                )?;
-                let model = sys.recursive();
-                let exact = self.exact_mttdl(
-                    || model.chain_skeleton(),
-                    &model.transition_rates(),
-                    &"0".repeat(t as usize),
-                )?;
-                Ok(Evaluation {
-                    config: self.config,
-                    closed_form: Reliability::from_mttdl(sys.mttdl_paper(), capacity)?,
-                    exact: Reliability::from_mttdl(exact, capacity)?,
-                    node_rebuild,
-                    drive_repair: drive_rebuild,
-                })
-            }
-            raid => {
-                let restripe = rebuild.restripe()?;
-                let array = ArrayModel::new(raid, d, lambda_d, restripe.rate, c_her)?;
-                let sys = InternalRaidSystem::new(
-                    n,
-                    r,
-                    t,
-                    lambda_n,
-                    array.rates_paper(),
-                    node_rebuild.rate,
-                )?;
-                let exact =
-                    self.exact_mttdl(|| sys.chain_skeleton(), &sys.transition_rates(), "failed:0")?;
-                Ok(Evaluation {
-                    config: self.config,
-                    closed_form: Reliability::from_mttdl(sys.mttdl_paper(), capacity)?,
-                    exact: Reliability::from_mttdl(exact, capacity)?,
-                    node_rebuild,
-                    drive_repair: restripe,
-                })
-            }
-        }
+    /// span can observe the result.
+    fn evaluate_validated(&mut self, params: &Params) -> Result<Evaluation> {
+        let model = SystemModel::build(self.config, params)?;
+        let exact = self.exact_mttdl(&model)?;
+        let capacity = params.logical_capacity(self.config.node_ft);
+        Ok(Evaluation {
+            config: self.config,
+            closed_form: Reliability::from_mttdl(model.closed_form_mttdl(), capacity)?,
+            exact: Reliability::from_mttdl(exact, capacity)?,
+            node_rebuild: model.node_rebuild,
+            drive_repair: model.drive_repair,
+        })
     }
 
-    /// Exact MTTDL through the topology cache: build the skeleton on the
-    /// first call, rescale it with `rates` on every call, solve.
-    fn exact_mttdl(
-        &mut self,
-        build: impl FnOnce() -> Result<nsr_markov::Ctmc>,
-        rates: &[f64],
-        root_label: &str,
-    ) -> Result<crate::units::Hours> {
-        if self.skeleton.is_none() {
+    /// Exact MTTDL of `model`: bind the class program on the first call,
+    /// then one rate-vector fill and one numeric elimination per call.
+    fn exact_mttdl(&mut self, model: &SystemModel) -> Result<Hours> {
+        if self.solver.is_none() {
+            self.solver = Some(BatchSolver::with_program(program_for(self.config)?));
             crate::obs::SKELETON_BUILDS.inc();
             self.skeleton_builds += 1;
-            self.skeleton = Some(build()?);
         } else {
             crate::obs::SKELETON_REUSES.inc();
             self.skeleton_reuses += 1;
         }
-        let skeleton = self.skeleton.as_ref().expect("just built");
-        let chain = skeleton.with_rates(rates)?;
-        let analysis = nsr_markov::AbsorbingAnalysis::new(&chain)?;
-        let root = chain.state_by_label(root_label).expect("root state exists");
-        Ok(crate::units::Hours(analysis.mean_time_to_absorption(root)?))
-    }
-}
-
-impl Configuration {
-    /// Builds the exact CTMC underlying this configuration — the chain the
-    /// `exact` numbers of [`Configuration::evaluate`] come from — and the
-    /// id of its fully-operational root state. Useful for transient
-    /// (mission-reliability) queries and for simulation estimators that
-    /// want the chain itself.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Configuration::evaluate`].
-    pub fn exact_chain(&self, params: &Params) -> Result<(nsr_markov::Ctmc, nsr_markov::StateId)> {
-        params.validate()?;
-        let t = self.node_ft;
-        let rebuild = RebuildModel::new(*params)?;
-        let node_rebuild = rebuild.node_rebuild(t)?;
-        let (ctmc, root_label) = match self.internal {
-            InternalRaid::None => {
-                let sys = NoRaidSystem::new(
-                    t,
-                    params.system.node_count,
-                    params.system.redundancy_set_size,
-                    params.node.drives_per_node,
-                    params.node.failure_rate(),
-                    params.drive.failure_rate(),
-                    node_rebuild.rate,
-                    rebuild.drive_rebuild(t)?.rate,
-                    params.drive.c_her(),
-                )?;
-                (sys.recursive().ctmc()?, "0".repeat(t as usize))
-            }
-            raid => {
-                let restripe = rebuild.restripe()?;
-                let array = ArrayModel::new(
-                    raid,
-                    params.node.drives_per_node,
-                    params.drive.failure_rate(),
-                    restripe.rate,
-                    params.drive.c_her(),
-                )?;
-                let sys = InternalRaidSystem::new(
-                    params.system.node_count,
-                    params.system.redundancy_set_size,
-                    t,
-                    params.node.failure_rate(),
-                    array.rates_paper(),
-                    node_rebuild.rate,
-                )?;
-                (sys.ctmc()?, "failed:0".to_string())
-            }
-        };
-        let root = ctmc.state_by_label(&root_label).expect("root state exists");
-        Ok((ctmc, root))
+        let solver = self.solver.as_mut().expect("bound above");
+        model.transition_rates_into(&mut self.rates);
+        Ok(Hours(solver.solve_mtta(&self.rates)?))
     }
 }
 

@@ -126,32 +126,44 @@ impl InternalRaidSystem {
         PerHour(self.lambda_n + self.lambda_d_array)
     }
 
-    /// Builds the chain's *topology* only: the same states, labels and
-    /// transition order as [`Self::ctmc`] with placeholder `1.0` rates,
-    /// for rate-only rescaling via [`Self::transition_rates`] and
-    /// [`Ctmc::with_rates`]. The construction never emits duplicate
-    /// `(from, to)` pairs, so skeleton transitions correspond 1:1 to
-    /// rate-vector entries.
+    /// The chain *topology* for node fault tolerance `t` and its
+    /// fully-operational root state: the same states, labels and
+    /// transition order as [`Self::ctmc`] with placeholder `1.0` rates.
+    /// The topology is a function of `t` alone (RAID 5 and RAID 6 share
+    /// it), which is what lets one compiled elimination program serve
+    /// every parameter point of a fault tolerance. The construction never
+    /// emits duplicate `(from, to)` pairs, so skeleton transitions
+    /// correspond 1:1 to [`Self::transition_rates`] entries.
     ///
     /// # Errors
     ///
-    /// Propagates builder failures (cannot occur for validated
-    /// parameters).
-    pub fn chain_skeleton(&self) -> Result<Ctmc> {
+    /// Builder failures cannot occur.
+    pub fn skeleton(t: u32) -> Result<(Ctmc, StateId)> {
         let mut b = CtmcBuilder::new();
-        let states: Vec<StateId> = (0..=self.t)
+        let states: Vec<StateId> = (0..=t)
             .map(|i| b.add_state(format!("failed:{i}")))
             .collect();
         let loss_failure = b.add_state(LOSS_BY_FAILURE);
         let loss_sector = b.add_state(LOSS_BY_SECTOR);
 
-        for i in 0..self.t {
-            b.add_transition(states[i as usize], states[(i + 1) as usize], 1.0)?;
-            b.add_transition(states[(i + 1) as usize], states[i as usize], 1.0)?;
+        for i in 0..t as usize {
+            b.add_transition(states[i], states[i + 1], 1.0)?;
+            b.add_transition(states[i + 1], states[i], 1.0)?;
         }
-        b.add_transition(states[self.t as usize], loss_failure, 1.0)?;
-        b.add_transition(states[self.t as usize], loss_sector, 1.0)?;
-        Ok(b.build()?)
+        b.add_transition(states[t as usize], loss_failure, 1.0)?;
+        b.add_transition(states[t as usize], loss_sector, 1.0)?;
+        Ok((b.build()?, states[0]))
+    }
+
+    /// [`Self::skeleton`] for this model's fault tolerance, without the
+    /// root, for rate-only rescaling via [`Self::transition_rates`] and
+    /// [`Ctmc::with_rates`].
+    ///
+    /// # Errors
+    ///
+    /// Cannot fail for a constructed model.
+    pub fn chain_skeleton(&self) -> Result<Ctmc> {
+        Ok(Self::skeleton(self.t)?.0)
     }
 
     /// The transition rates of the chain, in the exact order the
@@ -160,12 +172,21 @@ impl InternalRaidSystem {
     /// rate (`λ_S = 0`) is dropped by `with_rates`, exactly as the
     /// builder drops zero-rate transitions.
     pub fn transition_rates(&self) -> Vec<f64> {
+        let mut rates = Vec::new();
+        self.transition_rates_into(&mut rates);
+        rates
+    }
+
+    /// [`Self::transition_rates`] written into a caller-owned buffer
+    /// (cleared first), so a sweep reuses one allocation across points.
+    pub fn transition_rates_into(&self, rates: &mut Vec<f64>) {
         let (nf, lam, mu) = (
             self.n as f64,
             self.lambda_n + self.lambda_d_array,
             self.mu_n,
         );
-        let mut rates = Vec::with_capacity(2 * self.t as usize + 2);
+        rates.clear();
+        rates.reserve(2 * self.t as usize + 2);
         for i in 0..self.t {
             let remaining = nf - i as f64;
             rates.push(remaining * lam);
@@ -174,7 +195,6 @@ impl InternalRaidSystem {
         let last = nf - self.t as f64;
         rates.push(last * lam);
         rates.push(last * self.k_t * self.lambda_s);
-        rates
     }
 
     /// Builds the node-level CTMC (Figure 5/6/7 generalized to any `t`),

@@ -30,13 +30,18 @@ impl Reliability {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidParams`] for non-positive MTTDL or capacity.
+    /// Returns [`Error::InvalidParams`] for a non-positive or non-finite
+    /// MTTDL or capacity. An infinite MTTDL is an overflowed solve, not a
+    /// system that never loses data; accepting it would report zero loss
+    /// events.
     pub fn from_mttdl(mttdl: Hours, logical_capacity: Bytes) -> Result<Reliability> {
-        if mttdl.0.is_nan() || mttdl.0 <= 0.0 {
-            return Err(Error::invalid("MTTDL must be positive"));
+        if !(mttdl.0 > 0.0 && mttdl.0.is_finite()) {
+            return Err(Error::invalid("MTTDL must be positive and finite"));
         }
-        if logical_capacity.0.is_nan() || logical_capacity.0 <= 0.0 {
-            return Err(Error::invalid("logical capacity must be positive"));
+        if !(logical_capacity.0 > 0.0 && logical_capacity.0.is_finite()) {
+            return Err(Error::invalid(
+                "logical capacity must be positive and finite",
+            ));
         }
         let events_per_year = HOURS_PER_YEAR / mttdl.0;
         Ok(Reliability {
@@ -125,6 +130,15 @@ mod tests {
         assert!(Reliability::from_mttdl(Hours(0.0), Bytes(1.0)).is_err());
         assert!(Reliability::from_mttdl(Hours(-5.0), Bytes(1.0)).is_err());
         assert!(Reliability::from_mttdl(Hours(1.0), Bytes(0.0)).is_err());
+    }
+
+    #[test]
+    fn non_finite_mttdl_is_not_a_perfect_system() {
+        // +inf used to pass and yield events_per_pb_year = 0.
+        for bad in [f64::INFINITY, f64::NAN, f64::NEG_INFINITY] {
+            assert!(Reliability::from_mttdl(Hours(bad), Bytes(PETABYTE)).is_err());
+            assert!(Reliability::from_mttdl(Hours(1.0), Bytes(bad)).is_err());
+        }
     }
 
     #[test]

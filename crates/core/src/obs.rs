@@ -8,14 +8,18 @@ use nsr_obs::{Counter, Histogram};
 
 /// Sensitivity sweeps run (`sweep` / `sweep_with_workers` calls).
 pub static SWEEPS: Counter = Counter::new("core.sweep.runs");
-/// Configuration evaluations performed by sweep workers (each is one
-/// closed-form computation plus one exact CTMC solve).
+/// Configuration evaluations performed by `CachedEvaluator` — sweep
+/// cells, planner survivors and one-shot `Configuration::evaluate`
+/// alike (each is one closed-form computation plus one exact solve).
 pub static EVALS: Counter = Counter::new("core.sweep.evals");
-/// Chain topologies built by cached evaluators (first point of a
-/// config's sweep column).
+/// First exact solves of an evaluator: it binds its topology class's
+/// shared elimination program (first point of a config's sweep column).
+/// Counted per evaluator, not per compile, so the number does not depend
+/// on what the process ran before; actual compiles are
+/// `markov.batch.builds`.
 pub static SKELETON_BUILDS: Counter = Counter::new("core.sweep.skeleton_builds");
-/// Chain topologies *reused* by cached evaluators (every later point:
-/// rates replaced, no rebuild).
+/// Exact solves through an evaluator's already-bound program (every
+/// later point: rates rewritten, one numeric elimination).
 pub static SKELETON_REUSES: Counter = Counter::new("core.sweep.skeleton_reuses");
 /// Exact-CTMC solves per sweep run (rows × feasible configurations).
 pub static SOLVES_PER_SWEEP: Histogram = Histogram::new("core.sweep.solves_per_sweep");
@@ -35,10 +39,10 @@ pub static PLAN_PRUNED: Counter = Counter::new("core.plan.pruned");
 pub static PLAN_SOLVES: Counter = Counter::new("core.plan.solves");
 /// Points on the emitted Pareto frontier.
 pub static PLAN_FRONTIER: Counter = Counter::new("core.plan.frontier_points");
-/// Elimination programs compiled by planner workers (one per topology
-/// class per worker).
+/// First exact solves of a configuration on a planner worker (each
+/// binds its topology class's shared elimination program).
 pub static PLAN_SKELETON_BUILDS: Counter = Counter::new("core.plan.skeleton_builds");
-/// Exact solves served from an already-compiled elimination program.
+/// Planner exact solves through an already-bound program.
 pub static PLAN_SKELETON_REUSES: Counter = Counter::new("core.plan.skeleton_reuses");
 
 /// Registers every metric in this module with the global registry.

@@ -19,8 +19,9 @@
 //!    turns closed-form comparisons into *proofs* about exact values: if
 //!    `Q`'s costs are ≤ `P`'s and `Q`'s pessimistic objectives beat
 //!    `P`'s optimistic ones, `Q` exactly-dominates `P` and `P` cannot be
-//!    on the exact frontier. Only survivors are solved exactly, with
-//!    [`nsr_markov::BatchSolver`] programs shared per topology class.
+//!    on the exact frontier. Only survivors are solved exactly, through
+//!    the same [`CachedEvaluator`] the sweep engine uses (compiled GTH
+//!    programs shared per topology class, process-wide).
 //!    The soundness argument — including why pruning against
 //!    later-pruned points is still sound — is DESIGN.md §3j; the
 //!    property tests below pin the pruned frontier bit-identical to the
@@ -33,18 +34,12 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use nsr_markov::BatchSolver;
-
-use crate::config::Configuration;
-use crate::internal_raid::InternalRaidSystem;
-use crate::metrics::Reliability;
-use crate::no_raid::NoRaidSystem;
+use crate::config::{CachedEvaluator, Configuration};
 use crate::params::Params;
 use crate::planner::storage_efficiency;
-use crate::raid::{ArrayModel, InternalRaid};
-use crate::rebuild::RebuildModel;
+use crate::raid::InternalRaid;
 use crate::sweep::claim_chunk;
-use crate::units::{Hours, HOURS_PER_YEAR};
+use crate::units::HOURS_PER_YEAR;
 use crate::{Error, Result};
 
 /// Relative guard band around the closed-form MTTDL used by the pruning
@@ -224,97 +219,6 @@ impl GridPoint {
     }
 }
 
-/// The closed-form model for one feasible grid point: both paper models
-/// behind one face, so the planner's two passes share the construction
-/// code with [`crate::config::CachedEvaluator::evaluate`].
-enum BuiltModel {
-    NoRaid(NoRaidSystem),
-    Ir(InternalRaidSystem),
-}
-
-impl BuiltModel {
-    fn build(config: Configuration, params: &Params) -> Result<BuiltModel> {
-        params.validate()?;
-        let t = config.node_fault_tolerance();
-        let rebuild = RebuildModel::new(*params)?;
-        let lambda_n = params.node.failure_rate();
-        let lambda_d = params.drive.failure_rate();
-        let c_her = params.drive.c_her();
-        let (n, r, d) = (
-            params.system.node_count,
-            params.system.redundancy_set_size,
-            params.node.drives_per_node,
-        );
-        let node_rebuild = rebuild.node_rebuild(t)?;
-        match config.internal() {
-            InternalRaid::None => {
-                let drive_rebuild = rebuild.drive_rebuild(t)?;
-                Ok(BuiltModel::NoRaid(NoRaidSystem::new(
-                    t,
-                    n,
-                    r,
-                    d,
-                    lambda_n,
-                    lambda_d,
-                    node_rebuild.rate,
-                    drive_rebuild.rate,
-                    c_her,
-                )?))
-            }
-            raid => {
-                let restripe = rebuild.restripe()?;
-                let array = ArrayModel::new(raid, d, lambda_d, restripe.rate, c_her)?;
-                Ok(BuiltModel::Ir(InternalRaidSystem::new(
-                    n,
-                    r,
-                    t,
-                    lambda_n,
-                    array.rates_paper(),
-                    node_rebuild.rate,
-                )?))
-            }
-        }
-    }
-
-    fn closed_form_mttdl(&self) -> Hours {
-        match self {
-            BuiltModel::NoRaid(sys) => sys.mttdl_paper(),
-            BuiltModel::Ir(sys) => sys.mttdl_paper(),
-        }
-    }
-
-    fn skeleton(&self) -> Result<nsr_markov::Ctmc> {
-        match self {
-            BuiltModel::NoRaid(sys) => sys.recursive().chain_skeleton(),
-            BuiltModel::Ir(sys) => sys.chain_skeleton(),
-        }
-    }
-
-    fn rates(&self) -> Vec<f64> {
-        match self {
-            BuiltModel::NoRaid(sys) => sys.recursive().transition_rates(),
-            BuiltModel::Ir(sys) => sys.transition_rates(),
-        }
-    }
-
-    fn root_label(&self, t: u32) -> String {
-        match self {
-            BuiltModel::NoRaid(_) => "0".repeat(t as usize),
-            BuiltModel::Ir(_) => "failed:0".to_string(),
-        }
-    }
-}
-
-/// Topology-class key for elimination-program sharing: the chain
-/// structure depends only on whether the node has internal RAID and on
-/// the fault tolerance — never on `N`, `R`, spares, bandwidth or rates.
-/// (RAID 5 and RAID 6 share the same birth–death skeleton.)
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct TopologyClass {
-    internal: bool,
-    node_ft: u32,
-}
-
 /// A feasible grid point after the closed-form pass.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlanPoint {
@@ -342,8 +246,7 @@ pub struct PlanPoint {
 pub struct FrontierPoint {
     /// The feasible point (closed-form fields included).
     pub point: PlanPoint,
-    /// Exact MTTDL in hours (batched GTH solve; bit-identical to
-    /// [`Configuration::evaluate`]'s exact tier).
+    /// Exact MTTDL in hours ([`Configuration::evaluate`]'s exact tier).
     pub exact_mttdl_hours: f64,
     /// Exact events per PB-year.
     pub exact_events_pb_year: f64,
@@ -399,10 +302,12 @@ pub struct PlanReport {
     /// with their reasons, in grid order (diagnostics for corner
     /// exclusions).
     pub infeasible_examples: Vec<(GridPoint, String)>,
-    /// Elimination programs compiled across all workers (≥ distinct
-    /// topology classes; each worker compiles its own).
+    /// First exact solves of a configuration on a worker — each binds
+    /// the shared elimination program of its topology class (one per
+    /// distinct solved configuration per worker, whatever the process
+    /// compiled before).
     pub skeleton_builds: u64,
-    /// Exact solves that reused an already-compiled program.
+    /// Exact solves through an already-bound program.
     pub skeleton_reuses: u64,
     /// The mission horizon the mission-loss objectives used.
     pub mission_years: f64,
@@ -424,9 +329,7 @@ fn pass1(base: &Params, space: &ConfigSpace, idx: usize, years: f64) -> StdResul
     let inner = || -> Result<PlanPoint> {
         let config = Configuration::new(point.internal, point.node_ft)?;
         let params = point.params(base);
-        let model = BuiltModel::build(config, &params)?;
-        let mttdl = model.closed_form_mttdl();
-        let closed = Reliability::from_mttdl(mttdl, params.logical_capacity(point.node_ft))?;
+        let closed = config.closed_form(&params)?;
         let efficiency = storage_efficiency(&params, config);
         Ok(PlanPoint {
             index: idx,
@@ -449,21 +352,31 @@ type StdResult = std::result::Result<PlanPoint, (GridPoint, String)>;
 
 /// Runs `work` over `0..total` with the sweep engine's chunked
 /// work-claiming, merging by index — deterministic for any worker count.
-fn parallel_map<T, F>(total: usize, workers: usize, work: F) -> Vec<T>
+/// Each worker threads its own `S` (from `init`) through its calls; the
+/// states come back alongside the results.
+fn parallel_map<S, T>(
+    total: usize,
+    workers: usize,
+    init: impl Fn() -> S + Sync,
+    work: impl Fn(&mut S, usize) -> T + Sync,
+) -> (Vec<T>, Vec<S>)
 where
+    S: Send,
     T: Send,
-    F: Fn(usize) -> T + Sync,
 {
     if workers <= 1 || total <= 1 {
-        return (0..total).map(work).collect();
+        let mut state = init();
+        let out = (0..total).map(|i| work(&mut state, i)).collect();
+        return (out, vec![state]);
     }
     let next = AtomicUsize::new(0);
-    let (next, work) = (&next, &work);
-    let per_worker: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
+    let (next, init, work) = (&next, &init, &work);
+    let per_worker: Vec<(Vec<(usize, T)>, S)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|w| {
                 scope.spawn(move || {
                     nsr_obs::set_trace_lane(w as u64 + 1);
+                    let mut state = init();
                     let mut mine = Vec::new();
                     let chunk = claim_chunk(total, workers);
                     loop {
@@ -473,10 +386,10 @@ where
                         }
                         let end = (start + chunk).min(total);
                         for i in start..end {
-                            mine.push((i, work(i)));
+                            mine.push((i, work(&mut state, i)));
                         }
                     }
-                    mine
+                    (mine, state)
                 })
             })
             .collect();
@@ -487,13 +400,18 @@ where
     });
     let mut slots: Vec<Option<T>> = Vec::with_capacity(total);
     slots.resize_with(total, || None);
-    for (i, v) in per_worker.into_iter().flatten() {
-        slots[i] = Some(v);
+    let mut states = Vec::with_capacity(workers);
+    for (mine, state) in per_worker {
+        states.push(state);
+        for (i, v) in mine {
+            slots[i] = Some(v);
+        }
     }
-    slots
+    let out = slots
         .into_iter()
         .map(|s| s.expect("every index claimed exactly once"))
-        .collect()
+        .collect();
+    (out, states)
 }
 
 /// The guard-band coordinates of a feasible point: exact costs plus
@@ -582,49 +500,6 @@ fn prune(feasible: &[PlanPoint], years: f64) -> Vec<usize> {
         .collect()
 }
 
-/// Per-worker exact evaluation state: one compiled elimination program
-/// per topology class, plus build/reuse tallies.
-struct WorkerSolvers {
-    cache: HashMap<TopologyClass, BatchSolver>,
-    builds: u64,
-    reuses: u64,
-}
-
-impl WorkerSolvers {
-    fn new() -> Self {
-        WorkerSolvers {
-            cache: HashMap::new(),
-            builds: 0,
-            reuses: 0,
-        }
-    }
-
-    /// Exact MTTDL for one survivor through the program cache.
-    fn solve(&mut self, base: &Params, p: &PlanPoint) -> Result<f64> {
-        let params = p.point.params(base);
-        let model = BuiltModel::build(p.config, &params)?;
-        let class = TopologyClass {
-            internal: p.config.internal() != InternalRaid::None,
-            node_ft: p.point.node_ft,
-        };
-        let solver = match self.cache.entry(class) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                self.reuses += 1;
-                crate::obs::PLAN_SKELETON_REUSES.inc();
-                e.into_mut()
-            }
-            std::collections::hash_map::Entry::Vacant(v) => {
-                self.builds += 1;
-                crate::obs::PLAN_SKELETON_BUILDS.inc();
-                let skeleton = model.skeleton()?;
-                let root = model.root_label(p.point.node_ft);
-                v.insert(BatchSolver::from_label(&skeleton, &root)?)
-            }
-        };
-        Ok(solver.solve_mtta(&model.rates())?)
-    }
-}
-
 /// Searches `space` for the exact cost/reliability Pareto frontier.
 ///
 /// See the module docs for the two-pass structure and the determinism
@@ -660,7 +535,7 @@ pub fn plan_search(base: &Params, space: &ConfigSpace, opts: &PlanOptions) -> Re
     let years = opts.mission_years;
 
     // Pass 1: closed forms and costs for every grid point.
-    let evaluated = parallel_map(total, workers, |i| pass1(base, space, i, years));
+    let (evaluated, _) = parallel_map(total, workers, || (), |(), i| pass1(base, space, i, years));
     let mut feasible = Vec::new();
     let mut infeasible_examples = Vec::new();
     for r in evaluated {
@@ -684,79 +559,37 @@ pub fn plan_search(base: &Params, space: &ConfigSpace, opts: &PlanOptions) -> Re
     let pruned = feasible.len() - survivors.len();
     crate::obs::PLAN_PRUNED.add(pruned as u64);
 
-    // Pass 2: batched exact solves for the survivors. Each worker keeps
-    // its own elimination-program cache (one compile per topology class
-    // per worker); results merge by survivor index, tallies by sum.
-    let feasible_ref = &feasible;
-    let survivors_ref = &survivors;
-    let n = survivors.len();
-    let (solved, skeleton_builds, skeleton_reuses): (Vec<Result<f64>>, u64, u64) = if workers <= 1
-        || n <= 1
-    {
-        let mut solvers = WorkerSolvers::new();
-        let out: Vec<Result<f64>> = survivors
-            .iter()
-            .map(|&si| solvers.solve(base, &feasible_ref[si]))
-            .collect();
-        (out, solvers.builds, solvers.reuses)
-    } else {
-        // One worker's yield: (survivor-index, result) pairs plus its
-        // (builds, reuses) tallies.
-        type WorkerYield = (Vec<(usize, Result<f64>)>, u64, u64);
-        let next = AtomicUsize::new(0);
-        let next = &next;
-        let per_worker: Vec<WorkerYield> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    scope.spawn(move || {
-                        nsr_obs::set_trace_lane(w as u64 + 1);
-                        let mut solvers = WorkerSolvers::new();
-                        let mut mine = Vec::new();
-                        let chunk = claim_chunk(n, workers);
-                        loop {
-                            let start = next.fetch_add(chunk, Ordering::Relaxed);
-                            if start >= n {
-                                break;
-                            }
-                            let end = (start + chunk).min(n);
-                            for (off, &si) in survivors_ref[start..end].iter().enumerate() {
-                                mine.push((start + off, solvers.solve(base, &feasible_ref[si])));
-                            }
-                        }
-                        (mine, solvers.builds, solvers.reuses)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("plan worker panicked"))
-                .collect()
+    // Pass 2: exact solves for the survivors, each worker through its
+    // own evaluator per configuration; results merge by survivor index,
+    // bind/reuse tallies by sum.
+    let (solved, evaluators) = parallel_map(
+        survivors.len(),
+        workers,
+        HashMap::new,
+        |evaluators: &mut HashMap<Configuration, CachedEvaluator>, i| {
+            let p = &feasible[survivors[i]];
+            evaluators
+                .entry(p.config)
+                .or_insert_with(|| CachedEvaluator::new(p.config))
+                .evaluate(&p.point.params(base))
+                .map(|e| e.exact)
+        },
+    );
+    let (skeleton_builds, skeleton_reuses) = evaluators
+        .iter()
+        .flat_map(HashMap::values)
+        .fold((0, 0), |(b, r), e| {
+            (b + e.skeleton_builds(), r + e.skeleton_reuses())
         });
-        let mut builds = 0;
-        let mut reuses = 0;
-        let mut slots: Vec<Option<Result<f64>>> = Vec::with_capacity(n);
-        slots.resize_with(n, || None);
-        for (mine, b, r) in per_worker {
-            builds += b;
-            reuses += r;
-            for (i, v) in mine {
-                slots[i] = Some(v);
-            }
-        }
-        let out = slots
-            .into_iter()
-            .map(|s| s.expect("every survivor claimed exactly once"))
-            .collect();
-        (out, builds, reuses)
-    };
+    crate::obs::PLAN_SKELETON_BUILDS.add(skeleton_builds);
+    crate::obs::PLAN_SKELETON_REUSES.add(skeleton_reuses);
 
     let mut exact: Vec<FrontierPoint> = Vec::with_capacity(survivors.len());
     let mut guard_violations = 0;
     for (pos, r) in solved.into_iter().enumerate() {
-        let mttdl = r?;
+        let rel = r?;
+        let mttdl = rel.mttdl_hours;
         let p = feasible[survivors[pos]];
-        let params = p.point.params(base);
-        let rel = Reliability::from_mttdl(Hours(mttdl), params.logical_capacity(p.point.node_ft))?;
         let rel_err = (p.closed_mttdl_hours - mttdl).abs() / mttdl;
         if rel_err >= PRUNE_GUARD {
             guard_violations += 1;

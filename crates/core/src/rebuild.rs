@@ -141,7 +141,13 @@ impl RebuildModel {
     /// Propagates [`Params::validate`] failures.
     pub fn new(params: Params) -> Result<RebuildModel> {
         params.validate()?;
-        Ok(RebuildModel { params })
+        Ok(RebuildModel::from_validated(params))
+    }
+
+    /// The model over parameters the caller has already passed through
+    /// [`Params::validate`] — the evaluator validates once per point.
+    pub(crate) fn from_validated(params: Params) -> RebuildModel {
+        RebuildModel { params }
     }
 
     /// The parameters this model was built from.

@@ -145,40 +145,48 @@ impl RecursiveModel {
         &self.h
     }
 
-    /// The label of the state with failure word encoded by `(depth, idx)`:
-    /// a word of `depth` letters (bit `0 = N`, `1 = d`, MSB first) padded
-    /// with `0`s to length `k` — exactly the appendix's labelling.
-    fn label(&self, depth: u32, idx: usize) -> String {
-        let mut s = String::with_capacity(self.k as usize);
+    /// The label of the state with failure word encoded by `(depth, idx)`
+    /// in the chain for fault tolerance `k`: a word of `depth` letters
+    /// (bit `0 = N`, `1 = d`, MSB first) padded with `0`s to length `k` —
+    /// exactly the appendix's labelling.
+    fn label(k: u32, depth: u32, idx: usize) -> String {
+        let mut s = String::with_capacity(k as usize);
         for bit in (0..depth).rev() {
             s.push(if (idx >> bit) & 1 == 1 { 'd' } else { 'N' });
         }
-        for _ in depth..self.k {
+        for _ in depth..k {
             s.push('0');
         }
         s
     }
 
-    /// Builds the chain's *topology* only: the same states, labels and
+    /// The chain *topology* for fault tolerance `k` and its
+    /// fully-operational root state: the same states, labels and
     /// transition order as [`Self::ctmc`], with every rate set to a
-    /// placeholder `1.0`. Pair with [`Self::transition_rates`] and
-    /// [`Ctmc::with_rates`] to rescale the chain without rebuilding it —
-    /// the sweep engine's hot path. The placeholder mapping is exact
-    /// because the construction never emits duplicate `(from, to)` pairs,
-    /// so skeleton transitions correspond 1:1 to rate-vector entries.
+    /// placeholder `1.0`. The topology is a function of `k` alone — no
+    /// parameter enters it — which is what lets one compiled elimination
+    /// program serve every parameter point of a fault tolerance. The
+    /// placeholder mapping is exact because the construction never emits
+    /// duplicate `(from, to)` pairs, so skeleton transitions correspond
+    /// 1:1 to [`Self::transition_rates`] entries.
     ///
     /// # Errors
     ///
-    /// Propagates builder failures (cannot occur for validated
-    /// parameters).
-    pub fn chain_skeleton(&self) -> Result<Ctmc> {
-        let k = self.k;
+    /// [`Error::UnsupportedFaultTolerance`] if
+    /// `k > MAX_EXACT_FAULT_TOLERANCE`; builder failures cannot occur.
+    pub fn skeleton(k: u32) -> Result<(Ctmc, StateId)> {
+        if k > MAX_EXACT_FAULT_TOLERANCE {
+            return Err(Error::UnsupportedFaultTolerance {
+                requested: k,
+                max: MAX_EXACT_FAULT_TOLERANCE,
+            });
+        }
         let mut b = CtmcBuilder::new();
         // states[depth][idx]
         let mut states: Vec<Vec<StateId>> = Vec::with_capacity(k as usize + 1);
         for depth in 0..=k {
             let row: Vec<StateId> = (0..(1usize << depth))
-                .map(|idx| b.add_state(self.label(depth, idx)))
+                .map(|idx| b.add_state(Self::label(k, depth, idx)))
                 .collect();
             states.push(row);
         }
@@ -203,18 +211,38 @@ impl RecursiveModel {
         for &s in &states[k as usize] {
             b.add_transition(s, loss_failure, 1.0)?;
         }
-        Ok(b.build()?)
+        Ok((b.build()?, states[0][0]))
+    }
+
+    /// [`Self::skeleton`] for this model's fault tolerance, without the
+    /// root. Pair with [`Self::transition_rates`] and
+    /// [`Ctmc::with_rates`] to rescale the chain without rebuilding it.
+    ///
+    /// # Errors
+    ///
+    /// Cannot fail for a constructed model.
+    pub fn chain_skeleton(&self) -> Result<Ctmc> {
+        Ok(Self::skeleton(self.k)?.0)
     }
 
     /// The transition rates of the chain, in the exact order the
     /// skeleton's transitions were added — the rate vector for
     /// [`Ctmc::with_rates`] on [`Self::chain_skeleton`].
     pub fn transition_rates(&self) -> Vec<f64> {
+        let mut rates = Vec::new();
+        self.transition_rates_into(&mut rates);
+        rates
+    }
+
+    /// [`Self::transition_rates`] written into a caller-owned buffer
+    /// (cleared first), so a sweep reuses one allocation across points.
+    pub fn transition_rates_into(&self, rates: &mut Vec<f64>) {
         let k = self.k;
         let nf = self.n as f64;
         let df = self.d as f64;
         let (lam_n, lam_d, mu_n, mu_d) = (self.lambda_n, self.lambda_d, self.mu_n, self.mu_d);
-        let mut rates = Vec::with_capacity(5 * ((1usize << k) - 1) + (1usize << k));
+        rates.clear();
+        rates.reserve(5 * ((1usize << k) - 1) + (1usize << k));
         for depth in 0..k {
             let remaining = nf - depth as f64;
             for idx in 0..(1usize << depth) {
@@ -246,7 +274,6 @@ impl RecursiveModel {
         for _ in 0..(1usize << k) {
             rates.push(last * (lam_n + df * lam_d));
         }
-        rates
     }
 
     /// Builds the CTMC of the recursive construction, with the absorbing
@@ -278,7 +305,7 @@ impl RecursiveModel {
         let ctmc = self.ctmc()?;
         let analysis = AbsorbingAnalysis::new(&ctmc)?;
         let root = ctmc
-            .state_by_label(&self.label(0, 0))
+            .state_by_label(&Self::label(self.k, 0, 0))
             .expect("root state exists");
         Ok(Hours(analysis.mean_time_to_absorption(root)?))
     }
@@ -292,7 +319,7 @@ impl RecursiveModel {
         let ctmc = self.ctmc()?;
         let analysis = AbsorbingAnalysis::new(&ctmc)?;
         let root = ctmc
-            .state_by_label(&self.label(0, 0))
+            .state_by_label(&Self::label(self.k, 0, 0))
             .expect("root state exists");
         let sector = ctmc
             .state_by_label(LOSS_BY_SECTOR)
@@ -376,18 +403,23 @@ impl RecursiveModel {
         x * self.lambda_n + y * self.d as f64 * self.lambda_d
     }
 
-    /// The recursive operator `L_k` applied to an ordered set of `2^j`
-    /// values (`L_1(H) = L(H₁, H₂)`;
-    /// `L_j(H) = L(μ_d·L_{j−1}(H_first), μ_N·L_{j−1}(H_second))`).
-    fn l_rec(&self, h: &[f64]) -> f64 {
-        debug_assert!(h.len().is_power_of_two() && h.len() >= 2);
-        if h.len() == 2 {
-            self.l(h[0], h[1])
-        } else {
-            let mid = h.len() / 2;
+    /// The recursive operator `L_j` over the ordered sub-family of `h`
+    /// whose words already hold `drives` drive failures and have `levels`
+    /// letters still free (`L_1(H) = L(H₁, H₂)`;
+    /// `L_j(H) = L(μ_d·L_{j−1}(H_first), μ_N·L_{j−1}(H_second))`). The
+    /// first half of an ordered set continues with `N`, the second with
+    /// `d`, so the halves are addressed by drive count and the `2^k`
+    /// values are never materialized.
+    fn l_rec(&self, levels: u32, drives: u32) -> f64 {
+        if levels == 1 {
             self.l(
-                self.mu_d * self.l_rec(&h[..mid]),
-                self.mu_n * self.l_rec(&h[mid..]),
+                self.h.by_drive_count(drives),
+                self.h.by_drive_count(drives + 1),
+            )
+        } else {
+            self.l(
+                self.mu_d * self.l_rec(levels - 1, drives),
+                self.mu_n * self.l_rec(levels - 1, drives + 1),
             )
         }
     }
@@ -405,7 +437,7 @@ impl RecursiveModel {
         let failure_term = (nf - k as f64)
             * (self.lambda_n + df * self.lambda_d)
             * self.l(self.mu_d, self.mu_n).powi(k as i32);
-        let sector_term = self.mu_n * self.mu_d * self.l_rec(&self.h.ordered_set());
+        let sector_term = self.mu_n * self.mu_d * self.l_rec(k, 0);
         Hours(num / (falling * (failure_term + sector_term)))
     }
 }
@@ -472,11 +504,15 @@ mod tests {
     #[test]
     fn labels_match_appendix_convention() {
         let m = model(3);
-        assert_eq!(m.label(0, 0), "000");
-        assert_eq!(m.label(1, 0), "N00");
-        assert_eq!(m.label(1, 1), "d00");
-        assert_eq!(m.label(2, 0b10), "dN0");
-        assert_eq!(m.label(3, 0b101), "dNd");
+        assert_eq!(RecursiveModel::label(3, 0, 0), "000");
+        assert_eq!(RecursiveModel::label(3, 1, 0), "N00");
+        assert_eq!(RecursiveModel::label(3, 1, 1), "d00");
+        assert_eq!(RecursiveModel::label(3, 2, 0b10), "dN0");
+        assert_eq!(RecursiveModel::label(3, 3, 0b101), "dNd");
+        // The skeleton's root is the all-operational word.
+        let (skeleton, root) = RecursiveModel::skeleton(3).unwrap();
+        assert_eq!(skeleton.state_by_label("000"), Some(root));
+        assert_eq!(m.chain_skeleton().unwrap().len(), skeleton.len());
     }
 
     #[test]

@@ -137,9 +137,11 @@ pub fn auto_workers(rows: usize) -> usize {
 
 /// [`sweep`] with an explicit worker count.
 ///
-/// Each worker holds its own [`CachedEvaluator`] per configuration, so
-/// every chain topology is built at most once per worker and only the
-/// rates are replaced per sweep point. Rows are claimed from a shared
+/// Each worker holds its own [`CachedEvaluator`] per configuration:
+/// solver scratch and rate buffer are per evaluator, the compiled
+/// elimination program behind them is shared process-wide per topology
+/// class, and every sweep point costs one rate-vector fill and one
+/// numeric elimination. Rows are claimed from a shared
 /// atomic counter in small chunks (work-stealing — rows whose
 /// configurations go infeasible early are cheaper than feasible ones;
 /// see [`claim_chunk`] for why claims are chunked) and merged back **by

@@ -47,7 +47,7 @@ fn parallel_sweep_traces_are_deterministic_across_worker_counts() {
     // The sweep's evaluations show up as causally nested spans.
     assert!(canon1.contains("core.evaluate"), "{canon1}");
     assert!(
-        canon1.contains("core.evaluate/markov.absorbing.solve"),
+        canon1.contains("core.evaluate/markov.batch.solve"),
         "solver spans must nest under the evaluation that ran them:\n{canon1}"
     );
 

@@ -19,9 +19,12 @@
 //!    CSR slot (or to the absorption vector), so loading a new rate
 //!    vector is one pass over the transitions.
 //!
-//! All buffers are allocated at construction; [`BatchSolver::solve_mtta`]
-//! performs **zero allocations** (pinned by an alloc-counting test in
-//! `tests/batch_alloc.rs`).
+//! The compiled result is a [`BatchProgram`]: immutable, a pure function
+//! of the skeleton's structure, and shareable behind an `Arc` by any
+//! number of solvers on any number of threads. A [`BatchSolver`] is one
+//! program plus its own numeric scratch, allocated once when the solver
+//! is made; [`BatchSolver::solve_mtta`] performs **zero allocations**
+//! (pinned by an alloc-counting test in `tests/batch_alloc.rs`).
 //!
 //! # Bit-identical results
 //!
@@ -43,7 +46,13 @@
 //! outgoing transition of some transient state (making it absorbing in
 //! the re-rated chain) fails the elimination with a
 //! [`nsr_linalg::Error::Singular`] pivot rather than silently diverging
-//! from the rebuild-from-scratch semantics.
+//! from the rebuild-from-scratch semantics. Likewise a rate vector whose
+//! elimination overflows is refused with
+//! [`nsr_linalg::Error::NotFinite`] — the sparse tier of the oracle
+//! refuses the same solution — so an infinite or NaN MTTA never leaves
+//! the solver as a number.
+
+use std::sync::Arc;
 
 use crate::builder::StateId;
 use crate::ctmc::Ctmc;
@@ -75,13 +84,12 @@ struct Feeder {
 /// (`j == i`).
 const SKIP: u32 = u32::MAX;
 
-/// A reusable solver for many rate vectors over one chain skeleton.
-///
-/// Construct once per topology class with [`BatchSolver::new`], then
-/// call [`BatchSolver::solve_mtta`] per grid point. See the module docs
-/// for the equality and allocation contracts.
-#[derive(Debug, Clone)]
-pub struct BatchSolver {
+/// The compiled elimination program of one chain skeleton: filled CSR
+/// pattern, rate scatter map and per-pivot feeder program. Immutable
+/// once compiled — every [`BatchSolver`] built from the same `Arc` reads
+/// it concurrently and keeps its numeric state to itself.
+#[derive(Debug)]
+pub struct BatchProgram {
     /// Transient-state count.
     m: usize,
     /// Transient row of the root state MTTA is reported from.
@@ -107,17 +115,26 @@ pub struct BatchSolver {
     dest: Vec<u32>,
     /// Structural (pre-fill) nonzero count, for diagnostics.
     structural_nnz: usize,
-    /// Per-solve scratch, allocated once.
-    val: Vec<f64>,
-    qa: Vec<f64>,
-    rhs: Vec<f64>,
-    exit: Vec<f64>,
-    x: Vec<f64>,
+}
+
+/// A reusable solver for many rate vectors over one chain skeleton: a
+/// shared [`BatchProgram`] plus this solver's numeric scratch.
+///
+/// Construct once per topology class with [`BatchSolver::new`] (or
+/// [`BatchSolver::with_program`] when the program is already compiled),
+/// then call [`BatchSolver::solve_mtta`] per grid point. See the module
+/// docs for the equality and allocation contracts.
+#[derive(Debug, Clone)]
+pub struct BatchSolver {
+    program: Arc<BatchProgram>,
+    /// Per-solve scratch in one allocation: `val` (one per CSR slot),
+    /// then `qa`, `rhs`, `exit` and `x` (one per transient state each).
+    scratch: Vec<f64>,
     /// Solves performed by this instance.
     solves: u64,
 }
 
-impl BatchSolver {
+impl BatchProgram {
     /// Compiles the elimination program for `skeleton`, reporting MTTA
     /// from `root`.
     ///
@@ -131,7 +148,7 @@ impl BatchSolver {
     ///   chain is not absorbing.
     /// * [`Error::UnknownState`] / [`Error::StateNotTransient`] for a bad
     ///   root.
-    pub fn new(skeleton: &Ctmc, root: StateId) -> Result<BatchSolver> {
+    pub fn compile(skeleton: &Ctmc, root: StateId) -> Result<BatchProgram> {
         if root.index() >= skeleton.len() {
             return Err(Error::UnknownState {
                 state: root.index(),
@@ -270,9 +287,8 @@ impl BatchSolver {
         }
         feeder_start.push(feeders.len() as u32);
 
-        let nnz = col.len();
         crate::obs::BATCH_BUILDS.inc();
-        Ok(BatchSolver {
+        Ok(BatchProgram {
             m,
             root: pos[root.index()],
             endpoints,
@@ -284,13 +300,32 @@ impl BatchSolver {
             feeders,
             dest,
             structural_nnz,
-            val: vec![0.0; nnz],
-            qa: vec![0.0; m],
-            rhs: vec![0.0; m],
-            exit: vec![0.0; m],
-            x: vec![0.0; m],
-            solves: 0,
         })
+    }
+}
+
+impl BatchSolver {
+    /// Compiles the elimination program for `skeleton` and wraps it in a
+    /// solver reporting MTTA from `root`.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`BatchProgram::compile`].
+    pub fn new(skeleton: &Ctmc, root: StateId) -> Result<BatchSolver> {
+        Ok(BatchSolver::with_program(Arc::new(BatchProgram::compile(
+            skeleton, root,
+        )?)))
+    }
+
+    /// A solver over an already-compiled program: allocates this
+    /// solver's scratch and nothing else.
+    pub fn with_program(program: Arc<BatchProgram>) -> BatchSolver {
+        let scratch = vec![0.0; program.col.len() + 4 * program.m];
+        BatchSolver {
+            program,
+            scratch,
+            solves: 0,
+        }
     }
 
     /// Builds a solver with the root looked up by label.
@@ -298,7 +333,7 @@ impl BatchSolver {
     /// # Errors
     ///
     /// [`Error::InvalidArgument`] if no state carries the label, plus the
-    /// conditions of [`BatchSolver::new`].
+    /// conditions of [`BatchProgram::compile`].
     pub fn from_label(skeleton: &Ctmc, root_label: &str) -> Result<BatchSolver> {
         let root = skeleton
             .state_by_label(root_label)
@@ -310,17 +345,17 @@ impl BatchSolver {
 
     /// Number of transient states.
     pub fn dim(&self) -> usize {
-        self.m
+        self.program.m
     }
 
     /// Number of skeleton transitions (the expected rate-vector length).
     pub fn transitions(&self) -> usize {
-        self.scatter.len()
+        self.program.scatter.len()
     }
 
     /// Fill slots the symbolic pass added beyond the structural nonzeros.
     pub fn fill(&self) -> usize {
-        self.col.len() - self.structural_nnz
+        self.program.col.len() - self.program.structural_nnz
     }
 
     /// Solves performed by this instance since construction.
@@ -333,7 +368,8 @@ impl BatchSolver {
     ///
     /// Allocation-free; bit-identical to
     /// `AbsorbingAnalysis::new(&skeleton.with_rates(rates)?)?
-    ///     .mean_time_to_absorption(root)` (see module docs).
+    ///     .mean_time_to_absorption(root)` (see module docs). Runs inside
+    /// a `markov.batch.solve` span.
     ///
     /// # Errors
     ///
@@ -341,15 +377,19 @@ impl BatchSolver {
     /// * [`Error::InvalidRate`] for negative, NaN or infinite rates.
     /// * [`Error::Linalg`] ([`nsr_linalg::Error::Singular`]) if some state
     ///   cannot reach absorption under these rates.
+    /// * [`Error::Linalg`] ([`nsr_linalg::Error::NotFinite`]) if the
+    ///   elimination overflowed and the root's MTTA is infinite or NaN.
     pub fn solve_mtta(&mut self, rates: &[f64]) -> Result<f64> {
-        if rates.len() != self.scatter.len() {
+        let _span = nsr_obs::trace::Span::enter("markov.batch.solve");
+        let p = &*self.program;
+        if rates.len() != p.scatter.len() {
             return Err(Error::InvalidArgument {
                 what: "rate vector length must match the transition count",
             });
         }
         for (idx, &rate) in rates.iter().enumerate() {
             if !(rate.is_finite() && rate >= 0.0) {
-                let (from, to) = self.endpoints[idx];
+                let (from, to) = p.endpoints[idx];
                 return Err(Error::InvalidRate {
                     from: from as usize,
                     to: to as usize,
@@ -357,71 +397,81 @@ impl BatchSolver {
                 });
             }
         }
-        self.val.fill(0.0);
-        self.qa.fill(0.0);
-        self.rhs.fill(1.0);
-        for (&s, &rate) in self.scatter.iter().zip(rates) {
+        let (val, rest) = self.scratch.split_at_mut(p.col.len());
+        let (qa, rest) = rest.split_at_mut(p.m);
+        let (rhs, rest) = rest.split_at_mut(p.m);
+        let (exit, x) = rest.split_at_mut(p.m);
+        val.fill(0.0);
+        qa.fill(0.0);
+        rhs.fill(1.0);
+        for (&s, &rate) in p.scatter.iter().zip(rates) {
             match s {
-                Scatter::Slot(k) => self.val[k as usize] += rate,
-                Scatter::Absorb(i) => self.qa[i as usize] += rate,
+                Scatter::Slot(k) => val[k as usize] += rate,
+                Scatter::Absorb(i) => qa[i as usize] += rate,
             }
         }
 
         // Forward elimination, pivots descending — the dynamic
         // algorithm's loop with all searches pre-resolved.
-        for t in (0..self.m).rev() {
-            let prefix_lo = self.row_start[t] as usize;
-            let prefix_hi = self.split[t] as usize;
-            let mut d = self.qa[t];
-            for p in prefix_lo..prefix_hi {
-                d += self.val[p];
+        for t in (0..p.m).rev() {
+            let prefix_lo = p.row_start[t] as usize;
+            let prefix_hi = p.split[t] as usize;
+            let mut d = qa[t];
+            for &v in &val[prefix_lo..prefix_hi] {
+                d += v;
             }
             if d <= 0.0 {
                 return Err(Error::Linalg(nsr_linalg::Error::Singular { pivot: t }));
             }
-            self.exit[t] = d;
-            let (r_t, qa_t) = (self.rhs[t], self.qa[t]);
-            let f_lo = self.feeder_start[t] as usize;
-            let f_hi = self.feeder_start[t + 1] as usize;
-            for fi in f_lo..f_hi {
-                let Feeder {
-                    row,
-                    slot_it,
-                    dest_start,
-                } = self.feeders[fi];
+            exit[t] = d;
+            let (r_t, qa_t) = (rhs[t], qa[t]);
+            let f_lo = p.feeder_start[t] as usize;
+            let f_hi = p.feeder_start[t + 1] as usize;
+            for &Feeder {
+                row,
+                slot_it,
+                dest_start,
+            } in &p.feeders[f_lo..f_hi]
+            {
                 let i = row as usize;
-                let f = self.val[slot_it as usize] / d;
+                let f = val[slot_it as usize] / d;
                 if f == 0.0 {
                     continue;
                 }
-                self.rhs[i] += f * r_t;
-                self.qa[i] += f * qa_t;
-                for (p, dk) in (prefix_lo..prefix_hi).zip(dest_start as usize..) {
-                    let slot = self.dest[dk];
+                rhs[i] += f * r_t;
+                qa[i] += f * qa_t;
+                for (pi, dk) in (prefix_lo..prefix_hi).zip(dest_start as usize..) {
+                    let slot = p.dest[dk];
                     if slot == SKIP {
                         continue;
                     }
-                    let add = f * self.val[p];
+                    let add = f * val[pi];
                     if add > 0.0 {
-                        self.val[slot as usize] += add;
+                        val[slot as usize] += add;
                     }
                 }
             }
         }
 
         // Back-substitution, ascending pivots and columns.
-        for t in 0..self.m {
-            let mut acc = self.rhs[t];
-            let lo = self.row_start[t] as usize;
-            let hi = self.split[t] as usize;
-            for p in lo..hi {
-                acc += self.val[p] * self.x[self.col[p] as usize];
+        for t in 0..p.m {
+            let mut acc = rhs[t];
+            let lo = p.row_start[t] as usize;
+            let hi = p.split[t] as usize;
+            for pi in lo..hi {
+                acc += val[pi] * x[p.col[pi] as usize];
             }
-            self.x[t] = acc / self.exit[t];
+            x[t] = acc / exit[t];
+        }
+        let mtta = x[p.root];
+        if !mtta.is_finite() {
+            return Err(Error::Linalg(nsr_linalg::Error::NotFinite {
+                op: "batched GTH solve",
+            }));
         }
         self.solves += 1;
         crate::obs::BATCH_SOLVES.inc();
-        Ok(self.x[self.root])
+        Ok(mtta)
     }
 }
 
@@ -517,6 +567,41 @@ mod tests {
             Err(Error::Linalg(nsr_linalg::Error::Singular { .. })) => {}
             other => panic!("expected singular pivot, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn non_finite_result_is_a_typed_error() {
+        // Rates so small that 1/rate overflows: the back-substitution
+        // yields +inf, which must not leave the solver as an MTTA.
+        let (skel, root) = birth_death(2);
+        let mut solver = BatchSolver::new(&skel, root).unwrap();
+        let tiny = vec![1e-310; solver.transitions()];
+        match solver.solve_mtta(&tiny) {
+            Err(Error::Linalg(nsr_linalg::Error::NotFinite { .. })) => {}
+            other => panic!("expected a non-finite error, got {other:?}"),
+        }
+        assert_eq!(solver.solves(), 0, "a refused solve is not counted");
+        // The solver is still usable afterwards.
+        let ok = vec![1.0; solver.transitions()];
+        assert!(solver.solve_mtta(&ok).unwrap().is_finite());
+    }
+
+    #[test]
+    fn solvers_sharing_a_program_keep_their_own_scratch() {
+        let (skel, root) = birth_death(5);
+        let program = Arc::new(BatchProgram::compile(&skel, root).unwrap());
+        let mut a = BatchSolver::with_program(Arc::clone(&program));
+        let mut b = BatchSolver::with_program(program);
+        let n = a.transitions();
+        let ra: Vec<f64> = (0..n).map(|k| 1e-3 * (1.0 + k as f64)).collect();
+        let rb: Vec<f64> = (0..n).map(|k| 7.0 / (1.0 + k as f64)).collect();
+        // Interleaved solves: neither solver sees the other's numbers.
+        let a1 = a.solve_mtta(&ra).unwrap();
+        let b1 = b.solve_mtta(&rb).unwrap();
+        let a2 = a.solve_mtta(&ra).unwrap();
+        assert_eq!(a1.to_bits(), a2.to_bits());
+        assert_eq!(a1.to_bits(), oracle(&skel, root, &ra).to_bits());
+        assert_eq!(b1.to_bits(), oracle(&skel, root, &rb).to_bits());
     }
 
     #[test]

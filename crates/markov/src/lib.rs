@@ -69,7 +69,7 @@ mod solutions;
 mod sparse;
 
 pub use absorbing::{AbsorbingAnalysis, SolverTier, SPARSE_MAX_DENSITY, SPARSE_MIN_STATES};
-pub use batch::BatchSolver;
+pub use batch::{BatchProgram, BatchSolver};
 pub use birth_death::{birth_death_gamma, birth_death_mtta};
 pub use builder::{CtmcBuilder, StateId};
 pub use classify::{strongly_connected_components, validate_absorbing, AbsorbingDiagnosis};

@@ -30,7 +30,8 @@ pub static CONDITION: Histogram = Histogram::new("markov.absorbing.condition");
 pub static SOLVE_SECONDS: Histogram = Histogram::new("markov.absorbing.solve_seconds");
 /// Allocation-free batched solves (`BatchSolver::solve_mtta`).
 pub static BATCH_SOLVES: Counter = Counter::new("markov.batch.solves");
-/// Elimination programs compiled (`BatchSolver::new`).
+/// Elimination programs compiled (`BatchProgram::compile`). `nsr-core`
+/// compiles one per topology class per process and shares it.
 pub static BATCH_BUILDS: Counter = Counter::new("markov.batch.builds");
 
 /// Registers every metric in this module with the global registry.
