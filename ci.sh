@@ -205,7 +205,8 @@ echo "==> planner smoke (grid search, golden frontier, plan bench gate)"
 # The 3x3x3 golden grid must reproduce the checked-in frontier CSV
 # byte-for-byte at 1 and 4 workers and in exhaustive mode (the planner's
 # determinism + pruning-soundness contract), the metrics snapshot must
-# carry the elimination-program reuse counters, and the plan bench suite
+# carry the elimination-program reuse counters, the guard-violation
+# counter and the four phase histograms, and the plan bench suite
 # gets the same two-direction compare gate as sweep: identical reports
 # pass, a slowdown fails, and the same perturbation read as an
 # improvement passes.
@@ -218,9 +219,29 @@ diff crates/cli/tests/golden/plan_frontier_3x3x3.csv "$SMOKE_DIR/plan-w1.csv"
 diff "$SMOKE_DIR/plan-w1.csv" "$SMOKE_DIR/plan-w4.csv"
 diff "$SMOKE_DIR/plan-w1.csv" "$SMOKE_DIR/plan-ex.csv"
 ./target/release/nsr plan $PLAN_GRID \
-    --metrics-out "$SMOKE_DIR/plan-metrics.jsonl" > /dev/null
+    --metrics-out "$SMOKE_DIR/plan-metrics.jsonl" \
+    --trace-out "$SMOKE_DIR/plan-trace.jsonl" > /dev/null
+./target/release/nsr obs-check --file "$SMOKE_DIR/plan-trace.jsonl" \
+    --require span:core.plan.search
+for phase in pass1 prune solve frontier; do
+    grep '"name":"core.plan.search"' "$SMOKE_DIR/plan-trace.jsonl" \
+        | grep -q "\"${phase}_seconds\":"
+done
 ./target/release/nsr obs-check --file "$SMOKE_DIR/plan-metrics.jsonl" \
-    --require core.plan.skeleton_builds,core.plan.skeleton_reuses,core.plan.pruned,markov.batch.solves
+    --require core.plan.skeleton_builds,core.plan.skeleton_reuses,core.plan.pruned,markov.batch.solves,core.plan.guard_violations,core.plan.pass1_seconds,core.plan.prune_seconds,core.plan.solve_seconds,core.plan.frontier_seconds
+# Outside the guard band (a 1e-13 hard-error rate puts solved points more
+# than 50 % off their closed form) pruning proves nothing: the search
+# must warn and answer with the exhaustive frontier.
+./target/release/nsr plan --grid --her 1e-13 > "$SMOKE_DIR/plan-her.txt"
+grep -q "WARNING: pruning is not sound here" "$SMOKE_DIR/plan-her.txt"
+./target/release/nsr plan --grid --her 1e-13 --csv > "$SMOKE_DIR/plan-her.csv"
+./target/release/nsr plan --grid --her 1e-13 --csv --exhaustive > "$SMOKE_DIR/plan-her-ex.csv"
+diff "$SMOKE_DIR/plan-her.csv" "$SMOKE_DIR/plan-her-ex.csv"
+# A repeated axis value would print one configuration twice.
+if ./target/release/nsr plan --grid --grid-k 2,2 --csv > /dev/null 2>&1; then
+    echo "ERROR: plan --grid accepted a repeated axis value" >&2
+    exit 1
+fi
 ./target/release/nsr bench --suite plan --smoke --out-dir "$SMOKE_DIR"
 cp "$SMOKE_DIR/BENCH_plan.json" "$SMOKE_DIR/BENCH_plan.old.json"
 ./target/release/nsr bench --compare "$SMOKE_DIR/BENCH_plan.old.json" \

@@ -485,7 +485,8 @@ pub fn sweep_suite(mode: Mode) -> Result<Suite, String> {
 /// The capacity-planner suite: the headline 11,520-point grid search on
 /// one core (the ISSUE's ≥ 1,000 configs/s target reads off its
 /// `items_per_s`), the same grid with pruning disabled (the speedup is
-/// the ratio), a parallel run, and the batched-solver microbenchmark.
+/// the ratio), a 115,200-point grid (the scaling of the dominance
+/// passes is the ratio), and the batched-solver microbenchmark.
 /// Smoke mode shrinks the grid to the 3×3×3 golden space.
 pub fn plan_suite(mode: Mode) -> Result<Suite, String> {
     use nsr_core::plan::{plan_search, ConfigSpace, PlanOptions};
@@ -541,11 +542,20 @@ pub fn plan_suite(mode: Mode) -> Result<Suite, String> {
         .with_items(points),
     );
     if mode == Mode::Full {
+        // Ten times the points on the same four bandwidth levels: pins
+        // how the dominance passes scale with the grid.
+        let wide = ConfigSpace {
+            nodes: vec![16, 24, 32, 48, 64, 96, 128, 192, 256, 384],
+            data_shards: (2..=25).collect(),
+            spare_frac: (0..10).map(|i| f64::from(i) * 0.05).collect(),
+            ..space.clone()
+        };
+        let wide_points = wide.len() as u64;
         results.push(
-            t.measure(&format!("grid_{points}/pruned/workers_4"), 0, || {
-                plan_search(&params, &space, &PlanOptions { workers: 4, ..opts }).expect("plan")
+            t.measure(&format!("grid_{wide_points}/pruned/workers_1"), 0, || {
+                plan_search(&params, &wide, &opts).expect("plan")
             })
-            .with_items(points),
+            .with_items(wide_points),
         );
     }
 

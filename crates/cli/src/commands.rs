@@ -793,6 +793,18 @@ fn plan_grid(args: &ParsedArgs) -> Result<String> {
         "elimination programs: {} bound, {} reused",
         report.skeleton_builds, report.skeleton_reuses
     );
+    let _ = writeln!(
+        out,
+        "guard band: {} of {} solved points outside ±{:.0}% of the closed form{}",
+        report.guard_violations,
+        report.solved,
+        100.0 * nsr_core::plan::PRUNE_GUARD,
+        if report.exhaustive_fallback {
+            " — WARNING: pruning is not sound here, every feasible point was re-solved"
+        } else {
+            ""
+        }
+    );
     if !report.infeasible_examples.is_empty() {
         let (p, reason) = &report.infeasible_examples[0];
         let _ = writeln!(
@@ -1455,6 +1467,31 @@ mod tests {
             let out = run(&words).unwrap();
             assert_eq!(base, out, "{extra:?}");
         }
+    }
+
+    #[test]
+    fn plan_grid_warns_and_goes_exhaustive_outside_the_guard_band() {
+        let her = ["plan", "--grid", "--her", "1e-13"];
+        let table = run(&her).unwrap();
+        assert!(
+            table.contains("WARNING: pruning is not sound here"),
+            "{table}"
+        );
+        assert!(table.contains(", 0 pruned without solving"), "{table}");
+        let csv = run(&[&her[..], &["--csv"]].concat()).unwrap();
+        let exhaustive = run(&[&her[..], &["--csv", "--exhaustive"]].concat()).unwrap();
+        assert_eq!(csv, exhaustive);
+        // Inside the band the line reports zero and no warning.
+        let baseline = run(&["plan", "--grid"]).unwrap();
+        assert!(baseline.contains("guard band: 0 of "), "{baseline}");
+        assert!(!baseline.contains("WARNING"), "{baseline}");
+    }
+
+    #[test]
+    fn plan_grid_rejects_a_repeated_axis_value() {
+        let err = run(&["plan", "--grid", "--grid-k", "2,2", "--csv"]).unwrap_err();
+        assert!(err.to_string().contains("data_shards"), "{err}");
+        assert!(run(&["plan", "--grid", "--grid-ir", "nir,ir5,nir"]).is_err());
     }
 
     #[test]

@@ -4,7 +4,10 @@
 //! see `nsr-obs` for the cost contract. Solver-tier selection and
 //! elimination fill are counted one layer down, in `nsr_markov::obs`.
 
-use nsr_obs::{Counter, Histogram};
+use std::time::Instant;
+
+use nsr_obs::trace::Span;
+use nsr_obs::{Counter, Histogram, Json};
 
 /// Sensitivity sweeps run (`sweep` / `sweep_with_workers` calls).
 pub static SWEEPS: Counter = Counter::new("core.sweep.runs");
@@ -45,6 +48,42 @@ pub static PLAN_SKELETON_BUILDS: Counter = Counter::new("core.plan.skeleton_buil
 /// Planner exact solves through an already-bound program.
 pub static PLAN_SKELETON_REUSES: Counter = Counter::new("core.plan.skeleton_reuses");
 
+/// Solved planner points whose exact MTTDL fell outside the
+/// `plan::PRUNE_GUARD` band around the closed form (any in a pruned
+/// search makes it re-solve exhaustively).
+pub static PLAN_GUARD_VIOLATIONS: Counter = Counter::new("core.plan.guard_violations");
+/// Wall seconds of a search's closed-form pass over the whole grid.
+pub static PLAN_PASS1_SECONDS: Histogram = Histogram::new("core.plan.pass1_seconds");
+/// Wall seconds of guard-band pruning (≈ 0 in exhaustive mode).
+pub static PLAN_PRUNE_SECONDS: Histogram = Histogram::new("core.plan.prune_seconds");
+/// Wall seconds of the exact solves of one pass 2.
+pub static PLAN_SOLVE_SECONDS: Histogram = Histogram::new("core.plan.solve_seconds");
+/// Wall seconds of the closing frontier filter and sort of one pass 2.
+pub static PLAN_FRONTIER_SECONDS: Histogram = Histogram::new("core.plan.frontier_seconds");
+
+/// The wall clock of one planner search, read at its phase boundaries —
+/// and only when metrics or tracing are on.
+pub(crate) struct PlanClock(Option<Instant>);
+
+impl PlanClock {
+    pub(crate) fn start() -> PlanClock {
+        PlanClock((nsr_obs::metrics_enabled() || nsr_obs::trace_enabled()).then(Instant::now))
+    }
+
+    /// Charges the seconds since the previous lap to `phase` and to the
+    /// search span's field of the same name (`core.plan.` dropped).
+    pub(crate) fn lap(&mut self, span: &mut Span, phase: &'static Histogram) {
+        if let Some(t0) = &mut self.0 {
+            let now = Instant::now();
+            let seconds = now.duration_since(*t0).as_secs_f64();
+            phase.observe(seconds);
+            let key = phase.name().trim_start_matches("core.plan.");
+            span.field(key, || Json::Num(seconds));
+            *t0 = now;
+        }
+    }
+}
+
 /// Registers every metric in this module with the global registry.
 pub fn register() {
     SWEEPS.register();
@@ -61,4 +100,9 @@ pub fn register() {
     PLAN_FRONTIER.register();
     PLAN_SKELETON_BUILDS.register();
     PLAN_SKELETON_REUSES.register();
+    PLAN_GUARD_VIOLATIONS.register();
+    PLAN_PASS1_SECONDS.register();
+    PLAN_PRUNE_SECONDS.register();
+    PLAN_SOLVE_SECONDS.register();
+    PLAN_FRONTIER_SECONDS.register();
 }

@@ -25,7 +25,13 @@
 //!    The soundness argument — including why pruning against
 //!    later-pruned points is still sound — is DESIGN.md §3j; the
 //!    property tests below pin the pruned frontier bit-identical to the
-//!    exhaustive one.
+//!    exhaustive one. A pruned search that finds a solved point outside
+//!    the band has lost that proof and answers with the exhaustive
+//!    search ([`PlanReport::exhaustive_fallback`]).
+//!
+//! Pruning and the closing frontier filter ask the same question — is
+//! another point no costlier and better in both objectives — of one
+//! sort-and-staircase kernel (`dominated`), near-linear in the grid.
 //!
 //! Determinism contract: results are merged by grid index and every
 //! per-point computation is pure, so the report (and its CSV rendering)
@@ -50,8 +56,9 @@ use crate::{Error, Result};
 /// baseline; ≤ 0.15 elsewhere), so 0.5 leaves a comfortable margin.
 /// Pruning is sound as long as the true relative error stays below the
 /// guard; [`PlanReport::guard_violations`] counts solved points that
-/// landed outside the band (0 in every pinned grid), and the property
-/// tests compare pruned against exhaustive frontiers bit-for-bit.
+/// landed outside the band (0 in every pinned grid; any at all sends a
+/// pruned search down the exhaustive path), and the property tests
+/// compare pruned against exhaustive frontiers bit-for-bit.
 pub const PRUNE_GUARD: f64 = 0.5;
 
 /// An axis-aligned grid over the planner's design space.
@@ -129,7 +136,14 @@ impl ConfigSpace {
         if self.data_shards.contains(&0) {
             return Err(Error::invalid("data shard counts must be at least 1"));
         }
-        Ok(())
+        // A repeated value would enumerate the same configuration twice
+        // and put both copies on the frontier.
+        no_repeats("nodes", &self.nodes)?;
+        no_repeats("data_shards", &self.data_shards)?;
+        no_repeats("node_ft", &self.node_ft)?;
+        no_repeats("internal", &self.internal)?;
+        no_repeats("spare_frac", &self.spare_frac)?;
+        no_repeats("rebuild_bw", &self.rebuild_bw)
     }
 
     /// Number of grid points (product of the axis lengths).
@@ -177,6 +191,17 @@ impl ConfigSpace {
             rebuild_bw: bw,
         }
     }
+}
+
+fn no_repeats<T: PartialEq + std::fmt::Debug>(axis: &str, values: &[T]) -> Result<()> {
+    for (i, v) in values.iter().enumerate() {
+        if values[..i].contains(v) {
+            return Err(Error::invalid(format!(
+                "grid axis {axis} lists {v:?} more than once"
+            )));
+        }
+    }
+    Ok(())
 }
 
 /// One point of a [`ConfigSpace`].
@@ -295,6 +320,10 @@ pub struct PlanReport {
     /// too tight for this parameter regime (the property tests keep
     /// this at 0 for the pinned grids).
     pub guard_violations: usize,
+    /// A pruned search met a guard-band violation, so its pruning proof
+    /// did not hold and every feasible point was re-solved: the report
+    /// is the exhaustive one (`pruned` 0, `solved` = `feasible`).
+    pub exhaustive_fallback: bool,
     /// The exact Pareto frontier, sorted by ascending overhead cost,
     /// then rebuild bandwidth, then events.
     pub frontier: Vec<FrontierPoint>,
@@ -323,8 +352,18 @@ fn mission_loss(mttdl_hours: f64, years: f64) -> f64 {
     -f64::exp_m1(-(years * HOURS_PER_YEAR) / mttdl_hours)
 }
 
+/// What one worker's share of the closed-form pass produced; both lists
+/// are in ascending grid order.
+#[derive(Default)]
+struct Pass1 {
+    feasible: Vec<PlanPoint>,
+    /// The worker's first [`PlanReport::MAX_INFEASIBLE_EXAMPLES`]
+    /// infeasible indices, errors still typed.
+    infeasible: Vec<(usize, Error)>,
+}
+
 /// Closed-form pass for one grid point.
-fn pass1(base: &Params, space: &ConfigSpace, idx: usize, years: f64) -> StdResult {
+fn pass1(out: &mut Pass1, base: &Params, space: &ConfigSpace, idx: usize, years: f64) {
     let point = space.point(idx);
     let inner = || -> Result<PlanPoint> {
         let config = Configuration::new(point.internal, point.node_ft)?;
@@ -343,12 +382,13 @@ fn pass1(base: &Params, space: &ConfigSpace, idx: usize, years: f64) -> StdResul
         })
     };
     match inner() {
-        Ok(p) => Ok(p),
-        Err(e) => Err((point, e.to_string())),
+        Ok(p) => out.feasible.push(p),
+        Err(e) if out.infeasible.len() < PlanReport::MAX_INFEASIBLE_EXAMPLES => {
+            out.infeasible.push((idx, e));
+        }
+        Err(_) => {}
     }
 }
-
-type StdResult = std::result::Result<PlanPoint, (GridPoint, String)>;
 
 /// Runs `work` over `0..total` with the sweep engine's chunked
 /// work-claiming, merging by index — deterministic for any worker count.
@@ -414,32 +454,103 @@ where
     (out, states)
 }
 
-/// The guard-band coordinates of a feasible point: exact costs plus
-/// optimistic (`lb_*`) and pessimistic (`ub_*`) bounds on the exact
-/// objectives derived from the closed form.
-#[derive(Debug, Clone, Copy)]
-struct GuardCoords {
-    c1: f64,
-    c2: f64,
-    lb_events: f64,
-    ub_events: f64,
-    lb_mission: f64,
-    ub_mission: f64,
+/// Maps a float to an integer with the same `<` and `==`: `-0.0` and
+/// `+0.0` coincide, so the kernel's sort order, its grouping of equal
+/// vectors and its staircase comparisons cannot disagree about a tie.
+fn ord(x: f64) -> u64 {
+    let bits = (x + 0.0).to_bits();
+    if bits >> 63 == 0 {
+        bits | 1 << 63
+    } else {
+        !bits
+    }
 }
 
-fn guard_coords(p: &PlanPoint, years: f64) -> GuardCoords {
-    // exact_mttdl ∈ [cf/(1+γ), cf/(1−γ)] ⇒ objectives (both monotone
-    // decreasing in MTTDL) are bracketed by evaluating at the bounds.
-    let lb_mttdl = p.closed_mttdl_hours / (1.0 + PRUNE_GUARD);
-    let ub_mttdl = p.closed_mttdl_hours / (1.0 - PRUNE_GUARD);
-    GuardCoords {
-        c1: p.cost_overhead,
-        c2: p.cost_rebuild_bw,
-        lb_events: p.closed_events_pb_year * (1.0 - PRUNE_GUARD),
-        ub_events: p.closed_events_pb_year * (1.0 + PRUNE_GUARD),
-        lb_mission: mission_loss(ub_mttdl, years),
-        ub_mission: mission_loss(lb_mttdl, years),
+/// One point of a dominance question, every coordinate through [`ord`]:
+/// `key` is its two costs and the objective pair it offers as a
+/// dominator, `asked` the pair a dominator has to beat. The frontier
+/// filter offers and asks with the exact objectives; pruning offers the
+/// pessimistic bounds and asks with the optimistic ones.
+#[derive(Debug, Clone, Copy)]
+struct DomPoint {
+    key: [u64; 4],
+    asked: [u64; 2],
+}
+
+impl DomPoint {
+    fn new(cost: [f64; 2], offered: [f64; 2], asked: [f64; 2]) -> DomPoint {
+        DomPoint {
+            key: [cost[0], cost[1], offered[0], offered[1]].map(ord),
+            asked: asked.map(ord),
+        }
     }
+}
+
+/// Pareto-minimal `(x, y)` pairs, `x` strictly ascending and `y`
+/// strictly descending: among the entries with `x` under a bound, the
+/// last one has the smallest `y`.
+#[derive(Default)]
+struct Staircase(Vec<[u64; 2]>);
+
+impl Staircase {
+    /// Whether an entry is `≤ [x, y]` in both coordinates (`<` in both
+    /// when `strict`).
+    fn covers(&self, [x, y]: [u64; 2], strict: bool) -> bool {
+        let under = self
+            .0
+            .partition_point(|e| if strict { e[0] < x } else { e[0] <= x });
+        under > 0 && {
+            let best = self.0[under - 1][1];
+            best < y || (!strict && best == y)
+        }
+    }
+
+    fn insert(&mut self, [x, y]: [u64; 2]) {
+        if self.covers([x, y], false) {
+            return;
+        }
+        // Entries the new pair makes redundant are contiguous: they
+        // start at the first `x' ≥ x` and run while `y' ≥ y`.
+        let lo = self.0.partition_point(|e| e[0] < x);
+        let hi = lo + self.0[lo..].partition_point(|e| e[1] >= y);
+        self.0.splice(lo..hi, [[x, y]]);
+    }
+}
+
+/// For every point `P`, whether some point `Q` with a different key is
+/// `≤ P` in both costs and offers objectives `≤ P.asked` (`<` in both
+/// when `strict`).
+///
+/// Points are visited in lexicographic key order with one [`Staircase`]
+/// of offered pairs per distinct second cost. Every `Q` that answers
+/// for `P` sorts strictly before it — weakly smaller everywhere and not
+/// identical, or, under `strict`, offering less than `P.asked`, which is
+/// at most what `P` offers (were it not, `P` would only be kept, never
+/// wrongly dropped) — so each run of identical keys is queried against
+/// the staircases at or below its second cost and only then inserted:
+/// identical vectors neither dominate nor are dominated, and a point
+/// never answers for itself. `O(N·L·log N)` for `L` distinct second
+/// costs.
+fn dominated(points: &[DomPoint], strict: bool) -> Vec<bool> {
+    let mut order: Vec<([u64; 4], usize)> = points.iter().map(|p| p.key).zip(0..).collect();
+    order.sort_unstable();
+    let mut levels: Vec<u64> = points.iter().map(|p| p.key[1]).collect();
+    levels.sort_unstable();
+    levels.dedup();
+    let mut stairs: Vec<Staircase> = levels.iter().map(|_| Staircase::default()).collect();
+
+    let mut out = vec![false; points.len()];
+    for run in order.chunk_by(|a, b| a.0 == b.0) {
+        let [_, c2, x, y] = run[0].0;
+        let at_or_below = levels.partition_point(|&l| l <= c2);
+        for &(_, i) in run {
+            out[i] = stairs[..at_or_below]
+                .iter()
+                .any(|s| s.covers(points[i].asked, strict));
+        }
+        stairs[at_or_below - 1].insert([x, y]);
+    }
+    out
 }
 
 /// Indices of `feasible` that survive guard-band pruning, in input
@@ -448,56 +559,25 @@ fn guard_coords(p: &PlanPoint, years: f64) -> GuardCoords {
 /// A point `P` is pruned iff some other point `Q` has
 /// `cost(Q) ≤ cost(P)` componentwise *and* `ub(Q) < lb(P)` in both
 /// objectives — which proves `exact(Q)` strictly dominates `exact(P)`.
-/// The witness search is restricted to the Pareto-minimal set of
-/// `(c1, c2, ub_events, ub_mission)` vectors: any pruning witness is
-/// itself weakly dominated by a minimal element, which is then also a
-/// witness (and can never be `P` itself, since `ub > lb` for every
-/// point). This keeps the pass `O(N·|M|)` with `|M| ≪ N`.
 fn prune(feasible: &[PlanPoint], years: f64) -> Vec<usize> {
-    let coords: Vec<GuardCoords> = feasible.iter().map(|p| guard_coords(p, years)).collect();
-
-    // Pareto-minimal set of (c1, c2, ub_events, ub_mission) under weak
-    // componentwise dominance, via a lexicographic sweep: any dominator
-    // of a point sorts before it, so checking kept elements suffices.
-    let mut order: Vec<usize> = (0..coords.len()).collect();
-    order.sort_by(|&a, &b| {
-        let (ca, cb) = (&coords[a], &coords[b]);
-        ca.c1
-            .total_cmp(&cb.c1)
-            .then(ca.c2.total_cmp(&cb.c2))
-            .then(ca.ub_events.total_cmp(&cb.ub_events))
-            .then(ca.ub_mission.total_cmp(&cb.ub_mission))
-            .then(a.cmp(&b))
-    });
-    let mut minimal: Vec<usize> = Vec::new();
-    for &i in &order {
-        let c = &coords[i];
-        let dominated = minimal.iter().any(|&m| {
-            let q = &coords[m];
-            q.c1 <= c.c1
-                && q.c2 <= c.c2
-                && q.ub_events <= c.ub_events
-                && q.ub_mission <= c.ub_mission
-        });
-        if !dominated {
-            minimal.push(i);
-        }
-    }
-
-    (0..feasible.len())
-        .filter(|&i| {
-            let p = &coords[i];
-            !minimal.iter().any(|&m| {
-                m != i && {
-                    let q = &coords[m];
-                    q.c1 <= p.c1
-                        && q.c2 <= p.c2
-                        && q.ub_events < p.lb_events
-                        && q.ub_mission < p.lb_mission
-                }
-            })
+    // exact_mttdl ∈ [cf/(1+γ), cf/(1−γ)] ⇒ objectives (both monotone
+    // decreasing in MTTDL) are bracketed by evaluating at the bounds:
+    // `bound(p, γ)` is the pessimistic pair, `bound(p, −γ)` the optimistic.
+    let bound = |p: &PlanPoint, guard: f64| {
+        [
+            p.closed_events_pb_year * (1.0 + guard),
+            mission_loss(p.closed_mttdl_hours / (1.0 + guard), years),
+        ]
+    };
+    let coords: Vec<DomPoint> = feasible
+        .iter()
+        .map(|p| {
+            let cost = [p.cost_overhead, p.cost_rebuild_bw];
+            DomPoint::new(cost, bound(p, PRUNE_GUARD), bound(p, -PRUNE_GUARD))
         })
-        .collect()
+        .collect();
+    let pruned = dominated(&coords, true);
+    (0..feasible.len()).filter(|&i| !pruned[i]).collect()
 }
 
 /// Searches `space` for the exact cost/reliability Pareto frontier.
@@ -506,7 +586,8 @@ fn prune(feasible: &[PlanPoint], years: f64) -> Vec<usize> {
 /// contract. In the default (pruned) mode only points that could be on
 /// the exact frontier are solved; with [`PlanOptions::exhaustive`]
 /// every feasible point is solved — both modes produce the identical
-/// frontier.
+/// frontier. A pruned search that meets a guard-band violation returns
+/// the exhaustive search's report, flagged.
 ///
 /// # Errors
 ///
@@ -525,6 +606,7 @@ pub fn plan_search(base: &Params, space: &ConfigSpace, opts: &PlanOptions) -> Re
     crate::obs::PLAN_POINTS.add(total as u64);
     let mut span = nsr_obs::trace::Span::enter("core.plan.search");
     span.field("points", || nsr_obs::Json::Num(total as f64));
+    let mut clock = crate::obs::PlanClock::start();
 
     let workers = if opts.workers == 0 {
         crate::sweep::auto_workers(total)
@@ -534,21 +616,29 @@ pub fn plan_search(base: &Params, space: &ConfigSpace, opts: &PlanOptions) -> Re
     .clamp(1, total.max(1));
     let years = opts.mission_years;
 
-    // Pass 1: closed forms and costs for every grid point.
-    let (evaluated, _) = parallel_map(total, workers, || (), |(), i| pass1(base, space, i, years));
+    // Pass 1: closed forms and costs for every grid point, each worker
+    // collecting its own feasible points; chunks are claimed in
+    // ascending order, so one worker's list is already in grid order.
+    let (_, parts) = parallel_map(total, workers, Pass1::default, |part, i| {
+        pass1(part, base, space, i, years)
+    });
     let mut feasible = Vec::new();
-    let mut infeasible_examples = Vec::new();
-    for r in evaluated {
-        match r {
-            Ok(p) => feasible.push(p),
-            Err((point, reason)) => {
-                if infeasible_examples.len() < PlanReport::MAX_INFEASIBLE_EXAMPLES {
-                    infeasible_examples.push((point, reason));
-                }
-            }
-        }
+    let mut infeasible = Vec::new();
+    for part in parts {
+        feasible.extend(part.feasible);
+        infeasible.extend(part.infeasible);
     }
+    if workers > 1 {
+        feasible.sort_unstable_by_key(|p| p.index);
+        infeasible.sort_unstable_by_key(|&(i, _)| i);
+    }
+    let infeasible_examples = infeasible
+        .iter()
+        .take(PlanReport::MAX_INFEASIBLE_EXAMPLES)
+        .map(|(i, e)| (space.point(*i), e.to_string()))
+        .collect();
     crate::obs::PLAN_FEASIBLE.add(feasible.len() as u64);
+    clock.lap(&mut span, &crate::obs::PLAN_PASS1_SECONDS);
 
     // Pass 2 selection: guard-band pruning, unless exhaustive.
     let survivors: Vec<usize> = if opts.exhaustive {
@@ -557,7 +647,7 @@ pub fn plan_search(base: &Params, space: &ConfigSpace, opts: &PlanOptions) -> Re
         prune(&feasible, years)
     };
     let pruned = feasible.len() - survivors.len();
-    crate::obs::PLAN_PRUNED.add(pruned as u64);
+    clock.lap(&mut span, &crate::obs::PLAN_PRUNE_SECONDS);
 
     // Pass 2: exact solves for the survivors, each worker through its
     // own evaluator per configuration; results merge by survivor index,
@@ -602,25 +692,38 @@ pub fn plan_search(base: &Params, space: &ConfigSpace, opts: &PlanOptions) -> Re
         });
     }
     crate::obs::PLAN_SOLVES.add(exact.len() as u64);
+    clock.lap(&mut span, &crate::obs::PLAN_SOLVE_SECONDS);
+
+    // A violation voids the proof that the pruned points are off the
+    // frontier: answer with the exhaustive search instead.
+    if pruned > 0 && guard_violations > 0 {
+        let all = PlanOptions {
+            exhaustive: true,
+            ..*opts
+        };
+        return plan_search(base, space, &all).map(|report| PlanReport {
+            exhaustive_fallback: true,
+            ..report
+        });
+    }
+    crate::obs::PLAN_PRUNED.add(pruned as u64);
+    crate::obs::PLAN_GUARD_VIOLATIONS.add(guard_violations as u64);
 
     // Exact 4-objective Pareto frontier over the solved set.
-    let frontier_idx: Vec<usize> = (0..exact.len())
-        .filter(|&i| {
-            let p = &exact[i];
-            !exact.iter().enumerate().any(|(j, q)| {
-                j != i
-                    && q.point.cost_overhead <= p.point.cost_overhead
-                    && q.point.cost_rebuild_bw <= p.point.cost_rebuild_bw
-                    && q.exact_events_pb_year <= p.exact_events_pb_year
-                    && q.exact_mission_loss <= p.exact_mission_loss
-                    && (q.point.cost_overhead < p.point.cost_overhead
-                        || q.point.cost_rebuild_bw < p.point.cost_rebuild_bw
-                        || q.exact_events_pb_year < p.exact_events_pb_year
-                        || q.exact_mission_loss < p.exact_mission_loss)
-            })
+    let coords: Vec<DomPoint> = exact
+        .iter()
+        .map(|f| {
+            let objectives = [f.exact_events_pb_year, f.exact_mission_loss];
+            let cost = [f.point.cost_overhead, f.point.cost_rebuild_bw];
+            DomPoint::new(cost, objectives, objectives)
         })
         .collect();
-    let mut frontier: Vec<FrontierPoint> = frontier_idx.into_iter().map(|i| exact[i]).collect();
+    let off_frontier = dominated(&coords, false);
+    let mut frontier: Vec<FrontierPoint> = exact
+        .into_iter()
+        .zip(off_frontier)
+        .filter_map(|(f, off)| (!off).then_some(f))
+        .collect();
     frontier.sort_by(|a, b| {
         a.point
             .cost_overhead
@@ -631,13 +734,15 @@ pub fn plan_search(base: &Params, space: &ConfigSpace, opts: &PlanOptions) -> Re
     });
     crate::obs::PLAN_FRONTIER.add(frontier.len() as u64);
     span.field("frontier", || nsr_obs::Json::Num(frontier.len() as f64));
+    clock.lap(&mut span, &crate::obs::PLAN_FRONTIER_SECONDS);
 
     Ok(PlanReport {
         grid_points: total,
         feasible: feasible.len(),
         pruned,
-        solved: exact.len(),
+        solved: survivors.len(),
         guard_violations,
+        exhaustive_fallback: false,
         frontier,
         infeasible_examples,
         skeleton_builds,
@@ -726,6 +831,31 @@ mod tests {
         let mut s = small_space();
         s.data_shards = vec![0];
         assert!(s.validate().is_err());
+    }
+
+    #[test]
+    fn a_repeated_axis_value_is_rejected_naming_the_axis() {
+        type Repeat = fn(&mut ConfigSpace);
+        let repeats: [(&str, Repeat); 6] = [
+            ("nodes", |s| s.nodes = vec![64, 32, 64]),
+            ("data_shards", |s| s.data_shards = vec![2, 2]),
+            ("node_ft", |s| s.node_ft = vec![1, 2, 1]),
+            ("internal", |s| s.internal.push(InternalRaid::Raid5)),
+            // The two zeros are one spare fraction.
+            ("spare_frac", |s| s.spare_frac = vec![0.0, 0.25, -0.0]),
+            ("rebuild_bw", |s| s.rebuild_bw = vec![0.1, 0.2, 0.1]),
+        ];
+        for (axis, repeat) in repeats {
+            let mut s = small_space();
+            repeat(&mut s);
+            match s.validate() {
+                Err(Error::InvalidParams { what }) => {
+                    assert!(what.contains(axis), "{axis}: {what}");
+                }
+                other => panic!("{axis}: {other:?}"),
+            }
+            assert!(plan_search(&Params::baseline(), &s, &PlanOptions::default()).is_err());
+        }
     }
 
     #[test]
@@ -907,6 +1037,243 @@ mod tests {
                 assert!(!dominates, "frontier member {i} dominates {j}");
             }
         }
+    }
+
+    /// A raw kernel input: costs, offered objectives, asked objectives.
+    type Raw = ([f64; 2], [f64; 2], [f64; 2]);
+
+    fn kernel(raw: &[Raw], strict: bool) -> Vec<bool> {
+        let points: Vec<DomPoint> = raw
+            .iter()
+            .map(|&(c, o, a)| DomPoint::new(c, o, a))
+            .collect();
+        dominated(&points, strict)
+    }
+
+    /// The pruning scan the kernel replaced, kept as its oracle: the
+    /// Pareto-minimal set of `(cost, offered)` vectors by a lexicographic
+    /// sweep, then a witness search over that set for every point.
+    fn pruned_quadratic(raw: &[Raw]) -> Vec<bool> {
+        let vector = |i: usize| [raw[i].0[0], raw[i].0[1], raw[i].1[0], raw[i].1[1]];
+        let mut order: Vec<usize> = (0..raw.len()).collect();
+        order.sort_by(|&a, &b| {
+            let by_coordinate = vector(a).into_iter().zip(vector(b));
+            by_coordinate
+                .map(|(x, y)| x.total_cmp(&y))
+                .fold(std::cmp::Ordering::Equal, std::cmp::Ordering::then)
+                .then(a.cmp(&b))
+        });
+        let mut minimal: Vec<usize> = Vec::new();
+        for &i in &order {
+            let c = vector(i);
+            if !minimal
+                .iter()
+                .any(|&m| (0..4).all(|d| vector(m)[d] <= c[d]))
+            {
+                minimal.push(i);
+            }
+        }
+        (0..raw.len())
+            .map(|i| {
+                let (cost, _, asked) = raw[i];
+                minimal.iter().any(|&m| {
+                    let (q_cost, q_offered, _) = raw[m];
+                    m != i
+                        && q_cost[0] <= cost[0]
+                        && q_cost[1] <= cost[1]
+                        && q_offered[0] < asked[0]
+                        && q_offered[1] < asked[1]
+                })
+            })
+            .collect()
+    }
+
+    /// The all-pairs frontier filter the kernel replaced, kept as its
+    /// oracle: weakly better everywhere, strictly somewhere.
+    fn dominated_quadratic(raw: &[Raw]) -> Vec<bool> {
+        let vector = |i: usize| [raw[i].0[0], raw[i].0[1], raw[i].1[0], raw[i].1[1]];
+        (0..raw.len())
+            .map(|i| {
+                let p = vector(i);
+                (0..raw.len()).any(|j| {
+                    let q = vector(j);
+                    j != i && (0..4).all(|d| q[d] <= p[d]) && (0..4).any(|d| q[d] < p[d])
+                })
+            })
+            .collect()
+    }
+
+    /// Random kernel inputs built to collide: every coordinate is drawn
+    /// from a small pool that always holds `-0.0`, `+0.0` and the
+    /// saturated 1.0, a quarter of the points are copies of earlier
+    /// ones, and the second cost has at most `levels` values.
+    /// `asked ≤ offered`, as the guard band gives; the frontier cases ask
+    /// with what they offer.
+    fn colliding_points(
+        rng: &mut nsr_rng::rngs::StdRng,
+        n: usize,
+        levels: usize,
+        one_first_cost: bool,
+        frontier: bool,
+    ) -> Vec<Raw> {
+        use nsr_rng::Rng;
+        let mut pool = |extra: usize| -> Vec<f64> {
+            let drawn = (0..extra).map(|_| rng.random::<f64>());
+            [-0.0, 0.0, 1.0].into_iter().chain(drawn).collect()
+        };
+        let objectives = pool(1 + n / 40);
+        let first_costs = if one_first_cost {
+            vec![1.5]
+        } else {
+            pool(1 + n / 100)
+        };
+        let second_costs: Vec<f64> = (0..levels).map(|l| l as f64 * 0.01).collect();
+        let mut out: Vec<Raw> = Vec::with_capacity(n);
+        for _ in 0..n {
+            if !out.is_empty() && rng.random_range_usize(0, 4) == 0 {
+                out.push(out[rng.random_range_usize(0, out.len())]);
+                continue;
+            }
+            let mut pick = |from: &[f64]| from[rng.random_range_usize(0, from.len())];
+            let mut bracket = || {
+                let (a, b) = (pick(&objectives), pick(&objectives));
+                if a <= b {
+                    [a, b]
+                } else {
+                    [b, a]
+                }
+            };
+            let ([lo0, hi0], [lo1, hi1]) = (bracket(), bracket());
+            let offered = [hi0, hi1];
+            let asked = if frontier { offered } else { [lo0, lo1] };
+            out.push(([pick(&first_costs), pick(&second_costs)], offered, asked));
+        }
+        out
+    }
+
+    #[test]
+    fn kernel_matches_both_quadratic_oracles_on_colliding_points() {
+        use nsr_rng::{Rng, SeedableRng};
+        let mut rng = nsr_rng::rngs::StdRng::seed_from_u64(0x5EED_0023);
+        let mut sizes = vec![0, 1, 2, 2000];
+        sizes.extend((0..40).map(|_| rng.random_range_usize(0, 2001)));
+        for (case, n) in sizes.into_iter().enumerate() {
+            let levels = rng.random_range_usize(1, 51);
+            let one_first_cost = case % 5 == 4;
+            let raw = colliding_points(&mut rng, n, levels, one_first_cost, false);
+            assert_eq!(
+                kernel(&raw, true),
+                pruned_quadratic(&raw),
+                "pruning, case {case}: n {n}, {levels} levels"
+            );
+            let raw = colliding_points(&mut rng, n, levels, one_first_cost, true);
+            assert_eq!(
+                kernel(&raw, false),
+                dominated_quadratic(&raw),
+                "frontier, case {case}: n {n}, {levels} levels"
+            );
+        }
+    }
+
+    #[test]
+    fn signed_zeros_and_copies_tie_in_the_kernel() {
+        // Same vector up to the sign of zero, three times: nobody wins.
+        let tie: Raw = ([1.0, 0.1], [0.0, 1.0], [0.0, 1.0]);
+        let negative: Raw = ([1.0, 0.1], [-0.0, 1.0], [-0.0, 1.0]);
+        assert_eq!(kernel(&[tie, negative, tie], false), [false; 3]);
+        // One coordinate strictly better: the other three are dominated.
+        let better: Raw = ([1.0, 0.05], [0.0, 1.0], [0.0, 1.0]);
+        assert_eq!(
+            kernel(&[tie, negative, better, tie], false),
+            [true, true, false, true]
+        );
+        // Strict mode needs both objectives strictly below what is asked.
+        let asks_zero: Raw = ([2.0, 0.1], [0.5, 0.5], [0.0, 0.25]);
+        let offers_negative_zero: Raw = ([1.0, 0.1], [-0.0, 0.0], [-0.0, 0.0]);
+        assert_eq!(kernel(&[asks_zero, offers_negative_zero], true), [false; 2]);
+    }
+
+    #[test]
+    fn pruned_equals_exhaustive_on_a_wide_grid_at_any_worker_count() {
+        // 8 × 12 × 4 × 3 × 6 × 8 = 55,296 points on eight bandwidth levels.
+        let space = ConfigSpace {
+            nodes: vec![12, 16, 24, 32, 64, 96, 128, 256],
+            data_shards: (1..=12).collect(),
+            node_ft: vec![1, 2, 3, 4],
+            internal: InternalRaid::all().to_vec(),
+            spare_frac: vec![0.0, 0.05, 0.1, 0.2, 0.3, 0.4],
+            rebuild_bw: vec![0.02, 0.05, 0.1, 0.15, 0.2, 0.3, 0.4, 0.8],
+        };
+        assert!(space.len() >= 50_000);
+        let params = Params::baseline();
+        let search = |workers, exhaustive| {
+            let opts = PlanOptions {
+                workers,
+                exhaustive,
+                ..PlanOptions::default()
+            };
+            plan_search(&params, &space, &opts).unwrap()
+        };
+        let exhaustive = search(1, true);
+        assert_eq!(exhaustive.pruned, 0);
+        assert_eq!(exhaustive.solved, exhaustive.feasible);
+        let pruned = search(1, false);
+        assert!(!pruned.exhaustive_fallback);
+        assert!(pruned.pruned > pruned.solved, "{}", pruned.pruned);
+        for (what, report) in [
+            ("pruned, 1 worker", &pruned),
+            ("pruned, 3 workers", &search(3, false)),
+            ("pruned, 8 workers", &search(8, false)),
+            ("exhaustive, 3 workers", &search(3, true)),
+        ] {
+            assert_eq!(report.grid_points, exhaustive.grid_points, "{what}");
+            assert_eq!(report.feasible, exhaustive.feasible, "{what}");
+            assert_eq!(report.pruned + report.solved, report.feasible, "{what}");
+            assert_eq!(report.guard_violations, 0, "{what}");
+            assert_eq!(
+                report.infeasible_examples, exhaustive.infeasible_examples,
+                "{what}"
+            );
+            assert_eq!(report.frontier, exhaustive.frontier, "{what}");
+            assert_eq!(frontier_csv(report), frontier_csv(&exhaustive), "{what}");
+            if !what.starts_with("exhaustive") {
+                assert_eq!(report.pruned, pruned.pruned, "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_guard_violation_falls_back_to_the_exhaustive_search() {
+        // At a hard-error rate of 1e-13 the closed form is off by more
+        // than the guard for some solved points, so pruning proves
+        // nothing: the search must say so and answer exhaustively.
+        let mut params = Params::baseline();
+        params.drive.hard_error_rate_per_bit = 1e-13;
+        let space = ConfigSpace::default_grid();
+        let flagged = plan_search(&params, &space, &PlanOptions::default()).unwrap();
+        let exhaustive = plan_search(
+            &params,
+            &space,
+            &PlanOptions {
+                exhaustive: true,
+                ..PlanOptions::default()
+            },
+        )
+        .unwrap();
+        assert!(flagged.exhaustive_fallback);
+        assert!(flagged.guard_violations > 0);
+        assert!(!exhaustive.exhaustive_fallback);
+        assert_eq!(
+            flagged,
+            PlanReport {
+                exhaustive_fallback: true,
+                ..exhaustive
+            }
+        );
+        // Inside the band nothing falls back.
+        let baseline = plan_search(&Params::baseline(), &space, &PlanOptions::default()).unwrap();
+        assert!(!baseline.exhaustive_fallback);
+        assert_eq!(baseline.guard_violations, 0);
     }
 
     #[test]
