@@ -54,7 +54,7 @@ echo "==> observability smoke (nsr-obs/v1 snapshots, schema-validated)"
 ./target/release/nsr sim --config ft1-nir --samples 60 --threads 2 --seed 7 \
     --metrics-out "$SMOKE_DIR/metrics.jsonl" --trace-out "$SMOKE_DIR/trace.jsonl"
 ./target/release/nsr obs-check --file "$SMOKE_DIR/metrics.jsonl" \
-    --require erasure.plan_cache.hit_rate,markov.absorbing.gth_fallback,sim.worker.samples_per_s
+    --require erasure.plan_cache.hit_rate,markov.absorbing.solves,sim.worker.samples_per_s
 ./target/release/nsr obs-check --file "$SMOKE_DIR/trace.jsonl"
 # Without the flags the observability layer must stay silent: no snapshot
 # lines in the output and nothing written.
@@ -78,8 +78,12 @@ echo "==> flight-recorder smoke (causal trace, post-mortems, renderers)"
 ./target/release/nsr report --metrics "$SMOKE_DIR/inject-metrics.jsonl" \
     --trace "$SMOKE_DIR/inject-trace.jsonl" > "$SMOKE_DIR/flight.md"
 grep -q 'sim.postmortem' "$SMOKE_DIR/flight.md"
-# The analytic decision record must name the solver tier.
-./target/release/nsr explain ft7-nir | grep -q 'sparse GTH'
+# The analytic decision record must carry the live differential check
+# (compiled program vs dense reference) and the exact condition number
+# of the largest chain the CLI builds.
+./target/release/nsr explain ft7-nir > "$SMOKE_DIR/explain.txt"
+grep -q 'agrees to the bit' "$SMOKE_DIR/explain.txt"
+grep -q 'kappa_inf(R) = 1.282e28' "$SMOKE_DIR/explain.txt"
 # Disabled-path overhead stays within a generous threshold of the
 # checked-in obs baseline. Only the disabled/ no-ops are gated: their
 # timings are mode-independent, while enabled-path smoke timings are not

@@ -46,7 +46,7 @@ use nsr_erasure::matrix::GfMatrix;
 use nsr_erasure::placement::Placement;
 use nsr_erasure::rs::ReedSolomon;
 use nsr_linalg::{Lu, Matrix};
-use nsr_markov::{AbsorbingAnalysis, SolverTier};
+use nsr_markov::AbsorbingAnalysis;
 use nsr_rng::rngs::StdRng;
 use nsr_rng::SeedableRng;
 use nsr_sim::fleet::FleetSim;
@@ -391,25 +391,6 @@ pub fn solvers_suite(mode: Mode) -> Result<Suite, String> {
                 AbsorbingAnalysis::new(&ctmc).expect("analysis")
             }),
         );
-        // Seed baseline: force the dense-GTH tier (the only solver the
-        // repository had before the sparse elimination landed), so each
-        // report carries its own sparse-vs-dense comparison. Only chains
-        // big enough for the sparse tier to engage are interesting.
-        if ctmc.len() >= 16 {
-            results.push(
-                t.measure(&format!("seed_baseline/gth_dense_solve_k{k}"), 0, || {
-                    AbsorbingAnalysis::new_with_tier(&ctmc, SolverTier::DenseGth).expect("dense")
-                }),
-            );
-        }
-        // Rescaling a prebuilt skeleton: what `ctmc()` and `exact_chain`
-        // do (the sweep path writes rates into a compiled program
-        // instead).
-        let skeleton = model.chain_skeleton().map_err(err("skeleton"))?;
-        let rates = model.transition_rates();
-        results.push(t.measure(&format!("recursive_chain/rescale_k{k}"), 0, || {
-            skeleton.with_rates(&rates).expect("rescale")
-        }));
         results.push(t.measure(&format!("recursive_chain/theorem_k{k}"), 0, || {
             model.mttdl_theorem()
         }));

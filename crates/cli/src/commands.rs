@@ -1666,7 +1666,7 @@ mod tests {
             "--file",
             metrics.to_str().unwrap(),
             "--require",
-            "sim.samples,sim.worker.samples_per_s,markov.absorbing.gth_fallback,\
+            "sim.samples,sim.worker.samples_per_s,markov.absorbing.solves,\
              erasure.plan_cache.hit_rate",
         ])
         .unwrap();
@@ -1728,17 +1728,32 @@ mod tests {
 
     #[test]
     fn explain_names_the_solver_tier() {
-        // FT7's 257-state recursive chain is big and sparse enough for
-        // the sparse tier; the FT2 internal-RAID chain (5 states) is not.
-        let sparse = run(&["explain", "ft7-nir"]).unwrap();
-        assert!(sparse.contains("decision record for FT 7"), "{sparse}");
-        assert!(sparse.contains("solver tier:      sparse GTH"), "{sparse}");
-        assert!(sparse.contains("GTH fallback:     not engaged"), "{sparse}");
-        assert!(sparse.contains("closed-form error:"), "{sparse}");
+        // What ran is the compiled program; the dense reference is solved
+        // live beside it and must agree to the bit, on the largest chain
+        // the CLI builds (FT7, 257 states) and on a 5-state one.
+        let big = run(&["explain", "ft7-nir"]).unwrap();
+        assert!(big.contains("decision record for FT 7"), "{big}");
+        assert!(
+            big.contains("exact solve:      compiled GTH program, 0 fill slots"),
+            "{big}"
+        );
+        assert!(big.contains("dense reference:  agrees to the bit"), "{big}");
+        // The exact condition number, where an explicit LU inverse
+        // saturated near 1/eps (6.9e20).
+        assert!(big.contains("kappa_inf(R) = 1.282e28"), "{big}");
+        assert!(big.contains("closed-form error:"), "{big}");
 
-        let dense = run(&["explain", "--config", "ft2-ir5"]).unwrap();
-        assert!(dense.contains("solver tier:      dense GTH"), "{dense}");
-        assert!(dense.contains("crossover link:"), "{dense}");
+        let small = run(&["explain", "--config", "ft2-ir5"]).unwrap();
+        assert!(
+            small.contains("exact solve:      compiled GTH program"),
+            "{small}"
+        );
+        assert!(
+            small.contains("dense reference:  agrees to the bit"),
+            "{small}"
+        );
+        assert!(small.contains("kappa_inf(R) = 7.514e9"), "{small}");
+        assert!(small.contains("crossover link:"), "{small}");
 
         assert!(run(&["explain"]).is_err()); // config required
         assert!(run(&["explain", "ft0-zzz"]).is_err());

@@ -2,14 +2,14 @@
 //!
 //! Where `nsr eval` prints the *results* for a configuration, `explain`
 //! prints the *decisions* the pipeline made to get there: the exact
-//! chain's size and density, which solver tier the structure selected
-//! (and why), the conditioning of the matrix route, whether the GTH
-//! fallback engaged, the rebuild-rate model's intermediates, and how far
-//! the paper's closed form lands from the exact CTMC answer.
+//! chain's size and density, what solved it and whether the dense
+//! reference agrees to the bit, the conditioning of the absorption
+//! matrix, the rebuild-rate model's intermediates, and how far the
+//! paper's closed form lands from the exact CTMC answer.
 
 use std::fmt::Write as _;
 
-use nsr_markov::{AbsorbingAnalysis, SolverTier};
+use nsr_markov::{AbsorbingAnalysis, BatchSolver};
 
 use crate::args::{config_name, params_from, parse_config, ParsedArgs};
 use crate::{CliError, Result};
@@ -37,12 +37,12 @@ pub fn explain(args: &ParsedArgs) -> Result<String> {
 
     let eval = config.evaluate(&params)?;
     let (ctmc, root) = config.exact_chain(&params)?;
-    let analysis = AbsorbingAnalysis::new(&ctmc).map_err(|e| CliError(e.to_string()))?;
+    let markov_err = |e: nsr_markov::Error| CliError(e.to_string());
+    let analysis = AbsorbingAnalysis::new(&ctmc).map_err(markov_err)?;
 
     let m = analysis.transient_states().len();
     let absorbing = analysis.absorbing_states().len();
-    // Transient-block density, computed the way the tier selector sees
-    // it: stored transient→transient nonzeros over m².
+    // Transient-block density: transient→transient nonzeros over m².
     let transient: std::collections::HashSet<_> =
         analysis.transient_states().iter().copied().collect();
     let nnz = ctmc
@@ -56,27 +56,11 @@ pub fn explain(args: &ParsedArgs) -> Result<String> {
         nnz as f64 / (m * m) as f64
     };
 
-    let tier = analysis.solver_tier();
-    let tier_name = match tier {
-        SolverTier::SparseGth => "sparse GTH",
-        SolverTier::DenseGth => "dense GTH",
-    };
-    let tier_reason = match tier {
-        SolverTier::SparseGth => format!(
-            "{m} transient states >= {} and density {density:.3} <= {}",
-            nsr_markov::SPARSE_MIN_STATES,
-            nsr_markov::SPARSE_MAX_DENSITY
-        ),
-        SolverTier::DenseGth => format!(
-            "{m} transient states < {} or density {density:.3} > {}",
-            nsr_markov::SPARSE_MIN_STATES,
-            nsr_markov::SPARSE_MAX_DENSITY
-        ),
-    };
-
-    // Matrix-route diagnostics (forces the lazy dense route).
-    let lu = analysis.lu_kind().unwrap_or("none (GTH fallback)");
-    let fallback = analysis.uses_gth_fallback();
+    // `eval.exact` came out of the compiled elimination program of this
+    // chain's topology class; the dense reference solves the same chain
+    // independently, here and now.
+    let fill = BatchSolver::new(&ctmc, root).map_err(markov_err)?.fill();
+    let reference = analysis.mean_time_to_absorption(root).map_err(markov_err)?;
     let cond = analysis.condition_estimate();
 
     let rebuild = nsr_core::rebuild::RebuildModel::new(params)?;
@@ -87,7 +71,6 @@ pub fn explain(args: &ParsedArgs) -> Result<String> {
     let exact = eval.exact.mttdl_hours;
     let delta_pct = 100.0 * (closed - exact) / exact;
 
-    span.field("solver_tier", || nsr_obs::Json::Str(tier_name.to_string()));
     span.field("states", || nsr_obs::Json::Num(ctmc.len() as f64));
     span.field("density", || nsr_obs::Json::Num(density));
     span.field("delta_pct", || nsr_obs::Json::Num(delta_pct));
@@ -109,33 +92,22 @@ pub fn explain(args: &ParsedArgs) -> Result<String> {
         out,
         "  transient block:  {nnz} nonzeros, density {density:.3}"
     );
-    let _ = writeln!(out, "  solver tier:      {tier_name} ({tier_reason})");
     let _ = writeln!(
         out,
-        "  elimination fill: {} entries beyond structural nonzeros",
-        analysis.elimination_fill()
+        "  exact solve:      compiled GTH program, {fill} fill slots beyond \
+         structural nonzeros"
     );
-    let _ = writeln!(out, "  matrix route:     {lu}");
-    if cond.is_finite() {
-        let _ = writeln!(
-            out,
-            "  condition:        kappa_inf(R) ~ {cond:.3e} \
-             (GTH quantities unaffected)"
-        );
+    if reference.to_bits() == exact.to_bits() {
+        let _ = writeln!(out, "  dense reference:  agrees to the bit");
     } else {
         let _ = writeln!(
             out,
-            "  condition:        infinite (R singular to working precision)"
+            "  dense reference:  DISAGREES: {reference:e} h vs compiled {exact:e} h"
         );
     }
     let _ = writeln!(
         out,
-        "  GTH fallback:     {}",
-        if fallback {
-            "ENGAGED (LU factorization failed; all matrix queries answered by GTH)"
-        } else {
-            "not engaged"
-        }
+        "  condition:        kappa_inf(R) = {cond:.3e} (GTH quantities unaffected)"
     );
 
     let _ = writeln!(out, "\nrebuild-rate model (t = {t}):");

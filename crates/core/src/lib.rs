@@ -18,7 +18,7 @@
 //!   (§4, Fig 12, and the appendix theorem for arbitrary fault tolerance),
 //! * *exact* MTTDLs by building the underlying continuous-time Markov
 //!   chains and solving `MTTDL = e₁ᵀ R⁻¹ 1` numerically
-//!   (via [`nsr_markov`] / [`nsr_linalg`]),
+//!   (via [`nsr_markov`]),
 //! * rebuild/re-stripe rates from the paper's §5.1 data-movement model
 //!   ([`rebuild`]),
 //! * the normalized reliability metric **data-loss events per PB-year**

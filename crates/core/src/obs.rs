@@ -1,8 +1,8 @@
 //! Metric handles for the sweep engine.
 //!
 //! All of these are no-ops until `nsr_obs::set_metrics_enabled(true)`;
-//! see `nsr-obs` for the cost contract. Solver-tier selection and
-//! elimination fill are counted one layer down, in `nsr_markov::obs`.
+//! see `nsr-obs` for the cost contract. Solves themselves are counted
+//! one layer down, in `nsr_markov::obs`.
 
 use std::time::Instant;
 

@@ -3,10 +3,11 @@
 //! `CachedEvaluator` gets its exact MTTDL from one numeric elimination
 //! through a compiled, process-wide shared program; the oracle is
 //! `AbsorbingAnalysis` over the labelled chain `exact_chain` builds from
-//! scratch. Over FT 1–4 × {no IR, RAID 5, RAID 6} and a few hundred
-//! seeded parameter points the two must agree `to_bits`, fail together,
-//! and keep agreeing when eight threads share the registry and when one
-//! evaluator is reused across unrelated points.
+//! scratch. Over FT 1–7 × {no IR, RAID 5, RAID 6} — every chain the CLI
+//! can build, up to the 255-state FT 7 recursive one — and several
+//! hundred seeded parameter points the two must agree `to_bits`, fail
+//! together, and keep agreeing when eight threads share the registry and
+//! when one evaluator is reused across unrelated points.
 //!
 //! No valid `Params` silences a transient state (the structural caveat
 //! in `nsr_markov`'s batch module): every degraded state keeps its
@@ -88,7 +89,7 @@ fn fingerprint(r: Result<Evaluation, Error>) -> Result<(u64, u64), Error> {
 #[test]
 fn evaluator_equals_the_oracle_bit_for_bit() {
     let (mut feasible, mut infeasible) = (0, 0);
-    for (ci, config) in configs(1..=4).into_iter().enumerate() {
+    for (ci, config) in configs(1..=7).into_iter().enumerate() {
         let mut evaluator = CachedEvaluator::new(config);
         for (pi, p) in points(0x0eac_1e00 + ci as u64, POINTS_PER_CONFIG)
             .iter()
@@ -138,9 +139,9 @@ fn infeasible_points_stay_infeasible() {
 
 #[test]
 fn eight_threads_sharing_the_registry_give_the_serial_bits() {
-    // FT 5 and 6 appear nowhere else in this binary, so the threads below
-    // race the *first* compile of those classes, not just lookups.
-    let configs = configs(1..=6);
+    // FT 8 appears nowhere else in this binary, so the threads below
+    // race the *first* compile of its classes, not just lookups.
+    let configs = configs(1..=8);
     let pts = points(0x0eac_1e77, 12);
     let barrier = Barrier::new(8);
     let per_thread: Vec<Vec<Result<(u64, u64), Error>>> = std::thread::scope(|scope| {

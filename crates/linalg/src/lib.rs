@@ -9,16 +9,15 @@
 //! MTTDL = ⟨1, 0, …, 0⟩ · R⁻¹ · ⟨1, …, 1⟩ᵗ
 //! ```
 //!
-//! where `R = −Q_B` is the *absorption matrix* of the chain. This crate
-//! provides exactly the numerics needed for that computation — and nothing
-//! more exotic:
+//! where `R = −Q_B` is the *absorption matrix* of the chain. `R` is far too
+//! ill-conditioned for a general solver (`nsr-markov` eliminates it
+//! subtraction-free instead); this crate provides the well-conditioned
+//! remainder — stationary distributions, generators, test oracles — and
+//! nothing more exotic:
 //!
 //! * [`Matrix`]: a dense row-major `f64` matrix with the usual arithmetic,
 //! * [`Lu`]: LU factorization with partial pivoting, giving
 //!   [`Lu::solve`], [`Lu::det`], [`Lu::inverse`] and iterative refinement,
-//! * [`BandedLu`]: the same factorization in `gbtrf`-style band storage
-//!   for the near-tridiagonal repair chains, with [`bandwidth`] profiling
-//!   and the [`AnyLu`] tier that picks the cheaper layout automatically,
 //! * free vector helpers in [`vector`].
 //!
 //! # Why hand-rolled?
@@ -26,8 +25,9 @@
 //! The build environment allows only a small set of third-party crates, none
 //! of which provide linear algebra, so the kernel is implemented here with an
 //! extensive test-suite (including property tests) instead. Matrices in this
-//! workspace are small (the largest CTMC solved has `2^(k+1) − 1 ≤ 127`
-//! transient states), so an unblocked LU is entirely adequate.
+//! workspace are small (the largest CTMC solved has `2^(k+1) − 1 ≤ 1,023`
+//! transient states, and that one never reaches this crate), so an
+//! unblocked LU is entirely adequate.
 //!
 //! # Example
 //!
@@ -47,13 +47,11 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod banded;
 mod error;
 mod lu;
 mod matrix;
 pub mod vector;
 
-pub use banded::{banded_pays_off, bandwidth, AnyLu, BandedLu};
 pub use error::Error;
 pub use lu::Lu;
 pub use matrix::Matrix;

@@ -2,7 +2,7 @@
 //! seeded PRNG: each test draws many random cases from a fixed seed, so
 //! runs are deterministic and reproducible offline.
 
-use nsr_linalg::{bandwidth, AnyLu, BandedLu, Lu, Matrix};
+use nsr_linalg::{Lu, Matrix};
 use nsr_rng::rngs::StdRng;
 use nsr_rng::{Rng, SeedableRng};
 
@@ -113,70 +113,6 @@ fn factor_never_panics() {
         let a = any_square(&mut rng, 6);
         if let Ok(lu) = Lu::factor(&a) {
             assert!(lu.det().is_finite());
-        }
-    }
-}
-
-/// A random diagonally-dominant matrix with bandwidths `(kl, ku)`.
-fn banded_dominant<R: Rng + ?Sized>(rng: &mut R, n: usize, kl: usize, ku: usize) -> Matrix {
-    let mut m = Matrix::zeros(n, n);
-    for i in 0..n {
-        let lo = i.saturating_sub(kl);
-        let hi = (i + ku).min(n - 1);
-        for j in lo..=hi {
-            if j != i {
-                m[(i, j)] = rng.random_range_f64(-1.0, 1.0);
-            }
-        }
-        let row_sum: f64 = m.row(i).iter().map(|v| v.abs()).sum();
-        m[(i, i)] = row_sum + rng.random_range_f64(0.5, 1.5);
-    }
-    m
-}
-
-#[test]
-fn banded_solve_matches_dense_on_random_banded_systems() {
-    let mut rng = StdRng::seed_from_u64(0x11f1);
-    for _ in 0..128 {
-        let n = rng.random_range_usize(2, 40);
-        let kl = rng.random_range_usize(0, 4.min(n));
-        let ku = rng.random_range_usize(0, 4.min(n));
-        let a = banded_dominant(&mut rng, n, kl, ku);
-        let (pkl, pku) = bandwidth(&a);
-        assert!(
-            pkl <= kl && pku <= ku,
-            "profiled ({pkl},{pku}) > ({kl},{ku})"
-        );
-        let b = rand_vec(&mut rng, n, -5.0, 5.0);
-        let dense = Lu::factor(&a).unwrap();
-        let band = BandedLu::factor(&a).unwrap();
-        let xd = dense.solve(&b).unwrap();
-        let xb = band.solve(&b).unwrap();
-        for (u, v) in xd.iter().zip(&xb) {
-            assert!((u - v).abs() < 1e-9 * (1.0 + u.abs()), "{u} vs {v}");
-        }
-        let (dd, db) = (dense.det(), band.det());
-        assert!(
-            (dd - db).abs() <= 1e-9 * dd.abs().max(1e-300),
-            "{dd} vs {db}"
-        );
-    }
-}
-
-#[test]
-fn any_lu_agrees_with_dense_regardless_of_tier() {
-    let mut rng = StdRng::seed_from_u64(0x11f2);
-    for _ in 0..64 {
-        let n = rng.random_range_usize(2, 32);
-        let kl = rng.random_range_usize(0, n);
-        let ku = rng.random_range_usize(0, n);
-        let a = banded_dominant(&mut rng, n, kl, ku);
-        let b = rand_vec(&mut rng, n, -3.0, 3.0);
-        let auto = AnyLu::factor_auto(&a).unwrap();
-        let xd = Lu::factor(&a).unwrap().solve(&b).unwrap();
-        let xa = auto.solve(&b).unwrap();
-        for (u, v) in xd.iter().zip(&xa) {
-            assert!((u - v).abs() < 1e-9 * (1.0 + u.abs()), "{u} vs {v}");
         }
     }
 }

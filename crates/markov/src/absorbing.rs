@@ -1,11 +1,5 @@
-use std::collections::HashMap;
-use std::sync::OnceLock;
-
-use nsr_linalg::{AnyLu, Matrix};
-
 use crate::builder::StateId;
 use crate::ctmc::Ctmc;
-use crate::sparse::SparseAbsorption;
 use crate::{Error, Result};
 
 /// Exact analysis of a CTMC with absorbing states.
@@ -24,47 +18,31 @@ use crate::{Error, Result};
 /// 3–6 orders of magnitude, so the absorption matrix `R = −Q_B` of a
 /// fault-tolerance-`k` model has condition number growing like
 /// `(μ/λ)^k` — far beyond what a plain `f64` LU solve survives (`κ ≈ 10¹⁶`
-/// already at `k ≈ 4`). `AbsorbingAnalysis` therefore computes mean times
-/// to absorption and absorption probabilities with **GTH-style
-/// subtraction-free state elimination** (Grassmann–Taksar–Heyman): states
-/// are eliminated one at a time, every update is a product or a sum of
-/// non-negative quantities, and exit rates are *recomputed* as sums rather
-/// than updated by differences. The result carries componentwise relative
-/// accuracy `O(n·ε)` independent of the chain's stiffness.
+/// already at `k ≈ 4`). `AbsorbingAnalysis` therefore works by
+/// **GTH-style subtraction-free state elimination**
+/// (Grassmann–Taksar–Heyman): states are eliminated one at a time, every
+/// update is a product or a sum of non-negative quantities, and exit
+/// rates are *recomputed* as sums rather than updated by differences. The
+/// result carries componentwise relative accuracy `O(n·ε)` independent of
+/// the chain's stiffness.
 ///
-/// # Solver tiers
+/// # One elimination, many right-hand sides
 ///
-/// The elimination runs on one of two storage tiers, selected by chain
-/// structure ([`AbsorbingAnalysis::solver_tier`]):
+/// The dense `m × m` rate table is eliminated **once**, at construction,
+/// and kept as a subtraction-free factorization of `R`: row `t`'s prefix
+/// is what back-substitution reads, the column-`t` entries of rows
+/// `i < t` are the multipliers `q_it / D_t` the elimination used, and the
+/// pivots `D_t` are the diagonal of `U` in an unpivoted `R = LU`. Mean
+/// times to absorption (right-hand side `1`), each absorbing state's
+/// probability column (its inflow rates) and each
+/// [`AbsorbingAnalysis::expected_time_in`] (`e_j`) are `O(m²)` replays of
+/// that factorization. There is no LU, no inverse and nothing to select:
+/// this is the reference the compiled [`crate::BatchSolver`] — what every
+/// sweep, planner and figure path runs — is pinned against bit for bit.
 ///
-/// * **Sparse** ([`SolverTier::SparseGth`]): CSR-style rows that visit
-///   only structural nonzeros. Chosen for large sparse chains (the
-///   recursive appendix chains eliminate fill-free in BFS order, so a
-///   solve costs `O(edges)`). The arithmetic is bit-for-bit identical to
-///   the dense tier — same elimination order, same accumulation order.
-/// * **Dense** ([`SolverTier::DenseGth`]): the `m × m` rate table. Used
-///   for small or dense chains, kept as the differential-testing oracle,
-///   and the automatic fallback if the sparse pass fails.
-///
-/// The matrix-land quantities ([`AbsorbingAnalysis::det`],
-/// [`AbsorbingAnalysis::expected_time_in`],
-/// [`AbsorbingAnalysis::condition_estimate`],
-/// [`AbsorbingAnalysis::absorption_matrix`]) need the dense absorption
-/// matrix and its LU factorization; that route is built lazily on first
-/// use, so sweep-style workloads that only read GTH-computed quantities
-/// never pay the `O(m²)` materialization or `O(m³)` factorization.
-///
-/// # LU → GTH fallback
-///
-/// For chains so stiff that the floating-point absorption matrix is
-/// singular to working precision (rates differing by more than ~16 orders
-/// of magnitude can cancel exactly), the LU factorization fails. The
-/// analysis still **succeeds**: every quantity falls back to a
-/// subtraction-free GTH computation, [`AbsorbingAnalysis::det`] uses the
-/// product of the GTH elimination pivots, and
-/// [`AbsorbingAnalysis::condition_estimate`] reports `f64::INFINITY` so
-/// callers can see that the matrix route was abandoned
-/// ([`AbsorbingAnalysis::uses_gth_fallback`]). No input reachable through
+/// A chain whose elimination overflows (rates so small that a mean time
+/// exceeds `f64::MAX`) is refused with [`nsr_linalg::Error::NotFinite`],
+/// exactly as the compiled engine refuses it. No input reachable through
 /// [`crate::CtmcBuilder`] panics this type.
 ///
 /// # Example
@@ -86,146 +64,40 @@ use crate::{Error, Result};
 /// ```
 #[derive(Debug)]
 pub struct AbsorbingAnalysis {
-    /// Owned copy of the chain, kept so the dense matrix route
-    /// ([`DenseRoute`]) can be built lazily, only when a matrix-land
-    /// query actually asks for it.
-    ctmc: Ctmc,
     /// Transient states in row/column order.
     transient: Vec<StateId>,
-    /// Map from global state index to transient row index.
-    pos: HashMap<usize, usize>,
     /// All absorbing states.
     absorbing: Vec<StateId>,
-    /// The GTH elimination tier selected for this chain.
-    tier: Tier,
-    /// Fill created by the sparse elimination's mean-time pass (0 on the
-    /// dense tier).
-    fill: usize,
-    /// GTH elimination pivots from the mean-time pass. Mathematically the
-    /// diagonal of `U` in an unpivoted `R = LU`, so their product is
-    /// `det(R)` — but each pivot is computed as a sum, never a difference.
-    gth_pivots: Vec<f64>,
-    /// `mtta[i]` = expected time to absorption from transient row `i`,
-    /// computed by GTH elimination.
+    /// Transient row of each global state index ([`NOT_TRANSIENT`] for
+    /// absorbing states).
+    row_of: Vec<usize>,
+    /// The eliminated rate table: `R`, factored once.
+    factors: GthFactors,
+    /// `‖R‖∞`, taken from the rates before elimination.
+    norm_inf: f64,
+    /// `mtta[i]` = expected time to absorption from transient row `i`.
     mtta: Vec<f64>,
-    /// `absorb_prob[a][i]` = P(absorbed in `a` | start in transient row
-    /// `i`), computed per absorbing state by GTH elimination.
-    absorb_prob: HashMap<usize, Vec<f64>>,
-    /// Lazily-built dense absorption matrix and its factorization.
-    dense: OnceLock<DenseRoute>,
+    /// `absorb_prob[a][i]` = P(absorbed in `absorbing[a]` | start in
+    /// transient row `i`).
+    absorb_prob: Vec<Vec<f64>>,
 }
 
-/// The elimination storage a chain's structure selected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SolverTier {
-    /// CSR-style rows; only structural nonzeros visited.
-    SparseGth,
-    /// Dense `m × m` rate table (the differential-testing oracle, and the
-    /// automatic fallback when the sparse pass fails).
-    DenseGth,
-}
+/// `row_of` entry of a state that is not transient.
+const NOT_TRANSIENT: usize = usize::MAX;
 
-/// Tier-specific elimination state.
+/// A subtraction-free factorization of the absorption matrix: what GTH
+/// elimination leaves behind, kept so further right-hand sides cost a
+/// replay instead of another elimination.
 #[derive(Debug)]
-enum Tier {
-    Sparse(SparseAbsorption),
-    Dense {
-        /// Transient-to-transient rates.
-        q: Vec<Vec<f64>>,
-        /// Per-state total rates into the absorbing class.
-        qa: Vec<f64>,
-    },
-}
-
-/// The dense matrix route: absorption matrix plus its (bandwidth-tiered)
-/// LU factorization, built on first demand by [`AbsorbingAnalysis::det`],
-/// [`AbsorbingAnalysis::condition_estimate`],
-/// [`AbsorbingAnalysis::expected_time_in`] or
-/// [`AbsorbingAnalysis::absorption_matrix`]. Sweep-style workloads that
-/// only read GTH-computed quantities never pay for it.
-#[derive(Debug)]
-struct DenseRoute {
-    r: Matrix,
-    /// `None` when `r` is singular to working precision; every
-    /// matrix-land query then falls back to GTH elimination.
-    lu: Option<AnyLu>,
-}
-
-/// Minimum transient-state count for the sparse tier: below this the
-/// dense table's straight-line loops beat per-entry binary searches.
-pub const SPARSE_MIN_STATES: usize = 16;
-/// Maximum transient-block density for the sparse tier.
-pub const SPARSE_MAX_DENSITY: f64 = 0.25;
-
-/// Subtraction-free (GTH-style) solve of `D_i·x_i = r_i + Σ_j q_ij·x_j`
-/// over the transient states, where `q` holds non-negative transition
-/// rates between transient states, `qa` the non-negative rates into the
-/// absorbing class, and `r` a non-negative right-hand side.
-///
-/// With `r = 1` this yields mean times to absorption; with
-/// `r = (rates into one absorbing state)` it yields the absorption
-/// probabilities into that state.
-///
-/// Returns `(x, exit)` where `exit` holds the elimination pivots `D_t`
-/// (whose product equals `det(R)`).
-///
-/// Every arithmetic operation is on non-negative quantities, which is what
-/// buys stiffness-independent relative accuracy.
-fn gth_solve(
-    mut q: Vec<Vec<f64>>,
-    mut qa: Vec<f64>,
-    mut r: Vec<f64>,
-) -> Result<(Vec<f64>, Vec<f64>)> {
-    let m = qa.len();
-    debug_assert_eq!(q.len(), m);
-    debug_assert_eq!(r.len(), m);
-
-    // Elimination pass: fold state t into the remaining states 0..t.
-    let mut exit = vec![0.0; m]; // D_t at elimination time, reused in back-substitution
-    for t in (0..m).rev() {
-        // Exit rate over *remaining* targets (j < t) plus absorption —
-        // recomputed as a sum (never a difference), the GTH trick.
-        let mut d = qa[t];
-        for &qtj in &q[t][..t] {
-            d += qtj;
-        }
-        if d <= 0.0 {
-            // State t cannot reach absorption once higher states are
-            // eliminated: the chain is reducible w.r.t. absorption.
-            return Err(Error::Linalg(nsr_linalg::Error::Singular { pivot: t }));
-        }
-        exit[t] = d;
-        // Snapshot row t's live prefix so folding it into rows i < t does
-        // not alias the table being updated.
-        let row_t: Vec<f64> = q[t][..t].to_vec();
-        for i in 0..t {
-            let f = q[i][t] / d;
-            if f == 0.0 {
-                continue;
-            }
-            r[i] += f * r[t];
-            qa[i] += f * qa[t];
-            for (j, &qtj) in row_t.iter().enumerate() {
-                if j != i {
-                    let add = f * qtj;
-                    if add > 0.0 {
-                        q[i][j] += add;
-                    }
-                }
-            }
-        }
-    }
-    // Back-substitution: x_t = (r_t + Σ_{j<t} q_tj·x_j) / D_t — again all
-    // non-negative.
-    let mut x = vec![0.0; m];
-    for t in 0..m {
-        let mut acc = r[t];
-        for (&qtj, &xj) in q[t].iter().zip(x.iter()).take(t) {
-            acc += qtj * xj;
-        }
-        x[t] = acc / exit[t];
-    }
-    Ok((x, exit))
+struct GthFactors {
+    /// Row-major `m × m`. Below the diagonal, row `t` holds its rates as
+    /// they stood when `t` was eliminated (what back-substitution
+    /// reads); above it, `(i, t)` holds the multiplier `q_it / D_t` with
+    /// which `t` was folded into `i`. The diagonal is unused.
+    table: Vec<f64>,
+    /// Elimination pivots `D_t` — the diagonal of `U` in an unpivoted
+    /// `R = LU`, each computed as a sum, never a difference.
+    pivots: Vec<f64>,
 }
 
 impl AbsorbingAnalysis {
@@ -235,25 +107,13 @@ impl AbsorbingAnalysis {
     ///
     /// * [`Error::NoAbsorbingState`] / [`Error::NoTransientState`] if the
     ///   chain is not a proper absorbing chain.
-    /// * [`Error::Linalg`] if some transient state cannot reach any
-    ///   absorbing state (the absorption matrix is singular).
+    /// * [`Error::Linalg`] ([`nsr_linalg::Error::Singular`]) if some
+    ///   transient state cannot reach any absorbing state (the absorption
+    ///   matrix is singular).
+    /// * [`Error::Linalg`] ([`nsr_linalg::Error::NotFinite`]) if the
+    ///   elimination overflowed and a mean time or probability is
+    ///   infinite or NaN.
     pub fn new(ctmc: &Ctmc) -> Result<Self> {
-        Self::build(ctmc, None)
-    }
-
-    /// Builds the analysis forcing a specific elimination tier, bypassing
-    /// the structure-based selection. This is the differential-testing
-    /// entry point: the sparse tier is validated by comparing it
-    /// bit-for-bit against the dense oracle on the same chain.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::new`].
-    pub fn new_with_tier(ctmc: &Ctmc, tier: SolverTier) -> Result<Self> {
-        Self::build(ctmc, Some(tier))
-    }
-
-    fn build(ctmc: &Ctmc, force: Option<SolverTier>) -> Result<Self> {
         let t0 = nsr_obs::metrics_timer();
         let mut span = nsr_obs::trace::Span::enter("markov.absorbing.solve");
         let absorbing = ctmc.absorbing_states();
@@ -264,169 +124,78 @@ impl AbsorbingAnalysis {
         if transient.is_empty() {
             return Err(Error::NoTransientState);
         }
-        let pos: HashMap<usize, usize> = transient
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.0, i))
-            .collect();
         let m = transient.len();
-        let ones = vec![1.0; m];
+        let mut row_of = vec![NOT_TRANSIENT; ctmc.len()];
+        for (i, s) in transient.iter().enumerate() {
+            row_of[s.0] = i;
+        }
 
-        // Tier selection: sparse elimination pays only when the chain is
-        // big enough to amortize the per-entry indexing and genuinely
-        // sparse; small or dense chains take the straight-line table.
-        let sparse = SparseAbsorption::from_ctmc(ctmc, &transient, &pos);
-        let want_sparse = match force {
-            Some(SolverTier::SparseGth) => true,
-            Some(SolverTier::DenseGth) => false,
-            None => m >= SPARSE_MIN_STATES && sparse.density() <= SPARSE_MAX_DENSITY,
-        };
-        let mut fill = 0;
-        let (tier, mtta, gth_pivots) = if want_sparse {
-            match sparse.gth_solve(ones.clone()) {
-                Ok(sol) if sol.x.iter().all(|v| v.is_finite()) => {
-                    fill = sol.fill;
-                    (Tier::Sparse(sparse), sol.x, sol.pivots)
-                }
-                // A singular chain fails identically on both tiers, so
-                // propagate rather than retry when the tier was forced.
-                Err(e) if force.is_some() => return Err(e),
-                // A sparse failure (singular chain, or a non-finite result
-                // from rate overflow) retries on the dense oracle; the
-                // tiers are arithmetically identical, so a dense failure
-                // is then a property of the chain, not of the tier.
-                _ => {
-                    crate::obs::SPARSE_FALLBACKS.inc();
-                    Self::dense_tier(ctmc, &transient, &pos, ones)?
+        // Transient-to-transient rates `q`, total rates into the
+        // absorbing class `qa`, and `‖R‖∞`: row `i` of `R` holds the
+        // state's total exit rate on the diagonal and its negated
+        // transient-to-transient rates beside it.
+        let mut table = vec![0.0; m * m];
+        let mut qa = vec![0.0; m];
+        let mut norm_inf = 0.0_f64;
+        for (i, &s) in transient.iter().enumerate() {
+            let mut to_transient = 0.0;
+            for &(to, rate) in ctmc.transitions_from(s) {
+                match row_of[to.0] {
+                    NOT_TRANSIENT => qa[i] += rate,
+                    j => {
+                        table[i * m + j] += rate;
+                        to_transient += rate;
+                    }
                 }
             }
-        } else {
-            Self::dense_tier(ctmc, &transient, &pos, ones)?
-        };
+            norm_inf = norm_inf.max(qa[i] + 2.0 * to_transient);
+        }
+        let factors = GthFactors::eliminate(table, qa)?;
 
-        // Absorption probabilities into each absorbing state: same
-        // elimination with the per-target inflow rates as RHS.
-        let mut absorb_prob = HashMap::new();
+        let mtta = factors.solve(vec![1.0; m])?;
+        // Absorption probabilities into each absorbing state: the same
+        // factorization with the per-target inflow rates as RHS.
+        let mut absorb_prob = Vec::with_capacity(absorbing.len());
         for &a in &absorbing {
-            let u = match &tier {
-                Tier::Sparse(sp) => {
-                    let r_target = SparseAbsorption::rates_into(ctmc, &transient, &pos, a);
-                    sp.gth_solve(r_target)?.x
+            let mut inflow = vec![0.0; m];
+            for (i, &s) in transient.iter().enumerate() {
+                for &(to, rate) in ctmc.transitions_from(s) {
+                    if to == a {
+                        inflow[i] += rate;
+                    }
                 }
-                Tier::Dense { q, qa } => {
-                    let (_, r_target) = Self::rate_tables(ctmc, &transient, &pos, Some(a));
-                    gth_solve(q.clone(), qa.clone(), r_target)?.0
-                }
-            };
-            absorb_prob.insert(a.0, u);
+            }
+            absorb_prob.push(factors.solve(inflow)?);
         }
 
         let analysis = AbsorbingAnalysis {
-            ctmc: ctmc.clone(),
             transient,
-            pos,
             absorbing,
-            tier,
-            fill,
-            gth_pivots,
+            row_of,
+            factors,
+            norm_inf,
             mtta,
             absorb_prob,
-            dense: OnceLock::new(),
         };
         crate::obs::SOLVES.inc();
-        match analysis.solver_tier() {
-            SolverTier::SparseGth => crate::obs::SPARSE_TIER.inc(),
-            SolverTier::DenseGth => crate::obs::DENSE_TIER.inc(),
-        }
         if let Some(t0) = t0 {
             crate::obs::SOLVE_SECONDS.observe(t0.elapsed().as_secs_f64());
-            crate::obs::FILL.observe(analysis.fill as f64);
-            // The κ∞ estimate needs the matrix route (materializes and
-            // factors `R`), so it is only paid when someone turned
-            // metrics on.
             crate::obs::CONDITION.observe(analysis.condition_estimate());
         }
-        span.field("transient", || {
-            nsr_obs::Json::Num(analysis.transient.len() as f64)
-        });
+        span.field("transient", || nsr_obs::Json::Num(m as f64));
         span.field("absorbing", || {
             nsr_obs::Json::Num(analysis.absorbing.len() as f64)
         });
-        span.field("tier", || {
-            nsr_obs::Json::Str(
-                match analysis.solver_tier() {
-                    SolverTier::SparseGth => "sparse",
-                    SolverTier::DenseGth => "dense",
-                }
-                .into(),
-            )
-        });
-        span.field("fill", || nsr_obs::Json::Num(analysis.fill as f64));
         drop(span);
         Ok(analysis)
     }
 
-    /// Builds the dense elimination tier and runs the mean-time pass.
-    fn dense_tier(
-        ctmc: &Ctmc,
-        transient: &[StateId],
-        pos: &HashMap<usize, usize>,
-        ones: Vec<f64>,
-    ) -> Result<(Tier, Vec<f64>, Vec<f64>)> {
-        let (q, qa) = Self::rate_tables(ctmc, transient, pos, None);
-        let (mtta, pivots) = gth_solve(q.clone(), qa.clone(), ones)?;
-        Ok((Tier::Dense { q, qa }, mtta, pivots))
-    }
-
-    /// The dense matrix route, built on first use: the absorption matrix
-    /// `R` and its bandwidth-tiered LU factorization (or `None` when `R`
-    /// is singular to working precision — the GTH fallback).
-    fn dense_route(&self) -> &DenseRoute {
-        self.dense.get_or_init(|| {
-            // Stiff chains can make `r` singular *in floating point* even
-            // though the exact absorption matrix never is; GTH still
-            // succeeds there, so an LU failure downgrades to a fallback
-            // rather than an error.
-            let (r, _) = self.ctmc.absorption_matrix();
-            let lu = AnyLu::factor_auto(&r).ok();
-            if lu.is_none() {
-                crate::obs::GTH_FALLBACKS.inc();
-            }
-            DenseRoute { r, lu }
-        })
-    }
-
-    /// Solves `R·x = rhs` by GTH elimination on whichever tier this
-    /// analysis selected.
-    fn tier_solve(&self, rhs: Vec<f64>) -> Result<Vec<f64>> {
-        match &self.tier {
-            Tier::Sparse(sp) => Ok(sp.gth_solve(rhs)?.x),
-            Tier::Dense { q, qa } => Ok(gth_solve(q.clone(), qa.clone(), rhs)?.0),
+    /// Transient row of `s`.
+    fn row(&self, s: StateId) -> Result<usize> {
+        match self.row_of.get(s.0) {
+            Some(&i) if i != NOT_TRANSIENT => Ok(i),
+            _ => Err(Error::StateNotTransient { state: s.0 }),
         }
-    }
-
-    /// Extracts the transient-to-transient rate table `q` and, depending on
-    /// `target`, either the rates into *all* absorbing states (`None`) or
-    /// the rates into one specific absorbing state (`Some`), as `qa`.
-    fn rate_tables(
-        ctmc: &Ctmc,
-        transient: &[StateId],
-        pos: &HashMap<usize, usize>,
-        target: Option<StateId>,
-    ) -> (Vec<Vec<f64>>, Vec<f64>) {
-        let m = transient.len();
-        let mut q = vec![vec![0.0; m]; m];
-        let mut qa = vec![0.0; m];
-        for (i, &s) in transient.iter().enumerate() {
-            for &(to, rate) in ctmc.transitions_from(s) {
-                if let Some(&j) = pos.get(&to.0) {
-                    q[i][j] += rate;
-                } else if target.is_none() || target == Some(to) {
-                    qa[i] += rate;
-                }
-            }
-        }
-        (q, qa)
     }
 
     /// The transient states, in the internal row order.
@@ -439,83 +208,29 @@ impl AbsorbingAnalysis {
         &self.absorbing
     }
 
-    /// The solver tier the chain's structure selected for GTH
-    /// elimination.
-    pub fn solver_tier(&self) -> SolverTier {
-        match self.tier {
-            Tier::Sparse(_) => SolverTier::SparseGth,
-            Tier::Dense { .. } => SolverTier::DenseGth,
-        }
-    }
-
-    /// Fill entries created by the sparse elimination's mean-time pass
-    /// beyond the chain's structural nonzeros (0 on the dense tier, and 0
-    /// for the fill-free BFS-ordered recursive chains).
-    pub fn elimination_fill(&self) -> usize {
-        self.fill
-    }
-
-    /// The absorption matrix `R = −Q_B` (row order = [`Self::transient_states`]).
-    ///
-    /// Materialized lazily on first call (the GTH-computed quantities
-    /// never need it).
-    pub fn absorption_matrix(&self) -> &Matrix {
-        &self.dense_route().r
-    }
-
     /// Determinant of the absorption matrix (the `det(R)` of the paper's
-    /// appendix formula `M(R) = Num(R)/det(R)`).
-    ///
-    /// Computed from the LU factorization when available, otherwise as
-    /// the product of the GTH elimination pivots (which is the same
-    /// quantity, evaluated subtraction-free — for stiff chains it is the
-    /// *more* accurate of the two).
+    /// appendix formula `M(R) = Num(R)/det(R)`): the product of the
+    /// elimination pivots, each of which was computed as a sum — so it
+    /// stays accurate on chains whose rounded `R` an LU factorization
+    /// finds singular.
     pub fn det(&self) -> f64 {
-        match &self.dense_route().lu {
-            Some(lu) => lu.det(),
-            None => self.gth_pivots.iter().product(),
-        }
+        self.factors.pivots.iter().product()
     }
 
-    /// `true` when the LU factorization of the absorption matrix failed
-    /// (singular to working precision) and every matrix-land query is
-    /// answered by GTH elimination instead.
+    /// The ∞-norm condition number `κ∞(R) = ‖R‖∞·‖R⁻¹‖∞` of the
+    /// absorption matrix — how much of the 16 decimal digits a naive
+    /// linear solve against `R` would lose.
     ///
-    /// Forces the lazy matrix route to be built.
-    pub fn uses_gth_fallback(&self) -> bool {
-        self.dense_route().lu.is_none()
-    }
-
-    /// Which LU factorization backs the matrix route: `Some("banded-lu")`
-    /// or `Some("dense-lu")`, or `None` when the factorization failed and
-    /// the GTH fallback is in effect.
+    /// Needs no inverse: `R` is a nonsingular M-matrix, so `R⁻¹ ≥ 0`
+    /// entrywise, every row sum of `R⁻¹` is `(R⁻¹·1)_i`, the mean time to
+    /// absorption from row `i`, and `‖R⁻¹‖∞ = max_i MTTA_i` exactly. The
+    /// value is therefore as accurate as the mean times themselves, also
+    /// far beyond `1/ε` where an explicit inverse saturates.
     ///
-    /// Forces the lazy matrix route to be built.
-    pub fn lu_kind(&self) -> Option<&'static str> {
-        self.dense_route().lu.as_ref().map(|lu| {
-            if lu.is_banded() {
-                "banded-lu"
-            } else {
-                "dense-lu"
-            }
-        })
-    }
-
-    /// Estimate of the ∞-norm condition number `κ∞(R)` of the absorption
-    /// matrix — how much of the 16 decimal digits a naive linear solve
-    /// against `R` would lose. Returns `f64::INFINITY` when `R` is
-    /// singular to working precision (the GTH fallback is in effect).
-    ///
-    /// This diagnoses the *matrix* route only: the GTH-computed
-    /// quantities ([`Self::mean_time_to_absorption`],
-    /// [`Self::absorption_probability`]) keep componentwise relative
-    /// accuracy regardless of this value.
+    /// This diagnoses the *matrix* `R` only: the quantities this type
+    /// reports keep componentwise relative accuracy regardless of it.
     pub fn condition_estimate(&self) -> f64 {
-        let route = self.dense_route();
-        match &route.lu {
-            Some(lu) => lu.cond_inf(&route.r).unwrap_or(f64::INFINITY),
-            None => f64::INFINITY,
-        }
+        self.norm_inf * self.mtta.iter().copied().fold(0.0, f64::max)
     }
 
     /// Mean time to absorption starting from transient state `from`.
@@ -524,64 +239,41 @@ impl AbsorbingAnalysis {
     ///
     /// Returns [`Error::StateNotTransient`] if `from` is absorbing.
     pub fn mean_time_to_absorption(&self, from: StateId) -> Result<f64> {
-        let i = *self
-            .pos
-            .get(&from.0)
-            .ok_or(Error::StateNotTransient { state: from.0 })?;
-        Ok(self.mtta[i])
+        Ok(self.mtta[self.row(from)?])
     }
 
     /// Expected total time spent in transient state `in_state` before
     /// absorption, starting from `from` — the `(from, in_state)` entry of
-    /// the fundamental matrix `R⁻¹` (the `τᵢ` of equation (A.1)).
-    ///
-    /// Computed from the LU factorization when available; when the
-    /// absorption matrix is singular to working precision the entry is
-    /// recovered by a GTH elimination with `e_j` as the right-hand side,
-    /// so stiff chains still get an answer instead of an error.
+    /// the fundamental matrix `R⁻¹` (the `τᵢ` of equation (A.1)), from
+    /// one replay of the factorization with `e_j` as the right-hand side.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::StateNotTransient`] if either state is absorbing.
+    /// * [`Error::StateNotTransient`] if either state is absorbing.
+    /// * [`Error::Linalg`] if the replay overflows.
     pub fn expected_time_in(&self, from: StateId, in_state: StateId) -> Result<f64> {
-        let i = *self
-            .pos
-            .get(&from.0)
-            .ok_or(Error::StateNotTransient { state: from.0 })?;
-        let j = *self
-            .pos
-            .get(&in_state.0)
-            .ok_or(Error::StateNotTransient { state: in_state.0 })?;
+        let i = self.row(from)?;
         // (R⁻¹)_{ij} = e_iᵗ R⁻¹ e_j: solve R y = e_j, answer y_i.
         let mut e = vec![0.0; self.transient.len()];
-        e[j] = 1.0;
-        let y = match &self.dense_route().lu {
-            Some(lu) => lu.solve(&e)?,
-            // gth_solve computes x with D_i x_i = r_i + Σ_j q_ij x_j,
-            // which is exactly R x = r, so e_j as RHS yields column j of
-            // the fundamental matrix R⁻¹.
-            None => self.tier_solve(e)?,
-        };
-        Ok(y[i])
+        e[self.row(in_state)?] = 1.0;
+        Ok(self.factors.solve(e)?[i])
     }
 
     /// Probability that the chain, started in transient state `from`, is
-    /// eventually absorbed in `into` (GTH-computed at construction).
+    /// eventually absorbed in `into` (computed at construction).
     ///
     /// # Errors
     ///
     /// * [`Error::StateNotTransient`] if `from` is absorbing.
     /// * [`Error::StateNotAbsorbing`] if `into` is transient.
     pub fn absorption_probability(&self, from: StateId, into: StateId) -> Result<f64> {
-        let i = *self
-            .pos
-            .get(&from.0)
-            .ok_or(Error::StateNotTransient { state: from.0 })?;
-        let col = self
-            .absorb_prob
-            .get(&into.0)
+        let i = self.row(from)?;
+        let a = self
+            .absorbing
+            .iter()
+            .position(|&a| a == into)
             .ok_or(Error::StateNotAbsorbing { state: into.0 })?;
-        Ok(col[i].clamp(0.0, 1.0))
+        Ok(self.absorb_prob[a][i].clamp(0.0, 1.0))
     }
 
     /// The *pre-absorption occupancy distribution*: the fraction of its
@@ -620,11 +312,7 @@ impl AbsorbingAnalysis {
                     what: "initial weights must be >= 0",
                 });
             }
-            let i = *self
-                .pos
-                .get(&s.0)
-                .ok_or(Error::StateNotTransient { state: s.0 })?;
-            acc += w * self.mtta[i];
+            acc += w * self.mtta[self.row(s)?];
             total_w += w;
         }
         if (total_w - 1.0).abs() > 1e-9 {
@@ -633,6 +321,92 @@ impl AbsorbingAnalysis {
             });
         }
         Ok(acc)
+    }
+}
+
+impl GthFactors {
+    /// Subtraction-free (GTH-style) elimination of `D_i·x_i = r_i + Σ_j
+    /// q_ij·x_j` over the transient states: `q` is the row-major `m × m`
+    /// table of non-negative transition rates between transient states,
+    /// `qa` the non-negative rates into the absorbing class. States are
+    /// folded from the last down, and every arithmetic operation is on
+    /// non-negative quantities, which is what buys stiffness-independent
+    /// relative accuracy.
+    fn eliminate(mut q: Vec<f64>, mut qa: Vec<f64>) -> Result<GthFactors> {
+        let m = qa.len();
+        debug_assert_eq!(q.len(), m * m);
+        let mut pivots = vec![0.0; m];
+        for t in (0..m).rev() {
+            // Rows i < t get state t folded in; row t itself is only read.
+            let (above, rest) = q.split_at_mut(t * m);
+            let row_t = &rest[..t];
+            // Exit rate over *remaining* targets (j < t) plus absorption —
+            // recomputed as a sum (never a difference), the GTH trick.
+            let mut d = qa[t];
+            for &qtj in row_t {
+                d += qtj;
+            }
+            if d <= 0.0 {
+                // State t cannot reach absorption once higher states are
+                // eliminated: the chain is reducible w.r.t. absorption.
+                return Err(Error::Linalg(nsr_linalg::Error::Singular { pivot: t }));
+            }
+            pivots[t] = d;
+            for (i, row_i) in above.chunks_exact_mut(m).enumerate() {
+                let f = row_i[t] / d;
+                row_i[t] = f;
+                if f == 0.0 {
+                    continue;
+                }
+                qa[i] += f * qa[t];
+                for (j, &qtj) in row_t.iter().enumerate() {
+                    if j != i {
+                        let add = f * qtj;
+                        if add > 0.0 {
+                            row_i[j] += add;
+                        }
+                    }
+                }
+            }
+        }
+        Ok(GthFactors { table: q, pivots })
+    }
+
+    /// Solves `R·x = rhs` (`rhs ≥ 0`) by replaying the elimination on
+    /// the right-hand side and back-substituting — every operation on
+    /// non-negative quantities.
+    ///
+    /// The forward pass walks rows from the last up, so the multipliers
+    /// are read along a row; row `i` still accumulates its `f_it·r_t`
+    /// terms for `t` descending, each `r_t` already final, which is the
+    /// order the elimination itself would have applied them in.
+    fn solve(&self, mut rhs: Vec<f64>) -> Result<Vec<f64>> {
+        let m = self.pivots.len();
+        for i in (0..m).rev() {
+            let (head, tail) = rhs.split_at_mut(i + 1);
+            let multipliers = &self.table[i * m + i + 1..(i + 1) * m];
+            for (&f, &r_t) in multipliers.iter().zip(tail.iter()).rev() {
+                if f != 0.0 {
+                    head[i] += f * r_t;
+                }
+            }
+        }
+        // x_t = (r_t + Σ_{j<t} q_tj·x_j) / D_t.
+        let mut x = vec![0.0; m];
+        for t in 0..m {
+            let mut acc = rhs[t];
+            for (&qtj, &xj) in self.table[t * m..t * m + t].iter().zip(&x) {
+                acc += qtj * xj;
+            }
+            x[t] = acc / self.pivots[t];
+        }
+        if x.iter().all(|v| v.is_finite()) {
+            Ok(x)
+        } else {
+            Err(Error::Linalg(nsr_linalg::Error::NotFinite {
+                op: "absorbing GTH solve",
+            }))
+        }
     }
 }
 
@@ -854,125 +628,55 @@ mod tests {
         assert!(an.det() > 0.0);
         assert_eq!(an.transient_states().len(), 2);
         assert_eq!(an.absorbing_states().len(), 1);
-        assert_eq!(an.absorption_matrix().shape(), (2, 2));
     }
 
     #[test]
-    fn benign_chain_keeps_the_lu_route() {
+    fn condition_and_det_match_lu_on_a_benign_chain() {
+        // Where LU can be trusted, κ∞ from the mean times and det from
+        // the pivot product are the quantities LU computes, to rounding.
         let (c, ..) = chain(1e-3, 1.0, 1e-3);
         let an = AbsorbingAnalysis::new(&c).unwrap();
-        assert!(!an.uses_gth_fallback());
+        let (r, _) = c.absorption_matrix();
+        let lu = nsr_linalg::Lu::factor(&r).unwrap();
         let kappa = an.condition_estimate();
-        assert!(kappa.is_finite() && kappa >= 1.0, "{kappa}");
-        // The LU determinant and the GTH pivot product are the same
-        // quantity computed two ways; for a well-conditioned chain they
-        // must agree to near machine precision.
-        let pivot_det: f64 = an.gth_pivots.iter().product();
-        assert!((an.det() - pivot_det).abs() / pivot_det < 1e-12);
-    }
-
-    /// Deep repairable birth–death chain with absorption off the last
-    /// state — sparse enough (and large enough) to select the sparse tier.
-    fn deep_chain(depth: usize) -> (Ctmc, Vec<StateId>) {
-        let mut b = CtmcBuilder::new();
-        let states: Vec<StateId> = (0..=depth).map(|i| b.add_state(format!("{i}"))).collect();
-        let dead = b.add_state("dead");
-        for i in 0..depth {
-            b.add_transition(states[i], states[i + 1], 1e-3).unwrap();
-            b.add_transition(states[i + 1], states[i], 1.0).unwrap();
-        }
-        b.add_transition(states[depth], dead, 1e-3).unwrap();
-        (b.build().unwrap(), states)
+        let want = lu.cond_inf(&r).unwrap();
+        assert!(
+            kappa >= 1.0 && (kappa - want).abs() / want < 1e-9,
+            "{kappa} vs {want}"
+        );
+        assert!((an.det() - lu.det()).abs() / lu.det() < 1e-9);
     }
 
     #[test]
-    fn tier_selection_follows_structure() {
-        // Small chain: dense tier, no fill.
-        let (c, ..) = chain(1e-3, 1.0, 1e-3);
-        let an = AbsorbingAnalysis::new(&c).unwrap();
-        assert_eq!(an.solver_tier(), SolverTier::DenseGth);
-        assert_eq!(an.elimination_fill(), 0);
-
-        // 25 transient states, ~2 nonzeros per row: sparse tier, and the
-        // birth–death structure eliminates fill-free.
-        let (c, _) = deep_chain(24);
-        let an = AbsorbingAnalysis::new(&c).unwrap();
-        assert_eq!(an.solver_tier(), SolverTier::SparseGth);
-        assert_eq!(an.elimination_fill(), 0);
-    }
-
-    #[test]
-    fn sparse_tier_is_bit_identical_to_dense_oracle() {
-        let (c, states) = deep_chain(24);
-        let sp = AbsorbingAnalysis::new_with_tier(&c, SolverTier::SparseGth).unwrap();
-        let de = AbsorbingAnalysis::new_with_tier(&c, SolverTier::DenseGth).unwrap();
-        assert_eq!(sp.solver_tier(), SolverTier::SparseGth);
-        assert_eq!(de.solver_tier(), SolverTier::DenseGth);
-        // Same elimination order, same accumulation order: every
-        // GTH-computed quantity matches to the last bit.
-        for &s in &states {
-            assert_eq!(
-                sp.mean_time_to_absorption(s).unwrap(),
-                de.mean_time_to_absorption(s).unwrap(),
-            );
-        }
-        assert_eq!(sp.gth_pivots, de.gth_pivots);
-        for &a in sp.absorbing_states() {
-            for &s in &states {
-                assert_eq!(
-                    sp.absorption_probability(s, a).unwrap(),
-                    de.absorption_probability(s, a).unwrap(),
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn forced_tier_propagates_singularity() {
-        // x <-> y cycle that cannot reach the absorbing z: both forced
-        // tiers must report the same singularity.
-        let mut b = CtmcBuilder::new();
-        let x = b.add_state("x");
-        let y = b.add_state("y");
-        b.add_state("z");
-        b.add_transition(x, y, 1.0).unwrap();
-        b.add_transition(y, x, 1.0).unwrap();
-        let c = b.build().unwrap();
-        assert!(matches!(
-            AbsorbingAnalysis::new_with_tier(&c, SolverTier::SparseGth).unwrap_err(),
-            Error::Linalg(_)
-        ));
-        assert!(matches!(
-            AbsorbingAnalysis::new_with_tier(&c, SolverTier::DenseGth).unwrap_err(),
-            Error::Linalg(_)
-        ));
-    }
-
-    #[test]
-    fn singular_to_working_precision_falls_back_to_gth() {
+    fn condition_is_exact_where_the_rounded_matrix_is_singular() {
         // s0 <-> s1 at rate 1, s1 -> dead at 1e-20. The exact absorption
         // matrix [[1, -1], [-1, 1 + 1e-20]] rounds to the singular
-        // [[1, -1], [-1, 1]] in f64, so LU fails — but GTH recomputes
-        // every pivot as a sum (1e-20 survives as qa) and the analysis
-        // must still deliver the whole API.
+        // [[1, -1], [-1, 1]] in f64, so an LU of it fails — but GTH
+        // recomputes every pivot as a sum (1e-20 survives as qa) and the
+        // analysis must still deliver the whole API.
         let lam_abs = 1e-20;
         let (c, s0, s1, s2) = chain(1.0, 1.0, lam_abs);
         let an = AbsorbingAnalysis::new(&c).unwrap();
-        assert!(an.uses_gth_fallback());
-        assert_eq!(an.condition_estimate(), f64::INFINITY);
+        assert!(nsr_linalg::Lu::factor(&c.absorption_matrix().0).is_err());
 
         // Closed form: MTTA = (λa + λb + μ)/(λa·λb) = (2 + 1e-20)/1e-20.
         let exact = (1.0 + lam_abs + 1.0) / lam_abs;
         let got = an.mean_time_to_absorption(s0).unwrap();
         assert!((got - exact).abs() / exact < 1e-12, "{got} vs {exact}");
 
+        // κ∞ = ‖R‖∞ · max MTTA = (2 + 1e-20)²/1e-20 ≈ 4e20: finite, and
+        // past the 1/ε where an explicit inverse would have saturated.
+        let kappa = an.condition_estimate();
+        let want = (2.0 + lam_abs) * exact;
+        assert!((kappa - want).abs() / want < 1e-12, "{kappa} vs {want}");
+
         // det(R) = 1·(1 + 1e-20) − 1 = 1e-20 exactly in the reals; the
-        // pivot product recovers it even though LU saw a zero pivot.
+        // pivot product recovers it even though LU sees a zero pivot.
         let det = an.det();
         assert!((det - lam_abs).abs() / lam_abs < 1e-12, "{det}");
 
-        // Fundamental-matrix entries via the GTH route still decompose
-        // the mean time to absorption.
+        // Fundamental-matrix entries still decompose the mean time to
+        // absorption.
         let t00 = an.expected_time_in(s0, s0).unwrap();
         let t01 = an.expected_time_in(s0, s1).unwrap();
         assert!((t00 + t01 - got).abs() / got < 1e-10);

@@ -4,9 +4,9 @@
 //! thousands of rate points: every grid point with the same topology
 //! class (internal RAID? fault tolerance?) shares states, transitions
 //! and — because GTH elimination order depends only on structure — the
-//! same elimination fill pattern. [`SparseAbsorption`] rediscovers that
-//! pattern (and reallocates its CSR rows) on every solve;
-//! [`BatchSolver`] does the symbolic work once:
+//! same elimination fill pattern. [`crate::AbsorbingAnalysis`] builds
+//! and eliminates a dense `m × m` table per chain; [`BatchSolver`] does
+//! the structural work once:
 //!
 //! 1. **Symbolic elimination** over the skeleton's structure finds every
 //!    fill position the numeric elimination could ever create, producing
@@ -28,18 +28,18 @@
 //!
 //! # Bit-identical results
 //!
-//! The numeric pass replays [`SparseAbsorption::gth_solve`]'s arithmetic
-//! exactly: same descending elimination order, same ascending-column
-//! accumulation, same `f == 0` / `add > 0` skip guards. Slots that exist
-//! structurally but hold a zero rate (the builder would have dropped the
-//! transition; [`Ctmc::with_rates`] does the same) contribute exact
-//! `+0.0` identities to the non-negative sums and are skipped by the
-//! same guards that skip missing entries in the dynamic algorithm, so
-//! the result is bit-for-bit what
-//! `AbsorbingAnalysis::new(&skeleton.with_rates(rates)?)` computes —
-//! on either tier, since the sparse tier is itself pinned bit-identical
-//! to the dense oracle. A test in this module asserts the equality with
-//! `to_bits`.
+//! The numeric pass replays the dense reference elimination's
+//! arithmetic exactly: same descending elimination order, same
+//! ascending-column accumulation, same `f == 0` / `add > 0` skip guards.
+//! Positions outside the pattern hold `+0.0` in the dense table, and
+//! slots that exist structurally but hold a zero rate (the builder would
+//! have dropped the transition; [`Ctmc::with_rates`] does the same)
+//! hold it here: both contribute exact `+0.0` identities to the
+//! non-negative sums and are skipped by the same guards, so the result
+//! is bit-for-bit what
+//! `AbsorbingAnalysis::new(&skeleton.with_rates(rates)?)` computes.
+//! Tests in this module and `tests/proptests.rs` assert the equality
+//! with `to_bits`.
 //!
 //! One structural caveat: the solver fixes the transient/absorbing
 //! partition at construction. A rate vector that silences *every*
@@ -48,9 +48,9 @@
 //! [`nsr_linalg::Error::Singular`] pivot rather than silently diverging
 //! from the rebuild-from-scratch semantics. Likewise a rate vector whose
 //! elimination overflows is refused with
-//! [`nsr_linalg::Error::NotFinite`] — the sparse tier of the oracle
-//! refuses the same solution — so an infinite or NaN MTTA never leaves
-//! the solver as a number.
+//! [`nsr_linalg::Error::NotFinite`] — the reference refuses the same
+//! chain — so an infinite or NaN MTTA never leaves the solver as a
+//! number.
 
 use std::sync::Arc;
 
@@ -175,7 +175,7 @@ impl BatchProgram {
 
         // Structural pattern and the rate scatter map. Duplicate
         // transitions between the same pair share a slot (their rates
-        // accumulate, as in `SparseAbsorption::from_ctmc`).
+        // accumulate, as in the reference's dense table).
         let mut rows_sym: Vec<Vec<usize>> = vec![Vec::new(); m];
         let mut endpoints = Vec::with_capacity(skeleton.transitions().len());
         let mut routes = Vec::with_capacity(skeleton.transitions().len());
@@ -520,7 +520,7 @@ mod tests {
 
     #[test]
     fn cyclic_fill_bit_identical_to_analysis() {
-        // The 4-cycle from the sparse tests: elimination creates fill.
+        // A 4-cycle: elimination creates fill.
         let mut b = CtmcBuilder::new();
         let s: Vec<StateId> = (0..4).map(|i| b.add_state(format!("{i}"))).collect();
         let dead = b.add_state("dead");
@@ -584,6 +584,20 @@ mod tests {
         // The solver is still usable afterwards.
         let ok = vec![1.0; solver.transitions()];
         assert!(solver.solve_mtta(&ok).unwrap().is_finite());
+    }
+
+    #[test]
+    fn oracle_and_engine_refuse_an_overflowing_chain_alike() {
+        let (skel, root) = birth_death(2);
+        let tiny = vec![1e-310; skel.transitions().len()];
+        let engine = BatchSolver::new(&skel, root).unwrap().solve_mtta(&tiny);
+        let oracle = AbsorbingAnalysis::new(&skel.with_rates(&tiny).unwrap());
+        for refused in [engine.map(|_| ()), oracle.map(|_| ())] {
+            match refused {
+                Err(Error::Linalg(nsr_linalg::Error::NotFinite { .. })) => {}
+                other => panic!("expected a non-finite error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

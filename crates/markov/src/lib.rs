@@ -9,12 +9,14 @@
 //! * [`CtmcBuilder`] / [`Ctmc`] — construct a chain from labelled states
 //!   and transition rates, and inspect its infinitesimal generator `Q`.
 //! * [`AbsorbingAnalysis`] — mean time to absorption (the paper's MTTDL),
-//!   absorption probabilities, and expected state occupancies, computed
-//!   from the absorption matrix `R = −Q_B` by subtraction-free GTH
-//!   elimination — on a CSR-style sparse tier ([`SparseAbsorption`]) when
-//!   the chain's structure pays for it, on the dense rate table otherwise
-//!   — with a lazily-built LU factorization for matrix-land queries (and
-//!   a GTH fallback when stiffness makes `R` singular in floating point).
+//!   absorption probabilities, expected state occupancies, `det(R)` and
+//!   `κ∞(R)`, all from one subtraction-free GTH elimination of the dense
+//!   absorption matrix `R = −Q_B`, replayed per right-hand side. The
+//!   reference implementation: every result of the engine below is
+//!   pinned to it bit for bit.
+//! * [`BatchSolver`] / [`BatchProgram`] — the same elimination compiled
+//!   once per chain topology into an allocation-free program; what every
+//!   sweep, planner and figure path runs per rate vector.
 //! * [`validate_generator`] — numerical guardrail rejecting NaN/Inf
 //!   entries, negative rates, and non-zero row sums in externally
 //!   assembled generator matrices.
@@ -66,9 +68,8 @@ mod error;
 pub mod obs;
 pub mod simulate;
 mod solutions;
-mod sparse;
 
-pub use absorbing::{AbsorbingAnalysis, SolverTier, SPARSE_MAX_DENSITY, SPARSE_MIN_STATES};
+pub use absorbing::AbsorbingAnalysis;
 pub use batch::{BatchProgram, BatchSolver};
 pub use birth_death::{birth_death_gamma, birth_death_mtta};
 pub use builder::{CtmcBuilder, StateId};
@@ -77,7 +78,6 @@ pub use ctmc::{validate_generator, Ctmc, Transition};
 pub use dot::{to_dot, DotOptions};
 pub use error::Error;
 pub use solutions::{stationary_distribution, transient_distribution, uniformized};
-pub use sparse::{SparseAbsorption, SparseSolution};
 
 /// Crate-local result alias.
 pub type Result<T> = std::result::Result<T, Error>;
