@@ -146,21 +146,30 @@ diff "$SMOKE_DIR/cluster-spans-a.txt" "$SMOKE_DIR/cluster-spans-b.txt"
 
 echo "==> fleet smoke (deterministic fleet mission, estimator cross-check)"
 # A seeded fleet mission must surface the fleet counters in its metrics
-# snapshot, both rare-event estimators must land within 4 sigma of the
-# analytic MTTDL (PASS lines), and the replay-determinism contract must
-# hold: the same seed at different worker counts emits byte-identical
-# output including the canonical trace.
+# snapshot and its arm/loop budget on the run span, both rare-event
+# estimators must land within 4 sigma of the analytic MTTDL (PASS lines),
+# and the replay-determinism contract must hold: the same seed emits the
+# checked-in output, canonical trace included, byte for byte at 1 and 4
+# workers (the fixture predates the per-cell engine).
 ./target/release/nsr fleet --config ft2-ir5 --bricks 6400 --years 5 --seed 7 \
     --estimator all --cycles 4000 \
-    --metrics-out "$SMOKE_DIR/fleet-metrics.jsonl" > "$SMOKE_DIR/fleet-out.txt"
+    --metrics-out "$SMOKE_DIR/fleet-metrics.jsonl" \
+    --trace-out "$SMOKE_DIR/fleet-trace.jsonl" > "$SMOKE_DIR/fleet-out.txt"
 grep -q 'crosscheck importance: PASS' "$SMOKE_DIR/fleet-out.txt"
 grep -q 'crosscheck splitting: PASS' "$SMOKE_DIR/fleet-out.txt"
 ./target/release/nsr obs-check --file "$SMOKE_DIR/fleet-metrics.jsonl" \
     --require sim.fleet.events,sim.fleet.failures,sim.fleet.losses
+./target/release/nsr obs-check --file "$SMOKE_DIR/fleet-trace.jsonl" \
+    --require span:sim.fleet.run
+for field in arm_seconds loop_seconds stale cells; do
+    grep '"name":"sim.fleet.run"' "$SMOKE_DIR/fleet-trace.jsonl" \
+        | grep -q "\"${field}\":"
+done
 ./target/release/nsr fleet --config ft1-nir --bricks 3200 --years 5 --seed 11 \
     --workers 1 --trace > "$SMOKE_DIR/fleet-w1.txt"
 ./target/release/nsr fleet --config ft1-nir --bricks 3200 --years 5 --seed 11 \
     --workers 4 --trace > "$SMOKE_DIR/fleet-w4.txt"
+diff crates/cli/tests/golden/fleet_ft1nir_3200_s11.txt "$SMOKE_DIR/fleet-w1.txt"
 diff "$SMOKE_DIR/fleet-w1.txt" "$SMOKE_DIR/fleet-w4.txt"
 
 echo "==> serving smoke (workload generator, pool metrics, serving bench gate)"

@@ -638,7 +638,9 @@ pub fn sim_suite(mode: Mode) -> Result<Suite, String> {
     // decade (losses are ~never observed at this tolerance, so this is
     // raw event-queue + per-entity-state throughput). `items` = events
     // processed per mission, so items/s is events/s; ns_per_iter is the
-    // wall time of the whole simulated decade.
+    // wall time of the whole simulated decade. One worker, as in the
+    // repo benchmark's `model_batch`: the rows time the engine, not the
+    // host's core count.
     let config3 = Configuration::new(InternalRaid::None, 3).map_err(err("cfg"))?;
     let brick_counts: &[u64] = match mode {
         Mode::Full => &[10_000, 100_000, 1_000_000],
@@ -646,10 +648,10 @@ pub fn sim_suite(mode: Mode) -> Result<Suite, String> {
     };
     for &bricks in brick_counts {
         let fleet = FleetSim::new(params, config3, bricks, 10.0).map_err(err("fleet"))?;
-        let events = fleet.run(42, 0).map_err(err("fleet run"))?.events;
+        let events = fleet.run(42, 1).map_err(err("fleet run"))?.events;
         results.push(
             t.measure(&format!("fleet_decade_{bricks}_bricks"), 0, || {
-                fleet.run(42, 0).expect("fleet run")
+                fleet.run(42, 1).expect("fleet run")
             })
             .with_items(events),
         );

@@ -5,14 +5,18 @@
 //! a fleet. This module rebuilds the engine around the structures a fleet
 //! needs:
 //!
-//! * **Binary-heap event queue** ([`EventQueue`]): events are keyed by
+//! * **One event queue per cell** ([`EventQueue`]): events are keyed by
 //!   `(f64 time, u64 sequence)` — time ordered by `f64::total_cmp`, ties
-//!   broken by a monotone per-shard sequence number — so the processing
+//!   broken by a monotone per-cell sequence number — so the processing
 //!   order is a pure function of the pushed events, never of HashMap
-//!   iteration or thread interleaving.
+//!   iteration or thread interleaving. No event in one cell reads or
+//!   writes another cell's state, so each cell runs to the horizon on its
+//!   own queue (a few hundred entries), one cell after another.
 //! * **Per-entity state**: every node and drive owns a failure clock, an
 //!   incarnation counter (for O(1) lazy cancellation of stale events),
-//!   and a down flag. No `Vec` scans.
+//!   and a down flag. No `Vec` scans. The state is one cell's worth
+//!   (832 entities at the §6 baseline, ~11 KiB), reused from cell to
+//!   cell, so it and the queue stay in L1/L2 whatever the fleet size.
 //! * **Counter-based draws** ([`nsr_rng::CounterRng`]): each entity draws
 //!   from its own stateless stream, indexed by a private counter. A
 //!   cell's trajectory therefore depends only on `(seed, cell)` — *not*
@@ -21,15 +25,19 @@
 //!   workers 1/4/16 to identical outcomes and canonical traces).
 //! * **Horizon pruning**: events past the mission end are never pushed.
 //!   At baseline MTTFs only ~25 % of entities fail within a decade, so
-//!   the queue stays far smaller than the fleet.
+//!   the queue stays far smaller than the cell; a cell's initial arming
+//!   decides most of those misses without a logarithm ([`StartHorizon`])
+//!   and loads the survivors with one heapify ([`EventQueue::push_all`]).
 //!
 //! The fleet is modelled as independent redundancy cells (one §6 baseline
-//! system each: `n` bricks × `d` drives). Cells are partitioned into
-//! fixed-size shards; worker threads claim shards from an atomic counter
-//! and results are merged in shard order — the sharding is a function of
-//! the fleet size alone, so the worker count cannot leak into results.
-//! Failure semantics per cell mirror [`crate::system::SystemSim`] (§4
-//! failure model, §5.1 deterministic rebuilds, §5.2 sector errors).
+//! system each: `n` bricks × `d` drives). Cells are grouped into shards
+//! of 64, the unit of work: worker threads claim shards from an atomic
+//! counter, and since a cell's outcome does not depend on who runs it,
+//! the worker count cannot leak into results. Failure semantics per cell
+//! mirror [`crate::system::SystemSim`] (§4 failure model, §5.2 sector
+//! errors); rebuilds always take the §5.1 deterministic durations — the
+//! exponential-repair ablation lives in `SystemSim` (and `ablations.rs`),
+//! not here.
 //!
 //! Direct simulation observes losses only for the weakest configurations;
 //! for 9–11-nines targets the module wires in both rare-event estimators
@@ -41,21 +49,22 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
+use std::time::Instant;
 
 use nsr_core::config::Configuration;
 use nsr_core::params::Params;
 use nsr_core::units::HOURS_PER_YEAR;
+use nsr_obs::Json;
 use nsr_rng::rngs::StdRng;
 use nsr_rng::{CounterRng, SeedableRng};
 
 use crate::importance::{Options as IsOptions, RareEvent, RareEventEstimate};
 use crate::splitting::{SplitOptions, Splitting};
-use crate::system::{EngineRates, LossCause, RepairDistribution, SystemSim};
+use crate::system::{EngineRates, LossCause, SystemSim};
 use crate::{Error, Result};
 
-/// Cells per shard. Fixed (never derived from the worker count) so the
-/// shard partition — and with it every per-shard event sequence — is a
-/// pure function of the fleet geometry.
+/// Cells per shard, the unit of work a worker claims. Fixed, though
+/// nothing depends on it but load balance: cells are independent.
 const CELLS_PER_SHARD: u64 = 64;
 
 /// A deterministic min-queue of timed events.
@@ -125,6 +134,40 @@ impl<T> EventQueue<T> {
         });
         self.seq += 1;
         Ok(())
+    }
+
+    /// Schedules every `(time, item)` in iteration order, assigning the
+    /// same sequence numbers — hence the same pop order — as pushing them
+    /// one by one, but with one O(n) heapify instead of n sift-ups.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::NonFiniteEventTime`] at the first NaN or infinite time;
+    /// the items before it stay scheduled, as with [`EventQueue::push`].
+    pub fn push_all(&mut self, items: impl IntoIterator<Item = (f64, T)>) -> Result<()> {
+        let mut entries = std::mem::take(&mut self.heap).into_vec();
+        let mut outcome = Ok(());
+        for (time, item) in items {
+            if !time.is_finite() {
+                outcome = Err(Error::NonFiniteEventTime { time });
+                break;
+            }
+            entries.push(Entry {
+                time,
+                seq: self.seq,
+                item,
+            });
+            self.seq += 1;
+        }
+        self.heap = BinaryHeap::from(entries);
+        outcome
+    }
+
+    /// Drops every pending event and restarts the sequence at zero,
+    /// keeping the allocation.
+    pub fn clear(&mut self) {
+        self.heap.clear();
+        self.seq = 0;
     }
 
     /// Removes and returns the earliest event, `None` when empty.
@@ -320,39 +363,379 @@ impl FleetRareEstimate {
     }
 }
 
-/// Per-shard event payload. Entity/cell indices are shard-local;
-/// the `u32` tag is the incarnation (entities) or epoch (cells) the
-/// event was scheduled against, for lazy cancellation.
+/// One cell's event payload. Entity indices are cell-local; the `u32`
+/// tag is the incarnation (entities) or epoch (the cell) the event was
+/// scheduled against, for lazy cancellation.
 #[derive(Debug, Clone, Copy)]
 enum Ev {
     /// Failure clock of entity `.0` (incarnation `.1`) fires.
     Fail(u32, u32),
     /// Rebuild of entity `.0` (incarnation `.1`) completes.
     Repair(u32, u32),
-    /// Critical-window sector strike in cell `.0` (epoch `.1`), IR only.
-    Strike(u32, u32),
+    /// Critical-window sector strike (epoch `.0`), IR only.
+    Strike(u32),
 }
 
-/// Per-cell mutable state.
-#[derive(Debug, Clone, Copy, Default)]
-struct Cell {
-    /// Outstanding failures (nodes + drives) in the cell.
-    outstanding: u32,
-    /// How many of those are nodes.
-    nodes_down: u32,
-    /// Bumped whenever a critical window closes (cancels strikes) or the
-    /// cell resets.
-    epoch: u32,
+/// The horizon test of a failure clock armed at mission start, decided
+/// without a logarithm for most draws.
+///
+/// `t = 0 − ln(1−u)/rate ≤ mission` is the test `u ≤ −expm1(−rate·mission)`.
+/// The computed `t` is a few ulp off (`1 − u` is exact; `ln` and the
+/// division round once each), which moves the boundary in `u` by well
+/// under 1e-15. So a `u` more than `1e-12` above the cut lands past the
+/// horizon for certain and skips the `ln`; any `u` at or below
+/// `cut + 1e-12` takes the exact comparison. Once `rate·mission` exceeds
+/// `ln 10¹² ≈ 27.63`, `cut + 1e-12 ≥ 1 > u` and the fast path never
+/// fires.
+#[derive(Debug, Clone, Copy)]
+struct StartHorizon {
+    rate: f64,
+    mission: f64,
+    /// `−expm1(−rate·mission) + 1e-12`.
+    cut: f64,
 }
 
+impl StartHorizon {
+    fn new(rate: f64, mission: f64) -> StartHorizon {
+        StartHorizon {
+            rate,
+            mission,
+            cut: -(-rate * mission).exp_m1() + 1e-12,
+        }
+    }
+
+    /// The failure time draw `u` gives a clock started at 0, `None` past
+    /// the horizon: exactly `0 − ln(1−u)/rate`, tested `<= mission`.
+    fn first_failure(&self, u: f64) -> Option<f64> {
+        if u > self.cut {
+            return None;
+        }
+        let t = 0.0 - (1.0 - u).ln() / self.rate;
+        (t <= self.mission).then_some(t)
+    }
+}
+
+/// What every cell of a mission shares, derived once per run.
+struct CellModel<'a> {
+    e: EngineRates<'a>,
+    /// Entities per cell: `n` nodes, then (no-IR) their `n·d` drives,
+    /// node `j`'s at `n + j·d ..`.
+    per_cell: usize,
+    /// Node clocks (IR: node plus folded-in array failures).
+    node_clock: StartHorizon,
+    /// Drive clocks (no-IR only).
+    drive_clock: StartHorizon,
+    /// IR only: critical sector-error rate per surviving node.
+    critical_sector_rate: f64,
+    mission: f64,
+    /// Whether to time the arm and loop phases (tracing is on).
+    timed: bool,
+}
+
+impl CellModel<'_> {
+    /// Entity `i`'s failure clock.
+    fn clock(&self, i: usize) -> &StartHorizon {
+        if i < self.e.n as usize {
+            &self.node_clock
+        } else {
+            &self.drive_clock
+        }
+    }
+}
+
+/// Counters and losses of the cells one worker simulated.
 #[derive(Debug, Default)]
-struct ShardResult {
+struct Tally {
     events: u64,
     stale: u64,
     node_failures: u64,
     drive_failures: u64,
     rebuilds: u64,
     losses: Vec<LossRecord>,
+    /// Wall seconds spent arming cells at mission start (timed runs only).
+    arm_seconds: f64,
+    /// Wall seconds spent in the cells' event loops (timed runs only).
+    loop_seconds: f64,
+}
+
+impl Tally {
+    fn absorb(&mut self, other: Tally) {
+        self.events += other.events;
+        self.stale += other.stale;
+        self.node_failures += other.node_failures;
+        self.drive_failures += other.drive_failures;
+        self.rebuilds += other.rebuilds;
+        self.losses.extend(other.losses);
+        self.arm_seconds += other.arm_seconds;
+        self.loop_seconds += other.loop_seconds;
+    }
+}
+
+/// The state of the cell being simulated. A worker keeps one and reuses
+/// it from cell to cell, so entity state and queue stay cache-resident.
+struct Cell {
+    incarnation: Vec<u32>,
+    /// Draw position of each entity's stream.
+    counters: Vec<u64>,
+    down: Vec<bool>,
+    /// Outstanding failures (nodes + drives).
+    outstanding: u32,
+    /// How many of those are nodes.
+    nodes_down: u32,
+    /// Bumped whenever a critical window closes (cancels strikes) or the
+    /// cell resets.
+    epoch: u32,
+    /// Draw position of the cell's own stream (sector draws, strikes).
+    draws: u64,
+    q: EventQueue<Ev>,
+}
+
+impl Cell {
+    fn new(per_cell: usize) -> Cell {
+        Cell {
+            incarnation: vec![0; per_cell],
+            counters: vec![0; per_cell],
+            down: vec![false; per_cell],
+            outstanding: 0,
+            nodes_down: 0,
+            epoch: 0,
+            draws: 0,
+            q: EventQueue::new(),
+        }
+    }
+
+    /// Simulates global cell `cell` from mission start to the horizon,
+    /// adding its counters and losses to `tally`.
+    fn run(
+        &mut self,
+        m: &CellModel<'_>,
+        crng: &CounterRng,
+        cell: u64,
+        tally: &mut Tally,
+    ) -> Result<()> {
+        let started = m.timed.then(Instant::now);
+        self.start(m, crng, cell)?;
+        let armed = m.timed.then(Instant::now);
+
+        while let Some((now, ev)) = self.q.pop() {
+            let live = match ev {
+                Ev::Fail(i, inc) | Ev::Repair(i, inc) => self.incarnation[i as usize] == inc,
+                Ev::Strike(epoch) => self.epoch == epoch,
+            };
+            if !live {
+                tally.stale += 1;
+                continue;
+            }
+            tally.events += 1;
+            match ev {
+                Ev::Fail(i, _) => self.fail(m, crng, cell, i as usize, now, tally)?,
+                Ev::Repair(i, _) => self.repair(m, crng, cell, i as usize, now, tally)?,
+                Ev::Strike(_) => self.lose(m, crng, cell, now, LossCause::SectorError, tally)?,
+            }
+        }
+
+        if let (Some(started), Some(armed)) = (started, armed) {
+            tally.arm_seconds += armed.duration_since(started).as_secs_f64();
+            tally.loop_seconds += armed.elapsed().as_secs_f64();
+        }
+        Ok(())
+    }
+
+    /// Clears the state for a fresh cell and arms every entity at mission
+    /// start: the horizon cut settles most draws without a logarithm, and
+    /// the clocks that fire within the mission load with one heapify.
+    fn start(&mut self, m: &CellModel<'_>, crng: &CounterRng, cell: u64) -> Result<()> {
+        self.incarnation.fill(0);
+        self.counters.fill(0);
+        self.down.fill(false);
+        self.outstanding = 0;
+        self.nodes_down = 0;
+        self.epoch = 0;
+        self.draws = 0;
+        self.q.clear();
+        let streams = cell * m.per_cell as u64;
+        let counters = &mut self.counters;
+        self.q.push_all((0..m.per_cell).filter_map(|i| {
+            let clock = m.clock(i);
+            if clock.rate <= 0.0 {
+                return None;
+            }
+            let u = crng.f64_at(streams + i as u64, counters[i]);
+            counters[i] += 1;
+            clock.first_failure(u).map(|t| (t, Ev::Fail(i as u32, 0)))
+        }))
+    }
+
+    /// Entity `i` fails at `now`.
+    fn fail(
+        &mut self,
+        m: &CellModel<'_>,
+        crng: &CounterRng,
+        cell: u64,
+        i: usize,
+        now: f64,
+        tally: &mut Tally,
+    ) -> Result<()> {
+        let e = &m.e;
+        if self.outstanding == e.t {
+            // Already critical: one more failure is a loss.
+            return self.lose(m, crng, cell, now, LossCause::ExcessFailures, tally);
+        }
+        let (n, d) = (e.n as usize, e.d as usize);
+        self.incarnation[i] += 1;
+        self.down[i] = true;
+        self.outstanding += 1;
+        let rebuild_hours = if i < n {
+            tally.node_failures += 1;
+            self.nodes_down += 1;
+            if e.ir_rates.is_none() {
+                // Park the node's surviving drives: their clocks become
+                // stale until the node repairs.
+                for drive in n + i * d..n + (i + 1) * d {
+                    if !self.down[drive] {
+                        self.incarnation[drive] += 1;
+                    }
+                }
+            }
+            e.node_rebuild_hours
+        } else {
+            tally.drive_failures += 1;
+            e.drive_rebuild_hours
+        };
+        let done = now + rebuild_hours;
+        if done <= m.mission {
+            self.q
+                .push(done, Ev::Repair(i as u32, self.incarnation[i]))?;
+        }
+        if self.outstanding != e.t {
+            return Ok(());
+        }
+
+        // The cell just went critical. Its own draws come from a stream
+        // in a namespace disjoint from the entities' (top bit set).
+        let cell_stream = (1u64 << 63) | cell;
+        if let Some(h) = e.h {
+            // No-IR: the triggering rebuild reads critical data; §5.2.2
+            // sector-error probability.
+            let p = h
+                .by_drive_count(self.outstanding - self.nodes_down)
+                .min(1.0);
+            let u = crng.f64_at(cell_stream, self.draws);
+            self.draws += 1;
+            if u < p {
+                return self.lose(m, crng, cell, now, LossCause::SectorError, tally);
+            }
+        } else {
+            // IR: continuous critical sector-error hazard (§4.2, scaled by
+            // k_t) until the window closes. Node count is frozen during
+            // the window (any further failure is a loss).
+            let rate = f64::from(e.n - self.nodes_down) * m.critical_sector_rate;
+            if rate > 0.0 {
+                let u = crng.f64_at(cell_stream, self.draws);
+                self.draws += 1;
+                let strike = now - (1.0 - u).ln() / rate;
+                if strike <= m.mission {
+                    self.q.push(strike, Ev::Strike(self.epoch))?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Entity `i`'s rebuild completes at `now`.
+    fn repair(
+        &mut self,
+        m: &CellModel<'_>,
+        crng: &CounterRng,
+        cell: u64,
+        i: usize,
+        now: f64,
+        tally: &mut Tally,
+    ) -> Result<()> {
+        let e = &m.e;
+        let (n, d) = (e.n as usize, e.d as usize);
+        tally.rebuilds += 1;
+        self.down[i] = false;
+        if self.outstanding == e.t {
+            // Critical window closes; cancel a pending strike.
+            self.epoch += 1;
+        }
+        self.outstanding -= 1;
+        self.incarnation[i] += 1;
+
+        if i < n {
+            self.nodes_down -= 1;
+            self.arm(m, crng, cell, i, now)?;
+            if e.ir_rates.is_none() {
+                // Un-park surviving drives with fresh clocks (memoryless,
+                // so re-drawing is equivalent).
+                for drive in n + i * d..n + (i + 1) * d {
+                    if !self.down[drive] {
+                        self.incarnation[drive] += 1;
+                        self.arm(m, crng, cell, drive, now)?;
+                    }
+                }
+            }
+        } else if !self.down[(i - n) / d] {
+            // A drive re-arms only if its node is alive; otherwise it
+            // stays parked until the node repair.
+            self.arm(m, crng, cell, i, now)?;
+        }
+        Ok(())
+    }
+
+    /// Records a data loss, then rebuilds the cell from scratch (§3's
+    /// "spare nodes are added" policy): all entity state clears, every
+    /// pending event goes stale, and fresh failure clocks are drawn.
+    fn lose(
+        &mut self,
+        m: &CellModel<'_>,
+        crng: &CounterRng,
+        cell: u64,
+        now: f64,
+        cause: LossCause,
+        tally: &mut Tally,
+    ) -> Result<()> {
+        tally.losses.push(LossRecord {
+            time_hours: now,
+            cell,
+            cause,
+        });
+        self.outstanding = 0;
+        self.nodes_down = 0;
+        self.epoch += 1;
+        for i in 0..m.per_cell {
+            self.incarnation[i] += 1;
+            self.down[i] = false;
+            self.arm(m, crng, cell, i, now)?;
+        }
+        Ok(())
+    }
+
+    /// Draws entity `i`'s next lifetime from its private stream and
+    /// schedules the failure at `now` plus it, unless that lands past the
+    /// mission horizon.
+    fn arm(
+        &mut self,
+        m: &CellModel<'_>,
+        crng: &CounterRng,
+        cell: u64,
+        i: usize,
+        now: f64,
+    ) -> Result<()> {
+        let rate = m.clock(i).rate;
+        if rate <= 0.0 {
+            return Ok(());
+        }
+        // Entity streams are global entity indices, cell-major.
+        let u = crng.f64_at(cell * m.per_cell as u64 + i as u64, self.counters[i]);
+        self.counters[i] += 1;
+        let t = now - (1.0 - u).ln() / rate;
+        if t <= m.mission {
+            self.q.push(t, Ev::Fail(i as u32, self.incarnation[i]))?;
+        }
+        Ok(())
+    }
 }
 
 /// The fleet simulator: many independent cells of one configuration at
@@ -443,7 +826,7 @@ impl FleetSim {
     ///
     /// # Errors
     ///
-    /// Propagates per-shard failures (non-finite event times).
+    /// Propagates per-cell failures (non-finite event times).
     pub fn run(&self, seed: u64, workers: u32) -> Result<FleetOutcome> {
         let t0 = nsr_obs::metrics_timer();
         let mut span = nsr_obs::trace::Span::enter("sim.fleet.run");
@@ -458,25 +841,27 @@ impl FleetSim {
         .min(shard_count as u32)
         .max(1);
         let crng = CounterRng::new(seed);
+        let model = self.cell_model();
 
         let next = AtomicUsize::new(0);
-        let per_worker: Vec<Vec<(usize, Result<ShardResult>)>> = std::thread::scope(|scope| {
+        let per_worker: Vec<Result<Tally>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|w| {
-                    let next = &next;
-                    let crng = &crng;
+                    let (next, crng, model) = (&next, &crng, &model);
                     scope.spawn(move || {
                         nsr_obs::set_trace_lane(u64::from(w) + 1);
-                        let e = self.sim.engine_rates();
-                        let mut out = Vec::new();
+                        let mut cell = Cell::new(model.per_cell);
+                        let mut tally = Tally::default();
                         loop {
                             let s = next.fetch_add(1, AtomicOrdering::Relaxed);
                             if s >= shard_count {
-                                break;
+                                return Ok(tally);
                             }
-                            out.push((s, self.run_shard(&e, crng, s)));
+                            let first = s as u64 * CELLS_PER_SHARD;
+                            for c in first..(first + CELLS_PER_SHARD).min(self.cells) {
+                                cell.run(model, crng, c, &mut tally)?;
+                            }
                         }
-                        out
                     })
                 })
                 .collect();
@@ -486,15 +871,9 @@ impl FleetSim {
                 .collect()
         });
 
-        let mut merged = ShardResult::default();
-        for (_, r) in per_worker.into_iter().flatten() {
-            let r = r?;
-            merged.events += r.events;
-            merged.stale += r.stale;
-            merged.node_failures += r.node_failures;
-            merged.drive_failures += r.drive_failures;
-            merged.rebuilds += r.rebuilds;
-            merged.losses.extend(r.losses);
+        let mut merged = Tally::default();
+        for tally in per_worker {
+            merged.absorb(tally?);
         }
         merged.losses.sort_by(|a, b| {
             a.time_hours
@@ -525,366 +904,32 @@ impl FleetSim {
             let secs = t0.elapsed().as_secs_f64();
             crate::obs::FLEET_EVENTS_PER_S.observe(outcome.events as f64 / secs.max(1e-9));
         }
-        span.field("bricks", || nsr_obs::Json::Num(outcome.bricks as f64));
-        span.field("events", || nsr_obs::Json::Num(outcome.events as f64));
-        span.field("losses", || nsr_obs::Json::Num(outcome.loss_count() as f64));
-        span.field("workers", || nsr_obs::Json::Num(f64::from(workers)));
+        span.field("bricks", || Json::Num(outcome.bricks as f64));
+        span.field("cells", || Json::Num(outcome.cells as f64));
+        span.field("events", || Json::Num(outcome.events as f64));
+        span.field("stale", || Json::Num(outcome.stale_events as f64));
+        span.field("losses", || Json::Num(outcome.loss_count() as f64));
+        span.field("workers", || Json::Num(f64::from(workers)));
+        // Summed over workers: CPU seconds, not wall time, when workers > 1.
+        span.field("arm_seconds", || Json::Num(merged.arm_seconds));
+        span.field("loop_seconds", || Json::Num(merged.loop_seconds));
         Ok(outcome)
     }
 
-    /// Simulates the cells of shard `shard` to the mission horizon.
-    fn run_shard(
-        &self,
-        e: &EngineRates<'_>,
-        crng: &CounterRng,
-        shard: usize,
-    ) -> Result<ShardResult> {
-        let cell_base = shard as u64 * CELLS_PER_SHARD;
-        let cell_count = (self.cells - cell_base).min(CELLS_PER_SHARD) as usize;
-        let n = e.n as usize;
-        let d = e.d as usize;
-        let per_cell = self.entities_per_cell() as usize;
-        let is_ir = e.ir_rates.is_some();
+    /// The rates, sizes and horizon cuts every cell of a run shares.
+    fn cell_model(&self) -> CellModel<'_> {
+        let e = self.sim.engine_rates();
         let (lambda_array, critical_sector_rate) = e.ir_rates.unwrap_or((0.0, 0.0));
-        let node_rate = e.lambda_n + lambda_array;
         let mission = self.mission_hours;
-        let len = cell_count * per_cell;
-        // Entity streams are global (cell-independent of sharding); cell
-        // streams live in a disjoint namespace under the top bit.
-        let entity_stream_base = cell_base * per_cell as u64;
-        let cell_stream = |cell_i: usize| (1u64 << 63) | (cell_base + cell_i as u64);
-
-        let mut incarnation = vec![0u32; len];
-        let mut counters = vec![0u64; len];
-        let mut down = vec![false; len];
-        let mut cell_counters = vec![0u64; cell_count];
-        let mut cells = vec![Cell::default(); cell_count];
-        let mut q: EventQueue<Ev> = EventQueue::new();
-        let mut res = ShardResult::default();
-
-        // Draws Exp(rate) from an entity's private stream and schedules
-        // its next failure, unless it lands past the mission horizon.
-        #[allow(clippy::too_many_arguments)]
-        fn arm(
-            crng: &CounterRng,
-            q: &mut EventQueue<Ev>,
-            counters: &mut [u64],
-            incarnation: &[u32],
-            stream_base: u64,
-            idx: usize,
-            rate: f64,
-            t0: f64,
-            mission: f64,
-        ) -> Result<()> {
-            if rate <= 0.0 {
-                return Ok(());
-            }
-            let u = crng.f64_at(stream_base + idx as u64, counters[idx]);
-            counters[idx] += 1;
-            let t = t0 - (1.0 - u).ln() / rate;
-            if t <= mission {
-                q.push(t, Ev::Fail(idx as u32, incarnation[idx]))?;
-            }
-            Ok(())
+        CellModel {
+            per_cell: self.entities_per_cell() as usize,
+            node_clock: StartHorizon::new(e.lambda_n + lambda_array, mission),
+            drive_clock: StartHorizon::new(e.lambda_d, mission),
+            critical_sector_rate,
+            mission,
+            timed: nsr_obs::trace_enabled(),
+            e,
         }
-
-        let rate_of = |local_in_cell: usize| {
-            if local_in_cell < n {
-                node_rate
-            } else {
-                e.lambda_d
-            }
-        };
-
-        for idx in 0..len {
-            arm(
-                crng,
-                &mut q,
-                &mut counters,
-                &incarnation,
-                entity_stream_base,
-                idx,
-                rate_of(idx % per_cell),
-                0.0,
-                mission,
-            )?;
-        }
-
-        while let Some((now, ev)) = q.pop() {
-            match ev {
-                Ev::Fail(idx, inc) => {
-                    let idx = idx as usize;
-                    if incarnation[idx] != inc {
-                        res.stale += 1;
-                        continue;
-                    }
-                    res.events += 1;
-                    let cell_i = idx / per_cell;
-                    let local = idx % per_cell;
-                    let is_node = local < n;
-
-                    if cells[cell_i].outstanding == e.t {
-                        // Already critical: one more failure is a loss.
-                        res.losses.push(LossRecord {
-                            time_hours: now,
-                            cell: cell_base + cell_i as u64,
-                            cause: LossCause::ExcessFailures,
-                        });
-                        self.reset_cell(
-                            crng,
-                            &mut q,
-                            &mut counters,
-                            &mut incarnation,
-                            &mut down,
-                            &mut cells[cell_i],
-                            entity_stream_base,
-                            cell_i,
-                            per_cell,
-                            n,
-                            node_rate,
-                            e.lambda_d,
-                            now,
-                        )?;
-                        continue;
-                    }
-
-                    incarnation[idx] += 1;
-                    down[idx] = true;
-                    if is_node {
-                        res.node_failures += 1;
-                        cells[cell_i].nodes_down += 1;
-                        if !is_ir {
-                            // Park the node's surviving drives: their
-                            // clocks become stale until the node repairs.
-                            let first = cell_i * per_cell + n + local * d;
-                            for drive in first..first + d {
-                                if !down[drive] {
-                                    incarnation[drive] += 1;
-                                }
-                            }
-                        }
-                    } else {
-                        res.drive_failures += 1;
-                    }
-                    cells[cell_i].outstanding += 1;
-
-                    let mean = if is_node {
-                        e.node_rebuild_hours
-                    } else {
-                        e.drive_rebuild_hours
-                    };
-                    let duration = match e.repair {
-                        RepairDistribution::Deterministic => mean,
-                        RepairDistribution::Exponential => {
-                            let u = crng.f64_at(entity_stream_base + idx as u64, counters[idx]);
-                            counters[idx] += 1;
-                            -(1.0 - u).ln() * mean
-                        }
-                    };
-                    let done = now + duration;
-                    if done <= mission {
-                        q.push(done, Ev::Repair(idx as u32, incarnation[idx]))?;
-                    }
-
-                    if cells[cell_i].outstanding == e.t {
-                        // The cell just went critical.
-                        if let Some(h) = e.h {
-                            // No-IR: the triggering rebuild reads critical
-                            // data; §5.2.2 sector-error probability.
-                            let drives_down = cells[cell_i].outstanding - cells[cell_i].nodes_down;
-                            let p = h.by_drive_count(drives_down).min(1.0);
-                            let u = crng.f64_at(cell_stream(cell_i), cell_counters[cell_i]);
-                            cell_counters[cell_i] += 1;
-                            if u < p {
-                                res.losses.push(LossRecord {
-                                    time_hours: now,
-                                    cell: cell_base + cell_i as u64,
-                                    cause: LossCause::SectorError,
-                                });
-                                self.reset_cell(
-                                    crng,
-                                    &mut q,
-                                    &mut counters,
-                                    &mut incarnation,
-                                    &mut down,
-                                    &mut cells[cell_i],
-                                    entity_stream_base,
-                                    cell_i,
-                                    per_cell,
-                                    n,
-                                    node_rate,
-                                    e.lambda_d,
-                                    now,
-                                )?;
-                                continue;
-                            }
-                        } else {
-                            // IR: continuous critical sector-error hazard
-                            // (§4.2, scaled by k_t) until the window
-                            // closes. Node count is frozen during the
-                            // window (any further failure is a loss).
-                            let alive = f64::from(e.n - cells[cell_i].nodes_down);
-                            let rate = alive * critical_sector_rate;
-                            if rate > 0.0 {
-                                let u = crng.f64_at(cell_stream(cell_i), cell_counters[cell_i]);
-                                cell_counters[cell_i] += 1;
-                                let strike = now - (1.0 - u).ln() / rate;
-                                if strike <= mission {
-                                    q.push(strike, Ev::Strike(cell_i as u32, cells[cell_i].epoch))?;
-                                }
-                            }
-                        }
-                    }
-                }
-
-                Ev::Repair(idx, inc) => {
-                    let idx = idx as usize;
-                    if incarnation[idx] != inc {
-                        res.stale += 1;
-                        continue;
-                    }
-                    res.events += 1;
-                    res.rebuilds += 1;
-                    let cell_i = idx / per_cell;
-                    let local = idx % per_cell;
-                    let is_node = local < n;
-
-                    down[idx] = false;
-                    let was_critical = cells[cell_i].outstanding == e.t;
-                    cells[cell_i].outstanding -= 1;
-                    if was_critical {
-                        // Critical window closes; cancel a pending strike.
-                        cells[cell_i].epoch += 1;
-                    }
-                    incarnation[idx] += 1;
-
-                    if is_node {
-                        cells[cell_i].nodes_down -= 1;
-                        arm(
-                            crng,
-                            &mut q,
-                            &mut counters,
-                            &incarnation,
-                            entity_stream_base,
-                            idx,
-                            node_rate,
-                            now,
-                            mission,
-                        )?;
-                        if !is_ir {
-                            // Un-park surviving drives with fresh clocks
-                            // (memoryless, so re-drawing is equivalent).
-                            let first = cell_i * per_cell + n + local * d;
-                            for drive in first..first + d {
-                                if !down[drive] {
-                                    incarnation[drive] += 1;
-                                    arm(
-                                        crng,
-                                        &mut q,
-                                        &mut counters,
-                                        &incarnation,
-                                        entity_stream_base,
-                                        drive,
-                                        e.lambda_d,
-                                        now,
-                                        mission,
-                                    )?;
-                                }
-                            }
-                        }
-                    } else {
-                        // A drive re-arms only if its node is alive;
-                        // otherwise it stays parked until the node repair.
-                        let node_idx = cell_i * per_cell + (local - n) / d;
-                        if !down[node_idx] {
-                            arm(
-                                crng,
-                                &mut q,
-                                &mut counters,
-                                &incarnation,
-                                entity_stream_base,
-                                idx,
-                                e.lambda_d,
-                                now,
-                                mission,
-                            )?;
-                        }
-                    }
-                }
-
-                Ev::Strike(cell_i, epoch) => {
-                    let cell_i = cell_i as usize;
-                    if cells[cell_i].epoch != epoch {
-                        res.stale += 1;
-                        continue;
-                    }
-                    res.events += 1;
-                    res.losses.push(LossRecord {
-                        time_hours: now,
-                        cell: cell_base + cell_i as u64,
-                        cause: LossCause::SectorError,
-                    });
-                    self.reset_cell(
-                        crng,
-                        &mut q,
-                        &mut counters,
-                        &mut incarnation,
-                        &mut down,
-                        &mut cells[cell_i],
-                        entity_stream_base,
-                        cell_i,
-                        per_cell,
-                        n,
-                        node_rate,
-                        e.lambda_d,
-                        now,
-                    )?;
-                }
-            }
-        }
-        Ok(res)
-    }
-
-    /// After a data loss the cell is rebuilt from scratch (§3's
-    /// "spare nodes are added" policy): all entity state clears, every
-    /// pending event goes stale, and fresh failure clocks are drawn.
-    #[allow(clippy::too_many_arguments)]
-    fn reset_cell(
-        &self,
-        crng: &CounterRng,
-        q: &mut EventQueue<Ev>,
-        counters: &mut [u64],
-        incarnation: &mut [u32],
-        down: &mut [bool],
-        cell: &mut Cell,
-        entity_stream_base: u64,
-        cell_i: usize,
-        per_cell: usize,
-        n: usize,
-        node_rate: f64,
-        drive_rate: f64,
-        now: f64,
-    ) -> Result<()> {
-        cell.outstanding = 0;
-        cell.nodes_down = 0;
-        cell.epoch += 1;
-        let mission = self.mission_hours;
-        for local in 0..per_cell {
-            let idx = cell_i * per_cell + local;
-            incarnation[idx] += 1;
-            down[idx] = false;
-            let rate = if local < n { node_rate } else { drive_rate };
-            if rate <= 0.0 {
-                continue;
-            }
-            let u = crng.f64_at(entity_stream_base + idx as u64, counters[idx]);
-            counters[idx] += 1;
-            let t = now - (1.0 - u).ln() / rate;
-            if t <= mission {
-                q.push(t, Ev::Fail(idx as u32, incarnation[idx]))?;
-            }
-        }
-        Ok(())
     }
 
     /// The analytic per-cell MTTDL from the exact chain, hours.
@@ -983,6 +1028,103 @@ mod tests {
         // -0.0 and subnormals are fine.
         q.push(-0.0, 1).unwrap();
         assert_eq!(q.pop(), Some((-0.0, 1)));
+    }
+
+    #[test]
+    fn push_all_pops_like_sequential_pushes() {
+        // Many time ties, so the order rests on the sequence numbers.
+        let items: Vec<(f64, u32)> = (0..500u32).map(|i| (f64::from(i * 7 % 13), i)).collect();
+        let mut one_by_one: EventQueue<u32> = EventQueue::new();
+        let mut bulk: EventQueue<u32> = EventQueue::new();
+        for q in [&mut one_by_one, &mut bulk] {
+            q.push(3.0, 1000).unwrap();
+        }
+        for &(t, v) in &items {
+            one_by_one.push(t, v).unwrap();
+        }
+        bulk.push_all(items.iter().copied()).unwrap();
+        for q in [&mut one_by_one, &mut bulk] {
+            q.push(3.0, 2000).unwrap();
+        }
+        let drain = |q: &mut EventQueue<u32>| std::iter::from_fn(|| q.pop()).collect::<Vec<_>>();
+        assert_eq!(drain(&mut one_by_one), drain(&mut bulk));
+
+        // A non-finite time stops the load; what came before stays.
+        let err = bulk.push_all([(1.0, 1), (f64::NAN, 2), (0.5, 3)]);
+        assert!(matches!(err, Err(Error::NonFiniteEventTime { .. })));
+        assert_eq!(drain(&mut bulk), vec![(1.0, 1)]);
+
+        // `clear` drops pending events and restarts the sequence.
+        bulk.push(1.0, 9).unwrap();
+        bulk.clear();
+        assert!(bulk.is_empty());
+        bulk.push_all([(2.0, 5), (2.0, 6)]).unwrap();
+        assert_eq!(drain(&mut bulk), vec![(2.0, 5), (2.0, 6)]);
+    }
+
+    /// The log-free horizon cut never changes a decision: for 10⁶ counter
+    /// draws over rates from 1e-9 to 1e-1 per hour, and for every `u`
+    /// within ±64 ulp of the exact boundary and of the point where the
+    /// fast path starts, `first_failure` equals the exact test to the bit.
+    #[test]
+    fn start_horizon_cut_matches_the_exact_comparison() {
+        let mission = 10.0 * HOURS_PER_YEAR;
+        let boundary_rm = 27.7; // > ln 1e12: the fast path must never fire
+        let rates = [
+            1e-9,
+            1e-8,
+            1e-7,
+            1e-6,
+            2.5e-6,
+            1e-5,
+            1e-4,
+            1e-3,
+            1e-2,
+            1e-1,
+            boundary_rm / mission,
+        ];
+        let crng = CounterRng::new(2026);
+        let draws_per_rate = 1_000_000 / rates.len() as u64 + 1;
+        for (stream, &rate) in rates.iter().enumerate() {
+            let h = StartHorizon::new(rate, mission);
+            let mut fast = 0u64;
+            let mut check = |u: f64| {
+                let t = 0.0 - (1.0 - u).ln() / rate;
+                let exact = (t <= mission).then_some(t.to_bits());
+                assert_eq!(
+                    h.first_failure(u).map(f64::to_bits),
+                    exact,
+                    "rate {rate:e}, u {u:e}"
+                );
+                if u > h.cut {
+                    fast += 1;
+                }
+            };
+            for counter in 0..draws_per_rate {
+                check(crng.f64_at(stream as u64, counter));
+            }
+            let exact_cut = -(-rate * mission).exp_m1();
+            for centre in [exact_cut, h.cut] {
+                let (mut lo, mut hi) = (centre, centre);
+                for _ in 0..64 {
+                    lo = lo.next_down();
+                    hi = hi.next_up();
+                }
+                let mut u = lo;
+                while u <= hi {
+                    if (0.0..1.0).contains(&u) {
+                        check(u);
+                    }
+                    u = u.next_up();
+                }
+            }
+            if rate * mission > boundary_rm - 0.1 {
+                assert_eq!(fast, 0, "rate {rate:e}: cut fired with rate·mission > 27.6");
+            } else if rate * mission < 0.5 {
+                // Where most clocks outlive the mission, most draws skip the log.
+                assert!(fast > draws_per_rate / 2, "rate {rate:e}: only {fast} fast");
+            }
+        }
     }
 
     #[test]

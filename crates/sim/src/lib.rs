@@ -12,8 +12,8 @@
 //!   fail-in-place spare pool depletes as components die. Data-loss times
 //!   are collected into an MTTDL estimate with confidence intervals.
 //! * [`fleet`] — a **fleet-scale discrete-event engine**: thousands of
-//!   independent redundancy cells over a finite mission, driven by a
-//!   binary-heap event queue with per-entity state and stateless
+//!   independent redundancy cells over a finite mission, each run on its
+//!   own binary-heap event queue with per-entity state and stateless
 //!   counter-based draws ([`nsr_rng::CounterRng`]), so a same-seed run is
 //!   byte-identical at any worker count. Targets millions of bricks for
 //!   a simulated decade.
