@@ -35,18 +35,27 @@ trap 'rm -rf "$SMOKE_DIR"' EXIT
 ./target/release/nsr bench --check --out-dir .
 
 echo "==> bench compare smoke (offline, deterministic)"
-# A report diffed against an identical copy must report no regressions,
-# and a uniformly slowed-down copy must make the compare exit non-zero.
-cp "$SMOKE_DIR/BENCH_sweep.json" "$SMOKE_DIR/BENCH_sweep.old.json"
-./target/release/nsr bench --compare "$SMOKE_DIR/BENCH_sweep.old.json" \
-    "$SMOKE_DIR/BENCH_sweep.json"
-sed 's/"ns_per_iter": /"ns_per_iter": 9/' "$SMOKE_DIR/BENCH_sweep.json" \
-    > "$SMOKE_DIR/BENCH_sweep.slow.json"
-if ./target/release/nsr bench --compare "$SMOKE_DIR/BENCH_sweep.old.json" \
-    "$SMOKE_DIR/BENCH_sweep.slow.json" > /dev/null 2>&1; then
-    echo "ERROR: bench --compare missed an obvious regression" >&2
-    exit 1
-fi
+# The compare gate for one suite's smoke report: diffed against an
+# identical copy it must report no regressions, a uniformly slowed-down
+# copy must make it exit non-zero, and the same perturbation read the
+# other way round is an improvement and must pass — the gate is
+# directional, not a symmetric-change detector.
+bench_gate() {
+    report="$SMOKE_DIR/BENCH_$1.json"
+    cp "$report" "$SMOKE_DIR/BENCH_$1.old.json"
+    ./target/release/nsr bench --compare "$SMOKE_DIR/BENCH_$1.old.json" "$report"
+    sed 's/"ns_per_iter": /"ns_per_iter": 9/' "$report" > "$SMOKE_DIR/BENCH_$1.slow.json"
+    if ./target/release/nsr bench --compare "$SMOKE_DIR/BENCH_$1.old.json" \
+        "$SMOKE_DIR/BENCH_$1.slow.json" > /dev/null 2>&1; then
+        echo "ERROR: bench --compare missed a $1 regression" >&2
+        exit 1
+    fi
+    ./target/release/nsr bench --compare "$SMOKE_DIR/BENCH_$1.slow.json" \
+        "$SMOKE_DIR/BENCH_$1.old.json"
+}
+bench_gate sweep
+# The erasure suite carries the fused codec rows (rs_k6_t2/*).
+bench_gate erasure
 
 echo "==> observability smoke (nsr-obs/v1 snapshots, schema-validated)"
 # A parallel sim with both snapshot flags must produce valid nsr-obs/v1
@@ -176,8 +185,7 @@ echo "==> serving smoke (workload generator, pool metrics, serving bench gate)"
 # A short seeded workload must drive the healthy -> degraded -> rebuilding
 # phases end to end and surface the connection-pool and serving-latency
 # metrics in its snapshot. Then the serving suite gets the same
-# deterministic compare gate as sweep: identical reports pass, a
-# uniformly slowed-down copy must fail.
+# deterministic compare gate as sweep (`bench_gate`).
 ./target/release/nsr workload --ops 120 --object-bytes 4096 --seed 42 \
     --metrics-out "$SMOKE_DIR/workload-metrics.jsonl" | grep -q '^rebuilding'
 ./target/release/nsr obs-check --file "$SMOKE_DIR/workload-metrics.jsonl" \
@@ -190,16 +198,7 @@ echo "==> serving smoke (workload generator, pool metrics, serving bench gate)"
     --bricks 9 --data 6 --parity 2 --seed 7 | grep -q '^rebuilding'
 ./target/release/nsr bench --suite serving --smoke --out-dir "$SMOKE_DIR"
 ./target/release/nsr bench --check --out-dir "$SMOKE_DIR"
-cp "$SMOKE_DIR/BENCH_serving.json" "$SMOKE_DIR/BENCH_serving.old.json"
-./target/release/nsr bench --compare "$SMOKE_DIR/BENCH_serving.old.json" \
-    "$SMOKE_DIR/BENCH_serving.json"
-sed 's/"ns_per_iter": /"ns_per_iter": 9/' "$SMOKE_DIR/BENCH_serving.json" \
-    > "$SMOKE_DIR/BENCH_serving.slow.json"
-if ./target/release/nsr bench --compare "$SMOKE_DIR/BENCH_serving.old.json" \
-    "$SMOKE_DIR/BENCH_serving.slow.json" > /dev/null 2>&1; then
-    echo "ERROR: bench --compare missed a serving regression" >&2
-    exit 1
-fi
+bench_gate serving
 
 echo "==> sweep smoke (figure sweep, worker-count identity, evaluator counters)"
 # A figure-14 sweep must print the same CSV at 1 and 4 workers, and its
@@ -220,9 +219,7 @@ echo "==> planner smoke (grid search, golden frontier, plan bench gate)"
 # determinism + pruning-soundness contract), the metrics snapshot must
 # carry the elimination-program reuse counters, the guard-violation
 # counter and the four phase histograms, and the plan bench suite
-# gets the same two-direction compare gate as sweep: identical reports
-# pass, a slowdown fails, and the same perturbation read as an
-# improvement passes.
+# gets the same two-direction compare gate as sweep (`bench_gate`).
 PLAN_GRID="--grid --grid-nodes 64 --grid-k 2,4,6 --grid-t 1,2,3 \
     --grid-ir nir,ir5,ir6 --grid-spares 0.25 --grid-bw 0.1 --csv"
 ./target/release/nsr plan $PLAN_GRID --workers 1 > "$SMOKE_DIR/plan-w1.csv"
@@ -256,20 +253,7 @@ if ./target/release/nsr plan --grid --grid-k 2,2 --csv > /dev/null 2>&1; then
     exit 1
 fi
 ./target/release/nsr bench --suite plan --smoke --out-dir "$SMOKE_DIR"
-cp "$SMOKE_DIR/BENCH_plan.json" "$SMOKE_DIR/BENCH_plan.old.json"
-./target/release/nsr bench --compare "$SMOKE_DIR/BENCH_plan.old.json" \
-    "$SMOKE_DIR/BENCH_plan.json"
-sed 's/"ns_per_iter": /"ns_per_iter": 9/' "$SMOKE_DIR/BENCH_plan.json" \
-    > "$SMOKE_DIR/BENCH_plan.slow.json"
-if ./target/release/nsr bench --compare "$SMOKE_DIR/BENCH_plan.old.json" \
-    "$SMOKE_DIR/BENCH_plan.slow.json" > /dev/null 2>&1; then
-    echo "ERROR: bench --compare missed a plan regression" >&2
-    exit 1
-fi
-# Read the other way round the same perturbation is an improvement and
-# must pass — the gate is directional, not a symmetric-change detector.
-./target/release/nsr bench --compare "$SMOKE_DIR/BENCH_plan.slow.json" \
-    "$SMOKE_DIR/BENCH_plan.old.json"
+bench_gate plan
 
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings

@@ -187,8 +187,9 @@ fn err<E: fmt::Display>(what: &str) -> impl Fn(E) -> String + '_ {
 
 /// The erasure hot-path suite: GF(2⁸) kernels and Reed–Solomon
 /// encode/reconstruct at the headline geometry `k = 10, t = 2` with
-/// 64 KiB shards (4 KiB in smoke mode), plus the `seed_baseline/*`
-/// before-datapoints.
+/// 64 KiB shards (4 KiB in smoke mode), the store's 6+2 codec rows at the
+/// shard sizes its workloads move (`rs_k6_t2/*`, full size in both
+/// modes), plus the `seed_baseline/*` before-datapoints.
 pub fn erasure_suite(mode: Mode) -> Result<Suite, String> {
     let t = mode.timing();
     let (shard, label) = match mode {
@@ -274,6 +275,38 @@ pub fn erasure_suite(mode: Mode) -> Result<Suite, String> {
                 .expect("reconstruct_with_plan");
         },
     ));
+
+    // The store's own geometry (6+2) at the two shard sizes its workloads
+    // move, the same in both modes: a `serve_large` stripe (a 1 MiB object
+    // as six 174,763-byte shards) through the fused encode, and a
+    // `degraded_rebuild` read (two data shards of a 64 KiB object rebuilt
+    // from 10,923-byte survivors).
+    let code62 = ReedSolomon::new(6, 2).map_err(err("rs geometry"))?;
+    let stripe_62 = |shard: usize| -> Vec<Vec<u8>> {
+        (0..6)
+            .map(|i| (0..shard).map(|j| ((i * 131 + j) % 251) as u8).collect())
+            .collect()
+    };
+    let large = stripe_62(174_763);
+    let mut large_parity = vec![vec![0u8; 174_763]; 2];
+    results.push(
+        t.measure("rs_k6_t2/encode_parity_into_1m", 6 * 174_763, || {
+            code62
+                .encode_parity_into(&large, &mut large_parity)
+                .expect("encode_parity_into")
+        }),
+    );
+    let mut small = code62.encode(&stripe_62(10_923)).map_err(err("encode"))?;
+    let lost_data = [0usize, 1];
+    let plan62 = code62
+        .plan_reconstruction(&lost_data)
+        .map_err(err("plan_reconstruction"))?;
+    let mut views: Vec<&mut [u8]> = small.iter_mut().map(Vec::as_mut_slice).collect();
+    results.push(t.measure("rs_k6_t2/reconstruct_into_64k", 6 * 10_923, || {
+        code62
+            .reconstruct_into(&plan62, &mut views, &lost_data)
+            .expect("reconstruct_into")
+    }));
 
     // Seed baseline: the pre-overhaul algorithms, reproduced through the
     // public API. Encode drove `mul_acc_reference` coefficient by
@@ -1171,6 +1204,8 @@ mod tests {
             "gf256/mul_acc_4k",
             "rs_k10_t2/encode_parity_into_4k",
             "rs_k10_t2/reconstruct_with_cached_plan_4k",
+            "rs_k6_t2/encode_parity_into_1m",
+            "rs_k6_t2/reconstruct_into_64k",
             "seed_baseline/encode_4k",
             "seed_baseline/reconstruct_two_erasures_4k",
         ] {

@@ -192,10 +192,11 @@ const WIDE_KERNEL_THRESHOLD: usize = 256;
 /// one) amortizes its per-call bit-matrix construction.
 const ACCEL_THRESHOLD: usize = 64;
 
-/// The multiply-accumulate kernel tier that large-block dispatch selects
-/// on this machine: `"gfni-avx512"` when the vectorized kernel is
-/// available, `"portable-wide"` otherwise. (Slices under the dispatch
-/// thresholds and the 0/1 coefficients always take the scalar paths.)
+/// The kernel tier this machine runs: `"gfni-avx512"` when the fused
+/// kernel is available (every Reed–Solomon encode and reconstruct, and
+/// [`mul_acc`] on large blocks), `"portable-wide"` otherwise (the
+/// per-row loop over the portable kernels). (Short `mul_acc` slices and
+/// the 0/1 coefficients always take the scalar paths.)
 /// Fixed for the life of the process; the observability layer records it
 /// once at registration.
 pub fn kernel_tier() -> &'static str {

@@ -11,18 +11,27 @@
 //! The generator matrix is a systematized Vandermonde matrix: data shards
 //! pass through untouched and the `t` parity rows are dense GF(2⁸)
 //! combinations.
+//!
+//! Encode and reconstruct are both "outputs = coefficient rows × sources"
+//! and run through one fused kernel (`simd::mul_rows*`: one pass over the
+//! sources per 64-byte strip, outputs in registers). Its bit-matrices are
+//! built once — the parity rows in [`ReedSolomon::new`], the decode rows
+//! in [`ReedSolomon::plan_reconstruction`] — so a call allocates nothing.
+//! Without GFNI/AVX-512 the per-row `mul_into`/`mul_acc` loop runs
+//! instead; it is also the tests' oracle for the kernel.
 
 use crate::gf256::{mul_acc, mul_into, Gf};
 use crate::matrix::GfMatrix;
+use crate::simd::{mul_matrix, mul_rows, mul_rows_within};
 use crate::{Error, Result};
 
 /// A precomputed reconstruction plan for one erasure pattern.
 ///
-/// Building a plan inverts the `k × k` decode matrix once; applying it is
-/// pure multiply-accumulate over the survivors — `(#missing) · k` kernel
-/// calls, independent of how many shards survived. Callers that see the
-/// same failure pattern repeatedly (degraded reads under a down node)
-/// should build the plan once and reuse it; see
+/// Building a plan inverts the `k × k` decode matrix once and turns its
+/// rows into the fused kernel's bit-matrices; applying it is one pass over
+/// the `k` survivors, independent of how many shards survived. Callers
+/// that see the same failure pattern repeatedly (degraded reads under a
+/// down node) should build the plan once and reuse it; see
 /// [`ReedSolomon::plan_reconstruction`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DecodePlan {
@@ -33,6 +42,8 @@ pub struct DecodePlan {
     /// One `k`-coefficient row per missing shard:
     /// `shard[missing[j]] = Σ_c rows[j][c] · shard[survivors[c]]`.
     rows: Vec<Vec<Gf>>,
+    /// The same rows as bit-matrices, row-major `missing.len() × k`.
+    bits: Vec<u64>,
 }
 
 impl DecodePlan {
@@ -44,6 +55,12 @@ impl DecodePlan {
     /// The `k` survivor shards the plan reads from.
     pub fn survivors(&self) -> &[usize] {
         &self.survivors
+    }
+
+    /// The coefficient row that rebuilds position `pos`, if the plan
+    /// rebuilds it.
+    fn row_of(&self, pos: usize) -> Option<usize> {
+        self.missing.binary_search(&pos).ok()
     }
 }
 
@@ -69,6 +86,8 @@ pub struct ReedSolomon {
     parity_shards: usize,
     /// The full `(k+t) × k` systematic generator matrix.
     generator: GfMatrix,
+    /// The `t` parity rows as bit-matrices, row-major `t × k`.
+    parity_bits: Vec<u64>,
 }
 
 impl ReedSolomon {
@@ -88,10 +107,14 @@ impl ReedSolomon {
         }
         let generator =
             GfMatrix::vandermonde(data_shards + parity_shards, data_shards)?.systematize()?;
+        let parity_bits = (data_shards..data_shards + parity_shards)
+            .flat_map(|p| generator.row(p).iter().map(|&g| mul_matrix(g)))
+            .collect();
         Ok(ReedSolomon {
             data_shards,
             parity_shards,
             generator,
+            parity_bits,
         })
     }
 
@@ -153,11 +176,10 @@ impl ReedSolomon {
     /// copying the data shards — the zero-copy core of [`encode`].
     ///
     /// `parity_out` must hold exactly `t` buffers of the data-shard length;
-    /// they are overwritten (any prior contents are cleared first).
+    /// they are overwritten (prior contents are ignored).
     ///
-    /// The loop is coefficient-major: each data shard is streamed through
-    /// [`mul_acc`] once per parity row while it is hot in cache, with the
-    /// generator coefficient hoisted out of the byte loop entirely.
+    /// One fused pass: each data shard is read once, each parity shard
+    /// written once (see the module docs; the per-row loop without GFNI).
     ///
     /// [`encode`]: ReedSolomon::encode
     ///
@@ -187,6 +209,22 @@ impl ReedSolomon {
                 });
             }
         }
+        let k = self.data_shards;
+        let row = |p: usize| &self.parity_bits[p * k..(p + 1) * k];
+        if !mul_rows(data, parity_out, row, false) {
+            self.encode_parity_per_row(data, parity_out);
+        }
+        Ok(())
+    }
+
+    /// The per-row encode: `k · t` [`mul_into`]/[`mul_acc`] passes over
+    /// whole shards. The path on CPUs without the fused kernel, and the
+    /// tests' oracle for it.
+    fn encode_parity_per_row(
+        &self,
+        data: &[impl AsRef<[u8]>],
+        parity_out: &mut [impl AsMut<[u8]>],
+    ) {
         // Data-shard-outer order: each source shard stays cache-hot while
         // it feeds every parity row. The first data shard seeds each
         // parity row with overwrite semantics (`mul_into`), which both
@@ -203,7 +241,6 @@ impl ReedSolomon {
                 }
             }
         }
-        Ok(())
     }
 
     /// Reconstructs all missing shards in place. `shards` must have length
@@ -245,8 +282,9 @@ impl ReedSolomon {
 
     /// Builds a [`DecodePlan`] for the given erasure pattern.
     ///
-    /// This performs the `O(k³)` decode-matrix inversion; applying the plan
-    /// afterwards is pure multiply-accumulate. The plan depends only on the
+    /// This performs the `O(k³)` decode-matrix inversion and builds the
+    /// rows' bit-matrices; applying the plan afterwards is one fused pass
+    /// that allocates nothing. The plan depends only on the
     /// erasure pattern, not shard contents, so it can be cached and reused
     /// across stripes failing in the same way.
     ///
@@ -287,7 +325,7 @@ impl ReedSolomon {
             .select_rows(&survivors)
             .inverse()
             .map_err(|_| Error::SingularDecodeMatrix)?;
-        let rows = missing
+        let rows: Vec<Vec<Gf>> = missing
             .iter()
             .map(|&m| {
                 if m < self.data_shards {
@@ -307,10 +345,12 @@ impl ReedSolomon {
                 }
             })
             .collect();
+        let bits = rows.iter().flatten().map(|&g| mul_matrix(g)).collect();
         Ok(DecodePlan {
             missing,
             survivors,
             rows,
+            bits,
         })
     }
 
@@ -360,7 +400,7 @@ impl ReedSolomon {
     /// full `R`-wide stripe view, the plan's survivors are read, and each
     /// position in `rebuild` — any subset of the plan's missing shards —
     /// is computed straight into its buffer, whose prior contents are
-    /// ignored (the first coefficient overwrites, the rest accumulate).
+    /// ignored. One fused pass, no allocation.
     /// Positions that are neither survivors nor in `rebuild` are not
     /// touched and may be empty, so a reader that only needs the missing
     /// *data* shards never pays for the parity it did not fetch.
@@ -384,37 +424,36 @@ impl ReedSolomon {
                 found: shards.len(),
             });
         }
-        // Split the view: survivors are read, rebuilt positions written.
-        // Both plan lists are ascending, so index order is plan order.
-        let mut survivors: Vec<&[u8]> = Vec::with_capacity(self.data_shards);
-        let mut outputs: Vec<(&[Gf], &mut [u8])> = Vec::with_capacity(rebuild.len());
+        // Survivors and rebuilt positions must all be one shard long; a
+        // mismatch is reported at the lowest index.
         let len = shards[plan.survivors[0]].len();
-        for (i, shard) in shards.iter_mut().enumerate() {
-            let is_survivor = plan.survivors.binary_search(&i).is_ok();
-            if !is_survivor && !rebuild.contains(&i) {
-                continue;
-            }
-            if shard.len() != len {
+        for (i, shard) in shards.iter().enumerate() {
+            let listed = plan.survivors.binary_search(&i).is_ok() || rebuild.contains(&i);
+            if listed && shard.len() != len {
                 return Err(Error::ShardSizeMismatch {
                     expected: len,
                     index: i,
                     found: shard.len(),
                 });
             }
-            if is_survivor {
-                survivors.push(&**shard);
-            } else if let Ok(j) = plan.missing.binary_search(&i) {
-                outputs.push((&plan.rows[j], &mut **shard));
-            }
         }
-        if outputs.len() != rebuild.len() {
+        // Each rebuilt position once, and only positions the plan covers.
+        if rebuild
+            .iter()
+            .enumerate()
+            .any(|(j, &pos)| plan.row_of(pos).is_none() || rebuild[..j].contains(&pos))
+        {
             return Err(Error::DecodePlanMismatch);
         }
-        for (row, out) in outputs {
-            mul_into(out, survivors[0], row[0]);
-            for (&coeff, src) in row.iter().zip(&survivors).skip(1) {
-                mul_acc(out, src, coeff);
-            }
+        let k = plan.survivors.len();
+        let bits = |j: usize| {
+            let row = plan
+                .row_of(rebuild[j])
+                .expect("rebuild checked against the plan");
+            &plan.bits[row * k..(row + 1) * k]
+        };
+        if !mul_rows_within(shards, &plan.survivors, rebuild, bits) {
+            reconstruct_per_row(plan, shards, rebuild);
         }
         Ok(())
     }
@@ -437,6 +476,40 @@ impl ReedSolomon {
             .iter()
             .zip(shards)
             .all(|(e, s)| e.as_slice() == s.as_ref()))
+    }
+}
+
+/// The per-row reconstruct: `k` [`mul_into`]/[`mul_acc`] passes over whole
+/// shards per rebuilt position. The path on CPUs without the fused kernel,
+/// and the tests' oracle for it; `rebuild` is already checked against the
+/// plan.
+fn reconstruct_per_row(plan: &DecodePlan, shards: &mut [&mut [u8]], rebuild: &[usize]) {
+    for &pos in rebuild {
+        let row = plan.row_of(pos).expect("rebuild checked against the plan");
+        for (c, (&coeff, &src)) in plan.rows[row].iter().zip(&plan.survivors).enumerate() {
+            let (out, src) = out_and_src(shards, pos, src);
+            if c == 0 {
+                mul_into(out, src, coeff);
+            } else {
+                mul_acc(out, src, coeff);
+            }
+        }
+    }
+}
+
+/// Borrows shard `out` mutably and shard `src` shared from one stripe
+/// (`out != src`).
+fn out_and_src<'a>(
+    shards: &'a mut [&mut [u8]],
+    out: usize,
+    src: usize,
+) -> (&'a mut [u8], &'a [u8]) {
+    if out < src {
+        let (head, tail) = shards.split_at_mut(src);
+        (&mut *head[out], &*tail[0])
+    } else {
+        let (head, tail) = shards.split_at_mut(out);
+        (&mut *tail[0], &*head[src])
     }
 }
 
@@ -601,6 +674,43 @@ mod tests {
         let mut parity = vec![vec![0xffu8; 100]; 3]; // dirty buffers get cleared
         code.encode_parity_into(&data, &mut parity).unwrap();
         assert_eq!(&parity[..], &full[6..]);
+    }
+
+    #[test]
+    fn fused_kernel_matches_the_per_row_loop() {
+        // Every group shape (t = 7 is a group of four and one of three),
+        // the empty stripe, lone tail bytes and a multi-strip shard, into
+        // dirty buffers on both sides.
+        for (k, t) in [(6, 2), (10, 2), (5, 3), (3, 7)] {
+            let code = ReedSolomon::new(k, t).unwrap();
+            for len in [0usize, 1, 63, 64, 65, 683, 4097] {
+                let data = sample_data(k, len);
+                let mut fused = vec![vec![0xffu8; len]; t];
+                code.encode_parity_into(&data, &mut fused).unwrap();
+                let mut per_row = vec![vec![0x11u8; len]; t];
+                code.encode_parity_per_row(&data, &mut per_row);
+                assert_eq!(fused, per_row, "encode ({k},{t}) at {len} B");
+
+                let mut full = data;
+                full.extend(fused);
+                let lost: Vec<usize> = (0..t).map(|i| (i * 3 + 1) % (k + t)).collect();
+                let plan = code.plan_reconstruction(&lost).unwrap();
+                let rebuild = plan.missing().to_vec();
+                let mut outs = [full.clone(), full.clone()];
+                for (bufs, dirt) in outs.iter_mut().zip([0xee, 0x33]) {
+                    for &m in &rebuild {
+                        bufs[m].fill(dirt);
+                    }
+                }
+                let [fused, per_row] = &mut outs;
+                let mut views: Vec<&mut [u8]> = fused.iter_mut().map(Vec::as_mut_slice).collect();
+                code.reconstruct_into(&plan, &mut views, &rebuild).unwrap();
+                let mut views: Vec<&mut [u8]> = per_row.iter_mut().map(Vec::as_mut_slice).collect();
+                reconstruct_per_row(&plan, &mut views, &rebuild);
+                assert_eq!(fused, &full, "reconstruct ({k},{t}) at {len} B");
+                assert_eq!(per_row, &full, "per-row reconstruct ({k},{t}) at {len} B");
+            }
+        }
     }
 
     #[test]

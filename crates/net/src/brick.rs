@@ -20,7 +20,7 @@ use nsr_obs::{Json, Span, SpanContext};
 
 use crate::error::Error;
 use crate::obs;
-use crate::wire::{read_frame, reply_code, write_frame, Frame};
+use crate::wire::{read_frame_reusing, reply_code, write_frame, Frame};
 
 /// Tuning for a brick daemon.
 #[derive(Debug, Clone)]
@@ -49,6 +49,14 @@ impl BrickConfig {
 /// so a large shard is neither copied nor does sending it hold up the
 /// other connections; an overwrite swaps the handle, so a read sees one
 /// whole version or the other.
+///
+/// A buffer that leaves the map (overwrite or delete) is kept as its
+/// connection's *spare* if no read still holds it (`Arc::try_unwrap`),
+/// and the connection's next put of exactly that length is read into it
+/// instead of a fresh zero-filled allocation (`wire::read_frame_reusing`).
+/// A buffer a racing reader holds is never reused, a put of another
+/// length never sees a stale tail (the spare is dropped), and memory is
+/// bounded by one shard per connection.
 type ShardMap = BTreeMap<(u64, u32), Arc<Vec<u8>>>;
 
 /// What a request is answered with.
@@ -178,8 +186,10 @@ fn handle_connection(
     // Remote trace context announced by the previous frame on this
     // connection; consumed by the next non-context request.
     let mut pending_ctx: Option<SpanContext> = None;
+    // The last shard buffer this connection displaced (see `ShardMap`).
+    let mut spare: Vec<u8> = Vec::new();
     loop {
-        let request = match read_frame(&mut reader) {
+        let request = match read_frame_reusing(&mut reader, &mut spare) {
             Ok(Some(f)) => f,
             // Peer closed cleanly between frames — normal teardown.
             Ok(None) => return Ok(()),
@@ -220,7 +230,14 @@ fn handle_connection(
         obs::BRICK_REQUESTS.inc();
         telemetry.requests.fetch_add(1, Ordering::Relaxed);
         let shutting_down = matches!(request, Frame::Shutdown);
-        let reply = dispatch(request, cfg, shards, pending_ctx.take(), telemetry);
+        let reply = dispatch(
+            request,
+            cfg,
+            shards,
+            pending_ctx.take(),
+            telemetry,
+            &mut spare,
+        );
         // Shard replies bypass the generic encoder: header from the
         // stack, payload straight from the stored buffer, no copy.
         match &reply {
@@ -243,6 +260,7 @@ fn dispatch(
     shards: &Mutex<ShardMap>,
     ctx: Option<SpanContext>,
     telemetry: &Telemetry,
+    spare: &mut Vec<u8>,
 ) -> Reply {
     Reply::Frame(match request {
         // By-value dispatch: the decoded shard bytes — read off the wire
@@ -254,8 +272,7 @@ fn dispatch(
                 .lock()
                 .expect("shard map lock")
                 .insert((object, pos), Arc::new(data));
-            // Freed (if no read still holds it) after the lock is gone.
-            drop(displaced);
+            recycle(displaced, spare);
             Frame::Ok
         }
         Frame::GetShard { object, pos } => {
@@ -275,10 +292,11 @@ fn dispatch(
         }
         Frame::DeleteShard { object, pos } => {
             let _span = handler_span("net.brick.delete", ctx, cfg.id, object, pos);
-            shards
+            let removed = shards
                 .lock()
                 .expect("shard map lock")
                 .remove(&(object, pos));
+            recycle(removed, spare);
             Frame::Ok
         }
         Frame::Heartbeat { seq } => Frame::HeartbeatAck {
@@ -304,6 +322,16 @@ fn dispatch(
             detail: format!("unexpected request frame `{}`", other.name()),
         },
     })
+}
+
+/// Keeps a shard buffer that just left the map as the connection's spare
+/// — only if no read still holds it, so a racing reader's bytes are never
+/// reused. Called after the map lock is released; the previous spare, and
+/// a buffer a reader still holds once that reader lets go, are freed.
+fn recycle(displaced: Option<Arc<Vec<u8>>>, spare: &mut Vec<u8>) {
+    if let Some(buf) = displaced.and_then(|arc| Arc::try_unwrap(arc).ok()) {
+        *spare = buf;
+    }
 }
 
 /// Opens the brick-side handler span for a data operation. With a
@@ -446,6 +474,40 @@ mod tests {
         });
         assert!(reads > 0);
         writer.shutdown().expect("shutdown");
+        handle.join().expect("join").expect("run");
+    }
+
+    #[test]
+    fn shorter_then_longer_overwrites_read_back_exact_bytes() {
+        // Each overwrite hands the connection the buffer it displaced; a
+        // put of another length must drop it rather than reuse it, and a
+        // same-length put must overwrite every byte of it.
+        let (addr, handle) = start();
+        let mut c = BrickClient::connect(addr, Duration::from_secs(2)).expect("connect");
+        for (len, byte) in [
+            (1000, 0x11),
+            (1000, 0x22), // the 0x11 buffer becomes the spare
+            (1000, 0x33), // read into the dirty 0x11 buffer
+            (600, 0x44),  // shorter: the spare (0x22) is dropped
+            (1500, 0x55), // longer: the spare (0x33) is dropped
+            (1500, 0x66), // the spare is the 600-byte 0x44 buffer: dropped
+            (1500, 0x77), // read into the dirty 0x55 buffer
+            (0, 0x88),
+            (3, 0x99),
+        ] {
+            let payload = vec![byte; len];
+            c.put_shard(4, 1, &payload).expect("put");
+            assert_eq!(
+                c.get_shard(4, 1).expect("get"),
+                payload,
+                "{len} x {byte:#x}"
+            );
+        }
+        // A delete recycles as well; the next put must still be exact.
+        c.delete_shard(4, 1).expect("delete");
+        c.put_shard(4, 1, &[9, 8, 7]).expect("put after delete");
+        assert_eq!(c.get_shard(4, 1).expect("get"), vec![9, 8, 7]);
+        c.shutdown().expect("shutdown");
         handle.join().expect("join").expect("run");
     }
 

@@ -71,6 +71,15 @@ pub enum Error {
         /// Healthy bricks available.
         have: usize,
     },
+    /// A put's object is larger than `k` shards of at most
+    /// [`crate::wire::MAX_SHARD_LEN`] bytes can hold; refused before any
+    /// encoding or connection work.
+    ObjectTooLarge {
+        /// The object's length in bytes.
+        len: usize,
+        /// The largest object the gateway's geometry can store.
+        max: usize,
+    },
     /// The object id is not in the gateway's metadata.
     ObjectNotFound {
         /// The unknown object id.
@@ -129,6 +138,10 @@ impl fmt::Display for Error {
             Error::InsufficientBricks { need, have } => {
                 write!(f, "need {need} healthy bricks, only {have} available")
             }
+            Error::ObjectTooLarge { len, max } => write!(
+                f,
+                "object of {len} bytes exceeds the {max}-byte limit of one stripe"
+            ),
             Error::ObjectNotFound { object } => write!(f, "obj{object} not found"),
             Error::DataLoss {
                 object,

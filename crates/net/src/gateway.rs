@@ -58,7 +58,7 @@ use crate::detector::{DetectorConfig, FailureDetector, Health, Transition};
 use crate::error::Error;
 use crate::obs;
 use crate::pool::ConnectionPool;
-use crate::wire::Frame;
+use crate::wire::{Frame, MAX_SHARD_LEN};
 
 /// Capped exponential backoff with jitter for transient transport
 /// faults.
@@ -452,7 +452,20 @@ impl Gateway {
 
     /// Stores `data` as `object`, erasure-coded across `k + t` healthy
     /// bricks. Metadata commits only after every shard is acknowledged.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::ObjectTooLarge`] — before anything is encoded or sent —
+    /// when a shard of `data` would exceed [`MAX_SHARD_LEN`]; otherwise
+    /// the transport and placement errors of the fan-out.
     pub fn put(&self, object: u64, data: &[u8]) -> Result<(), Error> {
+        let max = self.codec.data_shards().saturating_mul(MAX_SHARD_LEN);
+        if data.len() > max {
+            return Err(Error::ObjectTooLarge {
+                len: data.len(),
+                max,
+            });
+        }
         let mut span = Span::enter("net.put");
         span.field("object", || Json::Num(object as f64));
         span.field("bytes", || Json::Num(data.len() as f64));
@@ -963,10 +976,10 @@ impl Gateway {
                 .map(|s| s.parse::<u32>().map_err(|_| bad()))
                 .collect::<Result<Vec<u32>, Error>>()?;
             // `get` sizes its result from these two before any brick has
-            // answered: a shard must fit a frame, and k of them the object.
-            let max_shard = crate::wire::MAX_FRAME_LEN - 5;
+            // answered: a shard must be one a put can have written, and k
+            // of them must hold the object.
             let holds = self.codec.data_shards() as u64 * u64::from(shard_len);
-            if shard_len == 0 || shard_len > max_shard || len > holds {
+            if shard_len == 0 || shard_len as usize > MAX_SHARD_LEN || len > holds {
                 return Err(Error::Decode {
                     what: format!("object {id}: shard_len {shard_len} cannot hold len {len}"),
                 });
@@ -1371,5 +1384,16 @@ mod tests {
         }
         gw.import_meta("nsr-net-meta/v1\nobject 1 len 10 shard_len 4 layout 0,1,2,3,4\n")
             .expect("3 x 4 bytes hold 10");
+        // The shard cap is the one the put path enforces, to the byte.
+        let at_cap = |shard_len: usize| {
+            gw.import_meta(&format!(
+                "nsr-net-meta/v1\nobject 1 len 10 shard_len {shard_len} layout 0,1,2,3,4\n"
+            ))
+        };
+        at_cap(MAX_SHARD_LEN).expect("the largest shard a put writes");
+        assert!(matches!(
+            at_cap(MAX_SHARD_LEN + 1),
+            Err(Error::Decode { .. })
+        ));
     }
 }

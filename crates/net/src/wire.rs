@@ -24,6 +24,13 @@ use crate::error::Error;
 /// with a typed decode error rather than attempting the allocation.
 pub const MAX_FRAME_LEN: u32 = 1 << 26;
 
+/// The largest shard the protocol carries: a [`Frame::PutShard`] spends 17
+/// bytes of [`MAX_FRAME_LEN`] on its tag, object id, position and byte
+/// count. Both shard writers refuse anything longer, and the gateway
+/// rejects an object whose shards would be (`Error::ObjectTooLarge`)
+/// before it encodes or sends a byte.
+pub const MAX_SHARD_LEN: usize = MAX_FRAME_LEN as usize - 17;
+
 /// `BufWriter` capacity for connection sockets. Deliberately small:
 /// control frames coalesce into one syscall, while shard payloads
 /// *exceed* the capacity, which makes `BufWriter` hand the gathered
@@ -467,15 +474,8 @@ pub fn write_put_shard(
     pos: u32,
     data: &[u8],
 ) -> Result<(), Error> {
+    check_shard_len("put_shard", data)?;
     let body_len = 1 + 8 + 4 + 4 + data.len();
-    if body_len > MAX_FRAME_LEN as usize {
-        return Err(Error::Protocol {
-            what: format!(
-                "put_shard payload of {} bytes exceeds the {MAX_FRAME_LEN}-byte frame cap",
-                data.len()
-            ),
-        });
-    }
     let mut header = [0u8; 21];
     header[..4].copy_from_slice(&(body_len as u32).to_le_bytes());
     header[4] = TAG_PUT_SHARD;
@@ -490,15 +490,8 @@ pub fn write_put_shard(
 /// Writes a [`Frame::ShardData`] reply straight from borrowed shard
 /// bytes — the brick-side counterpart of [`write_put_shard`].
 pub fn write_shard_data(w: &mut impl Write, data: &[u8]) -> Result<(), Error> {
+    check_shard_len("shard_data", data)?;
     let body_len = 1 + 4 + data.len();
-    if body_len > MAX_FRAME_LEN as usize {
-        return Err(Error::Protocol {
-            what: format!(
-                "shard_data payload of {} bytes exceeds the {MAX_FRAME_LEN}-byte frame cap",
-                data.len()
-            ),
-        });
-    }
     let mut header = [0u8; 9];
     header[..4].copy_from_slice(&(body_len as u32).to_le_bytes());
     header[4] = TAG_SHARD_DATA;
@@ -506,6 +499,20 @@ pub fn write_shard_data(w: &mut impl Write, data: &[u8]) -> Result<(), Error> {
     write_all_vectored2(w, &header, data)
         .and_then(|_| w.flush())
         .map_err(|e| Error::from_io("write_frame", &e))
+}
+
+/// Refuses a shard longer than [`MAX_SHARD_LEN`] before any byte of its
+/// frame is written.
+fn check_shard_len(what: &str, data: &[u8]) -> Result<(), Error> {
+    if data.len() > MAX_SHARD_LEN {
+        return Err(Error::Protocol {
+            what: format!(
+                "{what} payload of {} bytes exceeds the {MAX_SHARD_LEN}-byte shard cap",
+                data.len()
+            ),
+        });
+    }
+    Ok(())
 }
 
 /// Writes `a` then `b` as one gathered write where the underlying
@@ -542,10 +549,29 @@ fn write_all_vectored2(w: &mut impl Write, a: &[u8], b: &[u8]) -> std::io::Resul
 
 /// Reads one frame from `r`. A clean EOF before any length byte returns
 /// `Ok(None)` (peer closed between frames); EOF mid-frame is a decode
-/// error.
+/// error. This is [`read_frame_reusing`] with no spare buffer.
 pub fn read_frame(r: &mut impl BufRead) -> Result<Option<Frame>, Error> {
+    read_frame_reusing(r, &mut Vec::new())
+}
+
+/// Reads one frame from `r` exactly as [`read_frame`] reports it, reusing
+/// `spare` for a shard payload: when the frame carries a shard
+/// ([`Frame::PutShard`] or [`Frame::ShardData`]) of exactly
+/// `spare.len()` bytes, the payload is read into `spare`'s buffer, which
+/// moves into the frame; a shard of any other length drops `spare` and is
+/// read into a fresh buffer. Either way `spare` is left empty. Frames
+/// without a shard leave it as it is.
+///
+/// Every byte of a reused buffer is overwritten before the frame is
+/// returned, so what the spare held never shows. The brick feeds it the
+/// buffer its last overwrite displaced: a steady stream of same-size
+/// overwrites then allocates nothing.
+pub fn read_frame_reusing(
+    r: &mut impl BufRead,
+    spare: &mut Vec<u8>,
+) -> Result<Option<Frame>, Error> {
     match read_header(r)? {
-        Some((len, tag)) => read_rest(r, len, tag).map(Some),
+        Some((len, tag)) => read_rest(r, len, tag, spare).map(Some),
         None => Ok(None),
     }
 }
@@ -577,7 +603,7 @@ pub fn read_shard_into(r: &mut impl BufRead, dst: &mut [u8]) -> Result<ShardRepl
         return Ok(ShardReply::Eof);
     };
     if tag != TAG_SHARD_DATA || len < 5 {
-        return read_rest(r, len, tag).map(ShardReply::Other);
+        return read_rest(r, len, tag, &mut Vec::new()).map(ShardReply::Other);
     }
     if let Err(verdict) = read_bulk_head::<4>(r, len, tag) {
         return verdict.map(ShardReply::Other);
@@ -629,8 +655,9 @@ fn read_header(r: &mut impl Read) -> Result<Option<(usize, u8)>, Error> {
 }
 
 /// Reads the rest of a `len`-byte frame body whose tag is already
-/// consumed, and decodes it.
-fn read_rest(r: &mut impl Read, len: usize, tag: u8) -> Result<Frame, Error> {
+/// consumed, and decodes it (a shard payload into `spare`, see
+/// [`read_frame_reusing`]).
+fn read_rest(r: &mut impl Read, len: usize, tag: u8, spare: &mut Vec<u8>) -> Result<Frame, Error> {
     if len == 1 {
         // Tag-only frames (`Ok`, the hot put acknowledgement) decode
         // straight from the stack — no per-reply heap allocation.
@@ -647,8 +674,7 @@ fn read_rest(r: &mut impl Read, len: usize, tag: u8) -> Result<Frame, Error> {
                 Ok(head) => head,
                 Err(verdict) => return verdict,
             };
-            let mut data = vec![0u8; len - 17];
-            read_body(r, &mut data, len)?;
+            let data = read_payload(r, len - 17, len, spare)?;
             Ok(Frame::PutShard {
                 object: u64::from_le_bytes(head[..8].try_into().expect("len checked")),
                 pos: u32::from_le_bytes(head[8..12].try_into().expect("len checked")),
@@ -659,12 +685,29 @@ fn read_rest(r: &mut impl Read, len: usize, tag: u8) -> Result<Frame, Error> {
             if let Err(verdict) = read_bulk_head::<4>(r, len, tag) {
                 return verdict;
             }
-            let mut data = vec![0u8; len - 5];
-            read_body(r, &mut data, len)?;
+            let data = read_payload(r, len - 5, len, spare)?;
             Ok(Frame::ShardData { data })
         }
         _ => read_strict(r, len, tag, &[]),
     }
+}
+
+/// Reads the `n`-byte shard payload of a `len`-byte frame into `spare`'s
+/// buffer when it is exactly that long, else into a fresh one (the spare
+/// is released first).
+fn read_payload(
+    r: &mut impl Read,
+    n: usize,
+    len: usize,
+    spare: &mut Vec<u8>,
+) -> Result<Vec<u8>, Error> {
+    let mut data = std::mem::take(spare);
+    if data.len() != n {
+        drop(data);
+        data = vec![0u8; n];
+    }
+    read_body(r, &mut data, len)?;
+    Ok(data)
 }
 
 /// Reads the `N` fixed bytes between a shard-carrying frame's tag and
@@ -971,6 +1014,25 @@ mod tests {
         write_shard_data(&mut w, &data).unwrap();
         assert_eq!(w.out, Frame::ShardData { data }.encode());
         assert!(w.calls > 12);
+    }
+
+    #[test]
+    fn shard_writers_share_one_cap() {
+        // Lazily zeroed and never written: only the length is looked at.
+        let over = vec![0u8; MAX_SHARD_LEN + 1];
+        let mut sink = Vec::new();
+        for refused in [
+            write_put_shard(&mut sink, 1, 0, &over),
+            write_shard_data(&mut sink, &over),
+        ] {
+            assert!(
+                matches!(refused, Err(Error::Protocol { .. })),
+                "{refused:?}"
+            );
+        }
+        assert!(sink.is_empty(), "nothing reaches the wire");
+        // At the cap a put fills the frame exactly.
+        assert_eq!(17 + MAX_SHARD_LEN, MAX_FRAME_LEN as usize);
     }
 
     #[test]

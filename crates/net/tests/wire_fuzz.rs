@@ -10,10 +10,14 @@
 //! differentially: over the same bytes, delivered in the same dribbles,
 //! `read_shard_into` must land exactly the payload `read_frame` would
 //! have returned, or return the identical frame or the identical error.
+//! The spare-taking reader the brick uses is held to the same outcome
+//! whatever its spare buffer holds.
 
 use std::io::{BufReader, Read};
 
-use nsr_net::wire::{read_frame, read_shard_into, Frame, ShardReply, MAX_FRAME_LEN};
+use nsr_net::wire::{
+    read_frame, read_frame_reusing, read_shard_into, Frame, ShardReply, MAX_FRAME_LEN,
+};
 use nsr_net::Error;
 use nsr_rng::rngs::StdRng;
 use nsr_rng::{Rng, SeedableRng};
@@ -333,6 +337,64 @@ fn shard_reader_rejects_bad_length_prefixes_as_the_frame_reader_does() {
         for chunk in CHUNKS {
             assert!(read_shard_into(&mut dribble(&bytes, chunk), &mut [0u8; 8]).is_err());
             assert_same_outcome(&bytes, 8, chunk);
+        }
+    }
+}
+
+/// Reads `bytes` with the frame reader and then with the spare-taking one
+/// under every kind of spare — empty, shorter or longer than the shard
+/// (or than `payload` for a frame without one), and exactly its length
+/// but dirty — and requires the identical frame or error each time. A
+/// shard frame leaves the spare empty (reused or dropped); any other
+/// decoded frame leaves it untouched.
+fn assert_spare_reader_agrees(bytes: &[u8], payload: usize, chunk: usize) {
+    let want = read_frame(&mut dribble(bytes, chunk));
+    for spare_len in [0, payload.saturating_sub(1), payload + 1, payload] {
+        let mut spare = vec![0xEE; spare_len];
+        let got = read_frame_reusing(&mut dribble(bytes, chunk), &mut spare);
+        let ctx = format!("{} bytes, spare {spare_len}, {chunk} per read", bytes.len());
+        assert_eq!(got, want, "{ctx}");
+        match got {
+            Ok(Some(Frame::PutShard { .. } | Frame::ShardData { .. })) => {
+                assert!(spare.is_empty(), "shard frame took the spare: {ctx}")
+            }
+            Ok(_) => assert_eq!(spare, vec![0xEE; spare_len], "spare untouched: {ctx}"),
+            Err(_) => {}
+        }
+    }
+}
+
+#[test]
+fn spare_reader_matches_frame_reader_for_every_fuzz_case() {
+    // Untouched encodings, every (or a sampled) truncation, and bit-flip
+    // mutations of every frame kind, delivered in dribbles around the
+    // buffer capacity.
+    let mut rng = StdRng::seed_from_u64(0x5eed_0006);
+    for _ in 0..200 {
+        let frame = random_frame(&mut rng);
+        let payload = match &frame {
+            Frame::PutShard { data, .. } | Frame::ShardData { data } => data.len(),
+            _ => rng.random_range_usize(0, 2 * CAP),
+        };
+        let mut enc = frame.encode();
+        let cuts: Vec<usize> = if enc.len() <= 256 {
+            (0..=enc.len()).collect()
+        } else {
+            (0..32)
+                .map(|_| rng.random_range_usize(0, enc.len() + 1))
+                .collect()
+        };
+        for chunk in CHUNKS {
+            for &cut in &cuts {
+                assert_spare_reader_agrees(&enc[..cut], payload, chunk);
+            }
+        }
+        for _ in 0..1 + rng.random_range_usize(0, 4) {
+            let i = rng.random_range_usize(0, enc.len());
+            enc[i] ^= 1 << rng.random_range_usize(0, 8);
+        }
+        for chunk in CHUNKS {
+            assert_spare_reader_agrees(&enc, payload, chunk);
         }
     }
 }
