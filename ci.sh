@@ -56,6 +56,8 @@ bench_gate() {
 bench_gate sweep
 # The erasure suite carries the fused codec rows (rs_k6_t2/*).
 bench_gate erasure
+# The sim suite carries the fleet engine rows (fleet_decade_*).
+bench_gate sim
 
 echo "==> observability smoke (nsr-obs/v1 snapshots, schema-validated)"
 # A parallel sim with both snapshot flags must produce valid nsr-obs/v1

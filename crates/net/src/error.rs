@@ -55,6 +55,15 @@ pub enum Error {
         /// Bytes the brick sent.
         found: usize,
     },
+    /// A fan-out named this brick at an earlier index too. Only the
+    /// earlier index is sent; this one is refused without waiting for a
+    /// lane (the wait could be on the lane the same fan-out holds), and is
+    /// transient: a retry after the fan-out has released its lanes serves
+    /// it.
+    DuplicateBrick {
+        /// The brick named twice.
+        brick: u32,
+    },
     /// A retried operation exhausted its backoff budget.
     RetriesExhausted {
         /// The operation that kept failing.
@@ -129,6 +138,9 @@ impl fmt::Display for Error {
             Error::ShardLength { expected, found } => {
                 write!(f, "brick sent a {found}-byte shard, expected {expected}")
             }
+            Error::DuplicateBrick { brick } => {
+                write!(f, "brick {brick} named twice in one fan-out")
+            }
             Error::RetriesExhausted { op, attempts, last } => {
                 write!(
                     f,
@@ -198,12 +210,16 @@ impl Error {
     }
 
     /// Whether a retry with backoff can plausibly clear this error
-    /// (transient transport faults) as opposed to a permanent condition
-    /// (decode errors, data loss, configuration errors).
+    /// (transient transport faults, a brick a fan-out named twice) as
+    /// opposed to a permanent condition (decode errors, data loss,
+    /// configuration errors).
     pub fn is_transient(&self) -> bool {
         matches!(
             self,
-            Error::Io { .. } | Error::Timeout { .. } | Error::InsufficientBricks { .. }
+            Error::Io { .. }
+                | Error::Timeout { .. }
+                | Error::InsufficientBricks { .. }
+                | Error::DuplicateBrick { .. }
         )
     }
 }

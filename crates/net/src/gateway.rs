@@ -993,6 +993,15 @@ impl Gateway {
                     ),
                 });
             }
+            // Two shards on one brick are lost together, and a put never
+            // places them so.
+            let mut bricks = layout.clone();
+            bricks.sort_unstable();
+            if let Some(w) = bricks.windows(2).find(|w| w[0] == w[1]) {
+                return Err(Error::Decode {
+                    what: format!("object {id} layout names brick {} twice", w[0]),
+                });
+            }
             parsed.insert(
                 id,
                 ObjectMeta {
@@ -1395,5 +1404,25 @@ mod tests {
             at_cap(MAX_SHARD_LEN + 1),
             Err(Error::Decode { .. })
         ));
+    }
+
+    #[test]
+    fn import_rejects_a_layout_naming_a_brick_twice() {
+        let cfg = GatewayConfig::new(3, 2);
+        let addrs: Vec<SocketAddr> = (0..5)
+            .map(|i| format!("127.0.0.1:{}", 22000 + i).parse().unwrap())
+            .collect();
+        let gw = Gateway::connect(addrs, cfg).expect("gateway");
+        gw.import_meta("nsr-net-meta/v1\nobject 1 len 10 shard_len 4 layout 4,3,2,1,0\n")
+            .expect("distinct bricks in any order");
+        let err = gw
+            .import_meta("nsr-net-meta/v1\nobject 2 len 10 shard_len 4 layout 0,1,2,3,1\n")
+            .unwrap_err();
+        assert!(
+            matches!(&err, Error::Decode { what } if what.contains("brick 1 twice")),
+            "{err}"
+        );
+        // A refused import leaves the metadata it replaces untouched.
+        assert!(gw.meta.lock().unwrap().contains_key(&1));
     }
 }

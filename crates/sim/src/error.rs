@@ -22,6 +22,18 @@ pub enum Error {
         /// The offending timestamp.
         time: f64,
     },
+    /// An event was pushed onto a FIFO lane of the event queue at a time
+    /// earlier than the lane's last event. A lane is only sorted, and so
+    /// only pops in `(time, seq)` order, while its pushes come in time
+    /// order; this one would have broken the order, so it is refused.
+    LaneOutOfOrder {
+        /// The lane pushed to.
+        lane: usize,
+        /// The refused timestamp.
+        time: f64,
+        /// The timestamp of the lane's last event.
+        back: f64,
+    },
     /// The simulation exceeded its event budget without reaching data
     /// loss — the configuration is too reliable for direct simulation;
     /// use [`crate::importance`] instead.
@@ -51,6 +63,10 @@ impl fmt::Display for Error {
             Error::NonFiniteEventTime { time } => {
                 write!(f, "event scheduled at non-finite time {time}")
             }
+            Error::LaneOutOfOrder { lane, time, back } => write!(
+                f,
+                "event at t={time} pushed onto queue lane {lane} behind one at t={back}"
+            ),
             Error::EventBudgetExhausted { events } => write!(
                 f,
                 "no data loss within {events} events; configuration too reliable for \

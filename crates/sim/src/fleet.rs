@@ -12,6 +12,16 @@
 //!   iteration or thread interleaving. No event in one cell reads or
 //!   writes another cell's state, so each cell runs to the horizon on its
 //!   own queue (a few hundred entries), one cell after another.
+//! * **Repair lanes beside the heap**: §5.1 makes a rebuild a fixed
+//!   amount of work at a fixed rate, so every node rebuild takes the same
+//!   time, as does every drive rebuild. The clock never runs backwards,
+//!   so the completions of one class are pushed in time order: each class
+//!   gets a FIFO lane of the cell's queue instead of a heap slot. Lanes
+//!   share the heap's sequence counter and a pop takes the least
+//!   `(time, seq)` of heap top and lane fronts, so the pop order is the
+//!   heap-only order bit for bit; about half of a decade's pops skip the
+//!   heap. A lane push out of time order is a typed error
+//!   ([`Error::LaneOutOfOrder`]), not a silent reorder.
 //! * **Per-entity state**: every node and drive owns a failure clock, an
 //!   incarnation counter (for O(1) lazy cancellation of stale events),
 //!   and a down flag. No `Vec` scans. The state is one cell's worth
@@ -25,9 +35,10 @@
 //!   workers 1/4/16 to identical outcomes and canonical traces).
 //! * **Horizon pruning**: events past the mission end are never pushed.
 //!   At baseline MTTFs only ~25 % of entities fail within a decade, so
-//!   the queue stays far smaller than the cell; a cell's initial arming
-//!   decides most of those misses without a logarithm ([`StartHorizon`])
-//!   and loads the survivors with one heapify ([`EventQueue::push_all`]).
+//!   the queue stays far smaller than the cell. Arming decides most of
+//!   those misses without a logarithm ([`StartHorizon`]), at mission
+//!   start and at every re-arm, and a cell's initial survivors load with
+//!   one heapify ([`EventQueue::push_all`]).
 //!
 //! The fleet is modelled as independent redundancy cells (one §6 baseline
 //! system each: `n` bricks × `d` drives). Cells are grouped into shards
@@ -47,7 +58,7 @@
 //! MTTDL.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::time::Instant;
 
@@ -67,7 +78,8 @@ use crate::{Error, Result};
 /// nothing depends on it but load balance: cells are independent.
 const CELLS_PER_SHARD: u64 = 64;
 
-/// A deterministic min-queue of timed events.
+/// A deterministic min-queue of timed events: a binary heap beside
+/// `LANES` FIFO lanes.
 ///
 /// Ordering contract: events pop in ascending `(time, seq)` order, where
 /// `time` compares by `f64::total_cmp` and `seq` is the monotone push
@@ -75,9 +87,18 @@ const CELLS_PER_SHARD: u64 = 64;
 /// order is reproducible bit-for-bit from the push history. Non-finite
 /// times are rejected up front ([`Error::NonFiniteEventTime`]): a NaN or
 /// ±∞ timestamp would sort to the far future and silently never fire.
+///
+/// A lane ([`EventQueue::push_lane`]) holds events pushed in time order,
+/// so it is already sorted and costs O(1) per push and pop where the
+/// heap costs O(log n). Heap and lanes draw `seq` from one counter, and a
+/// pop takes the least `(time, seq)` among the heap top and the lane
+/// fronts, so the pop order is exactly the one a heap-only queue gives
+/// the same pushes. A lane push earlier than the lane's back would break
+/// that, and is refused ([`Error::LaneOutOfOrder`]).
 #[derive(Debug)]
-pub struct EventQueue<T> {
+pub struct EventQueue<T, const LANES: usize = 0> {
     heap: BinaryHeap<Entry<T>>,
+    lanes: [VecDeque<Entry<T>>; LANES],
     seq: u64,
 }
 
@@ -109,13 +130,24 @@ impl<T> Ord for Entry<T> {
     }
 }
 
-impl<T> EventQueue<T> {
+impl<T, const LANES: usize> EventQueue<T, LANES> {
     /// An empty queue.
-    pub fn new() -> EventQueue<T> {
+    pub fn new() -> EventQueue<T, LANES> {
         EventQueue {
             heap: BinaryHeap::new(),
+            lanes: std::array::from_fn(|_| VecDeque::new()),
             seq: 0,
         }
+    }
+
+    /// Stamps `item` with the next sequence number.
+    fn entry(&mut self, time: f64, item: T) -> Result<Entry<T>> {
+        if !time.is_finite() {
+            return Err(Error::NonFiniteEventTime { time });
+        }
+        let seq = self.seq;
+        self.seq += 1;
+        Ok(Entry { time, seq, item })
     }
 
     /// Schedules `item` at `time`.
@@ -124,15 +156,35 @@ impl<T> EventQueue<T> {
     ///
     /// [`Error::NonFiniteEventTime`] if `time` is NaN or infinite.
     pub fn push(&mut self, time: f64, item: T) -> Result<()> {
-        if !time.is_finite() {
-            return Err(Error::NonFiniteEventTime { time });
+        let entry = self.entry(time, item)?;
+        self.heap.push(entry);
+        Ok(())
+    }
+
+    /// Schedules `item` at `time` at the back of FIFO lane `lane`, in
+    /// O(1). It pops exactly where [`EventQueue::push`] would have put it.
+    ///
+    /// # Errors
+    ///
+    /// * [`Error::NonFiniteEventTime`] if `time` is NaN or infinite.
+    /// * [`Error::LaneOutOfOrder`] if `time` is earlier than the lane's
+    ///   last event. Nothing is scheduled and no sequence number is used.
+    ///
+    /// # Panics
+    ///
+    /// If `lane >= LANES`.
+    pub fn push_lane(&mut self, lane: usize, time: f64, item: T) -> Result<()> {
+        if let Some(back) = self.lanes[lane].back() {
+            if time.total_cmp(&back.time).is_lt() {
+                return Err(Error::LaneOutOfOrder {
+                    lane,
+                    time,
+                    back: back.time,
+                });
+            }
         }
-        self.heap.push(Entry {
-            time,
-            seq: self.seq,
-            item,
-        });
-        self.seq += 1;
+        let entry = self.entry(time, item)?;
+        self.lanes[lane].push_back(entry);
         Ok(())
     }
 
@@ -148,45 +200,59 @@ impl<T> EventQueue<T> {
         let mut entries = std::mem::take(&mut self.heap).into_vec();
         let mut outcome = Ok(());
         for (time, item) in items {
-            if !time.is_finite() {
-                outcome = Err(Error::NonFiniteEventTime { time });
-                break;
+            match self.entry(time, item) {
+                Ok(entry) => entries.push(entry),
+                Err(e) => {
+                    outcome = Err(e);
+                    break;
+                }
             }
-            entries.push(Entry {
-                time,
-                seq: self.seq,
-                item,
-            });
-            self.seq += 1;
         }
         self.heap = BinaryHeap::from(entries);
         outcome
     }
 
     /// Drops every pending event and restarts the sequence at zero,
-    /// keeping the allocation.
+    /// keeping the allocations.
     pub fn clear(&mut self) {
         self.heap.clear();
+        self.lanes.iter_mut().for_each(VecDeque::clear);
         self.seq = 0;
     }
 
     /// Removes and returns the earliest event, `None` when empty.
     pub fn pop(&mut self) -> Option<(f64, T)> {
-        self.heap.pop().map(|e| (e.time, e.item))
+        // Each lane is sorted, so its front is its earliest event. The
+        // heap's reversed order ranks the earlier `(time, seq)` greater.
+        let mut from = None;
+        let mut least = self.heap.peek();
+        for (l, lane) in self.lanes.iter().enumerate() {
+            if let Some(front) = lane.front() {
+                if least.is_none_or(|e| front > e) {
+                    least = Some(front);
+                    from = Some(l);
+                }
+            }
+        }
+        match from {
+            Some(l) => self.lanes[l].pop_front(),
+            None => self.heap.pop(),
+        }
+        .map(|e| (e.time, e.item))
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.lanes.iter().map(VecDeque::len).sum::<usize>()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.heap.is_empty() && self.lanes.iter().all(VecDeque::is_empty)
     }
 }
 
-impl<T> Default for EventQueue<T> {
+impl<T, const LANES: usize> Default for EventQueue<T, LANES> {
     fn default() -> Self {
         EventQueue::new()
     }
@@ -376,17 +442,23 @@ enum Ev {
     Strike(u32),
 }
 
-/// The horizon test of a failure clock armed at mission start, decided
-/// without a logarithm for most draws.
+/// The horizon test of a failure clock, decided without a logarithm for
+/// most draws — at mission start and at every re-arm.
 ///
-/// `t = 0 − ln(1−u)/rate ≤ mission` is the test `u ≤ −expm1(−rate·mission)`.
-/// The computed `t` is a few ulp off (`1 − u` is exact; `ln` and the
-/// division round once each), which moves the boundary in `u` by well
-/// under 1e-15. So a `u` more than `1e-12` above the cut lands past the
-/// horizon for certain and skips the `ln`; any `u` at or below
-/// `cut + 1e-12` takes the exact comparison. Once `rate·mission` exceeds
-/// `ln 10¹² ≈ 27.63`, `cut + 1e-12 ≥ 1 > u` and the fast path never
-/// fires.
+/// At start, `t = 0 − ln(1−u)/rate ≤ mission` is the test
+/// `u ≤ −expm1(−rate·mission)`. The computed `t` is a few ulp off
+/// (`1 − u` is exact; `ln` and the division round once each), which
+/// moves the boundary in `u` by well under 1e-15. So a `u` more than
+/// `1e-12` above the cut lands past the horizon for certain and skips
+/// the `ln`; any `u` at or below `cut + 1e-12` takes the exact
+/// comparison. Once `rate·mission` exceeds `ln 10¹² ≈ 27.63`,
+/// `cut + 1e-12 ≥ 1 > u` and the fast path never fires.
+///
+/// A re-arm at `now ≥ 0` computes `now − ln(1−u)/rate`, which rounding
+/// keeps at or above the start-time value `0 − ln(1−u)/rate` (the same
+/// two operations, then a subtraction that rounds monotonically). So a
+/// `u` the cut rejects at start is past the horizon at any later `now`
+/// too, and the same cut serves every re-arm.
 #[derive(Debug, Clone, Copy)]
 struct StartHorizon {
     rate: f64,
@@ -404,13 +476,14 @@ impl StartHorizon {
         }
     }
 
-    /// The failure time draw `u` gives a clock started at 0, `None` past
-    /// the horizon: exactly `0 − ln(1−u)/rate`, tested `<= mission`.
-    fn first_failure(&self, u: f64) -> Option<f64> {
+    /// The failure time draw `u` gives a clock started at `now ≥ 0`,
+    /// `None` past the horizon: exactly `now − ln(1−u)/rate`, tested
+    /// `<= mission`.
+    fn next_failure(&self, now: f64, u: f64) -> Option<f64> {
         if u > self.cut {
             return None;
         }
-        let t = 0.0 - (1.0 - u).ln() / self.rate;
+        let t = now - (1.0 - u).ln() / self.rate;
         (t <= self.mission).then_some(t)
     }
 }
@@ -487,8 +560,15 @@ struct Cell {
     epoch: u32,
     /// Draw position of the cell's own stream (sector draws, strikes).
     draws: u64,
-    q: EventQueue<Ev>,
+    /// Failures and strikes in the heap; rebuild completions in the
+    /// [`NODE_REPAIRS`] and [`DRIVE_REPAIRS`] lanes.
+    q: EventQueue<Ev, 2>,
 }
+
+/// The queue lane of node rebuild completions.
+const NODE_REPAIRS: usize = 0;
+/// The queue lane of drive rebuild completions.
+const DRIVE_REPAIRS: usize = 1;
 
 impl Cell {
     fn new(per_cell: usize) -> Cell {
@@ -562,7 +642,9 @@ impl Cell {
             }
             let u = crng.f64_at(streams + i as u64, counters[i]);
             counters[i] += 1;
-            clock.first_failure(u).map(|t| (t, Ev::Fail(i as u32, 0)))
+            clock
+                .next_failure(0.0, u)
+                .map(|t| (t, Ev::Fail(i as u32, 0)))
         }))
     }
 
@@ -585,7 +667,7 @@ impl Cell {
         self.incarnation[i] += 1;
         self.down[i] = true;
         self.outstanding += 1;
-        let rebuild_hours = if i < n {
+        let (rebuild_hours, lane) = if i < n {
             tally.node_failures += 1;
             self.nodes_down += 1;
             if e.ir_rates.is_none() {
@@ -597,15 +679,17 @@ impl Cell {
                     }
                 }
             }
-            e.node_rebuild_hours
+            (e.node_rebuild_hours, NODE_REPAIRS)
         } else {
             tally.drive_failures += 1;
-            e.drive_rebuild_hours
+            (e.drive_rebuild_hours, DRIVE_REPAIRS)
         };
+        // `now` never decreases and the class's rebuild takes a fixed
+        // time, so completions join their lane in time order.
         let done = now + rebuild_hours;
         if done <= m.mission {
             self.q
-                .push(done, Ev::Repair(i as u32, self.incarnation[i]))?;
+                .push_lane(lane, done, Ev::Repair(i as u32, self.incarnation[i]))?;
         }
         if self.outstanding != e.t {
             return Ok(());
@@ -723,15 +807,14 @@ impl Cell {
         i: usize,
         now: f64,
     ) -> Result<()> {
-        let rate = m.clock(i).rate;
-        if rate <= 0.0 {
+        let clock = m.clock(i);
+        if clock.rate <= 0.0 {
             return Ok(());
         }
         // Entity streams are global entity indices, cell-major.
         let u = crng.f64_at(cell * m.per_cell as u64 + i as u64, self.counters[i]);
         self.counters[i] += 1;
-        let t = now - (1.0 - u).ln() / rate;
-        if t <= m.mission {
+        if let Some(t) = clock.next_failure(now, u) {
             self.q.push(t, Ev::Fail(i as u32, self.incarnation[i]))?;
         }
         Ok(())
@@ -1062,10 +1145,108 @@ mod tests {
         assert_eq!(drain(&mut bulk), vec![(2.0, 5), (2.0, 6)]);
     }
 
-    /// The log-free horizon cut never changes a decision: for 10⁶ counter
-    /// draws over rates from 1e-9 to 1e-1 per hour, and for every `u`
-    /// within ±64 ulp of the exact boundary and of the point where the
-    /// fast path starts, `first_failure` equals the exact test to the bit.
+    /// Lanes change where an event waits, never when it pops: random
+    /// interleavings of heap pushes, monotone lane pushes and pops — on
+    /// an integer time grid, so heap and lanes tie often — pop exactly as
+    /// a heap-only queue fed the same pushes, across `clear`s too.
+    #[test]
+    fn lanes_pop_exactly_as_a_heap_only_queue() {
+        use nsr_rng::Rng;
+        let mut rng = StdRng::seed_from_u64(27);
+        let mut laned: EventQueue<u32, 2> = EventQueue::new();
+        let mut heap_only: EventQueue<u32> = EventQueue::new();
+        let mut now = 0.0f64;
+        let mut backs = [0.0f64; 2];
+        let (mut pops, mut lane_pushes) = (0u32, 0u32);
+        for step in 0..20_000u32 {
+            if step == 6_000 || step == 13_000 {
+                laned.clear();
+                heap_only.clear();
+                (now, backs) = (0.0, [0.0; 2]);
+                continue;
+            }
+            match rng.random_range_usize(0, 8) {
+                // A heap event at the clock or up to 40 ticks after it.
+                0..=2 => {
+                    let t = now + rng.random_range_usize(0, 40) as f64;
+                    laned.push(t, step).unwrap();
+                    heap_only.push(t, step).unwrap();
+                }
+                // A lane event tying or trailing the lane's last one, as
+                // a fixed-length rebuild started at a later `now` does.
+                3..=5 => {
+                    let lane = rng.random_range_usize(0, 2);
+                    let t = backs[lane].max(now) + rng.random_range_usize(0, 3) as f64;
+                    backs[lane] = t;
+                    laned.push_lane(lane, t, step).unwrap();
+                    heap_only.push(t, step).unwrap();
+                    lane_pushes += 1;
+                }
+                _ => {
+                    let got = laned.pop();
+                    assert_eq!(got, heap_only.pop(), "step {step}");
+                    if let Some((t, _)) = got {
+                        now = t;
+                        pops += 1;
+                    }
+                }
+            }
+            assert_eq!(laned.len(), heap_only.len());
+        }
+        let rest: Vec<_> = std::iter::from_fn(|| laned.pop()).collect();
+        assert!(!rest.is_empty() && laned.is_empty());
+        assert_eq!(
+            rest,
+            std::iter::from_fn(|| heap_only.pop()).collect::<Vec<_>>()
+        );
+        assert!(
+            pops > 3_000 && lane_pushes > 5_000,
+            "{pops} pops, {lane_pushes} lane pushes"
+        );
+    }
+
+    #[test]
+    fn a_lane_push_behind_the_lanes_back_is_refused() {
+        let mut q: EventQueue<u32, 2> = EventQueue::new();
+        q.push_lane(0, 5.0, 1).unwrap();
+        q.push_lane(0, 5.0, 2).unwrap(); // a tie keeps push order
+        q.push_lane(1, 1.0, 3).unwrap(); // each lane has its own back
+        let err = q.push_lane(0, 4.0, 4);
+        assert!(matches!(
+            err,
+            Err(Error::LaneOutOfOrder {
+                lane: 0,
+                time: 4.0,
+                back: 5.0
+            })
+        ));
+        assert!(matches!(
+            q.push_lane(1, f64::NAN, 6),
+            Err(Error::NonFiniteEventTime { .. })
+        ));
+        // Refused pushes schedule nothing; a heap event tying the lane's
+        // back pops after it, in push order.
+        q.push(5.0, 7).unwrap();
+        let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|(_, v)| v)).collect();
+        assert_eq!(order, vec![3, 1, 2, 7]);
+        // The check orders times as the heap does, by `total_cmp`, under
+        // which -0.0 sorts below 0.0.
+        let mut zeros: EventQueue<u32, 1> = EventQueue::new();
+        zeros.push_lane(0, 0.0, 1).unwrap();
+        assert!(zeros.push_lane(0, -0.0, 2).is_err());
+        // `clear` empties the lanes, so any time is accepted again.
+        q.push_lane(0, 9.0, 8).unwrap();
+        q.clear();
+        q.push_lane(0, 0.5, 9).unwrap();
+        assert_eq!(q.pop(), Some((0.5, 9)));
+    }
+
+    /// The log-free horizon cut never changes a decision, at mission start
+    /// or at a re-arm later in it: for 10⁶ counter draws over rates from
+    /// 1e-9 to 1e-1 per hour, each armed at one of seven clock readings
+    /// from 0 to the horizon, and for every `u` within ±64 ulp of each
+    /// reading's exact boundary and of the point where the fast path
+    /// starts, `next_failure` equals the exact test to the bit.
     #[test]
     fn start_horizon_cut_matches_the_exact_comparison() {
         let mission = 10.0 * HOURS_PER_YEAR;
@@ -1083,41 +1264,56 @@ mod tests {
             1e-1,
             boundary_rm / mission,
         ];
+        // Re-arms happen anywhere in the mission, up to the horizon itself.
+        let nows = [
+            0.0,
+            f64::MIN_POSITIVE,
+            1e-3,
+            0.37 * mission,
+            mission.next_down(),
+            mission - 1e-9,
+            mission,
+        ];
         let crng = CounterRng::new(2026);
         let draws_per_rate = 1_000_000 / rates.len() as u64 + 1;
         for (stream, &rate) in rates.iter().enumerate() {
             let h = StartHorizon::new(rate, mission);
             let mut fast = 0u64;
-            let mut check = |u: f64| {
-                let t = 0.0 - (1.0 - u).ln() / rate;
+            let mut check = |now: f64, u: f64| {
+                let t = now - (1.0 - u).ln() / rate;
                 let exact = (t <= mission).then_some(t.to_bits());
                 assert_eq!(
-                    h.first_failure(u).map(f64::to_bits),
+                    h.next_failure(now, u).map(f64::to_bits),
                     exact,
-                    "rate {rate:e}, u {u:e}"
+                    "rate {rate:e}, now {now:e}, u {u:e}"
                 );
-                if u > h.cut {
+                if now == 0.0 && u > h.cut {
                     fast += 1;
                 }
             };
             for counter in 0..draws_per_rate {
-                check(crng.f64_at(stream as u64, counter));
+                // Every seventh draw arms at mission start.
+                let now = nows[counter as usize % nows.len()];
+                check(now, crng.f64_at(stream as u64, counter));
             }
-            let exact_cut = -(-rate * mission).exp_m1();
-            for centre in [exact_cut, h.cut] {
-                let (mut lo, mut hi) = (centre, centre);
-                for _ in 0..64 {
-                    lo = lo.next_down();
-                    hi = hi.next_up();
-                }
-                let mut u = lo;
-                while u <= hi {
-                    if (0.0..1.0).contains(&u) {
-                        check(u);
+            for now in nows {
+                let exact_cut = -(-rate * (mission - now)).exp_m1();
+                for centre in [exact_cut, h.cut] {
+                    let (mut lo, mut hi) = (centre, centre);
+                    for _ in 0..64 {
+                        lo = lo.next_down();
+                        hi = hi.next_up();
                     }
-                    u = u.next_up();
+                    let mut u = lo;
+                    while u <= hi {
+                        if (0.0..1.0).contains(&u) {
+                            check(now, u);
+                        }
+                        u = u.next_up();
+                    }
                 }
             }
+            let draws_per_rate = draws_per_rate / nows.len() as u64;
             if rate * mission > boundary_rm - 0.1 {
                 assert_eq!(fast, 0, "rate {rate:e}: cut fired with rate·mission > 27.6");
             } else if rate * mission < 0.5 {
