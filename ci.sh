@@ -157,11 +157,11 @@ diff "$SMOKE_DIR/cluster-spans-a.txt" "$SMOKE_DIR/cluster-spans-b.txt"
 
 echo "==> fleet smoke (deterministic fleet mission, estimator cross-check)"
 # A seeded fleet mission must surface the fleet counters in its metrics
-# snapshot and its arm/loop budget on the run span, both rare-event
-# estimators must land within 4 sigma of the analytic MTTDL (PASS lines),
-# and the replay-determinism contract must hold: the same seed emits the
-# checked-in output, canonical trace included, byte for byte at 1 and 4
-# workers (the fixture predates the per-cell engine).
+# snapshot and its arm/loop budget and start-run count on the run span,
+# both rare-event estimators must land within 4 sigma of the analytic
+# MTTDL (PASS lines), and the replay-determinism contract must hold: the
+# same seed emits the checked-in output, canonical trace included, byte
+# for byte at 1 and 4 workers (the fixture predates the per-cell engine).
 ./target/release/nsr fleet --config ft2-ir5 --bricks 6400 --years 5 --seed 7 \
     --estimator all --cycles 4000 \
     --metrics-out "$SMOKE_DIR/fleet-metrics.jsonl" \
@@ -172,7 +172,7 @@ grep -q 'crosscheck splitting: PASS' "$SMOKE_DIR/fleet-out.txt"
     --require sim.fleet.events,sim.fleet.failures,sim.fleet.losses
 ./target/release/nsr obs-check --file "$SMOKE_DIR/fleet-trace.jsonl" \
     --require span:sim.fleet.run
-for field in arm_seconds loop_seconds stale cells; do
+for field in arm_seconds loop_seconds armed stale cells; do
     grep '"name":"sim.fleet.run"' "$SMOKE_DIR/fleet-trace.jsonl" \
         | grep -q "\"${field}\":"
 done
