@@ -15,6 +15,13 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> examples (run to completion, not only compiled)"
+# tier-1 builds every example; these two also run, and a non-zero exit
+# (a typed error from main) fails the gate.
+for example in fail_in_place erasure_rebuild; do
+    cargo run --release -q -p nsr-cli --example "$example" > /dev/null
+done
+
 echo "==> benchmark package tests (workload smoke runs, BENCHMARK.json contract)"
 # benchmark/ is its own package outside the root workspace, so tier-1
 # above does not reach it. Its tests run all four workloads in --smoke
@@ -61,11 +68,12 @@ bench_gate sim
 
 echo "==> observability smoke (nsr-obs/v1 snapshots, schema-validated)"
 # A parallel sim with both snapshot flags must produce valid nsr-obs/v1
-# files carrying the headline metrics from all three instrumented crates.
+# files carrying the headline metrics from all three instrumented crates
+# (the erasure crate's one metric is the kernel tier, set at registration).
 ./target/release/nsr sim --config ft1-nir --samples 60 --threads 2 --seed 7 \
     --metrics-out "$SMOKE_DIR/metrics.jsonl" --trace-out "$SMOKE_DIR/trace.jsonl"
 ./target/release/nsr obs-check --file "$SMOKE_DIR/metrics.jsonl" \
-    --require erasure.plan_cache.hit_rate,markov.absorbing.solves,sim.worker.samples_per_s
+    --require erasure.kernel.accel,markov.absorbing.solves,sim.worker.samples_per_s
 ./target/release/nsr obs-check --file "$SMOKE_DIR/trace.jsonl"
 # Without the flags the observability layer must stay silent: no snapshot
 # lines in the output and nothing written.

@@ -1667,7 +1667,7 @@ mod tests {
             metrics.to_str().unwrap(),
             "--require",
             "sim.samples,sim.worker.samples_per_s,markov.absorbing.solves,\
-             erasure.plan_cache.hit_rate",
+             erasure.kernel.accel",
         ])
         .unwrap();
         assert!(checked.contains("valid nsr-obs/v1"));

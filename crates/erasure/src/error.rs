@@ -55,42 +55,6 @@ pub enum Error {
     },
     /// Division by zero in GF(2⁸).
     DivisionByZero,
-    /// A node has failed repeatedly and is quarantined: the store refuses
-    /// to rebuild onto it until an operator clears it
-    /// (`BrickStore::unquarantine`).
-    Quarantined {
-        /// The quarantined node.
-        node: u32,
-        /// How many times it has failed.
-        failures: u32,
-    },
-    /// An internal invariant did not hold (e.g. a node map vanished
-    /// between its liveness check and use). Signals a bug or tampered
-    /// internal state; reported as an error so callers can degrade
-    /// instead of the process aborting.
-    InternalInvariant {
-        /// The violated invariant.
-        what: &'static str,
-    },
-    /// Post-rebuild verification found stripes whose parity does not
-    /// check: a surviving shard was corrupted, so the reconstruction
-    /// cannot be trusted. The affected shards were *not* installed.
-    RebuildVerification {
-        /// Number of objects whose stripes failed verification.
-        objects: usize,
-    },
-    /// A rebuild was interrupted because a source node that was live
-    /// when the rebuild pass began has since failed — the missing-shard
-    /// count crossed `t` *during* the transfer, not before it. The
-    /// checkpoint is kept: retrying resumes from `resumed_from` rebuilt
-    /// shards instead of restarting from shard 0, and a retry with no
-    /// further deaths re-derives the outcome (loss or success) against
-    /// the new baseline.
-    RebuildInterrupted {
-        /// Shards already rebuilt and checkpointed before the
-        /// interruption.
-        resumed_from: u64,
-    },
 }
 
 impl fmt::Display for Error {
@@ -130,24 +94,6 @@ impl fmt::Display for Error {
             }
             Error::InvalidPlacement { what } => write!(f, "invalid placement: {what}"),
             Error::DivisionByZero => write!(f, "division by zero in GF(256)"),
-            Error::Quarantined { node, failures } => write!(
-                f,
-                "node {node} is quarantined after {failures} failures; \
-                 clear it with unquarantine() before rebuilding"
-            ),
-            Error::InternalInvariant { what } => {
-                write!(f, "internal invariant violated: {what}")
-            }
-            Error::RebuildVerification { objects } => write!(
-                f,
-                "post-rebuild verification failed for {objects} object(s): \
-                 a surviving shard is corrupt"
-            ),
-            Error::RebuildInterrupted { resumed_from } => write!(
-                f,
-                "rebuild interrupted by a source failure after {resumed_from} \
-                 rebuilt shard(s); retry resumes from the checkpoint"
-            ),
         }
     }
 }

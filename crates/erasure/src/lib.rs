@@ -15,9 +15,11 @@
 //!   erasures,
 //! * [`placement`] — even redundancy-set placement over a node set,
 //!   empirical critical-set counting (validating the §5.2 fractions), and
-//!   rebuild data-flow accounting (validating the §5.1 transfer amounts),
-//! * [`store`] — a working in-memory brick object store: put/get with
-//!   degraded reads, node failure and distributed rebuild, scrubbing.
+//!   rebuild data-flow accounting (validating the §5.1 transfer amounts).
+//!
+//! The object store built on this codec — TCP bricks behind a striping
+//! gateway with degraded reads, failure detection and rebuild to
+//! spares — is `nsr-net`.
 //!
 //! # Example: encode, lose `t` nodes, reconstruct
 //!
@@ -50,7 +52,6 @@ pub mod obs;
 pub mod placement;
 pub mod rs;
 mod simd;
-pub mod store;
 
 pub use error::Error;
 

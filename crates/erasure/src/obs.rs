@@ -1,63 +1,21 @@
 //! Metric handles for the erasure crate.
 //!
 //! All of these are no-ops until `nsr_obs::set_metrics_enabled(true)`;
-//! see `nsr-obs` for the cost contract. Instrumentation sits on coarse
-//! seams (plan-cache lookups, rebuild completion, retry decisions) —
-//! never inside the GF(2⁸) inner kernels, whose per-call cost is a few
-//! nanoseconds.
+//! see `nsr-obs` for the cost contract. The codec records one
+//! process-constant fact — which GF(2⁸) kernel tier this CPU runs —
+//! and nothing inside the inner kernels, whose per-call cost is a few
+//! nanoseconds. Serving and rebuild metrics (`net.serving.*`,
+//! `net.rebuild.*`) live where the codec is driven: `nsr-net`'s gateway.
 
-use nsr_obs::{Counter, Gauge, Histogram};
+use nsr_obs::Gauge;
 
-/// Decode-plan cache hits (`BrickStore` degraded reads and rebuilds).
-pub static PLAN_CACHE_HITS: Counter = Counter::new("erasure.plan_cache.hits");
-/// Decode-plan cache misses (a matrix inversion was paid).
-pub static PLAN_CACHE_MISSES: Counter = Counter::new("erasure.plan_cache.misses");
-/// Hit fraction `hits / (hits + misses)`; recomputed on each lookup.
-pub static PLAN_CACHE_HIT_RATE: Gauge = Gauge::new("erasure.plan_cache.hit_rate");
-/// Puts redirected past a redundancy set containing a failed node.
-pub static PUT_REDIRECTS: Counter = Counter::new("erasure.store.put_redirects");
-/// Shards reconstructed by completed rebuilds.
-pub static REBUILD_SHARDS: Counter = Counter::new("erasure.rebuild.shards_rebuilt");
-/// Bytes read from surviving nodes by completed rebuilds.
-pub static REBUILD_BYTES_READ: Counter = Counter::new("erasure.rebuild.bytes_read");
-/// Bytes written to revived nodes by completed rebuilds.
-pub static REBUILD_BYTES_WRITTEN: Counter = Counter::new("erasure.rebuild.bytes_written");
-/// Whole-rebuild throughput (bytes read + written per wall second) of
-/// each `rebuild_node` call.
-pub static REBUILD_BYTES_PER_S: Histogram = Histogram::new("erasure.rebuild.bytes_per_s");
-/// Retryable rebuild failures that triggered a backoff + retry.
-pub static REBUILD_RETRIES: Counter = Counter::new("erasure.rebuild.retries");
-/// Backoff durations (hours) scheduled by `rebuild_with_retry`.
-pub static RETRY_BACKOFF_HOURS: Histogram = Histogram::new("erasure.rebuild.backoff_hours");
 /// 1.0 when the vectorized GF(2⁸) kernel is available on this CPU, else
 /// 0.0 (see `gf256::kernel_tier`).
 pub static KERNEL_ACCEL: Gauge = Gauge::new("erasure.kernel.accel");
 
-/// Recomputes [`PLAN_CACHE_HIT_RATE`] from the two counters.
-pub fn update_plan_cache_hit_rate() {
-    if !nsr_obs::metrics_enabled() {
-        return;
-    }
-    let hits = PLAN_CACHE_HITS.get() as f64;
-    let misses = PLAN_CACHE_MISSES.get() as f64;
-    if hits + misses > 0.0 {
-        PLAN_CACHE_HIT_RATE.set(hits / (hits + misses));
-    }
-}
-
 /// Registers every metric in this module with the global registry and
 /// records the (process-constant) kernel tier.
 pub fn register() {
-    PLAN_CACHE_HITS.register();
-    PLAN_CACHE_MISSES.register();
-    PLAN_CACHE_HIT_RATE.register();
-    PUT_REDIRECTS.register();
-    REBUILD_SHARDS.register();
-    REBUILD_BYTES_READ.register();
-    REBUILD_BYTES_WRITTEN.register();
-    REBUILD_BYTES_PER_S.register();
-    REBUILD_RETRIES.register();
-    RETRY_BACKOFF_HOURS.register();
     KERNEL_ACCEL.register();
     let tier = crate::gf256::kernel_tier();
     KERNEL_ACCEL.set(if tier == "gfni-avx512" { 1.0 } else { 0.0 });

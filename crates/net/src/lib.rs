@@ -1,7 +1,7 @@
 //! `nsr-net`: the networked brick store — the paper's subject, live.
 //!
-//! Where `nsr-erasure`'s [`BrickStore`](nsr_erasure::store) *models* a
-//! network of storage bricks inside one process, this crate runs one:
+//! `nsr-erasure` supplies the codec; this crate runs the network of
+//! storage bricks that the reliability models describe:
 //!
 //! - [`brick`] — a TCP daemon storing erasure-coded shards, one handler
 //!   thread per connection, bounded timeouts on every socket op.

@@ -7,6 +7,7 @@
 //! detector runs on a `MockClock` so every health transition in here is
 //! deterministic.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
@@ -17,6 +18,8 @@ use nsr_net::clock::MockClock;
 use nsr_net::detector::{DetectorConfig, Health};
 use nsr_net::gateway::{Gateway, GatewayConfig, ReadMode, RetryPolicy};
 use nsr_net::Error;
+use nsr_rng::rngs::StdRng;
+use nsr_rng::{Rng, SeedableRng};
 
 struct TestCluster {
     addrs: Vec<SocketAddr>,
@@ -104,6 +107,19 @@ impl TestCluster {
             "brick {id} not declared dead: {:?}",
             self.gw.health_summary()
         );
+    }
+
+    /// Pumps and adopts until the restarted brick `id` serves as a
+    /// healthy spare again (bounded).
+    fn pump_until_adopted(&self, id: u32) {
+        for _ in 0..32 {
+            self.pump();
+            self.gw.adopt_rejoined();
+            if self.gw.health_summary()[id as usize].1 == Health::Healthy {
+                return;
+            }
+        }
+        panic!("brick {id} not re-adopted: {:?}", self.gw.health_summary());
     }
 }
 
@@ -368,4 +384,113 @@ fn coordinator_restart_resumes_from_committed_metadata() {
     );
     assert_eq!(report.lost_objects, vec![5]);
     assert_eq!(gw2.get(0).expect("obj0 readable").0, payload(0, 4_096));
+}
+
+/// Reads every acknowledged object back and compares it byte for byte.
+fn assert_all_exact(gw: &Gateway, acked: &BTreeMap<u64, usize>, context: &str) {
+    for (&key, &len) in acked {
+        match gw.get(key) {
+            Ok((back, _)) => assert!(back == payload(key, len), "{context}: obj{key} corrupted"),
+            Err(e) => panic!("{context}: acknowledged obj{key} unreadable: {e:?}"),
+        }
+    }
+}
+
+/// The durability contract under a seeded random mix of operations:
+/// fresh-key puts (a failed put counts as not stored), brick deaths
+/// pumped to `Dead`, `repair_all`, restarting a stopped brick empty and
+/// then `scrub_repair`, and gets. No more than `t` bricks are ever down
+/// or unrepaired at once, so every acknowledged object must read back
+/// byte-exact after every operation and at the end, no pass may report a
+/// lost object, and once every brick is back one scrub restores full
+/// redundancy. Keys are never reused: an overwrite is outside this
+/// contract.
+#[test]
+fn seeded_random_ops_keep_acknowledged_objects_exact_within_t() {
+    // (bricks, data, parity). At `bricks == k + t + 1` a repair can run
+    // out of spares and defer; the t = 1 layouts notice a single shard
+    // gone missing that should not have.
+    const GEOMETRIES: [(usize, usize, usize); 4] = [(4, 2, 1), (5, 3, 1), (5, 2, 2), (6, 2, 2)];
+    let mut rng = StdRng::seed_from_u64(0x5704_0001);
+    for round in 0..24 {
+        let (bricks, data, parity) = GEOMETRIES[round % GEOMETRIES.len()];
+        let mut cluster = TestCluster::new(bricks, data, parity);
+        let mut acked: BTreeMap<u64, usize> = BTreeMap::new();
+        let mut next_key = 0u64;
+        // Bricks stopped and not yet restarted.
+        let mut stopped: BTreeSet<usize> = BTreeSet::new();
+        // Bricks whose lost shards may still be named by some layout:
+        // stopped until a repair pass finishes without deferring, and
+        // restarted until a scrub has refilled them.
+        let mut unrepaired: BTreeSet<usize> = BTreeSet::new();
+        for step in 0..40 {
+            let context = format!("round {round} ({bricks} bricks, {data}+{parity}) step {step}");
+            match rng.random_range_usize(0, 5) {
+                0 => {
+                    let key = next_key;
+                    next_key += 1;
+                    let len = rng.random_range_usize(0, 8 * 1024 + 1);
+                    if cluster.gw.put(key, &payload(key, len)).is_ok() {
+                        acked.insert(key, len);
+                    }
+                }
+                1 if unrepaired.len() < parity => {
+                    let running: Vec<usize> =
+                        (0..bricks).filter(|b| !stopped.contains(b)).collect();
+                    let victim = running[rng.random_range_usize(0, running.len())];
+                    cluster.stop_brick(victim);
+                    cluster.pump_until_dead(victim as u32);
+                    stopped.insert(victim);
+                    unrepaired.insert(victim);
+                }
+                2 => {
+                    let report = cluster.gw.repair_all().expect(&context);
+                    assert_eq!(report.lost_objects, Vec::<u64>::new(), "{context}");
+                    if report.deferred_objects.is_empty() {
+                        unrepaired.retain(|b| !stopped.contains(b));
+                    }
+                }
+                3 if !stopped.is_empty() => {
+                    let down: Vec<usize> = stopped.iter().copied().collect();
+                    let back = down[rng.random_range_usize(0, down.len())];
+                    cluster.restart_brick(back);
+                    cluster.pump_until_adopted(back as u32);
+                    stopped.remove(&back);
+                    let report = cluster.gw.scrub_repair().expect(&context);
+                    assert_eq!(report.lost_objects, Vec::<u64>::new(), "{context}");
+                    assert_eq!(report.deferred_objects, Vec::<u64>::new(), "{context}");
+                    unrepaired.retain(|b| stopped.contains(b));
+                }
+                _ if next_key > 0 => {
+                    let key = rng.random_range_usize(0, next_key as usize) as u64;
+                    match (acked.get(&key), cluster.gw.get(key)) {
+                        (Some(&len), Ok((back, _))) => {
+                            assert!(back == payload(key, len), "{context}: obj{key} corrupted")
+                        }
+                        (None, Err(Error::ObjectNotFound { .. })) => {}
+                        (want, got) => panic!("{context}: obj{key} stored={want:?} read {got:?}"),
+                    }
+                }
+                _ => {}
+            }
+            assert_all_exact(&cluster.gw, &acked, &context);
+        }
+        // Every brick back: one scrub restores full redundancy in place,
+        // and every object then reads healthy and exact.
+        for back in std::mem::take(&mut stopped) {
+            cluster.restart_brick(back);
+            cluster.pump_until_adopted(back as u32);
+        }
+        let report = cluster.gw.scrub_repair().expect("final scrub");
+        assert_eq!(report.lost_objects, Vec::<u64>::new(), "round {round}");
+        assert_eq!(report.deferred_objects, Vec::<u64>::new(), "round {round}");
+        for (&key, &len) in &acked {
+            let (back, mode) = cluster.gw.get(key).expect("get after final scrub");
+            assert!(
+                back == payload(key, len),
+                "round {round}: obj{key} corrupted"
+            );
+            assert_eq!(mode, ReadMode::Healthy, "round {round}: obj{key}");
+        }
+    }
 }

@@ -1,7 +1,7 @@
 //! Fail-in-place operations walkthrough (§3): provisioning spares for the
 //! service life, watching the pool erode, and connecting the reliability
-//! target to mission risk — ending with the object store actually living
-//! through a failure.
+//! target to mission risk. The closing lines name the commands that run
+//! the same failures on live bricks.
 //!
 //! Run with:
 //!
@@ -16,7 +16,6 @@ use nsr_core::params::Params;
 use nsr_core::planner::{feasible_plans, min_rebuild_block_for_target};
 use nsr_core::spares::SpareModel;
 use nsr_core::units::HOURS_PER_YEAR;
-use nsr_erasure::store::{BrickStore, ObjectId};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let params = Params::baseline();
@@ -79,34 +78,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // --- 4. The same story on actual bytes: a brick store surviving the
-    // failures the models count.
-    println!("\nobject store drill (N=10, R=5, t=2):");
-    let mut store = BrickStore::new(10, 5, 2)?;
-    for i in 0..25u64 {
-        let payload: Vec<u8> = (0..200)
-            .map(|j| (i as u8).wrapping_mul(7).wrapping_add(j))
-            .collect();
-        store.put(ObjectId(i), &payload)?;
-    }
-    store.fail_node(2)?;
-    store.fail_node(6)?;
-    println!(
-        "  failed nodes {:?}; degraded reads still serve all objects",
-        store.failed_nodes()
-    );
-    for i in 0..25u64 {
-        store.get(ObjectId(i))?; // every object still readable
-    }
-    let report = store.rebuild_node(2)?;
-    println!(
-        "  rebuilt node 2: {} shards, read {} B from survivors, wrote {} B",
-        report.shards_rebuilt, report.bytes_read, report.bytes_written
-    );
-    let scrub = store.scrub()?;
-    println!(
-        "  scrub after rebuild: {} clean, {} corrupt, {} degraded",
-        scrub.clean, scrub.corrupt, scrub.degraded
-    );
+    // The same story on actual bytes — bricks serving degraded reads,
+    // detecting a kill -9 and rebuilding onto a spare — is a live cluster:
+    println!("\nbyte-level drill on live bricks:");
+    println!("  nsr workload --ops 120 --object-bytes 4096 --seed 42");
+    println!("  nsr cluster-inject --bricks 4 --plan kill9-single --seed 42");
     Ok(())
 }

@@ -9,7 +9,6 @@ use nsr_core::params::Params;
 use nsr_core::raid::InternalRaid;
 use nsr_core::scope::HParams;
 use nsr_erasure::rs::ReedSolomon;
-use nsr_erasure::store::{BrickStore, ObjectId};
 use nsr_linalg::{Lu, Matrix};
 use nsr_markov::{
     stationary_distribution, transient_distribution, validate_generator, AbsorbingAnalysis,
@@ -165,27 +164,12 @@ fn erasure_constructors_and_store_reject_invalid_geometry() {
     assert!(ReedSolomon::new(2, 0).is_err());
     assert!(ReedSolomon::new(200, 100).is_err(), "exceeds GF(256) limit");
 
-    assert!(BrickStore::new(4, 8, 2).is_err(), "r > n accepted");
-    assert!(BrickStore::new(10, 5, 5).is_err(), "t >= r accepted");
-    assert!(BrickStore::new(0, 0, 0).is_err());
-
     let code = ReedSolomon::new(3, 2).unwrap();
     // Wrong shard count and mismatched shard sizes.
     assert!(code.encode(&[vec![0u8; 8]]).is_err());
     assert!(code
         .encode(&[vec![0u8; 8], vec![0u8; 8], vec![0u8; 4]])
         .is_err());
-
-    let mut store = BrickStore::new(10, 5, 2).unwrap();
-    store.put(ObjectId(0), b"payload-bytes").unwrap();
-    // Out-of-range node ids on every mutating entry point.
-    assert!(store.fail_node(99).is_err());
-    assert!(store.begin_rebuild(99).is_err());
-    assert!(store.rebuild_node(99).is_err());
-    assert!(store.unquarantine(99).is_err());
-    assert!(store.corrupt_shard(99, ObjectId(0), 0).is_err());
-    // Unknown object.
-    assert!(store.get(ObjectId(42)).is_err());
 }
 
 #[test]
