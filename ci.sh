@@ -15,6 +15,15 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> recorded results (figure and ablation binaries vs results/*.txt)"
+# Every figure and ablation binary is deterministic (fixed seeds), so its
+# output must equal the checked-in record byte for byte: a change that
+# moves a number regenerates the record in the same commit.
+for bin in ablations ext_her fig13 fig14 fig15 fig16 fig17 fig18 fig19 fig20 \
+    fig_a1 mttf_map; do
+    ./target/release/"$bin" | diff "results/$bin.txt" -
+done
+
 echo "==> examples (run to completion, not only compiled)"
 # tier-1 builds every example; these two also run, and a non-zero exit
 # (a typed error from main) fails the gate.
