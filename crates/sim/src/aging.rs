@@ -17,19 +17,16 @@
 //! lifetimes are both explicit here; the hierarchical internal-RAID
 //! collapse is inherently Markovian).
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use nsr_rng::rngs::StdRng;
 use nsr_rng::{Rng, SeedableRng};
 
 use nsr_core::config::Configuration;
 use nsr_core::params::Params;
 use nsr_core::raid::InternalRaid;
-use nsr_core::rebuild::RebuildModel;
-use nsr_core::scope::HParams;
 use nsr_markov::simulate::Estimate;
 
+use crate::fleet::EventQueue;
+use crate::system::EngineRates;
 use crate::{Error, Result};
 
 /// Component-lifetime distribution.
@@ -113,46 +110,13 @@ fn gamma(x: f64) -> f64 {
     }
 }
 
-/// Gate for every timestamp entering the event queue. A NaN or ±∞ from a
-/// degenerate lifetime draw (e.g. a Weibull shape small enough that the
-/// mean-matching Γ overflows) would sort to the far future under
-/// `total_cmp` and silently never fire; reject it with a typed error
-/// instead.
-fn finite_time(time: f64) -> Result<f64> {
-    if time.is_finite() {
-        Ok(time)
-    } else {
-        Err(Error::NonFiniteEventTime { time })
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum EventKind {
-    NodeFail(u32),
-    DriveFail(u32, u32),
-    NodeRepaired(u32),
-    DriveRepaired(u32, u32),
-}
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Event {
-    time: f64,
-    generation: u64,
-    kind: EventKind,
-}
-
-impl Eq for Event {}
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.time
-            .total_cmp(&other.time)
-            .then(self.generation.cmp(&other.generation))
-    }
-}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
+/// One ageing-simulation event on entity `.0` — node `v` is entity `v`,
+/// drive `j` of node `v` is `n + v·d + j` — scheduled against the
+/// entity's generation `.1`, so a later generation makes it stale.
+#[derive(Debug, Clone, Copy)]
+enum Ev {
+    Fail(usize, u64),
+    Repaired(usize, u64),
 }
 
 /// Ageing discrete-event simulator for no-internal-RAID configurations.
@@ -181,14 +145,9 @@ impl PartialOrd for Event {
 /// ```
 #[derive(Debug, Clone)]
 pub struct AgingSim {
-    n: u32,
-    d: u32,
-    t: u32,
+    rates: EngineRates,
     drive_lifetime: Lifetime,
     node_lifetime: Lifetime,
-    node_rebuild_hours: f64,
-    drive_rebuild_hours: f64,
-    h: HParams,
     max_events: u64,
 }
 
@@ -212,27 +171,13 @@ impl AgingSim {
                 what: "aging simulation supports no-internal-RAID configurations only",
             });
         }
-        params.validate()?;
+        let rates = EngineRates::new(params, config)?;
         drive_lifetime.validate()?;
         node_lifetime.validate()?;
-        let t = config.node_fault_tolerance();
-        let rebuild = RebuildModel::new(params)?;
-        let h = HParams::new(
-            t,
-            params.system.node_count,
-            params.system.redundancy_set_size,
-            params.node.drives_per_node,
-            params.drive.c_her(),
-        )?;
         Ok(AgingSim {
-            n: params.system.node_count,
-            d: params.node.drives_per_node,
-            t,
+            rates,
             drive_lifetime,
             node_lifetime,
-            node_rebuild_hours: rebuild.node_rebuild(t)?.duration.0,
-            drive_rebuild_hours: rebuild.drive_rebuild(t)?.duration.0,
-            h,
             max_events: 500_000_000,
         })
     }
@@ -242,152 +187,97 @@ impl AgingSim {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::EventBudgetExhausted`] if no loss occurs within
-    /// the event budget.
+    /// * [`Error::EventBudgetExhausted`] if no loss occurs within the
+    ///   event budget.
+    /// * [`Error::NonFiniteEventTime`] if a lifetime draw overflows (e.g.
+    ///   an MTTF near `f64::MAX`): such an event would never fire.
     pub fn simulate_one<R: Rng + ?Sized>(&self, rng: &mut R) -> Result<f64> {
-        let n = self.n as usize;
-        let d = self.d as usize;
-        // Generation counters invalidate stale failure events after
-        // repairs/replacements.
-        let mut node_gen = vec![0u64; n];
-        let mut drive_gen = vec![0u64; n * d];
-        let mut node_down = vec![false; n];
-        let mut drive_down = vec![false; n * d];
-        let mut outstanding_nodes = 0u32;
-        let mut outstanding_drives = 0u32;
-        let mut next_gen = 0u64;
+        let EngineRates {
+            t,
+            node_rebuild_hours,
+            drive_rebuild_hours,
+            ref h,
+            ..
+        } = self.rates;
+        let h = h.as_ref().expect("`new` admits only no-IR configurations");
+        let (n, d) = (self.rates.n as usize, self.rates.d as usize);
+        let drives_of = |node: usize| n + node * d..n + (node + 1) * d;
+        let mut gen = vec![0u64; n + n * d];
+        let mut down = vec![false; n + n * d];
+        let (mut nodes_down, mut drives_down) = (0u32, 0u32);
 
-        let mut queue: BinaryHeap<Reverse<Event>> = BinaryHeap::new();
-        let gen = |g: &mut u64, next: &mut u64| {
-            *next += 1;
-            *g = *next;
-            *g
-        };
+        let mut queue = EventQueue::<Ev>::new();
         for v in 0..n {
-            let g = gen(&mut node_gen[v], &mut next_gen);
-            queue.push(Reverse(Event {
-                time: finite_time(self.node_lifetime.sample(rng))?,
-                generation: g,
-                kind: EventKind::NodeFail(v as u32),
-            }));
-            for j in 0..d {
-                let g = gen(&mut drive_gen[v * d + j], &mut next_gen);
-                queue.push(Reverse(Event {
-                    time: finite_time(self.drive_lifetime.sample(rng))?,
-                    generation: g,
-                    kind: EventKind::DriveFail(v as u32, j as u32),
-                }));
+            queue.push(self.node_lifetime.sample(rng), Ev::Fail(v, 0))?;
+            for i in drives_of(v) {
+                queue.push(self.drive_lifetime.sample(rng), Ev::Fail(i, 0))?;
             }
         }
 
         for _ in 0..self.max_events {
-            let Some(Reverse(ev)) = queue.pop() else {
+            let Some((time, ev)) = queue.pop() else {
                 return Err(Error::InvalidArgument {
                     what: "event queue drained",
                 });
             };
-            match ev.kind {
-                EventKind::NodeFail(v) => {
-                    let vi = v as usize;
-                    if ev.generation != node_gen[vi] || node_down[vi] {
-                        continue; // stale
+            match ev {
+                Ev::Fail(i, g) => {
+                    let node = if i < n { i } else { (i - n) / d };
+                    // Stale, or a drive inside a failed node.
+                    if g != gen[i] || down[i] || down[node] {
+                        continue;
                     }
-                    // Drives inside a failed node can no longer fail
-                    // independently; bump their generations.
-                    for j in 0..d {
-                        if !drive_down[vi * d + j] {
-                            next_gen += 1;
-                            drive_gen[vi * d + j] = next_gen;
+                    down[i] = true;
+                    if i < n {
+                        // Drives inside a failed node can no longer fail
+                        // independently; bump their generations.
+                        for j in drives_of(i) {
+                            if !down[j] {
+                                gen[j] += 1;
+                            }
                         }
+                        nodes_down += 1;
+                    } else {
+                        drives_down += 1;
                     }
-                    node_down[vi] = true;
-                    outstanding_nodes += 1;
-                    let total = outstanding_nodes + outstanding_drives;
-                    if total > self.t {
-                        return Ok(ev.time);
-                    }
-                    if total == self.t {
-                        let p = self.h.by_drive_count(outstanding_drives).min(1.0);
-                        if rng.random::<f64>() < p {
-                            return Ok(ev.time);
-                        }
-                    }
-                    next_gen += 1;
-                    node_gen[vi] = next_gen;
-                    queue.push(Reverse(Event {
-                        time: finite_time(ev.time + self.node_rebuild_hours)?,
-                        generation: node_gen[vi],
-                        kind: EventKind::NodeRepaired(v),
-                    }));
-                }
-                EventKind::DriveFail(v, j) => {
-                    let (vi, ji) = (v as usize, j as usize);
-                    if ev.generation != drive_gen[vi * d + ji]
-                        || drive_down[vi * d + ji]
-                        || node_down[vi]
+                    // More failures than the code tolerates, or the one
+                    // that made the system critical hits a sector error.
+                    let total = nodes_down + drives_down;
+                    if total > t
+                        || (total == t
+                            && rng.random::<f64>() < h.by_drive_count(drives_down).min(1.0))
                     {
+                        return Ok(time);
+                    }
+                    gen[i] += 1;
+                    let rebuild = if i < n {
+                        node_rebuild_hours
+                    } else {
+                        drive_rebuild_hours
+                    };
+                    queue.push(time + rebuild, Ev::Repaired(i, gen[i]))?;
+                }
+                Ev::Repaired(i, g) => {
+                    if g != gen[i] {
                         continue;
                     }
-                    drive_down[vi * d + ji] = true;
-                    outstanding_drives += 1;
-                    let total = outstanding_nodes + outstanding_drives;
-                    if total > self.t {
-                        return Ok(ev.time);
-                    }
-                    if total == self.t {
-                        let p = self.h.by_drive_count(outstanding_drives).min(1.0);
-                        if rng.random::<f64>() < p {
-                            return Ok(ev.time);
+                    down[i] = false;
+                    gen[i] += 1;
+                    if i < n {
+                        nodes_down -= 1;
+                        // Fresh node and fresh drives.
+                        queue.push(time + self.node_lifetime.sample(rng), Ev::Fail(i, gen[i]))?;
+                        for j in drives_of(i) {
+                            down[j] = false;
+                            gen[j] += 1;
+                            let lifetime = self.drive_lifetime.sample(rng);
+                            queue.push(time + lifetime, Ev::Fail(j, gen[j]))?;
                         }
+                    } else {
+                        drives_down -= 1;
+                        let lifetime = self.drive_lifetime.sample(rng);
+                        queue.push(time + lifetime, Ev::Fail(i, gen[i]))?;
                     }
-                    next_gen += 1;
-                    drive_gen[vi * d + ji] = next_gen;
-                    queue.push(Reverse(Event {
-                        time: finite_time(ev.time + self.drive_rebuild_hours)?,
-                        generation: drive_gen[vi * d + ji],
-                        kind: EventKind::DriveRepaired(v, j),
-                    }));
-                }
-                EventKind::NodeRepaired(v) => {
-                    let vi = v as usize;
-                    if ev.generation != node_gen[vi] {
-                        continue;
-                    }
-                    node_down[vi] = false;
-                    outstanding_nodes -= 1;
-                    // Fresh node and fresh drives.
-                    next_gen += 1;
-                    node_gen[vi] = next_gen;
-                    queue.push(Reverse(Event {
-                        time: finite_time(ev.time + self.node_lifetime.sample(rng))?,
-                        generation: node_gen[vi],
-                        kind: EventKind::NodeFail(v),
-                    }));
-                    for j in 0..d {
-                        drive_down[vi * d + j] = false;
-                        next_gen += 1;
-                        drive_gen[vi * d + j] = next_gen;
-                        queue.push(Reverse(Event {
-                            time: finite_time(ev.time + self.drive_lifetime.sample(rng))?,
-                            generation: drive_gen[vi * d + j],
-                            kind: EventKind::DriveFail(v, j as u32),
-                        }));
-                    }
-                }
-                EventKind::DriveRepaired(v, j) => {
-                    let (vi, ji) = (v as usize, j as usize);
-                    if ev.generation != drive_gen[vi * d + ji] {
-                        continue;
-                    }
-                    drive_down[vi * d + ji] = false;
-                    outstanding_drives -= 1;
-                    next_gen += 1;
-                    drive_gen[vi * d + ji] = next_gen;
-                    queue.push(Reverse(Event {
-                        time: finite_time(ev.time + self.drive_lifetime.sample(rng))?,
-                        generation: drive_gen[vi * d + ji],
-                        kind: EventKind::DriveFail(v, j),
-                    }));
                 }
             }
         }

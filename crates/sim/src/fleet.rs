@@ -47,10 +47,10 @@
 //! of 64, the unit of work: worker threads claim shards from an atomic
 //! counter, and since a cell's outcome does not depend on who runs it,
 //! the worker count cannot leak into results. Failure semantics per cell
-//! mirror [`crate::system::SystemSim`] (§4 failure model, §5.2 sector
-//! errors); rebuilds always take the §5.1 deterministic durations — the
-//! exponential-repair ablation lives in `SystemSim` (and `ablations.rs`),
-//! not here.
+//! mirror the aggregate engine of [`crate::faultinject`] (§4 failure
+//! model, §5.2 sector errors), from the same derived rates; rebuilds
+//! always take the §5.1 deterministic durations — the exponential-repair
+//! ablation is the aggregate engine's (and `ablations.rs`'s), not here.
 //!
 //! Direct simulation observes losses only for the weakest configurations;
 //! for 9–11-nines targets the module wires in both rare-event estimators
@@ -73,7 +73,7 @@ use nsr_rng::{CounterRng, SeedableRng};
 
 use crate::importance::{Options as IsOptions, RareEvent, RareEventEstimate};
 use crate::splitting::{SplitOptions, Splitting};
-use crate::system::{EngineRates, LossCause, SystemSim};
+use crate::system::{EngineRates, LossCause};
 use crate::{Error, Result};
 
 /// Cells per shard, the unit of work a worker claims. Fixed, though
@@ -581,8 +581,8 @@ impl StartHorizon {
 }
 
 /// What every cell of a mission shares, derived once per run.
-struct CellModel<'a> {
-    e: EngineRates<'a>,
+struct CellModel {
+    e: EngineRates,
     /// Entities per cell: `n` nodes, then (no-IR) their `n·d` drives,
     /// node `j`'s at `n + j·d ..`.
     per_cell: usize,
@@ -597,7 +597,7 @@ struct CellModel<'a> {
     timed: bool,
 }
 
-impl CellModel<'_> {
+impl CellModel {
     /// Entity `i`'s failure clock.
     fn clock(&self, i: usize) -> &StartHorizon {
         if i < self.e.n as usize {
@@ -684,7 +684,7 @@ impl Cell {
     /// adding its counters and losses to `tally`.
     fn run(
         &mut self,
-        m: &CellModel<'_>,
+        m: &CellModel,
         crng: &CounterRng,
         cell: u64,
         tally: &mut Tally,
@@ -723,7 +723,7 @@ impl Cell {
     /// Clears the state for a fresh cell and arms every entity at mission
     /// start: the horizon cut settles most draws without a logarithm, and
     /// the clocks that fire within the mission load as one sorted run.
-    fn start(&mut self, m: &CellModel<'_>, crng: &CounterRng, cell: u64) -> Result<()> {
+    fn start(&mut self, m: &CellModel, crng: &CounterRng, cell: u64) -> Result<()> {
         self.incarnation.fill(0);
         self.counters.fill(0);
         self.down.fill(false);
@@ -750,7 +750,7 @@ impl Cell {
     /// Entity `i` fails at `now`.
     fn fail(
         &mut self,
-        m: &CellModel<'_>,
+        m: &CellModel,
         crng: &CounterRng,
         cell: u64,
         i: usize,
@@ -797,7 +797,7 @@ impl Cell {
         // The cell just went critical. Its own draws come from a stream
         // in a namespace disjoint from the entities' (top bit set).
         let cell_stream = (1u64 << 63) | cell;
-        if let Some(h) = e.h {
+        if let Some(h) = &e.h {
             // No-IR: the triggering rebuild reads critical data; §5.2.2
             // sector-error probability.
             let p = h
@@ -828,7 +828,7 @@ impl Cell {
     /// Entity `i`'s rebuild completes at `now`.
     fn repair(
         &mut self,
-        m: &CellModel<'_>,
+        m: &CellModel,
         crng: &CounterRng,
         cell: u64,
         i: usize,
@@ -872,7 +872,7 @@ impl Cell {
     /// pending event goes stale, and fresh failure clocks are drawn.
     fn lose(
         &mut self,
-        m: &CellModel<'_>,
+        m: &CellModel,
         crng: &CounterRng,
         cell: u64,
         now: f64,
@@ -900,7 +900,7 @@ impl Cell {
     /// mission horizon.
     fn arm(
         &mut self,
-        m: &CellModel<'_>,
+        m: &CellModel,
         crng: &CounterRng,
         cell: u64,
         i: usize,
@@ -924,7 +924,7 @@ impl Cell {
 /// one parameter point, over a finite mission.
 #[derive(Debug, Clone)]
 pub struct FleetSim {
-    sim: SystemSim,
+    rates: EngineRates,
     params: Params,
     config: Configuration,
     cells: u64,
@@ -957,10 +957,10 @@ impl FleetSim {
                 what: "mission length must be positive and finite",
             });
         }
-        let sim = SystemSim::new(params, config)?;
+        let rates = EngineRates::new(params, config)?;
         let n = u64::from(params.system.node_count);
         Ok(FleetSim {
-            sim,
+            rates,
             params,
             config,
             cells: bricks.div_ceil(n),
@@ -993,8 +993,7 @@ impl FleetSim {
     /// brick rates, so drives are not separate entities).
     fn entities_per_cell(&self) -> u64 {
         let n = u64::from(self.params.system.node_count);
-        let e = self.sim.engine_rates();
-        if e.ir_rates.is_some() {
+        if self.rates.ir_rates.is_some() {
             n
         } else {
             n * (1 + u64::from(self.params.node.drives_per_node))
@@ -1101,8 +1100,8 @@ impl FleetSim {
     }
 
     /// The rates, sizes and horizon cuts every cell of a run shares.
-    fn cell_model(&self) -> CellModel<'_> {
-        let e = self.sim.engine_rates();
+    fn cell_model(&self) -> CellModel {
+        let e = self.rates.clone();
         let (lambda_array, critical_sector_rate) = e.ir_rates.unwrap_or((0.0, 0.0));
         let mission = self.mission_hours;
         CellModel {

@@ -13,8 +13,9 @@
 //!   are collected into an MTTDL estimate with confidence intervals.
 //! * [`fleet`] — a **fleet-scale discrete-event engine**: thousands of
 //!   independent redundancy cells over a finite mission, each run on its
-//!   own binary-heap event queue with per-entity state and stateless
-//!   counter-based draws ([`nsr_rng::CounterRng`]), so a same-seed run is
+//!   own [`fleet::EventQueue`] (a heap beside a sorted start run and FIFO
+//!   repair lanes) with per-entity state and stateless counter-based
+//!   draws ([`nsr_rng::CounterRng`]), so a same-seed run is
 //!   byte-identical at any worker count. Targets millions of bricks for
 //!   a simulated decade.
 //! * [`importance`] — **rare-event estimation** for ultra-reliable
@@ -27,13 +28,19 @@
 //!   trajectories at each crossing with `1/m` likelihood-ratio weights.
 //! * [`aging`] — a **non-Markovian ablation**: per-entity ages with
 //!   Weibull lifetimes (infant mortality / wear-out), quantifying the
-//!   error of the paper's exponential assumption.
+//!   error of the paper's exponential assumption. It runs on the fleet's
+//!   [`fleet::EventQueue`].
 //! * [`faultinject`] — **deterministic fault-injection campaigns**: a
 //!   declarative [`faultinject::FaultPlan`] of scheduled crashes,
 //!   stochastic latent-error streams, correlated bursts, and
-//!   bandwidth-degradation/partition windows, driven through the same
-//!   competing-hazards engine as [`system`] with an exact-replay
-//!   guarantee (same plan + seed ⇒ byte-identical event trace).
+//!   bandwidth-degradation/partition windows, with an exact-replay
+//!   guarantee (same plan + seed ⇒ byte-identical event trace). Its
+//!   engine loop is the one [`system`] runs: a system sample is a
+//!   campaign with nothing injected and no horizon.
+//!
+//! All three engines derive their rates from one place (the §4 failure
+//! rates, §5.1 rebuild durations and §5.2 sector-error model of a
+//! configuration at a parameter point).
 //!
 //! # Example
 //!

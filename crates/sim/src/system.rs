@@ -6,6 +6,10 @@
 //! stress-tests the analytic assumptions (exponential, serialized repairs)
 //! as well as the solver: to leading order in `λ/μ` the MTTDL must agree.
 //!
+//! This module derives the rates and aggregates the samples; each
+//! trajectory runs through the engine loop of [`crate::faultinject`] with
+//! nothing injected and no horizon.
+//!
 //! Failure semantics mirror §4:
 //!
 //! * **No internal RAID**: nodes and individual drives fail; each failure
@@ -27,8 +31,9 @@ use nsr_core::raid::{ArrayModel, InternalRaid};
 use nsr_core::rebuild::RebuildModel;
 use nsr_core::scope::{critical_fraction, HParams};
 use nsr_core::units::HOURS_PER_YEAR;
-use nsr_markov::simulate::{sample_exponential, Estimate};
+use nsr_markov::simulate::Estimate;
 
+use crate::faultinject::{run_seed, Campaign, LossKind};
 use crate::{Error, Result};
 
 /// Default cap on processed failure/repair events per data-loss sample.
@@ -96,23 +101,12 @@ pub struct SimOutcome {
     pub mean_spare_consumed: f64,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum EntityKind {
-    Node,
-    Drive,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct OutstandingFailure {
-    kind: EntityKind,
-    completes_at: f64,
-}
-
-/// Read-only view of the precomputed engine rates, handed to the
-/// fault-injection layer (`crate::faultinject`) so injection campaigns
-/// drive the *same* competing-hazards engine as [`SystemSim::simulate_one`]
-/// rather than a diverging reimplementation.
-pub(crate) struct EngineRates<'a> {
+/// The rates and durations every engine derives from one configuration at
+/// one parameter point: the §4 failure rates, the §5.1 rebuild durations
+/// and the §5.2 sector-error model. [`SystemSim`], the fleet and the
+/// ageing simulator each build one, and nothing else repeats the formulas.
+#[derive(Debug, Clone)]
+pub(crate) struct EngineRates {
     pub(crate) t: u32,
     pub(crate) n: u32,
     pub(crate) d: u32,
@@ -120,43 +114,20 @@ pub(crate) struct EngineRates<'a> {
     pub(crate) lambda_d: f64,
     pub(crate) node_rebuild_hours: f64,
     pub(crate) drive_rebuild_hours: f64,
-    pub(crate) h: Option<&'a HParams>,
-    pub(crate) ir_rates: Option<(f64, f64)>,
-    pub(crate) event_budget: u64,
-    pub(crate) repair: RepairDistribution,
-}
-
-/// The system simulator for one configuration at one parameter point.
-///
-/// Construction precomputes every derived rate; [`SystemSim::simulate_one`]
-/// then runs a single trajectory to data loss.
-#[derive(Debug, Clone)]
-pub struct SystemSim {
-    params: Params,
-    config: Configuration,
-    t: u32,
-    n: u32,
-    d: u32,
-    lambda_n: f64,
-    lambda_d: f64,
-    node_rebuild_hours: f64,
-    drive_rebuild_hours: f64,
     /// No-IR only: the §5.2.2 sector-error probability family.
-    h: Option<HParams>,
+    pub(crate) h: Option<HParams>,
     /// IR only: (λ_D, continuous critical sector-error rate per surviving
     /// node = k_t · λ_S).
-    ir_rates: Option<(f64, f64)>,
-    event_budget: u64,
-    repair: RepairDistribution,
+    pub(crate) ir_rates: Option<(f64, f64)>,
 }
 
-impl SystemSim {
-    /// Builds a simulator.
+impl EngineRates {
+    /// Derives the rates.
     ///
     /// # Errors
     ///
     /// Propagates parameter validation and model-construction errors.
-    pub fn new(params: Params, config: Configuration) -> Result<SystemSim> {
+    pub(crate) fn new(params: Params, config: Configuration) -> Result<EngineRates> {
         params.validate()?;
         let t = config.node_fault_tolerance();
         let rebuild = RebuildModel::new(params)?;
@@ -166,14 +137,10 @@ impl SystemSim {
             params.system.redundancy_set_size,
             params.node.drives_per_node,
         );
-        let lambda_n = params.node.failure_rate().0;
-        let lambda_d = params.drive.failure_rate().0;
-
         let (h, ir_rates, drive_rebuild_hours) = match config.internal() {
             InternalRaid::None => {
                 let h = HParams::new(t, n, r, d, params.drive.c_her())?;
-                let drive_rebuild_hours = rebuild.drive_rebuild(t)?.duration.0;
-                (Some(h), None, drive_rebuild_hours)
+                (Some(h), None, rebuild.drive_rebuild(t)?.duration.0)
             }
             raid => {
                 let restripe = rebuild.restripe()?;
@@ -193,19 +160,75 @@ impl SystemSim {
                 )
             }
         };
-
-        Ok(SystemSim {
-            params,
-            config,
+        Ok(EngineRates {
             t,
             n,
             d,
-            lambda_n,
-            lambda_d,
+            lambda_n: params.node.failure_rate().0,
+            lambda_d: params.drive.failure_rate().0,
             node_rebuild_hours,
             drive_rebuild_hours,
             h,
             ir_rates,
+        })
+    }
+
+    /// The competing hazard rates `(node, drive, sector)` in the state
+    /// with the given down-counts. Each rate is clamped at zero: with
+    /// `t` close to the node count, node deaths can shrink
+    /// `alive_nodes · d` below the *global* down-drive count, and the raw
+    /// difference would go negative — a negative rate fed to the
+    /// exponential sampler produces a negative waiting time and moves
+    /// simulated time backwards.
+    pub(crate) fn hazard_rates(
+        &self,
+        nodes_down: u32,
+        drives_down: u32,
+        critical: bool,
+    ) -> (f64, f64, f64) {
+        let is_ir = self.ir_rates.is_some();
+        let (lambda_array, critical_sector_rate) = self.ir_rates.unwrap_or((0.0, 0.0));
+        let alive_nodes = (self.n as f64 - f64::from(nodes_down)).max(0.0);
+        let node_rate = alive_nodes * (self.lambda_n + lambda_array);
+        let drive_rate = if is_ir {
+            0.0 // internal drive failures are folded into λ_D
+        } else {
+            (alive_nodes * self.d as f64 - f64::from(drives_down)).max(0.0) * self.lambda_d
+        };
+        let sector_rate = if is_ir && critical {
+            alive_nodes * critical_sector_rate
+        } else {
+            0.0
+        };
+        (node_rate, drive_rate, sector_rate)
+    }
+}
+
+/// The system simulator for one configuration at one parameter point.
+///
+/// Construction precomputes every derived rate; [`SystemSim::simulate_one`]
+/// then runs a single trajectory to data loss through the fault-injection
+/// engine ([`crate::faultinject`]) with nothing injected.
+#[derive(Debug, Clone)]
+pub struct SystemSim {
+    pub(crate) params: Params,
+    config: Configuration,
+    pub(crate) rates: EngineRates,
+    pub(crate) event_budget: u64,
+    pub(crate) repair: RepairDistribution,
+}
+
+impl SystemSim {
+    /// Builds a simulator.
+    ///
+    /// # Errors
+    ///
+    /// Propagates parameter validation and model-construction errors.
+    pub fn new(params: Params, config: Configuration) -> Result<SystemSim> {
+        Ok(SystemSim {
+            params,
+            config,
+            rates: EngineRates::new(params, config)?,
             event_budget: DEFAULT_EVENT_BUDGET,
             repair: RepairDistribution::default(),
         })
@@ -230,53 +253,6 @@ impl SystemSim {
         self.config
     }
 
-    pub(crate) fn engine_rates(&self) -> EngineRates<'_> {
-        EngineRates {
-            t: self.t,
-            n: self.n,
-            d: self.d,
-            lambda_n: self.lambda_n,
-            lambda_d: self.lambda_d,
-            node_rebuild_hours: self.node_rebuild_hours,
-            drive_rebuild_hours: self.drive_rebuild_hours,
-            h: self.h.as_ref(),
-            ir_rates: self.ir_rates,
-            event_budget: self.event_budget,
-            repair: self.repair,
-        }
-    }
-
-    /// The competing hazard rates `(node, drive, sector)` in the state
-    /// with the given down-counts. Each rate is clamped at zero: with
-    /// `t` close to the node count, node deaths can shrink
-    /// `alive_nodes · d` below the *global* down-drive count, and the raw
-    /// difference would go negative — a negative rate fed to the
-    /// exponential sampler produces a negative waiting time and moves
-    /// simulated time backwards (the fault-injection engine always
-    /// clamped; the plain loop historically did not).
-    pub(crate) fn hazard_rates(
-        &self,
-        nodes_down: u32,
-        drives_down: u32,
-        critical: bool,
-    ) -> (f64, f64, f64) {
-        let is_ir = self.ir_rates.is_some();
-        let (lambda_array, critical_sector_rate) = self.ir_rates.unwrap_or((0.0, 0.0));
-        let alive_nodes = (self.n as f64 - f64::from(nodes_down)).max(0.0);
-        let node_rate = alive_nodes * (self.lambda_n + lambda_array);
-        let drive_rate = if is_ir {
-            0.0 // internal drive failures are folded into λ_D
-        } else {
-            (alive_nodes * self.d as f64 - f64::from(drives_down)).max(0.0) * self.lambda_d
-        };
-        let sector_rate = if is_ir && critical {
-            alive_nodes * critical_sector_rate
-        } else {
-            0.0
-        };
-        (node_rate, drive_rate, sector_rate)
-    }
-
     /// Simulates a single trajectory until data loss.
     ///
     /// # Errors
@@ -288,144 +264,20 @@ impl SystemSim {
     ///   outstanding repair — the trajectory can never progress
     ///   (historically this panicked on an empty repair list).
     pub fn simulate_one<R: Rng + ?Sized>(&self, rng: &mut R) -> Result<DataLossSample> {
-        let mut now = 0.0f64;
-        let mut outstanding: Vec<OutstandingFailure> = Vec::new();
-        let mut failure_events = 0u64;
-        let mut spare_lost_bytes = 0.0f64;
+        let run = Campaign::to_loss(self).trajectory(rng, false)?;
+        let (time_hours, kind) = run.loss.expect("a run with no horizon ends in loss");
         let spare_total =
             self.params.raw_capacity().0 * (1.0 - self.params.system.capacity_utilization);
-        let drive_bytes = self.params.drive.capacity.0;
-
-        for _ in 0..self.event_budget {
-            let nodes_down = outstanding
-                .iter()
-                .filter(|o| o.kind == EntityKind::Node)
-                .count() as u32;
-            let drives_down = outstanding.len() as u32 - nodes_down;
-            let critical = outstanding.len() as u32 == self.t;
-
-            // Competing hazards while in this state (clamped at zero).
-            let (node_rate, drive_rate, sector_rate) =
-                self.hazard_rates(nodes_down, drives_down, critical);
-            let total_rate = node_rate + drive_rate + sector_rate;
-
-            let next_completion = outstanding
-                .iter()
-                .map(|o| o.completes_at)
-                .fold(f64::INFINITY, f64::min);
-
-            if total_rate <= 0.0 {
-                // No hazard can fire. If a rebuild is outstanding, advance
-                // to it without touching the RNG; otherwise the trajectory
-                // is stuck forever — a parameterization bug, not a sample.
-                if outstanding.is_empty() {
-                    return Err(Error::StalledTrajectory { at_hours: now });
-                }
-                now = next_completion;
-                let idx = outstanding
-                    .iter()
-                    .position(|o| o.completes_at == next_completion)
-                    .expect("completion exists");
-                outstanding.swap_remove(idx);
-                continue;
-            }
-
-            let to_failure = sample_exponential(rng, total_rate)?;
-
-            if now + to_failure >= next_completion {
-                // A rebuild finishes first.
-                now = next_completion;
-                let idx = outstanding
-                    .iter()
-                    .position(|o| o.completes_at == next_completion)
-                    .expect("completion exists");
-                outstanding.swap_remove(idx);
-                continue;
-            }
-
-            now += to_failure;
-            // Which hazard fired?
-            let pick: f64 = rng.random::<f64>() * total_rate;
-            if pick < sector_rate {
-                return Ok(self.sample(
-                    now,
-                    LossCause::SectorError,
-                    failure_events,
-                    spare_lost_bytes / spare_total,
-                ));
-            }
-            let kind = if pick < sector_rate + node_rate {
-                EntityKind::Node
-            } else {
-                EntityKind::Drive
-            };
-            failure_events += 1;
-            spare_lost_bytes += match kind {
-                EntityKind::Node => self.d as f64 * drive_bytes,
-                EntityKind::Drive => drive_bytes,
-            };
-
-            if outstanding.len() as u32 == self.t {
-                // Already critical: one more failure is a loss.
-                return Ok(self.sample(
-                    now,
-                    LossCause::ExcessFailures,
-                    failure_events,
-                    spare_lost_bytes / spare_total,
-                ));
-            }
-            let mean_duration = match kind {
-                EntityKind::Node => self.node_rebuild_hours,
-                EntityKind::Drive => self.drive_rebuild_hours,
-            };
-            let duration = match self.repair {
-                RepairDistribution::Deterministic => mean_duration,
-                RepairDistribution::Exponential => sample_exponential(rng, 1.0 / mean_duration)?,
-            };
-            outstanding.push(OutstandingFailure {
-                kind,
-                completes_at: now + duration,
-            });
-
-            // Did this failure make the system critical? If so, for no-IR
-            // the triggering rebuild reads critical data and may hit an
-            // uncorrectable sector error (§5.2.2).
-            if outstanding.len() as u32 == self.t {
-                if let Some(h) = &self.h {
-                    let drives = outstanding
-                        .iter()
-                        .filter(|o| o.kind == EntityKind::Drive)
-                        .count() as u32;
-                    let p = h.by_drive_count(drives).min(1.0);
-                    if rng.random::<f64>() < p {
-                        return Ok(self.sample(
-                            now,
-                            LossCause::SectorError,
-                            failure_events,
-                            spare_lost_bytes / spare_total,
-                        ));
-                    }
-                }
-            }
-        }
-        Err(Error::EventBudgetExhausted {
-            events: self.event_budget,
-        })
-    }
-
-    fn sample(
-        &self,
-        time_hours: f64,
-        cause: LossCause,
-        failure_events: u64,
-        spare_consumed: f64,
-    ) -> DataLossSample {
-        DataLossSample {
+        Ok(DataLossSample {
             time_hours,
-            cause,
-            failure_events,
-            spare_consumed,
-        }
+            cause: match kind {
+                LossKind::ExcessFailures => LossCause::ExcessFailures,
+                // Nothing is injected, so there is no latent error either.
+                LossKind::SectorError | LossKind::LatentError => LossCause::SectorError,
+            },
+            failure_events: run.natural_failures,
+            spare_consumed: run.spare_lost_bytes / spare_total,
+        })
     }
 
     /// Runs `samples` independent trajectories (seeded deterministically)
@@ -465,7 +317,7 @@ impl SystemSim {
             crate::obs::WORKER_SAMPLES_PER_S.observe(samples as f64 / secs.max(1e-9));
         }
         let mttdl = Estimate::from_samples(&times);
-        let capacity_pb = self.params.logical_capacity(self.t).to_pb();
+        let capacity_pb = self.params.logical_capacity(self.rates.t).to_pb();
         Ok(SimOutcome {
             events_per_pb_year: HOURS_PER_YEAR / (mttdl.mean * capacity_pb),
             sector_share: sector as f64 / samples as f64,
@@ -496,7 +348,7 @@ impl SystemSim {
                     let sim = self.clone();
                     scope.spawn(move || {
                         nsr_obs::set_trace_lane(u64::from(i) + 1);
-                        let r = sim.run(chunk, seed ^ (0x9e3779b9 * (i as u64 + 1)));
+                        let r = sim.run(chunk, run_seed(seed, u64::from(i)));
                         if let Ok(o) = &r {
                             nsr_obs::trace::event("sim.worker", || {
                                 vec![
@@ -541,7 +393,7 @@ impl SystemSim {
             std_err: var_sum.sqrt(),
             n: total_n,
         };
-        let capacity_pb = self.params.logical_capacity(self.t).to_pb();
+        let capacity_pb = self.params.logical_capacity(self.rates.t).to_pb();
         Ok(SimOutcome {
             events_per_pb_year: HOURS_PER_YEAR / (mttdl.mean * capacity_pb),
             sector_share: sector / total_n as f64,
@@ -831,14 +683,14 @@ mod tests {
         // exponential sampler it produced a *negative* waiting time,
         // moving simulated time backwards.
         let sim = SystemSim::new(Params::baseline(), config(InternalRaid::None, 1)).unwrap();
-        let (node_rate, drive_rate, sector_rate) = sim.hazard_rates(60, 700, false);
+        let (node_rate, drive_rate, sector_rate) = sim.rates.hazard_rates(60, 700, false);
         assert_eq!(drive_rate, 0.0, "negative drive rate must clamp to zero");
         assert!(node_rate >= 0.0 && sector_rate >= 0.0);
         // Even with every node down, nothing goes negative.
-        let (nr, dr, sr) = sim.hazard_rates(64, 1000, true);
+        let (nr, dr, sr) = sim.rates.hazard_rates(64, 1000, true);
         assert!(nr == 0.0 && dr == 0.0 && sr == 0.0);
         // Sane states still produce strictly positive hazards.
-        let (nr, dr, _) = sim.hazard_rates(1, 2, false);
+        let (nr, dr, _) = sim.rates.hazard_rates(1, 2, false);
         assert!(nr > 0.0 && dr > 0.0);
     }
 
@@ -850,8 +702,8 @@ mod tests {
         // `expect("completion exists")` against the empty repair list. It
         // must now be a typed error that consumes no randomness.
         let mut sim = SystemSim::new(Params::baseline(), config(InternalRaid::None, 1)).unwrap();
-        sim.lambda_n = 0.0;
-        sim.lambda_d = 0.0;
+        sim.rates.lambda_n = 0.0;
+        sim.rates.lambda_d = 0.0;
         let mut rng = StdRng::seed_from_u64(3);
         assert!(matches!(
             sim.simulate_one(&mut rng).unwrap_err(),
