@@ -25,9 +25,10 @@ for bin in ablations ext_her fig13 fig14 fig15 fig16 fig17 fig18 fig19 fig20 \
 done
 
 echo "==> examples (run to completion, not only compiled)"
-# tier-1 builds every example; these two also run, and a non-zero exit
-# (a typed error from main) fails the gate.
-for example in fail_in_place erasure_rebuild; do
+# tier-1 builds every example; these also run, and a non-zero exit
+# (a typed error from main) fails the gate. availability_model and
+# markov_toolkit are the only non-test callers of the stationary solve.
+for example in fail_in_place erasure_rebuild availability_model markov_toolkit; do
     cargo run --release -q -p nsr-cli --example "$example" > /dev/null
 done
 

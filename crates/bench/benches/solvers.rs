@@ -1,5 +1,5 @@
-//! Benches for the analytic kernels: LU factorization, GTH absorbing
-//! analysis, recursive-chain construction and solve, and a full
+//! Benches for the analytic kernels: GTH absorbing analysis,
+//! recursive-chain construction and solve, and a full
 //! Figure-13 evaluation. Emits `BENCH_solvers.json` (override with
 //! `--out <path>`; `--smoke` shrinks budgets and sizes). Run with
 //! `cargo bench -p nsr-bench --bench solvers`.

@@ -45,7 +45,6 @@ use nsr_erasure::gf256::{mul_acc, mul_acc_portable, mul_acc_reference, xor_acc, 
 use nsr_erasure::matrix::GfMatrix;
 use nsr_erasure::placement::Placement;
 use nsr_erasure::rs::ReedSolomon;
-use nsr_linalg::{Lu, Matrix};
 use nsr_markov::AbsorbingAnalysis;
 use nsr_rng::rngs::StdRng;
 use nsr_rng::SeedableRng;
@@ -384,30 +383,11 @@ fn recursive_model(k: u32) -> Result<RecursiveModel, String> {
     .map_err(err("recursive model"))
 }
 
-/// The analytic-kernel suite: LU factor+solve, recursive-chain build and
-/// GTH solve, and (full mode only) a complete Figure-13 evaluation.
+/// The analytic-kernel suite: recursive-chain build and GTH solve, and
+/// (full mode only) a complete Figure-13 evaluation.
 pub fn solvers_suite(mode: Mode) -> Result<Suite, String> {
     let t = mode.timing();
     let mut results = Vec::new();
-
-    let lu_sizes: &[usize] = match mode {
-        Mode::Full => &[15, 63, 127],
-        Mode::Smoke => &[15],
-    };
-    for &n in lu_sizes {
-        let a = Matrix::from_fn(n, n, |r, cc| {
-            if r == cc {
-                (n + 1) as f64
-            } else {
-                1.0 / (1.0 + (r as f64 - cc as f64).abs())
-            }
-        });
-        let b = vec![1.0; n];
-        results.push(t.measure(&format!("lu_factor_solve/n={n}"), 0, || {
-            let lu = Lu::factor(&a).expect("nonsingular");
-            lu.solve(&b).expect("solve")
-        }));
-    }
 
     let ks: &[u32] = match mode {
         Mode::Full => &[1, 2, 3, 5, 7],

@@ -156,6 +156,43 @@ mod tests {
     }
 
     #[test]
+    fn stationary_fractions_match_the_renewal_identities() {
+        // Restore-closed chain = alternating renewal of an up period (mean
+        // MTTDL M, of which e_root in the root) and a restore (mean R):
+        // unavailability = R/(M+R), degraded = (M − e_root)/(M+R). M and
+        // e_root come from the absorbing solve, an independent method.
+        let mut durable = Params::baseline();
+        durable.drive.mttf = Hours(3.0e6);
+        durable.node.mttf = Hours(5.0e6);
+        let (mut worst_unavail, mut worst_degraded) = ((0.0, String::new()), (0.0, String::new()));
+        for params in [Params::baseline(), durable] {
+            for config in Configuration::all_nine() {
+                let (ctmc, root) = config.exact_chain(&params).unwrap();
+                let an = nsr_markov::AbsorbingAnalysis::new(&ctmc).unwrap();
+                let m = an.mean_time_to_absorption(root).unwrap();
+                let e_root = an.expected_time_in(root, root).unwrap();
+                for r in [1.0, 168.0] {
+                    let a = steady_state(config, &params, Hours(r)).unwrap();
+                    let at = || format!("{config}, drive MTTF {}, R = {r}", params.drive.mttf.0);
+                    let err = (a.unavailability / (r / (m + r)) - 1.0).abs();
+                    if err > worst_unavail.0 {
+                        worst_unavail = (err, at());
+                    }
+                    let err = (a.degraded_fraction / ((m - e_root) / (m + r)) - 1.0).abs();
+                    if err > worst_degraded.0 {
+                        worst_degraded = (err, at());
+                    }
+                }
+            }
+        }
+        assert!(worst_unavail.0 < 1e-12, "unavailability {worst_unavail:?}");
+        assert!(
+            worst_degraded.0 < 1e-10,
+            "degraded fraction {worst_degraded:?}"
+        );
+    }
+
+    #[test]
     fn downtime_consistent_with_unavailability() {
         let params = Params::baseline();
         let a = steady_state(cfg(InternalRaid::None, 2), &params, Hours(24.0)).unwrap();

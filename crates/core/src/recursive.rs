@@ -32,8 +32,8 @@ use crate::units::{Hours, PerHour};
 use crate::{Error, Result};
 
 /// Largest fault tolerance for which the exact chain is built
-/// (`2^(k+1) − 1 = 1023` transient states at `k = 9`; LU on that is still
-/// interactive).
+/// (`2^(k+1) − 1 = 1023` transient states at `k = 9`; the dense GTH
+/// elimination of that is still interactive).
 pub const MAX_EXACT_FAULT_TOLERANCE: u32 = 9;
 
 /// Label of the absorbing state reached by a failure beyond the tolerance.

@@ -41,7 +41,7 @@ use crate::{Error, Result};
 /// sweep, planner and figure path runs — is pinned against bit for bit.
 ///
 /// A chain whose elimination overflows (rates so small that a mean time
-/// exceeds `f64::MAX`) is refused with [`nsr_linalg::Error::NotFinite`],
+/// exceeds `f64::MAX`) is refused with [`Error::NotFinite`],
 /// exactly as the compiled engine refuses it. No input reachable through
 /// [`crate::CtmcBuilder`] panics this type.
 ///
@@ -107,12 +107,10 @@ impl AbsorbingAnalysis {
     ///
     /// * [`Error::NoAbsorbingState`] / [`Error::NoTransientState`] if the
     ///   chain is not a proper absorbing chain.
-    /// * [`Error::Linalg`] ([`nsr_linalg::Error::Singular`]) if some
-    ///   transient state cannot reach any absorbing state (the absorption
-    ///   matrix is singular).
-    /// * [`Error::Linalg`] ([`nsr_linalg::Error::NotFinite`]) if the
-    ///   elimination overflowed and a mean time or probability is
-    ///   infinite or NaN.
+    /// * [`Error::Singular`] if some transient state cannot reach any
+    ///   absorbing state (the absorption matrix is singular).
+    /// * [`Error::NotFinite`] if the elimination overflowed and a mean
+    ///   time or probability is infinite or NaN.
     pub fn new(ctmc: &Ctmc) -> Result<Self> {
         let t0 = nsr_obs::metrics_timer();
         let mut span = nsr_obs::trace::Span::enter("markov.absorbing.solve");
@@ -250,7 +248,7 @@ impl AbsorbingAnalysis {
     /// # Errors
     ///
     /// * [`Error::StateNotTransient`] if either state is absorbing.
-    /// * [`Error::Linalg`] if the replay overflows.
+    /// * [`Error::NotFinite`] if the replay overflows.
     pub fn expected_time_in(&self, from: StateId, in_state: StateId) -> Result<f64> {
         let i = self.row(from)?;
         // (R⁻¹)_{ij} = e_iᵗ R⁻¹ e_j: solve R y = e_j, answer y_i.
@@ -349,7 +347,7 @@ impl GthFactors {
             if d <= 0.0 {
                 // State t cannot reach absorption once higher states are
                 // eliminated: the chain is reducible w.r.t. absorption.
-                return Err(Error::Linalg(nsr_linalg::Error::Singular { pivot: t }));
+                return Err(Error::Singular { pivot: t });
             }
             pivots[t] = d;
             for (i, row_i) in above.chunks_exact_mut(m).enumerate() {
@@ -403,9 +401,9 @@ impl GthFactors {
         if x.iter().all(|v| v.is_finite()) {
             Ok(x)
         } else {
-            Err(Error::Linalg(nsr_linalg::Error::NotFinite {
+            Err(Error::NotFinite {
                 op: "absorbing GTH solve",
-            }))
+            })
         }
     }
 }
@@ -617,7 +615,7 @@ mod tests {
         let c = b.build().unwrap();
         assert!(matches!(
             AbsorbingAnalysis::new(&c).unwrap_err(),
-            Error::Linalg(_)
+            Error::Singular { .. }
         ));
     }
 
@@ -631,33 +629,36 @@ mod tests {
     }
 
     #[test]
-    fn condition_and_det_match_lu_on_a_benign_chain() {
-        // Where LU can be trusted, κ∞ from the mean times and det from
-        // the pivot product are the quantities LU computes, to rounding.
-        let (c, ..) = chain(1e-3, 1.0, 1e-3);
+    fn condition_and_det_match_closed_forms_on_a_benign_chain() {
+        // R = [[a, −a], [−μ, μ + b₂]]: det R = a·b₂, ‖R‖∞ = max(2a, 2μ + b₂),
+        // and R⁻¹ ≥ 0 has ‖R⁻¹‖∞ = MTTA from s0 = (a + μ + b₂)/(a·b₂).
+        let (a, mu, b2) = (1e-3, 1.0, 1e-3);
+        let (c, ..) = chain(a, mu, b2);
         let an = AbsorbingAnalysis::new(&c).unwrap();
-        let (r, _) = c.absorption_matrix();
-        let lu = nsr_linalg::Lu::factor(&r).unwrap();
         let kappa = an.condition_estimate();
-        let want = lu.cond_inf(&r).unwrap();
+        let want = f64::max(2.0 * a, 2.0 * mu + b2) * (a + mu + b2) / (a * b2);
         assert!(
             kappa >= 1.0 && (kappa - want).abs() / want < 1e-9,
             "{kappa} vs {want}"
         );
-        assert!((an.det() - lu.det()).abs() / lu.det() < 1e-9);
+        let det = a * b2;
+        assert!((an.det() - det).abs() / det < 1e-9);
     }
 
     #[test]
     fn condition_is_exact_where_the_rounded_matrix_is_singular() {
         // s0 <-> s1 at rate 1, s1 -> dead at 1e-20. The exact absorption
         // matrix [[1, -1], [-1, 1 + 1e-20]] rounds to the singular
-        // [[1, -1], [-1, 1]] in f64, so an LU of it fails — but GTH
-        // recomputes every pivot as a sum (1e-20 survives as qa) and the
-        // analysis must still deliver the whole API.
+        // [[1, -1], [-1, 1]] in f64, so an elimination that subtracts
+        // fails — but GTH recomputes every pivot as a sum (1e-20 survives
+        // as qa) and the analysis must still deliver the whole API.
         let lam_abs = 1e-20;
         let (c, s0, s1, s2) = chain(1.0, 1.0, lam_abs);
         let an = AbsorbingAnalysis::new(&c).unwrap();
-        assert!(nsr_linalg::Lu::factor(&c.absorption_matrix().0).is_err());
+        // R's diagonal is the states' total exit rates, its off-diagonal
+        // −a = −μ = −1.
+        let (r00, r11) = (c.total_rate(s0), c.total_rate(s1));
+        assert_eq!(r00 * r11 - (-1.0) * (-1.0), 0.0);
 
         // Closed form: MTTA = (λa + λb + μ)/(λa·λb) = (2 + 1e-20)/1e-20.
         let exact = (1.0 + lam_abs + 1.0) / lam_abs;
@@ -671,7 +672,7 @@ mod tests {
         assert!((kappa - want).abs() / want < 1e-12, "{kappa} vs {want}");
 
         // det(R) = 1·(1 + 1e-20) − 1 = 1e-20 exactly in the reals; the
-        // pivot product recovers it even though LU sees a zero pivot.
+        // pivot product recovers it where the f64 cofactor product is 0.
         let det = an.det();
         assert!((det - lam_abs).abs() / lam_abs < 1e-12, "{det}");
 

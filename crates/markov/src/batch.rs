@@ -45,10 +45,10 @@
 //! partition at construction. A rate vector that silences *every*
 //! outgoing transition of some transient state (making it absorbing in
 //! the re-rated chain) fails the elimination with a
-//! [`nsr_linalg::Error::Singular`] pivot rather than silently diverging
+//! [`crate::Error::Singular`] pivot rather than silently diverging
 //! from the rebuild-from-scratch semantics. Likewise a rate vector whose
 //! elimination overflows is refused with
-//! [`nsr_linalg::Error::NotFinite`] — the reference refuses the same
+//! [`crate::Error::NotFinite`] — the reference refuses the same
 //! chain — so an infinite or NaN MTTA never leaves the solver as a
 //! number.
 
@@ -375,10 +375,10 @@ impl BatchSolver {
     ///
     /// * [`Error::InvalidArgument`] on a rate-vector length mismatch.
     /// * [`Error::InvalidRate`] for negative, NaN or infinite rates.
-    /// * [`Error::Linalg`] ([`nsr_linalg::Error::Singular`]) if some state
-    ///   cannot reach absorption under these rates.
-    /// * [`Error::Linalg`] ([`nsr_linalg::Error::NotFinite`]) if the
-    ///   elimination overflowed and the root's MTTA is infinite or NaN.
+    /// * [`Error::Singular`] if some state cannot reach absorption under
+    ///   these rates.
+    /// * [`Error::NotFinite`] if the elimination overflowed and the
+    ///   root's MTTA is infinite or NaN.
     pub fn solve_mtta(&mut self, rates: &[f64]) -> Result<f64> {
         let _span = nsr_obs::trace::Span::enter("markov.batch.solve");
         let p = &*self.program;
@@ -421,7 +421,7 @@ impl BatchSolver {
                 d += v;
             }
             if d <= 0.0 {
-                return Err(Error::Linalg(nsr_linalg::Error::Singular { pivot: t }));
+                return Err(Error::Singular { pivot: t });
             }
             exit[t] = d;
             let (r_t, qa_t) = (rhs[t], qa[t]);
@@ -465,9 +465,9 @@ impl BatchSolver {
         }
         let mtta = x[p.root];
         if !mtta.is_finite() {
-            return Err(Error::Linalg(nsr_linalg::Error::NotFinite {
+            return Err(Error::NotFinite {
                 op: "batched GTH solve",
-            }));
+            });
         }
         self.solves += 1;
         crate::obs::BATCH_SOLVES.inc();
@@ -564,7 +564,7 @@ mod tests {
         let mut solver = BatchSolver::new(&skel, root).unwrap();
         let zero = vec![0.0; solver.transitions()];
         match solver.solve_mtta(&zero) {
-            Err(Error::Linalg(nsr_linalg::Error::Singular { .. })) => {}
+            Err(Error::Singular { .. }) => {}
             other => panic!("expected singular pivot, got {other:?}"),
         }
     }
@@ -577,7 +577,7 @@ mod tests {
         let mut solver = BatchSolver::new(&skel, root).unwrap();
         let tiny = vec![1e-310; solver.transitions()];
         match solver.solve_mtta(&tiny) {
-            Err(Error::Linalg(nsr_linalg::Error::NotFinite { .. })) => {}
+            Err(Error::NotFinite { .. }) => {}
             other => panic!("expected a non-finite error, got {other:?}"),
         }
         assert_eq!(solver.solves(), 0, "a refused solve is not counted");
@@ -594,7 +594,7 @@ mod tests {
         let oracle = AbsorbingAnalysis::new(&skel.with_rates(&tiny).unwrap());
         for refused in [engine.map(|_| ()), oracle.map(|_| ())] {
             match refused {
-                Err(Error::Linalg(nsr_linalg::Error::NotFinite { .. })) => {}
+                Err(Error::NotFinite { .. }) => {}
                 other => panic!("expected a non-finite error, got {other:?}"),
             }
         }

@@ -1,6 +1,5 @@
-use nsr_linalg::Matrix;
-
 use crate::builder::StateId;
+use crate::matrix::Matrix;
 use crate::{Error, Result};
 
 /// Validates a dense matrix as an infinitesimal generator `Q`.
@@ -15,8 +14,7 @@ use crate::{Error, Result};
 ///
 /// # Errors
 ///
-/// * [`Error::Linalg`] ([`nsr_linalg::Error::NotSquare`] /
-///   [`nsr_linalg::Error::Empty`]) for shape violations.
+/// * [`Error::NotSquare`] / [`Error::Empty`] for shape violations.
 /// * [`Error::InvalidRate`] for NaN/Inf entries or negative off-diagonal
 ///   rates.
 /// * [`Error::InvalidArgument`] for positive diagonals or rows that do not
@@ -24,12 +22,12 @@ use crate::{Error, Result};
 pub fn validate_generator(q: &Matrix) -> Result<()> {
     let (rows, cols) = q.shape();
     if rows == 0 || cols == 0 {
-        return Err(Error::Linalg(nsr_linalg::Error::Empty));
+        return Err(Error::Empty);
     }
     if rows != cols {
-        return Err(Error::Linalg(nsr_linalg::Error::NotSquare {
+        return Err(Error::NotSquare {
             shape: (rows, cols),
-        }));
+        });
     }
     for i in 0..rows {
         let mut sum = 0.0;
@@ -203,30 +201,6 @@ impl Ctmc {
         q
     }
 
-    /// The *absorption matrix* `R = −Q_B` restricted to the transient
-    /// states, together with the transient state ids in the row/column
-    /// order used. This is the matrix the paper's appendix inverts to get
-    /// `MTTDL = e₁ᵀ R⁻¹ 1`.
-    pub fn absorption_matrix(&self) -> (Matrix, Vec<StateId>) {
-        let transient = self.transient_states();
-        let pos: std::collections::HashMap<usize, usize> = transient
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.0, i))
-            .collect();
-        let m = transient.len();
-        let mut r = Matrix::zeros(m.max(1), m.max(1));
-        for (i, &s) in transient.iter().enumerate() {
-            r[(i, i)] = self.total_rate(s);
-            for &(to, rate) in self.transitions_from(s) {
-                if let Some(&j) = pos.get(&to.0) {
-                    r[(i, j)] -= rate;
-                }
-            }
-        }
-        (r, transient)
-    }
-
     /// Rebuilds the chain with the same states and transition *structure*
     /// but new rates, one per entry of [`Ctmc::transitions`] in order.
     ///
@@ -322,19 +296,6 @@ mod tests {
     }
 
     #[test]
-    fn absorption_matrix_shape_and_signs() {
-        let (c, ..) = three_state();
-        let (r, transient) = c.absorption_matrix();
-        assert_eq!(transient.len(), 2);
-        assert_eq!(r.shape(), (2, 2));
-        // Diagonal positive, off-diagonal non-positive.
-        assert_eq!(r[(0, 0)], 2.0);
-        assert_eq!(r[(1, 1)], 11.0);
-        assert_eq!(r[(0, 1)], -2.0);
-        assert_eq!(r[(1, 0)], -10.0);
-    }
-
-    #[test]
     fn labels_and_lookup() {
         let (c, s0, _, s2) = three_state();
         assert_eq!(c.label(s0), "ok");
@@ -417,7 +378,7 @@ mod tests {
         let rect = Matrix::zeros(2, 3);
         assert!(matches!(
             validate_generator(&rect).unwrap_err(),
-            Error::Linalg(nsr_linalg::Error::NotSquare { .. })
+            Error::NotSquare { .. }
         ));
 
         // NaN entry.

@@ -46,8 +46,8 @@ pub enum Error {
         state: usize,
     },
     /// The stationary distribution is only defined for irreducible chains;
-    /// the solve produced a non-distribution (singular system or negative
-    /// mass), which indicates reducibility.
+    /// the chain has an absorbing state, or the GTH reduction met a state
+    /// with no way back to the states left (a zero pivot sum).
     NotIrreducible,
     /// A numeric argument (time horizon, tolerance) was invalid.
     InvalidArgument {
@@ -62,8 +62,26 @@ pub enum Error {
         /// The offending rate.
         rate: f64,
     },
-    /// An underlying linear-algebra operation failed.
-    Linalg(nsr_linalg::Error),
+    /// A matrix with zero rows or columns was supplied where a non-empty
+    /// matrix is required.
+    Empty,
+    /// A square matrix was required but the operand was rectangular.
+    NotSquare {
+        /// Shape of the offending matrix.
+        shape: (usize, usize),
+    },
+    /// The absorption matrix is singular: once the states after `pivot`
+    /// are eliminated, transient state `pivot` has no way to absorption.
+    Singular {
+        /// Elimination step (transient row) at which the pivot sum was zero.
+        pivot: usize,
+    },
+    /// A solve overflowed: a mean time or probability came out infinite
+    /// or NaN.
+    NotFinite {
+        /// Human-readable name of the operation that failed.
+        op: &'static str,
+    },
 }
 
 impl fmt::Display for Error {
@@ -93,22 +111,19 @@ impl fmt::Display for Error {
                     "exponential rate must be positive and finite, got {rate}"
                 )
             }
-            Error::Linalg(e) => write!(f, "linear algebra failure: {e}"),
+            Error::Empty => write!(f, "matrix must be non-empty"),
+            Error::NotSquare { shape } => {
+                write!(f, "matrix must be square, got {}x{}", shape.0, shape.1)
+            }
+            Error::Singular { pivot } => {
+                write!(
+                    f,
+                    "matrix is singular to working precision at pivot column {pivot}"
+                )
+            }
+            Error::NotFinite { op } => write!(f, "non-finite value encountered in {op}"),
         }
     }
 }
 
-impl std::error::Error for Error {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            Error::Linalg(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<nsr_linalg::Error> for Error {
-    fn from(e: nsr_linalg::Error) -> Self {
-        Error::Linalg(e)
-    }
-}
+impl std::error::Error for Error {}

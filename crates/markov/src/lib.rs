@@ -17,11 +17,13 @@
 //! * [`BatchSolver`] / [`BatchProgram`] — the same elimination compiled
 //!   once per chain topology into an allocation-free program; what every
 //!   sweep, planner and figure path runs per rate vector.
+//! * [`Matrix`] — the dense row-major generator `Q` and uniformized `P`.
 //! * [`validate_generator`] — numerical guardrail rejecting NaN/Inf
 //!   entries, negative rates, and non-zero row sums in externally
 //!   assembled generator matrices.
 //! * [`stationary_distribution`] — limiting distribution of an irreducible
-//!   chain (`π·Q = 0`, `Σπ = 1`).
+//!   chain (`π·Q = 0`, `Σπ = 1`) by GTH state reduction, the same
+//!   subtraction-free elimination: it is the crate's only other solve.
 //! * [`transient_distribution`] — `π(t)` by uniformization.
 //! * [`simulate`] — Monte-Carlo trajectory sampling and time-to-absorption
 //!   estimation, used to cross-validate the analytic solvers.
@@ -65,6 +67,7 @@ mod classify;
 mod ctmc;
 mod dot;
 mod error;
+mod matrix;
 pub mod obs;
 pub mod simulate;
 mod solutions;
@@ -77,6 +80,7 @@ pub use classify::{strongly_connected_components, validate_absorbing, AbsorbingD
 pub use ctmc::{validate_generator, Ctmc, Transition};
 pub use dot::{to_dot, DotOptions};
 pub use error::Error;
+pub use matrix::Matrix;
 pub use solutions::{stationary_distribution, transient_distribution, uniformized};
 
 /// Crate-local result alias.

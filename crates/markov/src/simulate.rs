@@ -2,7 +2,7 @@
 //!
 //! Used throughout the workspace to cross-validate the analytic solvers:
 //! an independent stochastic implementation of the same chain should land
-//! within its confidence interval of the LU-based answers.
+//! within its confidence interval of the GTH answers.
 
 use nsr_rng::Rng;
 

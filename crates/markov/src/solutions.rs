@@ -1,18 +1,26 @@
 //! Stationary and transient solutions of a CTMC.
 
-use nsr_linalg::{vector, Lu, Matrix};
-
 use crate::ctmc::Ctmc;
+use crate::matrix::Matrix;
 use crate::{Error, Result};
 
-/// Computes the stationary distribution `π` of an irreducible CTMC by
-/// solving `π·Q = 0`, `Σπᵢ = 1`.
+/// Computes the stationary distribution `π` of an irreducible CTMC
+/// (`π·Q = 0`, `Σπᵢ = 1`) by GTH state reduction (Grassmann, Taksar &
+/// Heyman, *Operations Research* 33(5), 1985).
+///
+/// States are folded into the lower-numbered ones from the last down.
+/// Each folded state's exit rate to the states that remain is recomputed
+/// as a sum of rates, never obtained by a subtraction, so every operation
+/// is on non-negative quantities: the result is non-negative by
+/// construction and carries componentwise relative accuracy however stiff
+/// the chain is — the same property [`crate::AbsorbingAnalysis`] relies on.
 ///
 /// # Errors
 ///
-/// * [`Error::NotIrreducible`] if the chain has absorbing states, the
-///   linear system is singular, or the solve produces negative mass —
-///   all symptoms of a reducible chain.
+/// * [`Error::NotIrreducible`] if the chain has absorbing states, or a
+///   state has no way back to the lower-numbered states once the higher
+///   ones are folded in (a zero pivot sum) — the chain is reducible.
+/// * [`Error::NotFinite`] if a rate sum overflows.
 ///
 /// # Example
 ///
@@ -32,26 +40,56 @@ use crate::{Error, Result};
 /// # }
 /// ```
 pub fn stationary_distribution(ctmc: &Ctmc) -> Result<Vec<f64>> {
-    let n = ctmc.len();
     if !ctmc.absorbing_states().is_empty() {
         return Err(Error::NotIrreducible);
     }
-    // Solve Qᵗ·πᵗ = 0 with the last equation replaced by Σπ = 1.
-    let q = ctmc.generator();
-    let mut a = q.transpose();
-    for c in 0..n {
-        a[(n - 1, c)] = 1.0;
+    let n = ctmc.len();
+    // Row-major off-diagonal rates; the diagonal is never read.
+    let mut a = vec![0.0; n * n];
+    for t in ctmc.transitions() {
+        a[t.from.index() * n + t.to.index()] += t.rate;
     }
-    let mut b = vec![0.0; n];
-    b[n - 1] = 1.0;
-    let lu = Lu::factor(&a).map_err(|_| Error::NotIrreducible)?;
-    let pi = lu.solve_refined(&a, &b)?;
-    if pi.iter().any(|&p| !(p.is_finite() && p >= -1e-9)) {
-        return Err(Error::NotIrreducible);
+    for k in (1..n).rev() {
+        let (above, rest) = a.split_at_mut(k * n);
+        let row_k = &rest[..k];
+        let s: f64 = row_k.iter().sum();
+        if s == 0.0 {
+            return Err(Error::NotIrreducible);
+        }
+        if !s.is_finite() {
+            return Err(Error::NotFinite {
+                op: "stationary GTH solve",
+            });
+        }
+        // (i, k) becomes the rate i → k per unit of k's exit rate; k's
+        // outflow is rerouted to the states it would next enter.
+        for (i, row_i) in above.chunks_exact_mut(n).enumerate() {
+            let f = row_i[k] / s;
+            row_i[k] = f;
+            if f == 0.0 {
+                continue;
+            }
+            for (j, &akj) in row_k.iter().enumerate() {
+                if j != i {
+                    row_i[j] += f * akj;
+                }
+            }
+        }
     }
-    let mut pi: Vec<f64> = pi.into_iter().map(|p| p.max(0.0)).collect();
-    if !vector::normalize_prob(&mut pi) {
-        return Err(Error::NotIrreducible);
+    // Back-substitute from π₀ = 1: π_k = Σ_{i<k} π_i·(i, k), then scale.
+    let mut pi = vec![0.0; n];
+    pi[0] = 1.0;
+    for k in 1..n {
+        pi[k] = (0..k).map(|i| pi[i] * a[i * n + k]).sum();
+    }
+    let total: f64 = pi.iter().sum();
+    if !total.is_finite() {
+        return Err(Error::NotFinite {
+            op: "stationary GTH solve",
+        });
+    }
+    for p in &mut pi {
+        *p /= total;
     }
     Ok(pi)
 }
@@ -116,14 +154,7 @@ pub fn transient_distribution(ctmc: &Ctmc, pi0: &[f64], t: f64, tol: f64) -> Res
         return Ok(pi0.to_vec());
     }
 
-    let lambda = ctmc.max_total_rate() * 1.02 + 1e-300;
-    // P = I + Q/Λ.
-    let q = ctmc.generator();
-    let mut p = q.scaled(1.0 / lambda);
-    for i in 0..n {
-        p[(i, i)] += 1.0;
-    }
-
+    let (p, lambda) = uniformized(ctmc);
     let lt = lambda * t;
     // Poisson(lt) weights computed iteratively in log space for stability.
     let mut result = vec![0.0; n];
@@ -141,7 +172,9 @@ pub fn transient_distribution(ctmc: &Ctmc, pi0: &[f64], t: f64, tol: f64) -> Res
     loop {
         let w = log_w.exp();
         if w > 0.0 {
-            vector::axpy(w, &v, &mut result);
+            for (r, &x) in result.iter_mut().zip(&v) {
+                *r += w * x;
+            }
             cum += w;
         }
         if 1.0 - cum < tol || k >= cap {
@@ -153,7 +186,12 @@ pub fn transient_distribution(ctmc: &Ctmc, pi0: &[f64], t: f64, tol: f64) -> Res
         log_w += (lt / k as f64).ln();
     }
     // Guard against truncation drift.
-    let _ = vector::normalize_prob(&mut result);
+    let total: f64 = result.iter().sum();
+    if total != 0.0 && total.is_finite() {
+        for r in &mut result {
+            *r /= total;
+        }
+    }
     Ok(result)
 }
 

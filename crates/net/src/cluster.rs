@@ -30,6 +30,7 @@ use crate::clock::WallClock;
 use crate::detector::{DetectorConfig, Health, Transition};
 use crate::error::Error;
 use crate::gateway::{Gateway, GatewayConfig, ReadMode, RetryPolicy};
+use crate::workload::object_payload;
 
 /// Campaign parameters.
 #[derive(Debug, Clone)]
@@ -249,13 +250,6 @@ fn render_brick_part(t: &crate::gateway::BrickTelemetry) -> String {
         out.push('\n');
     }
     out
-}
-
-/// Deterministic per-object payload so verification needs no stored
-/// copy of the data.
-fn object_payload(seed: u64, object: u64, bytes: usize) -> Vec<u8> {
-    let mut rng = StdRng::seed_from_u64(seed ^ object.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    (0..bytes).map(|_| rng.random::<u8>()).collect()
 }
 
 /// The named live plans. Times are plan-hours; the campaign compresses

@@ -74,9 +74,9 @@ impl Default for WorkloadSpec {
     }
 }
 
-/// The deterministic payload for `object` under `seed` — the same
-/// convention the cluster verifier uses, so reads can be checked
-/// without a shadow store.
+/// The deterministic payload for `object` under `seed`. Workload runs
+/// and the cluster campaign both write and verify with it, so reads can
+/// be checked without a shadow store.
 pub fn object_payload(seed: u64, object: u64, bytes: usize) -> Vec<u8> {
     let mut rng = StdRng::seed_from_u64(seed ^ object.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     (0..bytes).map(|_| rng.random::<u8>()).collect()
