@@ -15,20 +15,25 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> recorded results (figure and ablation binaries vs results/*.txt)"
-# Every figure and ablation binary is deterministic (fixed seeds), so its
-# output must equal the checked-in record byte for byte: a change that
-# moves a number regenerates the record in the same commit.
-for bin in ablations ext_her fig13 fig14 fig15 fig16 fig17 fig18 fig19 fig20 \
-    fig_a1 mttf_map; do
-    ./target/release/"$bin" | diff "results/$bin.txt" -
-done
+SMOKE_DIR="$(mktemp -d)"
+trap 'rm -rf "$SMOKE_DIR"' EXIT
+
+echo "==> recorded results (nsr figures vs results/)"
+# results/ is the output of `nsr figures` at default flags, and every
+# record in it is deterministic (fixed seeds), so the regenerated
+# directory must equal the checked-in one byte for byte, with no file
+# missing and none extra: a change that moves a number regenerates
+# results/ (`./target/release/nsr figures`) in the same commit.
+./target/release/nsr figures --out "$SMOKE_DIR/results" > /dev/null
+diff -r results "$SMOKE_DIR/results"
 
 echo "==> examples (run to completion, not only compiled)"
-# tier-1 builds every example; these also run, and a non-zero exit
+# tier-1 builds every example; every one also runs, and a non-zero exit
 # (a typed error from main) fails the gate. availability_model and
-# markov_toolkit are the only non-test callers of the stationary solve.
-for example in fail_in_place erasure_rebuild availability_model markov_toolkit; do
+# markov_toolkit are the only non-test callers of the stationary solve,
+# fail_in_place the only example calling the planner.
+for example in quickstart capacity_planning rare_event_estimation fail_in_place \
+    erasure_rebuild availability_model markov_toolkit; do
     cargo run --release -q -p nsr-cli --example "$example" > /dev/null
 done
 
@@ -45,8 +50,6 @@ echo "==> smoke bench (tiny sizes, schema-validated JSON, offline)"
 # Runs every suite in --smoke mode into a scratch directory, then re-parses
 # the emitted BENCH_*.json through the harness's schema validator. Also
 # validates the full-mode reports checked into the repo root.
-SMOKE_DIR="$(mktemp -d)"
-trap 'rm -rf "$SMOKE_DIR"' EXIT
 ./target/release/nsr bench --smoke --out-dir "$SMOKE_DIR"
 ./target/release/nsr bench --check --out-dir "$SMOKE_DIR"
 ./target/release/nsr bench --check --out-dir .
@@ -76,9 +79,9 @@ bench_gate erasure
 # The sim suite carries the fleet engine rows (fleet_decade_*).
 bench_gate sim
 
-echo "==> observability smoke (nsr-obs/v1 snapshots, schema-validated)"
-# A parallel sim with both snapshot flags must produce valid nsr-obs/v1
-# files carrying the headline metrics from all three instrumented crates
+echo "==> observability smoke (nsr-obs snapshots, schema-validated)"
+# A parallel sim with both snapshot flags must produce valid nsr-obs
+# files (v1 metrics, v2 trace) carrying the headline metrics from all three instrumented crates
 # (the erasure crate's one metric is the kernel tier, set at registration).
 ./target/release/nsr sim --config ft1-nir --samples 60 --threads 2 --seed 7 \
     --metrics-out "$SMOKE_DIR/metrics.jsonl" --trace-out "$SMOKE_DIR/trace.jsonl"

@@ -1,11 +1,8 @@
-//! Shared harness code for the per-figure reproduction binaries.
-//!
-//! Each `fig*` binary regenerates one table/figure from the paper's
-//! evaluation (§6–§7) and prints the series the paper plots, together with
-//! the qualitative expectation ("who wins, by how much, where the knee
-//! falls") so the output is self-checking. Absolute values depend on the
-//! normalization assumptions documented in `DESIGN.md`; the *shape* is the
-//! reproduction target.
+//! The performance harness: each suite times one layer of the system
+//! (solvers, erasure codec, simulators, observability, brick store,
+//! planner, sweeps, serving) and reports it as `BENCH_<suite>.json` in the
+//! `nsr-bench/v1` schema, which [`compare`] diffs against a baseline.
+//! The paper's figures are not here: `nsr figures` regenerates them.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -56,109 +53,4 @@ pub fn write_report(suite: &suites::Suite, path: &Path) -> Result<(), String> {
     let doc = json::Json::parse(&back).map_err(|e| format!("{}: {e}", path.display()))?;
     suites::validate_report(&doc).map_err(|e| format!("{}: {e}", path.display()))?;
     Ok(())
-}
-
-use nsr_core::config::Configuration;
-use nsr_core::metrics::TARGET_EVENTS_PER_PB_YEAR;
-use nsr_core::sweep::Sweep;
-
-/// Renders a sweep as the aligned series table used by all figure
-/// binaries: x column plus one events-per-PB-year column per
-/// configuration, with the target line called out.
-pub fn render_sweep(sweep: &Sweep) -> String {
-    let configs = sweep.configs();
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<22}",
-        format!("{} ({})", sweep.x_name, sweep.x_unit)
-    ));
-    for c in &configs {
-        out.push_str(&format!("{:>26}", format!("{c}")));
-    }
-    out.push('\n');
-    out.push_str(&"-".repeat(22 + 26 * configs.len()));
-    out.push('\n');
-    for row in &sweep.rows {
-        out.push_str(&format!("{:<22}", format_x(row.x)));
-        for cell in &row.cells {
-            match cell.reliability {
-                Some(r) => {
-                    let marker = if r.meets_target() { ' ' } else { '!' };
-                    out.push_str(&format!(
-                        "{:>25}{marker}",
-                        format!("{:.3e}", r.events_per_pb_year)
-                    ));
-                }
-                None => out.push_str(&format!("{:>26}", "infeasible")),
-            }
-        }
-        out.push('\n');
-    }
-    out.push_str(&format!(
-        "\n('!' marks values above the target of {TARGET_EVENTS_PER_PB_YEAR:.0e} events/PB-year)\n"
-    ));
-    out
-}
-
-/// Formats an x value without trailing `.0` for integral values.
-pub fn format_x(x: f64) -> String {
-    if x != 0.0 && x.abs() < 1e-3 {
-        format!("{x:.1e}")
-    } else if x == x.trunc() && x.abs() < 1e15 {
-        format!("{}", x as i64)
-    } else {
-        format!("{x}")
-    }
-}
-
-/// Summarizes per-configuration spread (max/min over the sweep) — the
-/// "sensitivity" the paper's §8 discussion talks about.
-pub fn spread_summary(sweep: &Sweep) -> String {
-    let mut out = String::from("\nsensitivity (max/min over the range):\n");
-    for c in sweep.configs() {
-        let series = sweep.series(c);
-        if series.is_empty() {
-            continue;
-        }
-        let min = series.iter().map(|p| p.1).fold(f64::INFINITY, f64::min);
-        let max = series.iter().map(|p| p.1).fold(0.0f64, f64::max);
-        out.push_str(&format!("  {c:<28} {:>8.1}x\n", max / min));
-    }
-    out
-}
-
-/// Returns `true` when every point of `config`'s series meets the target.
-pub fn always_meets(sweep: &Sweep, config: Configuration) -> bool {
-    sweep
-        .series(config)
-        .iter()
-        .all(|(_, v)| *v < TARGET_EVENTS_PER_PB_YEAR)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use nsr_core::params::Params;
-    use nsr_core::sweep::fig17_link_speed;
-
-    #[test]
-    fn render_produces_all_rows() {
-        let s = fig17_link_speed(&Params::baseline()).unwrap();
-        let text = render_sweep(&s);
-        assert!(text.matches('\n').count() >= s.rows.len() + 3);
-        assert!(text.contains("link speed"));
-    }
-
-    #[test]
-    fn spread_summary_lists_configs() {
-        let s = fig17_link_speed(&Params::baseline()).unwrap();
-        let text = spread_summary(&s);
-        assert!(text.matches('x').count() >= 3);
-    }
-
-    #[test]
-    fn format_x_trims() {
-        assert_eq!(format_x(5.0), "5");
-        assert_eq!(format_x(0.5), "0.5");
-    }
 }

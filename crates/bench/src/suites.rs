@@ -459,11 +459,11 @@ pub fn sweep_suite(mode: Mode) -> Result<Suite, String> {
     );
 
     if mode == Mode::Full {
-        let her = nsr_core::sweep::ext_hard_error_rate(&params).map_err(err("ext her"))?;
+        let her = nsr_core::sweep::ext_hard_error_rate(&params, 1).map_err(err("ext her"))?;
         let her_items = (her.rows.len() * her.configs().len()) as u64;
         results.push(
             t.measure("ext_her_sweep/workers_1", 0, || {
-                nsr_core::sweep::ext_hard_error_rate(&params).expect("sweep")
+                nsr_core::sweep::ext_hard_error_rate(&params, 1).expect("sweep")
             })
             .with_items(her_items),
         );

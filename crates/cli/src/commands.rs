@@ -3,10 +3,10 @@
 
 use std::fmt::Write as _;
 
+use nsr_core::config::Configuration;
 use nsr_core::metrics::TARGET_EVENTS_PER_PB_YEAR;
 use nsr_core::params::Params;
-use nsr_core::sweep::{fig13_baseline, Sweep};
-use nsr_core::units::Hours;
+use nsr_core::sweep::fig13_baseline;
 use nsr_rng::rngs::StdRng;
 use nsr_rng::SeedableRng;
 use nsr_sim::faultinject::{Campaign, FaultPlan};
@@ -16,7 +16,8 @@ use nsr_sim::splitting::SplitOptions;
 use nsr_sim::system::{LossCause, SystemSim};
 
 use crate::args::{config_name, params_from, parse_config, ParsedArgs};
-use crate::render::{sweep_csv, sweep_table};
+use crate::figures::{spreads, sweep_table};
+use crate::render::sweep_csv;
 use crate::{CliError, Result};
 
 /// Usage text for `nsr help`.
@@ -31,7 +32,8 @@ COMMANDS:
   eval        evaluate one configuration (--config ft2-ir5)
   sweep       one sensitivity analysis (--figure 14..20; --csv for CSV;
               --workers N|auto to evaluate rows in parallel)
-  figures     regenerate all figures as CSV files (--out DIR, --workers N|auto)
+  figures     regenerate every file under results/ (--out DIR, default
+              results; --workers N|auto)
   sim         system-level Monte Carlo (--config, --samples, --seed)
   inject      fault-injection campaign (--plan NAME|list, --runs, --seed;
               --replay SEED prints one run's exact event trace)
@@ -107,7 +109,7 @@ PARAMETER OVERRIDES (all commands):
 
 OBSERVABILITY (all commands):
   --metrics-out FILE   write an nsr-obs/v1 metrics snapshot after the run
-  --trace-out FILE     write the nsr-obs/v1 span/event trace after the run
+  --trace-out FILE     write the nsr-obs/v2 span/event trace after the run
 ";
 
 /// Dispatches a parsed command line.
@@ -163,7 +165,7 @@ fn dispatch_cmd(args: &ParsedArgs) -> Result<String> {
         "baseline" => baseline(args),
         "eval" => eval(args),
         "sweep" => sweep_cmd(args),
-        "figures" => figures(args),
+        "figures" => crate::figures::figures(args),
         "sim" => sim(args),
         "inject" => inject(args),
         "rare" => rare(args),
@@ -196,29 +198,7 @@ fn dispatch_cmd(args: &ParsedArgs) -> Result<String> {
 }
 
 fn baseline(args: &ParsedArgs) -> Result<String> {
-    let params = params_from(args)?;
-    let rows = fig13_baseline(&params)?;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Figure 13 — baseline comparison (target {TARGET_EVENTS_PER_PB_YEAR:.0e} events/PB-year)\n"
-    );
-    let _ = writeln!(
-        out,
-        "{:<28}{:>16}{:>18}{:>10}",
-        "configuration", "MTTDL (h)", "events/PB-year", "target"
-    );
-    for (config, r) in rows {
-        let _ = writeln!(
-            out,
-            "{:<28}{:>16.4e}{:>18.4e}{:>10}",
-            format!("{config}"),
-            r.mttdl_hours,
-            r.events_per_pb_year,
-            if r.meets_target() { "meets" } else { "MISSES" }
-        );
-    }
-    Ok(out)
+    crate::figures::fig13(&params_from(args)?)
 }
 
 fn eval(args: &ParsedArgs) -> Result<String> {
@@ -251,33 +231,10 @@ fn eval(args: &ParsedArgs) -> Result<String> {
     Ok(out)
 }
 
-/// Runs the sweep for a paper figure number against `params`.
-///
-/// # Errors
-///
-/// Returns an error for figure numbers outside 14–20.
-pub fn sweep_for_figure(figure: u32, params: &Params) -> Result<Sweep> {
-    sweep_for_figure_workers(figure, params, 1)
-}
-
-/// [`sweep_for_figure`] with an explicit worker count.
-///
-/// # Errors
-///
-/// Returns an error for figure numbers outside 14–20.
-pub fn sweep_for_figure_workers(figure: u32, params: &Params, workers: usize) -> Result<Sweep> {
-    if !(14..=20).contains(&figure) {
-        return Err(CliError(format!(
-            "--figure must be 14..20 (got {figure}); figure 13 is `nsr baseline`"
-        )));
-    }
-    nsr_core::sweep::figure_sweep(figure, params, workers).map_err(Into::into)
-}
-
-fn workers_from(args: &ParsedArgs) -> Result<usize> {
+pub(crate) fn workers_from(args: &ParsedArgs) -> Result<usize> {
     let raw = args.get_or("workers", String::from("1"))?;
     if raw == "auto" {
-        // 0 is the core-layer sentinel: sweep_with_workers resolves it
+        // 0 is the core-layer sentinel: nsr_core::sweep::sweep resolves it
         // per sweep via nsr_core::sweep::auto_workers (cores vs rows).
         return Ok(0);
     }
@@ -296,72 +253,12 @@ fn sweep_cmd(args: &ParsedArgs) -> Result<String> {
         .ok_or_else(|| CliError("--figure is required (14..20)".into()))?;
     let params = params_from(args)?;
     let workers = workers_from(args)?;
-    let sweep = sweep_for_figure_workers(figure, &params, workers)?;
+    let sweep = nsr_core::sweep::figure_sweep(figure, &params, workers)?;
     Ok(if args.has_flag("csv") {
         sweep_csv(&sweep)
     } else {
         sweep_table(&sweep)
     })
-}
-
-fn figures(args: &ParsedArgs) -> Result<String> {
-    let out_dir = args.get_or("out", String::from("results"))?;
-    let params = params_from(args)?;
-    let workers = workers_from(args)?;
-    std::fs::create_dir_all(&out_dir)?;
-    let mut log = String::new();
-
-    // Figure 13 as CSV.
-    let rows = fig13_baseline(&params)?;
-    let mut csv = String::from("configuration,mttdl_hours,events_per_pb_year,meets_target\n");
-    for (config, r) in rows {
-        let _ = writeln!(
-            csv,
-            "{config},{:.6e},{:.6e},{}",
-            r.mttdl_hours,
-            r.events_per_pb_year,
-            r.meets_target()
-        );
-    }
-    let path = format!("{out_dir}/fig13_baseline.csv");
-    std::fs::write(&path, csv)?;
-    let _ = writeln!(log, "wrote {path}");
-
-    // Figures 14 and 15 at both ends of the paper's MTTF ranges.
-    for (name, node_mttf) in [
-        ("low_node_mttf", 100_000.0),
-        ("high_node_mttf", 1_000_000.0),
-    ] {
-        let mut p = params;
-        p.node.mttf = Hours(node_mttf);
-        let s = sweep_for_figure_workers(14, &p, workers)?;
-        let path = format!("{out_dir}/fig14_drive_mttf_{name}.csv");
-        std::fs::write(&path, sweep_csv(&s))?;
-        let _ = writeln!(log, "wrote {path}");
-    }
-    for (name, drive_mttf) in [
-        ("low_drive_mttf", 100_000.0),
-        ("high_drive_mttf", 750_000.0),
-    ] {
-        let mut p = params;
-        p.drive.mttf = Hours(drive_mttf);
-        let s = sweep_for_figure_workers(15, &p, workers)?;
-        let path = format!("{out_dir}/fig15_node_mttf_{name}.csv");
-        std::fs::write(&path, sweep_csv(&s))?;
-        let _ = writeln!(log, "wrote {path}");
-    }
-    for fig in 16..=20 {
-        let s = sweep_for_figure_workers(fig, &params, workers)?;
-        let path = format!("{out_dir}/fig{fig}_{}.csv", s.x_name.replace(' ', "_"));
-        std::fs::write(&path, sweep_csv(&s))?;
-        let _ = writeln!(log, "wrote {path}");
-    }
-    // Extension sweep (not a paper figure): hard-error-rate sensitivity.
-    let s = nsr_core::sweep::ext_hard_error_rate_with_workers(&params, workers)?;
-    let path = format!("{out_dir}/ext_hard_error_rate.csv");
-    std::fs::write(&path, sweep_csv(&s))?;
-    let _ = writeln!(log, "wrote {path}");
-    Ok(log)
 }
 
 fn sim(args: &ParsedArgs) -> Result<String> {
@@ -686,7 +583,7 @@ fn plan(args: &ParsedArgs) -> Result<String> {
     let params = params_from(args)?;
     let target = args.get_or("target", TARGET_EVENTS_PER_PB_YEAR)?;
     let max_ft = args.get_or("max-ft", 3u32)?;
-    let plans = nsr_core::planner::feasible_plans(&params, target, max_ft)?;
+    let plans = nsr_core::plan::feasible_plans(&params, target, max_ft)?;
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -712,7 +609,7 @@ fn plan(args: &ParsedArgs) -> Result<String> {
     } else {
         // Size the §8 knob for the cheapest plan.
         let best = plans[0].config;
-        if let Ok(block) = nsr_core::planner::min_rebuild_block_for_target(&params, best, target) {
+        if let Ok(block) = nsr_core::plan::min_rebuild_block_for_target(&params, best, target) {
             let _ = writeln!(
                 out,
                 "\ncheapest plan [{best}] needs a rebuild block of at least {:.0} KiB",
@@ -940,7 +837,17 @@ fn spares(args: &ParsedArgs) -> Result<String> {
 }
 
 fn report(args: &ParsedArgs) -> Result<String> {
-    let params = params_from(args)?;
+    let md = report_markdown(params_from(args)?)?;
+    if let Some(path) = args.get::<String>("out")? {
+        std::fs::write(&path, &md)?;
+        Ok(format!("wrote {path}\n"))
+    } else {
+        Ok(md)
+    }
+}
+
+/// The one-shot markdown reproduction report `nsr report` prints.
+pub(crate) fn report_markdown(params: Params) -> Result<String> {
     let mut md = String::new();
     let _ = writeln!(md, "# Reliability report — networked storage nodes\n");
     let _ = writeln!(
@@ -983,13 +890,10 @@ fn report(args: &ParsedArgs) -> Result<String> {
     let _ = writeln!(md, "| sweep | FT2 no-IR | FT2 IR5 | FT3 no-IR |");
     let _ = writeln!(md, "|---|---|---|---|");
     for fig in 16..=20u32 {
-        let sweep = sweep_for_figure(fig, &params)?;
+        let sweep = nsr_core::sweep::figure_sweep(fig, &params, 1)?;
         let mut row = format!("| {} ({}) |", sweep.x_name, sweep.x_unit);
-        for c in sweep.configs() {
-            let series = sweep.series(c);
-            let min = series.iter().map(|p| p.1).fold(f64::INFINITY, f64::min);
-            let max = series.iter().map(|p| p.1).fold(0.0f64, f64::max);
-            row.push_str(&format!(" {:.1}x |", max / min));
+        for (_, spread) in spreads(&sweep) {
+            row.push_str(&format!(" {spread:.1}x |"));
         }
         let _ = writeln!(md, "{row}");
     }
@@ -1009,14 +913,14 @@ fn report(args: &ParsedArgs) -> Result<String> {
     let _ = writeln!(md, "\n## Mission risk (5 years)\n");
     let _ = writeln!(md, "| configuration | P(data loss in 5 y) |");
     let _ = writeln!(md, "|---|---|");
-    for config in nsr_core::config::Configuration::sensitivity_set() {
+    for config in Configuration::sensitivity_set() {
         let p = nsr_core::mission::loss_probability(config, &params, 5.0)?;
         let _ = writeln!(md, "| {config} | {p:.3e} |");
     }
 
     // Chain structure sanity.
     let _ = writeln!(md, "\n## Model-structure validation\n");
-    for config in nsr_core::config::Configuration::sensitivity_set() {
+    for config in Configuration::sensitivity_set() {
         let (ctmc, _) = config.exact_chain(&params)?;
         let diag = nsr_markov::validate_absorbing(&ctmc).map_err(|e| CliError(e.to_string()))?;
         let _ = writeln!(
@@ -1027,13 +931,7 @@ fn report(args: &ParsedArgs) -> Result<String> {
             diag.trapped_states.len()
         );
     }
-
-    if let Some(path) = args.get::<String>("out")? {
-        std::fs::write(&path, &md)?;
-        Ok(format!("wrote {path}\n"))
-    } else {
-        Ok(md)
-    }
+    Ok(md)
 }
 
 fn aging(args: &ParsedArgs) -> Result<String> {
@@ -1042,30 +940,8 @@ fn aging(args: &ParsedArgs) -> Result<String> {
     let samples = args.get_or("samples", 400u64)?;
     let seed = args.get_or("seed", 42u64)?;
     let shape = args.get_or("shape", 1.5f64)?;
-    use nsr_sim::aging::{AgingSim, Lifetime};
-    let exp = AgingSim::new(
-        params,
-        config,
-        Lifetime::Exponential {
-            mttf: params.drive.mttf.0,
-        },
-        Lifetime::Exponential {
-            mttf: params.node.mttf.0,
-        },
-    )?
-    .estimate_mttdl(samples, seed)?;
-    let weib = AgingSim::new(
-        params,
-        config,
-        Lifetime::Weibull {
-            mttf: params.drive.mttf.0,
-            shape,
-        },
-        Lifetime::Exponential {
-            mttf: params.node.mttf.0,
-        },
-    )?
-    .estimate_mttdl(samples, seed + 1)?;
+    let exp = crate::figures::aging_mttdl(&params, config, None, samples, seed)?;
+    let weib = crate::figures::aging_mttdl(&params, config, Some(shape), samples, seed + 1)?;
     let analytic = config.evaluate(&params)?;
     let mut out = String::new();
     let _ = writeln!(out, "lifetime-distribution ablation for {config}:");
@@ -1170,8 +1046,9 @@ fn obs_check(args: &ParsedArgs) -> Result<String> {
         std::fs::read_to_string(&path).map_err(|e| CliError(format!("reading {path}: {e}")))?;
     let records = nsr_obs::validate_jsonl(&text).map_err(|e| CliError(format!("{path}: {e}")))?;
     nsr_obs::validate_span_links(&text).map_err(|e| CliError(format!("{path}: {e}")))?;
+    // Metric snapshots are nsr-obs/v1; spans and events are always v2.
     let schema = if text.contains(nsr_obs::SCHEMA_V2) {
-        "nsr-obs/v1+v2"
+        "nsr-obs/v2 trace"
     } else {
         "nsr-obs/v1"
     };
@@ -1211,8 +1088,19 @@ fn chain(args: &ParsedArgs) -> Result<String> {
             .get::<String>("config")?
             .ok_or_else(|| CliError("--config is required".into()))?,
     )?;
-    let params = params_from(args)?;
-    let (ctmc, root) = config.exact_chain(&params)?;
+    let (dot, summary) = chain_dot(config, &params_from(args)?)?;
+    if let Some(path) = args.get::<String>("out")? {
+        std::fs::write(&path, &dot)?;
+        Ok(format!("wrote {path} ({summary})\n"))
+    } else {
+        Ok(dot)
+    }
+}
+
+/// A configuration's exact CTMC as Graphviz dot, plus a one-line
+/// summary (states, absorbing states, root).
+pub(crate) fn chain_dot(config: Configuration, params: &Params) -> Result<(String, String)> {
+    let (ctmc, root) = config.exact_chain(params)?;
     let diag = nsr_markov::validate_absorbing(&ctmc).map_err(|e| CliError(e.to_string()))?;
     if !diag.trapped_states.is_empty() {
         return Err(CliError(format!(
@@ -1221,17 +1109,13 @@ fn chain(args: &ParsedArgs) -> Result<String> {
         )));
     }
     let dot = nsr_markov::to_dot(&ctmc, nsr_markov::DotOptions::default());
-    if let Some(path) = args.get::<String>("out")? {
-        std::fs::write(&path, &dot)?;
-        Ok(format!(
-            "wrote {path} ({} states, {} absorbing, root {})\n",
-            ctmc.len(),
-            diag.absorbing_count,
-            ctmc.label(root)
-        ))
-    } else {
-        Ok(dot)
-    }
+    let summary = format!(
+        "{} states, {} absorbing, root {}",
+        ctmc.len(),
+        diag.absorbing_count,
+        ctmc.label(root)
+    );
+    Ok((dot, summary))
 }
 
 #[cfg(test)]
@@ -1257,8 +1141,8 @@ mod tests {
     fn baseline_lists_nine_configs() {
         let out = run(&["baseline"]).unwrap();
         assert_eq!(out.matches("FT ").count(), 9);
-        assert!(out.contains("MISSES"));
-        assert!(out.contains("meets"));
+        assert_eq!(out.matches("<< misses target").count(), 4);
+        assert!(out.contains("paper observation 1 (FT1 misses target):        true"));
     }
 
     #[test]
@@ -1392,16 +1276,6 @@ mod tests {
         ])
         .unwrap();
         assert!(out.contains("IS MTTDL"));
-    }
-
-    #[test]
-    fn figures_writes_files() {
-        let dir = std::env::temp_dir().join(format!("nsr-fig-test-{}", std::process::id()));
-        let out = run(&["figures", "--out", dir.to_str().unwrap()]).unwrap();
-        assert!(out.lines().count() >= 10);
-        assert!(dir.join("fig13_baseline.csv").exists());
-        assert!(dir.join("fig16_rebuild_block_size.csv").exists());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! ```text
 //! nsr baseline                 # Figure 13: all nine configurations
 //! nsr eval --config ft2-ir5    # one configuration in detail
-//! nsr sweep --figure 16        # one §7 sensitivity analysis (CSV)
-//! nsr figures --out results/   # regenerate every figure as CSV
+//! nsr sweep --figure 16        # one §7 sensitivity analysis (--csv for CSV)
+//! nsr figures                  # regenerate everything under results/
 //! nsr sim  --config ft1-nir --samples 2000
 //! nsr rare --config ft2-ir5 --cycles 50000
 //! ```
@@ -21,6 +21,7 @@
 pub mod args;
 pub mod commands;
 pub mod explain;
+pub mod figures;
 pub mod net_cmds;
 pub mod render;
 pub mod report;

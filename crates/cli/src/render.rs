@@ -1,4 +1,4 @@
-//! Plain-text table and CSV rendering for sweeps and evaluations.
+//! CSV rendering for sweeps, and the one x-value formatter.
 
 use nsr_core::sweep::Sweep;
 
@@ -27,35 +27,6 @@ pub fn sweep_csv(sweep: &Sweep) -> String {
     out
 }
 
-/// Renders a [`Sweep`] as an aligned text table for the terminal.
-pub fn sweep_table(sweep: &Sweep) -> String {
-    let configs = sweep.configs();
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<24}",
-        format!("{} ({})", sweep.x_name, sweep.x_unit)
-    ));
-    for c in &configs {
-        out.push_str(&format!("{:>28}", format!("{c}")));
-    }
-    out.push('\n');
-    out.push_str(&"-".repeat(24 + 28 * configs.len()));
-    out.push('\n');
-    for row in &sweep.rows {
-        out.push_str(&format!("{:<24}", trim_float(row.x)));
-        for cell in &row.cells {
-            match cell.reliability {
-                Some(r) => {
-                    out.push_str(&format!("{:>28}", format!("{:.4e}", r.events_per_pb_year)))
-                }
-                None => out.push_str(&format!("{:>28}", "infeasible")),
-            }
-        }
-        out.push('\n');
-    }
-    out
-}
-
 /// Formats a float without trailing `.0` noise for integral values.
 pub fn trim_float(x: f64) -> String {
     if x != 0.0 && x.abs() < 1e-3 {
@@ -71,11 +42,11 @@ pub fn trim_float(x: f64) -> String {
 mod tests {
     use super::*;
     use nsr_core::params::Params;
-    use nsr_core::sweep::fig17_link_speed;
+    use nsr_core::sweep::figure_sweep;
 
     #[test]
     fn csv_shape() {
-        let s = fig17_link_speed(&Params::baseline()).unwrap();
+        let s = figure_sweep(17, &Params::baseline(), 1).unwrap();
         let csv = sweep_csv(&s);
         let lines: Vec<&str> = csv.trim().lines().collect();
         assert_eq!(lines.len(), 1 + s.rows.len());
@@ -87,24 +58,6 @@ mod tests {
             .iter()
             .all(|l| l.matches(',').count() == data_commas));
         assert_eq!(data_commas, 3); // x + three configurations
-    }
-
-    #[test]
-    fn table_mentions_infeasible() {
-        use nsr_core::config::Configuration;
-        use nsr_core::raid::InternalRaid;
-        use nsr_core::sweep::sweep;
-        let s = sweep(
-            &Params::baseline(),
-            &[Configuration::new(InternalRaid::None, 3).unwrap()],
-            "redundancy set size",
-            "nodes",
-            &[2.0, 8.0],
-            |p, x| p.system.redundancy_set_size = x as u32,
-        )
-        .unwrap();
-        let table = sweep_table(&s);
-        assert!(table.contains("infeasible"));
     }
 
     #[test]

@@ -1,12 +1,16 @@
 //! Regression pins for the analytic path.
 //!
-//! The fixtures in `tests/golden/` were captured from the pre-refactor
-//! serial sweep code (before topology caching and the parallel sweep
-//! engine existed). These tests regenerate every figure CSV through the
-//! current `nsr figures` path — serially and with several workers — and
-//! require the bytes to be identical to those fixtures, and pin the exact
-//! MTTDL solves to 17 significant digits so any numeric drift in the
-//! sparse/dense solver tiers fails loudly.
+//! `results/` is the output of one command: `nsr figures` at default
+//! flags. These tests regenerate the whole directory — serially and with
+//! several workers — and require it to equal the checked-in one byte for
+//! byte, with no file missing and none extra. Its `csv/` figure CSVs were
+//! captured from the pre-refactor serial sweep code (before topology
+//! caching and the parallel sweep engine existed). The tests also pin the
+//! exact MTTDL solves to 17 significant digits so any numeric drift in
+//! the sparse/dense solver tiers fails loudly.
+
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 
 use nsr_cli::args::ParsedArgs;
 use nsr_cli::commands::dispatch;
@@ -15,57 +19,51 @@ use nsr_core::params::Params;
 use nsr_core::recursive::RecursiveModel;
 use nsr_core::units::PerHour;
 
-/// Every CSV `nsr figures` writes, in the order the command reports them.
-const GOLDEN_FILES: &[&str] = &[
-    "fig13_baseline.csv",
-    "fig14_drive_mttf_low_node_mttf.csv",
-    "fig14_drive_mttf_high_node_mttf.csv",
-    "fig15_node_mttf_low_drive_mttf.csv",
-    "fig15_node_mttf_high_drive_mttf.csv",
-    "fig16_rebuild_block_size.csv",
-    "fig17_link_speed.csv",
-    "fig18_node_set_size.csv",
-    "fig19_redundancy_set_size.csv",
-    "fig20_drives_per_node.csv",
-    "ext_hard_error_rate.csv",
-];
-
-fn golden_dir() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
-}
-
-fn temp_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("nsr_sweep_golden_{tag}_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    dir
-}
-
-fn run_figures(out: &std::path::Path, workers: usize) {
-    let args = ParsedArgs::parse([
-        "figures".to_string(),
-        "--out".to_string(),
-        out.display().to_string(),
-        "--workers".to_string(),
-        workers.to_string(),
-    ])
-    .expect("parse figures args");
-    dispatch(&args).expect("figures command succeeds");
+/// Every file under `dir`, keyed by its path relative to `dir`.
+fn tree(dir: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
+    let mut out = BTreeMap::new();
+    for entry in std::fs::read_dir(dir).expect("read dir") {
+        let path = entry.expect("dir entry").path();
+        let name = PathBuf::from(path.file_name().expect("file name"));
+        if path.is_dir() {
+            out.extend(tree(&path).into_iter().map(|(k, v)| (name.join(k), v)));
+        } else {
+            out.insert(name, std::fs::read(&path).expect("read file"));
+        }
+    }
+    out
 }
 
 #[test]
 fn figure_csvs_match_pre_refactor_fixtures_for_any_worker_count() {
+    let results = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    let expected = tree(&results);
     // Worker counts past the row count exercise the clamp as well.
     for workers in [1usize, 3, 16] {
-        let out = temp_dir(&format!("w{workers}"));
-        run_figures(&out, workers);
-        for name in GOLDEN_FILES {
-            let expected = std::fs::read(golden_dir().join(name))
-                .unwrap_or_else(|e| panic!("reading golden fixture {name}: {e}"));
-            let actual = std::fs::read(out.join(name))
-                .unwrap_or_else(|e| panic!("reading regenerated {name}: {e}"));
-            assert_eq!(
-                actual, expected,
-                "{name} differs from the pre-refactor fixture at --workers {workers}"
+        let out = std::env::temp_dir().join(format!(
+            "nsr_sweep_golden_w{workers}_{}",
+            std::process::id()
+        ));
+        let args = ParsedArgs::parse([
+            "figures".to_string(),
+            "--out".to_string(),
+            out.display().to_string(),
+            "--workers".to_string(),
+            workers.to_string(),
+        ])
+        .expect("parse figures args");
+        dispatch(&args).expect("figures command succeeds");
+        let actual = tree(&out);
+        assert_eq!(
+            actual.keys().collect::<Vec<_>>(),
+            expected.keys().collect::<Vec<_>>(),
+            "file set differs from results/ at --workers {workers}"
+        );
+        for (name, bytes) in &expected {
+            assert!(
+                actual[name] == *bytes,
+                "{} differs from results/ at --workers {workers}",
+                name.display()
             );
         }
         std::fs::remove_dir_all(&out).ok();

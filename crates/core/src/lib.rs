@@ -58,7 +58,6 @@ pub mod no_raid;
 pub mod obs;
 pub mod params;
 pub mod plan;
-pub mod planner;
 pub mod raid;
 pub mod rebuild;
 pub mod recursive;

@@ -9,7 +9,7 @@ use std::time::Instant;
 use nsr_obs::trace::Span;
 use nsr_obs::{Counter, Histogram, Json};
 
-/// Sensitivity sweeps run (`sweep` / `sweep_with_workers` calls).
+/// Sensitivity sweeps run (`sweep` calls).
 pub static SWEEPS: Counter = Counter::new("core.sweep.runs");
 /// Configuration evaluations performed by `CachedEvaluator` — sweep
 /// cells, planner survivors and one-shot `Configuration::evaluate`

@@ -1,5 +1,12 @@
-//! The fleet capacity planner: Pareto frontier search over a
-//! configuration grid (§9 grown into a tool).
+//! The capacity planner: the paper's §9 goals, and a Pareto frontier
+//! search over a configuration grid (§9 grown into a tool).
+//!
+//! The paper closes by noting its closed forms "may be used to determine
+//! redundancy configurations for a spectrum of reliability targets such
+//! as in systems that offer user-configurable goals." [`feasible_plans`]
+//! is that answer for the nine paper configurations: every one that
+//! meets a target, ranked by [`storage_efficiency`];
+//! [`min_rebuild_block_for_target`] sizes the §8 knob to the goal.
 //!
 //! The paper's nine configurations are points in a much larger design
 //! space: `(nodes, data shards k, fault tolerance t, internal RAID,
@@ -40,12 +47,11 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use crate::config::{CachedEvaluator, Configuration};
+use crate::config::{CachedEvaluator, Configuration, Evaluation};
 use crate::params::Params;
-use crate::planner::storage_efficiency;
 use crate::raid::InternalRaid;
 use crate::sweep::claim_chunk;
-use crate::units::HOURS_PER_YEAR;
+use crate::units::{Bytes, HOURS_PER_YEAR};
 use crate::{Error, Result};
 
 /// Relative guard band around the closed-form MTTDL used by the pruning
@@ -784,9 +790,109 @@ pub fn frontier_csv(report: &PlanReport) -> String {
     out
 }
 
+/// A feasible plan: a configuration, its evaluation, and its storage
+/// efficiency.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Plan {
+    /// The configuration.
+    pub config: Configuration,
+    /// Its evaluation at the given parameters.
+    pub evaluation: Evaluation,
+    /// Usable fraction of raw capacity (erasure overhead × internal-RAID
+    /// overhead × capacity-utilization policy).
+    pub efficiency: f64,
+}
+
+/// Usable fraction of raw capacity for a configuration: cross-node code
+/// overhead `(R−t)/R`, internal RAID overhead (`(d−f)/d`), and the
+/// fail-in-place spare provisioning.
+pub fn storage_efficiency(params: &Params, config: Configuration) -> f64 {
+    let r = params.system.redundancy_set_size as f64;
+    let t = config.node_fault_tolerance() as f64;
+    let d = params.node.drives_per_node as f64;
+    let internal = match config.internal() {
+        InternalRaid::None => 1.0,
+        InternalRaid::Raid5 => (d - 1.0) / d,
+        InternalRaid::Raid6 => (d - 2.0) / d,
+    };
+    (r - t) / r * internal * params.system.capacity_utilization
+}
+
+/// Enumerates all configurations with fault tolerance `1..=max_ft` that
+/// meet `target` events per PB-year, sorted by descending storage
+/// efficiency (cheapest first). Infeasible combinations are silently
+/// skipped.
+///
+/// # Errors
+///
+/// * [`Error::InvalidParams`] for a non-positive target or invalid base
+///   parameters.
+pub fn feasible_plans(params: &Params, target: f64, max_ft: u32) -> Result<Vec<Plan>> {
+    if !(target > 0.0 && target.is_finite()) {
+        return Err(Error::invalid("target must be positive and finite"));
+    }
+    params.validate()?;
+    let mut plans = Vec::new();
+    for ft in 1..=max_ft {
+        for internal in InternalRaid::all() {
+            let Ok(config) = Configuration::new(internal, ft) else {
+                continue;
+            };
+            let Ok(evaluation) = config.evaluate(params) else {
+                continue;
+            };
+            if evaluation.closed_form.events_per_pb_year < target {
+                plans.push(Plan {
+                    config,
+                    evaluation,
+                    efficiency: storage_efficiency(params, config),
+                });
+            }
+        }
+    }
+    plans.sort_by(|a, b| b.efficiency.total_cmp(&a.efficiency));
+    Ok(plans)
+}
+
+/// The smallest power-of-two rebuild block (KiB) at which `config` meets
+/// `target` — the §8 "most significant controllable parameter", sized to
+/// the goal. Searches 1 KiB to 4 MiB.
+///
+/// # Errors
+///
+/// * [`Error::InvalidParams`] for a non-positive target.
+/// * [`Error::Infeasible`] when even a 4 MiB block (drive streaming limit)
+///   cannot reach the target.
+pub fn min_rebuild_block_for_target(
+    params: &Params,
+    config: Configuration,
+    target: f64,
+) -> Result<Bytes> {
+    if !(target > 0.0 && target.is_finite()) {
+        return Err(Error::invalid("target must be positive and finite"));
+    }
+    let mut kib = 1.0;
+    while kib <= 4096.0 {
+        let mut p = *params;
+        p.system.rebuild_command = Bytes::from_kib(kib);
+        if let Ok(eval) = config.evaluate(&p) {
+            if eval.closed_form.events_per_pb_year < target {
+                return Ok(Bytes::from_kib(kib));
+            }
+        }
+        kib *= 2.0;
+    }
+    Err(Error::infeasible(format!(
+        "configuration {config} cannot reach {target:.1e} events/PB-year with any \
+         rebuild block up to 4 MiB"
+    )))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::TARGET_EVENTS_PER_PB_YEAR;
+    use crate::units::Hours;
 
     fn small_space() -> ConfigSpace {
         ConfigSpace {
@@ -1291,5 +1397,85 @@ mod tests {
         for line in lines {
             assert_eq!(line.split(',').count(), 10);
         }
+    }
+
+    #[test]
+    fn baseline_feasible_set_matches_figure_13() {
+        let plans = feasible_plans(&Params::baseline(), TARGET_EVENTS_PER_PB_YEAR, 3).unwrap();
+        // Exactly the five configurations below the target in Figure 13.
+        assert_eq!(plans.len(), 5);
+        // No FT-1 configuration sneaks in.
+        assert!(plans.iter().all(|p| p.config.node_fault_tolerance() >= 2));
+        // Sorted by efficiency: [FT2, no IR]? no — FT2-nir misses. The most
+        // efficient feasible plan is [FT3, no IR] ((R−3)/R = 0.625·0.75)
+        // vs [FT2, IR5] (0.75·11/12·0.75).
+        let eff: Vec<f64> = plans.iter().map(|p| p.efficiency).collect();
+        assert!(eff.windows(2).all(|w| w[0] >= w[1]), "{eff:?}");
+    }
+
+    #[test]
+    fn efficiency_formula() {
+        let params = Params::baseline();
+        let nir2 = Configuration::new(InternalRaid::None, 2).unwrap();
+        // (8−2)/8 × 1 × 0.75 = 0.5625.
+        assert!((storage_efficiency(&params, nir2) - 0.5625).abs() < 1e-12);
+        let ir5 = Configuration::new(InternalRaid::Raid5, 2).unwrap();
+        // 0.75 × 11/12 × 0.75.
+        assert!((storage_efficiency(&params, ir5) - 0.75 * 11.0 / 12.0 * 0.75).abs() < 1e-12);
+    }
+
+    #[test]
+    fn min_rebuild_block_matches_figure_16() {
+        // §8: "[FT2, IR5] or [FT3, no IR] meet the reliability requirement
+        // with the condition that the rebuild block size is at least
+        // 64 KB" — the paper's Figure 16 runs at *low* MTTFs. At the
+        // baseline MTTFs the knee is earlier; at the low-MTTF corner it
+        // must sit near the paper's 64 KiB.
+        let baseline = Params::baseline();
+        let mut low = Params::baseline();
+        low.drive.mttf = Hours(100_000.0);
+        low.node.mttf = Hours(100_000.0);
+        for (internal, ft) in [(InternalRaid::Raid5, 2), (InternalRaid::None, 3)] {
+            let config = Configuration::new(internal, ft).unwrap();
+            let at_base =
+                min_rebuild_block_for_target(&baseline, config, TARGET_EVENTS_PER_PB_YEAR)
+                    .unwrap()
+                    .0
+                    / 1024.0;
+            let at_low = min_rebuild_block_for_target(&low, config, TARGET_EVENTS_PER_PB_YEAR)
+                .unwrap()
+                .0
+                / 1024.0;
+            assert!(at_base <= 16.0, "{config}: baseline knee {at_base} KiB");
+            assert!(
+                (16.0..=128.0).contains(&at_low),
+                "{config}: low-MTTF knee {at_low} KiB (paper: 64 KiB)"
+            );
+            assert!(at_low > at_base, "{config}");
+        }
+    }
+
+    #[test]
+    fn impossible_targets_are_infeasible() {
+        let params = Params::baseline();
+        let ft1 = Configuration::new(InternalRaid::None, 1).unwrap();
+        assert!(min_rebuild_block_for_target(&params, ft1, 1e-30).is_err());
+        assert!(feasible_plans(&params, 1e-30, 3).unwrap().is_empty());
+    }
+
+    #[test]
+    fn argument_validation() {
+        let params = Params::baseline();
+        let c = Configuration::new(InternalRaid::Raid5, 2).unwrap();
+        assert!(feasible_plans(&params, 0.0, 3).is_err());
+        assert!(min_rebuild_block_for_target(&params, c, f64::NAN).is_err());
+    }
+
+    #[test]
+    fn relaxed_target_admits_more_plans() {
+        let strict = feasible_plans(&Params::baseline(), 1e-6, 3).unwrap().len();
+        let relaxed = feasible_plans(&Params::baseline(), 1e-1, 3).unwrap().len();
+        assert!(relaxed > strict);
+        assert_eq!(relaxed, 8); // everything but FT1-no-IR (4.4e1)
     }
 }

@@ -1,9 +1,9 @@
-//! The §7 sensitivity analyses — one driver per paper figure.
+//! The §7 sensitivity analyses: the generic [`sweep`] driver and the one
+//! figure entry point, [`figure_sweep`], over a spec per paper figure.
 //!
-//! Each function varies a single parameter across a range (holding
-//! everything else at baseline, exactly as §7 prescribes) and evaluates a
-//! set of configurations at every point. Figure 13's baseline comparison
-//! of all nine configurations lives here too.
+//! A sweep varies a single parameter across a range (holding everything
+//! else at baseline, exactly as §7 prescribes) and evaluates a set of
+//! configurations at every point; Figure 13's baseline lives here too.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -82,32 +82,6 @@ impl Sweep {
     }
 }
 
-/// Generic sweep driver: for each `x`, apply `set(params, x)` to a copy of
-/// `base` and evaluate every configuration.
-///
-/// Individual evaluation failures become `None` cells (a sweep should
-/// show *where* a configuration stops being feasible, not abort); the
-/// function itself only errors if the base parameters are invalid.
-///
-/// Serial convenience over [`sweep_with_workers`] (`workers = 1`).
-///
-/// # Errors
-///
-/// Returns parameter-validation errors for `base` itself.
-pub fn sweep<F>(
-    base: &Params,
-    configs: &[Configuration],
-    x_name: &str,
-    x_unit: &str,
-    xs: &[f64],
-    set: F,
-) -> Result<Sweep>
-where
-    F: Fn(&mut Params, f64) + Sync,
-{
-    sweep_with_workers(base, configs, x_name, x_unit, xs, 1, set)
-}
-
 /// Rows each worker claims per visit to the shared counter. Per-row
 /// claiming made every worker bounce the counter's cache line between
 /// cores once per row — measurably slower than serial on small machines
@@ -135,7 +109,12 @@ pub fn auto_workers(rows: usize) -> usize {
     cores.min(rows / 16).max(1)
 }
 
-/// [`sweep`] with an explicit worker count.
+/// Generic sweep driver: for each `x`, apply `set(params, x)` to a copy of
+/// `base` and evaluate every configuration.
+///
+/// Individual evaluation failures become `None` cells (a sweep should
+/// show *where* a configuration stops being feasible, not abort); the
+/// function itself only errors if the base parameters are invalid.
 ///
 /// Each worker holds its own [`CachedEvaluator`] per configuration:
 /// solver scratch and rate buffer are per evaluator, the compiled
@@ -156,7 +135,7 @@ pub fn auto_workers(rows: usize) -> usize {
 /// # Errors
 ///
 /// Returns parameter-validation errors for `base` itself.
-pub fn sweep_with_workers<F>(
+pub fn sweep<F>(
     base: &Params,
     configs: &[Configuration],
     x_name: &str,
@@ -335,8 +314,7 @@ fn figure_spec(figure: u32) -> Option<FigureSpec> {
 
 /// Runs the sensitivity sweep of paper figure `figure` (14–20) over the
 /// paper's sensitivity set with an explicit worker count. Figures 14 and
-/// 15 hold the *other* MTTF at whatever `base` carries (use
-/// [`fig14_drive_mttf`] / [`fig15_node_mttf`] to pin it explicitly).
+/// 15 hold the *other* MTTF at whatever `base` carries.
 ///
 /// # Errors
 ///
@@ -349,7 +327,7 @@ pub fn figure_sweep(figure: u32, base: &Params, workers: usize) -> Result<Sweep>
             "no sensitivity sweep for figure {figure} (expected 14..20)"
         ))
     })?;
-    sweep_with_workers(
+    sweep(
         base,
         &Configuration::sensitivity_set(),
         name,
@@ -360,75 +338,6 @@ pub fn figure_sweep(figure: u32, base: &Params, workers: usize) -> Result<Sweep>
     )
 }
 
-/// Figure 14: sensitivity to drive MTTF at a fixed node MTTF.
-///
-/// # Errors
-///
-/// Propagates base-parameter validation errors.
-pub fn fig14_drive_mttf(base: &Params, node_mttf: Hours) -> Result<Sweep> {
-    let mut params = *base;
-    params.node.mttf = node_mttf;
-    figure_sweep(14, &params, 1)
-}
-
-/// Figure 15: sensitivity to node MTTF at a fixed drive MTTF.
-///
-/// # Errors
-///
-/// Propagates base-parameter validation errors.
-pub fn fig15_node_mttf(base: &Params, drive_mttf: Hours) -> Result<Sweep> {
-    let mut params = *base;
-    params.drive.mttf = drive_mttf;
-    figure_sweep(15, &params, 1)
-}
-
-/// Figure 16: sensitivity to the rebuild block (command) size, 4 KiB to
-/// 1 MiB.
-///
-/// # Errors
-///
-/// Propagates base-parameter validation errors.
-pub fn fig16_rebuild_block(base: &Params) -> Result<Sweep> {
-    figure_sweep(16, base, 1)
-}
-
-/// Figure 17: sensitivity to link speed at the paper's three points
-/// (1, 5, 10 Gb/s), plus 3 Gb/s to show the crossover.
-///
-/// # Errors
-///
-/// Propagates base-parameter validation errors.
-pub fn fig17_link_speed(base: &Params) -> Result<Sweep> {
-    figure_sweep(17, base, 1)
-}
-
-/// Figure 18: sensitivity to node set size `N`.
-///
-/// # Errors
-///
-/// Propagates base-parameter validation errors.
-pub fn fig18_node_count(base: &Params) -> Result<Sweep> {
-    figure_sweep(18, base, 1)
-}
-
-/// Figure 19: sensitivity to redundancy set size `R`.
-///
-/// # Errors
-///
-/// Propagates base-parameter validation errors.
-pub fn fig19_redundancy_set(base: &Params) -> Result<Sweep> {
-    figure_sweep(19, base, 1)
-}
-
-/// Figure 20: sensitivity to drives per node `d`.
-///
-/// # Errors
-///
-/// Propagates base-parameter validation errors.
-pub fn fig20_drives_per_node(base: &Params) -> Result<Sweep> {
-    figure_sweep(20, base, 1)
-}
-
 /// Extension (not a paper figure): sensitivity to the drive hard-error
 /// rate, 10⁻¹⁶ – 10⁻¹³ errors per bit. HER is partially controllable in
 /// deployment (scrubbing shrinks the window for latent errors), making
@@ -437,17 +346,8 @@ pub fn fig20_drives_per_node(base: &Params) -> Result<Sweep> {
 /// # Errors
 ///
 /// Propagates base-parameter validation errors.
-pub fn ext_hard_error_rate(base: &Params) -> Result<Sweep> {
-    ext_hard_error_rate_with_workers(base, 1)
-}
-
-/// [`ext_hard_error_rate`] with an explicit worker count.
-///
-/// # Errors
-///
-/// Propagates base-parameter validation errors.
-pub fn ext_hard_error_rate_with_workers(base: &Params, workers: usize) -> Result<Sweep> {
-    sweep_with_workers(
+pub fn ext_hard_error_rate(base: &Params, workers: usize) -> Result<Sweep> {
+    sweep(
         base,
         &Configuration::sensitivity_set(),
         "hard error rate",
@@ -541,7 +441,9 @@ mod tests {
 
     #[test]
     fn fig14_shape() {
-        let s = fig14_drive_mttf(&base(), Hours(1_000_000.0)).unwrap();
+        let mut p = base();
+        p.node.mttf = Hours(1_000_000.0);
+        let s = figure_sweep(14, &p, 1).unwrap();
         assert_eq!(s.rows.len(), drive_mttf_grid().len());
         assert_eq!(s.configs().len(), 3);
         // Higher drive MTTF ⇒ monotonically fewer events, for every config.
@@ -560,7 +462,9 @@ mod tests {
 
     #[test]
     fn fig15_shape() {
-        let s = fig15_node_mttf(&base(), Hours(750_000.0)).unwrap();
+        let mut p = base();
+        p.drive.mttf = Hours(750_000.0);
+        let s = figure_sweep(15, &p, 1).unwrap();
         for config in s.configs() {
             let series = s.series(config);
             assert_eq!(series.len(), node_mttf_grid().len());
@@ -572,7 +476,7 @@ mod tests {
 
     #[test]
     fn fig16_larger_blocks_help_until_streaming_cap() {
-        let s = fig16_rebuild_block(&base()).unwrap();
+        let s = figure_sweep(16, &base(), 1).unwrap();
         let ir5 = Configuration::new(InternalRaid::Raid5, 2).unwrap();
         let series = s.series(ir5);
         // Improves up to the 40 MB/s streaming cap (150 IOPS × ~273 KiB),
@@ -587,7 +491,7 @@ mod tests {
     fn fig16_paper_claim_64kib_meets_target() {
         // §6/§8: [FT2, IR5] and [FT3, no IR] meet the target once the
         // rebuild block is at least 64 KiB.
-        let s = fig16_rebuild_block(&base()).unwrap();
+        let s = figure_sweep(16, &base(), 1).unwrap();
         for config in [
             Configuration::new(InternalRaid::Raid5, 2).unwrap(),
             Configuration::new(InternalRaid::None, 3).unwrap(),
@@ -605,7 +509,7 @@ mod tests {
 
     #[test]
     fn fig17_plateau_above_crossover() {
-        let s = fig17_link_speed(&base()).unwrap();
+        let s = figure_sweep(17, &base(), 1).unwrap();
         for config in s.configs() {
             let series = s.series(config);
             let at5 = series.iter().find(|(x, _)| *x == 5.0).unwrap().1;
@@ -620,7 +524,7 @@ mod tests {
 
     #[test]
     fn fig18_weak_sensitivity_for_ir5() {
-        let s = fig18_node_count(&base()).unwrap();
+        let s = figure_sweep(18, &base(), 1).unwrap();
         let ir5 = Configuration::new(InternalRaid::Raid5, 2).unwrap();
         let series = s.series(ir5);
         let min = series.iter().map(|p| p.1).fold(f64::INFINITY, f64::min);
@@ -632,7 +536,7 @@ mod tests {
 
     #[test]
     fn fig19_larger_redundancy_sets_hurt() {
-        let s = fig19_redundancy_set(&base()).unwrap();
+        let s = figure_sweep(19, &base(), 1).unwrap();
         for config in s.configs() {
             let series = s.series(config);
             assert!(
@@ -644,7 +548,7 @@ mod tests {
 
     #[test]
     fn fig20_weak_sensitivity_to_drives_per_node() {
-        let s = fig20_drives_per_node(&base()).unwrap();
+        let s = figure_sweep(20, &base(), 1).unwrap();
         for config in s.configs() {
             let series = s.series(config);
             let min = series.iter().map(|p| p.1).fold(f64::INFINITY, f64::min);
@@ -682,7 +586,7 @@ mod tests {
 
     #[test]
     fn ext_her_monotone() {
-        let s = ext_hard_error_rate(&base()).unwrap();
+        let s = ext_hard_error_rate(&base(), 1).unwrap();
         for config in s.configs() {
             let series = s.series(config);
             for w in series.windows(2) {
@@ -705,6 +609,7 @@ mod tests {
             "redundancy set size",
             "nodes",
             &[2.0, 3.0, 8.0],
+            1,
             |p, x| p.system.redundancy_set_size = x as u32,
         )
         .unwrap();
@@ -717,13 +622,13 @@ mod tests {
     fn parallel_sweep_is_byte_identical_to_serial() {
         let configs = Configuration::sensitivity_set();
         let xs = drive_mttf_grid();
-        let serial = sweep_with_workers(&base(), &configs, "drive MTTF", "h", &xs, 1, |p, x| {
+        let serial = sweep(&base(), &configs, "drive MTTF", "h", &xs, 1, |p, x| {
             p.drive.mttf = Hours(x)
         })
         .unwrap();
         // 0 = auto: resolves via auto_workers() and must match too.
         for workers in [0, 2, 3, 4, 17] {
-            let parallel = sweep_with_workers(
+            let parallel = sweep(
                 &base(),
                 &configs,
                 "drive MTTF",
@@ -791,7 +696,7 @@ mod tests {
     #[test]
     fn every_row_preserves_the_input_column_order() {
         let configs = Configuration::all_nine();
-        let s = sweep_with_workers(
+        let s = sweep(
             &base(),
             &configs,
             "drives per node",
@@ -843,6 +748,7 @@ mod tests {
             "redundancy set size",
             "nodes",
             &[2.0, 8.0],
+            1,
             |p, x| p.system.redundancy_set_size = x as u32,
         )
         .unwrap();

@@ -218,6 +218,7 @@ fn an_overflowed_mttdl_is_an_empty_cell_not_a_perfect_one() {
         "drive MTTF",
         "h",
         &[300_000.0, 1e300],
+        1,
         |p, x| p.drive.mttf = Hours(x),
     )
     .unwrap();

@@ -8,7 +8,7 @@
 
 use nsr_core::config::Configuration;
 use nsr_core::params::Params;
-use nsr_core::sweep::sweep_with_workers;
+use nsr_core::sweep::sweep;
 use nsr_core::units::Hours;
 
 /// Runs one traced sweep and returns `(raw jsonl, canonical jsonl)`.
@@ -18,7 +18,7 @@ fn traced_sweep(workers: usize) -> (String, String) {
     let params = Params::baseline();
     let configs = Configuration::sensitivity_set();
     let xs = [200_000.0, 500_000.0, 1_000_000.0, 2_000_000.0];
-    sweep_with_workers(
+    sweep(
         &params,
         &configs,
         "drive MTTF",

@@ -13,30 +13,24 @@
 //! # The `nsr-obs/v1` and `nsr-obs/v2` schemas
 //!
 //! Every emitted line is a self-contained JSON object with a `"schema"`
-//! and a `"kind"`. Metric snapshots and `meta` lines are `nsr-obs/v1`:
+//! and a `"kind"`. Metric snapshots and `meta` lines are `nsr-obs/v1`;
+//! spans and events are `nsr-obs/v2`, and only v2 — each kind has
+//! exactly one schema:
 //!
-//! | kind        | fields |
-//! |-------------|--------|
-//! | `meta`      | `source` (string; trace meta adds `dropped`) |
-//! | `counter`   | `name`, `value` (non-negative integer) |
-//! | `gauge`     | `name`, `value` (number, or `null` when non-finite) |
-//! | `histogram` | `name`, `count`, `sum`, `min`, `max`, `overflow`, `buckets` (array of `{le, count}`) |
-//! | `span`      | `name`, `at_s`, `dur_s`, `fields` (object) |
-//! | `event`     | `name`, `at_s`, `fields` (object) |
+//! | schema | kind        | fields |
+//! |--------|-------------|--------|
+//! | v1     | `meta`      | `source` (string; trace meta adds `dropped`) |
+//! | v1     | `counter`   | `name`, `value` (non-negative integer) |
+//! | v1     | `gauge`     | `name`, `value` (number, or `null` when non-finite) |
+//! | v1     | `histogram` | `name`, `count`, `sum`, `min`, `max`, `overflow`, `buckets` (array of `{le, count}`) |
+//! | v2     | `span`      | `name`, `at_s`, `dur_s`, `fields` (object), `span_id` (unique positive integer), `parent_id` (optional; must resolve to an emitted `span_id`), `thread`, `seq` |
+//! | v2     | `event`     | `name`, `at_s`, `fields` (object), `parent_id` (optional), `thread`, `seq` |
 //!
-//! Trace records are now emitted as `nsr-obs/v2`, which extends the v1
-//! `span`/`event` shapes with causal identity:
-//!
-//! | kind    | fields added in v2 |
-//! |---------|--------------------|
-//! | `span`  | `span_id` (unique positive integer), `parent_id` (optional; must resolve to an emitted `span_id`), `thread`, `seq` |
-//! | `event` | `parent_id` (optional), `thread`, `seq` |
-//!
-//! [`validate_line`] / [`validate_jsonl`] accept **both** versions, so v1
-//! artifacts remain readable; [`validate_span_links`] adds the v2
-//! structural check that every `parent_id` resolves to an emitted
-//! `span_id` (no orphan spans). The CLI's `obs-check` command and the CI
-//! smoke step are built on all three.
+//! [`validate_line`] / [`validate_jsonl`] check each line against its
+//! kind's schema; [`validate_span_links`] adds the structural check that
+//! every `parent_id` resolves to an emitted `span_id` (no orphan spans).
+//! The CLI's `obs-check` command and the CI smoke step are built on all
+//! three.
 //!
 //! # Cost contract
 //!
@@ -129,36 +123,37 @@ fn v2_identity(doc: &Json, require_span_id: bool) -> Result<(), String> {
     Ok(())
 }
 
-/// Validates one parsed record against the `nsr-obs/v1` or `nsr-obs/v2`
-/// schema (v2 only defines the causal `span`/`event` kinds).
+/// Validates one parsed record against the `nsr-obs/v1` schema (metrics
+/// and `meta`) or the `nsr-obs/v2` one (the causal `span`/`event` kinds).
 pub fn validate_line(doc: &Json) -> Result<(), String> {
     if !matches!(doc, Json::Obj(_)) {
         return Err("record is not an object".into());
     }
     let schema = field_str(doc, "schema")?;
-    let v2 = match schema {
-        s if s == SCHEMA => false,
-        s if s == SCHEMA_V2 => true,
-        other => {
-            return Err(format!(
-                "schema is {other:?}, expected {SCHEMA:?} or {SCHEMA_V2:?}"
-            ))
-        }
-    };
     let kind = field_str(doc, "kind")?;
+    // Each kind has exactly one schema: spans and events are v2.
+    let expected = match kind {
+        "span" | "event" => SCHEMA_V2,
+        _ => SCHEMA,
+    };
+    if schema != expected {
+        return Err(format!(
+            "schema is {schema:?}, expected {expected:?} for kind {kind:?}"
+        ));
+    }
     match kind {
-        "meta" if !v2 => {
+        "meta" => {
             field_str(doc, "source")?;
         }
-        "counter" if !v2 => {
+        "counter" => {
             field_str(doc, "name")?;
             field_count(doc, "value")?;
         }
-        "gauge" if !v2 => {
+        "gauge" => {
             field_str(doc, "name")?;
             field_num_or_null(doc, "value")?;
         }
-        "histogram" if !v2 => {
+        "histogram" => {
             field_str(doc, "name")?;
             let count = field_count(doc, "count")?;
             field_num_or_null(doc, "sum")?;
@@ -191,19 +186,15 @@ pub fn validate_line(doc: &Json) -> Result<(), String> {
                 return Err("`dur_s` must be non-negative".into());
             }
             field_fields(doc)?;
-            if v2 {
-                v2_identity(doc, true)?;
-            }
+            v2_identity(doc, true)?;
         }
         "event" => {
             field_str(doc, "name")?;
             field_num(doc, "at_s")?;
             field_fields(doc)?;
-            if v2 {
-                v2_identity(doc, false)?;
-            }
+            v2_identity(doc, false)?;
         }
-        other => return Err(format!("kind {other:?} not valid under schema {schema:?}")),
+        other => return Err(format!("unknown kind {other:?}")),
     }
     Ok(())
 }
@@ -347,8 +338,6 @@ mod tests {
                 r#""sum":2.5,"min":0.5,"max":1.5,"overflow":1,"#,
                 r#""buckets":[{"le":1,"count":1},{"le":2,"count":1}]}"#
             ),
-            r#"{"schema":"nsr-obs/v1","kind":"span","name":"s","at_s":0.1,"dur_s":0.2,"fields":{}}"#,
-            r#"{"schema":"nsr-obs/v1","kind":"event","name":"e","at_s":0.1,"fields":{"w":1}}"#,
             concat!(
                 r#"{"schema":"nsr-obs/v2","kind":"span","name":"s","at_s":0.1,"dur_s":0.2,"#,
                 r#""span_id":3,"parent_id":1,"thread":2,"seq":17,"fields":{}}"#
@@ -385,6 +374,9 @@ mod tests {
             // v2 is trace-only: metric kinds stay v1.
             r#"{"schema":"nsr-obs/v2","kind":"counter","name":"a","value":1}"#,
             r#"{"schema":"nsr-obs/v2","kind":"meta","source":"x"}"#,
+            // Spans and events are v2 only.
+            r#"{"schema":"nsr-obs/v1","kind":"span","name":"s","at_s":0.1,"dur_s":0.2,"fields":{}}"#,
+            r#"{"schema":"nsr-obs/v1","kind":"event","name":"e","at_s":0.1,"fields":{"w":1}}"#,
             // v2 spans need their causal identity.
             r#"{"schema":"nsr-obs/v2","kind":"span","name":"s","at_s":0,"dur_s":0,"fields":{}}"#,
             concat!(

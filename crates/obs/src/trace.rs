@@ -659,8 +659,9 @@ pub fn write_trace(path: &Path, source: &str) -> std::io::Result<usize> {
 ///
 /// # Errors
 ///
-/// Returns a description if a line fails to parse, a `parent_id` does
-/// not resolve to an emitted `span_id`, or the parent links form a cycle.
+/// Returns a description if a line fails to parse, a span has no
+/// `span_id`, a `parent_id` does not resolve to an emitted `span_id`, or
+/// the parent links form a cycle.
 pub fn canonical_jsonl(text: &str) -> Result<String, String> {
     let mut docs = Vec::new();
     for (i, line) in text.lines().enumerate() {
@@ -678,7 +679,7 @@ pub fn canonical_jsonl(text: &str) -> Result<String, String> {
             continue;
         }
         let Some(id) = doc.get("span_id").and_then(Json::as_f64) else {
-            continue; // v1 span: nothing to resolve
+            return Err("span without a `span_id`".into());
         };
         let name = doc
             .get("name")
@@ -799,7 +800,7 @@ pub fn canonical_cluster_jsonl(parts: &[&str]) -> Result<String, String> {
                 continue;
             }
             let Some(id) = doc.get("span_id").and_then(Json::as_f64) else {
-                continue;
+                return Err(format!("part {}: span without a `span_id`", pi + 1));
             };
             let remote = match (
                 doc.get("remote_proc_id").and_then(Json::as_f64),
@@ -1187,5 +1188,8 @@ mod tests {
         );
         let err = canonical_jsonl(&line).unwrap_err();
         assert!(err.contains("42"), "{err}");
+        // A span with no `span_id` (the v1 shape) is an error, not skipped.
+        let err = canonical_jsonl("{\"kind\":\"span\",\"name\":\"x\"}\n").unwrap_err();
+        assert!(err.contains("span_id"), "{err}");
     }
 }

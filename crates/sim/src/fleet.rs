@@ -50,7 +50,7 @@
 //! mirror the aggregate engine of [`crate::faultinject`] (§4 failure
 //! model, §5.2 sector errors), from the same derived rates; rebuilds
 //! always take the §5.1 deterministic durations — the exponential-repair
-//! ablation is the aggregate engine's (and `ablations.rs`'s), not here.
+//! ablation is the aggregate engine's (and the ablations record's), not here.
 //!
 //! Direct simulation observes losses only for the weakest configurations;
 //! for 9–11-nines targets the module wires in both rare-event estimators

@@ -13,7 +13,7 @@ use nsr_core::config::Configuration;
 use nsr_core::metrics::TARGET_EVENTS_PER_PB_YEAR;
 use nsr_core::mission::loss_probability;
 use nsr_core::params::Params;
-use nsr_core::planner::{feasible_plans, min_rebuild_block_for_target};
+use nsr_core::plan::{feasible_plans, min_rebuild_block_for_target};
 use nsr_core::spares::SpareModel;
 use nsr_core::units::HOURS_PER_YEAR;
 

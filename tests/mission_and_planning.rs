@@ -6,7 +6,7 @@ use nsr_core::config::Configuration;
 use nsr_core::metrics::TARGET_EVENTS_PER_PB_YEAR;
 use nsr_core::mission::{loss_curve, loss_probability};
 use nsr_core::params::Params;
-use nsr_core::planner::{feasible_plans, storage_efficiency};
+use nsr_core::plan::{feasible_plans, storage_efficiency};
 use nsr_core::raid::InternalRaid;
 use nsr_core::spares::SpareModel;
 use nsr_core::sweep::fig13_baseline;

@@ -6,11 +6,16 @@ use nsr_core::metrics::TARGET_EVENTS_PER_PB_YEAR;
 use nsr_core::params::Params;
 use nsr_core::raid::InternalRaid;
 use nsr_core::rebuild::RebuildModel;
-use nsr_core::sweep::{
-    fig14_drive_mttf, fig15_node_mttf, fig16_rebuild_block, fig17_link_speed, fig18_node_count,
-    fig19_redundancy_set, fig20_drives_per_node,
-};
+use nsr_core::sweep::{figure_sweep, Sweep};
 use nsr_core::units::Hours;
+
+/// Figure `figure`'s sweep on one worker, at the baseline with `set`
+/// applied.
+fn sweep_with(figure: u32, set: impl FnOnce(&mut Params)) -> nsr_core::Result<Sweep> {
+    let mut params = Params::baseline();
+    set(&mut params);
+    figure_sweep(figure, &params, 1)
+}
 
 fn ft2_nir() -> Configuration {
     Configuration::new(InternalRaid::None, 2).unwrap()
@@ -26,7 +31,7 @@ fn ft3_nir() -> Configuration {
 fn fig14_ft2_nir_fails_at_low_node_mttf_over_entire_drive_range() {
     // "the configuration at fault tolerance 2, no internal RAID does not
     // meet the target at all for low node MTTF"
-    let sweep = fig14_drive_mttf(&Params::baseline(), Hours(100_000.0)).unwrap();
+    let sweep = sweep_with(14, |p| p.node.mttf = Hours(100_000.0)).unwrap();
     for (x, v) in sweep.series(ft2_nir()) {
         assert!(v > TARGET_EVENTS_PER_PB_YEAR, "drive MTTF {x}: {v:.3e}");
     }
@@ -37,7 +42,7 @@ fn fig14_other_configs_meet_target_over_entire_range() {
     // "The other two configurations exceed the target … over the entire
     // range" (both node-MTTF endpoints).
     for node_mttf in [100_000.0, 1_000_000.0] {
-        let sweep = fig14_drive_mttf(&Params::baseline(), Hours(node_mttf)).unwrap();
+        let sweep = sweep_with(14, |p| p.node.mttf = Hours(node_mttf)).unwrap();
         for config in [ft2_ir5(), ft3_nir()] {
             for (x, v) in sweep.series(config) {
                 assert!(
@@ -54,7 +59,7 @@ fn fig14_ir5_insensitive_to_drive_mttf_at_low_node_mttf() {
     // "FT 2, Internal RAID 5 appears to be relatively insensitive to drive
     // MTTF, especially for low node MTTF — clearly, it is limited by node
     // MTTF."
-    let sweep = fig14_drive_mttf(&Params::baseline(), Hours(100_000.0)).unwrap();
+    let sweep = sweep_with(14, |p| p.node.mttf = Hours(100_000.0)).unwrap();
     let spread = |c: Configuration| {
         let s = sweep.series(c);
         s.iter().map(|p| p.1).fold(0.0, f64::max)
@@ -81,7 +86,7 @@ fn fig14_ir5_insensitive_to_drive_mttf_at_low_node_mttf() {
 #[test]
 fn fig15_ir5_most_sensitive_to_node_mttf() {
     // "FT 2, Internal RAID 5 shows the most sensitivity to node MTTF."
-    let sweep = fig15_node_mttf(&Params::baseline(), Hours(750_000.0)).unwrap();
+    let sweep = sweep_with(15, |p| p.drive.mttf = Hours(750_000.0)).unwrap();
     let spread = |c: Configuration| {
         let s = sweep.series(c);
         s.iter().map(|p| p.1).fold(0.0, f64::max)
@@ -97,7 +102,7 @@ fn fig16_target_met_from_64kib_up() {
     // §8: "either [FT2, IR5] or [FT3, no IR] … meet the reliability
     // requirement with the condition that the rebuild block size is at
     // least 64 KB."
-    let sweep = fig16_rebuild_block(&Params::baseline()).unwrap();
+    let sweep = figure_sweep(16, &Params::baseline(), 1).unwrap();
     for config in [ft2_ir5(), ft3_nir()] {
         for (kib, v) in sweep.series(config) {
             if kib >= 64.0 {
@@ -127,16 +132,16 @@ fn fig16_rebuild_block_is_the_most_powerful_knob() {
     // most significant impact on reliability" — compare the spread of the
     // three configurable-parameter sweeps (Figs 16, 18, 19, 20).
     let base = Params::baseline();
-    let spread_of = |sweep: &nsr_core::sweep::Sweep, c: Configuration| {
+    let spread_of = |sweep: &Sweep, c: Configuration| {
         let s = sweep.series(c);
         s.iter().map(|p| p.1).fold(0.0, f64::max)
             / s.iter().map(|p| p.1).fold(f64::INFINITY, f64::min)
     };
     let c = ft3_nir();
-    let block = spread_of(&fig16_rebuild_block(&base).unwrap(), c);
-    let nodes = spread_of(&fig18_node_count(&base).unwrap(), c);
-    let rset = spread_of(&fig19_redundancy_set(&base).unwrap(), c);
-    let drives = spread_of(&fig20_drives_per_node(&base).unwrap(), c);
+    let block = spread_of(&figure_sweep(16, &base, 1).unwrap(), c);
+    let nodes = spread_of(&figure_sweep(18, &base, 1).unwrap(), c);
+    let rset = spread_of(&figure_sweep(19, &base, 1).unwrap(), c);
+    let drives = spread_of(&figure_sweep(20, &base, 1).unwrap(), c);
     assert!(
         block > nodes && block > rset && block > drives,
         "block {block:.1} nodes {nodes:.1} rset {rset:.1} drives {drives:.1}"
@@ -145,7 +150,7 @@ fn fig16_rebuild_block_is_the_most_powerful_knob() {
 
 #[test]
 fn fig17_no_difference_between_5_and_10_gbps() {
-    let sweep = fig17_link_speed(&Params::baseline()).unwrap();
+    let sweep = figure_sweep(17, &Params::baseline(), 1).unwrap();
     for config in sweep.configs() {
         let series = sweep.series(config);
         let v5 = series.iter().find(|(x, _)| *x == 5.0).unwrap().1;
@@ -169,7 +174,7 @@ fn fig17_crossover_near_three_gbps() {
 
 #[test]
 fn fig18_weak_sensitivity_to_node_set_size() {
-    let sweep = fig18_node_count(&Params::baseline()).unwrap();
+    let sweep = figure_sweep(18, &Params::baseline(), 1).unwrap();
     for config in [ft2_ir5(), ft3_nir()] {
         let s = sweep.series(config);
         let spread = s.iter().map(|p| p.1).fold(0.0, f64::max)
@@ -185,7 +190,7 @@ fn fig19_about_an_order_of_magnitude_across_redundancy_sizes() {
     // "all configurations appear to become less reliable as the redundancy
     // set size increases, with about an order of magnitude difference
     // between the extremes."
-    let sweep = fig19_redundancy_set(&Params::baseline()).unwrap();
+    let sweep = figure_sweep(19, &Params::baseline(), 1).unwrap();
     for config in sweep.configs() {
         let s = sweep.series(config);
         // Monotone non-decreasing in R.
@@ -210,7 +215,7 @@ fn fig19_about_an_order_of_magnitude_across_redundancy_sizes() {
 
 #[test]
 fn fig20_very_little_sensitivity_to_drives_per_node() {
-    let sweep = fig20_drives_per_node(&Params::baseline()).unwrap();
+    let sweep = figure_sweep(20, &Params::baseline(), 1).unwrap();
     for config in [ft2_ir5(), ft3_nir()] {
         let s = sweep.series(config);
         let spread = s.iter().map(|p| p.1).fold(0.0, f64::max)
