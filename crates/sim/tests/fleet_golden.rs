@@ -15,6 +15,14 @@
 //! cells either way: losses and cell resets) and a benign one (1M h); two
 //! seeds each; a brick count whose last 64-cell shard is partial; and the
 //! exact `model_batch` geometry of the repo benchmark.
+//!
+//! Those all run 64-node cells of 12-drive bricks, whose arming ranges
+//! (64 nodes, 768 drives, 12 drives per node repair) are multiples of
+//! eight. The [`ODD_GEOMETRY`] cases run 21-node cells of 5-drive bricks,
+//! so every range the fleet arms together — 21 nodes and 105 drives at
+//! mission start and at a cell reset, 5 drives at a node repair — ends in
+//! a partial chunk of eight. They were captured before the clocks were
+//! armed in chunks.
 
 use nsr_core::config::Configuration;
 use nsr_core::params::Params;
@@ -24,6 +32,9 @@ use nsr_sim::fleet::FleetSim;
 
 /// 300 full cells plus 17 bricks: 301 cells, so the fifth shard holds 45.
 const PARTIAL_SHARD_BRICKS: u64 = 300 * 64 + 17;
+
+/// 200 cells of 21 bricks plus 5: 201 cells, so the fourth shard holds 9.
+const ODD_BRICKS: u64 = 200 * 21 + 5;
 
 /// FNV-1a, 64-bit.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -37,6 +48,8 @@ struct Case {
     t: u32,
     /// Node MTTF in hours; `None` keeps the §6 baseline.
     node_mttf: Option<f64>,
+    /// `(node_count, drives_per_node)`; `None` keeps the §6 baseline.
+    geometry: Option<(u32, u32)>,
     bricks: u64,
     seed: u64,
     header: &'static str,
@@ -47,6 +60,10 @@ fn run(c: &Case) -> (String, u64) {
     let mut params = Params::baseline();
     if let Some(mttf) = c.node_mttf {
         params.node.mttf = Hours(mttf);
+    }
+    if let Some((nodes, drives)) = c.geometry {
+        params.system.node_count = nodes;
+        params.node.drives_per_node = drives;
     }
     let config = Configuration::new(c.internal, c.t).unwrap();
     let sim = FleetSim::new(params, config, c.bricks, 10.0).unwrap();
@@ -63,8 +80,8 @@ fn check(cases: &[Case]) {
         let (header, hash) = run(c);
         if header != c.header || hash != c.hash {
             failures.push(format!(
-                "{:?} FT{} node_mttf {:?} bricks {} seed {}:\n  \"{header}\",\n  0x{hash:016x},",
-                c.internal, c.t, c.node_mttf, c.bricks, c.seed
+                "{:?} FT{} node_mttf {:?} geometry {:?} bricks {} seed {}:\n  \"{header}\",\n  0x{hash:016x},",
+                c.internal, c.t, c.node_mttf, c.geometry, c.bricks, c.seed
             ));
         }
     }
@@ -81,10 +98,21 @@ macro_rules! case {
             internal: InternalRaid::$internal,
             t: $t,
             node_mttf: $mttf,
+            geometry: None,
             bricks: $bricks,
             seed: $seed,
             header: $header,
             hash: $hash,
+        }
+    };
+}
+
+/// A [`case!`] at 21 nodes per cell and 5 drives per brick.
+macro_rules! odd_case {
+    ($internal:ident, $t:expr, $mttf:expr, $seed:expr, $header:expr, $hash:expr) => {
+        Case {
+            geometry: Some((21, 5)),
+            ..case!($internal, $t, $mttf, ODD_BRICKS, $seed, $header, $hash)
         }
     };
 }
@@ -185,6 +213,31 @@ const MODEL_BATCH: &[Case] = &[
           0x194fd54f9d65142b),
 ];
 
+/// 21-node cells of 5-drive bricks: FT 1 no-IR at a lossy node MTTF
+/// (losses, so `lose()` resets whole cells), FT 2 no-IR (parked drives
+/// re-armed five at a time) and FT 1 RAID 5 (node entities only).
+#[rustfmt::skip]
+const ODD_GEOMETRY: &[Case] = &[
+    odd_case!(None, 1, Some(40_000.0), 1,
+              "fleet bricks=4221 cells=201 entities=25326 mission_h_bits=40f5630000000000 events=22039 stale=239118 node_failures=9341 drive_failures=6087 rebuilds=6580 losses=8847",
+              0x325cc35276554f40),
+    odd_case!(None, 1, Some(40_000.0), 2026,
+              "fleet bricks=4221 cells=201 entities=25326 mission_h_bits=40f5630000000000 events=21957 stale=233843 node_failures=9121 drive_failures=6191 rebuilds=6618 losses=8694",
+              0x4cfe425dbb4b26ff),
+    odd_case!(None, 2, Some(40_000.0), 1,
+              "fleet bricks=4221 cells=201 entities=25326 mission_h_bits=40f5630000000000 events=30580 stale=6256 node_failures=9324 drive_failures=5977 rebuilds=15279 losses=10",
+              0x731edaccb864f313),
+    odd_case!(None, 2, Some(40_000.0), 2026,
+              "fleet bricks=4221 cells=201 entities=25326 mission_h_bits=40f5630000000000 events=30564 stale=6301 node_failures=9134 drive_failures=6158 rebuilds=15271 losses=10",
+              0x45ac6ed4da776692),
+    odd_case!(Raid5, 1, Some(40_000.0), 1,
+              "fleet bricks=4221 cells=201 entities=4221 mission_h_bits=40f5630000000000 events=18333 stale=6903 node_failures=9168 drive_failures=0 rebuilds=9097 losses=68",
+              0xe8c4e269bddfbec4),
+    odd_case!(Raid5, 1, Some(40_000.0), 2026,
+              "fleet bricks=4221 cells=201 entities=4221 mission_h_bits=40f5630000000000 events=18659 stale=6918 node_failures=9330 drive_failures=0 rebuilds=9275 losses=54",
+              0xe8dba4d5712a9a94),
+];
+
 #[test]
 fn no_internal_raid_outcomes_are_pinned() {
     check(NO_INTERNAL_RAID);
@@ -198,4 +251,9 @@ fn internal_raid_outcomes_are_pinned() {
 #[test]
 fn model_batch_decade_is_pinned() {
     check(MODEL_BATCH);
+}
+
+#[test]
+fn odd_geometry_outcomes_are_pinned() {
+    check(ODD_GEOMETRY);
 }

@@ -31,9 +31,14 @@ fn fleet(internal: InternalRaid, t: u32, bricks: u64, years: f64) -> FleetSim {
 /// 1, 4 and 16. This is the tentpole determinism guarantee: sharding is
 /// a function of the fleet geometry and every draw comes from a
 /// stateless per-entity stream, so thread scheduling cannot leak in.
+/// FT 3 no-IR is the configuration the repo benchmark's fleet decade runs.
 #[test]
 fn same_seed_is_byte_identical_at_any_worker_count() {
-    for (internal, t) in [(InternalRaid::None, 1), (InternalRaid::Raid5, 2)] {
+    for (internal, t) in [
+        (InternalRaid::None, 1),
+        (InternalRaid::Raid5, 2),
+        (InternalRaid::None, 3),
+    ] {
         let sim = fleet(internal, t, 300 * 64, 5.0);
         let baseline = sim.run(2026, 1).unwrap();
         let trace = baseline.canonical_trace();
