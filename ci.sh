@@ -203,6 +203,13 @@ done
     --workers 4 --trace > "$SMOKE_DIR/fleet-w4.txt"
 diff crates/cli/tests/golden/fleet_ft1nir_3200_s11.txt "$SMOKE_DIR/fleet-w1.txt"
 diff "$SMOKE_DIR/fleet-w1.txt" "$SMOKE_DIR/fleet-w4.txt"
+# The same contract at the repo benchmark's configuration (FT 3 no-IR, a
+# decade), over seven 64-cell shards.
+./target/release/nsr fleet --config ft3-nir --bricks 25600 --years 10 --seed 42 \
+    --workers 1 --trace > "$SMOKE_DIR/fleet-ft3-w1.txt"
+./target/release/nsr fleet --config ft3-nir --bricks 25600 --years 10 --seed 42 \
+    --workers 4 --trace > "$SMOKE_DIR/fleet-ft3-w4.txt"
+diff "$SMOKE_DIR/fleet-ft3-w1.txt" "$SMOKE_DIR/fleet-ft3-w4.txt"
 
 echo "==> serving smoke (workload generator, pool metrics, serving bench gate)"
 # A short seeded workload must drive the healthy -> degraded -> rebuilding
