@@ -258,6 +258,19 @@ PLAN_GRID="--grid --grid-nodes 64 --grid-k 2,4,6 --grid-t 1,2,3 \
 diff crates/cli/tests/golden/plan_frontier_3x3x3.csv "$SMOKE_DIR/plan-w1.csv"
 diff "$SMOKE_DIR/plan-w1.csv" "$SMOKE_DIR/plan-w4.csv"
 diff "$SMOKE_DIR/plan-w1.csv" "$SMOKE_DIR/plan-ex.csv"
+# The same contract on the repo benchmark's 11,520-point grid, where
+# every axis has several values: five node counts, four spare fractions
+# and four bandwidths that the 3x3x3 grid holds at one value each.
+BENCH_GRID="--grid --grid-nodes 16,32,64,128,256 \
+    --grid-k 2,3,4,5,6,7,8,9,10,11,12,13 --grid-t 1,2,3,4 \
+    --grid-ir nir,ir5,ir6 --grid-spares 0,0.1,0.25,0.4 \
+    --grid-bw 0.05,0.1,0.2,0.4 --csv"
+./target/release/nsr plan $BENCH_GRID --workers 1 > "$SMOKE_DIR/plan11520-w1.csv"
+./target/release/nsr plan $BENCH_GRID --workers 4 > "$SMOKE_DIR/plan11520-w4.csv"
+./target/release/nsr plan $BENCH_GRID --exhaustive > "$SMOKE_DIR/plan11520-ex.csv"
+for run in w1 w4 ex; do
+    diff crates/cli/tests/golden/plan_frontier_11520.csv "$SMOKE_DIR/plan11520-$run.csv"
+done
 ./target/release/nsr plan $PLAN_GRID \
     --metrics-out "$SMOKE_DIR/plan-metrics.jsonl" \
     --trace-out "$SMOKE_DIR/plan-trace.jsonl" > /dev/null

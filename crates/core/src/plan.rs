@@ -368,26 +368,47 @@ struct Pass1 {
     infeasible: Vec<(usize, Error)>,
 }
 
+/// The closed-form pass of [`plan_search`] on its own: every grid point
+/// of `space` in grid order, as the feasible point pass 1 builds or the
+/// error that makes it infeasible.
+///
+/// # Errors
+///
+/// [`Error::InvalidParams`] for invalid base parameters or grid axes.
+pub fn closed_form_pass(base: &Params, space: &ConfigSpace) -> Result<Vec<Result<PlanPoint>>> {
+    base.validate()?;
+    space.validate()?;
+    Ok((0..space.len())
+        .map(|idx| closed_form_point(base, space, idx, 5.0))
+        .collect())
+}
+
+fn closed_form_point(
+    base: &Params,
+    space: &ConfigSpace,
+    idx: usize,
+    years: f64,
+) -> Result<PlanPoint> {
+    let point = space.point(idx);
+    let config = Configuration::new(point.internal, point.node_ft)?;
+    let params = point.params(base);
+    let closed = config.closed_form(&params)?;
+    let efficiency = storage_efficiency(&params, config);
+    Ok(PlanPoint {
+        index: idx,
+        point,
+        config,
+        cost_overhead: 1.0 / efficiency,
+        cost_rebuild_bw: point.rebuild_bw,
+        closed_mttdl_hours: closed.mttdl_hours,
+        closed_events_pb_year: closed.events_per_pb_year,
+        closed_mission_loss: mission_loss(closed.mttdl_hours, years),
+    })
+}
+
 /// Closed-form pass for one grid point.
 fn pass1(out: &mut Pass1, base: &Params, space: &ConfigSpace, idx: usize, years: f64) {
-    let point = space.point(idx);
-    let inner = || -> Result<PlanPoint> {
-        let config = Configuration::new(point.internal, point.node_ft)?;
-        let params = point.params(base);
-        let closed = config.closed_form(&params)?;
-        let efficiency = storage_efficiency(&params, config);
-        Ok(PlanPoint {
-            index: idx,
-            point,
-            config,
-            cost_overhead: 1.0 / efficiency,
-            cost_rebuild_bw: point.rebuild_bw,
-            closed_mttdl_hours: closed.mttdl_hours,
-            closed_events_pb_year: closed.events_per_pb_year,
-            closed_mission_loss: mission_loss(closed.mttdl_hours, years),
-        })
-    };
-    match inner() {
+    match closed_form_point(base, space, idx, years) {
         Ok(p) => out.feasible.push(p),
         Err(e) if out.infeasible.len() < PlanReport::MAX_INFEASIBLE_EXAMPLES => {
             out.infeasible.push((idx, e));
