@@ -9,11 +9,12 @@ use nsr_markov::{BatchProgram, BatchSolver};
 use crate::internal_raid::InternalRaidSystem;
 use crate::metrics::Reliability;
 use crate::no_raid::NoRaidSystem;
-use crate::params::Params;
+use crate::params::{Duplex, Params};
 use crate::raid::{ArrayModel, InternalRaid};
-use crate::rebuild::{RebuildModel, RebuildRate};
+use crate::rebuild::{distributed_rebuild, restripe, RebuildRate, TransferAmounts};
 use crate::recursive::RecursiveModel;
-use crate::units::Hours;
+use crate::scope::{critical_fraction, HParams};
+use crate::units::{Bytes, BytesPerSec, Hours, PerHour};
 use crate::{Error, Result};
 
 /// One of the paper's redundancy configurations: an internal RAID level
@@ -51,6 +52,20 @@ impl Configuration {
     /// The cross-node fault tolerance `t`.
     pub fn node_fault_tolerance(&self) -> u32 {
         self.node_ft
+    }
+
+    /// Usable fraction of raw capacity before the spare pool: the
+    /// cross-node code's `(R−t)/R` times the internal RAID's `(d−f)/d`.
+    pub(crate) fn code_and_raid_share(&self, set_size: u32, drives: u32) -> f64 {
+        let r = set_size as f64;
+        let t = self.node_ft as f64;
+        let d = drives as f64;
+        let internal = match self.internal {
+            InternalRaid::None => 1.0,
+            InternalRaid::Raid5 => (d - 1.0) / d,
+            InternalRaid::Raid6 => (d - 2.0) / d,
+        };
+        (r - t) / r * internal
     }
 
     /// The nine §3 configurations, grouped by fault tolerance then RAID
@@ -118,12 +133,7 @@ impl Configuration {
     /// The validation and feasibility errors of
     /// [`Configuration::evaluate`].
     pub fn closed_form(&self, params: &Params) -> Result<Reliability> {
-        params.validate()?;
-        let model = SystemModel::build(*self, params)?;
-        Reliability::from_mttdl(
-            model.closed_form_mttdl(),
-            params.logical_capacity(self.node_ft),
-        )
+        SystemModel::build(*self, params)?.closed_form()
     }
 
     /// Builds the exact CTMC underlying this configuration — the chain the
@@ -137,11 +147,10 @@ impl Configuration {
     ///
     /// Same conditions as [`Configuration::evaluate`].
     pub fn exact_chain(&self, params: &Params) -> Result<(nsr_markov::Ctmc, nsr_markov::StateId)> {
-        params.validate()?;
         let model = SystemModel::build(*self, params)?;
         let (skeleton, root) = self.skeleton()?;
         let mut rates = Vec::new();
-        model.transition_rates_into(&mut rates);
+        model.chain.transition_rates_into(&mut rates);
         Ok((skeleton.with_rates(&rates)?, root))
     }
 
@@ -154,86 +163,268 @@ impl Configuration {
     }
 }
 
-/// The paper's model of one configuration at one parameter point: the
-/// one place `(Configuration, &Params)` becomes a [`NoRaidSystem`] or an
-/// [`InternalRaidSystem`], shared by the evaluator, the planner's
-/// closed-form pass and [`Configuration::exact_chain`].
-struct SystemModel {
-    kind: ModelKind,
+/// Stage 1 of a model point — the **class**: a configuration and the
+/// base parameters no planner axis touches (failure rates, `C·HER`, the
+/// drives' command bandwidths, the link), validated once.
+///
+/// A model point has exactly one derivation: [`ModelClass::new`], then
+/// [`ModelClass::geometry`] for `N` and `R`, then
+/// [`ModelGeometry::point`] for the spare fraction and the rebuild
+/// bandwidth. [`Configuration::closed_form`], [`CachedEvaluator`] and
+/// [`Configuration::exact_chain`] run the three stages for one point;
+/// the planner builds each class and geometry once per search and runs
+/// only the point stage per grid point. Every float comes from the same
+/// operations in the same order whichever way a point is reached, and an
+/// infeasible point fails with the same error at the same check.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ModelClass {
+    config: Configuration,
+    drives: u32,
+    lambda_n: PerHour,
+    lambda_d: PerHour,
+    c_her: f64,
+    drive_capacity: f64,
+    /// `d·C`: one node's raw bytes.
+    node_bytes: f64,
+    /// Per-node drive bandwidth at the rebuild command size, before the
+    /// rebuild share.
+    rebuild_disk: f64,
+    /// The surviving `d − 1` drives' bandwidth at the re-stripe command
+    /// size, before the rebuild share.
+    restripe_disk: f64,
+    /// Sustained link bandwidth, before the rebuild share.
+    link: f64,
+    duplex: Duplex,
+}
+
+impl ModelClass {
+    /// Validates `params` (all of it: this is where a one-point
+    /// evaluation validates) and derives the class quantities.
+    pub(crate) fn new(config: Configuration, params: &Params) -> Result<ModelClass> {
+        params.validate()?;
+        let d = params.node.drives_per_node;
+        let drive = &params.drive;
+        let sys = &params.system;
+        Ok(ModelClass {
+            config,
+            drives: d,
+            lambda_n: params.node.failure_rate(),
+            lambda_d: drive.failure_rate(),
+            c_her: drive.c_her(),
+            drive_capacity: drive.capacity.0,
+            node_bytes: d as f64 * drive.capacity.0,
+            rebuild_disk: drive.command_bandwidth(sys.rebuild_command).0 * d as f64,
+            restripe_disk: drive.command_bandwidth(sys.restripe_command).0 * (d - 1) as f64,
+            link: sys.link_speed.sustained().0,
+            duplex: sys.duplex,
+        })
+    }
+
+    /// The configuration this class derives.
+    pub(crate) fn config(&self) -> Configuration {
+        self.config
+    }
+
+    /// Stages 2 and 3 at the point `params` describes, `params` being
+    /// the parameters this class was built from.
+    fn at(&self, params: &Params) -> Result<SystemModel> {
+        let sys = &params.system;
+        self.geometry(sys.node_count, sys.redundancy_set_size)?
+            .point(sys.capacity_utilization, sys.rebuild_bw_utilization)
+    }
+
+    /// Stage 2: the geometry of `nodes` nodes in redundancy sets of
+    /// `set_size`.
+    ///
+    /// # Errors
+    ///
+    /// The node- and redundancy-set checks of [`Params::validate`], then
+    /// [`Error::Infeasible`] if the fault tolerance does not fit the set.
+    pub(crate) fn geometry(&self, nodes: u32, set_size: u32) -> Result<ModelGeometry> {
+        crate::params::check_geometry(nodes, set_size)?;
+        let t = self.config.node_ft;
+        let amounts = TransferAmounts::new(nodes, set_size, t)?;
+        let shape = match self.config.internal {
+            InternalRaid::None => {
+                Shape::NoRaid(HParams::new(t, nodes, set_size, self.drives, self.c_her)?)
+            }
+            _ => Shape::Ir(critical_fraction(nodes, set_size, t)?),
+        };
+        Ok(ModelGeometry {
+            class: *self,
+            nodes,
+            set_size,
+            amounts,
+            shape,
+            raw_capacity: nodes as f64 * self.drives as f64 * self.drive_capacity,
+            efficiency: self.config.code_and_raid_share(set_size, self.drives),
+        })
+    }
+}
+
+/// Stage 2 of a model point — the **geometry**: a class at node-set
+/// size `N` and redundancy-set size `R` (see [`ModelClass`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ModelGeometry {
+    class: ModelClass,
+    nodes: u32,
+    set_size: u32,
+    amounts: TransferAmounts,
+    shape: Shape,
+    /// `N·d·C`.
+    raw_capacity: f64,
+    /// Usable share of raw capacity before the spare pool.
+    efficiency: f64,
+}
+
+/// What a geometry's chain needs beyond its rates: the `h` family
+/// without internal RAID, the critical fraction `k_t` with it.
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    NoRaid(HParams),
+    Ir(f64),
+}
+
+impl ModelGeometry {
+    /// Stage 3: the point at capacity utilization `utilization` (one
+    /// minus the spare fraction) and rebuild bandwidth share `bandwidth`.
+    /// Both must be in `(0, 1]`, as [`Params::validate`] demands.
+    ///
+    /// # Errors
+    ///
+    /// The model constructors' checks, in the order the
+    /// [`Configuration::evaluate`] documentation lists them.
+    pub(crate) fn point(&self, utilization: f64, bandwidth: f64) -> Result<SystemModel> {
+        let c = &self.class;
+        let node_data = Bytes(c.node_bytes * utilization);
+        let disk = BytesPerSec(c.rebuild_disk * bandwidth);
+        let net = BytesPerSec(c.link * bandwidth);
+        let node_rebuild = distributed_rebuild(&self.amounts, c.duplex, node_data, disk, net);
+        let drive_repair = match self.shape {
+            Shape::NoRaid(_) => {
+                let drive_data = Bytes(c.drive_capacity * utilization);
+                distributed_rebuild(&self.amounts, c.duplex, drive_data, disk, net)
+            }
+            Shape::Ir(_) => restripe(
+                c.drives,
+                BytesPerSec(c.restripe_disk * bandwidth),
+                node_data,
+            )?,
+        };
+        Ok(SystemModel {
+            chain: self.chain(node_rebuild.rate, drive_repair.rate)?,
+            node_rebuild,
+            drive_repair,
+            capacity: self.logical_capacity(utilization),
+        })
+    }
+
+    /// The chain model at node rebuild rate `mu_n` and drive repair rate
+    /// `mu_repair` (distributed drive rebuild without internal RAID, the
+    /// re-stripe with it).
+    pub(crate) fn chain(&self, mu_n: PerHour, mu_repair: PerHour) -> Result<ChainModel> {
+        let c = &self.class;
+        let (t, n, r, d) = (c.config.node_ft, self.nodes, self.set_size, c.drives);
+        Ok(match self.shape {
+            Shape::NoRaid(h) => ChainModel::NoRaid(NoRaidSystem::with_h(
+                t,
+                n,
+                r,
+                d,
+                c.lambda_n,
+                c.lambda_d,
+                mu_n,
+                mu_repair,
+                c.c_her,
+                || Ok(h),
+            )?),
+            Shape::Ir(k_t) => {
+                let array = ArrayModel::new(c.config.internal, d, c.lambda_d, mu_repair, c.c_her)?;
+                ChainModel::Ir(InternalRaidSystem::with_k_t(
+                    n,
+                    r,
+                    t,
+                    c.lambda_n,
+                    array.rates_paper(),
+                    mu_n,
+                    || Ok(k_t),
+                )?)
+            }
+        })
+    }
+
+    /// The configuration this geometry derives.
+    pub(crate) fn config(&self) -> Configuration {
+        self.class.config
+    }
+
+    /// Logical capacity at capacity utilization `utilization`.
+    pub(crate) fn logical_capacity(&self, utilization: f64) -> Bytes {
+        crate::params::logical_capacity(
+            self.raw_capacity,
+            utilization,
+            self.set_size,
+            self.class.config.node_ft,
+        )
+    }
+
+    /// Usable fraction of raw capacity at capacity utilization
+    /// `utilization` (see [`crate::plan::storage_efficiency`]).
+    pub(crate) fn efficiency(&self, utilization: f64) -> f64 {
+        self.efficiency * utilization
+    }
+}
+
+/// Stage 3 of a model point — the **point**: a geometry at one spare
+/// fraction and rebuild bandwidth, with its rebuild rates (see
+/// [`ModelClass`]).
+pub(crate) struct SystemModel {
+    chain: ChainModel,
     node_rebuild: RebuildRate,
     /// Distributed drive rebuild `μ_d` without internal RAID, the
     /// re-stripe rate with it.
     drive_repair: RebuildRate,
+    capacity: Bytes,
 }
 
-enum ModelKind {
+/// The paper's model of one point: a [`NoRaidSystem`] or an
+/// [`InternalRaidSystem`].
+pub(crate) enum ChainModel {
     NoRaid(NoRaidSystem),
     Ir(InternalRaidSystem),
 }
 
 impl SystemModel {
-    /// `params` must already have passed [`Params::validate`].
+    /// All three stages for one configuration at one parameter point.
     fn build(config: Configuration, params: &Params) -> Result<SystemModel> {
-        let t = config.node_ft;
-        let rebuild = RebuildModel::from_validated(*params);
-        let lambda_n = params.node.failure_rate();
-        let lambda_d = params.drive.failure_rate();
-        let c_her = params.drive.c_her();
-        let (n, r, d) = (
-            params.system.node_count,
-            params.system.redundancy_set_size,
-            params.node.drives_per_node,
-        );
-        let node_rebuild = rebuild.node_rebuild(t)?;
-        let (kind, drive_repair) = match config.internal {
-            InternalRaid::None => {
-                let drive_rebuild = rebuild.drive_rebuild(t)?;
-                let sys = NoRaidSystem::new(
-                    t,
-                    n,
-                    r,
-                    d,
-                    lambda_n,
-                    lambda_d,
-                    node_rebuild.rate,
-                    drive_rebuild.rate,
-                    c_her,
-                )?;
-                (ModelKind::NoRaid(sys), drive_rebuild)
-            }
-            raid => {
-                let restripe = rebuild.restripe()?;
-                let array = ArrayModel::new(raid, d, lambda_d, restripe.rate, c_her)?;
-                let sys = InternalRaidSystem::new(
-                    n,
-                    r,
-                    t,
-                    lambda_n,
-                    array.rates_paper(),
-                    node_rebuild.rate,
-                )?;
-                (ModelKind::Ir(sys), restripe)
-            }
-        };
-        Ok(SystemModel {
-            kind,
-            node_rebuild,
-            drive_repair,
-        })
+        ModelClass::new(config, params)?.at(params)
     }
 
+    /// The paper's closed-form reliability.
+    pub(crate) fn closed_form(&self) -> Result<Reliability> {
+        Reliability::from_mttdl(self.chain.closed_form_mttdl(), self.capacity)
+    }
+
+    /// `μ_N` and the drive repair rate: with the geometry, all
+    /// [`ModelGeometry::chain`] needs to rebuild this point's chain.
+    pub(crate) fn repair_rates(&self) -> [PerHour; 2] {
+        [self.node_rebuild.rate, self.drive_repair.rate]
+    }
+}
+
+impl ChainModel {
     fn closed_form_mttdl(&self) -> Hours {
-        match &self.kind {
-            ModelKind::NoRaid(sys) => sys.mttdl_paper(),
-            ModelKind::Ir(sys) => sys.mttdl_paper(),
+        match self {
+            ChainModel::NoRaid(sys) => sys.mttdl_paper(),
+            ChainModel::Ir(sys) => sys.mttdl_paper(),
         }
     }
 
     /// The point's rate vector, in the class skeleton's transition order.
     fn transition_rates_into(&self, rates: &mut Vec<f64>) {
-        match &self.kind {
-            ModelKind::NoRaid(sys) => sys.recursive().transition_rates_into(rates),
-            ModelKind::Ir(sys) => sys.transition_rates_into(rates),
+        match self {
+            ChainModel::NoRaid(sys) => sys.recursive().transition_rates_into(rates),
+            ChainModel::Ir(sys) => sys.transition_rates_into(rates),
         }
     }
 }
@@ -343,11 +534,11 @@ impl CachedEvaluator {
     ///
     /// Same as [`Configuration::evaluate`].
     pub fn evaluate(&mut self, params: &Params) -> Result<Evaluation> {
-        params.validate()?;
+        let class = ModelClass::new(self.config, params)?;
         crate::obs::EVALS.inc();
         let mut span = nsr_obs::trace::Span::enter("core.evaluate");
         span.field("config", || nsr_obs::Json::Str(self.config.to_string()));
-        let out = self.evaluate_validated(params);
+        let out = self.evaluate_class(&class, params);
         if let Ok(e) = &out {
             span.field("closed_form_mttdl_h", || {
                 nsr_obs::Json::Num(e.closed_form.mttdl_hours)
@@ -359,22 +550,21 @@ impl CachedEvaluator {
 
     /// Body of [`CachedEvaluator::evaluate`], split out so the tracing
     /// span can observe the result.
-    fn evaluate_validated(&mut self, params: &Params) -> Result<Evaluation> {
-        let model = SystemModel::build(self.config, params)?;
-        let exact = self.exact_mttdl(&model)?;
-        let capacity = params.logical_capacity(self.config.node_ft);
+    fn evaluate_class(&mut self, class: &ModelClass, params: &Params) -> Result<Evaluation> {
+        let model = class.at(params)?;
+        let exact = self.exact_mttdl(&model.chain)?;
         Ok(Evaluation {
             config: self.config,
-            closed_form: Reliability::from_mttdl(model.closed_form_mttdl(), capacity)?,
-            exact: Reliability::from_mttdl(exact, capacity)?,
+            closed_form: model.closed_form()?,
+            exact: Reliability::from_mttdl(exact, model.capacity)?,
             node_rebuild: model.node_rebuild,
             drive_repair: model.drive_repair,
         })
     }
 
-    /// Exact MTTDL of `model`: bind the class program on the first call,
+    /// Exact MTTDL of `chain`: bind the class program on the first call,
     /// then one rate-vector fill and one numeric elimination per call.
-    fn exact_mttdl(&mut self, model: &SystemModel) -> Result<Hours> {
+    pub(crate) fn exact_mttdl(&mut self, chain: &ChainModel) -> Result<Hours> {
         if self.solver.is_none() {
             self.solver = Some(BatchSolver::with_program(program_for(self.config)?));
             crate::obs::SKELETON_BUILDS.inc();
@@ -384,7 +574,7 @@ impl CachedEvaluator {
             self.skeleton_reuses += 1;
         }
         let solver = self.solver.as_mut().expect("bound above");
-        model.transition_rates_into(&mut self.rates);
+        chain.transition_rates_into(&mut self.rates);
         Ok(Hours(solver.solve_mtta(&self.rates)?))
     }
 }

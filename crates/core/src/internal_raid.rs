@@ -84,6 +84,23 @@ impl InternalRaidSystem {
         array: ArrayRates,
         mu_n: PerHour,
     ) -> Result<InternalRaidSystem> {
+        Self::with_k_t(n, r, t, lambda_n, array, mu_n, || {
+            critical_fraction(n, r, t)
+        })
+    }
+
+    /// [`InternalRaidSystem::new`] with the critical fraction from `k_t`,
+    /// called once the rates have passed — the model-point stages hand
+    /// over the fraction their geometry computed.
+    pub(crate) fn with_k_t(
+        n: u32,
+        r: u32,
+        t: u32,
+        lambda_n: PerHour,
+        array: ArrayRates,
+        mu_n: PerHour,
+        k_t: impl FnOnce() -> Result<f64>,
+    ) -> Result<InternalRaidSystem> {
         if n <= t {
             return Err(Error::infeasible(
                 "node set must be larger than fault tolerance",
@@ -98,7 +115,7 @@ impl InternalRaidSystem {
         if !(array.lambda_array.0 >= 0.0 && array.lambda_sector.0 >= 0.0) {
             return Err(Error::invalid("array rates must be non-negative"));
         }
-        let k_t = critical_fraction(n, r, t)?;
+        let k_t = k_t()?;
         Ok(InternalRaidSystem {
             n,
             r,

@@ -9,6 +9,7 @@
 //! `tests/recursive_model.rs`) to be special cases of it.
 
 use crate::recursive::RecursiveModel;
+use crate::scope::HParams;
 use crate::units::{Hours, PerHour};
 use crate::Result;
 
@@ -67,7 +68,27 @@ impl NoRaidSystem {
         mu_d: PerHour,
         c_her: f64,
     ) -> Result<NoRaidSystem> {
-        let recursive = RecursiveModel::new(t, n, r, d, lambda_n, lambda_d, mu_n, mu_d, c_her)?;
+        Self::with_h(t, n, r, d, lambda_n, lambda_d, mu_n, mu_d, c_her, || {
+            HParams::new(t, n, r, d, c_her)
+        })
+    }
+
+    /// [`NoRaidSystem::new`] with the `h` family from `h` (see
+    /// [`RecursiveModel::with_h`]).
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn with_h(
+        t: u32,
+        n: u32,
+        r: u32,
+        d: u32,
+        lambda_n: PerHour,
+        lambda_d: PerHour,
+        mu_n: PerHour,
+        mu_d: PerHour,
+        c_her: f64,
+        h: impl FnOnce() -> Result<HParams>,
+    ) -> Result<NoRaidSystem> {
+        let recursive = RecursiveModel::with_h(t, n, d, lambda_n, lambda_d, mu_n, mu_d, h)?;
         Ok(NoRaidSystem {
             t,
             n,

@@ -183,20 +183,7 @@ impl SystemParams {
     }
 
     fn validate(&self) -> Result<()> {
-        if self.node_count < 2 {
-            return Err(Error::invalid("node set must contain at least 2 nodes"));
-        }
-        if self.redundancy_set_size < 2 {
-            return Err(Error::invalid(
-                "redundancy set must contain at least 2 nodes",
-            ));
-        }
-        if self.redundancy_set_size > self.node_count {
-            return Err(Error::infeasible(format!(
-                "redundancy set size {} exceeds node set size {}",
-                self.redundancy_set_size, self.node_count
-            )));
-        }
+        check_geometry(self.node_count, self.redundancy_set_size)?;
         if !(self.restripe_command.0 > 0.0 && self.rebuild_command.0 > 0.0) {
             return Err(Error::invalid("command sizes must be positive"));
         }
@@ -213,6 +200,32 @@ impl SystemParams {
         }
         Ok(())
     }
+}
+
+/// The node-set and redundancy-set sizes `N` and `R` alone: the checks
+/// of [`Params::validate`] that depend on nothing else.
+pub(crate) fn check_geometry(nodes: u32, set_size: u32) -> Result<()> {
+    if nodes < 2 {
+        return Err(Error::invalid("node set must contain at least 2 nodes"));
+    }
+    if set_size < 2 {
+        return Err(Error::invalid(
+            "redundancy set must contain at least 2 nodes",
+        ));
+    }
+    if set_size > nodes {
+        return Err(Error::infeasible(format!(
+            "redundancy set size {set_size} exceeds node set size {nodes}"
+        )));
+    }
+    Ok(())
+}
+
+/// Logical capacity from a node set's raw bytes: less the spare pool
+/// (`utilization`), less the erasure-code overhead `t/R`.
+pub(crate) fn logical_capacity(raw: f64, utilization: f64, set_size: u32, t: u32) -> Bytes {
+    let r = set_size as f64;
+    Bytes(raw * utilization * (r - t as f64) / r)
 }
 
 /// The complete parameter set for one evaluation.
@@ -294,9 +307,12 @@ impl Params {
     /// [`crate::metrics`]); the paper does not state its normalization
     /// explicitly, so this choice is documented in `DESIGN.md`.
     pub fn logical_capacity(&self, fault_tolerance: u32) -> Bytes {
-        let r = self.system.redundancy_set_size as f64;
-        let t = fault_tolerance as f64;
-        Bytes(self.raw_capacity().0 * self.system.capacity_utilization * (r - t) / r)
+        logical_capacity(
+            self.raw_capacity().0,
+            self.system.capacity_utilization,
+            self.system.redundancy_set_size,
+            fault_tolerance,
+        )
     }
 }
 

@@ -45,13 +45,15 @@
 //! is byte-identical for every `--workers` count, pruned or exhaustive.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use crate::config::{CachedEvaluator, Configuration, Evaluation};
+use crate::config::{CachedEvaluator, Configuration, Evaluation, ModelClass, ModelGeometry};
+use crate::metrics::Reliability;
 use crate::params::Params;
 use crate::raid::InternalRaid;
 use crate::sweep::claim_chunk;
-use crate::units::{Bytes, HOURS_PER_YEAR};
+use crate::units::{Bytes, PerHour, HOURS_PER_YEAR};
 use crate::{Error, Result};
 
 /// Relative guard band around the closed-form MTTDL used by the pruning
@@ -268,8 +270,9 @@ pub struct PlanPoint {
     pub closed_mttdl_hours: f64,
     /// Closed-form events per PB-year.
     pub closed_events_pb_year: f64,
-    /// Closed-form mission loss probability over the search's horizon.
-    pub closed_mission_loss: f64,
+    /// `μ_N` and the drive repair rate the point stage derived: with the
+    /// point's geometry, what pass 2 rebuilds the chain from.
+    repair: [PerHour; 2],
 }
 
 /// A frontier member: a survivor with its exact-CTMC objectives.
@@ -368,9 +371,100 @@ struct Pass1 {
     infeasible: Vec<(usize, Error)>,
 }
 
-/// The closed-form pass of [`plan_search`] on its own: every grid point
-/// of `space` in grid order, as the feasible point pass 1 builds or the
-/// error that makes it infeasible.
+impl Pass1 {
+    fn record(&mut self, idx: usize, point: std::result::Result<PlanPoint, &Error>) {
+        match point {
+            Ok(p) => self.feasible.push(p),
+            Err(e) if self.infeasible.len() < PlanReport::MAX_INFEASIBLE_EXAMPLES => {
+                self.infeasible.push((idx, e.clone()));
+            }
+            Err(_) => {}
+        }
+    }
+}
+
+/// The first model-point stage for every `(fault tolerance, internal
+/// RAID)` pair of the grid, `t` outermost — the order of those two axes
+/// in a grid index.
+fn model_classes(base: &Params, space: &ConfigSpace) -> Vec<Result<ModelClass>> {
+    let mut classes = Vec::with_capacity(space.node_ft.len() * space.internal.len());
+    for &t in &space.node_ft {
+        for &internal in &space.internal {
+            classes.push(Configuration::new(internal, t).and_then(|c| ModelClass::new(c, base)));
+        }
+    }
+    classes
+}
+
+/// Closed-form pass for geometry `g` — the `g`-th `(nodes, k, t,
+/// internal RAID)` tuple in grid order, whose points are the grid indices
+/// `g·S·B ..` for `S` spare fractions and `B` bandwidths: builds the
+/// geometry from its class, hands `emit` every point in grid order, and
+/// returns the geometry for pass 2 (`None` if it failed).
+fn pass1_geometry(
+    space: &ConfigSpace,
+    classes: &[Result<ModelClass>],
+    g: usize,
+    emit: &mut impl FnMut(usize, std::result::Result<PlanPoint, &Error>),
+) -> Option<ModelGeometry> {
+    let class = &classes[g % classes.len()];
+    let rest = g / classes.len();
+    let k = space.data_shards[rest % space.data_shards.len()];
+    let nodes = space.nodes[rest / space.data_shards.len()];
+    let per_geometry = space.spare_frac.len() * space.rebuild_bw.len();
+    let first = g * per_geometry;
+    let geometry = match class {
+        Ok(class) => class.geometry(nodes, k + class.config().node_fault_tolerance()),
+        Err(e) => Err(e.clone()),
+    };
+    let geometry = match geometry {
+        Ok(geometry) => geometry,
+        Err(e) => {
+            for idx in first..first + per_geometry {
+                emit(idx, Err(&e));
+            }
+            return None;
+        }
+    };
+    let config = geometry.config();
+    let mut idx = first;
+    for &spare_frac in &space.spare_frac {
+        let utilization = 1.0 - spare_frac;
+        for &rebuild_bw in &space.rebuild_bw {
+            let point = GridPoint {
+                nodes,
+                data_shards: k,
+                node_ft: config.node_fault_tolerance(),
+                internal: config.internal(),
+                spare_frac,
+                rebuild_bw,
+            };
+            let planned = geometry.point(utilization, rebuild_bw).and_then(|model| {
+                let closed = model.closed_form()?;
+                Ok(PlanPoint {
+                    index: idx,
+                    point,
+                    config,
+                    cost_overhead: 1.0 / geometry.efficiency(utilization),
+                    cost_rebuild_bw: rebuild_bw,
+                    closed_mttdl_hours: closed.mttdl_hours,
+                    closed_events_pb_year: closed.events_per_pb_year,
+                    repair: model.repair_rates(),
+                })
+            });
+            match planned {
+                Ok(p) => emit(idx, Ok(p)),
+                Err(e) => emit(idx, Err(&e)),
+            }
+            idx += 1;
+        }
+    }
+    Some(geometry)
+}
+
+/// The closed-form pass of [`plan_search`] on its own, on one worker:
+/// every grid point of `space` in grid order, as the feasible point pass
+/// 1 builds or the error that makes it infeasible.
 ///
 /// # Errors
 ///
@@ -378,43 +472,30 @@ struct Pass1 {
 pub fn closed_form_pass(base: &Params, space: &ConfigSpace) -> Result<Vec<Result<PlanPoint>>> {
     base.validate()?;
     space.validate()?;
-    Ok((0..space.len())
-        .map(|idx| closed_form_point(base, space, idx, 5.0))
-        .collect())
-}
-
-fn closed_form_point(
-    base: &Params,
-    space: &ConfigSpace,
-    idx: usize,
-    years: f64,
-) -> Result<PlanPoint> {
-    let point = space.point(idx);
-    let config = Configuration::new(point.internal, point.node_ft)?;
-    let params = point.params(base);
-    let closed = config.closed_form(&params)?;
-    let efficiency = storage_efficiency(&params, config);
-    Ok(PlanPoint {
-        index: idx,
-        point,
-        config,
-        cost_overhead: 1.0 / efficiency,
-        cost_rebuild_bw: point.rebuild_bw,
-        closed_mttdl_hours: closed.mttdl_hours,
-        closed_events_pb_year: closed.events_per_pb_year,
-        closed_mission_loss: mission_loss(closed.mttdl_hours, years),
-    })
-}
-
-/// Closed-form pass for one grid point.
-fn pass1(out: &mut Pass1, base: &Params, space: &ConfigSpace, idx: usize, years: f64) {
-    match closed_form_point(base, space, idx, years) {
-        Ok(p) => out.feasible.push(p),
-        Err(e) if out.infeasible.len() < PlanReport::MAX_INFEASIBLE_EXAMPLES => {
-            out.infeasible.push((idx, e));
-        }
-        Err(_) => {}
+    let classes = model_classes(base, space);
+    let geometries = space.nodes.len() * space.data_shards.len() * classes.len();
+    let mut out = Vec::with_capacity(space.len());
+    for g in 0..geometries {
+        pass1_geometry(space, &classes, g, &mut |_, p| {
+            out.push(p.map_err(Error::clone))
+        });
     }
+    Ok(out)
+}
+
+/// The exact reliability of a pass-1 point on `geometry`, through the
+/// worker's evaluator for its configuration.
+fn solve_exact(
+    evaluators: &mut HashMap<Configuration, CachedEvaluator>,
+    geometry: &ModelGeometry,
+    p: &PlanPoint,
+) -> Result<Reliability> {
+    let [mu_n, mu_repair] = p.repair;
+    let exact = evaluators
+        .entry(p.config)
+        .or_insert_with(|| CachedEvaluator::new(p.config))
+        .exact_mttdl(&geometry.chain(mu_n, mu_repair)?)?;
+    Reliability::from_mttdl(exact, geometry.logical_capacity(1.0 - p.point.spare_frac))
 }
 
 /// Runs `work` over `0..total` with the sweep engine's chunked
@@ -558,26 +639,94 @@ impl Staircase {
 /// identical vectors neither dominate nor are dominated, and a point
 /// never answers for itself. `O(N·L·log N)` for `L` distinct second
 /// costs.
+///
+/// The key order is built without sorting every key, because a grid
+/// repeats its cost pairs many times over (the benchmark grid has 1,116
+/// pairs among 11,472 points): points are bucketed by cost pair through
+/// a hash map, the distinct pairs are sorted, and each bucket is sorted
+/// by its offered pair alone.
 fn dominated(points: &[DomPoint], strict: bool) -> Vec<bool> {
-    let mut order: Vec<([u64; 4], usize)> = points.iter().map(|p| p.key).zip(0..).collect();
-    order.sort_unstable();
-    let mut levels: Vec<u64> = points.iter().map(|p| p.key[1]).collect();
+    // Every point's bucket, numbered in order of first appearance.
+    let mut ids: HashMap<(u64, u64), usize, BuildHasherDefault<PairHasher>> = HashMap::default();
+    let mut pairs: Vec<[u64; 2]> = Vec::new();
+    let bucket: Vec<usize> = points
+        .iter()
+        .map(|p| {
+            *ids.entry((p.key[0], p.key[1])).or_insert_with(|| {
+                pairs.push([p.key[0], p.key[1]]);
+                pairs.len() - 1
+            })
+        })
+        .collect();
+    // Buckets in cost order, then a counting sort of the points into
+    // them (ascending index within a bucket).
+    let mut by_cost: Vec<usize> = (0..pairs.len()).collect();
+    by_cost.sort_unstable_by_key(|&b| pairs[b]);
+    let mut rank = vec![0; pairs.len()];
+    for (r, &b) in by_cost.iter().enumerate() {
+        rank[b] = r;
+    }
+    let mut starts = vec![0; pairs.len() + 1];
+    for &b in &bucket {
+        starts[rank[b] + 1] += 1;
+    }
+    for r in 0..pairs.len() {
+        starts[r + 1] += starts[r];
+    }
+    let mut next = starts.clone();
+    let mut order = vec![0; points.len()];
+    for (i, &b) in bucket.iter().enumerate() {
+        order[next[rank[b]]] = i;
+        next[rank[b]] += 1;
+    }
+    let mut levels: Vec<u64> = pairs.iter().map(|p| p[1]).collect();
     levels.sort_unstable();
     levels.dedup();
     let mut stairs: Vec<Staircase> = levels.iter().map(|_| Staircase::default()).collect();
 
     let mut out = vec![false; points.len()];
-    for run in order.chunk_by(|a, b| a.0 == b.0) {
-        let [_, c2, x, y] = run[0].0;
+    for (r, &b) in by_cost.iter().enumerate() {
+        let c2 = pairs[b][1];
+        let members = &mut order[starts[r]..starts[r + 1]];
+        members.sort_unstable_by_key(|&i| (points[i].key[2], points[i].key[3], i));
         let at_or_below = levels.partition_point(|&l| l <= c2);
-        for &(_, i) in run {
-            out[i] = stairs[..at_or_below]
-                .iter()
-                .any(|s| s.covers(points[i].asked, strict));
+        for run in members.chunk_by(|&a, &b| points[a].key == points[b].key) {
+            for &i in run {
+                out[i] = stairs[..at_or_below]
+                    .iter()
+                    .any(|s| s.covers(points[i].asked, strict));
+            }
+            let [_, _, x, y] = points[run[0]].key;
+            stairs[at_or_below - 1].insert([x, y]);
         }
-        stairs[at_or_below - 1].insert([x, y]);
     }
     out
+}
+
+/// Hashes one cost pair for [`dominated`]'s buckets. The pairs are
+/// float bits, whose low bits are often all zero, so the words are
+/// mixed in by multiplication and the result folded before use.
+#[derive(Default)]
+struct PairHasher(u64);
+
+impl Hasher for PairHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0 ^ word)
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .rotate_left(29);
+    }
+
+    fn finish(&self) -> u64 {
+        let x = self.0 ^ self.0 >> 33;
+        let x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        x ^ x >> 33
+    }
 }
 
 /// Indices of `feasible` that survive guard-band pruning, in input
@@ -643,14 +792,24 @@ pub fn plan_search(base: &Params, space: &ConfigSpace, opts: &PlanOptions) -> Re
     .clamp(1, total.max(1));
     let years = opts.mission_years;
 
-    // Pass 1: closed forms and costs for every grid point, each worker
-    // collecting its own feasible points; chunks are claimed in
-    // ascending order, so one worker's list is already in grid order.
-    let (_, parts) = parallel_map(total, workers, Pass1::default, |part, i| {
-        pass1(part, base, space, i, years)
+    // Pass 1: closed forms and costs for every grid point, one geometry
+    // per work item, each worker collecting its own feasible points;
+    // chunks are claimed in ascending order, so one worker's list is
+    // already in grid order.
+    let classes = model_classes(base, space);
+    let per_geometry = space.spare_frac.len() * space.rebuild_bw.len();
+    let share = || Pass1 {
+        feasible: Vec::with_capacity(total.div_ceil(workers)),
+        infeasible: Vec::new(),
+    };
+    let (geometries, parts) = parallel_map(total / per_geometry, workers, share, |part, g| {
+        pass1_geometry(space, &classes, g, &mut |idx, p| part.record(idx, p))
     });
-    let mut feasible = Vec::new();
-    let mut infeasible = Vec::new();
+    let mut parts = parts.into_iter();
+    let Pass1 {
+        mut feasible,
+        mut infeasible,
+    } = parts.next().expect("at least one worker");
     for part in parts {
         feasible.extend(part.feasible);
         infeasible.extend(part.infeasible);
@@ -676,22 +835,18 @@ pub fn plan_search(base: &Params, space: &ConfigSpace, opts: &PlanOptions) -> Re
     let pruned = feasible.len() - survivors.len();
     clock.lap(&mut span, &crate::obs::PLAN_PRUNE_SECONDS);
 
-    // Pass 2: exact solves for the survivors, each worker through its
-    // own evaluator per configuration; results merge by survivor index,
-    // bind/reuse tallies by sum.
-    let (solved, evaluators) = parallel_map(
-        survivors.len(),
-        workers,
-        HashMap::new,
-        |evaluators: &mut HashMap<Configuration, CachedEvaluator>, i| {
+    // Pass 2: exact solves for the survivors, each chain rebuilt from
+    // the point's geometry and the repair rates pass 1 derived and solved
+    // through the worker's evaluator for its configuration; results merge
+    // by survivor index, bind/reuse tallies by sum.
+    let (solved, evaluators) =
+        parallel_map(survivors.len(), workers, HashMap::new, |evaluators, i| {
             let p = &feasible[survivors[i]];
-            evaluators
-                .entry(p.config)
-                .or_insert_with(|| CachedEvaluator::new(p.config))
-                .evaluate(&p.point.params(base))
-                .map(|e| e.exact)
-        },
-    );
+            let geometry = geometries[p.index / per_geometry]
+                .as_ref()
+                .expect("a feasible point's geometry was built");
+            solve_exact(evaluators, geometry, p)
+        });
     let (skeleton_builds, skeleton_reuses) = evaluators
         .iter()
         .flat_map(HashMap::values)
@@ -828,15 +983,10 @@ pub struct Plan {
 /// overhead `(R−t)/R`, internal RAID overhead (`(d−f)/d`), and the
 /// fail-in-place spare provisioning.
 pub fn storage_efficiency(params: &Params, config: Configuration) -> f64 {
-    let r = params.system.redundancy_set_size as f64;
-    let t = config.node_fault_tolerance() as f64;
-    let d = params.node.drives_per_node as f64;
-    let internal = match config.internal() {
-        InternalRaid::None => 1.0,
-        InternalRaid::Raid5 => (d - 1.0) / d,
-        InternalRaid::Raid6 => (d - 2.0) / d,
-    };
-    (r - t) / r * internal * params.system.capacity_utilization
+    config.code_and_raid_share(
+        params.system.redundancy_set_size,
+        params.node.drives_per_node,
+    ) * params.system.capacity_utilization
 }
 
 /// Enumerates all configurations with fault tolerance `1..=max_ft` that

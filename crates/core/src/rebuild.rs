@@ -79,6 +79,18 @@ impl TransferAmounts {
     pub fn inout_per_node(&self) -> f64 {
         self.received_per_node + self.sourced_per_node
     }
+
+    /// The share of the lost entity's data that crosses each survivor's
+    /// link one direction at a time.
+    fn link_share(&self, duplex: Duplex) -> f64 {
+        match duplex {
+            // Full duplex: receive and send streams overlap; the slower
+            // direction (they are equal here) sets the pace.
+            Duplex::Full => self.received_per_node.max(self.sourced_per_node),
+            // Half duplex: both directions share the channel.
+            Duplex::Half => self.inout_per_node(),
+        }
+    }
 }
 
 /// Which resource limits a rebuild — reported alongside the rate so the
@@ -109,6 +121,60 @@ pub struct RebuildRate {
     pub duration: Hours,
     /// Which resource set the duration.
     pub bottleneck: Bottleneck,
+}
+
+/// The §5.1 distributed rebuild of `data` (a node's or a drive's worth)
+/// by the survivors that `amounts` describes, at per-node disk and link
+/// bandwidths `disk` and `net`: whichever of the disk and the network
+/// traffic takes longer sets the duration.
+pub(crate) fn distributed_rebuild(
+    amounts: &TransferAmounts,
+    duplex: Duplex,
+    data: Bytes,
+    disk: BytesPerSec,
+    net: BytesPerSec,
+) -> RebuildRate {
+    let disk_time = disk.time_for(Bytes(amounts.disk_per_node * data.0));
+    let net_time = net.time_for(Bytes(amounts.link_share(duplex) * data.0));
+
+    let (duration, bottleneck) = if disk_time.0 >= net_time.0 {
+        (disk_time, Bottleneck::Disk)
+    } else {
+        (net_time, Bottleneck::Network)
+    };
+    nsr_obs::trace::event("core.rebuild.model", || {
+        vec![
+            ("disk_h", nsr_obs::Json::Num(disk_time.0)),
+            ("net_h", nsr_obs::Json::Num(net_time.0)),
+            ("bottleneck", nsr_obs::Json::Str(bottleneck.to_string())),
+        ]
+    });
+    RebuildRate {
+        rate: duration.rate(),
+        duration,
+        bottleneck,
+    }
+}
+
+/// The fail-in-place re-stripe of a `d`-drive node holding `node_data`
+/// at array bandwidth `bw` (the surviving `d − 1` drives' rebuild share):
+/// read everything once and write it back once.
+///
+/// # Errors
+///
+/// [`Error::Infeasible`] for single-drive nodes, which cannot re-stripe.
+pub(crate) fn restripe(d: u32, bw: BytesPerSec, node_data: Bytes) -> Result<RebuildRate> {
+    if d < 2 {
+        return Err(Error::infeasible(
+            "re-striping requires at least 2 drives per node",
+        ));
+    }
+    let duration = bw.time_for(Bytes(2.0 * node_data.0));
+    Ok(RebuildRate {
+        rate: duration.rate(),
+        duration,
+        bottleneck: Bottleneck::Disk,
+    })
 }
 
 /// The rebuild-rate model: §5.1 transfer amounts combined with the §6
@@ -182,38 +248,13 @@ impl RebuildModel {
     fn distributed_rebuild(&self, data: Bytes, t: u32) -> Result<RebuildRate> {
         let sys = &self.params.system;
         let amounts = TransferAmounts::new(sys.node_count, sys.redundancy_set_size, t)?;
-
-        let disk_bytes = Bytes(amounts.disk_per_node * data.0);
-        let disk_time = self.disk_rebuild_bandwidth().time_for(disk_bytes);
-
-        let net_fraction = match sys.duplex {
-            // Full duplex: receive and send streams overlap; the slower
-            // direction (they are equal here) sets the pace.
-            Duplex::Full => amounts.received_per_node.max(amounts.sourced_per_node),
-            // Half duplex: both directions share the channel.
-            Duplex::Half => amounts.inout_per_node(),
-        };
-        let net_time = self
-            .network_rebuild_bandwidth()
-            .time_for(Bytes(net_fraction * data.0));
-
-        let (duration, bottleneck) = if disk_time.0 >= net_time.0 {
-            (disk_time, Bottleneck::Disk)
-        } else {
-            (net_time, Bottleneck::Network)
-        };
-        nsr_obs::trace::event("core.rebuild.model", || {
-            vec![
-                ("disk_h", nsr_obs::Json::Num(disk_time.0)),
-                ("net_h", nsr_obs::Json::Num(net_time.0)),
-                ("bottleneck", nsr_obs::Json::Str(bottleneck.to_string())),
-            ]
-        });
-        Ok(RebuildRate {
-            rate: duration.rate(),
-            duration,
-            bottleneck,
-        })
+        Ok(distributed_rebuild(
+            &amounts,
+            sys.duplex,
+            data,
+            self.disk_rebuild_bandwidth(),
+            self.network_rebuild_bandwidth(),
+        ))
     }
 
     /// Node rebuild rate `μ_N`: time to reconstruct a failed node's worth of
@@ -248,24 +289,13 @@ impl RebuildModel {
     /// re-stripe.
     pub fn restripe(&self) -> Result<RebuildRate> {
         let d = self.params.node.drives_per_node;
-        if d < 2 {
-            return Err(Error::infeasible(
-                "re-striping requires at least 2 drives per node",
-            ));
-        }
         let per_drive = self
             .params
             .drive
             .command_bandwidth(self.params.system.restripe_command);
         let bw =
             BytesPerSec(per_drive.0 * (d - 1) as f64 * self.params.system.rebuild_bw_utilization);
-        // Read everything once and write it back once.
-        let duration = bw.time_for(Bytes(2.0 * self.params.node_data().0));
-        Ok(RebuildRate {
-            rate: duration.rate(),
-            duration,
-            bottleneck: Bottleneck::Disk,
-        })
+        restripe(d, bw, self.params.node_data())
     }
 
     /// The link speed (in Gb/s) at which the rebuild bottleneck flips from
@@ -278,10 +308,7 @@ impl RebuildModel {
     pub fn crossover_link_speed(&self, t: u32) -> Result<f64> {
         let sys = &self.params.system;
         let amounts = TransferAmounts::new(sys.node_count, sys.redundancy_set_size, t)?;
-        let net_fraction = match sys.duplex {
-            Duplex::Full => amounts.received_per_node.max(amounts.sourced_per_node),
-            Duplex::Half => amounts.inout_per_node(),
-        };
+        let net_fraction = amounts.link_share(sys.duplex);
         // disk_time == net_time at the crossover:
         //   disk_per_node / disk_bw == net_fraction / (gbps·80e6·util)
         let disk_bw = self.disk_rebuild_bandwidth().0;

@@ -99,6 +99,25 @@ impl RecursiveModel {
         mu_d: PerHour,
         c_her: f64,
     ) -> Result<RecursiveModel> {
+        Self::with_h(k, n, d, lambda_n, lambda_d, mu_n, mu_d, || {
+            HParams::new(k, n, r, d, c_her)
+        })
+    }
+
+    /// [`RecursiveModel::new`] with the `h` family from `h`, called once
+    /// the tolerance and the rates have passed — the model-point stages
+    /// hand over the family their geometry built.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn with_h(
+        k: u32,
+        n: u32,
+        d: u32,
+        lambda_n: PerHour,
+        lambda_d: PerHour,
+        mu_n: PerHour,
+        mu_d: PerHour,
+        h: impl FnOnce() -> Result<HParams>,
+    ) -> Result<RecursiveModel> {
         if k > MAX_EXACT_FAULT_TOLERANCE {
             return Err(Error::UnsupportedFaultTolerance {
                 requested: k,
@@ -117,7 +136,6 @@ impl RecursiveModel {
                 )));
             }
         }
-        let h = HParams::new(k, n, r, d, c_her)?;
         Ok(RecursiveModel {
             k,
             n,
@@ -126,7 +144,7 @@ impl RecursiveModel {
             lambda_d: lambda_d.0,
             mu_n: mu_n.0,
             mu_d: mu_d.0,
-            h,
+            h: h()?,
         })
     }
 
@@ -403,25 +421,30 @@ impl RecursiveModel {
         x * self.lambda_n + y * self.d as f64 * self.lambda_d
     }
 
-    /// The recursive operator `L_j` over the ordered sub-family of `h`
-    /// whose words already hold `drives` drive failures and have `levels`
-    /// letters still free (`L_1(H) = L(H₁, H₂)`;
+    /// The recursive operator `L_k` over the whole ordered family `h⁽ᵏ⁾`
+    /// (`L_1(H) = L(H₁, H₂)`;
     /// `L_j(H) = L(μ_d·L_{j−1}(H_first), μ_N·L_{j−1}(H_second))`). The
     /// first half of an ordered set continues with `N`, the second with
-    /// `d`, so the halves are addressed by drive count and the `2^k`
-    /// values are never materialized.
-    fn l_rec(&self, levels: u32, drives: u32) -> f64 {
-        if levels == 1 {
-            self.l(
-                self.h.by_drive_count(drives),
-                self.h.by_drive_count(drives + 1),
-            )
-        } else {
-            self.l(
-                self.mu_d * self.l_rec(levels - 1, drives),
-                self.mu_n * self.l_rec(levels - 1, drives + 1),
-            )
+    /// `d`, so a sub-family is named by the drive failures its words
+    /// already hold, and `L_j` over the sub-family holding `i` of them
+    /// reads only `L_{j−1}` at `i` and `i + 1`: the `2^k`-leaf recursion
+    /// collapses to `k(k+1)/2` applications of `L`, each computed once,
+    /// level by level in place.
+    fn l_rec(&self) -> f64 {
+        let k = self.k as usize;
+        let mut level = [0.0; MAX_EXACT_FAULT_TOLERANCE as usize + 1];
+        for (drives, slot) in level.iter_mut().enumerate().take(k) {
+            *slot = self.l(
+                self.h.by_drive_count(drives as u32),
+                self.h.by_drive_count(drives as u32 + 1),
+            );
         }
+        for width in (1..k).rev() {
+            for drives in 0..width {
+                level[drives] = self.l(self.mu_d * level[drives], self.mu_n * level[drives + 1]);
+            }
+        }
+        level[0]
     }
 
     /// The Figure A1 closed-form approximation for arbitrary `k`.
@@ -437,7 +460,7 @@ impl RecursiveModel {
         let failure_term = (nf - k as f64)
             * (self.lambda_n + df * self.lambda_d)
             * self.l(self.mu_d, self.mu_n).powi(k as i32);
-        let sector_term = self.mu_n * self.mu_d * self.l_rec(k, 0);
+        let sector_term = self.mu_n * self.mu_d * self.l_rec();
         Hours(num / (falling * (failure_term + sector_term)))
     }
 }

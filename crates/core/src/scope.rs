@@ -88,7 +88,7 @@ pub fn critical_fraction(n: u32, r: u32, t: u32) -> Result<f64> {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HParams {
     k: u32,
     d: u32,
