@@ -230,18 +230,19 @@ echo "==> serving smoke (workload generator, pool metrics, serving bench gate)"
 ./target/release/nsr bench --check --out-dir "$SMOKE_DIR"
 bench_gate serving
 
-echo "==> sweep smoke (figure sweep, worker-count identity, evaluator counters)"
+echo "==> sweep smoke (figure sweep, worker-count identity, no chain solves)"
 # A figure-14 sweep must print the same CSV at 1 and 4 workers, and its
-# metrics snapshot must carry the evaluator's bind/reuse counters and the
-# batched-solve counter: every sweep cell is one solve through a compiled
-# elimination program, none through the absorbing analysis.
+# metrics snapshot must show that it solved no chain: every sweep cell
+# is a closed form, so markov.batch.solves reads 0.
 ./target/release/nsr sweep --figure 14 --csv --workers 1 > "$SMOKE_DIR/sweep-w1.csv"
 ./target/release/nsr sweep --figure 14 --csv --workers 4 > "$SMOKE_DIR/sweep-w4.csv"
 diff "$SMOKE_DIR/sweep-w1.csv" "$SMOKE_DIR/sweep-w4.csv"
 ./target/release/nsr sweep --figure 14 --csv \
     --metrics-out "$SMOKE_DIR/sweep-metrics.jsonl" > /dev/null
 ./target/release/nsr obs-check --file "$SMOKE_DIR/sweep-metrics.jsonl" \
-    --require core.sweep.skeleton_builds,core.sweep.skeleton_reuses,markov.batch.solves
+    --require core.sweep.runs,markov.batch.solves
+grep -q '"name":"markov.batch.solves","schema":"nsr-obs/v1","value":0}' \
+    "$SMOKE_DIR/sweep-metrics.jsonl"
 
 echo "==> planner smoke (grid search, golden frontier, plan bench gate)"
 # The 3x3x3 golden grid must reproduce the checked-in frontier CSV

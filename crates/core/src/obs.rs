@@ -11,12 +11,15 @@ use nsr_obs::{Counter, Histogram, Json};
 
 /// Sensitivity sweeps run (`sweep` calls).
 pub static SWEEPS: Counter = Counter::new("core.sweep.runs");
-/// Configuration evaluations performed by `CachedEvaluator` — sweep
-/// cells, planner survivors and one-shot `Configuration::evaluate`
-/// alike (each is one closed-form computation plus one exact solve).
+/// Configuration evaluations performed by `CachedEvaluator` — one-shot
+/// `Configuration::evaluate` included (each is one closed-form
+/// computation plus one exact solve). Sweep cells are closed forms only
+/// and planner survivors are solved straight from their pass-1 point,
+/// so neither counts here.
 pub static EVALS: Counter = Counter::new("core.sweep.evals");
 /// First exact solves of an evaluator: it binds its topology class's
-/// shared elimination program (first point of a config's sweep column).
+/// shared elimination program (a one-shot evaluation, or a planner
+/// worker's first survivor of a configuration).
 /// Counted per evaluator, not per compile, so the number does not depend
 /// on what the process ran before; actual compiles are
 /// `markov.batch.builds`.
@@ -24,8 +27,6 @@ pub static SKELETON_BUILDS: Counter = Counter::new("core.sweep.skeleton_builds")
 /// Exact solves through an evaluator's already-bound program (every
 /// later point: rates rewritten, one numeric elimination).
 pub static SKELETON_REUSES: Counter = Counter::new("core.sweep.skeleton_reuses");
-/// Exact-CTMC solves per sweep run (rows × feasible configurations).
-pub static SOLVES_PER_SWEEP: Histogram = Histogram::new("core.sweep.solves_per_sweep");
 /// Wall seconds each worker spent inside one sweep run.
 pub static WORKER_SECONDS: Histogram = Histogram::new("core.sweep.worker_seconds");
 
@@ -90,7 +91,6 @@ pub fn register() {
     EVALS.register();
     SKELETON_BUILDS.register();
     SKELETON_REUSES.register();
-    SOLVES_PER_SWEEP.register();
     WORKER_SECONDS.register();
     PLAN_SEARCHES.register();
     PLAN_POINTS.register();

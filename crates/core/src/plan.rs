@@ -519,11 +519,14 @@ where
     }
     let next = AtomicUsize::new(0);
     let (next, init, work) = (&next, &init, &work);
+    // Workers record under the caller's open span, as inline work does.
+    let parent = nsr_obs::current_parent();
     let per_worker: Vec<(Vec<(usize, T)>, S)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|w| {
                 scope.spawn(move || {
                     nsr_obs::set_trace_lane(w as u64 + 1);
+                    let _adopted = nsr_obs::adopt_parent(parent);
                     let mut state = init();
                     let mut mine = Vec::new();
                     let chunk = claim_chunk(total, workers);

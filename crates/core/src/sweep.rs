@@ -8,7 +8,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use crate::config::{CachedEvaluator, Configuration};
+use crate::config::Configuration;
 use crate::metrics::Reliability;
 use crate::params::Params;
 use crate::units::{Bytes, Gbps, Hours};
@@ -116,11 +116,9 @@ pub fn auto_workers(rows: usize) -> usize {
 /// show *where* a configuration stops being feasible, not abort); the
 /// function itself only errors if the base parameters are invalid.
 ///
-/// Each worker holds its own [`CachedEvaluator`] per configuration:
-/// solver scratch and rate buffer are per evaluator, the compiled
-/// elimination program behind them is shared process-wide per topology
-/// class, and every sweep point costs one rate-vector fill and one
-/// numeric elimination. Rows are claimed from a shared
+/// Every cell is the configuration's closed form
+/// ([`Configuration::closed_form`]): the three model-point stages and
+/// the paper's formula, no chain solve. Rows are claimed from a shared
 /// atomic counter in small chunks (work-stealing — rows whose
 /// configurations go infeasible early are cheaper than feasible ones;
 /// see [`claim_chunk`] for why claims are chunked) and merged back **by
@@ -158,11 +156,9 @@ where
 
     let rows = if workers <= 1 {
         let start = Instant::now();
-        let mut evaluators: Vec<CachedEvaluator> =
-            configs.iter().map(|&c| CachedEvaluator::new(c)).collect();
         let rows: Vec<SweepRow> = xs
             .iter()
-            .map(|&x| eval_row(base, &mut evaluators, x, &set))
+            .map(|&x| eval_row(base, configs, x, &set))
             .collect();
         crate::obs::WORKER_SECONDS.observe(start.elapsed().as_secs_f64());
         rows
@@ -175,8 +171,6 @@ where
                     scope.spawn(move || {
                         nsr_obs::set_trace_lane(w as u64 + 1);
                         let start = Instant::now();
-                        let mut evaluators: Vec<CachedEvaluator> =
-                            configs.iter().map(|&c| CachedEvaluator::new(c)).collect();
                         let mut mine = Vec::new();
                         let chunk = claim_chunk(xs.len(), workers);
                         loop {
@@ -186,7 +180,7 @@ where
                             }
                             let end = (start_i + chunk).min(xs.len());
                             for (i, &x) in xs.iter().enumerate().take(end).skip(start_i) {
-                                mine.push((i, eval_row(base, &mut evaluators, x, set)));
+                                mine.push((i, eval_row(base, configs, x, set)));
                             }
                         }
                         crate::obs::WORKER_SECONDS.observe(start.elapsed().as_secs_f64());
@@ -209,7 +203,6 @@ where
             .collect()
     };
 
-    crate::obs::SOLVES_PER_SWEEP.observe((xs.len() * configs.len()) as f64);
     Ok(Sweep {
         x_name: x_name.to_string(),
         x_unit: x_unit.to_string(),
@@ -217,18 +210,18 @@ where
     })
 }
 
-/// Evaluates one sweep row through the worker's cached evaluators.
-fn eval_row<F>(base: &Params, evaluators: &mut [CachedEvaluator], x: f64, set: &F) -> SweepRow
+/// Evaluates one sweep row: every configuration's closed form.
+fn eval_row<F>(base: &Params, configs: &[Configuration], x: f64, set: &F) -> SweepRow
 where
     F: Fn(&mut Params, f64),
 {
     let mut params = *base;
     set(&mut params, x);
-    let cells = evaluators
-        .iter_mut()
-        .map(|ev| SweepCell {
-            config: ev.config(),
-            reliability: ev.evaluate(&params).ok().map(|e| e.closed_form),
+    let cells = configs
+        .iter()
+        .map(|&config| SweepCell {
+            config,
+            reliability: config.closed_form(&params).ok(),
         })
         .collect();
     SweepRow { x, cells }

@@ -1,7 +1,7 @@
 //! Pins the evaluator's allocation budget (with `nsr_obs` off, its
 //! default): after one warm-up call `CachedEvaluator::evaluate` performs
 //! zero heap allocations, and a whole `figure_sweep` allocates only what
-//! its output and its evaluators need. A counting global allocator wraps
+//! its output needs. A counting global allocator wraps
 //! the system one, so this lives in its own test binary with a single
 //! test function (the counter is process-wide).
 
@@ -42,11 +42,11 @@ fn allocations() -> u64 {
 }
 
 /// What one serial `figure_sweep(14, ..)` may allocate: the x grid (1),
-/// the evaluator vector (1), each of its three evaluators' solver
-/// scratch and rate buffer (3 × 2), the row vector (1), one cell vector
-/// per row (6) and the two axis strings (2). Nothing per evaluated cell:
-/// 18 cells, 17 allocations.
-const FIG14_SWEEP_ALLOCS: u64 = 17;
+/// the row vector (1), one cell vector per row (6) and the two axis
+/// strings (2). A cell is a closed form, with no evaluator, solver
+/// scratch or rate buffer behind it. Nothing per evaluated cell: 18
+/// cells, 10 allocations.
+const FIG14_SWEEP_ALLOCS: u64 = 10;
 
 #[test]
 fn steady_state_evaluation_does_not_allocate() {

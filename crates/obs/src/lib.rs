@@ -53,9 +53,10 @@ pub use metrics::{
     set_metrics_enabled, write_metrics, Counter, Gauge, Histogram,
 };
 pub use trace::{
-    canonical_cluster_jsonl, canonical_jsonl, current_context, no_fields, process_id_for,
-    set_trace_capacity, set_trace_enabled, set_trace_lane, set_trace_process, trace_delta,
-    trace_enabled, trace_jsonl, trace_process, write_trace, Fields, Span, SpanContext,
+    adopt_parent, canonical_cluster_jsonl, canonical_jsonl, current_context, current_parent,
+    no_fields, process_id_for, set_trace_capacity, set_trace_enabled, set_trace_lane,
+    set_trace_process, trace_delta, trace_enabled, trace_jsonl, trace_process, write_trace, Fields,
+    Span, SpanContext,
 };
 
 /// The schema identifier stamped on metric snapshots and `meta` records.

@@ -194,6 +194,57 @@ pub fn current_context() -> Option<SpanContext> {
     Some(SpanContext { proc_id, span_id })
 }
 
+/// The innermost open span on the calling thread, for a parallel driver
+/// to hand its worker threads ([`adopt_parent`]). `None` when tracing is
+/// disabled or no span is open.
+pub fn current_parent() -> Option<Parent> {
+    if !trace_enabled() {
+        return None;
+    }
+    LOCAL
+        .try_with(|l| l.borrow().stack.last().copied())
+        .ok()
+        .flatten()
+        .map(Parent)
+}
+
+/// A span of this process, open on the thread that took it with
+/// [`current_parent`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Parent(u64);
+
+/// Makes `parent` the causal parent of what the calling thread records
+/// until the guard drops, as if its span were open on this thread too:
+/// a worker adopts the span its driver had open, so its records nest
+/// exactly as they would have had the driver run the work inline. The
+/// span must stay open on its own thread while the guard lives. A
+/// `None` parent adopts nothing.
+pub fn adopt_parent(parent: Option<Parent>) -> Adopted {
+    Adopted(parent.and_then(|p| {
+        LOCAL
+            .try_with(|l| l.borrow_mut().stack.push(p.0))
+            .ok()
+            .map(|()| p)
+    }))
+}
+
+/// Guard of [`adopt_parent`]: drops the adopted span from the calling
+/// thread's stack.
+pub struct Adopted(Option<Parent>);
+
+impl Drop for Adopted {
+    fn drop(&mut self) {
+        if let Some(Parent(id)) = self.0 {
+            let _ = LOCAL.try_with(|l| {
+                let mut l = l.borrow_mut();
+                if let Some(i) = l.stack.iter().rposition(|&s| s == id) {
+                    l.stack.remove(i);
+                }
+            });
+        }
+    }
+}
+
 /// Sets the shared record capacity of the sink (all shards together).
 /// Takes effect for subsequent records; already-buffered records are
 /// never discarded. The process default is [`SINK_CAP`].
@@ -647,7 +698,8 @@ pub fn write_trace(path: &Path, source: &str) -> std::io::Result<usize> {
 /// byte-identical across scheduling orders whenever the *multiset* of
 /// recorded work is the same:
 ///
-/// * `at_s` and `dur_s` are zeroed (wall-clock normalization);
+/// * `at_s` and `dur_s` are zeroed, and so is every numeric field whose
+///   name ends in `_seconds` (wall-clock normalization);
 /// * `thread` and `seq` are dropped;
 /// * `span_id` / `parent_id` are replaced by the span's causal name path
 ///   (`"root/child/…"`, from following `parent_id` links);
@@ -720,6 +772,13 @@ pub fn canonical_jsonl(text: &str) -> Result<String, String> {
         }
         if map.contains_key("dur_s") {
             map.insert("dur_s".into(), Json::Num(0.0));
+        }
+        if let Some(Json::Obj(fields)) = map.get_mut("fields") {
+            for (key, value) in fields.iter_mut() {
+                if key.ends_with("_seconds") && matches!(value, Json::Num(_)) {
+                    *value = Json::Num(0.0);
+                }
+            }
         }
         map.remove("thread");
         map.remove("seq");
