@@ -106,11 +106,13 @@ impl Configuration {
     /// paper's closed-form reliability and the exact-CTMC reliability,
     /// along with the rebuild rates used.
     ///
-    /// One-shot convenience over [`CachedEvaluator`]; sweep workloads
-    /// that evaluate the same configuration at many parameter points
-    /// should hold a [`CachedEvaluator`] instead, which keeps its solver
-    /// scratch and rate buffer across points. Both are the same code
-    /// path and produce identical values.
+    /// One-shot convenience over [`CachedEvaluator`]; workloads that
+    /// solve the same configuration at many parameter points should hold
+    /// a [`CachedEvaluator`] instead, which keeps its solver scratch and
+    /// rate buffer across points. Both are the same code path and produce
+    /// identical values. A workload that needs only the closed form (a
+    /// figure sweep) calls [`Configuration::closed_form`] and solves no
+    /// chain.
     ///
     /// # Errors
     ///
@@ -292,8 +294,8 @@ impl ModelGeometry {
     ///
     /// # Errors
     ///
-    /// The model constructors' checks, in the order the
-    /// [`Configuration::evaluate`] documentation lists them.
+    /// The model constructors' checks, in the order a one-point
+    /// evaluation meets them.
     pub(crate) fn point(&self, utilization: f64, bandwidth: f64) -> Result<SystemModel> {
         let c = &self.class;
         let node_data = Bytes(c.node_bytes * utilization);
@@ -460,7 +462,8 @@ fn program_for(config: Configuration) -> Result<Arc<BatchProgram>> {
     Ok(program)
 }
 
-/// A reusable evaluator for sweep workloads. The exact MTTDL of every
+/// A reusable evaluator for workloads that solve many points of one
+/// configuration (the planner's exact pass). The exact MTTDL of every
 /// point comes from one numeric GTH elimination through the compiled
 /// program of the configuration's topology class
 /// ([`nsr_markov::BatchSolver`]): the evaluator binds the class's shared

@@ -19,15 +19,19 @@
 //! 1. **Closed-form pass** — every feasible grid point gets the paper's
 //!    closed-form MTTDL (pure arithmetic, no chain solve) and its cost
 //!    vector, evaluated in parallel with the sweep engine's chunked
-//!    work-claiming.
+//!    work-claiming. A point is derived by the model-point stages of
+//!    `config.rs`: each configuration class and each `(N, R)` geometry
+//!    is built once per search, and only the point stage runs per grid
+//!    point.
 //! 2. **Guard-band dominance pruning** — the closed form is within a
 //!    pinned relative band of the exact CTMC answer (`evaluate_baseline
 //!    _all_nine` pins ≤ 0.35); inflating that band to [`PRUNE_GUARD`]
 //!    turns closed-form comparisons into *proofs* about exact values: if
 //!    `Q`'s costs are ≤ `P`'s and `Q`'s pessimistic objectives beat
 //!    `P`'s optimistic ones, `Q` exactly-dominates `P` and `P` cannot be
-//!    on the exact frontier. Only survivors are solved exactly, through
-//!    the same [`CachedEvaluator`] the sweep engine uses (compiled GTH
+//!    on the exact frontier. Only survivors are solved exactly: each
+//!    chain is rebuilt from its geometry and the repair rates pass 1
+//!    derived, and solved through a [`CachedEvaluator`] (compiled GTH
 //!    programs shared per topology class, process-wide).
 //!    The soundness argument — including why pruning against
 //!    later-pruned points is still sound — is DESIGN.md §3j; the
@@ -38,14 +42,14 @@
 //!
 //! Pruning and the closing frontier filter ask the same question — is
 //! another point no costlier and better in both objectives — of one
-//! sort-and-staircase kernel (`dominated`), near-linear in the grid.
+//! grouped-order-and-staircase kernel (`dominated`), near-linear in the
+//! grid.
 //!
 //! Determinism contract: results are merged by grid index and every
 //! per-point computation is pure, so the report (and its CSV rendering)
 //! is byte-identical for every `--workers` count, pruned or exhaustive.
 
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::config::{CachedEvaluator, Configuration, Evaluation, ModelClass, ModelGeometry};
@@ -407,16 +411,17 @@ fn pass1_geometry(
     g: usize,
     emit: &mut impl FnMut(usize, std::result::Result<PlanPoint, &Error>),
 ) -> Option<ModelGeometry> {
-    let class = &classes[g % classes.len()];
+    // `g` is row-major over (nodes, k, class), the class index running
+    // over (t, internal RAID) as `model_classes` lists them.
     let rest = g / classes.len();
     let k = space.data_shards[rest % space.data_shards.len()];
     let nodes = space.nodes[rest / space.data_shards.len()];
     let per_geometry = space.spare_frac.len() * space.rebuild_bw.len();
     let first = g * per_geometry;
-    let geometry = match class {
-        Ok(class) => class.geometry(nodes, k + class.config().node_fault_tolerance()),
-        Err(e) => Err(e.clone()),
-    };
+    let geometry = classes[g % classes.len()]
+        .as_ref()
+        .map_err(Error::clone)
+        .and_then(|class| class.geometry(nodes, k + class.config().node_fault_tolerance()));
     let geometry = match geometry {
         Ok(geometry) => geometry,
         Err(e) => {
@@ -650,7 +655,7 @@ impl Staircase {
 /// by its offered pair alone.
 fn dominated(points: &[DomPoint], strict: bool) -> Vec<bool> {
     // Every point's bucket, numbered in order of first appearance.
-    let mut ids: HashMap<(u64, u64), usize, BuildHasherDefault<PairHasher>> = HashMap::default();
+    let mut ids: HashMap<(u64, u64), usize> = HashMap::new();
     let mut pairs: Vec<[u64; 2]> = Vec::new();
     let bucket: Vec<usize> = points
         .iter()
@@ -704,32 +709,6 @@ fn dominated(points: &[DomPoint], strict: bool) -> Vec<bool> {
         }
     }
     out
-}
-
-/// Hashes one cost pair for [`dominated`]'s buckets. The pairs are
-/// float bits, whose low bits are often all zero, so the words are
-/// mixed in by multiplication and the result folded before use.
-#[derive(Default)]
-struct PairHasher(u64);
-
-impl Hasher for PairHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, word: u64) {
-        self.0 = (self.0 ^ word)
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .rotate_left(29);
-    }
-
-    fn finish(&self) -> u64 {
-        let x = self.0 ^ self.0 >> 33;
-        let x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
-        x ^ x >> 33
-    }
 }
 
 /// Indices of `feasible` that survive guard-band pruning, in input

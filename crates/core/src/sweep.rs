@@ -231,11 +231,11 @@ where
 ///
 /// # Errors
 ///
-/// Propagates evaluation errors (the baseline is feasible for all nine).
+/// Propagates closed-form errors (the baseline is feasible for all nine).
 pub fn fig13_baseline(params: &Params) -> Result<Vec<(Configuration, Reliability)>> {
     Configuration::all_nine()
         .into_iter()
-        .map(|c| c.evaluate(params).map(|e| (c, e.closed_form)))
+        .map(|c| c.closed_form(params).map(|r| (c, r)))
         .collect()
 }
 
@@ -389,7 +389,7 @@ impl MttfMap {
 ///
 /// # Errors
 ///
-/// Propagates base-parameter validation and evaluation errors.
+/// Propagates base-parameter validation and closed-form errors.
 pub fn mttf_map(base: &Params, config: Configuration) -> Result<MttfMap> {
     base.validate()?;
     let drive_grid = drive_mttf_grid();
@@ -401,7 +401,7 @@ pub fn mttf_map(base: &Params, config: Configuration) -> Result<MttfMap> {
             let mut p = *base;
             p.node.mttf = Hours(node);
             p.drive.mttf = Hours(drive);
-            row.push(config.evaluate(&p)?.closed_form.events_per_pb_year);
+            row.push(config.closed_form(&p)?.events_per_pb_year);
         }
         values.push(row);
     }

@@ -1145,6 +1145,53 @@ mod tests {
     }
 
     #[test]
+    fn an_adopting_worker_records_under_the_drivers_span() {
+        let _g = test_guard();
+        let run = |threaded: bool| {
+            set_trace_enabled(true);
+            drain();
+            {
+                let mut outer = Span::enter("test.adopt.driver");
+                outer.field("phase_seconds", || {
+                    Json::Num(if threaded { 0.25 } else { 0.5 })
+                });
+                let work = || {
+                    let _s = Span::enter("test.adopt.work");
+                    event("test.adopt.tick", no_fields);
+                };
+                if threaded {
+                    let parent = current_parent();
+                    std::thread::scope(|scope| {
+                        scope.spawn(|| {
+                            let _adopted = adopt_parent(parent);
+                            work();
+                        });
+                    });
+                } else {
+                    work();
+                }
+            }
+            set_trace_enabled(false);
+            let text = trace_jsonl("adopt");
+            crate::validate_span_links(&text).unwrap();
+            canonical_jsonl(&text).unwrap()
+        };
+        let inline = run(false);
+        assert_eq!(
+            inline,
+            run(true),
+            "a worker's records nest as inline ones do"
+        );
+        assert!(
+            inline.contains("\"span_id\":\"test.adopt.driver/test.adopt.work\""),
+            "{inline}"
+        );
+        // Wall-clock span fields canonicalize like `dur_s`.
+        assert!(inline.contains("\"phase_seconds\":0"), "{inline}");
+        assert_eq!(adopt_parent(None).0, None);
+    }
+
+    #[test]
     fn inline_array_events_record_their_fields() {
         let _g = test_guard();
         set_trace_enabled(true);
