@@ -11,7 +11,7 @@ use crate::metrics::Reliability;
 use crate::no_raid::NoRaidSystem;
 use crate::params::{Duplex, Params};
 use crate::raid::{ArrayModel, InternalRaid};
-use crate::rebuild::{distributed_rebuild, restripe, RebuildRate, TransferAmounts};
+use crate::rebuild::{distributed_rebuild, restripe, RebuildModel, RebuildRate, TransferAmounts};
 use crate::recursive::RecursiveModel;
 use crate::scope::{critical_fraction, HParams};
 use crate::units::{Bytes, BytesPerSec, Hours, PerHour};
@@ -206,7 +206,7 @@ impl ModelClass {
         params.validate()?;
         let d = params.node.drives_per_node;
         let drive = &params.drive;
-        let sys = &params.system;
+        let rebuild = RebuildModel::from_validated(*params);
         Ok(ModelClass {
             config,
             drives: d,
@@ -215,10 +215,10 @@ impl ModelClass {
             c_her: drive.c_her(),
             drive_capacity: drive.capacity.0,
             node_bytes: d as f64 * drive.capacity.0,
-            rebuild_disk: drive.command_bandwidth(sys.rebuild_command).0 * d as f64,
-            restripe_disk: drive.command_bandwidth(sys.restripe_command).0 * (d - 1) as f64,
-            link: sys.link_speed.sustained().0,
-            duplex: sys.duplex,
+            rebuild_disk: rebuild.full_disk_bandwidth(),
+            restripe_disk: rebuild.full_restripe_bandwidth(),
+            link: rebuild.full_link_bandwidth(),
+            duplex: params.system.duplex,
         })
     }
 

@@ -224,23 +224,39 @@ impl RebuildModel {
     /// Aggregate drive bandwidth available for rebuild I/O inside one node:
     /// `d · min(max_iops · rebuild_command, sustained) · bw_utilization`.
     pub fn disk_rebuild_bandwidth(&self) -> BytesPerSec {
+        BytesPerSec(self.full_disk_bandwidth() * self.params.system.rebuild_bw_utilization)
+    }
+
+    /// [`Self::disk_rebuild_bandwidth`] before the rebuild share:
+    /// `d · min(max_iops · rebuild_command, sustained)`.
+    pub(crate) fn full_disk_bandwidth(&self) -> f64 {
         let per_drive = self
             .params
             .drive
             .command_bandwidth(self.params.system.rebuild_command);
-        BytesPerSec(
-            per_drive.0
-                * self.params.node.drives_per_node as f64
-                * self.params.system.rebuild_bw_utilization,
-        )
+        per_drive.0 * self.params.node.drives_per_node as f64
     }
 
     /// Node link bandwidth available for rebuild traffic, per direction:
     /// `sustained(link_speed) · bw_utilization`.
     pub fn network_rebuild_bandwidth(&self) -> BytesPerSec {
-        BytesPerSec(
-            self.params.system.link_speed.sustained().0 * self.params.system.rebuild_bw_utilization,
-        )
+        BytesPerSec(self.full_link_bandwidth() * self.params.system.rebuild_bw_utilization)
+    }
+
+    /// [`Self::network_rebuild_bandwidth`] before the rebuild share.
+    pub(crate) fn full_link_bandwidth(&self) -> f64 {
+        self.params.system.link_speed.sustained().0
+    }
+
+    /// The surviving `d − 1` drives' re-stripe bandwidth before the
+    /// rebuild share: `(d − 1) · min(max_iops · restripe_command,
+    /// sustained)`.
+    pub(crate) fn full_restripe_bandwidth(&self) -> f64 {
+        let per_drive = self
+            .params
+            .drive
+            .command_bandwidth(self.params.system.restripe_command);
+        per_drive.0 * (self.params.node.drives_per_node - 1) as f64
     }
 
     /// Rebuild rate for one *entity* (a node's or a drive's worth of data)
@@ -288,14 +304,13 @@ impl RebuildModel {
     /// Returns [`Error::Infeasible`] for single-drive nodes, which cannot
     /// re-stripe.
     pub fn restripe(&self) -> Result<RebuildRate> {
-        let d = self.params.node.drives_per_node;
-        let per_drive = self
-            .params
-            .drive
-            .command_bandwidth(self.params.system.restripe_command);
         let bw =
-            BytesPerSec(per_drive.0 * (d - 1) as f64 * self.params.system.rebuild_bw_utilization);
-        restripe(d, bw, self.params.node_data())
+            BytesPerSec(self.full_restripe_bandwidth() * self.params.system.rebuild_bw_utilization);
+        restripe(
+            self.params.node.drives_per_node,
+            bw,
+            self.params.node_data(),
+        )
     }
 
     /// The link speed (in Gb/s) at which the rebuild bottleneck flips from
