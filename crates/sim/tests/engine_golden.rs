@@ -16,15 +16,22 @@
 //! for direct simulation; one thread-split run; all five named fault
 //! plans (scheduled crashes, bursts, partitions, latent errors, Poisson
 //! streams) on FT 1 and FT 2; and Weibull lifetimes from infant mortality
-//! to wear-out.
+//! to wear-out. The off-baseline cases move each rebuild-side parameter
+//! (link speed, duplex, command sizes, utilizations, hard-error rate,
+//! drive capacity) off the §6 baseline under every engine, and the
+//! constructor cases pin which random bases `SystemSim::new` accepts and
+//! the exact text of every refusal.
 
 use nsr_core::config::Configuration;
-use nsr_core::params::Params;
+use nsr_core::params::{Duplex, Params};
 use nsr_core::raid::InternalRaid;
-use nsr_core::units::Hours;
+use nsr_core::units::{Bytes, Gbps, Hours};
 use nsr_markov::simulate::Estimate;
+use nsr_rng::rngs::StdRng;
+use nsr_rng::{Rng, SeedableRng};
 use nsr_sim::aging::{AgingSim, Lifetime};
 use nsr_sim::faultinject::{Campaign, FaultPlan};
+use nsr_sim::fleet::FleetSim;
 use nsr_sim::system::{RepairDistribution, SimOutcome, SystemSim};
 
 /// FNV-1a, 64-bit.
@@ -298,4 +305,241 @@ fn aging_estimates_are_pinned() {
         }
     }
     check(&observed, AGING_ESTIMATES);
+}
+
+/// A change to one or more parameters.
+type Tweak = fn(&mut Params);
+
+/// The rebuild-side parameters the cases above hold at the §6 baseline,
+/// each moved off it: a network-bound link (full and half duplex), small
+/// and streaming rebuild commands, a small re-stripe command, a lower
+/// capacity utilization, a larger rebuild share, a worse hard-error rate
+/// and larger drives. Every one of them reaches the engines only through
+/// the derived rebuild durations and sector-error rates, so these cases
+/// pin that plumbing where the MTTF-only cases cannot.
+fn off_baseline() -> Vec<(&'static str, Tweak)> {
+    vec![
+        ("1 Gb/s link", |p| p.system.link_speed = Gbps(1.0)),
+        ("1 Gb/s half duplex", |p| {
+            p.system.link_speed = Gbps(1.0);
+            p.system.duplex = Duplex::Half;
+        }),
+        ("16 KiB rebuild", |p| {
+            p.system.rebuild_command = Bytes::from_kib(16.0)
+        }),
+        ("1 MiB rebuild", |p| {
+            p.system.rebuild_command = Bytes::from_mib(1.0)
+        }),
+        ("64 KiB re-stripe", |p| {
+            p.system.restripe_command = Bytes::from_kib(64.0)
+        }),
+        ("utilization 0.6", |p| p.system.capacity_utilization = 0.6),
+        ("rebuild share 0.3", |p| {
+            p.system.rebuild_bw_utilization = 0.3
+        }),
+        ("HER x10", |p| p.drive.hard_error_rate_per_bit *= 10.0),
+        ("2 TB drives", |p| p.drive.capacity = Bytes::from_gb(2000.0)),
+    ]
+}
+
+#[rustfmt::skip]
+const OFF_BASELINE_RUNS: &[(&str, u64)] = &[
+    ("1 Gb/s link: system FT 2, No Internal RAID", 0x02fe791b9d40a339),
+    ("1 Gb/s link: system FT 1, Internal RAID 5", 0xb3776a3edc79564f),
+    ("1 Gb/s link: aging FT 2, No Internal RAID", 0x1ee6484ca6f12aa5),
+    ("1 Gb/s link: brownout FT 2, No Internal RAID", 0x1c922ee2f8af985e),
+    ("1 Gb/s half duplex: system FT 2, No Internal RAID", 0xa0ae3cc0e9868bfb),
+    ("1 Gb/s half duplex: system FT 1, Internal RAID 5", 0x45ac04b10c9f238c),
+    ("1 Gb/s half duplex: aging FT 2, No Internal RAID", 0x3781a4f6ec5a96a8),
+    ("1 Gb/s half duplex: brownout FT 2, No Internal RAID", 0xdc5714737816d045),
+    ("16 KiB rebuild: system FT 2, No Internal RAID", 0x496291f80593f482),
+    ("16 KiB rebuild: system FT 1, Internal RAID 5", 0x05d5c33f2f6b5ce6),
+    ("16 KiB rebuild: aging FT 2, No Internal RAID", 0x7a0b6520afe20413),
+    ("16 KiB rebuild: brownout FT 2, No Internal RAID", 0x009c62fe15511a33),
+    ("1 MiB rebuild: system FT 2, No Internal RAID", 0x54cac4b16a4f179a),
+    ("1 MiB rebuild: system FT 1, Internal RAID 5", 0xe2ec8e4951726c81),
+    ("1 MiB rebuild: aging FT 2, No Internal RAID", 0x8227356aee89c3bc),
+    ("1 MiB rebuild: brownout FT 2, No Internal RAID", 0x03b426db797b316a),
+    ("64 KiB re-stripe: system FT 2, No Internal RAID", 0x38dce50bca66d672),
+    ("64 KiB re-stripe: system FT 1, Internal RAID 5", 0x208885543ea0309d),
+    ("64 KiB re-stripe: aging FT 2, No Internal RAID", 0xe8f1af97281a3b65),
+    ("64 KiB re-stripe: brownout FT 2, No Internal RAID", 0x5f9503b6f435a773),
+    ("utilization 0.6: system FT 2, No Internal RAID", 0x4c2b3dcc9c980372),
+    ("utilization 0.6: system FT 1, Internal RAID 5", 0x5003daf3ebb21fdd),
+    ("utilization 0.6: aging FT 2, No Internal RAID", 0xfc3f1d91ad350914),
+    ("utilization 0.6: brownout FT 2, No Internal RAID", 0x1820c21b0145dc26),
+    ("rebuild share 0.3: system FT 2, No Internal RAID", 0x5b37cb52224e37a2),
+    ("rebuild share 0.3: system FT 1, Internal RAID 5", 0xbd034e13a45d7f3a),
+    ("rebuild share 0.3: aging FT 2, No Internal RAID", 0x7452ba2f070b16ca),
+    ("rebuild share 0.3: brownout FT 2, No Internal RAID", 0x52ee56a8e245ff6d),
+    ("HER x10: system FT 2, No Internal RAID", 0x26ce0f3ba44baead),
+    ("HER x10: system FT 1, Internal RAID 5", 0x53eb9bb6b7fb51b9),
+    ("HER x10: aging FT 2, No Internal RAID", 0x7751f03abaa8cba3),
+    ("HER x10: brownout FT 2, No Internal RAID", 0x5e9925d97819c8c8),
+    ("2 TB drives: system FT 2, No Internal RAID", 0xa999868442fcfdd1),
+    ("2 TB drives: system FT 1, Internal RAID 5", 0xad5f5c0d15f582f8),
+    ("2 TB drives: aging FT 2, No Internal RAID", 0x35f2d119a8c6c6d1),
+    ("2 TB drives: brownout FT 2, No Internal RAID", 0x0b879fcba6064341),
+];
+
+#[test]
+fn off_baseline_runs_are_pinned() {
+    let ft2_nir = Configuration::new(InternalRaid::None, 2).unwrap();
+    let ft1_ir5 = Configuration::new(InternalRaid::Raid5, 1).unwrap();
+    let mut observed = Vec::new();
+    for (name, tweak) in off_baseline() {
+        for (config, t) in [(ft2_nir, 2), (ft1_ir5, 1)] {
+            let mut params = lossy(t);
+            tweak(&mut params);
+            let out = SystemSim::new(params, config).unwrap().run(60, 5).unwrap();
+            let label = format!("{name}: system {config}");
+            observed.push((label, Digest::default().outcome(&out).hash()));
+        }
+
+        let mut params = lossy(2);
+        tweak(&mut params);
+        let est = AgingSim::new(
+            params,
+            ft2_nir,
+            Lifetime::Weibull {
+                mttf: params.drive.mttf.0,
+                shape: 1.5,
+            },
+            Lifetime::Exponential {
+                mttf: params.node.mttf.0,
+            },
+        )
+        .unwrap()
+        .estimate_mttdl(20, 5)
+        .unwrap();
+        let label = format!("{name}: aging {ft2_nir}");
+        observed.push((label, Digest::default().estimate(&est).hash()));
+
+        let mut params = Params::baseline();
+        tweak(&mut params);
+        let sim = SystemSim::new(params, ft2_nir).unwrap();
+        let plan = FaultPlan::named("brownout").unwrap();
+        let r = Campaign::new(&sim, &plan).run(7).unwrap();
+        let mut d = Digest::default();
+        d.u64(u64::from(r.survived))
+            .f64(r.elapsed_hours)
+            .f64(r.degraded_hours)
+            .u64(r.natural_failures)
+            .text(&r.trace.render());
+        observed.push((format!("{name}: brownout {ft2_nir}"), d.hash()));
+    }
+    check(&observed, OFF_BASELINE_RUNS);
+}
+
+/// The pinned digest of [`constructor_outcomes_are_pinned`].
+const CONSTRUCTOR_OUTCOMES: u64 = 0xc97195a6240268e1;
+
+/// Which bases the simulators accept and the exact error text of each
+/// they refuse, over seeded random bases that reach every refusal: bad
+/// MTTFs, capacities and hard-error rates, `C·HER` at or above one, zero
+/// drives and too few drives for a RAID level, node sets smaller than
+/// their redundancy sets, fault tolerances at or above `R`, and zero or
+/// out-of-range command sizes, link speeds and utilizations — and fault
+/// tolerances up to 12, past the exact chains' limit, which the
+/// simulators accept.
+#[test]
+fn constructor_outcomes_are_pinned() {
+    let mut rng = StdRng::seed_from_u64(0x5eed_0035);
+    let mut pick = |xs: &[f64]| xs[rng.random_range_usize(0, xs.len())];
+    let mut d = Digest::default();
+    let (mut accepted, mut refused) = (0u64, 0u64);
+    for _ in 0..1000 {
+        // A valid base, each field off its baseline now and then...
+        let mut p = Params::baseline();
+        p.node.mttf = Hours(pick(&[5e4, 4e5, 4e5]));
+        p.drive.mttf = Hours(pick(&[3e4, 3e5, 3e5]));
+        p.drive.capacity = Bytes(pick(&[3e11, 3e11, 2e12]));
+        p.drive.hard_error_rate_per_bit = pick(&[0.0, 1e-14, 1e-14, 5e-14]);
+        p.node.drives_per_node = pick(&[12.0, 12.0, 12.0, 2.0, 3.0, 4.0, 1.0]) as u32;
+        let geometries = [
+            (64, 8),
+            (64, 8),
+            (64, 16),
+            (16, 16),
+            (16, 4),
+            (5, 8),
+            (2, 2),
+        ];
+        (p.system.node_count, p.system.redundancy_set_size) =
+            geometries[pick(&[0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]) as usize];
+        p.system.rebuild_command = Bytes(pick(&[131072.0, 131072.0, 16384.0]));
+        p.system.link_speed = Gbps(pick(&[10.0, 10.0, 1.0]));
+        p.system.capacity_utilization = pick(&[0.75, 0.75, 0.6, 1.0]);
+        p.system.rebuild_bw_utilization = pick(&[0.1, 0.1, 0.3, 1.0]);
+        if pick(&[0.0, 1.0]) == 1.0 {
+            p.system.duplex = Duplex::Half;
+        }
+        // ...and, half the time, one field set to a value validation refuses.
+        match pick(&[
+            0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0,
+            7.0, 8.0, 9.0, 10.0, 11.0,
+        ]) as u32
+        {
+            1 => p.node.mttf = Hours(0.0),
+            2 => p.drive.mttf = Hours(f64::INFINITY),
+            3 => p.drive.capacity = Bytes(0.0),
+            4 => p.drive.hard_error_rate_per_bit = -1e-14,
+            5 => p.drive.hard_error_rate_per_bit = 1e-12,
+            6 => p.drive.max_iops = 0.0,
+            7 => p.node.drives_per_node = 0,
+            8 => p.system.node_count = 1,
+            9 => p.system.rebuild_command = Bytes(0.0),
+            10 => p.system.link_speed = Gbps(f64::NAN),
+            11 => p.system.capacity_utilization = 1.2,
+            _ => {}
+        }
+        let internal = InternalRaid::all()[pick(&[0.0, 1.0, 2.0]) as usize];
+        let t = pick(&[1.0, 2.0, 3.0, 1.0, 2.0, 3.0, 7.0, 10.0, 12.0]) as u32;
+        let config = Configuration::new(internal, t).unwrap();
+        d.text(&format!("{p:?} {config}"));
+        match SystemSim::new(p, config) {
+            Ok(_) => {
+                accepted += 1;
+                d.text("ok");
+            }
+            Err(e) => {
+                refused += 1;
+                d.text(&e.to_string());
+            }
+        }
+    }
+    assert!(
+        accepted > 50 && refused > 50,
+        "{accepted} accepted, {refused} refused"
+    );
+    assert_eq!(
+        d.hash(),
+        CONSTRUCTOR_OUTCOMES,
+        "constructor outcomes drifted: pin 0x{:016x}",
+        d.hash()
+    );
+}
+
+/// Fault tolerance 10 without internal RAID: the exact chain refuses it
+/// (its state count grows as `2^t`), but the simulators need rates, not
+/// a chain, and construct all three.
+#[test]
+fn ft10_without_internal_raid_constructs_every_simulator() {
+    let mut params = Params::baseline();
+    params.system.redundancy_set_size = 16;
+    let config = Configuration::new(InternalRaid::None, 10).unwrap();
+    assert!(config.evaluate(&params).is_err());
+    SystemSim::new(params, config).unwrap();
+    AgingSim::new(
+        params,
+        config,
+        Lifetime::Exponential {
+            mttf: params.drive.mttf.0,
+        },
+        Lifetime::Exponential {
+            mttf: params.node.mttf.0,
+        },
+    )
+    .unwrap();
+    FleetSim::new(params, config, 640, 1.0).unwrap();
 }

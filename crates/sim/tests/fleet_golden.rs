@@ -13,8 +13,9 @@
 //! and FT 1 RAID 6 (critical-window strikes), each at a lossy node MTTF
 //! (40k h, or the §6 baseline for FT 1 no-IR, which loses thousands of
 //! cells either way: losses and cell resets) and a benign one (1M h); two
-//! seeds each; a brick count whose last 64-cell shard is partial; and the
-//! exact `model_batch` geometry of the repo benchmark.
+//! seeds each; a brick count whose last 64-cell shard is partial; the
+//! exact `model_batch` geometry of the repo benchmark; and one no-IR and
+//! one RAID 5 case with every rebuild-side parameter off the baseline.
 //!
 //! Those all run 64-node cells of 12-drive bricks, whose arming ranges
 //! (64 nodes, 768 drives, 12 drives per node repair) are multiples of
@@ -25,9 +26,9 @@
 //! armed in chunks.
 
 use nsr_core::config::Configuration;
-use nsr_core::params::Params;
+use nsr_core::params::{Duplex, Params};
 use nsr_core::raid::InternalRaid;
-use nsr_core::units::Hours;
+use nsr_core::units::{Bytes, Gbps, Hours};
 use nsr_sim::fleet::FleetSim;
 
 /// 300 full cells plus 17 bricks: 301 cells, so the fifth shard holds 45.
@@ -50,6 +51,8 @@ struct Case {
     node_mttf: Option<f64>,
     /// `(node_count, drives_per_node)`; `None` keeps the §6 baseline.
     geometry: Option<(u32, u32)>,
+    /// Moves rebuild-side parameters off the §6 baseline.
+    tweak: Option<fn(&mut Params)>,
     bricks: u64,
     seed: u64,
     header: &'static str,
@@ -64,6 +67,9 @@ fn run(c: &Case) -> (String, u64) {
     if let Some((nodes, drives)) = c.geometry {
         params.system.node_count = nodes;
         params.node.drives_per_node = drives;
+    }
+    if let Some(tweak) = c.tweak {
+        tweak(&mut params);
     }
     let config = Configuration::new(c.internal, c.t).unwrap();
     let sim = FleetSim::new(params, config, c.bricks, 10.0).unwrap();
@@ -99,6 +105,7 @@ macro_rules! case {
             t: $t,
             node_mttf: $mttf,
             geometry: None,
+            tweak: None,
             bricks: $bricks,
             seed: $seed,
             header: $header,
@@ -237,6 +244,51 @@ const ODD_GEOMETRY: &[Case] = &[
               "fleet bricks=4221 cells=201 entities=4221 mission_h_bits=40f5630000000000 events=18659 stale=6918 node_failures=9330 drive_failures=0 rebuilds=9275 losses=54",
               0xe8dba4d5712a9a94),
 ];
+
+/// No-IR: 2 TB drives rebuilt with 16 KiB commands over half-duplex
+/// links, at utilization 0.6 and a 0.3 rebuild share.
+fn off_baseline_nir(p: &mut Params) {
+    p.drive.capacity = Bytes::from_gb(2000.0);
+    p.system.rebuild_command = Bytes::from_kib(16.0);
+    p.system.duplex = Duplex::Half;
+    p.system.capacity_utilization = 0.6;
+    p.system.rebuild_bw_utilization = 0.3;
+}
+
+/// RAID 5: node rebuilds bound by a 1 Gb/s half-duplex link, 64 KiB
+/// re-stripe commands, a ten-fold hard-error rate, at utilization 0.6
+/// and a 0.3 rebuild share.
+fn off_baseline_ir(p: &mut Params) {
+    p.system.link_speed = Gbps(1.0);
+    p.system.duplex = Duplex::Half;
+    p.system.restripe_command = Bytes::from_kib(64.0);
+    p.drive.hard_error_rate_per_bit *= 10.0;
+    p.system.capacity_utilization = 0.6;
+    p.system.rebuild_bw_utilization = 0.3;
+}
+
+/// Rebuild-side parameters off the §6 baseline (the cases above vary
+/// only MTTFs and geometry): one no-IR and one RAID 5 case.
+#[rustfmt::skip]
+const OFF_BASELINE: &[Case] = &[
+    Case {
+        tweak: Some(off_baseline_nir),
+        ..case!(None, 2, Some(40_000.0), PARTIAL_SHARD_BRICKS, 1,
+                "fleet bricks=19264 cells=301 entities=250432 mission_h_bits=40f5630000000000 events=211625 stale=550944 node_failures=41980 drive_failures=67367 rebuilds=102203 losses=3556",
+                0x9c05c474a24ca646)
+    },
+    Case {
+        tweak: Some(off_baseline_ir),
+        ..case!(Raid5, 1, Some(40_000.0), PARTIAL_SHARD_BRICKS, 1,
+                "fleet bricks=19264 cells=301 entities=19264 mission_h_bits=40f5630000000000 events=84450 stale=109328 node_failures=42226 drive_failures=0 rebuilds=40418 losses=1806",
+                0x94d7b9f76913e86e)
+    },
+];
+
+#[test]
+fn off_baseline_outcomes_are_pinned() {
+    check(OFF_BASELINE);
+}
 
 #[test]
 fn no_internal_raid_outcomes_are_pinned() {
