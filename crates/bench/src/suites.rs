@@ -585,31 +585,8 @@ pub fn sim_suite(mode: Mode) -> Result<Suite, String> {
     }));
 
     // The FT2 internal-RAID chain at baseline.
-    use nsr_core::internal_raid::InternalRaidSystem;
-    use nsr_core::raid::ArrayModel;
-    use nsr_core::rebuild::RebuildModel;
-    let rebuild = RebuildModel::new(params).map_err(err("rebuild"))?;
-    let array = ArrayModel::new(
-        InternalRaid::Raid5,
-        12,
-        params.drive.failure_rate(),
-        rebuild.restripe().map_err(err("restripe"))?.rate,
-        params.drive.c_her(),
-    )
-    .map_err(err("array"))?;
-    let sys = InternalRaidSystem::new(
-        64,
-        8,
-        2,
-        params.node.failure_rate(),
-        array.rates_paper(),
-        rebuild.node_rebuild(2).map_err(err("mu_n"))?.rate,
-    )
-    .map_err(err("system"))?;
-    let ctmc = sys.ctmc().map_err(err("ctmc"))?;
-    let root = ctmc
-        .state_by_label("failed:0")
-        .ok_or_else(|| "missing root state `failed:0`".to_string())?;
+    let ir5 = Configuration::new(InternalRaid::Raid5, 2).map_err(err("cfg"))?;
+    let (ctmc, root) = ir5.exact_chain(&params).map_err(err("chain"))?;
     let est = RareEvent::new(&ctmc, root).map_err(err("estimator"))?;
     let mut rng = StdRng::seed_from_u64(11);
     let cycles: u64 = match mode {

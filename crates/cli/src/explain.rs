@@ -63,9 +63,9 @@ pub fn explain(args: &ParsedArgs) -> Result<String> {
     let reference = analysis.mean_time_to_absorption(root).map_err(markov_err)?;
     let cond = analysis.condition_estimate();
 
-    let rebuild = nsr_core::rebuild::RebuildModel::new(params)?;
-    let disk_bw = rebuild.disk_rebuild_bandwidth();
-    let net_bw = rebuild.network_rebuild_bandwidth();
+    let point = config.model(&params)?;
+    let disk_bw = point.disk_rebuild_bandwidth;
+    let net_bw = point.network_rebuild_bandwidth;
 
     let closed = eval.closed_form.mttdl_hours;
     let exact = eval.exact.mttdl_hours;
@@ -132,17 +132,11 @@ pub fn explain(args: &ParsedArgs) -> Result<String> {
         "  drive repair:      {:.2} h, {}-bound (mu_d = {:.3e}/h)",
         eval.drive_repair.duration.0, eval.drive_repair.bottleneck, eval.drive_repair.rate.0
     );
-    match rebuild.crossover_link_speed(t) {
-        Ok(gbps) => {
-            let _ = writeln!(
-                out,
-                "  crossover link:    {gbps:.2} Gb/s (network-bound below, disk-bound above)"
-            );
-        }
-        Err(e) => {
-            let _ = writeln!(out, "  crossover link:    n/a ({e})");
-        }
-    }
+    let _ = writeln!(
+        out,
+        "  crossover link:    {:.2} Gb/s (network-bound below, disk-bound above)",
+        point.crossover_link_speed
+    );
 
     let _ = writeln!(out, "\nreliability:");
     let _ = writeln!(out, "  closed form MTTDL: {closed:.6e} h");

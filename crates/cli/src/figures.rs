@@ -16,7 +16,6 @@ use nsr_core::config::Configuration;
 use nsr_core::metrics::TARGET_EVENTS_PER_PB_YEAR;
 use nsr_core::params::{Duplex, Params};
 use nsr_core::raid::InternalRaid;
-use nsr_core::rebuild::RebuildModel;
 use nsr_core::recursive::RecursiveModel;
 use nsr_core::sweep::{ext_hard_error_rate, fig13_baseline, figure_sweep, mttf_map, Sweep};
 use nsr_core::units::{Bytes, Hours, PerHour};
@@ -279,12 +278,12 @@ fn sensitivity_files(params: &Params, workers: usize) -> Result<Vec<(String, Str
     for (record, title, csv, s) in sweeps {
         let mut text = format!("{title} sensitivity\n\n{}", sweep_table(&s));
         if record == "fig17" {
-            let model = RebuildModel::new(*params)?;
             for t in [2, 3] {
+                let point = Configuration::new(InternalRaid::None, t)?.model(params)?;
                 let _ = writeln!(
                     text,
                     "disk/network crossover at fault tolerance {t}: {:.2} Gb/s (paper: ~3 Gb/s)",
-                    model.crossover_link_speed(t)?
+                    point.crossover_link_speed
                 );
             }
         } else {
@@ -295,7 +294,9 @@ fn sensitivity_files(params: &Params, workers: usize) -> Result<Vec<(String, Str
             for kib in [4.0, 64.0, 256.0, 1024.0] {
                 let mut p = *params;
                 p.system.rebuild_command = Bytes::from_kib(kib);
-                let r = RebuildModel::new(p)?.node_rebuild(2)?;
+                let r = Configuration::new(InternalRaid::None, 2)?
+                    .model(&p)?
+                    .node_rebuild;
                 let _ = writeln!(
                     text,
                     "  {kib:>6} KiB: node rebuild {:>8.2} h ({}-bound)",

@@ -6,7 +6,7 @@
 use nsr_core::config::Configuration;
 use nsr_core::params::Params;
 use nsr_core::raid::InternalRaid;
-use nsr_core::rebuild::{RebuildModel, TransferAmounts};
+use nsr_core::rebuild::TransferAmounts;
 use nsr_core::recursive::RecursiveModel;
 use nsr_core::scope::HParams;
 use nsr_core::units::{Bytes, Hours, PerHour};
@@ -139,19 +139,10 @@ fn rebuild_rate_monotone_in_bandwidth() {
         let factor = rng.random_range_f64(1.2, 4.0);
         let mut p = Params::baseline();
         p.system.rebuild_command = Bytes::from_kib(kib);
-        let slow = RebuildModel::new(p)
-            .unwrap()
-            .node_rebuild(2)
-            .unwrap()
-            .rate
-            .0;
+        let ft2 = Configuration::new(InternalRaid::None, 2).unwrap();
+        let slow = ft2.model(&p).unwrap().node_rebuild.rate.0;
         p.system.rebuild_command = Bytes::from_kib(kib * factor);
-        let fast = RebuildModel::new(p)
-            .unwrap()
-            .node_rebuild(2)
-            .unwrap()
-            .rate
-            .0;
+        let fast = ft2.model(&p).unwrap().node_rebuild.rate.0;
         assert!(fast >= slow * 0.999999);
     }
 }

@@ -171,7 +171,7 @@ impl AgingSim {
                 what: "aging simulation supports no-internal-RAID configurations only",
             });
         }
-        let rates = EngineRates::new(params, config)?;
+        let rates = EngineRates::of(&params, config)?;
         drive_lifetime.validate()?;
         node_lifetime.validate()?;
         Ok(AgingSim {

@@ -165,8 +165,7 @@ fn estimators_cross_validate_against_classic_calculator_formula() {
     // rebuild time (so both sides price the repair identically).
     let r = f64::from(params.system.node_count);
     let mttf = params.node.mttf.0;
-    let rebuild = nsr_core::rebuild::RebuildModel::new(params).unwrap();
-    let mttr = 1.0 / rebuild.node_rebuild(t).unwrap().rate.0;
+    let mttr = 1.0 / config.model(&params).unwrap().node_rebuild.rate.0;
     let mut denom = 1.0;
     for i in 0..=t {
         denom *= r - f64::from(i);

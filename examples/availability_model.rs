@@ -18,10 +18,9 @@
 //! cargo run -p nsr-cli --example availability_model
 //! ```
 
-use nsr_core::internal_raid::InternalRaidSystem;
+use nsr_core::config::Configuration;
 use nsr_core::params::Params;
-use nsr_core::raid::{ArrayModel, InternalRaid};
-use nsr_core::rebuild::RebuildModel;
+use nsr_core::raid::InternalRaid;
 use nsr_core::units::Hours;
 use nsr_core::units::HOURS_PER_YEAR;
 use nsr_markov::{transient_distribution, AbsorbingAnalysis};
@@ -29,24 +28,8 @@ use nsr_markov::{transient_distribution, AbsorbingAnalysis};
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let params = Params::baseline();
     let t = 2;
-    let rebuild = RebuildModel::new(params)?;
-    let array = ArrayModel::new(
-        InternalRaid::Raid5,
-        params.node.drives_per_node,
-        params.drive.failure_rate(),
-        rebuild.restripe()?.rate,
-        params.drive.c_her(),
-    )?;
-    let sys = InternalRaidSystem::new(
-        params.system.node_count,
-        params.system.redundancy_set_size,
-        t,
-        params.node.failure_rate(),
-        array.rates_paper(),
-        rebuild.node_rebuild(t)?.rate,
-    )?;
-    let ctmc = sys.ctmc()?;
-    let root = ctmc.state_by_label("failed:0").expect("root exists");
+    let config = Configuration::new(InternalRaid::Raid5, t)?;
+    let (ctmc, root) = config.exact_chain(&params)?;
 
     // --- Mission reliability: P(no data loss within T) = transient mass
     // still in the transient states at T.
@@ -77,7 +60,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Long-run availability view: close the loss states with a
     // "restore from backup" repair (one week) and solve the stationary
     // distribution — packaged as `nsr_core::availability::steady_state`.
-    let config = nsr_core::config::Configuration::new(InternalRaid::Raid5, t)?;
     let a = nsr_core::availability::steady_state(config, &params, Hours(168.0))?;
     println!(
         "\nwith week-long restores from backup: steady-state unavailability = {:.3e}",

@@ -12,10 +12,10 @@
 //! cargo run --release -p nsr-cli --example rare_event_estimation
 //! ```
 
+use nsr_core::config::Configuration;
 use nsr_core::internal_raid::InternalRaidSystem;
 use nsr_core::params::Params;
-use nsr_core::raid::{ArrayModel, InternalRaid};
-use nsr_core::rebuild::RebuildModel;
+use nsr_core::raid::InternalRaid;
 use nsr_rng::rngs::StdRng;
 use nsr_rng::SeedableRng;
 use nsr_sim::importance::{Options, RareEvent};
@@ -24,35 +24,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let params = Params::baseline();
     let t = 2;
 
-    // Assemble the hierarchical model by hand to expose every stage.
-    let rebuild = RebuildModel::new(params)?;
-    let restripe = rebuild.restripe()?;
+    // Assemble the hierarchical model by hand from the configuration's
+    // model point, to expose every stage.
+    let point = Configuration::new(InternalRaid::Raid5, t)?.model(&params)?;
     println!(
         "re-stripe after an internal drive failure: {:.1} h",
-        restripe.duration.0
+        point.drive_repair.duration.0
     );
 
-    let array = ArrayModel::new(
-        InternalRaid::Raid5,
-        params.node.drives_per_node,
-        params.drive.failure_rate(),
-        restripe.rate,
-        params.drive.c_her(),
-    )?;
-    let rates = array.rates_paper();
+    let rates = point.array_rates().expect("internal RAID has array rates");
     println!(
         "array output rates: λ_D = {:.3e}/h, λ_S = {:.3e}/h",
         rates.lambda_array.0, rates.lambda_sector.0
     );
 
-    let node_rebuild = rebuild.node_rebuild(t)?;
     let sys = InternalRaidSystem::new(
         params.system.node_count,
         params.system.redundancy_set_size,
         t,
-        params.node.failure_rate(),
+        point.node_failure_rate,
         rates,
-        node_rebuild.rate,
+        point.node_rebuild.rate,
     )?;
 
     let exact = sys.mttdl_exact()?;

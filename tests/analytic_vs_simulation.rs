@@ -77,17 +77,16 @@ fn loss_cause_split_matches_absorption_probabilities() {
 
     // Analytic split from the recursive chain.
     use nsr_core::no_raid::NoRaidSystem;
-    use nsr_core::rebuild::RebuildModel;
-    let rebuild = RebuildModel::new(params).unwrap();
+    let point = config.model(&params).unwrap();
     let sys = NoRaidSystem::new(
         1,
         params.system.node_count,
         params.system.redundancy_set_size,
         params.node.drives_per_node,
-        params.node.failure_rate(),
-        params.drive.failure_rate(),
-        rebuild.node_rebuild(1).unwrap().rate,
-        rebuild.drive_rebuild(1).unwrap().rate,
+        point.node_failure_rate,
+        point.drive_failure_rate,
+        point.node_rebuild.rate,
+        point.drive_repair.rate,
         params.drive.c_her(),
     )
     .unwrap();
@@ -104,31 +103,10 @@ fn importance_sampling_reaches_configurations_simulation_cannot() {
     // [FT2, IR5] at baseline: MTTDL ~1.3e10 h. Direct simulation is
     // hopeless; IS must land within its error bars of the GTH solution.
     let params = Params::baseline();
-    let t = 2;
-    use nsr_core::internal_raid::InternalRaidSystem;
-    use nsr_core::raid::ArrayModel;
-    use nsr_core::rebuild::RebuildModel;
-    let rebuild = RebuildModel::new(params).unwrap();
-    let array = ArrayModel::new(
-        InternalRaid::Raid5,
-        params.node.drives_per_node,
-        params.drive.failure_rate(),
-        rebuild.restripe().unwrap().rate,
-        params.drive.c_her(),
-    )
-    .unwrap();
-    let sys = InternalRaidSystem::new(
-        params.system.node_count,
-        params.system.redundancy_set_size,
-        t,
-        params.node.failure_rate(),
-        array.rates_paper(),
-        rebuild.node_rebuild(t).unwrap().rate,
-    )
-    .unwrap();
-    let exact = sys.mttdl_exact().unwrap().0;
-    let ctmc = sys.ctmc().unwrap();
-    let root = ctmc.state_by_label("failed:0").unwrap();
+    let config = Configuration::new(InternalRaid::Raid5, 2).unwrap();
+    let exact = config.evaluate(&params).unwrap().exact.mttdl_hours;
+    let (ctmc, root) = config.exact_chain(&params).unwrap();
+    assert_eq!(ctmc.label(root), "failed:0");
     let est = RareEvent::new(&ctmc, root).unwrap();
     let mut rng = StdRng::seed_from_u64(555);
     let r = est
@@ -152,24 +130,10 @@ fn importance_sampling_reaches_configurations_simulation_cannot() {
 fn importance_sampling_on_recursive_chain() {
     // The FT2 no-IR recursive chain at baseline (MTTDL ~2e7 h).
     let params = Params::baseline();
-    use nsr_core::no_raid::NoRaidSystem;
-    use nsr_core::rebuild::RebuildModel;
-    let rebuild = RebuildModel::new(params).unwrap();
-    let sys = NoRaidSystem::new(
-        2,
-        params.system.node_count,
-        params.system.redundancy_set_size,
-        params.node.drives_per_node,
-        params.node.failure_rate(),
-        params.drive.failure_rate(),
-        rebuild.node_rebuild(2).unwrap().rate,
-        rebuild.drive_rebuild(2).unwrap().rate,
-        params.drive.c_her(),
-    )
-    .unwrap();
-    let exact = sys.mttdl_exact().unwrap().0;
-    let ctmc = sys.recursive().ctmc().unwrap();
-    let root = ctmc.state_by_label("00").unwrap();
+    let config = Configuration::new(InternalRaid::None, 2).unwrap();
+    let exact = config.evaluate(&params).unwrap().exact.mttdl_hours;
+    let (ctmc, root) = config.exact_chain(&params).unwrap();
+    assert_eq!(ctmc.label(root), "00");
     let est = RareEvent::new(&ctmc, root).unwrap();
     let mut rng = StdRng::seed_from_u64(9001);
     let r = est

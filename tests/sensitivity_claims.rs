@@ -5,7 +5,6 @@ use nsr_core::config::Configuration;
 use nsr_core::metrics::TARGET_EVENTS_PER_PB_YEAR;
 use nsr_core::params::Params;
 use nsr_core::raid::InternalRaid;
-use nsr_core::rebuild::RebuildModel;
 use nsr_core::sweep::{figure_sweep, Sweep};
 use nsr_core::units::Hours;
 
@@ -165,9 +164,12 @@ fn fig17_no_difference_between_5_and_10_gbps() {
 fn fig17_crossover_near_three_gbps() {
     // "the rebuild rate is constrained by the link speed up to around
     // 3 Gb/s beyond which it is constrained by the disk drives."
-    let model = RebuildModel::new(Params::baseline()).unwrap();
     for t in [2, 3] {
-        let x = model.crossover_link_speed(t).unwrap();
+        let x = Configuration::new(InternalRaid::None, t)
+            .unwrap()
+            .model(&Params::baseline())
+            .unwrap()
+            .crossover_link_speed;
         assert!((1.5..4.5).contains(&x), "t={t}: crossover {x:.2} Gb/s");
     }
 }
