@@ -93,6 +93,77 @@ pub(crate) fn claim_chunk(rows: usize, workers: usize) -> usize {
     (rows / (workers * 4)).clamp(1, 8)
 }
 
+/// The one worker pool of the crate: runs `work` over `0..total` with
+/// chunked work-claiming ([`claim_chunk`]) and merges by index, so the
+/// output is deterministic for any worker count. Each worker threads its
+/// own `S` (from `init`) through its calls and hands it to `finish` on
+/// its own thread once it has claimed its last chunk; the `finish`
+/// results come back alongside the outputs, one per worker. Workers
+/// record under the caller's open trace span, as inline work does, and
+/// `workers <= 1` runs inline with no thread machinery at all.
+pub(crate) fn parallel_map<S, T, R>(
+    total: usize,
+    workers: usize,
+    init: impl Fn() -> S + Sync,
+    work: impl Fn(&mut S, usize) -> T + Sync,
+    finish: impl Fn(S) -> R + Sync,
+) -> (Vec<T>, Vec<R>)
+where
+    T: Send,
+    R: Send,
+{
+    if workers <= 1 || total <= 1 {
+        let mut state = init();
+        let out = (0..total).map(|i| work(&mut state, i)).collect();
+        return (out, vec![finish(state)]);
+    }
+    let next = AtomicUsize::new(0);
+    let (next, init, work, finish) = (&next, &init, &work, &finish);
+    let parent = nsr_obs::current_parent();
+    let per_worker: Vec<(Vec<(usize, T)>, R)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|w| {
+                scope.spawn(move || {
+                    nsr_obs::set_trace_lane(w as u64 + 1);
+                    let _adopted = nsr_obs::adopt_parent(parent);
+                    let mut state = init();
+                    let mut mine = Vec::new();
+                    let chunk = claim_chunk(total, workers);
+                    loop {
+                        let start = next.fetch_add(chunk, Ordering::Relaxed);
+                        if start >= total {
+                            break;
+                        }
+                        let end = (start + chunk).min(total);
+                        for i in start..end {
+                            mine.push((i, work(&mut state, i)));
+                        }
+                    }
+                    (mine, finish(state))
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("pool worker panicked"))
+            .collect()
+    });
+    let mut slots: Vec<Option<T>> = Vec::with_capacity(total);
+    slots.resize_with(total, || None);
+    let mut finished = Vec::with_capacity(workers);
+    for (mine, r) in per_worker {
+        finished.push(r);
+        for (i, v) in mine {
+            slots[i] = Some(v);
+        }
+    }
+    let out = slots
+        .into_iter()
+        .map(|s| s.expect("every index claimed exactly once"))
+        .collect();
+    (out, finished)
+}
+
 /// Picks a worker count for a sweep of `rows` rows on this machine:
 /// `1` (serial, no thread machinery) when only one core is visible or
 /// the sweep is too small to amortize thread spawn, otherwise one
@@ -154,54 +225,13 @@ where
     };
     let workers = workers.clamp(1, xs.len().max(1));
 
-    let rows = if workers <= 1 {
-        let start = Instant::now();
-        let rows: Vec<SweepRow> = xs
-            .iter()
-            .map(|&x| eval_row(base, configs, x, &set))
-            .collect();
-        crate::obs::WORKER_SECONDS.observe(start.elapsed().as_secs_f64());
-        rows
-    } else {
-        let next = AtomicUsize::new(0);
-        let (next, set) = (&next, &set);
-        let per_worker: Vec<Vec<(usize, SweepRow)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    scope.spawn(move || {
-                        nsr_obs::set_trace_lane(w as u64 + 1);
-                        let start = Instant::now();
-                        let mut mine = Vec::new();
-                        let chunk = claim_chunk(xs.len(), workers);
-                        loop {
-                            let start_i = next.fetch_add(chunk, Ordering::Relaxed);
-                            if start_i >= xs.len() {
-                                break;
-                            }
-                            let end = (start_i + chunk).min(xs.len());
-                            for (i, &x) in xs.iter().enumerate().take(end).skip(start_i) {
-                                mine.push((i, eval_row(base, configs, x, set)));
-                            }
-                        }
-                        crate::obs::WORKER_SECONDS.observe(start.elapsed().as_secs_f64());
-                        mine
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("sweep worker panicked"))
-                .collect()
-        });
-        let mut slots: Vec<Option<SweepRow>> = vec![None; xs.len()];
-        for (i, row) in per_worker.into_iter().flatten() {
-            slots[i] = Some(row);
-        }
-        slots
-            .into_iter()
-            .map(|r| r.expect("every row index claimed exactly once"))
-            .collect()
-    };
+    let (rows, _) = parallel_map(
+        xs.len(),
+        workers,
+        Instant::now,
+        |_, i| eval_row(base, configs, xs[i], &set),
+        |start| crate::obs::WORKER_SECONDS.observe(start.elapsed().as_secs_f64()),
+    );
 
     Ok(Sweep {
         x_name: x_name.to_string(),
