@@ -18,6 +18,12 @@ cargo test -q
 SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_DIR"' EXIT
 
+echo "==> option check (a misspelled option fails instead of running the default)"
+if ./target/release/nsr eval --config ft2-ir5 --nodez 32 > /dev/null 2>&1; then
+    echo "ERROR: nsr eval accepted the misspelled option --nodez" >&2
+    exit 1
+fi
+
 echo "==> recorded results (nsr figures vs results/)"
 # results/ is the output of `nsr figures` at default flags, and every
 # record in it is deterministic (fixed seeds), so the regenerated
