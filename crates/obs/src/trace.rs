@@ -764,36 +764,48 @@ pub fn canonical_jsonl(text: &str) -> Result<String, String> {
     };
     let mut lines = Vec::with_capacity(docs.len());
     for doc in docs {
-        let Json::Obj(mut map) = doc else {
-            return Err("record is not an object".into());
-        };
-        if map.contains_key("at_s") {
-            map.insert("at_s".into(), Json::Num(0.0));
-        }
-        if map.contains_key("dur_s") {
-            map.insert("dur_s".into(), Json::Num(0.0));
-        }
-        if let Some(Json::Obj(fields)) = map.get_mut("fields") {
-            for (key, value) in fields.iter_mut() {
-                if key.ends_with("_seconds") && matches!(value, Json::Num(_)) {
-                    *value = Json::Num(0.0);
-                }
-            }
-        }
-        map.remove("thread");
-        map.remove("seq");
-        if let Some(id) = map.get("span_id").and_then(Json::as_f64) {
-            map.insert("span_id".into(), Json::Str(path_of(id as u64)?));
-        }
-        if let Some(p) = map.get("parent_id").and_then(Json::as_f64) {
-            map.insert("parent_id".into(), Json::Str(path_of(p as u64)?));
-        }
-        lines.push(Json::Obj(map).render_compact());
+        lines.push(canonical_record(doc, |_| {}, path_of)?);
     }
     lines.sort();
     let mut out = lines.join("\n");
     out.push('\n');
     Ok(out)
+}
+
+/// One record in canonical form, the normalization both
+/// [`canonical_jsonl`] and [`canonical_cluster_jsonl`] apply: `at_s`,
+/// `dur_s` and every numeric `*_seconds` field zeroed, `thread` and `seq`
+/// dropped, then `adjust` applied, then `span_id` and `parent_id`
+/// replaced by `path_of` their value.
+fn canonical_record(
+    doc: Json,
+    adjust: impl FnOnce(&mut std::collections::BTreeMap<String, Json>),
+    path_of: impl Fn(u64) -> Result<String, String>,
+) -> Result<String, String> {
+    let Json::Obj(mut map) = doc else {
+        return Err("record is not an object".into());
+    };
+    for key in ["at_s", "dur_s"] {
+        if map.contains_key(key) {
+            map.insert(key.into(), Json::Num(0.0));
+        }
+    }
+    if let Some(Json::Obj(fields)) = map.get_mut("fields") {
+        for (key, value) in fields.iter_mut() {
+            if key.ends_with("_seconds") && matches!(value, Json::Num(_)) {
+                *value = Json::Num(0.0);
+            }
+        }
+    }
+    map.remove("thread");
+    map.remove("seq");
+    adjust(&mut map);
+    for key in ["span_id", "parent_id"] {
+        if let Some(id) = map.get(key).and_then(Json::as_f64) {
+            map.insert(key.into(), Json::Str(path_of(id as u64)?));
+        }
+    }
+    Ok(Json::Obj(map).render_compact())
 }
 
 /// Merges per-process trace JSONL parts into one **canonical
@@ -807,10 +819,11 @@ pub fn canonical_jsonl(text: &str) -> Result<String, String> {
 /// and a span's causal path follows local `parent_id` links first, then
 /// jumps across the process boundary through
 /// `remote_proc_id`/`remote_parent_id` and continues in the originating
-/// process. Canonical records gain a `"proc"` label, lose
-/// `thread`/`seq`/timestamps and the raw ids (replaced by name paths
-/// prefixed with the owning process of each segment), and the merged
-/// lines are sorted lexicographically. `meta` lines are omitted (their
+/// process. Each record is normalized as [`canonical_jsonl`] normalizes
+/// it (timestamps and `*_seconds` fields zeroed, `thread`/`seq`
+/// dropped), gains a `"proc"` label and loses the raw ids (replaced by
+/// name paths prefixed with the owning process of each segment), and
+/// the merged lines are sorted lexicographically. `meta` lines are omitted (their
 /// dropped counts are timing-dependent).
 ///
 /// # Errors
@@ -917,27 +930,12 @@ pub fn canonical_cluster_jsonl(parts: &[&str]) -> Result<String, String> {
     let mut lines = Vec::new();
     for (proc, proc_id, docs) in parsed {
         for doc in docs {
-            let Json::Obj(mut map) = doc else {
-                return Err("record is not an object".into());
+            let adjust = |map: &mut std::collections::BTreeMap<String, Json>| {
+                map.remove("remote_proc_id");
+                map.remove("remote_parent_id");
+                map.insert("proc".into(), Json::Str(proc.clone()));
             };
-            if map.contains_key("at_s") {
-                map.insert("at_s".into(), Json::Num(0.0));
-            }
-            if map.contains_key("dur_s") {
-                map.insert("dur_s".into(), Json::Num(0.0));
-            }
-            map.remove("thread");
-            map.remove("seq");
-            map.remove("remote_proc_id");
-            map.remove("remote_parent_id");
-            map.insert("proc".into(), Json::Str(proc.clone()));
-            if let Some(id) = map.get("span_id").and_then(Json::as_f64) {
-                map.insert("span_id".into(), Json::Str(path_of((proc_id, id as u64))?));
-            }
-            if let Some(p) = map.get("parent_id").and_then(Json::as_f64) {
-                map.insert("parent_id".into(), Json::Str(path_of((proc_id, p as u64))?));
-            }
-            lines.push(Json::Obj(map).render_compact());
+            lines.push(canonical_record(doc, adjust, |id| path_of((proc_id, id)))?);
         }
     }
     lines.sort();
@@ -1283,6 +1281,27 @@ mod tests {
         // An unresolvable remote parent is rejected.
         let missing = canonical_cluster_jsonl(&[&brick_part]);
         assert!(missing.is_err(), "dangling remote parent must error");
+    }
+
+    #[test]
+    fn cluster_parts_zero_wall_clock_span_fields() {
+        let _g = test_guard();
+        let part = |seconds: f64| {
+            set_trace_enabled(true);
+            let _ = trace_jsonl("reset");
+            set_trace_process("brick-0");
+            {
+                let mut span = Span::enter("net.brick.scrub");
+                span.field("scan_seconds", || Json::Num(seconds));
+                span.field("objects", || Json::Num(3.0));
+            }
+            set_trace_enabled(false);
+            canonical_cluster_jsonl(&[&trace_jsonl("brick-0")]).unwrap()
+        };
+        let a = part(0.25);
+        assert_eq!(a, part(1.5), "a *_seconds field is wall clock");
+        assert!(a.contains("\"scan_seconds\":0"), "{a}");
+        assert!(a.contains("\"objects\":3"), "other fields are kept: {a}");
     }
 
     #[test]
