@@ -114,7 +114,7 @@ fn mission_risk_scales_with_capacity_normalization() {
     let p_mission = loss_probability(config, &params, 5.0).unwrap();
     let eval = config.evaluate(&params).unwrap();
     // events/PB-year × capacity × years ≈ mission risk for small risks.
-    let capacity_pb = params.logical_capacity(2).to_pb();
+    let capacity_pb = config.model(&params).unwrap().logical_capacity.to_pb();
     let approx = eval.exact.events_per_pb_year * capacity_pb * 5.0;
     assert!(
         (p_mission - approx).abs() / approx < 0.05,
