@@ -20,6 +20,14 @@
 //! both modes, and every `repair_all` / `scrub_repair` result, the
 //! `export_meta()` text and every brick's `list_shards()` must match
 //! after each step.
+//!
+//! Repair works through objects in windows (up to 32 objects each at the
+//! sizes used here), so the last three repair cases run over more than
+//! three windows' worth of damaged objects: a clean pass, and passes cut
+//! by a source or a spare that stops serving at the 41st damaged object,
+//! inside the second window. Every interrupted pass must leave its
+//! checkpoint equal to the shards it committed and no shard on any
+//! running brick that the committed layout does not point at.
 
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -382,7 +390,7 @@ type RepairStep = (Result<RepairReport, Error>, ClusterState);
 /// Runs `script` in the serial reference mode and with the fan-out at
 /// pool sizes 1, 2 and 8, and requires identical steps. Returns the
 /// reference steps for scenario-specific assertions.
-fn assert_repair_parity(script: fn(bool, usize) -> Vec<RepairStep>) -> Vec<RepairStep> {
+fn assert_repair_parity(script: impl Fn(bool, usize) -> Vec<RepairStep>) -> Vec<RepairStep> {
     let reference = script(false, 1);
     for pool_size in [1usize, 2, 8] {
         let fast = script(true, pool_size);
@@ -395,27 +403,43 @@ fn assert_repair_parity(script: fn(bool, usize) -> Vec<RepairStep>) -> Vec<Repai
 }
 
 /// Every object reads back healthy with its own bytes.
-fn assert_all_healthy(c: &Cluster) {
+fn assert_all_healthy(c: &Cluster, bytes: fn(u64) -> Vec<u8>) {
     for object in c.gw.object_ids() {
         let (data, mode) = c.gw.get(object).expect("get after repair");
-        assert_eq!(data, payload(object), "object {object} bytes");
+        assert_eq!(data, bytes(object), "object {object} bytes");
         assert_eq!(mode, ReadMode::Healthy, "object {object}");
     }
 }
 
-/// 2+2 over ten bricks, objects 0..10 laid out `[o, o+1, o+2, o+3] mod
-/// 10`. Bricks 0 and 1 die and are detected; `silent` bricks stop
-/// without a detector round just before the pass. Steps: the first pass,
-/// then — once detection has caught up — the resumed pass.
+/// Every shard a running brick holds is one the committed layout points
+/// at: nothing a pass wrote and did not commit is left behind.
+fn assert_no_orphans(c: &Cluster) {
+    let (_, inventories) = c.state();
+    for (brick, inventory) in inventories.iter().enumerate() {
+        for &(object, pos) in inventory.iter().flatten() {
+            let layout = c.gw.object_layout(object).expect("layout");
+            assert_eq!(
+                layout[pos as usize], brick as u32,
+                "orphan shard ({object}, {pos}) on brick {brick}"
+            );
+        }
+    }
+}
+
+/// 2+2 over ten bricks, object `o` laid out `[o, o+1, o+2, o+3] mod 10`.
+/// Bricks 0 and 1 die and are detected; `silent` bricks stop without a
+/// detector round just before the pass. Steps: the first pass, then —
+/// once detection has caught up — the resumed pass.
 fn interrupted_repair(
     fanout: bool,
     pool_size: usize,
-    skip: &[u64],
+    objects: &[u64],
+    bytes: fn(u64) -> Vec<u8>,
     silent: &[usize],
 ) -> Vec<RepairStep> {
     let mut c = cluster(10, 2, 2, fanout, pool_size);
-    for object in (0..10u64).filter(|o| !skip.contains(o)) {
-        c.gw.put(object, &payload(object)).expect("put");
+    for &object in objects {
+        c.gw.put(object, &bytes(object)).expect("put");
     }
     let before = c.layouts();
     c.kill_brick(0);
@@ -434,6 +458,7 @@ fn interrupted_repair(
         c.moved_since(&before),
         "checkpoint equals shards committed"
     );
+    assert_no_orphans(&c);
     let mut steps = vec![(first, c.state())];
     for &id in silent {
         c.kill_brick(id);
@@ -441,6 +466,7 @@ fn interrupted_repair(
     let resumed = c.gw.repair_all();
     let report = resumed.as_ref().expect("resumed pass");
     assert_eq!(report.resumed_from, checkpoint);
+    assert_no_orphans(&c);
     steps.push((resumed, c.state()));
     steps
 }
@@ -457,7 +483,7 @@ fn clean_repair_matches_serial_at_every_pool_size() {
         c.kill_brick(2);
         c.kill_brick(3);
         let repaired = c.gw.repair_all();
-        assert_all_healthy(&c);
+        assert_all_healthy(&c, payload);
         vec![(repaired, c.state())]
     }
     let reference = assert_repair_parity(script);
@@ -475,7 +501,8 @@ fn repair_interrupted_by_a_source_death_matches_serial_and_resumes() {
     // Bricks 7 and 8 are obj7's primary sources (layout [7, 8, 9, 0])
     // and nobody's spare before it: obj0 repairs, obj7 cannot reach k.
     fn script(fanout: bool, pool_size: usize) -> Vec<RepairStep> {
-        interrupted_repair(fanout, pool_size, &[], &[7, 8])
+        let objects: Vec<u64> = (0..10).collect();
+        interrupted_repair(fanout, pool_size, &objects, payload, &[7, 8])
     }
     let reference = assert_repair_parity(script);
     let resumed = reference[1].0.as_ref().expect("resumed pass");
@@ -492,7 +519,8 @@ fn repair_interrupted_by_a_spare_death_matches_serial_and_resumes() {
     // has already landed the second shard on brick 7 when the first
     // fails, and must take it back to leave what the serial path leaves.
     fn script(fanout: bool, pool_size: usize) -> Vec<RepairStep> {
-        interrupted_repair(fanout, pool_size, &[1], &[6])
+        let objects: Vec<u64> = (0..10).filter(|&o| o != 1).collect();
+        interrupted_repair(fanout, pool_size, &objects, payload, &[6])
     }
     let reference = assert_repair_parity(script);
     let (interrupted, (_, inventories)) = &reference[0];
@@ -525,7 +553,7 @@ fn scrub_after_an_emptied_brick_rejoins_matches_serial() {
         c.rejoin_empty(0);
         c.rejoin_empty(1);
         steps.push((c.gw.scrub_repair(), c.state()));
-        assert_all_healthy(&c);
+        assert_all_healthy(&c, payload);
         steps.push((c.gw.scrub_repair(), c.state()));
         steps
     }
@@ -538,4 +566,185 @@ fn scrub_after_an_emptied_brick_rejoins_matches_serial() {
     assert!(scrub.shards_moved > 10, "some objects lost two shards");
     let idle = reference[2].0.as_ref().expect("idle scrub");
     assert_eq!(idle.shards_moved, 0);
+}
+
+/// Length of every object in the multi-window cases: 2+2 stripes of
+/// 8 KiB shards, so a window holds its object limit, not its byte budget.
+const WINDOW_OBJECT_BYTES: usize = 16 * 1024;
+
+/// Damaged objects repaired before the death is met: one window of 32
+/// and eight more, so the 41st is inside the second window.
+const BEFORE_DEATH: usize = 40;
+
+fn window_payload(object: u64) -> Vec<u8> {
+    shaped_payload(object, WINDOW_OBJECT_BYTES)
+}
+
+/// One damaged object of the `interrupted_repair` geometry: its layout
+/// before bricks 0 and 1 die, and after a clean serial pass moved it.
+struct Move {
+    object: u64,
+    before: Vec<u32>,
+    after: Vec<u32>,
+}
+
+impl Move {
+    fn lost(&self) -> Vec<usize> {
+        (0..self.before.len())
+            .filter(|&pos| self.before[pos] < 2)
+            .collect()
+    }
+
+    fn touches(&self, brick: u32) -> bool {
+        self.before.contains(&brick) || self.after.contains(&brick)
+    }
+}
+
+/// Where a clean serial pass moves every damaged object among `objects`.
+/// A layout and a spare depend only on the object id and on which bricks
+/// are healthy, so these moves hold for any subset of the objects.
+fn clean_moves(objects: std::ops::Range<u64>) -> Vec<Move> {
+    let mut c = cluster(10, 2, 2, false, 1);
+    for object in objects {
+        c.gw.put(object, &window_payload(object)).expect("put");
+    }
+    let before = c.layouts();
+    c.kill_brick(0);
+    c.kill_brick(1);
+    c.gw.repair_all().expect("clean pass");
+    before
+        .into_iter()
+        .filter(|(_, layout)| layout.iter().any(|&b| b < 2))
+        .map(|(object, before)| Move {
+            object,
+            after: c.gw.object_layout(object).expect("layout"),
+            before,
+        })
+        .collect()
+}
+
+/// A pass that meets a silent brick at its 41st damaged object.
+struct SecondWindowCut {
+    /// The objects to store, ascending.
+    objects: Vec<u64>,
+    /// The brick that stops serving just before the pass.
+    silent: usize,
+    /// Shards the objects before the cut move.
+    committed: u64,
+}
+
+/// Picks a silent brick and the objects to store: `BEFORE_DEATH` damaged
+/// objects that never touch the brick, then the first later one that
+/// `fatal` accepts, then ten more that do not touch it (the rest of the
+/// second window, none of whose writes may outlive the cut).
+fn second_window_cut(fatal: impl Fn(&Move, u32) -> bool) -> SecondWindowCut {
+    let moves = clean_moves(0..400);
+    for brick in 2..10u32 {
+        let clear = |m: &&Move| !m.touches(brick);
+        let first: Vec<&Move> = moves.iter().filter(clear).take(BEFORE_DEATH).collect();
+        let last = first.last().expect("damaged objects").object;
+        let Some(victim) = moves.iter().find(|m| m.object > last && fatal(m, brick)) else {
+            continue;
+        };
+        let rest: Vec<u64> = moves
+            .iter()
+            .filter(|m| m.object > victim.object)
+            .filter(clear)
+            .take(10)
+            .map(|m| m.object)
+            .collect();
+        if first.len() < BEFORE_DEATH || rest.len() < 10 {
+            continue;
+        }
+        let mut objects: Vec<u64> = first.iter().map(|m| m.object).collect();
+        objects.push(victim.object);
+        objects.extend(rest);
+        return SecondWindowCut {
+            objects,
+            silent: brick as usize,
+            committed: first.iter().map(|m| m.lost().len() as u64).sum(),
+        };
+    }
+    panic!("no brick fits the cut");
+}
+
+#[test]
+fn multi_window_clean_repair_matches_serial() {
+    // 130 damaged objects: more than three windows of 32.
+    fn script(fanout: bool, pool_size: usize) -> Vec<RepairStep> {
+        let mut c = cluster(10, 2, 2, fanout, pool_size);
+        for object in 0..260u64 {
+            c.gw.put(object, &window_payload(object)).expect("put");
+        }
+        let before = c.layouts();
+        c.kill_brick(0);
+        c.kill_brick(1);
+        let repaired = c.gw.repair_all();
+        let report = repaired.as_ref().expect("clean pass");
+        assert_eq!(
+            report.shards_moved,
+            c.moved_since(&before),
+            "every shard moved is committed"
+        );
+        assert_no_orphans(&c);
+        assert_all_healthy(&c, window_payload);
+        vec![(repaired, c.state())]
+    }
+    let reference = assert_repair_parity(script);
+    let report = reference[0].0.as_ref().expect("clean pass");
+    assert_eq!(report.objects_repaired, 130);
+    assert!(report.shards_moved > report.objects_repaired);
+}
+
+#[test]
+fn multi_window_repair_cut_by_a_source_death_matches_serial_and_resumes() {
+    // The victim lost two shards, so its other two positions are its only
+    // sources, and the silent brick is one of them.
+    let cut = second_window_cut(|m, brick| m.lost().len() == 2 && m.before.contains(&brick));
+    let reference = assert_repair_parity(|fanout, pool_size| {
+        interrupted_repair(
+            fanout,
+            pool_size,
+            &cut.objects,
+            window_payload,
+            &[cut.silent],
+        )
+    });
+    assert_eq!(
+        reference[0].0,
+        Err(Error::RebuildInterrupted {
+            resumed_from: cut.committed
+        }),
+        "cut at the 41st damaged object"
+    );
+    let resumed = reference[1].0.as_ref().expect("resumed pass");
+    assert!(resumed.shards_moved > 0);
+}
+
+#[test]
+fn multi_window_repair_cut_by_a_spare_death_matches_serial_and_resumes() {
+    // The victim lost two shards and its first goes to the silent brick:
+    // the second lands on its own spare before the first one fails.
+    let cut = second_window_cut(|m, brick| {
+        let lost = m.lost();
+        lost.len() == 2 && m.after[lost[0]] == brick
+    });
+    let reference = assert_repair_parity(|fanout, pool_size| {
+        interrupted_repair(
+            fanout,
+            pool_size,
+            &cut.objects,
+            window_payload,
+            &[cut.silent],
+        )
+    });
+    assert_eq!(
+        reference[0].0,
+        Err(Error::RebuildInterrupted {
+            resumed_from: cut.committed
+        }),
+        "cut at the 41st damaged object"
+    );
+    let resumed = reference[1].0.as_ref().expect("resumed pass");
+    assert_eq!(resumed.lost_objects, Vec::<u64>::new());
 }
