@@ -143,9 +143,10 @@ echo "==> cluster smoke (live brick daemons on loopback, kill -9, rebuild)"
     --metrics-out "$SMOKE_DIR/cluster-metrics.jsonl" | grep -q 'verdict=NO-LOSS lost=0'
 ./target/release/nsr obs-check --file "$SMOKE_DIR/cluster-trace.jsonl" \
     --require span:net.rebuild,event:net.detect.dead,event:net.cluster.kill9
-# The rebuild must account for its own time, phase by phase.
+# The rebuild must account for its own time, phase by phase, and count
+# its batched rounds.
 ./target/release/nsr obs-check --file "$SMOKE_DIR/cluster-metrics.jsonl" \
-    --require net.rebuild.fetch_s,net.rebuild.reconstruct_s,net.rebuild.put_s,net.rebuild.commit_s
+    --require net.rebuild.fetch_s,net.rebuild.reconstruct_s,net.rebuild.put_s,net.rebuild.commit_s,net.rebuild.rounds
 ./target/release/nsr report --trace "$SMOKE_DIR/cluster-trace.jsonl" --check
 ./target/release/nsr cluster-inject --bricks 6 --plan kill9-burst --seed 1 \
     | grep -E '^(campaign|verdict|loss)' > "$SMOKE_DIR/burst-a.txt"

@@ -8,6 +8,13 @@
 //! (detection, degraded reads, rebuild), not the disk. A kill-9 of a
 //! brick therefore loses its shards, which is exactly the failure the
 //! erasure code and rebuild coordinator exist to absorb.
+//!
+//! A [`Frame::Batch`] is read whole — every request it announces —
+//! before any of them is served; the replies then leave in order, in one
+//! gathered write. A batch that cannot be read whole (a count over
+//! [`MAX_BATCH_LEN`], a request that is not a data request, EOF before
+//! the last request) is answered with one typed `BAD_REQUEST`, best
+//! effort, and the connection dropped: nothing in it is served.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -20,7 +27,7 @@ use nsr_obs::{Json, Span, SpanContext};
 
 use crate::error::Error;
 use crate::obs;
-use crate::wire::{read_frame_reusing, reply_code, write_frame, Frame};
+use crate::wire::{read_frame_reusing, reply_code, write_frame, Frame, Gather, MAX_BATCH_LEN};
 
 /// Tuning for a brick daemon.
 #[derive(Debug, Clone)]
@@ -197,19 +204,7 @@ fn handle_connection(
             // connection (the client reconnects). This is what keeps a
             // wedged peer from pinning a handler thread forever.
             Err(Error::Timeout { .. }) => return Ok(()),
-            Err(e @ Error::Decode { .. }) => {
-                // Malformed bytes: answer with a typed reply (best
-                // effort) and drop the connection; resynchronising a
-                // corrupted length-prefixed stream is not possible.
-                let _ = write_frame(
-                    &mut writer,
-                    &Frame::ErrorReply {
-                        code: reply_code::BAD_REQUEST,
-                        detail: e.to_string(),
-                    },
-                );
-                return Err(e);
-            }
+            Err(e @ Error::Decode { .. }) => return Err(refuse(&mut writer, e)),
             Err(e) => return Err(e),
         };
         // A shut-down brick is dead to every peer, including ones with
@@ -225,6 +220,35 @@ fn handle_connection(
                 proc_id: proc,
                 span_id: span,
             });
+            continue;
+        }
+        // A batch: every request read before any is served, one context
+        // parenting each handler span, the replies in one write.
+        if let Frame::Batch { count } = request {
+            let requests = match read_batch(&mut reader, count, &mut spare) {
+                Ok(requests) => requests,
+                Err(e) => return Err(refuse(&mut writer, e)),
+            };
+            if stop.load(Ordering::SeqCst) {
+                return Ok(());
+            }
+            let ctx = pending_ctx.take();
+            let replies: Vec<Reply> = requests
+                .into_iter()
+                .map(|request| {
+                    obs::BRICK_REQUESTS.inc();
+                    telemetry.requests.fetch_add(1, Ordering::Relaxed);
+                    dispatch(request, cfg, shards, ctx, telemetry, &mut spare)
+                })
+                .collect();
+            let mut out = Gather::default();
+            for reply in &replies {
+                match reply {
+                    Reply::Shard(data) => out.shard_data(data)?,
+                    Reply::Frame(frame) => out.frame(frame),
+                }
+            }
+            out.write_to(&mut writer)?;
             continue;
         }
         obs::BRICK_REQUESTS.inc();
@@ -252,6 +276,54 @@ fn handle_connection(
             return Ok(());
         }
     }
+}
+
+/// Answers a request the brick cannot serve with a typed `BAD_REQUEST`
+/// (best effort) and hands back the error, after which the connection is
+/// dropped: resynchronising a length-prefixed stream mid-frame, or
+/// mid-batch, is not possible.
+fn refuse(writer: &mut impl io::Write, e: Error) -> Error {
+    let _ = write_frame(
+        writer,
+        &Frame::ErrorReply {
+            code: reply_code::BAD_REQUEST,
+            detail: e.to_string(),
+        },
+    );
+    e
+}
+
+/// Reads the `count` requests a [`Frame::Batch`] announces, all of them
+/// before any is served, into `spare` as `read_frame_reusing` does. Any
+/// frame but a data request, a count over [`MAX_BATCH_LEN`], and EOF
+/// before the last request are errors.
+fn read_batch(
+    reader: &mut impl io::BufRead,
+    count: u32,
+    spare: &mut Vec<u8>,
+) -> Result<Vec<Frame>, Error> {
+    if count > MAX_BATCH_LEN {
+        return Err(Error::Protocol {
+            what: format!("batch of {count} requests exceeds the {MAX_BATCH_LEN}-request cap"),
+        });
+    }
+    let mut requests = Vec::with_capacity(count as usize);
+    for read in 0..count {
+        match read_frame_reusing(reader, spare)? {
+            Some(request) if request.is_data_request() => requests.push(request),
+            Some(other) => {
+                return Err(Error::Protocol {
+                    what: format!("`{}` inside a batch", other.name()),
+                })
+            }
+            None => {
+                return Err(Error::Decode {
+                    what: format!("connection closed after {read} of {count} batched requests"),
+                })
+            }
+        }
+    }
+    Ok(requests)
 }
 
 fn dispatch(

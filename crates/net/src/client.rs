@@ -6,7 +6,10 @@
 //! classic blocking pair (`request`, `put_shard`, …) and split
 //! send/receive halves (`send_*` / `recv_*`) that let the gateway keep
 //! one request outstanding per brick connection and collect the replies
-//! afterwards — the pipelined shard fan-out. A fetched shard lands where
+//! afterwards — the pipelined shard fan-out — and `send_batch`, which
+//! puts a whole [`Frame::Batch`] of data requests on the wire in one
+//! gathered write; each of its replies is then read with the matching
+//! `recv_*`, in request order. A fetched shard lands where
 //! the caller says: `recv_shard_into` reads the payload from the socket
 //! straight into a caller-supplied slice (what the gateway uses — one
 //! copy, no allocation), `recv_shard` / `get_shard` into a fresh `Vec`
@@ -19,7 +22,10 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 use crate::error::Error;
-use crate::wire::{read_frame, read_shard_into, reply_code, write_frame, Frame, ShardReply};
+use crate::wire::{
+    read_frame, read_shard_into, reply_code, write_batch, write_frame, DataRequest, Frame,
+    ShardReply,
+};
 
 /// Fields of a heartbeat acknowledgement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,6 +100,14 @@ impl BrickClient {
     /// paired with exactly one receive on the same connection.
     pub fn send_request(&mut self, frame: &Frame) -> Result<(), Error> {
         write_frame(&mut self.writer, frame)
+    }
+
+    /// Writes a [`Frame::Batch`] of `requests` as one gathered write,
+    /// payloads straight from the caller's buffers, without waiting for
+    /// the replies. Each request must be paired with one receive, in
+    /// request order.
+    pub fn send_batch(&mut self, requests: &[DataRequest<'_>]) -> Result<(), Error> {
+        write_batch(&mut self.writer, requests)
     }
 
     /// Reads one reply frame for an outstanding request (a connection

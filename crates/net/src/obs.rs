@@ -45,8 +45,11 @@ pub static REBUILD_SHARDS: Counter = Counter::new("net.rebuild.shards_moved");
 pub static REBUILD_BYTES: Counter = Counter::new("net.rebuild.bytes_moved");
 /// Rebuild passes interrupted by a mid-transfer source death.
 pub static REBUILD_INTERRUPTED: Counter = Counter::new("net.rebuild.interrupted");
-/// Seconds per object spent fetching source shards (rebuild and scrub:
-/// the fan-out round plus any per-shard retries).
+/// Batched rounds run by rebuild and scrub: one per fetch or store round
+/// of a window (one [`Frame::Batch`](crate::wire::Frame::Batch) per brick).
+pub static REBUILD_ROUNDS: Counter = Counter::new("net.rebuild.rounds");
+/// Seconds per repaired object spent fetching source shards (rebuild and
+/// scrub: the batched round plus any per-shard retries).
 pub static REBUILD_FETCH_S: Histogram = Histogram::new("net.rebuild.fetch_s");
 /// Seconds per repaired object spent in erasure reconstruction.
 pub static REBUILD_RECONSTRUCT_S: Histogram = Histogram::new("net.rebuild.reconstruct_s");
@@ -83,6 +86,7 @@ pub fn register() {
     REBUILD_SHARDS.register();
     REBUILD_BYTES.register();
     REBUILD_INTERRUPTED.register();
+    REBUILD_ROUNDS.register();
     REBUILD_FETCH_S.register();
     REBUILD_RECONSTRUCT_S.register();
     REBUILD_PUT_S.register();
@@ -92,13 +96,57 @@ pub fn register() {
     SCRAPES_COLLECTED.register();
 }
 
-/// Observes the seconds since `*lap` into `phase` and starts the next
-/// lap. `lap` comes from [`nsr_obs::metrics_timer`], so with metrics
-/// disabled it is `None` and no clock is read.
-pub(crate) fn lap(lap: &mut Option<Instant>, phase: &'static Histogram) {
-    if let Some(t0) = lap {
-        let now = Instant::now();
-        phase.observe(now.duration_since(*t0).as_secs_f64());
-        *t0 = now;
+/// The phases of a rebuild or scrub window, in the order it runs them.
+#[derive(Clone, Copy)]
+pub(crate) enum Phase {
+    Fetch,
+    Reconstruct,
+    Put,
+    Commit,
+}
+
+/// The phase clock of one rebuild or scrub window. The objects of a
+/// window share each round, so the time of each phase is summed over the
+/// window and split evenly over the objects it repaired: the
+/// `net.rebuild.*_s` histograms keep their unit, seconds per repaired
+/// object. With metrics disabled no clock is read.
+pub(crate) struct WindowLaps {
+    lap: Option<Instant>,
+    secs: [f64; 4],
+}
+
+impl WindowLaps {
+    pub(crate) fn start() -> WindowLaps {
+        WindowLaps {
+            lap: nsr_obs::metrics_timer(),
+            secs: [0.0; 4],
+        }
+    }
+
+    /// Adds the seconds since the last lap to `phase`.
+    pub(crate) fn lap(&mut self, phase: Phase) {
+        if let Some(t0) = &mut self.lap {
+            let now = Instant::now();
+            self.secs[phase as usize] += now.duration_since(*t0).as_secs_f64();
+            *t0 = now;
+        }
+    }
+
+    /// Observes each phase's share once per object the window repaired.
+    pub(crate) fn finish(&self, repaired: u64) {
+        if self.lap.is_none() || repaired == 0 {
+            return;
+        }
+        let phases = [
+            &REBUILD_FETCH_S,
+            &REBUILD_RECONSTRUCT_S,
+            &REBUILD_PUT_S,
+            &REBUILD_COMMIT_S,
+        ];
+        for (phase, secs) in phases.into_iter().zip(self.secs) {
+            for _ in 0..repaired {
+                phase.observe(secs / repaired as f64);
+            }
+        }
     }
 }

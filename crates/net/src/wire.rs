@@ -14,8 +14,17 @@
 //! followed by the bytes. Decoding is strict: unknown tags, truncated
 //! payloads, trailing bytes, and frames above [`MAX_FRAME_LEN`] are all
 //! typed [`Error::Decode`] values — never panics.
+//!
+//! A [`Frame::Batch`] prefix announces that the next `count` frames on
+//! the connection are data requests (`GetShard`, `RebuildFetch`,
+//! `PutShard`, `DeleteShard`). The peer reads all of them before it
+//! serves any, and answers with their ordinary reply frames, in order,
+//! in one gathered write: one wake-up and one flush per batch instead of
+//! one per request. [`write_batch`] sends a batch from borrowed payloads
+//! as one gathered write; its bytes are exactly the prefix's and the
+//! requests' [`Frame::encode`]s, concatenated.
 
-use std::io::{BufRead, Read, Write};
+use std::io::{BufRead, IoSlice, Read, Write};
 
 use crate::error::Error;
 
@@ -48,6 +57,11 @@ pub const IO_WRITE_BUF_LEN: usize = 4 * 1024;
 /// destination (see [`read_shard_into`]) instead of bouncing through
 /// the buffer: past a few tens of KiB the memcpy is the larger cost.
 pub const IO_READ_BUF_LEN: usize = 16 * 1024;
+
+/// Most requests one [`Frame::Batch`] may announce. A brick refuses a
+/// larger count before it reads a single request, so a hostile prefix
+/// cannot make it buffer an unbounded batch.
+pub const MAX_BATCH_LEN: u32 = 1024;
 
 /// Remote error codes carried by [`Frame::ErrorReply`].
 pub mod reply_code {
@@ -124,6 +138,13 @@ pub enum Frame {
         /// Maximum trace lines to return in one reply.
         max_lines: u32,
     },
+    /// Batch prefix: the next `count` frames on the connection are data
+    /// requests, read whole before any is served and answered with their
+    /// ordinary replies, in order, in one write. Never replied to itself.
+    Batch {
+        /// Requests that follow (at most [`MAX_BATCH_LEN`]).
+        count: u32,
+    },
     /// Generic success response.
     Ok,
     /// Response carrying one shard's bytes.
@@ -188,6 +209,7 @@ const TAG_REBUILD_FETCH: u8 = 0x06;
 const TAG_SHUTDOWN: u8 = 0x07;
 const TAG_TRACE_CTX: u8 = 0x08;
 const TAG_SCRAPE: u8 = 0x09;
+const TAG_BATCH: u8 = 0x0a;
 const TAG_OK: u8 = 0x40;
 const TAG_SHARD_DATA: u8 = 0x41;
 const TAG_HEARTBEAT_ACK: u8 = 0x42;
@@ -209,6 +231,19 @@ impl Frame {
                 | Frame::Shutdown
                 | Frame::TraceCtx { .. }
                 | Frame::Scrape { .. }
+                | Frame::Batch { .. }
+        )
+    }
+
+    /// Whether this frame is a data request: one of the four kinds a
+    /// [`Frame::Batch`] may carry.
+    pub fn is_data_request(&self) -> bool {
+        matches!(
+            self,
+            Frame::PutShard { .. }
+                | Frame::GetShard { .. }
+                | Frame::DeleteShard { .. }
+                | Frame::RebuildFetch { .. }
         )
     }
 
@@ -224,6 +259,7 @@ impl Frame {
             Frame::Shutdown => "shutdown",
             Frame::TraceCtx { .. } => "trace_ctx",
             Frame::Scrape { .. } => "scrape",
+            Frame::Batch { .. } => "batch",
             Frame::Ok => "ok",
             Frame::ShardData { .. } => "shard_data",
             Frame::HeartbeatAck { .. } => "heartbeat_ack",
@@ -273,6 +309,10 @@ impl Frame {
                 put_u64(&mut payload, *cursor);
                 put_u32(&mut payload, *max_lines);
                 TAG_SCRAPE
+            }
+            Frame::Batch { count } => {
+                put_u32(&mut payload, *count);
+                TAG_BATCH
             }
             Frame::Ok => TAG_OK,
             Frame::ShardData { data } => {
@@ -373,6 +413,7 @@ impl Frame {
                 cursor: cur.u64()?,
                 max_lines: cur.u32()?,
             },
+            TAG_BATCH => Frame::Batch { count: cur.u32()? },
             TAG_OK => Frame::Ok,
             TAG_SHARD_DATA => Frame::ShardData { data: cur.bytes()? },
             TAG_HEARTBEAT_ACK => Frame::HeartbeatAck {
@@ -453,12 +494,14 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<(), Error> {
         .map_err(|e| Error::from_io("write_frame", &e))
 }
 
+/// The fixed encoding of [`Frame::Ok`].
+const OK_BYTES: [u8; 5] = [1, 0, 0, 0, TAG_OK];
+
 /// Writes a [`Frame::Ok`] reply. The encoding is a fixed five bytes, so
 /// the hot put path on the brick acknowledges each shard without the
 /// heap allocation `Frame::encode` would make. Byte-for-byte identical
 /// on the wire to `write_frame(&Frame::Ok)`.
 pub fn write_ok(w: &mut impl Write) -> Result<(), Error> {
-    const OK_BYTES: [u8; 5] = [1, 0, 0, 0, TAG_OK];
     w.write_all(&OK_BYTES)
         .and_then(|_| w.flush())
         .map_err(|e| Error::from_io("write_frame", &e))
@@ -475,6 +518,138 @@ pub fn write_put_shard(
     data: &[u8],
 ) -> Result<(), Error> {
     check_shard_len("put_shard", data)?;
+    let header = put_shard_header(object, pos, data);
+    write_slices(w, &mut [IoSlice::new(&header), IoSlice::new(data)])
+}
+
+/// Writes a [`Frame::ShardData`] reply straight from borrowed shard
+/// bytes — the brick-side counterpart of [`write_put_shard`].
+pub fn write_shard_data(w: &mut impl Write, data: &[u8]) -> Result<(), Error> {
+    check_shard_len("shard_data", data)?;
+    let header = shard_data_header(data);
+    write_slices(w, &mut [IoSlice::new(&header), IoSlice::new(data)])
+}
+
+/// A data request as [`write_batch`] sends it: a put borrows its payload
+/// from the caller, so batching never copies a shard.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DataRequest<'a> {
+    /// [`Frame::GetShard`].
+    GetShard {
+        /// Object id.
+        object: u64,
+        /// Shard position.
+        pos: u32,
+    },
+    /// [`Frame::RebuildFetch`].
+    RebuildFetch {
+        /// Object id.
+        object: u64,
+        /// Shard position.
+        pos: u32,
+    },
+    /// [`Frame::PutShard`].
+    PutShard {
+        /// Object id.
+        object: u64,
+        /// Shard position.
+        pos: u32,
+        /// Shard bytes.
+        data: &'a [u8],
+    },
+    /// [`Frame::DeleteShard`].
+    DeleteShard {
+        /// Object id.
+        object: u64,
+        /// Shard position.
+        pos: u32,
+    },
+}
+
+/// Writes a [`Frame::Batch`] prefix and `requests` as one gathered write
+/// with one flush. Byte-for-byte identical on the wire to the prefix's
+/// and each request's [`Frame::encode`], concatenated. More than
+/// [`MAX_BATCH_LEN`] requests, or a shard over [`MAX_SHARD_LEN`], is
+/// refused before any byte is written.
+pub fn write_batch(w: &mut impl Write, requests: &[DataRequest<'_>]) -> Result<(), Error> {
+    if requests.len() > MAX_BATCH_LEN as usize {
+        return Err(Error::Protocol {
+            what: format!(
+                "batch of {} requests exceeds the {MAX_BATCH_LEN}-request cap",
+                requests.len()
+            ),
+        });
+    }
+    let mut out = Gather::default();
+    out.head.extend_from_slice(&[5, 0, 0, 0, TAG_BATCH]);
+    out.head
+        .extend_from_slice(&(requests.len() as u32).to_le_bytes());
+    for request in requests {
+        let (tag, object, pos) = match *request {
+            DataRequest::PutShard { object, pos, data } => {
+                check_shard_len("put_shard", data)?;
+                out.payload(&put_shard_header(object, pos, data), data);
+                continue;
+            }
+            DataRequest::GetShard { object, pos } => (TAG_GET_SHARD, object, pos),
+            DataRequest::RebuildFetch { object, pos } => (TAG_REBUILD_FETCH, object, pos),
+            DataRequest::DeleteShard { object, pos } => (TAG_DELETE_SHARD, object, pos),
+        };
+        out.head.extend_from_slice(&[13, 0, 0, 0, tag]);
+        out.head.extend_from_slice(&object.to_le_bytes());
+        out.head.extend_from_slice(&pos.to_le_bytes());
+    }
+    out.write_to(w)
+}
+
+/// Frames assembled for one gathered write: encoded bytes accumulate in
+/// `head`, and each shard payload is borrowed, recorded with the length
+/// of `head` it follows. [`write_batch`] builds one for a batch of
+/// requests, the brick one for a batch's replies.
+#[derive(Default)]
+pub(crate) struct Gather<'a> {
+    head: Vec<u8>,
+    payloads: Vec<(usize, &'a [u8])>,
+}
+
+impl<'a> Gather<'a> {
+    /// Appends a whole encoded frame.
+    pub(crate) fn frame(&mut self, frame: &Frame) {
+        match frame {
+            Frame::Ok => self.head.extend_from_slice(&OK_BYTES),
+            other => self.head.extend_from_slice(&other.encode()),
+        }
+    }
+
+    /// Appends a [`Frame::ShardData`] reply carrying `data`, borrowed.
+    pub(crate) fn shard_data(&mut self, data: &'a [u8]) -> Result<(), Error> {
+        check_shard_len("shard_data", data)?;
+        self.payload(&shard_data_header(data), data);
+        Ok(())
+    }
+
+    fn payload(&mut self, header: &[u8], data: &'a [u8]) {
+        self.head.extend_from_slice(header);
+        self.payloads.push((self.head.len(), data));
+    }
+
+    /// Writes everything appended, in order, as one gathered write, and
+    /// flushes once.
+    pub(crate) fn write_to(&self, w: &mut impl Write) -> Result<(), Error> {
+        let mut slices = Vec::with_capacity(2 * self.payloads.len() + 1);
+        let mut from = 0;
+        for &(to, data) in &self.payloads {
+            slices.push(IoSlice::new(&self.head[from..to]));
+            slices.push(IoSlice::new(data));
+            from = to;
+        }
+        slices.push(IoSlice::new(&self.head[from..]));
+        write_slices(w, &mut slices)
+    }
+}
+
+/// The 21 bytes of a [`Frame::PutShard`] ahead of its payload.
+fn put_shard_header(object: u64, pos: u32, data: &[u8]) -> [u8; 21] {
     let body_len = 1 + 8 + 4 + 4 + data.len();
     let mut header = [0u8; 21];
     header[..4].copy_from_slice(&(body_len as u32).to_le_bytes());
@@ -482,23 +657,17 @@ pub fn write_put_shard(
     header[5..13].copy_from_slice(&object.to_le_bytes());
     header[13..17].copy_from_slice(&pos.to_le_bytes());
     header[17..21].copy_from_slice(&(data.len() as u32).to_le_bytes());
-    write_all_vectored2(w, &header, data)
-        .and_then(|_| w.flush())
-        .map_err(|e| Error::from_io("write_frame", &e))
+    header
 }
 
-/// Writes a [`Frame::ShardData`] reply straight from borrowed shard
-/// bytes — the brick-side counterpart of [`write_put_shard`].
-pub fn write_shard_data(w: &mut impl Write, data: &[u8]) -> Result<(), Error> {
-    check_shard_len("shard_data", data)?;
+/// The 9 bytes of a [`Frame::ShardData`] ahead of its payload.
+fn shard_data_header(data: &[u8]) -> [u8; 9] {
     let body_len = 1 + 4 + data.len();
     let mut header = [0u8; 9];
     header[..4].copy_from_slice(&(body_len as u32).to_le_bytes());
     header[4] = TAG_SHARD_DATA;
     header[5..9].copy_from_slice(&(data.len() as u32).to_le_bytes());
-    write_all_vectored2(w, &header, data)
-        .and_then(|_| w.flush())
-        .map_err(|e| Error::from_io("write_frame", &e))
+    header
 }
 
 /// Refuses a shard longer than [`MAX_SHARD_LEN`] before any byte of its
@@ -515,36 +684,30 @@ fn check_shard_len(what: &str, data: &[u8]) -> Result<(), Error> {
     Ok(())
 }
 
-/// Writes `a` then `b` as one gathered write where the underlying
-/// stream supports it. For a `BufWriter` around a `TcpStream` with the
-/// combined length at or above the buffer capacity, this reaches the
+/// Writes `slices` in order as one gathered write where the stream
+/// supports it, then flushes. For a `BufWriter` around a `TcpStream` with
+/// the combined length at or above the buffer capacity, this reaches the
 /// socket as a single `writev` — one syscall, no intermediate copy of
-/// the payload. Writers without real vectored support fall back to the
-/// looping behavior of `write_all` on each slice.
-fn write_all_vectored2(w: &mut impl Write, a: &[u8], b: &[u8]) -> std::io::Result<()> {
-    let total = a.len() + b.len();
-    let mut off = 0;
-    while off < total {
-        let written = if off < a.len() {
-            w.write_vectored(&[std::io::IoSlice::new(&a[off..]), std::io::IoSlice::new(b)])
-        } else {
-            w.write(&b[off - a.len()..])
-        };
-        let n = match written {
-            Ok(n) => n,
+/// any payload. A short write resumes where it stopped, and writers
+/// without real vectored support take one slice per call.
+fn write_slices(w: &mut impl Write, mut slices: &mut [IoSlice<'_>]) -> Result<(), Error> {
+    let io = |e: &std::io::Error| Error::from_io("write_frame", e);
+    IoSlice::advance_slices(&mut slices, 0);
+    while !slices.is_empty() {
+        match w.write_vectored(slices) {
+            Ok(0) => {
+                return Err(io(&std::io::Error::new(
+                    std::io::ErrorKind::WriteZero,
+                    "failed to write whole frame",
+                )))
+            }
+            Ok(n) => IoSlice::advance_slices(&mut slices, n),
             // As `write_all` does: a signal is not a transport fault.
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        };
-        if n == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::WriteZero,
-                "failed to write whole frame",
-            ));
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(io(&e)),
         }
-        off += n;
     }
-    Ok(())
+    w.flush().map_err(|e| io(&e))
 }
 
 /// Reads one frame from `r`. A clean EOF before any length byte returns
@@ -865,6 +1028,9 @@ mod tests {
                 cursor: 4096,
                 max_lines: 256,
             },
+            Frame::Batch { count: 0 },
+            Frame::Batch { count: 24 },
+            Frame::Batch { count: u32::MAX },
             Frame::Ok,
             Frame::ShardData {
                 data: vec![0xff; 1024],
@@ -965,6 +1131,91 @@ mod tests {
         assert_eq!(fast, Frame::Ok.encode());
     }
 
+    /// A batch of every data-request kind, puts of several sizes (empty
+    /// included) between them, and the frames it must encode to.
+    fn sample_batch(data: &[u8]) -> (Vec<DataRequest<'_>>, Vec<u8>) {
+        let requests = vec![
+            DataRequest::RebuildFetch { object: 9, pos: 4 },
+            DataRequest::PutShard {
+                object: 123,
+                pos: 4,
+                data,
+            },
+            DataRequest::GetShard {
+                object: u64::MAX,
+                pos: 0,
+            },
+            DataRequest::PutShard {
+                object: 5,
+                pos: u32::MAX,
+                data: &[],
+            },
+            DataRequest::PutShard {
+                object: 6,
+                pos: 1,
+                data: &data[..7],
+            },
+            DataRequest::DeleteShard { object: 1, pos: 2 },
+        ];
+        let mut frames = Frame::Batch { count: 6 }.encode();
+        for request in &requests {
+            let frame = match *request {
+                DataRequest::GetShard { object, pos } => Frame::GetShard { object, pos },
+                DataRequest::RebuildFetch { object, pos } => Frame::RebuildFetch { object, pos },
+                DataRequest::PutShard { object, pos, data } => Frame::PutShard {
+                    object,
+                    pos,
+                    data: data.to_vec(),
+                },
+                DataRequest::DeleteShard { object, pos } => Frame::DeleteShard { object, pos },
+            };
+            frames.extend_from_slice(&frame.encode());
+        }
+        (requests, frames)
+    }
+
+    #[test]
+    fn batch_writer_matches_frame_encode() {
+        for len in [7, 4096] {
+            let data: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
+            let (requests, frames) = sample_batch(&data);
+            let mut fast = Vec::new();
+            write_batch(&mut fast, &requests).unwrap();
+            assert_eq!(fast, frames);
+            // A frame reader takes the same bytes back apart.
+            let mut cursor = std::io::Cursor::new(fast);
+            assert_eq!(
+                read_frame(&mut cursor).unwrap(),
+                Some(Frame::Batch { count: 6 })
+            );
+            for _ in 0..6 {
+                assert!(read_frame(&mut cursor).unwrap().unwrap().is_data_request());
+            }
+            assert_eq!(read_frame(&mut cursor).unwrap(), None);
+        }
+        let mut empty = Vec::new();
+        write_batch(&mut empty, &[]).unwrap();
+        assert_eq!(empty, Frame::Batch { count: 0 }.encode());
+    }
+
+    #[test]
+    fn batch_writer_refuses_before_writing() {
+        let get = DataRequest::GetShard { object: 1, pos: 0 };
+        let mut sink = Vec::new();
+        let over_count = write_batch(&mut sink, &vec![get; MAX_BATCH_LEN as usize + 1]);
+        assert!(matches!(over_count, Err(Error::Protocol { .. })));
+        let over = vec![0u8; MAX_SHARD_LEN + 1];
+        let put = DataRequest::PutShard {
+            object: 1,
+            pos: 0,
+            data: &over,
+        };
+        let over_shard = write_batch(&mut sink, &[get, put]);
+        assert!(matches!(over_shard, Err(Error::Protocol { .. })));
+        assert!(sink.is_empty(), "nothing reaches the wire");
+        write_batch(&mut sink, &vec![get; MAX_BATCH_LEN as usize]).expect("at the cap");
+    }
+
     /// Accepts at most three bytes per call and reports `Interrupted` on
     /// the calls listed, the way a signal landing mid-`write` does.
     struct ChoppyWriter {
@@ -1012,7 +1263,15 @@ mod tests {
 
         let mut w = choppy();
         write_shard_data(&mut w, &data).unwrap();
-        assert_eq!(w.out, Frame::ShardData { data }.encode());
+        assert_eq!(w.out, Frame::ShardData { data: data.clone() }.encode());
+        assert!(w.calls > 12);
+
+        // The batch writer's gathered write crosses eleven slices, here
+        // taken three bytes per call, with the same two interruptions.
+        let (requests, frames) = sample_batch(&data);
+        let mut w = choppy();
+        write_batch(&mut w, &requests).unwrap();
+        assert_eq!(w.out, frames);
         assert!(w.calls > 12);
     }
 

@@ -36,7 +36,7 @@ fn random_frame(rng: &mut StdRng) -> Frame {
         rng.random_range_usize(0, 64)
     };
     let data: Vec<u8> = (0..len).map(|_| rng.random::<u8>()).collect();
-    match rng.random_range_usize(0, 15) {
+    match rng.random_range_usize(0, 16) {
         0 => Frame::PutShard {
             object: rng.random(),
             pos: rng.random(),
@@ -88,6 +88,9 @@ fn random_frame(rng: &mut StdRng) -> Frame {
             metrics: data.clone(),
             trace: data.iter().rev().copied().collect(),
             status: data,
+        },
+        14 => Frame::Batch {
+            count: rng.random(),
         },
         _ => Frame::ErrorReply {
             code: (rng.random::<u32>() & 0xffff) as u16,
@@ -285,7 +288,7 @@ fn shard_reader_matches_frame_reader_on_every_frame_kind() {
             }
         }
     }
-    assert_eq!(kinds.len(), 15, "every frame kind drawn: {kinds:?}");
+    assert_eq!(kinds.len(), 16, "every frame kind drawn: {kinds:?}");
 }
 
 #[test]
