@@ -147,6 +147,11 @@ echo "==> cluster smoke (live brick daemons on loopback, kill -9, rebuild)"
 # its batched rounds.
 ./target/release/nsr obs-check --file "$SMOKE_DIR/cluster-metrics.jsonl" \
     --require net.rebuild.fetch_s,net.rebuild.reconstruct_s,net.rebuild.put_s,net.rebuild.commit_s,net.rebuild.rounds
+# Gets and puts share the round with rebuild and scrub but are not
+# rounds of theirs: this campaign's 30 puts and 30 gets leave the count
+# at the three rounds its rebuild and scrub make.
+grep -q '"name":"net.rebuild.rounds","schema":"nsr-obs/v1","value":3}' \
+    "$SMOKE_DIR/cluster-metrics.jsonl"
 ./target/release/nsr report --trace "$SMOKE_DIR/cluster-trace.jsonl" --check
 ./target/release/nsr cluster-inject --bricks 6 --plan kill9-burst --seed 1 \
     | grep -E '^(campaign|verdict|loss)' > "$SMOKE_DIR/burst-a.txt"
@@ -173,7 +178,11 @@ echo "==> cluster telemetry smoke (scrape plane, stitched post-mortems)"
 ./target/release/nsr obs-check --file "$SMOKE_DIR/cluster-scrape-metrics.jsonl" \
     --require net.scrape.collected,net.scrape.requests,net.scrape.lines
 ./target/release/nsr report --cluster "$SMOKE_DIR/clusterobs" --check
-grep -q 'net.put/brick-' "$SMOKE_DIR/clusterobs/cluster.canonical.jsonl"
+# Every caller's trace context reaches the brick: each of the four
+# gateway spans parents handler spans on brick processes.
+for caller in put get rebuild scrub; do
+    grep -q "net.$caller/brick-" "$SMOKE_DIR/clusterobs/cluster.canonical.jsonl"
+done
 grep '"kind":"span"' "$SMOKE_DIR/clusterobs/cluster.canonical.jsonl" \
     > "$SMOKE_DIR/cluster-spans-a.txt"
 ./target/release/nsr cluster-inject --bricks 5 --plan kill9-single --seed 7 \

@@ -9,9 +9,12 @@
 //! brick therefore loses its shards, which is exactly the failure the
 //! erasure code and rebuild coordinator exist to absorb.
 //!
-//! A [`Frame::Batch`] is read whole — every request it announces —
-//! before any of them is served; the replies then leave in order, in one
-//! gathered write. A batch that cannot be read whole (a count over
+//! One loop serves every request. A [`Frame::Batch`] is read whole —
+//! every request it announces — before any of them is served; any other
+//! request, data or control, is served as a batch of one. The replies
+//! leave in order, in one gathered write, through one writer
+//! (`wire::Gather`), so a bare request and a batch of one get the same
+//! bytes back. A batch that cannot be read whole (a count over
 //! [`MAX_BATCH_LEN`], a request that is not a data request, EOF before
 //! the last request) is answered with one typed `BAD_REQUEST`, best
 //! effort, and the connection dropped: nothing in it is served.
@@ -195,6 +198,9 @@ fn handle_connection(
     let mut pending_ctx: Option<SpanContext> = None;
     // The last shard buffer this connection displaced (see `ShardMap`).
     let mut spare: Vec<u8> = Vec::new();
+    // The requests being served and their replies, kept across requests.
+    let mut batch: Vec<Frame> = Vec::new();
+    let mut replies: Vec<Reply> = Vec::new();
     loop {
         let request = match read_frame_reusing(&mut reader, &mut spare) {
             Ok(Some(f)) => f,
@@ -222,53 +228,38 @@ fn handle_connection(
             });
             continue;
         }
-        // A batch: every request read before any is served, one context
-        // parenting each handler span, the replies in one write.
+        // A batch is read whole before any of it is served; any other
+        // request is served as a batch of one.
+        let shutting_down = matches!(request, Frame::Shutdown);
         if let Frame::Batch { count } = request {
-            let requests = match read_batch(&mut reader, count, &mut spare) {
-                Ok(requests) => requests,
-                Err(e) => return Err(refuse(&mut writer, e)),
-            };
+            if let Err(e) = read_batch(&mut reader, count, &mut spare, &mut batch) {
+                return Err(refuse(&mut writer, e));
+            }
             if stop.load(Ordering::SeqCst) {
                 return Ok(());
             }
-            let ctx = pending_ctx.take();
-            let replies: Vec<Reply> = requests
-                .into_iter()
-                .map(|request| {
-                    obs::BRICK_REQUESTS.inc();
-                    telemetry.requests.fetch_add(1, Ordering::Relaxed);
-                    dispatch(request, cfg, shards, ctx, telemetry, &mut spare)
-                })
-                .collect();
-            let mut out = Gather::default();
-            for reply in &replies {
-                match reply {
-                    Reply::Shard(data) => out.shard_data(data)?,
-                    Reply::Frame(frame) => out.frame(frame),
-                }
+        } else {
+            batch.push(request);
+        }
+        // One context parents every handler span of the batch.
+        let ctx = pending_ctx.take();
+        for request in batch.drain(..) {
+            obs::BRICK_REQUESTS.inc();
+            telemetry.requests.fetch_add(1, Ordering::Relaxed);
+            replies.push(dispatch(request, cfg, shards, ctx, telemetry, &mut spare));
+        }
+        // The replies, in order, in one write: a shard straight from the
+        // stored buffer, no copy.
+        let mut out = Gather::default();
+        for reply in &replies {
+            match reply {
+                Reply::Shard(data) => out.shard_data(data)?,
+                Reply::Frame(frame) => out.frame(frame),
             }
-            out.write_to(&mut writer)?;
-            continue;
         }
-        obs::BRICK_REQUESTS.inc();
-        telemetry.requests.fetch_add(1, Ordering::Relaxed);
-        let shutting_down = matches!(request, Frame::Shutdown);
-        let reply = dispatch(
-            request,
-            cfg,
-            shards,
-            pending_ctx.take(),
-            telemetry,
-            &mut spare,
-        );
-        // Shard replies bypass the generic encoder: header from the
-        // stack, payload straight from the stored buffer, no copy.
-        match &reply {
-            Reply::Shard(data) => crate::wire::write_shard_data(&mut writer, data)?,
-            Reply::Frame(Frame::Ok) => crate::wire::write_ok(&mut writer)?,
-            Reply::Frame(other) => write_frame(&mut writer, other)?,
-        }
+        out.write_to(&mut writer)?;
+        // Let go of the shards sent, so an overwrite can recycle them.
+        replies.clear();
         if shutting_down {
             stop.store(true, Ordering::SeqCst);
             // Wake the accept loop so run() observes the stop flag.
@@ -293,21 +284,21 @@ fn refuse(writer: &mut impl io::Write, e: Error) -> Error {
     e
 }
 
-/// Reads the `count` requests a [`Frame::Batch`] announces, all of them
-/// before any is served, into `spare` as `read_frame_reusing` does. Any
-/// frame but a data request, a count over [`MAX_BATCH_LEN`], and EOF
-/// before the last request are errors.
+/// Reads the `count` requests a [`Frame::Batch`] announces into `requests`,
+/// all of them before any is served, into `spare` as `read_frame_reusing`
+/// does. Any frame but a data request, a count over [`MAX_BATCH_LEN`],
+/// and EOF before the last request are errors.
 fn read_batch(
     reader: &mut impl io::BufRead,
     count: u32,
     spare: &mut Vec<u8>,
-) -> Result<Vec<Frame>, Error> {
+    requests: &mut Vec<Frame>,
+) -> Result<(), Error> {
     if count > MAX_BATCH_LEN {
         return Err(Error::Protocol {
             what: format!("batch of {count} requests exceeds the {MAX_BATCH_LEN}-request cap"),
         });
     }
-    let mut requests = Vec::with_capacity(count as usize);
     for read in 0..count {
         match read_frame_reusing(reader, spare)? {
             Some(request) if request.is_data_request() => requests.push(request),
@@ -323,7 +314,7 @@ fn read_batch(
             }
         }
     }
-    Ok(requests)
+    Ok(())
 }
 
 fn dispatch(

@@ -2,20 +2,21 @@
 //! over one `TcpStream` with bounded connect/read/write deadlines.
 //!
 //! The client is deliberately dumb — typed errors for everything
-//! unexpected, no policy. The request surface comes in two shapes: the
-//! classic blocking pair (`request`, `put_shard`, …) and split
-//! send/receive halves (`send_*` / `recv_*`) that let the gateway keep
-//! one request outstanding per brick connection and collect the replies
-//! afterwards — the pipelined shard fan-out — and `send_batch`, which
-//! puts a whole [`Frame::Batch`] of data requests on the wire in one
-//! gathered write; each of its replies is then read with the matching
-//! `recv_*`, in request order. A fetched shard lands where
-//! the caller says: `recv_shard_into` reads the payload from the socket
-//! straight into a caller-supplied slice (what the gateway uses — one
-//! copy, no allocation), `recv_shard` / `get_shard` into a fresh `Vec`
-//! for callers with nowhere to put it yet. Retry, backoff and routing
-//! policy live in the gateway's connection pool, which redials a fresh
-//! `BrickClient` when an operation fails.
+//! unexpected, no policy. Every data request leaves through one send
+//! method, `send_batch`: one request goes bare, several as one
+//! [`Frame::Batch`], either way as one gathered write with payloads
+//! straight from the caller's buffers. The replies are read with the
+//! matching `recv_*`, one per request, in request order; that split is
+//! what lets the gateway put one round of requests on every brick
+//! connection before it reads any reply. The blocking helpers
+//! (`put_shard`, `get_shard`, …) are a send and a receive, and control
+//! frames go through `request`. A fetched shard lands where the caller
+//! says: `recv_shard_into` reads the payload from the socket straight
+//! into a caller-supplied slice (what the gateway uses — one copy, no
+//! allocation), `recv_shard` / `get_shard` into a fresh `Vec` for callers
+//! with nowhere to put it yet. Retry, backoff and routing policy live in
+//! the gateway's connection pool, which redials a fresh `BrickClient`
+//! when an operation fails.
 
 use std::io::{BufReader, BufWriter};
 use std::net::{SocketAddr, TcpStream};
@@ -95,17 +96,18 @@ impl BrickClient {
         })
     }
 
-    /// Writes one request frame onto the wire without waiting for the
-    /// reply — the write half of a pipelined fan-out. Every send must be
-    /// paired with exactly one receive on the same connection.
+    /// Writes one request frame, encoded whole, onto the wire without
+    /// waiting for the reply. Every send must be paired with exactly one
+    /// receive on the same connection. Data requests have the copy-free
+    /// writer, [`send_batch`](Self::send_batch).
     pub fn send_request(&mut self, frame: &Frame) -> Result<(), Error> {
         write_frame(&mut self.writer, frame)
     }
 
-    /// Writes a [`Frame::Batch`] of `requests` as one gathered write,
-    /// payloads straight from the caller's buffers, without waiting for
-    /// the replies. Each request must be paired with one receive, in
-    /// request order.
+    /// Writes `requests` as one gathered write — a single one bare, more
+    /// as a [`Frame::Batch`] — payloads straight from the caller's
+    /// buffers, without waiting for the replies. Each request must be
+    /// paired with one receive, in request order.
     pub fn send_batch(&mut self, requests: &[DataRequest<'_>]) -> Result<(), Error> {
         write_batch(&mut self.writer, requests)
     }
@@ -123,17 +125,22 @@ impl BrickClient {
     }
 
     /// Writes one put-shard request straight from borrowed shard bytes
-    /// (no intermediate frame or payload copy) without waiting for the
-    /// reply. Pair with [`recv_put_reply`](Self::recv_put_reply).
+    /// (a batch of one) without waiting for the reply. Pair with
+    /// [`recv_put_reply`](Self::recv_put_reply).
     pub fn send_put_shard(&mut self, object: u64, pos: u32, data: &[u8]) -> Result<(), Error> {
-        crate::wire::write_put_shard(&mut self.writer, object, pos, data)
+        self.send_batch(&[DataRequest::PutShard { object, pos, data }])
     }
 
     /// Reads the reply to an outstanding put-shard request.
     pub fn recv_put_reply(&mut self) -> Result<(), Error> {
+        self.recv_ok("put_shard")
+    }
+
+    /// Reads an `Ok` reply (`op` names the request in errors).
+    fn recv_ok(&mut self, op: &'static str) -> Result<(), Error> {
         match self.recv_reply()? {
             Frame::Ok => Ok(()),
-            other => Err(unexpected("put_shard", other)),
+            other => Err(unexpected(op, other)),
         }
     }
 
@@ -178,16 +185,14 @@ impl BrickClient {
 
     /// Fetches one shard into a fresh buffer.
     pub fn get_shard(&mut self, object: u64, pos: u32) -> Result<Vec<u8>, Error> {
-        self.send_request(&Frame::GetShard { object, pos })?;
+        self.send_batch(&[DataRequest::GetShard { object, pos }])?;
         self.recv_shard("get_shard", object, pos)
     }
 
     /// Removes one shard (idempotent).
     pub fn delete_shard(&mut self, object: u64, pos: u32) -> Result<(), Error> {
-        match self.request(&Frame::DeleteShard { object, pos })? {
-            Frame::Ok => Ok(()),
-            other => Err(unexpected("delete_shard", other)),
-        }
+        self.send_batch(&[DataRequest::DeleteShard { object, pos }])?;
+        self.recv_ok("delete_shard")
     }
 
     /// Sends a liveness probe.
@@ -269,10 +274,8 @@ impl BrickClient {
 
     /// Asks the brick to exit cleanly.
     pub fn shutdown(&mut self) -> Result<(), Error> {
-        match self.request(&Frame::Shutdown)? {
-            Frame::Ok => Ok(()),
-            other => Err(unexpected("shutdown", other)),
-        }
+        self.send_request(&Frame::Shutdown)?;
+        self.recv_ok("shutdown")
     }
 }
 

@@ -8,41 +8,49 @@
 //! backoff plus seeded jitter, and runs the failure detector + rebuild
 //! coordinator that re-replicates a dead brick's shards onto spares.
 //!
-//! Fan-out determinism contract: the fast path never changes *what* a
-//! request returns, only how many are in flight. `get` fetches through
-//! `fetch_shards` and `put` writes through `store_shards`: one pipelined
-//! fan-out round, then the serial per-shard retry path for whatever
-//! missed (`fanout: false` in [`GatewayConfig`] forces that reference
-//! path wholesale), with results assembled by index.
+//! The data path has one fan-out, a round (`Gateway::round`, the
+//! gateway's only call to [`ConnectionPool::fanout`]): a list of `(brick,
+//! DataRequest)` pairs, each brick's requests sent in one write — a brick
+//! named once gets the bare request, one named more than once a
+//! [`Frame::Batch`](crate::wire::Frame::Batch) — then each reply read
+//! into where the caller says, in request order. A get is one round of
+//! `GetShard`s and a put one of `PutShard`s, one per layout brick, so
+//! every brick gets a bare request. Whatever a round missed in transit
+//! takes the per-shard retry path (`fetch_one`, `settle_stores`), which
+//! sends the same `DataRequest` through the same writer, alone.
+//!
+//! Fan-out determinism contract: the round never changes *what* a
+//! request returns, only how many are in flight. With `fanout: false` in
+//! [`GatewayConfig`] it sends nothing and every request takes the retry
+//! path, serially — the reference the fan-out must match — and results
+//! are assembled by index either way.
 //!
 //! Rebuild and scrub work through objects in windows (up to
 //! `REPAIR_WINDOW_BYTES` of stripe buffers, at most
 //! `REPAIR_WINDOW_OBJECTS` objects): a window's fetches go out as one
-//! fan-out round carrying one [`Frame::Batch`] per source brick, and its
-//! rebuilt shards as one more round with one batch per spare (scrub: per
-//! layout brick). A round is a few wake-ups of each brick for the whole
-//! window instead of one per shard. Whatever an object missed takes the
-//! same per-shard retry path, and the commits — layout, checkpoint,
-//! report, trace events — stay per object, in object order, each only
-//! after that object's writes have settled, strictly in lost-position
-//! order and only up to the first failed write. The window is cut at
-//! the first object that cannot complete; every shard the store round
-//! landed past that point is taken back. That is why `RepairReport`,
-//! `export_meta()`, every brick's shards and the resumable checkpoint
-//! are what the serial path (one object per window, no batches)
-//! produces, and why seeded campaign replays stay byte-identical with
-//! fan-out enabled.
+//! round, one batch per source brick, and its rebuilt shards as one more
+//! round, one batch per spare (scrub: per layout brick). A round is a few
+//! wake-ups of each brick for the whole window instead of one per shard.
+//! The commits — layout, checkpoint, report, trace events — stay per
+//! object, in object order, each only after that object's writes have
+//! settled, strictly in lost-position order and only up to the first
+//! failed write. The window is cut at the first object that cannot
+//! complete; every shard the store round landed past that point is taken
+//! back. That is why `RepairReport`, `export_meta()`, every brick's
+//! shards and the resumable checkpoint are what the serial path (one
+//! object per window, nothing sent in rounds) produces, and why seeded
+//! campaign replays stay byte-identical with fan-out enabled.
 //!
 //! Copy budget: a fetched shard goes from its socket straight to where
-//! it is needed. `fetch_shards` lands every position in a caller-supplied
-//! buffer; `get` allocates its result once and hands each data position
-//! its slice of it, and a degraded `get` rebuilds only the missing *data*
-//! positions, directly into their slices (parity gets scratch buffers,
-//! and only once a data brick is out of reach). Rebuild and scrub land
-//! shards in owned per-position buffers, one set per window slot, kept
-//! from window to window, and write them back from the same buffers.
-//! There is no per-shard `Vec` and no concatenation
-//! anywhere on the read path (DESIGN §3h has the before/after count).
+//! it is needed. A fetch lands in a caller-supplied buffer; `get`
+//! allocates its result once and hands each data position its slice of
+//! it, and a degraded `get` rebuilds only the missing *data* positions,
+//! directly into their slices (parity gets scratch buffers, and only once
+//! a data brick is out of reach). Rebuild and scrub land shards in owned
+//! per-position buffers, one set per window slot, kept from window to
+//! window, and write them back from the same buffers. There is no
+//! per-shard `Vec` and no concatenation anywhere on the read path (DESIGN
+//! §3h has the before/after count).
 //!
 //! Consistency model: an object's metadata (length + shard layout) is
 //! committed only after every shard of a put has been acknowledged, so
@@ -59,7 +67,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use nsr_erasure::rs::ReedSolomon;
-use nsr_obs::{Json, Span, SpanContext};
+use nsr_obs::{Counter, Json, Span, SpanContext};
 use nsr_rng::rngs::StdRng;
 use nsr_rng::{Rng, SeedableRng};
 
@@ -69,7 +77,7 @@ use crate::detector::{DetectorConfig, FailureDetector, Health, Transition};
 use crate::error::Error;
 use crate::obs;
 use crate::pool::ConnectionPool;
-use crate::wire::{DataRequest, Frame, MAX_SHARD_LEN};
+use crate::wire::{DataRequest, MAX_SHARD_LEN};
 
 /// Capped exponential backoff with jitter for transient transport
 /// faults.
@@ -522,13 +530,18 @@ impl Gateway {
                 });
             }
             let layout = rotate_pick(&healthy, object, r);
+            let stores: Vec<(u32, DataRequest<'_>)> = (0..r)
+                .map(|at| {
+                    let (pos, data) = (at as u32, shards[at].as_ref());
+                    (layout[at], DataRequest::PutShard { object, pos, data })
+                })
+                .collect();
             // Every shard request goes out before any reply is awaited;
             // a position that misses (stale connection, fresh death)
             // takes the per-shard retry path.
-            let (done, failure) = self.store_shards(object, &layout, ctx, |pos| {
-                (pos as u32, shards[pos].as_ref())
-            });
-            match failure {
+            let sent = self.round(&stores, ctx, None, |_, c| c.recv_put_reply());
+            let mut done = acked(&sent);
+            match self.settle_stores(&stores, &mut done, ctx) {
                 None => {
                     self.meta.lock().expect("meta lock").insert(
                         object,
@@ -546,10 +559,8 @@ impl Gateway {
                     // (best effort, including fanned-out ones past the
                     // failure) and rule the failed brick out of the next
                     // layout.
-                    for pos in (0..r).filter(|&pos| done[pos]) {
-                        let _ = self.shard_op(layout[pos], "delete_shard", |c| {
-                            c.delete_shard(object, pos as u32)
-                        });
+                    for (&store, _) in stores.iter().zip(&done).filter(|(_, &done)| done) {
+                        self.take_back(store);
                     }
                     excluded.insert(layout[at]);
                     if excluded.len() + r > self.brick_count() {
@@ -596,13 +607,30 @@ impl Gateway {
         let mut out = vec![0u8; k * shard_len];
         let mut parity: Vec<Vec<u8>> = vec![Vec::new(); r - k];
         let mut present = vec![false; r];
+        // Fetches `positions` — one round, then the retry path for what
+        // it missed — marks those that landed and returns their number.
         let mut fetch = |positions: &[usize]| {
             for &pos in positions.iter().filter(|&&pos| pos >= k) {
                 parity[pos - k] = vec![0u8; shard_len];
             }
             let mut stripe = data_and_parity(&mut out, &mut parity, shard_len);
-            let fetched = self.fetch_shards(object, &meta.layout, positions, &mut stripe, ctx);
-            mark_present(&fetched, positions, &mut present)
+            let requests: Vec<(u32, DataRequest<'_>)> = positions
+                .iter()
+                .map(|&at| {
+                    let pos = at as u32;
+                    (meta.layout[at], DataRequest::GetShard { object, pos })
+                })
+                .collect();
+            let sent = self.round(&requests, ctx, None, |i, c| {
+                recv_fetch(c, requests[i].1, stripe[positions[i]])
+            });
+            let mut landed = 0;
+            for ((res, &request), &pos) in sent.into_iter().zip(&requests).zip(positions) {
+                let res = res.unwrap_or_else(|| self.fetch_one(request, stripe[pos], ctx));
+                present[pos] = res.is_ok();
+                landed += usize::from(res.is_ok());
+            }
+            landed
         };
         // Every readable data position (a healthy read needs nothing
         // else), plus just enough readable parity to reach k when data
@@ -804,19 +832,21 @@ impl Gateway {
             .enumerate()
             .flat_map(|(j, plan)| plan.sources[..k].iter().map(move |&pos| (j, pos)))
             .collect();
-        let fetched = self.fetch_round(plans, &wanted, bufs, ctx);
-        let mut results = wanted.iter().zip(fetched);
+        let requests: Vec<(u32, DataRequest<'_>)> =
+            wanted.iter().map(|&(j, pos)| plans[j].fetch(pos)).collect();
+        let sent = self.round(&requests, ctx, Some(&obs::REBUILD_ROUNDS), |i, c| {
+            let (j, pos) = wanted[i];
+            recv_fetch(c, requests[i].1, &mut bufs[j][pos])
+        });
+        let mut results = wanted.iter().zip(&requests).zip(sent);
         // Object by object: retries, then reconstruct. `complete` objects
         // go on to the store round; `cut` is what stopped the next one.
         let mut cut: Option<Cut> = None;
         let mut complete = 0;
         for (j, plan) in plans.iter().enumerate() {
-            let (id, layout) = (plan.id, &plan.meta.layout);
-            let mut present = vec![false; layout.len()];
-            for (&(_, pos), mut res) in results.by_ref().take(k) {
-                if matches!(&res, Err(e) if e.is_transient()) {
-                    res = self.fetch_one(id, layout, pos, &mut bufs[j][pos], true, ctx);
-                }
+            let mut present = vec![false; plan.meta.layout.len()];
+            for ((&(_, pos), &request), res) in results.by_ref().take(k) {
+                let res = res.unwrap_or_else(|| self.fetch_one(request, &mut bufs[j][pos], ctx));
                 present[pos] = res.is_ok();
             }
             // Any shortfall walks the remaining sources one at a time.
@@ -826,7 +856,7 @@ impl Gateway {
                     break;
                 }
                 if self
-                    .fetch_one(id, layout, pos, &mut bufs[j][pos], true, ctx)
+                    .fetch_one(plan.fetch(pos), &mut bufs[j][pos], ctx)
                     .is_ok()
                 {
                     present[pos] = true;
@@ -850,31 +880,21 @@ impl Gateway {
         let plans = &plans[..complete];
         let stores: Vec<(u32, DataRequest<'_>)> = plans
             .iter()
-            .enumerate()
-            .flat_map(|(j, plan)| {
-                let bufs = &bufs[j];
-                plan.lost
-                    .iter()
-                    .zip(&plan.targets)
-                    .map(move |(&pos, &spare)| {
-                        let data = bufs[pos].as_slice();
-                        let (object, pos) = (plan.id, pos as u32);
-                        (spare, DataRequest::PutShard { object, pos, data })
-                    })
-            })
+            .zip(bufs.iter())
+            .flat_map(|(plan, bufs)| plan.stores(bufs))
             .collect();
-        let mut acks = self.store_round(&stores, ctx).into_iter();
+        let sent = self.round(&stores, ctx, Some(&obs::REBUILD_ROUNDS), |_, c| {
+            c.recv_put_reply()
+        });
+        let mut landed = acked(&sent);
         laps.lap(obs::Phase::Put);
-        let mut landed: Vec<Vec<bool>> = plans
-            .iter()
-            .map(|plan| acks.by_ref().take(plan.lost.len()).collect())
-            .collect();
         let mut repaired = 0;
-        for (j, plan) in plans.iter().enumerate() {
+        // Each object's writes are `stores[from..to]`.
+        let mut from = 0;
+        for plan in plans {
             let (id, lost, targets) = (plan.id, &plan.lost, &plan.targets);
-            let failure = self.settle_stores(id, targets, &mut landed[j], ctx, |i| {
-                (lost[i] as u32, bufs[j][lost[i]].as_slice())
-            });
+            let to = from + lost.len();
+            let failure = self.settle_stores(&stores[from..to], &mut landed[from..to], ctx);
             laps.lap(obs::Phase::Put);
             // Per-shard commit, strictly in lost-position order and only
             // up to the first failed write: each new home is durable in
@@ -886,17 +906,13 @@ impl Gateway {
             }
             laps.lap(obs::Phase::Commit);
             if let Some((at, err)) = failure {
-                // Shards the store round landed past the failed position,
-                // of this object or a later one, were never committed;
-                // the serial path would not have written them, so take
-                // them back (best effort).
-                for (later, plan) in plans.iter().enumerate().skip(j) {
-                    let from = if later == j { at + 1 } else { 0 };
-                    for i in (from..plan.lost.len()).filter(|&i| landed[later][i]) {
-                        let _ = self.shard_op(plan.targets[i], "delete_shard", |c| {
-                            c.delete_shard(plan.id, plan.lost[i] as u32)
-                        });
-                    }
+                // Shards the store round landed past the failed write, of
+                // this object or a later one, were never committed; the
+                // serial path would not have written them, so take them
+                // back (best effort).
+                let past = stores.iter().zip(&landed).skip(from + at + 1);
+                for (&store, _) in past.filter(|(_, &landed)| landed) {
+                    self.take_back(store);
                 }
                 cut = Some(match err {
                     // The chosen spare died between health snapshot and
@@ -909,6 +925,7 @@ impl Gateway {
                 });
                 break;
             }
+            from = to;
             repaired += 1;
         }
         report.objects_repaired += repaired;
@@ -1018,18 +1035,20 @@ impl Gateway {
             .enumerate()
             .flat_map(|(j, plan)| plan.sources.iter().map(move |&pos| (j, pos)))
             .collect();
-        let probed = self.fetch_round(plans, &wanted, bufs, ctx);
-        let mut results = wanted.iter().zip(probed);
+        let requests: Vec<(u32, DataRequest<'_>)> =
+            wanted.iter().map(|&(j, pos)| plans[j].fetch(pos)).collect();
+        let sent = self.round(&requests, ctx, Some(&obs::REBUILD_ROUNDS), |i, c| {
+            let (j, pos) = wanted[i];
+            recv_fetch(c, requests[i].1, &mut bufs[j][pos])
+        });
+        let mut results = wanted.iter().zip(&requests).zip(sent);
         let mut restorable = Vec::new();
         for (j, plan) in plans.iter_mut().enumerate() {
             let (id, layout) = (plan.id, &plan.meta.layout);
             let mut present = vec![false; r];
             let mut unavailable = r - plan.sources.len();
-            for (&(_, pos), mut res) in results.by_ref().take(plan.sources.len()) {
-                if matches!(&res, Err(e) if e.is_transient()) {
-                    res = self.fetch_one(id, layout, pos, &mut bufs[j][pos], true, ctx);
-                }
-                match res {
+            for ((&(_, pos), &request), res) in results.by_ref().take(plan.sources.len()) {
+                match res.unwrap_or_else(|| self.fetch_one(request, &mut bufs[j][pos], ctx)) {
                     Ok(()) => present[pos] = true,
                     // Absent, or there at the wrong size: restore it.
                     Err(Error::ShardNotFound { .. } | Error::ShardLength { .. }) => {
@@ -1059,33 +1078,26 @@ impl Gateway {
         }
         let stores: Vec<(u32, DataRequest<'_>)> = restorable
             .iter()
-            .flat_map(|&j| {
-                let (plan, bufs) = (&plans[j], &bufs[j]);
-                plan.lost
-                    .iter()
-                    .zip(&plan.targets)
-                    .map(move |(&pos, &brick)| {
-                        let data = bufs[pos].as_slice();
-                        let (object, pos) = (plan.id, pos as u32);
-                        (brick, DataRequest::PutShard { object, pos, data })
-                    })
-            })
+            .flat_map(|&j| plans[j].stores(&bufs[j]))
             .collect();
-        let mut acks = self.store_round(&stores, ctx).into_iter();
+        let sent = self.round(&stores, ctx, Some(&obs::REBUILD_ROUNDS), |_, c| {
+            c.recv_put_reply()
+        });
+        let mut done = acked(&sent);
         laps.lap(obs::Phase::Put);
         let mut repaired = 0;
+        // Each object's writes are `stores[from..to]`.
+        let mut from = 0;
         for &j in &restorable {
             let plan = &plans[j];
             let (id, lost, targets) = (plan.id, &plan.lost, &plan.targets);
-            let mut done: Vec<bool> = acks.by_ref().take(lost.len()).collect();
-            let failure = self.settle_stores(id, targets, &mut done, ctx, |i| {
-                (lost[i] as u32, bufs[j][lost[i]].as_slice())
-            });
+            let to = from + lost.len();
+            let failure = self.settle_stores(&stores[from..to], &mut done[from..to], ctx);
             laps.lap(obs::Phase::Put);
             // The layout never changes, so a restored shard counts where
             // it landed — including one the store round wrote past a
             // failed position, which the next pass will find present.
-            for i in (0..lost.len()).filter(|&i| done[i]) {
+            for i in (0..lost.len()).filter(|&i| done[from + i]) {
                 let (pos, brick, bytes) = (lost[i], targets[i], plan.meta.shard_len as u64);
                 report.shards_moved += 1;
                 report.bytes_moved += bytes;
@@ -1105,6 +1117,7 @@ impl Gateway {
             } else {
                 repaired += 1;
             }
+            from = to;
         }
         report.objects_repaired += repaired;
         laps.finish(repaired);
@@ -1250,167 +1263,55 @@ impl Gateway {
         self.pool.with(id, op, f)
     }
 
-    /// Fetches `positions` of `object` from their layout bricks for a
-    /// `get`, each straight into its buffer in `stripe` (the full-width
-    /// view of the object's shards; every buffer asked for is one shard
-    /// long), with results aligned with `positions`: one pipelined
-    /// [`ConnectionPool::fanout`] round, then the per-shard retry path
-    /// for each position that missed in transit. With `cfg.fanout` off
-    /// (or a single position) every fetch takes the retry path, serially
-    /// — the reference the fan-out must match. A buffer whose fetch
-    /// failed holds no particular bytes.
-    fn fetch_shards(
+    /// The gateway's one fan-out round, its only call to
+    /// [`ConnectionPool::fanout`]: each brick named in `requests` (all of
+    /// one kind) gets its requests, in order, through one `send_batch` —
+    /// bare when the brick is named once, as every brick is in a get or a
+    /// put, since a layout never names a brick twice — and `recv(i,
+    /// client)` then reads the reply to request `i`. The outcomes are
+    /// aligned with `requests`; `None` leaves a request to the caller's
+    /// per-request retry path: it failed in transit, or was never sent, as
+    /// nothing is with `cfg.fanout` off (the serial reference). A reply
+    /// that breaks the stream fails the rest of its brick's requests and
+    /// drops the lane; a failed connect or send fails all of them.
+    /// `rounds`, if given, counts the round.
+    fn round(
         &self,
-        object: u64,
-        layout: &[u32],
-        positions: &[usize],
-        stripe: &mut [&mut [u8]],
-        ctx: Option<SpanContext>,
-    ) -> Vec<Result<(), Error>> {
-        if !self.cfg.fanout || positions.len() <= 1 {
-            return positions
-                .iter()
-                .map(|&pos| self.fetch_one(object, layout, pos, stripe[pos], false, ctx))
-                .collect();
-        }
-        let bricks: Vec<u32> = positions.iter().map(|&pos| layout[pos]).collect();
-        let mut results = self.pool.fanout(
-            &bricks,
-            "get_shard",
-            |i, c| {
-                send_ctx(c, ctx)?;
-                let pos = positions[i] as u32;
-                c.send_request(&Frame::GetShard { object, pos })
-            },
-            |i, c| {
-                c.recv_shard_into(
-                    "get_shard",
-                    object,
-                    positions[i] as u32,
-                    stripe[positions[i]],
-                )
-            },
-        );
-        for (res, &pos) in results.iter_mut().zip(positions) {
-            if matches!(res, Err(e) if e.is_transient()) {
-                *res = self.fetch_one(object, layout, pos, stripe[pos], false, ctx);
-            }
-        }
-        results
-    }
-
-    /// The per-shard retry path of a fetch: position `pos` of `object`
-    /// from its layout brick into `dst` (a `RebuildFetch` for rebuild and
-    /// scrub, else a `GetShard`), under the retry policy.
-    fn fetch_one(
-        &self,
-        object: u64,
-        layout: &[u32],
-        pos: usize,
-        dst: &mut [u8],
-        rebuild: bool,
-        ctx: Option<SpanContext>,
-    ) -> Result<(), Error> {
-        let pos = pos as u32;
-        let (op, request) = if rebuild {
-            ("rebuild_fetch", Frame::RebuildFetch { object, pos })
-        } else {
-            ("get_shard", Frame::GetShard { object, pos })
-        };
-        self.shard_op_with_retry(layout[pos as usize], op, |c| {
-            send_ctx(c, ctx)?;
-            c.send_request(&request)?;
-            c.recv_shard_into(op, object, pos, dst)
-        })
-    }
-
-    /// One batched round of rebuild fetches for a window: `wanted[i] =
-    /// (j, pos)` asks for position `pos` of the window's object `j`,
-    /// landing in its buffer for that position. Results are aligned with
-    /// `wanted`. With `cfg.fanout` off every fetch takes the retry path,
-    /// serially.
-    fn fetch_round(
-        &self,
-        plans: &[Plan],
-        wanted: &[(usize, usize)],
-        bufs: &mut [Vec<Vec<u8>>],
-        ctx: Option<SpanContext>,
-    ) -> Vec<Result<(), Error>> {
-        if !self.cfg.fanout {
-            return wanted
-                .iter()
-                .map(|&(j, pos)| {
-                    let plan = &plans[j];
-                    let dst = &mut bufs[j][pos];
-                    self.fetch_one(plan.id, &plan.meta.layout, pos, dst, true, ctx)
-                })
-                .collect();
-        }
-        let requests: Vec<(u32, DataRequest<'_>)> = wanted
-            .iter()
-            .map(|&(j, pos)| {
-                let (object, pos) = (plans[j].id, pos as u32);
-                let brick = plans[j].meta.layout[pos as usize];
-                (brick, DataRequest::RebuildFetch { object, pos })
-            })
-            .collect();
-        self.batch_round("rebuild_fetch", &requests, ctx, |i, c| {
-            let (j, pos) = wanted[i];
-            c.recv_shard_into("rebuild_fetch", plans[j].id, pos as u32, &mut bufs[j][pos])
-        })
-    }
-
-    /// One batched round of shard writes for a window; whether each was
-    /// acknowledged, aligned with `stores`. With `cfg.fanout` off nothing
-    /// is sent: every write is left to the serial retry path.
-    fn store_round(
-        &self,
-        stores: &[(u32, DataRequest<'_>)],
-        ctx: Option<SpanContext>,
-    ) -> Vec<bool> {
-        if !self.cfg.fanout {
-            return vec![false; stores.len()];
-        }
-        self.batch_round("put_shard", stores, ctx, |_, c| c.recv_put_reply())
-            .iter()
-            .map(Result::is_ok)
-            .collect()
-    }
-
-    /// One [`ConnectionPool::fanout`] round in which every brick named in
-    /// `requests` gets its requests, in order, as one [`Frame::Batch`];
-    /// `recv(i, client)` then reads the reply to request `i`. Results are
-    /// aligned with `requests`. A reply that breaks the stream fails the
-    /// rest of its brick's requests with the same error and drops the
-    /// lane; a failed connect or send fails all of them.
-    fn batch_round(
-        &self,
-        op: &'static str,
         requests: &[(u32, DataRequest<'_>)],
         ctx: Option<SpanContext>,
+        rounds: Option<&'static Counter>,
         mut recv: impl FnMut(usize, &mut BrickClient) -> Result<(), Error>,
-    ) -> Vec<Result<(), Error>> {
-        if requests.is_empty() {
-            return Vec::new();
-        }
-        obs::REBUILD_ROUNDS.inc();
-        let mut by_brick: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
-        for (i, &(brick, _)) in requests.iter().enumerate() {
-            by_brick.entry(brick).or_default().push(i);
-        }
-        let (bricks, groups): (Vec<u32>, Vec<Vec<usize>>) = by_brick.into_iter().unzip();
+    ) -> Vec<Option<Result<(), Error>>> {
         let mut results: Vec<Option<Result<(), Error>>> = vec![None; requests.len()];
+        if !self.cfg.fanout || requests.is_empty() {
+            return results;
+        }
+        if let Some(rounds) = rounds {
+            rounds.inc();
+        }
+        // The requests in brick order (stable, so each brick's keep
+        // theirs): brick `bricks[g]` gets `batch[starts[g]..starts[g + 1]]`.
+        let mut order: Vec<usize> = (0..requests.len()).collect();
+        order.sort_by_key(|&i| requests[i].0);
+        let batch: Vec<DataRequest<'_>> = order.iter().map(|&i| requests[i].1).collect();
+        let (mut bricks, mut starts) = (Vec::new(), Vec::new());
+        for (n, &i) in order.iter().enumerate() {
+            if bricks.last() != Some(&requests[i].0) {
+                bricks.push(requests[i].0);
+                starts.push(n);
+            }
+        }
+        starts.push(order.len());
+        let group = |g: usize| starts[g]..starts[g + 1];
         let per_brick = self.pool.fanout(
             &bricks,
-            op,
+            requests[0].1.name(),
             |g, c| {
                 send_ctx(c, ctx)?;
-                let batch: Vec<DataRequest<'_>> =
-                    groups[g].iter().map(|&i| requests[i].1).collect();
-                c.send_batch(&batch)
+                c.send_batch(&batch[group(g)])
             },
             |g, c| {
-                for &i in &groups[g] {
+                for &i in &order[group(g)] {
                     match recv(i, c) {
                         Err(e) if e.breaks_stream() => return Err(e),
                         res => results[i] = Some(res),
@@ -1419,17 +1320,34 @@ impl Gateway {
                 Ok(())
             },
         );
-        for (group, res) in groups.iter().zip(per_brick) {
+        for (g, res) in per_brick.into_iter().enumerate() {
             if let Err(e) = res {
-                for &i in group {
+                for &i in &order[group(g)] {
                     results[i].get_or_insert_with(|| Err(e.clone()));
                 }
             }
         }
+        let in_transit = |res: &Result<(), Error>| matches!(res, Err(e) if e.is_transient());
         results
             .into_iter()
-            .map(|res| res.expect("every request resolved"))
+            .map(|res| res.filter(|res| !in_transit(res)))
             .collect()
+    }
+
+    /// The per-shard retry path of a fetch: `request` (a `GetShard` or a
+    /// `RebuildFetch`) to `brick`, the shard into `dst`, under the retry
+    /// policy.
+    fn fetch_one(
+        &self,
+        (brick, request): (u32, DataRequest<'_>),
+        dst: &mut [u8],
+        ctx: Option<SpanContext>,
+    ) -> Result<(), Error> {
+        self.shard_op_with_retry(brick, request.name(), |c| {
+            send_ctx(c, ctx)?;
+            c.send_batch(&[request])?;
+            recv_fetch(c, request, dst)
+        })
     }
 
     /// Rebuilds positions `want` of a stripe from the shards marked
@@ -1447,59 +1365,24 @@ impl Gateway {
         Ok(self.codec.reconstruct_into(&plan, stripe, want)?)
     }
 
-    /// Stores shard `i` of `object` — `shard(i)` gives its position and
-    /// (borrowed) bytes — on `targets[i]` for a `put`: one pipelined
-    /// fan-out round, then [`settle_stores`](Self::settle_stores) (with
-    /// `cfg.fanout` off that is all of them — the reference path).
-    /// Returns the per-shard acknowledgements and the first shard whose
-    /// retries failed, with its error; past that index only shards the
-    /// fan-out reached are acknowledged.
-    fn store_shards<'a>(
+    /// The per-shard retry path of a store: every write in `stores` not yet
+    /// `done` goes to its brick, in order (put_shard is idempotent, so
+    /// overlap with a round that did land is harmless), until one fails
+    /// its retries; that one is returned with its index.
+    fn settle_stores(
         &self,
-        object: u64,
-        targets: &[u32],
-        ctx: Option<SpanContext>,
-        shard: impl Fn(usize) -> (u32, &'a [u8]),
-    ) -> (Vec<bool>, Option<(usize, Error)>) {
-        let mut done: Vec<bool> = if self.cfg.fanout && targets.len() > 1 {
-            let acks = self.pool.fanout(
-                targets,
-                "put_shard",
-                |i, c| {
-                    send_ctx(c, ctx)?;
-                    let (pos, data) = shard(i);
-                    c.send_put_shard(object, pos, data)
-                },
-                |_i, c| c.recv_put_reply(),
-            );
-            acks.iter().map(Result::is_ok).collect()
-        } else {
-            vec![false; targets.len()]
-        };
-        let failure = self.settle_stores(object, targets, &mut done, ctx, shard);
-        (done, failure)
-    }
-
-    /// The per-shard retry path of a store: every shard of `object` not
-    /// yet `done` goes to its target, in index order (put_shard is
-    /// idempotent, so overlap with a round that did land is harmless),
-    /// until one fails its retries; that one is returned with its index.
-    fn settle_stores<'a>(
-        &self,
-        object: u64,
-        targets: &[u32],
+        stores: &[(u32, DataRequest<'_>)],
         done: &mut [bool],
         ctx: Option<SpanContext>,
-        shard: impl Fn(usize) -> (u32, &'a [u8]),
     ) -> Option<(usize, Error)> {
-        for i in 0..targets.len() {
+        for (i, &(brick, store)) in stores.iter().enumerate() {
             if done[i] {
                 continue;
             }
-            let (pos, data) = shard(i);
-            let put = self.shard_op_with_retry(targets[i], "put_shard", |c| {
+            let put = self.shard_op_with_retry(brick, "put_shard", |c| {
                 send_ctx(c, ctx)?;
-                c.put_shard(object, pos, data)
+                c.send_batch(&[store])?;
+                c.recv_put_reply()
             });
             match put {
                 Ok(()) => done[i] = true,
@@ -1507,6 +1390,14 @@ impl Gateway {
             }
         }
         None
+    }
+
+    /// Deletes, best effort, a shard a store landed that is not to be
+    /// committed: an orphan of a failed put, or a write past a repair
+    /// window's cut.
+    fn take_back(&self, (brick, store): (u32, DataRequest<'_>)) {
+        let (object, pos) = store.shard();
+        let _ = self.shard_op(brick, "delete_shard", |c| c.delete_shard(object, pos));
     }
 
     /// Counts and types a pass cut short by a source or spare that
@@ -1608,6 +1499,30 @@ struct Plan {
     targets: Vec<u32>,
 }
 
+impl Plan {
+    /// The fetch of position `at` from its layout brick.
+    fn fetch(&self, at: usize) -> (u32, DataRequest<'static>) {
+        let (object, pos) = (self.id, at as u32);
+        (
+            self.meta.layout[at],
+            DataRequest::RebuildFetch { object, pos },
+        )
+    }
+
+    /// The writes of the shards re-created in `bufs`, one per lost
+    /// position, each to its target.
+    fn stores<'a>(&'a self, bufs: &'a [Vec<u8>]) -> impl Iterator<Item = (u32, DataRequest<'a>)> {
+        let object = self.id;
+        self.lost
+            .iter()
+            .zip(&self.targets)
+            .map(move |(&pos, &brick)| {
+                let (data, pos) = (bufs[pos].as_slice(), pos as u32);
+                (brick, DataRequest::PutShard { object, pos, data })
+            })
+    }
+}
+
 /// The objects a repair or scrub pass works on together, and one owned
 /// buffer per position of each, kept from window to window.
 struct Window {
@@ -1676,15 +1591,15 @@ impl Window {
     }
 }
 
-/// Books one [`Gateway::fetch_shards`] round: marks every position that
-/// landed and returns how many did.
-fn mark_present(fetched: &[Result<(), Error>], positions: &[usize], present: &mut [bool]) -> usize {
-    let mut landed = 0;
-    for (res, &pos) in fetched.iter().zip(positions) {
-        present[pos] = res.is_ok();
-        landed += usize::from(res.is_ok());
-    }
-    landed
+/// Whether each store of a [`Gateway::round`] was acknowledged.
+fn acked(sent: &[Option<Result<(), Error>>]) -> Vec<bool> {
+    sent.iter().map(|res| matches!(res, Some(Ok(())))).collect()
+}
+
+/// Reads the reply to fetch `request` straight into `dst`.
+fn recv_fetch(c: &mut BrickClient, request: DataRequest<'_>, dst: &mut [u8]) -> Result<(), Error> {
+    let (object, pos) = request.shard();
+    c.recv_shard_into(request.name(), object, pos, dst)
 }
 
 /// The stripe view a `get` fetches and rebuilds through: the result

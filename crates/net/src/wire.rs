@@ -15,14 +15,17 @@
 //! payloads, trailing bytes, and frames above [`MAX_FRAME_LEN`] are all
 //! typed [`Error::Decode`] values — never panics.
 //!
-//! A [`Frame::Batch`] prefix announces that the next `count` frames on
-//! the connection are data requests (`GetShard`, `RebuildFetch`,
-//! `PutShard`, `DeleteShard`). The peer reads all of them before it
-//! serves any, and answers with their ordinary reply frames, in order,
-//! in one gathered write: one wake-up and one flush per batch instead of
-//! one per request. [`write_batch`] sends a batch from borrowed payloads
-//! as one gathered write; its bytes are exactly the prefix's and the
-//! requests' [`Frame::encode`]s, concatenated.
+//! Data requests (`GetShard`, `RebuildFetch`, `PutShard`, `DeleteShard`)
+//! travel in batches. A [`Frame::Batch`] prefix announces that the next
+//! `count` frames on the connection are data requests; the peer reads all
+//! of them before it serves any, and answers with their ordinary reply
+//! frames, in order, in one gathered write: one wake-up and one flush per
+//! batch instead of one per request. A bare data request is a batch of
+//! one. [`write_batch`] is the one writer of data requests: a single
+//! request bare, any other number behind the prefix, as one gathered
+//! write from borrowed payloads whose bytes are exactly the prefix's (if
+//! any) and the requests' [`Frame::encode`]s, concatenated. The brick
+//! answers either shape through one reply writer, `Gather`.
 
 use std::io::{BufRead, IoSlice, Read, Write};
 
@@ -35,9 +38,9 @@ pub const MAX_FRAME_LEN: u32 = 1 << 26;
 
 /// The largest shard the protocol carries: a [`Frame::PutShard`] spends 17
 /// bytes of [`MAX_FRAME_LEN`] on its tag, object id, position and byte
-/// count. Both shard writers refuse anything longer, and the gateway
-/// rejects an object whose shards would be (`Error::ObjectTooLarge`)
-/// before it encodes or sends a byte.
+/// count. [`write_batch`] and the brick's reply writer refuse anything
+/// longer, and the gateway rejects an object whose shards would be
+/// (`Error::ObjectTooLarge`) before it encodes or sends a byte.
 pub const MAX_SHARD_LEN: usize = MAX_FRAME_LEN as usize - 17;
 
 /// `BufWriter` capacity for connection sockets. Deliberately small:
@@ -494,41 +497,9 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<(), Error> {
         .map_err(|e| Error::from_io("write_frame", &e))
 }
 
-/// The fixed encoding of [`Frame::Ok`].
+/// The fixed encoding of [`Frame::Ok`]: the brick acknowledges a put or
+/// a delete without the heap allocation `Frame::encode` would make.
 const OK_BYTES: [u8; 5] = [1, 0, 0, 0, TAG_OK];
-
-/// Writes a [`Frame::Ok`] reply. The encoding is a fixed five bytes, so
-/// the hot put path on the brick acknowledges each shard without the
-/// heap allocation `Frame::encode` would make. Byte-for-byte identical
-/// on the wire to `write_frame(&Frame::Ok)`.
-pub fn write_ok(w: &mut impl Write) -> Result<(), Error> {
-    w.write_all(&OK_BYTES)
-        .and_then(|_| w.flush())
-        .map_err(|e| Error::from_io("write_frame", &e))
-}
-
-/// Writes a [`Frame::PutShard`] straight from borrowed shard bytes —
-/// the hot-path encoder: header on the stack, payload written from the
-/// caller's slice, no intermediate `Frame` or `Vec`. Byte-for-byte
-/// identical on the wire to `write_frame(&Frame::PutShard { .. })`.
-pub fn write_put_shard(
-    w: &mut impl Write,
-    object: u64,
-    pos: u32,
-    data: &[u8],
-) -> Result<(), Error> {
-    check_shard_len("put_shard", data)?;
-    let header = put_shard_header(object, pos, data);
-    write_slices(w, &mut [IoSlice::new(&header), IoSlice::new(data)])
-}
-
-/// Writes a [`Frame::ShardData`] reply straight from borrowed shard
-/// bytes — the brick-side counterpart of [`write_put_shard`].
-pub fn write_shard_data(w: &mut impl Write, data: &[u8]) -> Result<(), Error> {
-    check_shard_len("shard_data", data)?;
-    let header = shard_data_header(data);
-    write_slices(w, &mut [IoSlice::new(&header), IoSlice::new(data)])
-}
 
 /// A data request as [`write_batch`] sends it: a put borrows its payload
 /// from the caller, so batching never copies a shard.
@@ -566,12 +537,40 @@ pub enum DataRequest<'a> {
     },
 }
 
-/// Writes a [`Frame::Batch`] prefix and `requests` as one gathered write
-/// with one flush. Byte-for-byte identical on the wire to the prefix's
-/// and each request's [`Frame::encode`], concatenated. More than
-/// [`MAX_BATCH_LEN`] requests, or a shard over [`MAX_SHARD_LEN`], is
-/// refused before any byte is written.
+impl DataRequest<'_> {
+    /// The shard the request names: object id and position.
+    pub fn shard(&self) -> (u64, u32) {
+        match *self {
+            DataRequest::GetShard { object, pos }
+            | DataRequest::RebuildFetch { object, pos }
+            | DataRequest::PutShard { object, pos, .. }
+            | DataRequest::DeleteShard { object, pos } => (object, pos),
+        }
+    }
+
+    /// Short name for tracing and errors: its frame's [`Frame::name`].
+    pub fn name(&self) -> &'static str {
+        match self {
+            DataRequest::GetShard { .. } => "get_shard",
+            DataRequest::RebuildFetch { .. } => "rebuild_fetch",
+            DataRequest::PutShard { .. } => "put_shard",
+            DataRequest::DeleteShard { .. } => "delete_shard",
+        }
+    }
+}
+
+/// Writes `requests` as one gathered write with one flush, payloads
+/// straight from the caller's buffers. A single request goes bare; any
+/// other number behind a [`Frame::Batch`] prefix. Byte-for-byte identical
+/// on the wire to the prefix's (if any) and each request's
+/// [`Frame::encode`], concatenated. More than [`MAX_BATCH_LEN`] requests,
+/// or a shard over [`MAX_SHARD_LEN`], is refused before any byte is
+/// written.
 pub fn write_batch(w: &mut impl Write, requests: &[DataRequest<'_>]) -> Result<(), Error> {
+    if let [request] = requests {
+        let (head, len, data) = request_head(*request)?;
+        return write_slices(w, &mut [IoSlice::new(&head[..len]), IoSlice::new(data)]);
+    }
     if requests.len() > MAX_BATCH_LEN as usize {
         return Err(Error::Protocol {
             what: format!(
@@ -584,28 +583,42 @@ pub fn write_batch(w: &mut impl Write, requests: &[DataRequest<'_>]) -> Result<(
     out.head.extend_from_slice(&[5, 0, 0, 0, TAG_BATCH]);
     out.head
         .extend_from_slice(&(requests.len() as u32).to_le_bytes());
-    for request in requests {
-        let (tag, object, pos) = match *request {
-            DataRequest::PutShard { object, pos, data } => {
-                check_shard_len("put_shard", data)?;
-                out.payload(&put_shard_header(object, pos, data), data);
-                continue;
-            }
-            DataRequest::GetShard { object, pos } => (TAG_GET_SHARD, object, pos),
-            DataRequest::RebuildFetch { object, pos } => (TAG_REBUILD_FETCH, object, pos),
-            DataRequest::DeleteShard { object, pos } => (TAG_DELETE_SHARD, object, pos),
-        };
-        out.head.extend_from_slice(&[13, 0, 0, 0, tag]);
-        out.head.extend_from_slice(&object.to_le_bytes());
-        out.head.extend_from_slice(&pos.to_le_bytes());
+    for &request in requests {
+        let (head, len, data) = request_head(request)?;
+        out.payload(&head[..len], data);
     }
     out.write_to(w)
+}
+
+/// A request's frame up to its shard payload — the whole frame but for a
+/// put — as the first `len` bytes of the array, and that payload.
+fn request_head<'a>(request: DataRequest<'a>) -> Result<([u8; 21], usize, &'a [u8]), Error> {
+    let (tag, data) = match request {
+        DataRequest::GetShard { .. } => (TAG_GET_SHARD, &[][..]),
+        DataRequest::RebuildFetch { .. } => (TAG_REBUILD_FETCH, &[][..]),
+        DataRequest::DeleteShard { .. } => (TAG_DELETE_SHARD, &[][..]),
+        DataRequest::PutShard { data, .. } => {
+            check_shard_len("put_shard", data)?;
+            (TAG_PUT_SHARD, data)
+        }
+    };
+    let (object, pos) = request.shard();
+    // A put's object and position are followed by its payload's length.
+    let len = if tag == TAG_PUT_SHARD { 21 } else { 17 };
+    let mut head = [0u8; 21];
+    head[..4].copy_from_slice(&((len - 4 + data.len()) as u32).to_le_bytes());
+    head[4] = tag;
+    head[5..13].copy_from_slice(&object.to_le_bytes());
+    head[13..17].copy_from_slice(&pos.to_le_bytes());
+    head[17..21].copy_from_slice(&(data.len() as u32).to_le_bytes());
+    Ok((head, len, data))
 }
 
 /// Frames assembled for one gathered write: encoded bytes accumulate in
 /// `head`, and each shard payload is borrowed, recorded with the length
 /// of `head` it follows. [`write_batch`] builds one for a batch of
-/// requests, the brick one for a batch's replies.
+/// requests; the brick writes every reply it sends through one, a bare
+/// request's reply as a batch of one.
 #[derive(Default)]
 pub(crate) struct Gather<'a> {
     head: Vec<u8>,
@@ -630,7 +643,9 @@ impl<'a> Gather<'a> {
 
     fn payload(&mut self, header: &[u8], data: &'a [u8]) {
         self.head.extend_from_slice(header);
-        self.payloads.push((self.head.len(), data));
+        if !data.is_empty() {
+            self.payloads.push((self.head.len(), data));
+        }
     }
 
     /// Writes everything appended, in order, as one gathered write, and
@@ -646,18 +661,6 @@ impl<'a> Gather<'a> {
         slices.push(IoSlice::new(&self.head[from..]));
         write_slices(w, &mut slices)
     }
-}
-
-/// The 21 bytes of a [`Frame::PutShard`] ahead of its payload.
-fn put_shard_header(object: u64, pos: u32, data: &[u8]) -> [u8; 21] {
-    let body_len = 1 + 8 + 4 + 4 + data.len();
-    let mut header = [0u8; 21];
-    header[..4].copy_from_slice(&(body_len as u32).to_le_bytes());
-    header[4] = TAG_PUT_SHARD;
-    header[5..13].copy_from_slice(&object.to_le_bytes());
-    header[13..17].copy_from_slice(&pos.to_le_bytes());
-    header[17..21].copy_from_slice(&(data.len() as u32).to_le_bytes());
-    header
 }
 
 /// The 9 bytes of a [`Frame::ShardData`] ahead of its payload.
@@ -1117,18 +1120,71 @@ mod tests {
                 data: data.clone(),
             };
             let mut fast = Vec::new();
-            write_put_shard(&mut fast, 123, 4, &data).unwrap();
+            let put = DataRequest::PutShard {
+                object: 123,
+                pos: 4,
+                data: &data,
+            };
+            write_batch(&mut fast, &[put]).unwrap();
             assert_eq!(fast, frame.encode());
 
             let frame = Frame::ShardData { data: data.clone() };
+            let mut reply = Gather::default();
+            reply.shard_data(&data).unwrap();
             let mut fast = Vec::new();
-            write_shard_data(&mut fast, &data).unwrap();
+            reply.write_to(&mut fast).unwrap();
             assert_eq!(fast, frame.encode());
         }
 
+        let mut reply = Gather::default();
+        reply.frame(&Frame::Ok);
+        assert_eq!(reply.head, OK_BYTES);
         let mut fast = Vec::new();
-        write_ok(&mut fast).unwrap();
+        reply.write_to(&mut fast).unwrap();
         assert_eq!(fast, Frame::Ok.encode());
+    }
+
+    #[test]
+    fn a_batch_of_one_is_the_bare_request() {
+        let data: Vec<u8> = (0..40u8).collect();
+        let kinds = [
+            (
+                DataRequest::GetShard { object: 9, pos: 0 },
+                Frame::GetShard { object: 9, pos: 0 },
+            ),
+            (
+                DataRequest::RebuildFetch {
+                    object: u64::MAX,
+                    pos: 5,
+                },
+                Frame::RebuildFetch {
+                    object: u64::MAX,
+                    pos: 5,
+                },
+            ),
+            (
+                DataRequest::PutShard {
+                    object: 7,
+                    pos: u32::MAX,
+                    data: &data,
+                },
+                Frame::PutShard {
+                    object: 7,
+                    pos: u32::MAX,
+                    data: data.clone(),
+                },
+            ),
+            (
+                DataRequest::DeleteShard { object: 1, pos: 2 },
+                Frame::DeleteShard { object: 1, pos: 2 },
+            ),
+        ];
+        for (request, frame) in kinds {
+            let mut fast = Vec::new();
+            write_batch(&mut fast, &[request]).unwrap();
+            assert_eq!(fast, frame.encode(), "{}", request.name());
+            assert_eq!(frame.name(), request.name());
+        }
     }
 
     /// A batch of every data-request kind, puts of several sizes (empty
@@ -1242,9 +1298,9 @@ mod tests {
 
     #[test]
     fn specialized_writers_survive_short_writes_and_eintr() {
-        // Call 3 is inside either header (the gathered-write arm), call 12
-        // inside the payload (the plain-write arm): both must retry, as
-        // `write_all` does, not fail the frame and cost the lane.
+        // Call 3 is inside either header, call 12 inside the payload: both
+        // must retry, as `write_all` does, not fail the frame and cost the
+        // lane.
         let data: Vec<u8> = (0..40u8).collect();
         let choppy = || ChoppyWriter {
             out: Vec::new(),
@@ -1252,7 +1308,12 @@ mod tests {
             interrupt_on: [3, 12],
         };
         let mut w = choppy();
-        write_put_shard(&mut w, 123, 4, &data).unwrap();
+        let put = DataRequest::PutShard {
+            object: 123,
+            pos: 4,
+            data: &data,
+        };
+        write_batch(&mut w, &[put]).unwrap();
         let frame = Frame::PutShard {
             object: 123,
             pos: 4,
@@ -1262,12 +1323,14 @@ mod tests {
         assert!(w.calls > 12, "both interruptions were met");
 
         let mut w = choppy();
-        write_shard_data(&mut w, &data).unwrap();
+        let mut reply = Gather::default();
+        reply.shard_data(&data).unwrap();
+        reply.write_to(&mut w).unwrap();
         assert_eq!(w.out, Frame::ShardData { data: data.clone() }.encode());
         assert!(w.calls > 12);
 
-        // The batch writer's gathered write crosses eleven slices, here
-        // taken three bytes per call, with the same two interruptions.
+        // A batch's gathered write crosses five slices, here taken three
+        // bytes per call, with the same two interruptions.
         let (requests, frames) = sample_batch(&data);
         let mut w = choppy();
         write_batch(&mut w, &requests).unwrap();
@@ -1280,15 +1343,19 @@ mod tests {
         // Lazily zeroed and never written: only the length is looked at.
         let over = vec![0u8; MAX_SHARD_LEN + 1];
         let mut sink = Vec::new();
-        for refused in [
-            write_put_shard(&mut sink, 1, 0, &over),
-            write_shard_data(&mut sink, &over),
-        ] {
+        let put = DataRequest::PutShard {
+            object: 1,
+            pos: 0,
+            data: &over,
+        };
+        let mut reply = Gather::default();
+        for refused in [write_batch(&mut sink, &[put]), reply.shard_data(&over)] {
             assert!(
                 matches!(refused, Err(Error::Protocol { .. })),
                 "{refused:?}"
             );
         }
+        reply.write_to(&mut sink).unwrap();
         assert!(sink.is_empty(), "nothing reaches the wire");
         // At the cap a put fills the frame exactly.
         assert_eq!(17 + MAX_SHARD_LEN, MAX_FRAME_LEN as usize);

@@ -5,9 +5,11 @@
 //! part that was read. A shard missing in the middle of a batch is that
 //! entry's own `ShardNotFound`: the other entries are filled, the stream
 //! stays in sync and the pooled lane stays warm. A trace context sent
-//! before a batch parents the handler span of every entry.
+//! before a batch parents the handler span of every entry. A bare data
+//! request is a batch of one: its reply bytes are the ones the same
+//! request gets inside a `Batch { count: 1 }`.
 
-use std::io::{BufReader, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::Duration;
 
@@ -283,4 +285,61 @@ fn a_trace_context_before_a_batch_parents_every_entry() {
             "net.brick.delete"
         ]
     );
+}
+
+/// Reads one whole reply frame off `raw`, byte for byte.
+fn reply_bytes(raw: &mut TcpStream) -> Vec<u8> {
+    let mut frame = vec![0u8; 4];
+    raw.read_exact(&mut frame).expect("length prefix");
+    let len = u32::from_le_bytes(frame[..4].try_into().unwrap()) as usize;
+    frame.resize(4 + len, 0);
+    raw.read_exact(&mut frame[4..]).expect("frame body");
+    frame
+}
+
+#[test]
+fn a_bare_request_gets_the_reply_bytes_of_a_batch_of_one() {
+    let brick = Brick::start();
+    let mut raw = TcpStream::connect(brick.addr).expect("connect");
+    raw.set_read_timeout(Some(TIMEOUT)).expect("timeout");
+    let data = vec![0x3c; 300];
+    let stored = Frame::ShardData { data: data.clone() };
+    let missing = |object| Frame::ErrorReply {
+        code: reply_code::SHARD_NOT_FOUND,
+        detail: format!("obj{object} pos0"),
+    };
+    // Each kind in turn — a missing shard's fetch included — bare, then
+    // the same request as a batch of one, on one connection.
+    let cases = [
+        (
+            Frame::PutShard {
+                object: 8,
+                pos: 0,
+                data: data.clone(),
+            },
+            Frame::Ok,
+        ),
+        (Frame::GetShard { object: 8, pos: 0 }, stored.clone()),
+        (Frame::RebuildFetch { object: 8, pos: 0 }, stored),
+        (Frame::GetShard { object: 9, pos: 0 }, missing(9)),
+        (Frame::DeleteShard { object: 8, pos: 0 }, Frame::Ok),
+        (Frame::RebuildFetch { object: 8, pos: 0 }, missing(8)),
+    ];
+    for (request, reply) in cases {
+        raw.write_all(&request.encode()).expect("bare");
+        let bare = reply_bytes(&mut raw);
+        let mut batch = Frame::Batch { count: 1 }.encode();
+        batch.extend_from_slice(&request.encode());
+        raw.write_all(&batch).expect("batch of one");
+        assert_eq!(reply_bytes(&mut raw), bare, "{}", request.name());
+        assert_eq!(bare, reply.encode(), "{}", request.name());
+    }
+    // Nothing else was sent back, and the connection is still served.
+    raw.write_all(&Frame::Heartbeat { seq: 5 }.encode())
+        .expect("heartbeat");
+    let mut replies = BufReader::new(raw);
+    assert!(matches!(
+        read_frame(&mut replies),
+        Ok(Some(Frame::HeartbeatAck { seq: 5, .. }))
+    ));
 }

@@ -4,7 +4,8 @@
 //! seeded random mutations — truncations, extensions, garbage tags,
 //! corrupted length prefixes, pure noise — decoding either returns the
 //! encoded value or a typed [`Error::Decode`]. Never a panic, never a
-//! silently wrong frame on an untouched encoding.
+//! silently wrong frame on an untouched encoding. Every data request
+//! drawn, written by `write_batch` as a batch of one, is its bare frame.
 //!
 //! The second half holds the in-place shard reader to the frame reader,
 //! differentially: over the same bytes, delivered in the same dribbles,
@@ -16,7 +17,8 @@
 use std::io::{BufReader, Read};
 
 use nsr_net::wire::{
-    read_frame, read_frame_reusing, read_shard_into, Frame, ShardReply, MAX_FRAME_LEN,
+    read_frame, read_frame_reusing, read_shard_into, write_batch, DataRequest, Frame, ShardReply,
+    MAX_FRAME_LEN,
 };
 use nsr_net::Error;
 use nsr_rng::rngs::StdRng;
@@ -109,6 +111,42 @@ fn untouched_encodings_always_round_trip() {
             .expect("clean encoding is a frame");
         assert_eq!(decoded, frame);
     }
+}
+
+/// The data request `frame` is, borrowing its payload, or `None` for any
+/// other kind of frame.
+fn data_request(frame: &Frame) -> Option<DataRequest<'_>> {
+    Some(match *frame {
+        Frame::GetShard { object, pos } => DataRequest::GetShard { object, pos },
+        Frame::RebuildFetch { object, pos } => DataRequest::RebuildFetch { object, pos },
+        Frame::DeleteShard { object, pos } => DataRequest::DeleteShard { object, pos },
+        Frame::PutShard {
+            object,
+            pos,
+            ref data,
+        } => DataRequest::PutShard { object, pos, data },
+        _ => return None,
+    })
+}
+
+#[test]
+fn a_batch_of_one_writes_the_bare_frame() {
+    // Every data request the generator draws, written as a batch of one,
+    // is its own frame's encoding with no prefix, and decodes back.
+    let mut rng = StdRng::seed_from_u64(0x5eed_0007);
+    let mut kinds = std::collections::BTreeSet::new();
+    for _ in 0..2_000 {
+        let frame = random_frame(&mut rng);
+        let Some(request) = data_request(&frame) else {
+            continue;
+        };
+        let mut bytes = Vec::new();
+        write_batch(&mut bytes, &[request]).expect("a shard under the cap");
+        assert_eq!(bytes, frame.encode(), "{}", frame.name());
+        assert_eq!(decode_bytes(&bytes), Ok(Some(frame.clone())));
+        kinds.insert(frame.name());
+    }
+    assert_eq!(kinds.len(), 4, "every data-request kind drawn: {kinds:?}");
 }
 
 #[test]
