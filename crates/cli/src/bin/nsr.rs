@@ -2,12 +2,12 @@
 //! parses `std::env::args`, dispatches, and sets the exit code.
 
 use nsr_cli::args::ParsedArgs;
-use nsr_cli::commands::{dispatch, USAGE};
+use nsr_cli::commands::{dispatch, usage};
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.is_empty() {
-        print!("{USAGE}");
+        print!("{}", usage());
         return;
     }
     match ParsedArgs::parse(argv).and_then(|args| dispatch(&args)) {

@@ -9,9 +9,10 @@
 
 use std::fmt::Write as _;
 
+use nsr_core::config::Configuration;
 use nsr_markov::{AbsorbingAnalysis, BatchSolver};
 
-use crate::args::{config_name, params_from, parse_config, ParsedArgs};
+use crate::args::{params_from, ParsedArgs};
 use crate::{CliError, Result};
 
 /// Implements `nsr explain <config>` (the configuration may also be
@@ -28,12 +29,12 @@ pub fn explain(args: &ParsedArgs) -> Result<String> {
             CliError("explain needs a configuration: `nsr explain ft2-ir5`".into())
         })?,
     };
-    let config = parse_config(&name)?;
+    let config: Configuration = name.parse().map_err(CliError)?;
     let params = params_from(args)?;
     let t = config.node_fault_tolerance();
 
     let mut span = nsr_obs::trace::Span::enter("cli.explain");
-    span.field("config", || nsr_obs::Json::Str(config_name(config)));
+    span.field("config", || nsr_obs::Json::Str(config.code()));
 
     let eval = config.evaluate(&params)?;
     let (ctmc, root) = config.exact_chain(&params)?;
@@ -76,11 +77,7 @@ pub fn explain(args: &ParsedArgs) -> Result<String> {
     span.field("delta_pct", || nsr_obs::Json::Num(delta_pct));
 
     let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "decision record for {config} ({})",
-        config_name(config)
-    );
+    let _ = writeln!(out, "decision record for {config} ({})", config.code());
     let _ = writeln!(out, "\nexact chain:");
     let _ = writeln!(
         out,

@@ -54,6 +54,12 @@ impl Configuration {
         self.node_ft
     }
 
+    /// The configuration's code, `ft<t>-` and the level's
+    /// [`InternalRaid::code`]: `ft2-ir5`, `ft3-nir`.
+    pub fn code(&self) -> String {
+        format!("ft{}-{}", self.node_ft, self.internal.code())
+    }
+
     /// Usable fraction of raw capacity before the spare pool: the
     /// cross-node code's `(R−t)/R` times the internal RAID's `(d−f)/d`.
     pub(crate) fn code_and_raid_share(&self, set_size: u32, drives: u32) -> f64 {
@@ -705,6 +711,24 @@ impl std::fmt::Display for Configuration {
     }
 }
 
+/// Parses a [`Configuration::code`], in any case and with the levels'
+/// long aliases (`ft2-raid5`).
+impl std::str::FromStr for Configuration {
+    type Err = String;
+
+    fn from_str(name: &str) -> std::result::Result<Configuration, String> {
+        let lower = name.to_ascii_lowercase();
+        let (ft, internal) = lower
+            .split_once('-')
+            .ok_or_else(|| format!("bad config '{name}'; expected e.g. ft2-ir5"))?;
+        let node_ft = ft
+            .strip_prefix("ft")
+            .and_then(|t| t.parse().ok())
+            .ok_or_else(|| format!("bad fault tolerance in '{name}'"))?;
+        Configuration::new(internal.parse()?, node_ft).map_err(|e| e.to_string())
+    }
+}
+
 /// The result of evaluating one configuration at one parameter point.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Evaluation {
@@ -733,6 +757,26 @@ mod tests {
         assert_eq!(unique.len(), 9);
         for c in &all {
             assert!(c.node_fault_tolerance() >= 1 && c.node_fault_tolerance() <= 3);
+        }
+    }
+
+    #[test]
+    fn codes_round_trip_and_bad_names_say_why() {
+        for c in Configuration::all_nine() {
+            assert_eq!(c.code().parse(), Ok(c));
+        }
+        assert_eq!(Configuration::all_nine()[4].code(), "ft2-ir5");
+        assert_eq!("FT2-raid5".parse(), "ft2-ir5".parse::<Configuration>());
+        for (name, why) in [
+            ("ft2", "bad config 'ft2'; expected e.g. ft2-ir5"),
+            ("ftx-ir5", "bad fault tolerance in 'ftx-ir5'"),
+            ("ft2-zfs", "unknown internal RAID 'zfs'"),
+            (
+                "ft0-nir",
+                "infeasible configuration: node fault tolerance must be at least 1",
+            ),
+        ] {
+            assert_eq!(name.parse::<Configuration>(), Err(why.to_string()));
         }
     }
 

@@ -245,14 +245,11 @@ impl GridPoint {
         p
     }
 
-    /// The CLI-style configuration code, e.g. `ft2-ir5`.
+    /// The configuration code, e.g. `ft2-ir5`. Formatted from the
+    /// fields, not through [`Configuration::code`]: a grid point may
+    /// carry `t = 0`, which [`Configuration`] refuses.
     pub fn config_code(&self) -> String {
-        let ir = match self.internal {
-            InternalRaid::None => "nir",
-            InternalRaid::Raid5 => "ir5",
-            InternalRaid::Raid6 => "ir6",
-        };
-        format!("ft{}-{ir}", self.node_ft)
+        format!("ft{}-{}", self.node_ft, self.internal.code())
     }
 }
 
@@ -870,17 +867,12 @@ pub fn frontier_csv(report: &PlanReport) -> String {
     );
     for f in &report.frontier {
         let p = f.point.point;
-        let ir = match p.internal {
-            InternalRaid::None => "nir",
-            InternalRaid::Raid5 => "ir5",
-            InternalRaid::Raid6 => "ir6",
-        };
         out.push_str(&format!(
             "{},{},{},{},{},{},{},{},{},{}\n",
             p.nodes,
             p.data_shards,
             p.node_ft,
-            ir,
+            p.internal.code(),
             p.spare_frac,
             p.rebuild_bw,
             f.point.cost_overhead,

@@ -48,6 +48,31 @@ impl InternalRaid {
     pub fn all() -> [InternalRaid; 3] {
         [InternalRaid::None, InternalRaid::Raid5, InternalRaid::Raid6]
     }
+
+    /// The level's code in configuration names: `nir`, `ir5` or `ir6`
+    /// (the `ir5` of `ft2-ir5`).
+    pub fn code(self) -> &'static str {
+        match self {
+            InternalRaid::None => "nir",
+            InternalRaid::Raid5 => "ir5",
+            InternalRaid::Raid6 => "ir6",
+        }
+    }
+}
+
+/// Parses a level's [`code`](InternalRaid::code) or its long alias
+/// (`none`, `raid5`, `raid6`), in any case.
+impl std::str::FromStr for InternalRaid {
+    type Err = String;
+
+    fn from_str(s: &str) -> std::result::Result<InternalRaid, String> {
+        match s.to_ascii_lowercase().as_str() {
+            "nir" | "none" => Ok(InternalRaid::None),
+            "ir5" | "raid5" => Ok(InternalRaid::Raid5),
+            "ir6" | "raid6" => Ok(InternalRaid::Raid6),
+            _ => Err(format!("unknown internal RAID '{s}'")),
+        }
+    }
 }
 
 impl std::fmt::Display for InternalRaid {
@@ -323,6 +348,23 @@ mod tests {
     const LAM: PerHour = PerHour(1.0 / 300_000.0);
     const MU: PerHour = PerHour(1.0 / 34.0);
     const C_HER: f64 = 0.024;
+
+    #[test]
+    fn codes_and_aliases_parse_in_any_case() {
+        for (ir, alias) in InternalRaid::all()
+            .into_iter()
+            .zip(["none", "raid5", "raid6"])
+        {
+            assert_eq!(ir.code().parse(), Ok(ir));
+            assert_eq!(ir.code().to_uppercase().parse(), Ok(ir));
+            assert_eq!(alias.parse(), Ok(ir));
+            assert_eq!(alias.to_uppercase().parse(), Ok(ir));
+        }
+        assert_eq!(
+            "zfs".parse::<InternalRaid>(),
+            Err("unknown internal RAID 'zfs'".to_string())
+        );
+    }
 
     fn raid5() -> ArrayModel {
         ArrayModel::new(InternalRaid::Raid5, 12, LAM, MU, C_HER).unwrap()
