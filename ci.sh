@@ -23,6 +23,16 @@ if ./target/release/nsr eval --config ft2-ir5 --nodez 32 > /dev/null 2>&1; then
     echo "ERROR: nsr eval accepted the misspelled option --nodez" >&2
     exit 1
 fi
+# The command table also says which commands take positionals (only
+# bench and explain), and the usage text is rendered from it: bare `nsr`
+# prints exactly what `nsr help` prints.
+if ./target/release/nsr eval ft2-ir5 > /dev/null 2>&1; then
+    echo "ERROR: nsr eval accepted a positional argument" >&2
+    exit 1
+fi
+./target/release/nsr > "$SMOKE_DIR/usage-bare.txt"
+./target/release/nsr help > "$SMOKE_DIR/usage-help.txt"
+diff "$SMOKE_DIR/usage-bare.txt" "$SMOKE_DIR/usage-help.txt"
 
 echo "==> recorded results (nsr figures vs results/)"
 # results/ is the output of `nsr figures` at default flags, and every
