@@ -32,7 +32,6 @@
 
 use std::fmt;
 
-use crate::json::Json;
 use crate::timing::{Measurement, Timing};
 
 use nsr_core::config::{CachedEvaluator, Configuration};
@@ -46,6 +45,7 @@ use nsr_erasure::matrix::GfMatrix;
 use nsr_erasure::placement::Placement;
 use nsr_erasure::rs::ReedSolomon;
 use nsr_markov::AbsorbingAnalysis;
+use nsr_obs::Json;
 use nsr_rng::rngs::StdRng;
 use nsr_rng::SeedableRng;
 use nsr_sim::fleet::FleetSim;
@@ -1009,16 +1009,6 @@ pub fn obs_suite(mode: Mode) -> Result<Suite, String> {
     results.push(t.measure("disabled/event", 0, || {
         nsr_obs::trace::event("bench.obs.event", || vec![("value", ObsJson::Num(1.0))])
     }));
-    results.push(t.measure("disabled/event_inline4", 0, || {
-        nsr_obs::trace::event("bench.obs.event", || {
-            [
-                ("a", ObsJson::Num(1.0)),
-                ("b", ObsJson::Num(2.0)),
-                ("c", ObsJson::Num(3.0)),
-                ("d", ObsJson::Num(4.0)),
-            ]
-        })
-    }));
     results.push(t.measure("disabled/span_enter_drop", 0, || {
         Span::enter("bench.obs.span")
     }));
@@ -1031,18 +1021,6 @@ pub fn obs_suite(mode: Mode) -> Result<Suite, String> {
     nsr_obs::set_trace_enabled(true);
     results.push(t.measure("enabled/event", 0, || {
         nsr_obs::trace::event("bench.obs.event", || vec![("value", ObsJson::Num(1.0))])
-    }));
-    // The ≤4-field inline-array fast path: the field list stays on the
-    // stack, so the only per-event heap work is the record itself.
-    results.push(t.measure("enabled/event_inline4", 0, || {
-        nsr_obs::trace::event("bench.obs.event", || {
-            [
-                ("a", ObsJson::Num(1.0)),
-                ("b", ObsJson::Num(2.0)),
-                ("c", ObsJson::Num(3.0)),
-                ("d", ObsJson::Num(4.0)),
-            ]
-        })
     }));
     // The full v2 span path: id allocation, span-stack push/pop, and the
     // record append on drop.
@@ -1189,12 +1167,10 @@ mod tests {
             "disabled/counter_add",
             "disabled/histogram_observe",
             "disabled/event",
-            "disabled/event_inline4",
             "disabled/span_enter_drop",
             "enabled/counter_add",
             "enabled/histogram_observe",
             "enabled/event",
-            "enabled/event_inline4",
         ] {
             assert!(names.contains(&expected), "missing {expected} in {names:?}");
         }

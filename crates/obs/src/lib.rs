@@ -54,9 +54,8 @@ pub use metrics::{
 };
 pub use trace::{
     adopt_parent, canonical_cluster_jsonl, canonical_jsonl, current_context, current_parent,
-    no_fields, process_id_for, set_trace_capacity, set_trace_enabled, set_trace_lane,
-    set_trace_process, trace_delta, trace_enabled, trace_jsonl, trace_process, write_trace, Fields,
-    Span, SpanContext,
+    process_id_for, set_trace_capacity, set_trace_enabled, set_trace_lane, set_trace_process,
+    trace_delta, trace_enabled, trace_jsonl, trace_process, write_trace, Span, SpanContext,
 };
 
 /// The schema identifier stamped on metric snapshots and `meta` records.

@@ -365,112 +365,15 @@ fn v2_base(
     pairs
 }
 
-/// An event's field list, as accepted by [`event`]. Arrays of up to
-/// four fields convert without touching the heap (the enabled-path fast
-/// path: most events carry 1–3 fields); a `Vec` converts by moving, for
-/// call sites whose field count is dynamic.
-pub struct Fields {
-    inline: [(&'static str, Json); 4],
-    len: usize,
-    spill: Option<Vec<(&'static str, Json)>>,
-}
-
-impl Fields {
-    fn into_obj(self) -> Json {
-        match self.spill {
-            Some(v) => Json::obj(v),
-            None => Json::obj(self.inline.into_iter().take(self.len)),
-        }
-    }
-}
-
-const NO_FIELD: (&str, Json) = ("", Json::Null);
-
-impl From<[(&'static str, Json); 0]> for Fields {
-    fn from(_: [(&'static str, Json); 0]) -> Fields {
-        Fields {
-            inline: [NO_FIELD; 4],
-            len: 0,
-            spill: None,
-        }
-    }
-}
-
-impl From<[(&'static str, Json); 1]> for Fields {
-    fn from(a: [(&'static str, Json); 1]) -> Fields {
-        let [f0] = a;
-        Fields {
-            inline: [f0, NO_FIELD, NO_FIELD, NO_FIELD],
-            len: 1,
-            spill: None,
-        }
-    }
-}
-
-impl From<[(&'static str, Json); 2]> for Fields {
-    fn from(a: [(&'static str, Json); 2]) -> Fields {
-        let [f0, f1] = a;
-        Fields {
-            inline: [f0, f1, NO_FIELD, NO_FIELD],
-            len: 2,
-            spill: None,
-        }
-    }
-}
-
-impl From<[(&'static str, Json); 3]> for Fields {
-    fn from(a: [(&'static str, Json); 3]) -> Fields {
-        let [f0, f1, f2] = a;
-        Fields {
-            inline: [f0, f1, f2, NO_FIELD],
-            len: 3,
-            spill: None,
-        }
-    }
-}
-
-impl From<[(&'static str, Json); 4]> for Fields {
-    fn from(a: [(&'static str, Json); 4]) -> Fields {
-        Fields {
-            inline: a,
-            len: 4,
-            spill: None,
-        }
-    }
-}
-
-impl From<Vec<(&'static str, Json)>> for Fields {
-    fn from(v: Vec<(&'static str, Json)>) -> Fields {
-        Fields {
-            inline: [NO_FIELD; 4],
-            len: 0,
-            spill: Some(v),
-        }
-    }
-}
-
-/// An empty field list, allocation-free — pass as `event(name,
-/// no_fields)` (a bare `Vec::new` no longer infers now that [`event`]
-/// is generic over its field container).
-pub fn no_fields() -> Fields {
-    Fields {
-        inline: [NO_FIELD; 4],
-        len: 0,
-        spill: None,
-    }
-}
-
 /// Records a point-in-time event. `fields` is only invoked (and only
-/// allocates) when tracing is enabled, and may return either a `Vec` or
-/// an inline array of up to four pairs — the array form skips the
-/// per-event heap allocation on the enabled path. The event inherits
-/// the innermost open [`Span`] on this thread as `parent_id`.
-pub fn event<F: Into<Fields>>(name: &'static str, fields: impl FnOnce() -> F) {
+/// allocates) when tracing is enabled. The event inherits the innermost
+/// open [`Span`] on this thread as `parent_id`.
+pub fn event(name: &'static str, fields: impl FnOnce() -> Vec<(&'static str, Json)>) {
     if !trace_enabled() {
         return;
     }
     let at_s = now_s();
-    let fields = fields().into().into_obj();
+    let fields = Json::obj(fields());
     push_record(at_s, |lane, seq, parent| {
         let mut pairs = v2_base("event", name, at_s, lane, seq);
         if let Some(p) = parent {
@@ -1001,7 +904,7 @@ mod tests {
         drain();
         {
             let _outer = Span::enter("test.outer");
-            event("test.inner.event", no_fields);
+            event("test.inner.event", Vec::new);
             let _inner = Span::enter("test.inner");
         }
         set_trace_enabled(false);
@@ -1032,10 +935,10 @@ mod tests {
         let _g = test_guard();
         set_trace_enabled(true);
         drain();
-        event("test.tick", no_fields);
+        event("test.tick", Vec::new);
         std::thread::sleep(std::time::Duration::from_millis(2));
-        event("test.tick", no_fields);
-        event("test.tick", no_fields);
+        event("test.tick", Vec::new);
+        event("test.tick", Vec::new);
         set_trace_enabled(false);
         let (records, _) = drain();
         let stamps: Vec<f64> = records
@@ -1056,7 +959,7 @@ mod tests {
         drain();
         set_trace_capacity(4);
         for _ in 0..9 {
-            event("test.cap", no_fields);
+            event("test.cap", Vec::new);
         }
         set_trace_enabled(false);
         let text = trace_jsonl("cap-test");
@@ -1066,7 +969,7 @@ mod tests {
         assert_eq!(text.lines().count(), 5, "meta + 4 kept records: {text}");
         // The drain reset the budget: recording works again.
         set_trace_enabled(true);
-        event("test.cap", no_fields);
+        event("test.cap", Vec::new);
         set_trace_enabled(false);
         let (records, dropped) = drain();
         assert_eq!((records.len(), dropped), (1, 0));
@@ -1125,7 +1028,7 @@ mod tests {
             {
                 let mut outer = Span::enter("test.canon.outer");
                 outer.field("k", || Json::Num(7.0));
-                event("test.canon.tick", no_fields);
+                event("test.canon.tick", Vec::new);
             }
             set_trace_enabled(false);
             let text = trace_jsonl("canon");
@@ -1155,7 +1058,7 @@ mod tests {
                 });
                 let work = || {
                     let _s = Span::enter("test.adopt.work");
-                    event("test.adopt.tick", no_fields);
+                    event("test.adopt.tick", Vec::new);
                 };
                 if threaded {
                     let parent = current_parent();
@@ -1190,27 +1093,6 @@ mod tests {
     }
 
     #[test]
-    fn inline_array_events_record_their_fields() {
-        let _g = test_guard();
-        set_trace_enabled(true);
-        drain();
-        event("test.inline", || {
-            [("a", Json::Num(1.0)), ("b", Json::Str("x".into()))]
-        });
-        event("test.inline.empty", || -> [(&'static str, Json); 0] { [] });
-        set_trace_enabled(false);
-        let (records, dropped) = drain();
-        assert_eq!((records.len(), dropped), (2, 0));
-        let f = records[0].get("fields").unwrap();
-        assert_eq!(f.get("a").and_then(Json::as_f64), Some(1.0));
-        assert_eq!(f.get("b").and_then(Json::as_str), Some("x"));
-        assert_eq!(
-            records[1].get("fields").map(|f| f.render_compact()),
-            Some("{}".to_string())
-        );
-    }
-
-    #[test]
     fn trace_delta_cursors_never_replay_and_resume() {
         let _g = test_guard();
         set_trace_enabled(true);
@@ -1220,7 +1102,7 @@ mod tests {
         let (c0, none) = trace_delta(u64::MAX, 100);
         assert!(none.is_empty());
         for i in 0..5 {
-            event("test.delta", move || [("i", Json::Num(f64::from(i)))]);
+            event("test.delta", move || vec![("i", Json::Num(f64::from(i)))]);
         }
         let (c1, lines1) = trace_delta(c0, 3);
         assert_eq!((c1 - c0, lines1.len()), (3, 3));
@@ -1230,7 +1112,7 @@ mod tests {
         let (c3, lines3) = trace_delta(c2, 100);
         assert_eq!((c3, lines3.len()), (c2, 0));
         // More records extend the window from the same cursor.
-        event("test.delta.more", no_fields);
+        event("test.delta.more", Vec::new);
         let (c4, lines4) = trace_delta(c3, 100);
         assert_eq!((c4 - c0, lines4.len()), (6, 1));
         assert!(lines4[0].contains("test.delta.more"));
@@ -1260,7 +1142,7 @@ mod tests {
         set_trace_process("brick-0");
         {
             let _h = Span::enter_remote("net.brick.put", ctx);
-            event("net.brick.commit", || []);
+            event("net.brick.commit", Vec::new);
         }
         set_trace_enabled(false);
         let brick_part = trace_jsonl("brick-0");
