@@ -7,7 +7,8 @@
 //! one report are listed separately and never fail the comparison (suite
 //! membership evolves — renames should be visible, not fatal).
 
-use crate::json::Json;
+use nsr_obs::Json;
+
 use crate::suites;
 
 /// One case present in both reports.

@@ -8,7 +8,6 @@
 #![forbid(unsafe_code)]
 
 pub mod compare;
-pub mod json;
 pub mod suites;
 pub mod timing;
 
@@ -50,7 +49,7 @@ pub fn write_report(suite: &suites::Suite, path: &Path) -> Result<(), String> {
     std::fs::write(path, &text).map_err(|e| format!("writing {}: {e}", path.display()))?;
     let back =
         std::fs::read_to_string(path).map_err(|e| format!("re-reading {}: {e}", path.display()))?;
-    let doc = json::Json::parse(&back).map_err(|e| format!("{}: {e}", path.display()))?;
+    let doc = nsr_obs::Json::parse(&back).map_err(|e| format!("{}: {e}", path.display()))?;
     suites::validate_report(&doc).map_err(|e| format!("{}: {e}", path.display()))?;
     Ok(())
 }

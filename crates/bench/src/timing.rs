@@ -13,7 +13,7 @@
 //!   use in the figure binaries.
 //! * [`Timing::measure`] — returns a [`Measurement`] that the suite layer
 //!   ([`crate::suites`]) collects into the machine-readable
-//!   `BENCH_*.json` reports (see [`crate::json`]).
+//!   `BENCH_*.json` reports (rendered as [`nsr_obs::Json`]).
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};

@@ -11,9 +11,8 @@
 //! (`😀` decodes to `😀`); *lone* surrogates remain a parse
 //! error because they are not Unicode scalar values.
 //!
-//! This module used to live in `nsr-bench`; it moved here so every crate
-//! can emit structured records without `nsr-bench`'s heavier dependency
-//! closure. `nsr_bench::json` re-exports it for compatibility.
+//! It lives here rather than in `nsr-bench` so every crate can emit
+//! structured records without `nsr-bench`'s heavier dependency closure.
 
 use std::collections::BTreeMap;
 use std::fmt;
