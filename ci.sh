@@ -34,6 +34,27 @@ fi
 ./target/release/nsr help > "$SMOKE_DIR/usage-help.txt"
 diff "$SMOKE_DIR/usage-bare.txt" "$SMOKE_DIR/usage-help.txt"
 
+echo "==> one in-process cluster (loopback bricks behind a gateway)"
+# Every test, command and bench suite that runs bricks behind a gateway
+# in one process starts them through nsr_net::local::LocalCluster. This
+# list is the one place that names where else a brick server may be
+# bound: the harness itself, the `nsr brick` command (the address the
+# user gives it), and the tests that need a brick or a ConnectionPool
+# without a gateway. The repo benchmark's benchmark/src/cluster.rs keeps
+# its own bricks until the next benchmark change (ROADMAP item 2).
+# Whole files are matched (-z), so a call wrapped across lines or given
+# its address in a constant is caught too.
+BARE_BRICKS="$(grep -rlzP --include='*.rs' 'BrickServer::bind\s*\(' \
+    crates tests examples benchmark/src \
+    | grep -vxF -e crates/net/src/local.rs -e crates/cli/src/net_cmds.rs \
+        -e crates/net/src/brick.rs -e crates/net/src/pool.rs \
+        -e crates/net/tests/batch_frames.rs -e crates/net/tests/bare_trace.rs \
+        -e crates/net/tests/pool_lanes.rs -e benchmark/src/cluster.rs || true)"
+if [ -n "$BARE_BRICKS" ]; then
+    echo "ERROR: brick servers bound outside nsr_net::local:" $BARE_BRICKS >&2
+    exit 1
+fi
+
 echo "==> recorded results (nsr figures vs results/)"
 # results/ is the output of `nsr figures` at default flags, and every
 # record in it is deterministic (fixed seeds), so the regenerated

@@ -666,12 +666,10 @@ pub fn sim_suite(mode: Mode) -> Result<Suite, String> {
 /// geometry (`gateway.put_p50_us`, `gateway.get_p50_us`,
 /// `degraded.get_p50_us`, `rebuild.mib_per_s`), not here.
 pub fn net_suite(mode: Mode) -> Result<Suite, String> {
-    use std::time::{Duration, Instant};
+    use std::time::Duration;
 
-    use nsr_net::brick::{BrickConfig, BrickServer};
     use nsr_net::client::BrickClient;
-    use nsr_net::detector::{DetectorConfig, Health};
-    use nsr_net::gateway::{Gateway, GatewayConfig, RetryPolicy};
+    use nsr_net::local::{loopback_config, LocalCluster, Pace};
     use nsr_net::wire::Frame;
 
     let t = mode.timing();
@@ -702,33 +700,11 @@ pub fn net_suite(mode: Mode) -> Result<Suite, String> {
     ));
 
     // Live loopback cluster: 4 brick threads, 2 data + 1 parity.
-    let mut addrs = Vec::new();
-    let mut handles = Vec::new();
-    for id in 0..4u32 {
-        let (addr, handle) = BrickServer::bind("127.0.0.1:0", BrickConfig::new(id))
-            .map_err(err("bind brick"))?
-            .spawn();
-        addrs.push(addr);
-        handles.push(Some(handle));
-    }
-    let mut cfg = GatewayConfig::new(2, 1);
-    cfg.timeout = Duration::from_millis(250);
-    cfg.retry = RetryPolicy {
-        max_attempts: 4,
-        base_delay: Duration::from_millis(2),
-        max_delay: Duration::from_millis(20),
-    };
-    cfg.detector = DetectorConfig {
-        suspect_phi: 1.0,
-        dead_phi: 3.0,
-        initial_interval_s: 0.02,
-        interval_alpha: 0.2,
-    };
-    let gw = Gateway::connect(addrs.clone(), cfg).map_err(err("gateway"))?;
+    let mut cluster =
+        LocalCluster::start(4, loopback_config(2, 1), Pace::Wall).map_err(err("cluster"))?;
     // Heartbeat history at a steady ~20 ms cadence, like the campaign.
     for _ in 0..8 {
-        gw.pump_heartbeats();
-        std::thread::sleep(Duration::from_millis(20));
+        cluster.pump();
     }
 
     let data: Vec<u8> = (0..obj_bytes).map(|i| (i * 13 + 5) as u8).collect();
@@ -737,7 +713,7 @@ pub fn net_suite(mode: Mode) -> Result<Suite, String> {
     // reply serializes the metrics registry plus the trace delta at the
     // caller's cursor, so this prices a whole collector poll.
     {
-        let mut sc = BrickClient::connect(addrs[0], Duration::from_millis(250))
+        let mut sc = BrickClient::connect(cluster.addrs()[0], Duration::from_millis(250))
             .map_err(err("connect for scrape"))?;
         results.push(t.measure("scrape/round_trip", 0, || sc.scrape(0, 64).expect("scrape")));
     }
@@ -751,7 +727,7 @@ pub fn net_suite(mode: Mode) -> Result<Suite, String> {
     results.push(t.measure(
         &format!("put/healthy_traced_{label}"),
         obj_bytes as u64,
-        || gw.put(0, &data).expect("traced put"),
+        || cluster.gw.put(0, &data).expect("traced put"),
     ));
     let _ = nsr_obs::trace::drain();
     nsr_obs::set_trace_enabled(was_trace);
@@ -770,46 +746,10 @@ pub fn net_suite(mode: Mode) -> Result<Suite, String> {
     };
     let mut latencies_s: Vec<f64> = Vec::new();
     for _ in 0..cycles {
-        let mut c = BrickClient::connect(addrs[3], Duration::from_millis(250))
-            .map_err(err("connect for kill"))?;
-        c.shutdown().map_err(err("shutdown"))?;
-        if let Some(h) = handles[3].take() {
-            let _ = h.join();
-        }
-        let killed_at = Instant::now();
-        let mut dead = false;
-        for _ in 0..500 {
-            dead = gw
-                .pump_heartbeats()
-                .iter()
-                .any(|tr| tr.brick == 3 && tr.to == Health::Dead);
-            if dead {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        if !dead {
-            return Err("brick 3 never declared dead".to_string());
-        }
-        latencies_s.push(killed_at.elapsed().as_secs_f64());
+        let took = cluster.kill(3).map_err(err("kill brick 3"))?;
+        latencies_s.push(took.as_secs_f64());
         // Restart empty on a fresh port and wait for re-adoption.
-        let (addr, handle) = BrickServer::bind("127.0.0.1:0", BrickConfig::new(3))
-            .map_err(err("rebind brick"))?
-            .spawn();
-        addrs[3] = addr;
-        handles[3] = Some(handle);
-        gw.set_brick_addr(3, addr);
-        for _ in 0..500 {
-            gw.pump_heartbeats();
-            gw.adopt_rejoined();
-            if gw.health_summary()[3].1 == Health::Healthy {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        if gw.health_summary()[3].1 != Health::Healthy {
-            return Err("brick 3 not re-adopted".to_string());
-        }
+        cluster.rejoin(3).map_err(err("rejoin brick 3"))?;
     }
     latencies_s.sort_by(f64::total_cmp);
     let pct = |q: f64| latencies_s[((latencies_s.len() - 1) as f64 * q).round() as usize];
@@ -825,16 +765,7 @@ pub fn net_suite(mode: Mode) -> Result<Suite, String> {
         });
     }
 
-    // Orderly teardown of the surviving brick threads.
-    for (id, slot) in handles.iter_mut().enumerate() {
-        if let Some(h) = slot.take() {
-            if let Ok(mut c) = BrickClient::connect(addrs[id], Duration::from_millis(250)) {
-                let _ = c.shutdown();
-            }
-            let _ = h.join();
-        }
-    }
-
+    cluster.shutdown().map_err(err("shutdown"))?;
     Ok(Suite {
         suite: "net",
         mode,
@@ -851,12 +782,7 @@ pub fn net_suite(mode: Mode) -> Result<Suite, String> {
 /// iterated medians: a cluster state cannot be replayed without
 /// re-killing a brick.
 pub fn serving_suite(mode: Mode) -> Result<Suite, String> {
-    use std::time::Duration;
-
-    use nsr_net::brick::{BrickConfig, BrickServer};
-    use nsr_net::client::BrickClient;
-    use nsr_net::detector::{DetectorConfig, Health};
-    use nsr_net::gateway::{Gateway, GatewayConfig, RetryPolicy};
+    use nsr_net::local::{loopback_config, LocalCluster, Pace};
     use nsr_net::workload::{populate, run_phase, KeyDist, PhaseStats, WorkloadSpec};
 
     let (obj_bytes, ops, label) = match mode {
@@ -872,34 +798,12 @@ pub fn serving_suite(mode: Mode) -> Result<Suite, String> {
         seed: 42,
     };
 
-    let mut addrs = Vec::new();
-    let mut handles = Vec::new();
-    for id in 0..4u32 {
-        let (addr, handle) = BrickServer::bind("127.0.0.1:0", BrickConfig::new(id))
-            .map_err(err("bind brick"))?
-            .spawn();
-        addrs.push(addr);
-        handles.push(Some(handle));
-    }
-    let mut cfg = GatewayConfig::new(2, 1);
-    cfg.timeout = Duration::from_millis(250);
-    cfg.retry = RetryPolicy {
-        max_attempts: 4,
-        base_delay: Duration::from_millis(2),
-        max_delay: Duration::from_millis(20),
-    };
-    cfg.detector = DetectorConfig {
-        suspect_phi: 1.0,
-        dead_phi: 3.0,
-        initial_interval_s: 0.02,
-        interval_alpha: 0.2,
-    };
-    let gw = Gateway::connect(addrs.clone(), cfg).map_err(err("gateway"))?;
+    let mut cluster =
+        LocalCluster::start(4, loopback_config(2, 1), Pace::Wall).map_err(err("cluster"))?;
     for _ in 0..8 {
-        gw.pump_heartbeats();
-        std::thread::sleep(Duration::from_millis(20));
+        cluster.pump();
     }
-    populate(&gw, &spec).map_err(err("populate"))?;
+    populate(&cluster.gw, &spec).map_err(err("populate"))?;
 
     let mut results = Vec::new();
     let push_phase = |results: &mut Vec<Measurement>, phase: &str, s: &PhaseStats| {
@@ -919,7 +823,7 @@ pub fn serving_suite(mode: Mode) -> Result<Suite, String> {
         }
     };
 
-    let healthy = run_phase(&gw, &spec, 0).map_err(err("healthy phase"))?;
+    let healthy = run_phase(&cluster.gw, &spec, 0).map_err(err("healthy phase"))?;
     push_phase(&mut results, "healthy", &healthy);
     for (tag, q) in [("p50", 0.50), ("p99", 0.99)] {
         results.push(Measurement {
@@ -932,33 +836,14 @@ pub fn serving_suite(mode: Mode) -> Result<Suite, String> {
 
     // Degraded: kill brick 1 (a data-shard holder for most layouts) and
     // wait for the detector before serving the same op stream again.
-    let mut c = BrickClient::connect(addrs[1], Duration::from_millis(250))
-        .map_err(err("connect for kill"))?;
-    c.shutdown().map_err(err("shutdown"))?;
-    if let Some(h) = handles[1].take() {
-        let _ = h.join();
-    }
-    let mut dead = false;
-    for _ in 0..500 {
-        dead = gw
-            .pump_heartbeats()
-            .iter()
-            .any(|tr| tr.brick == 1 && tr.to == Health::Dead);
-        if dead {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    if !dead {
-        return Err("brick 1 never declared dead".to_string());
-    }
-    let degraded = run_phase(&gw, &spec, 1).map_err(err("degraded phase"))?;
+    cluster.kill(1).map_err(err("kill brick 1"))?;
+    let degraded = run_phase(&cluster.gw, &spec, 1).map_err(err("degraded phase"))?;
     push_phase(&mut results, "degraded", &degraded);
 
     // Rebuilding: serve while the repair pass runs on another thread.
     let (rebuilding, repair) = std::thread::scope(|s| {
-        let repair = s.spawn(|| gw.repair_all());
-        let stats = run_phase(&gw, &spec, 2);
+        let repair = s.spawn(|| cluster.gw.repair_all());
+        let stats = run_phase(&cluster.gw, &spec, 2);
         (stats, repair.join())
     });
     let rebuilding = rebuilding.map_err(err("rebuilding phase"))?;
@@ -969,15 +854,7 @@ pub fn serving_suite(mode: Mode) -> Result<Suite, String> {
         Err(_) => return Err("repair thread panicked".to_string()),
     }
 
-    for (id, slot) in handles.iter_mut().enumerate() {
-        if let Some(h) = slot.take() {
-            if let Ok(mut c) = BrickClient::connect(addrs[id], Duration::from_millis(250)) {
-                let _ = c.shutdown();
-            }
-            let _ = h.join();
-        }
-    }
-
+    cluster.shutdown().map_err(err("shutdown"))?;
     Ok(Suite {
         suite: "serving",
         mode,

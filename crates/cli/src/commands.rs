@@ -43,7 +43,7 @@ const COMMANDS: &[Command] = &[
       --seed, --bias)"),
     ("fleet", true, "config bricks years seed workers estimator cycles trace", false, sim_cmds::fleet,
      "fleet-scale discrete-event mission (--config, --bricks N,
-      --years Y, --seed S, --workers N; deterministic at any
+      --years Y, --seed S, --workers N|auto; deterministic at any
       worker count; --estimator direct|is|splitting|all adds
       rare-event MTTDL estimates (--cycles N) cross-checked against
       the analytic value; --trace prints the canonical replay trace)"),
@@ -553,6 +553,22 @@ mod tests {
         assert!(a.contains("fleet bricks=3200 cells=50"));
         assert!(run(&["fleet", "--bricks", "0"]).is_err());
         assert!(run(&["fleet", "--estimator", "bogus"]).is_err());
+    }
+
+    #[test]
+    fn fleet_workers_takes_auto_and_refuses_zero_like_sweep() {
+        let base = ["fleet", "--bricks", "640", "--years", "1", "--seed", "3"];
+        let with = |workers: &str| {
+            let mut argv = base.to_vec();
+            argv.extend(["--workers", workers]);
+            run(&argv)
+        };
+        let serial = with("1").unwrap();
+        assert_eq!(with("auto").unwrap(), serial);
+        assert_eq!(run(&base).unwrap(), serial, "the default is all cores");
+        let sweep_zero = run(&["sweep", "--figure", "16", "--workers", "0"]).unwrap_err();
+        assert_eq!(with("0").unwrap_err().to_string(), sweep_zero.to_string());
+        assert!(with("many").is_err());
     }
 
     #[test]

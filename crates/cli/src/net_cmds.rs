@@ -273,9 +273,7 @@ pub fn gateway(args: &ParsedArgs) -> Result<String> {
 /// are a pure function of `(seed, phase)`, so two runs with the same
 /// arguments issue identical key/op sequences.
 pub fn workload(args: &ParsedArgs) -> Result<String> {
-    use nsr_net::client::BrickClient;
-    use nsr_net::detector::{DetectorConfig, Health};
-    use nsr_net::gateway::RetryPolicy;
+    use nsr_net::local::{loopback_config, LocalCluster, Pace};
     use nsr_net::workload::{populate, run_phase, KeyDist, PhaseStats, WorkloadSpec};
 
     let spec = WorkloadSpec {
@@ -307,33 +305,13 @@ pub fn workload(args: &ParsedArgs) -> Result<String> {
         )));
     }
 
-    let mut addrs = Vec::new();
-    let mut handles = Vec::new();
-    for id in 0..brick_count as u32 {
-        let (addr, handle) = BrickServer::bind("127.0.0.1:0", BrickConfig::new(id))?.spawn();
-        addrs.push(addr);
-        handles.push(Some(handle));
-    }
-    let mut cfg = GatewayConfig::new(data_shards, parity_shards);
-    cfg.timeout = Duration::from_millis(250);
-    cfg.retry = RetryPolicy {
-        max_attempts: 4,
-        base_delay: Duration::from_millis(2),
-        max_delay: Duration::from_millis(20),
-    };
-    cfg.detector = DetectorConfig {
-        suspect_phi: 1.0,
-        dead_phi: 3.0,
-        initial_interval_s: 0.02,
-        interval_alpha: 0.2,
-    };
+    let mut cfg = loopback_config(data_shards, parity_shards);
     cfg.jitter_seed = spec.seed;
-    let gw = Gateway::connect(addrs.clone(), cfg)?;
+    let mut cluster = LocalCluster::start(brick_count, cfg, Pace::Wall)?;
     for _ in 0..8 {
-        gw.pump_heartbeats();
-        std::thread::sleep(Duration::from_millis(20));
+        cluster.pump();
     }
-    populate(&gw, &spec)?;
+    populate(&cluster.gw, &spec)?;
 
     let mut out = String::new();
     let _ = writeln!(
@@ -373,40 +351,21 @@ pub fn workload(args: &ParsedArgs) -> Result<String> {
         );
     };
 
-    let healthy = run_phase(&gw, &spec, 0)?;
+    let healthy = run_phase(&cluster.gw, &spec, 0)?;
     phase_line(&mut out, "healthy", &healthy);
 
     // Degraded phase: kill brick 1 (a data-shard holder for most
     // layouts) and wait for the detector to declare it dead, so reads
     // over its shards reconstruct.
-    let victim = 1u32;
-    let mut c = BrickClient::connect(addrs[victim as usize], Duration::from_millis(250))?;
-    c.shutdown()?;
-    if let Some(h) = handles[victim as usize].take() {
-        let _ = h.join();
-    }
-    let mut dead = false;
-    for _ in 0..500 {
-        dead = gw
-            .pump_heartbeats()
-            .iter()
-            .any(|tr| tr.brick == victim && tr.to == Health::Dead);
-        if dead {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    if !dead {
-        return Err(CliError(format!("brick {victim} never declared dead")));
-    }
-    let degraded = run_phase(&gw, &spec, 1)?;
+    cluster.kill(1)?;
+    let degraded = run_phase(&cluster.gw, &spec, 1)?;
     phase_line(&mut out, "degraded", &degraded);
 
     // Rebuilding phase: the repair pass runs concurrently with serving —
     // the serving numbers show what rebuild traffic costs the clients.
     let (rebuilding, repair) = std::thread::scope(|s| {
-        let repair = s.spawn(|| gw.repair_all());
-        let stats = run_phase(&gw, &spec, 2);
+        let repair = s.spawn(|| cluster.gw.repair_all());
+        let stats = run_phase(&cluster.gw, &spec, 2);
         (stats, repair.join())
     });
     let rebuilding = rebuilding?;
@@ -425,14 +384,7 @@ pub fn workload(args: &ParsedArgs) -> Result<String> {
         Err(_) => return Err(CliError("repair thread panicked".into())),
     }
 
-    for (id, slot) in handles.iter_mut().enumerate() {
-        if let Some(h) = slot.take() {
-            if let Ok(mut c) = BrickClient::connect(addrs[id], Duration::from_millis(250)) {
-                let _ = c.shutdown();
-            }
-            let _ = h.join();
-        }
-    }
+    cluster.shutdown()?;
     Ok(out)
 }
 

@@ -12,7 +12,7 @@ use nsr_sim::importance::{Options, RareEvent};
 use nsr_sim::splitting::SplitOptions;
 use nsr_sim::system::{LossCause, SystemSim};
 
-use crate::args::{config_from, params_from, ParsedArgs};
+use crate::args::{config_from, params_from, workers_from, ParsedArgs};
 use crate::{CliError, Result};
 
 pub(crate) fn sim(args: &ParsedArgs) -> Result<String> {
@@ -191,7 +191,11 @@ pub(crate) fn fleet(args: &ParsedArgs) -> Result<String> {
     let bricks = args.get_or("bricks", 10_000u64)?;
     let years = args.get_or("years", 10.0f64)?;
     let seed = args.get_or("seed", 42u64)?;
-    let workers = args.get_or("workers", 0u32)?;
+    // All cores by default, which is also what `auto` (0) asks of the engine.
+    let workers = match args.get::<String>("workers")? {
+        Some(_) => workers_from(args)?.try_into().unwrap_or(u32::MAX),
+        None => 0,
+    };
     let estimator = args.get_or("estimator", "direct".to_string())?;
     let cycles = args.get_or("cycles", 20_000u64)?;
     if !matches!(estimator.as_str(), "direct" | "is" | "splitting" | "all") {

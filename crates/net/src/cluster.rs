@@ -27,9 +27,10 @@ use nsr_rng::{Rng, SeedableRng};
 use nsr_sim::faultinject::{FaultKind, FaultPlan};
 
 use crate::clock::WallClock;
-use crate::detector::{DetectorConfig, Health, Transition};
+use crate::detector::{Health, Transition};
 use crate::error::Error;
-use crate::gateway::{Gateway, GatewayConfig, ReadMode, RetryPolicy};
+use crate::gateway::{Gateway, ReadMode};
+use crate::local::{loopback_config, PROBE_INTERVAL};
 use crate::workload::object_payload;
 
 /// Campaign parameters.
@@ -326,28 +327,15 @@ pub fn run_campaign(cfg: &ClusterConfig) -> Result<CampaignOutcome, Error> {
         started.elapsed()
     ));
 
-    // Fast detector pacing so the whole campaign stays in CI budget:
-    // 20 ms probes, dead after ~140 ms of silence.
-    let mut gw_cfg = GatewayConfig::new(k, t);
-    gw_cfg.timeout = Duration::from_millis(250);
-    gw_cfg.retry = RetryPolicy {
-        max_attempts: 4,
-        base_delay: Duration::from_millis(2),
-        max_delay: Duration::from_millis(20),
-    };
-    gw_cfg.detector = DetectorConfig {
-        suspect_phi: 1.0,
-        dead_phi: 3.0,
-        initial_interval_s: 0.02,
-        interval_alpha: 0.2,
-    };
+    // Fast detector pacing so the whole campaign stays in CI budget.
+    let mut gw_cfg = loopback_config(k, t);
     gw_cfg.jitter_seed = cfg.seed;
     gw_cfg.pool_size = cfg.pool_size;
     let gw = Gateway::with_clock(addrs, gw_cfg, Arc::new(WallClock::new()))?;
     let mut transitions: Vec<Transition> = Vec::new();
     let pump = |gw: &Gateway, transitions: &mut Vec<Transition>| {
         transitions.extend(gw.pump_heartbeats());
-        std::thread::sleep(Duration::from_millis(20));
+        std::thread::sleep(PROBE_INTERVAL);
     };
     for _ in 0..8 {
         pump(&gw, &mut transitions);

@@ -26,6 +26,11 @@
 //!   explicit health state machine healthy → suspect → dead →
 //!   rebuilding → rejoined, on a pluggable [`clock`] so tests are
 //!   clock-free and deterministic.
+//! - [`local`] — the in-process cluster: brick threads on loopback
+//!   behind one gateway, on a mock or the wall clock, with stop, kill,
+//!   restart, rejoin, inventory and a teardown that joins every brick;
+//!   what the store's tests, `nsr workload` and the `net` and `serving`
+//!   bench suites run on, and the one loopback gateway config.
 //! - [`cluster`] — the `nsr cluster-inject` harness: spawns brick
 //!   child processes, kill-9s them on a seeded `nsr-sim` `FaultPlan`
 //!   schedule, and asserts the erasure contract (zero loss at or below
@@ -50,6 +55,7 @@ pub mod cluster;
 pub mod detector;
 mod error;
 pub mod gateway;
+pub mod local;
 pub mod obs;
 pub mod pool;
 pub mod wire;

@@ -29,35 +29,21 @@
 //! checkpoint equal to the shards it committed and no shard on any
 //! running brick that the committed layout does not point at.
 
-use std::net::SocketAddr;
-use std::sync::Arc;
 use std::time::Duration;
 
-use nsr_net::brick::{BrickConfig, BrickServer};
 use nsr_net::client::BrickClient;
-use nsr_net::clock::MockClock;
-use nsr_net::detector::{DetectorConfig, Health};
+use nsr_net::detector::DetectorConfig;
 use nsr_net::gateway::{Gateway, GatewayConfig, ReadMode, RepairReport, RetryPolicy};
+use nsr_net::local::{ClusterState, LocalCluster, Pace};
 use nsr_net::Error;
 
-struct Cluster {
-    addrs: Vec<SocketAddr>,
-    handles: Vec<Option<std::thread::JoinHandle<Result<(), Error>>>>,
-    clock: MockClock,
-    gw: Gateway,
-}
-
-fn cluster(bricks: usize, data: usize, parity: usize, fanout: bool, pool_size: usize) -> Cluster {
-    let mut addrs = Vec::new();
-    let mut handles = Vec::new();
-    for id in 0..bricks {
-        let (addr, handle) = BrickServer::bind("127.0.0.1:0", BrickConfig::new(id as u32))
-            .expect("bind brick")
-            .spawn();
-        addrs.push(addr);
-        handles.push(Some(handle));
-    }
-    let clock = MockClock::new();
+fn cluster(
+    bricks: usize,
+    data: usize,
+    parity: usize,
+    fanout: bool,
+    pool_size: usize,
+) -> LocalCluster {
     let mut cfg = GatewayConfig::new(data, parity);
     cfg.timeout = Duration::from_millis(300);
     cfg.retry = RetryPolicy {
@@ -74,118 +60,29 @@ fn cluster(bricks: usize, data: usize, parity: usize, fanout: bool, pool_size: u
     cfg.jitter_seed = 77;
     cfg.fanout = fanout;
     cfg.pool_size = pool_size;
-    let gw = Gateway::with_clock(addrs.clone(), cfg, Arc::new(clock.clone())).expect("gateway");
-    let c = Cluster {
-        addrs,
-        handles,
-        clock,
-        gw,
-    };
+    let c = LocalCluster::start(bricks, cfg, Pace::Mock).expect("cluster");
     for _ in 0..10 {
         c.pump();
     }
     c
 }
 
-impl Cluster {
-    fn pump(&self) {
-        self.clock.advance(0.5);
-        self.gw.pump_heartbeats();
-    }
-
-    /// Stops a brick without telling the detector: until the next
-    /// heartbeat rounds the gateway still plans around it.
-    fn stop_brick(&mut self, id: usize) {
-        let mut c = BrickClient::connect(self.addrs[id], Duration::from_millis(300))
-            .expect("connect for kill");
-        c.shutdown().expect("shutdown");
-        if let Some(h) = self.handles[id].take() {
-            h.join().expect("join").expect("brick run");
-        }
-    }
-
-    fn kill_brick(&mut self, id: usize) {
-        if self.handles[id].is_some() {
-            self.stop_brick(id);
-        }
-        for _ in 0..50 {
-            self.pump();
-            if self.gw.health_summary()[id].1 == Health::Dead {
-                return;
-            }
-        }
-        panic!("brick {id} never declared dead");
-    }
+/// Shard positions whose committed home differs from `before`.
+fn moved_since(gw: &Gateway, before: &[(u64, Vec<u32>)]) -> u64 {
+    before
+        .iter()
+        .map(|(object, old)| {
+            let now = gw.object_layout(*object).expect("layout");
+            old.iter().zip(&now).filter(|(a, b)| a != b).count() as u64
+        })
+        .sum()
 }
 
-impl Cluster {
-    /// Restarts a stopped brick on a fresh port with an empty store and
-    /// pumps until the gateway has adopted it back as healthy.
-    fn rejoin_empty(&mut self, id: usize) {
-        let (addr, handle) = BrickServer::bind("127.0.0.1:0", BrickConfig::new(id as u32))
-            .expect("rebind brick")
-            .spawn();
-        self.addrs[id] = addr;
-        self.handles[id] = Some(handle);
-        self.gw.set_brick_addr(id as u32, addr);
-        for _ in 0..32 {
-            self.pump();
-            self.gw.adopt_rejoined();
-            if self.gw.health_summary()[id].1 == Health::Healthy {
-                return;
-            }
-        }
-        panic!("brick {id} never re-adopted");
-    }
-
-    /// What the cluster holds right now: the metadata export and every
-    /// running brick's shard inventory (`None` for a stopped brick).
-    fn state(&self) -> ClusterState {
-        let inventories = (0..self.addrs.len())
-            .map(|id| {
-                self.handles[id].as_ref()?;
-                let mut c = BrickClient::connect(self.addrs[id], Duration::from_millis(300))
-                    .expect("connect for inventory");
-                let mut entries = c.list_shards().expect("list_shards");
-                entries.sort_unstable();
-                Some(entries)
-            })
-            .collect();
-        (self.gw.export_meta(), inventories)
-    }
-
-    /// Shard positions whose committed home differs from `before`.
-    fn moved_since(&self, before: &[(u64, Vec<u32>)]) -> u64 {
-        before
-            .iter()
-            .map(|(object, old)| {
-                let now = self.gw.object_layout(*object).expect("layout");
-                old.iter().zip(&now).filter(|(a, b)| a != b).count() as u64
-            })
-            .sum()
-    }
-
-    fn layouts(&self) -> Vec<(u64, Vec<u32>)> {
-        self.gw
-            .object_ids()
-            .into_iter()
-            .map(|o| (o, self.gw.object_layout(o).expect("layout")))
-            .collect()
-    }
-}
-
-impl Drop for Cluster {
-    fn drop(&mut self) {
-        for (id, h) in self.handles.iter_mut().enumerate() {
-            if let Some(h) = h.take() {
-                if let Ok(mut c) = BrickClient::connect(self.addrs[id], Duration::from_millis(300))
-                {
-                    let _ = c.shutdown();
-                }
-                let _ = h.join();
-            }
-        }
-    }
+fn layouts(gw: &Gateway) -> Vec<(u64, Vec<u32>)> {
+    gw.object_ids()
+        .into_iter()
+        .map(|o| (o, gw.object_layout(o).expect("layout")))
+        .collect()
 }
 
 /// Deterministic per-object payload with a length that exercises both
@@ -218,7 +115,7 @@ fn transcript(fanout: bool, pool_size: usize) -> Vec<(u64, Vec<u8>, ReadMode)> {
         .wrapping_mul(6364136223846793005)
         .wrapping_add(1442695040888963407);
     let victim = ((lcg >> 33) % 4) as usize;
-    c.kill_brick(victim);
+    c.kill(victim).expect("kill");
     for object in 1..=8u64 {
         let (data, mode) = c.gw.get(object).expect("post-kill get");
         out.push((object, data, mode));
@@ -267,8 +164,8 @@ fn fanout_degraded_read_survives_exactly_t_dead_bricks() {
     let layout = c.gw.object_layout(1).expect("layout");
     assert_eq!(layout.len(), 4);
     let (d0, d1) = (layout[0] as usize, layout[1] as usize);
-    c.kill_brick(d0);
-    c.kill_brick(d1);
+    c.kill(d0).expect("kill");
+    c.kill(d1).expect("kill");
     let (data, mode) = c.gw.get(1).expect("degraded get at t dead");
     assert_eq!(data, want);
     assert_eq!(mode, ReadMode::Degraded);
@@ -323,9 +220,11 @@ fn shapes_transcript(fanout: bool, pool_size: usize, fault: Fault) -> Vec<(usize
         assert_eq!(c.gw.object_layout(object), Some(vec![0, 1, 2, 3, 4]));
     }
     match fault {
-        Fault::Down(bricks) => bricks.iter().for_each(|&id| c.kill_brick(id)),
+        Fault::Down(bricks) => bricks.iter().for_each(|&id| {
+            c.kill(id).expect("kill");
+        }),
         Fault::Deleted => {
-            let mut brick = BrickClient::connect(c.addrs[1], Duration::from_millis(300))
+            let mut brick = BrickClient::connect(c.addrs()[1], Duration::from_millis(300))
                 .expect("connect behind the gateway");
             for &(object, _) in &objects {
                 brick.delete_shard(object, 1).expect("delete");
@@ -381,9 +280,6 @@ fn get_matches_serial_on_every_shape_at_every_pool_size() {
     }
 }
 
-/// `export_meta()` text and per-brick sorted `list_shards()`.
-type ClusterState = (String, Vec<Option<Vec<(u64, u32)>>>);
-
 /// One repair-path step: what the call returned and what it left behind.
 type RepairStep = (Result<RepairReport, Error>, ClusterState);
 
@@ -403,7 +299,7 @@ fn assert_repair_parity(script: impl Fn(bool, usize) -> Vec<RepairStep>) -> Vec<
 }
 
 /// Every object reads back healthy with its own bytes.
-fn assert_all_healthy(c: &Cluster, bytes: fn(u64) -> Vec<u8>) {
+fn assert_all_healthy(c: &LocalCluster, bytes: fn(u64) -> Vec<u8>) {
     for object in c.gw.object_ids() {
         let (data, mode) = c.gw.get(object).expect("get after repair");
         assert_eq!(data, bytes(object), "object {object} bytes");
@@ -413,8 +309,8 @@ fn assert_all_healthy(c: &Cluster, bytes: fn(u64) -> Vec<u8>) {
 
 /// Every shard a running brick holds is one the committed layout points
 /// at: nothing a pass wrote and did not commit is left behind.
-fn assert_no_orphans(c: &Cluster) {
-    let (_, inventories) = c.state();
+fn assert_no_orphans(c: &LocalCluster) {
+    let (_, inventories) = c.state().expect("state");
     for (brick, inventory) in inventories.iter().enumerate() {
         for &(object, pos) in inventory.iter().flatten() {
             let layout = c.gw.object_layout(object).expect("layout");
@@ -441,11 +337,11 @@ fn interrupted_repair(
     for &object in objects {
         c.gw.put(object, &bytes(object)).expect("put");
     }
-    let before = c.layouts();
-    c.kill_brick(0);
-    c.kill_brick(1);
+    let before = layouts(&c.gw);
+    c.kill(0).expect("kill");
+    c.kill(1).expect("kill");
     for &id in silent {
-        c.stop_brick(id);
+        c.stop(id).expect("stop");
     }
     let first = c.gw.repair_all();
     let checkpoint = match &first {
@@ -455,19 +351,19 @@ fn interrupted_repair(
     assert!(checkpoint > 0, "the pass was cut mid-way, not at its start");
     assert_eq!(
         checkpoint,
-        c.moved_since(&before),
+        moved_since(&c.gw, &before),
         "checkpoint equals shards committed"
     );
     assert_no_orphans(&c);
-    let mut steps = vec![(first, c.state())];
+    let mut steps = vec![(first, c.state().expect("state"))];
     for &id in silent {
-        c.kill_brick(id);
+        c.kill(id).expect("kill");
     }
     let resumed = c.gw.repair_all();
     let report = resumed.as_ref().expect("resumed pass");
     assert_eq!(report.resumed_from, checkpoint);
     assert_no_orphans(&c);
-    steps.push((resumed, c.state()));
+    steps.push((resumed, c.state().expect("state")));
     steps
 }
 
@@ -480,11 +376,11 @@ fn clean_repair_matches_serial_at_every_pool_size() {
         for object in 1..=12u64 {
             c.gw.put(object, &payload(object)).expect("put");
         }
-        c.kill_brick(2);
-        c.kill_brick(3);
+        c.kill(2).expect("kill");
+        c.kill(3).expect("kill");
         let repaired = c.gw.repair_all();
         assert_all_healthy(&c, payload);
-        vec![(repaired, c.state())]
+        vec![(repaired, c.state().expect("state"))]
     }
     let reference = assert_repair_parity(script);
     let report = reference[0].0.as_ref().expect("clean pass");
@@ -547,14 +443,14 @@ fn scrub_after_an_emptied_brick_rejoins_matches_serial() {
         for object in 0..10u64 {
             c.gw.put(object, &payload(object)).expect("put");
         }
-        c.kill_brick(0);
-        c.kill_brick(1);
-        let mut steps = vec![(c.gw.repair_all(), c.state())];
-        c.rejoin_empty(0);
-        c.rejoin_empty(1);
-        steps.push((c.gw.scrub_repair(), c.state()));
+        c.kill(0).expect("kill");
+        c.kill(1).expect("kill");
+        let mut steps = vec![(c.gw.repair_all(), c.state().expect("state"))];
+        c.rejoin(0).expect("rejoin");
+        c.rejoin(1).expect("rejoin");
+        steps.push((c.gw.scrub_repair(), c.state().expect("state")));
         assert_all_healthy(&c, payload);
-        steps.push((c.gw.scrub_repair(), c.state()));
+        steps.push((c.gw.scrub_repair(), c.state().expect("state")));
         steps
     }
     let reference = assert_repair_parity(script);
@@ -608,9 +504,9 @@ fn clean_moves(objects: std::ops::Range<u64>) -> Vec<Move> {
     for object in objects {
         c.gw.put(object, &window_payload(object)).expect("put");
     }
-    let before = c.layouts();
-    c.kill_brick(0);
-    c.kill_brick(1);
+    let before = layouts(&c.gw);
+    c.kill(0).expect("kill");
+    c.kill(1).expect("kill");
     c.gw.repair_all().expect("clean pass");
     before
         .into_iter()
@@ -676,19 +572,19 @@ fn multi_window_clean_repair_matches_serial() {
         for object in 0..260u64 {
             c.gw.put(object, &window_payload(object)).expect("put");
         }
-        let before = c.layouts();
-        c.kill_brick(0);
-        c.kill_brick(1);
+        let before = layouts(&c.gw);
+        c.kill(0).expect("kill");
+        c.kill(1).expect("kill");
         let repaired = c.gw.repair_all();
         let report = repaired.as_ref().expect("clean pass");
         assert_eq!(
             report.shards_moved,
-            c.moved_since(&before),
+            moved_since(&c.gw, &before),
             "every shard moved is committed"
         );
         assert_no_orphans(&c);
         assert_all_healthy(&c, window_payload);
-        vec![(repaired, c.state())]
+        vec![(repaired, c.state().expect("state"))]
     }
     let reference = assert_repair_parity(script);
     let report = reference[0].0.as_ref().expect("clean pass");

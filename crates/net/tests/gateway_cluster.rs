@@ -8,133 +8,37 @@
 //! deterministic.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
-use nsr_net::brick::{BrickConfig, BrickServer};
-use nsr_net::client::BrickClient;
 use nsr_net::clock::MockClock;
 use nsr_net::detector::{DetectorConfig, Health};
 use nsr_net::gateway::{Gateway, GatewayConfig, ReadMode, RetryPolicy};
+use nsr_net::local::{LocalCluster, Pace};
 use nsr_net::Error;
 use nsr_rng::rngs::StdRng;
 use nsr_rng::{Rng, SeedableRng};
 
-struct TestCluster {
-    addrs: Vec<SocketAddr>,
-    handles: Vec<Option<std::thread::JoinHandle<Result<(), Error>>>>,
-    clock: MockClock,
-    gw: Gateway,
-}
-
-impl TestCluster {
-    fn new(bricks: usize, data: usize, parity: usize) -> TestCluster {
-        let mut addrs = Vec::new();
-        let mut handles = Vec::new();
-        for id in 0..bricks {
-            let (addr, handle) = BrickServer::bind("127.0.0.1:0", BrickConfig::new(id as u32))
-                .expect("bind brick")
-                .spawn();
-            addrs.push(addr);
-            handles.push(Some(handle));
-        }
-        let clock = MockClock::new();
-        let mut cfg = GatewayConfig::new(data, parity);
-        cfg.timeout = Duration::from_millis(300);
-        cfg.retry = RetryPolicy {
-            max_attempts: 3,
-            base_delay: Duration::from_millis(1),
-            max_delay: Duration::from_millis(4),
-        };
-        cfg.detector = DetectorConfig {
-            suspect_phi: 1.0,
-            dead_phi: 3.0,
-            initial_interval_s: 0.5,
-            interval_alpha: 0.2,
-        };
-        let gw = Gateway::with_clock(addrs.clone(), cfg, Arc::new(clock.clone())).expect("gateway");
-        let cluster = TestCluster {
-            addrs,
-            handles,
-            clock,
-            gw,
-        };
-        // Establish heartbeat history at a steady mock interval.
-        for _ in 0..10 {
-            cluster.pump();
-        }
-        cluster
+fn cluster(bricks: usize, data: usize, parity: usize) -> LocalCluster {
+    let mut cfg = GatewayConfig::new(data, parity);
+    cfg.timeout = Duration::from_millis(300);
+    cfg.retry = RetryPolicy {
+        max_attempts: 3,
+        base_delay: Duration::from_millis(1),
+        max_delay: Duration::from_millis(4),
+    };
+    cfg.detector = DetectorConfig {
+        suspect_phi: 1.0,
+        dead_phi: 3.0,
+        initial_interval_s: 0.5,
+        interval_alpha: 0.2,
+    };
+    let cluster = LocalCluster::start(bricks, cfg, Pace::Mock).expect("cluster");
+    // Establish heartbeat history at a steady mock interval.
+    for _ in 0..10 {
+        cluster.pump();
     }
-
-    /// One detector round: advance mock time half a second, probe.
-    fn pump(&self) {
-        self.clock.advance(0.5);
-        self.gw.pump_heartbeats();
-    }
-
-    /// Orderly brick shutdown — from the gateway's perspective the
-    /// brick simply stops answering, like a kill.
-    fn stop_brick(&mut self, id: usize) {
-        let mut c = BrickClient::connect(self.addrs[id], Duration::from_millis(300))
-            .expect("connect for shutdown");
-        c.shutdown().expect("shutdown");
-        if let Some(h) = self.handles[id].take() {
-            h.join().expect("join").expect("brick run");
-        }
-    }
-
-    /// Restarts a stopped brick on a fresh port with an empty store —
-    /// the in-process analogue of the campaign's victim respawn.
-    fn restart_brick(&mut self, id: usize) {
-        let (addr, handle) = BrickServer::bind("127.0.0.1:0", BrickConfig::new(id as u32))
-            .expect("rebind brick")
-            .spawn();
-        self.addrs[id] = addr;
-        self.handles[id] = Some(handle);
-        self.gw.set_brick_addr(id as u32, addr);
-    }
-
-    /// Pumps until `id` is declared dead (bounded).
-    fn pump_until_dead(&self, id: u32) {
-        for _ in 0..32 {
-            self.pump();
-            if self.gw.health_summary()[id as usize].1 == Health::Dead {
-                return;
-            }
-        }
-        panic!(
-            "brick {id} not declared dead: {:?}",
-            self.gw.health_summary()
-        );
-    }
-
-    /// Pumps and adopts until the restarted brick `id` serves as a
-    /// healthy spare again (bounded).
-    fn pump_until_adopted(&self, id: u32) {
-        for _ in 0..32 {
-            self.pump();
-            self.gw.adopt_rejoined();
-            if self.gw.health_summary()[id as usize].1 == Health::Healthy {
-                return;
-            }
-        }
-        panic!("brick {id} not re-adopted: {:?}", self.gw.health_summary());
-    }
-}
-
-impl Drop for TestCluster {
-    fn drop(&mut self) {
-        for (id, slot) in self.handles.iter_mut().enumerate() {
-            if let Some(h) = slot.take() {
-                if let Ok(mut c) = BrickClient::connect(self.addrs[id], Duration::from_millis(200))
-                {
-                    let _ = c.shutdown();
-                }
-                let _ = h.join();
-            }
-        }
-    }
+    cluster
 }
 
 fn payload(object: u64, len: usize) -> Vec<u8> {
@@ -145,7 +49,7 @@ fn payload(object: u64, len: usize) -> Vec<u8> {
 
 #[test]
 fn healthy_put_get_round_trip() {
-    let cluster = TestCluster::new(4, 2, 1);
+    let cluster = cluster(4, 2, 1);
     let data = payload(3, 10_000);
     cluster.gw.put(3, &data).expect("put");
     let (back, mode) = cluster.gw.get(3).expect("get");
@@ -160,13 +64,13 @@ fn healthy_put_get_round_trip() {
 
 #[test]
 fn degraded_read_routes_around_undetected_dead_brick() {
-    let mut cluster = TestCluster::new(4, 2, 1);
+    let mut cluster = cluster(4, 2, 1);
     let data = payload(0, 8_192);
     cluster.gw.put(0, &data).expect("put");
     let layout = cluster.gw.object_layout(0).expect("layout");
     // Kill a data-shard holder without giving the detector a chance to
     // notice: the read must still succeed by reconstruction.
-    cluster.stop_brick(layout[0] as usize);
+    cluster.stop(layout[0] as usize).expect("stop");
     let (back, mode) = cluster.gw.get(0).expect("degraded get");
     assert_eq!(back, data);
     assert_eq!(mode, ReadMode::Degraded);
@@ -174,14 +78,13 @@ fn degraded_read_routes_around_undetected_dead_brick() {
 
 #[test]
 fn death_triggers_rebuild_to_spare_and_healthy_reads() {
-    let mut cluster = TestCluster::new(4, 2, 1);
+    let mut cluster = cluster(4, 2, 1);
     for id in 0..6u64 {
         cluster.gw.put(id, &payload(id, 4_096)).expect("put");
     }
     // Brick 1 appears in some layouts (4 bricks, r=3 → each object
     // skips exactly one brick).
-    cluster.stop_brick(1);
-    cluster.pump_until_dead(1);
+    cluster.kill(1).expect("kill");
     let report = cluster.gw.repair_all().expect("repair");
     assert!(report.shards_moved > 0, "rebuild must move shards");
     assert_eq!(report.lost_objects, Vec::<u64>::new());
@@ -206,7 +109,7 @@ fn death_triggers_rebuild_to_spare_and_healthy_reads() {
 /// some other way or redoing work on resume.
 #[test]
 fn rebuild_interruption_checkpoints_and_resumes() {
-    let mut cluster = TestCluster::new(8, 2, 2);
+    let mut cluster = cluster(8, 2, 2);
     // Layout rotation over 8 healthy bricks: obj0 → [0,1,2,3],
     // obj5 → [5,6,7,0].
     cluster.gw.put(0, &payload(0, 4_096)).expect("put 0");
@@ -214,11 +117,10 @@ fn rebuild_interruption_checkpoints_and_resumes() {
     assert_eq!(cluster.gw.object_layout(0).unwrap(), vec![0, 1, 2, 3]);
     assert_eq!(cluster.gw.object_layout(5).unwrap(), vec![5, 6, 7, 0]);
 
-    cluster.stop_brick(0);
-    cluster.pump_until_dead(0);
+    cluster.kill(0).expect("kill");
     // Silent deaths: the detector still believes 5 and 6 are healthy.
-    cluster.stop_brick(5);
-    cluster.stop_brick(6);
+    cluster.stop(5).expect("stop");
+    cluster.stop(6).expect("stop");
 
     match cluster.gw.repair_all() {
         Err(Error::RebuildInterrupted { resumed_from }) => {
@@ -230,8 +132,8 @@ fn rebuild_interruption_checkpoints_and_resumes() {
     assert!(!cluster.gw.object_layout(0).unwrap().contains(&0));
 
     // Let detection catch up, then resume.
-    cluster.pump_until_dead(5);
-    cluster.pump_until_dead(6);
+    cluster.kill(5).expect("kill");
+    cluster.kill(6).expect("kill");
     let report = cluster.gw.repair_all().expect("resumed repair");
     assert_eq!(report.resumed_from, 1, "resumed from the checkpoint");
     assert_eq!(report.shards_moved, 0, "no completed work is redone");
@@ -267,17 +169,17 @@ fn rebuild_interruption_checkpoints_and_resumes() {
 /// full redundancy in place.
 #[test]
 fn no_spare_defers_objects_and_scrub_restores_after_rejoin() {
-    let mut cluster = TestCluster::new(4, 2, 1);
+    let mut cluster = cluster(4, 2, 1);
     for id in 0..6u64 {
         cluster.gw.put(id, &payload(id, 4_096)).expect("put");
     }
     // Layout rotation: obj o → bricks [o%4, o+1, o+2]. Dead {0, 3}:
     // objects 0,1,4,5 lose exactly 1 shard but every survivor {1,2} is
     // already in their layout; objects 2,3 lose 2 > t.
-    cluster.stop_brick(0);
-    cluster.stop_brick(3);
-    cluster.pump_until_dead(0);
-    cluster.pump_until_dead(3);
+    cluster.stop(0).expect("stop");
+    cluster.stop(3).expect("stop");
+    cluster.kill(0).expect("kill");
+    cluster.kill(3).expect("kill");
 
     let report = cluster.gw.repair_all().expect("repair pass must not abort");
     assert_eq!(report.deferred_objects, vec![0, 1, 4, 5]);
@@ -307,8 +209,8 @@ fn no_spare_defers_objects_and_scrub_restores_after_rejoin() {
     ));
 
     // Victims come back empty and are adopted as spares.
-    cluster.restart_brick(0);
-    cluster.restart_brick(3);
+    cluster.restart(0).expect("restart");
+    cluster.restart(3).expect("restart");
     for _ in 0..32 {
         cluster.pump();
         cluster.gw.adopt_rejoined();
@@ -343,13 +245,12 @@ fn no_spare_defers_objects_and_scrub_restores_after_rejoin() {
 /// obj0's finished move is not redone, obj5's loss is re-derived.
 #[test]
 fn coordinator_restart_resumes_from_committed_metadata() {
-    let mut cluster = TestCluster::new(8, 2, 2);
+    let mut cluster = cluster(8, 2, 2);
     cluster.gw.put(0, &payload(0, 4_096)).expect("put 0");
     cluster.gw.put(5, &payload(5, 4_096)).expect("put 5");
-    cluster.stop_brick(0);
-    cluster.pump_until_dead(0);
-    cluster.stop_brick(5);
-    cluster.stop_brick(6);
+    cluster.kill(0).expect("kill");
+    cluster.stop(5).expect("stop");
+    cluster.stop(6).expect("stop");
     assert!(matches!(
         cluster.gw.repair_all(),
         Err(Error::RebuildInterrupted { resumed_from: 1 })
@@ -366,7 +267,7 @@ fn coordinator_restart_resumes_from_committed_metadata() {
         max_delay: Duration::from_millis(4),
     };
     let clock = MockClock::new();
-    let gw2 = Gateway::with_clock(cluster.addrs.clone(), cfg, Arc::new(clock.clone()))
+    let gw2 = Gateway::with_clock(cluster.addrs().to_vec(), cfg, Arc::new(clock.clone()))
         .expect("second gateway");
     gw2.import_meta(&exported).expect("import");
     for _ in 0..40 {
@@ -414,7 +315,7 @@ fn seeded_random_ops_keep_acknowledged_objects_exact_within_t() {
     let mut rng = StdRng::seed_from_u64(0x5704_0001);
     for round in 0..24 {
         let (bricks, data, parity) = GEOMETRIES[round % GEOMETRIES.len()];
-        let mut cluster = TestCluster::new(bricks, data, parity);
+        let mut cluster = cluster(bricks, data, parity);
         let mut acked: BTreeMap<u64, usize> = BTreeMap::new();
         let mut next_key = 0u64;
         // Bricks stopped and not yet restarted.
@@ -438,8 +339,7 @@ fn seeded_random_ops_keep_acknowledged_objects_exact_within_t() {
                     let running: Vec<usize> =
                         (0..bricks).filter(|b| !stopped.contains(b)).collect();
                     let victim = running[rng.random_range_usize(0, running.len())];
-                    cluster.stop_brick(victim);
-                    cluster.pump_until_dead(victim as u32);
+                    cluster.kill(victim).expect("kill");
                     stopped.insert(victim);
                     unrepaired.insert(victim);
                 }
@@ -453,8 +353,7 @@ fn seeded_random_ops_keep_acknowledged_objects_exact_within_t() {
                 3 if !stopped.is_empty() => {
                     let down: Vec<usize> = stopped.iter().copied().collect();
                     let back = down[rng.random_range_usize(0, down.len())];
-                    cluster.restart_brick(back);
-                    cluster.pump_until_adopted(back as u32);
+                    cluster.rejoin(back).expect("rejoin");
                     stopped.remove(&back);
                     let report = cluster.gw.scrub_repair().expect(&context);
                     assert_eq!(report.lost_objects, Vec::<u64>::new(), "{context}");
@@ -478,8 +377,7 @@ fn seeded_random_ops_keep_acknowledged_objects_exact_within_t() {
         // Every brick back: one scrub restores full redundancy in place,
         // and every object then reads healthy and exact.
         for back in std::mem::take(&mut stopped) {
-            cluster.restart_brick(back);
-            cluster.pump_until_adopted(back as u32);
+            cluster.rejoin(back).expect("rejoin");
         }
         let report = cluster.gw.scrub_repair().expect("final scrub");
         assert_eq!(report.lost_objects, Vec::<u64>::new(), "round {round}");

@@ -7,11 +7,10 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use nsr_net::brick::{BrickConfig, BrickServer};
-use nsr_net::client::BrickClient;
 use nsr_net::clock::MockClock;
 use nsr_net::detector::{DetectorConfig, FailureDetector, Health};
-use nsr_net::gateway::{Gateway, GatewayConfig, RetryPolicy};
+use nsr_net::gateway::{GatewayConfig, RetryPolicy};
+use nsr_net::local::{LocalCluster, Pace};
 use nsr_net::Error;
 
 fn det(clock: &MockClock, bricks: u32) -> FailureDetector {
@@ -210,16 +209,6 @@ fn detector_is_clock_free_deterministic() {
 #[test]
 fn t_deaths_readable_t_plus_one_typed_loss() {
     let bricks = 6;
-    let mut addrs = Vec::new();
-    let mut handles = Vec::new();
-    for id in 0..bricks {
-        let (addr, handle) = BrickServer::bind("127.0.0.1:0", BrickConfig::new(id as u32))
-            .expect("bind")
-            .spawn();
-        addrs.push(addr);
-        handles.push(Some(handle));
-    }
-    let clock = MockClock::new();
     let mut cfg = GatewayConfig::new(2, 2);
     cfg.timeout = Duration::from_millis(300);
     cfg.retry = RetryPolicy {
@@ -227,36 +216,28 @@ fn t_deaths_readable_t_plus_one_typed_loss() {
         base_delay: Duration::from_millis(1),
         max_delay: Duration::from_millis(2),
     };
-    let gw = Gateway::with_clock(addrs.clone(), cfg, Arc::new(clock.clone())).expect("gateway");
+    let mut cluster = LocalCluster::start(bricks, cfg, Pace::Mock).expect("cluster");
     for _ in 0..10 {
-        clock.advance(0.5);
-        gw.pump_heartbeats();
+        cluster.pump();
     }
     let n_objects = 12u64;
     for id in 0..n_objects {
-        gw.put(id, &vec![id as u8; 2048]).expect("put");
+        cluster.gw.put(id, &vec![id as u8; 2048]).expect("put");
     }
-    let stop = |id: usize, handles: &mut Vec<Option<std::thread::JoinHandle<_>>>| {
-        let mut c = BrickClient::connect(addrs[id], Duration::from_millis(300)).expect("connect");
-        c.shutdown().expect("shutdown");
-        if let Some(h) = handles[id].take() {
-            let _: Result<(), Error> = h.join().expect("join");
-        }
-    };
     // Exactly t = 2 deaths: everything stays readable.
-    stop(0, &mut handles);
-    stop(1, &mut handles);
+    cluster.stop(0).expect("stop");
+    cluster.stop(1).expect("stop");
     for id in 0..n_objects {
-        let (bytes, _) = gw.get(id).expect("readable at exactly t deaths");
+        let (bytes, _) = cluster.gw.get(id).expect("readable at exactly t deaths");
         assert_eq!(bytes, vec![id as u8; 2048]);
     }
     // One more (t + 1 = 3 dead): loss appears, typed, on exactly the
     // stripes with > t dead shards.
-    stop(2, &mut handles);
+    cluster.stop(2).expect("stop");
     for id in 0..n_objects {
-        let layout = gw.object_layout(id).expect("layout");
+        let layout = cluster.gw.object_layout(id).expect("layout");
         let dead_in_layout = layout.iter().filter(|&&b| b <= 2).count();
-        match gw.get(id) {
+        match cluster.gw.get(id) {
             Ok((bytes, _)) => {
                 assert!(dead_in_layout <= 2, "obj{id} should have been lost");
                 assert_eq!(bytes, vec![id as u8; 2048]);
@@ -275,14 +256,6 @@ fn t_deaths_readable_t_plus_one_typed_loss() {
                 assert_eq!(missing, dead_in_layout);
             }
             Err(e) => panic!("obj{id}: unexpected error {e:?}"),
-        }
-    }
-    for (id, slot) in handles.iter_mut().enumerate() {
-        if let Some(h) = slot.take() {
-            if let Ok(mut c) = BrickClient::connect(addrs[id], Duration::from_millis(200)) {
-                let _ = c.shutdown();
-            }
-            let _ = h.join();
         }
     }
 }

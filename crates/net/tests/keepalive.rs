@@ -9,14 +9,11 @@
 //! Both scenarios share one test function because the pool counters are
 //! process-wide; sequential deltas keep them race-free.
 
-use std::net::SocketAddr;
 use std::time::Duration;
 
-use nsr_net::brick::{BrickConfig, BrickServer};
-use nsr_net::client::BrickClient;
-use nsr_net::detector::DetectorConfig;
-use nsr_net::gateway::{Gateway, GatewayConfig, ReadMode, RetryPolicy};
-use nsr_net::Error;
+use nsr_net::brick::BrickConfig;
+use nsr_net::gateway::ReadMode;
+use nsr_net::local::{loopback_config, LocalCluster, Pace};
 
 /// Brick-side idle read deadline. Short so the test's idle stretch
 /// stays well under a second (the production default is 2 s).
@@ -26,58 +23,17 @@ const BRICK_DEADLINE: Duration = Duration::from_millis(300);
 /// brick deadline, so any unrefreshed lane is dropped server-side.
 const IDLE: Duration = Duration::from_millis(900);
 
-struct Cluster {
-    addrs: Vec<SocketAddr>,
-    handles: Vec<std::thread::JoinHandle<Result<(), Error>>>,
-    gw: Gateway,
-}
-
-fn cluster(keepalive_refresh: Duration) -> Cluster {
-    let mut addrs = Vec::new();
-    let mut handles = Vec::new();
-    for id in 0..4u32 {
-        let mut cfg = BrickConfig::new(id);
-        cfg.read_timeout = BRICK_DEADLINE;
-        cfg.write_timeout = BRICK_DEADLINE;
-        let (addr, handle) = BrickServer::bind("127.0.0.1:0", cfg)
-            .expect("bind brick")
-            .spawn();
-        addrs.push(addr);
-        handles.push(handle);
-    }
-    let mut cfg = GatewayConfig::new(2, 1);
-    cfg.timeout = Duration::from_millis(250);
-    cfg.retry = RetryPolicy {
-        max_attempts: 4,
-        base_delay: Duration::from_millis(2),
-        max_delay: Duration::from_millis(20),
-    };
-    cfg.detector = DetectorConfig {
-        suspect_phi: 1.0,
-        dead_phi: 3.0,
-        initial_interval_s: 0.02,
-        interval_alpha: 0.2,
-    };
+fn cluster(keepalive_refresh: Duration) -> LocalCluster {
+    let mut brick = BrickConfig::new(0);
+    brick.read_timeout = BRICK_DEADLINE;
+    brick.write_timeout = BRICK_DEADLINE;
+    let mut cfg = loopback_config(2, 1);
     cfg.keepalive_refresh = keepalive_refresh;
-    let gw = Gateway::connect(addrs.clone(), cfg).expect("gateway");
+    let c = LocalCluster::start_with(&brick, 4, cfg, Pace::Wall).expect("cluster");
     for _ in 0..8 {
-        std::thread::sleep(Duration::from_millis(20));
-        gw.pump_heartbeats();
+        c.pump();
     }
-    Cluster { addrs, handles, gw }
-}
-
-impl Cluster {
-    fn shutdown(self) {
-        drop(self.gw);
-        for addr in &self.addrs {
-            let mut c = BrickClient::connect(*addr, Duration::from_millis(300)).expect("connect");
-            c.shutdown().expect("shutdown");
-        }
-        for h in self.handles {
-            h.join().expect("join").expect("brick run");
-        }
-    }
+    c
 }
 
 #[test]
@@ -110,7 +66,7 @@ fn keepalive_prevents_reconnects_and_retries_across_idle_gaps() {
         nsr_net::obs::POOL_KEEPALIVES.get() > 0,
         "the keepalive thread should have refreshed idle lanes"
     );
-    c.shutdown();
+    c.shutdown().expect("shutdown");
 
     // Control: keepalive disabled. The bricks drop every lane during
     // the idle stretch; the get still succeeds (transparent reconnect)
@@ -125,5 +81,5 @@ fn keepalive_prevents_reconnects_and_retries_across_idle_gaps() {
         nsr_net::obs::POOL_RECONNECTS.get() > reconnects_before,
         "without keepalive the idle gap must show up as reconnect churn"
     );
-    c.shutdown();
+    c.shutdown().expect("shutdown");
 }

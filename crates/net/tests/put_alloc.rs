@@ -12,9 +12,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use nsr_net::brick::{BrickConfig, BrickServer};
-use nsr_net::client::BrickClient;
-use nsr_net::gateway::{Gateway, GatewayConfig};
+use nsr_net::gateway::GatewayConfig;
+use nsr_net::local::{LocalCluster, Pace};
 
 /// Allocations this large or larger are counted: a shard, a socket
 /// buffer, a parity buffer — never a `Vec` of eight shard views.
@@ -58,22 +57,16 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 fn steady_state_overwrites_make_no_shard_sized_allocation() {
     const K: usize = 6;
     const T: usize = 2;
-    const BRICKS: u32 = 9;
+    const BRICKS: usize = 9;
     // Six 170 KiB shards: a multiple of k, so no tail shard is padded.
     const OBJECT: usize = K * 170 * 1024;
     const OVERWRITES: usize = 100;
 
-    let (addrs, handles): (Vec<_>, Vec<_>) = (0..BRICKS)
-        .map(|id| {
-            BrickServer::bind("127.0.0.1:0", BrickConfig::new(id))
-                .expect("bind brick")
-                .spawn()
-        })
-        .unzip();
     let mut cfg = GatewayConfig::new(K, T);
     // No background probes while the counter runs.
     cfg.keepalive_refresh = Duration::ZERO;
-    let gw = Gateway::connect(addrs.clone(), cfg).expect("gateway");
+    let cluster = LocalCluster::start(BRICKS, cfg, Pace::Wall).expect("cluster");
+    let gw = &cluster.gw;
 
     let mut data: Vec<u8> = (0..OBJECT).map(|i| (i * 31 + 7) as u8).collect();
     // Warm-up: the first put dials every lane and allocates every shard;
@@ -97,12 +90,5 @@ fn steady_state_overwrites_make_no_shard_sized_allocation() {
         "{OVERWRITES} steady-state overwrites made {large} allocations of >= {LARGE} bytes"
     );
 
-    drop(gw);
-    for addr in addrs {
-        let mut c = BrickClient::connect(addr, Duration::from_millis(500)).expect("connect");
-        c.shutdown().expect("shutdown");
-    }
-    for h in handles {
-        h.join().expect("join").expect("brick run");
-    }
+    cluster.shutdown().expect("shutdown");
 }

@@ -4,11 +4,8 @@
 //! pooled lane is dropped or redialled on its account. One test function:
 //! the pool counters are process-wide.
 
-use std::time::Duration;
-
-use nsr_net::brick::{BrickConfig, BrickServer};
-use nsr_net::client::BrickClient;
-use nsr_net::gateway::{Gateway, GatewayConfig};
+use nsr_net::gateway::GatewayConfig;
+use nsr_net::local::{LocalCluster, Pace};
 use nsr_net::wire::MAX_SHARD_LEN;
 use nsr_net::Error;
 
@@ -16,14 +13,8 @@ use nsr_net::Error;
 fn an_object_past_the_shard_cap_is_refused_before_any_lane_is_used() {
     nsr_obs::set_metrics_enabled(true);
     const K: usize = 2;
-    let (addrs, handles): (Vec<_>, Vec<_>) = (0..3u32)
-        .map(|id| {
-            BrickServer::bind("127.0.0.1:0", BrickConfig::new(id))
-                .expect("bind brick")
-                .spawn()
-        })
-        .unzip();
-    let gw = Gateway::connect(addrs.clone(), GatewayConfig::new(K, 1)).expect("gateway");
+    let cluster = LocalCluster::start(3, GatewayConfig::new(K, 1), Pace::Wall).expect("cluster");
+    let gw = &cluster.gw;
     gw.put(1, b"warm every lane").expect("warm-up put");
     let reconnects = nsr_net::obs::POOL_RECONNECTS.get();
 
@@ -47,12 +38,5 @@ fn an_object_past_the_shard_cap_is_refused_before_any_lane_is_used() {
     assert_eq!(gw.get(1).expect("get").0, b"small");
     assert_eq!(gw.get(2), Err(Error::ObjectNotFound { object: 2 }));
 
-    drop(gw);
-    for addr in addrs {
-        let mut c = BrickClient::connect(addr, Duration::from_millis(500)).expect("connect");
-        c.shutdown().expect("shutdown");
-    }
-    for h in handles {
-        h.join().expect("join").expect("brick run");
-    }
+    cluster.shutdown().expect("shutdown");
 }
