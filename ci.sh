@@ -273,6 +273,12 @@ echo "==> serving smoke (workload generator, pool metrics, serving bench gate)"
 # result, and the rebuild moves large shards — every get byte-verified.
 ./target/release/nsr workload --ops 40 --object-bytes 1048577 --objects 16 \
     --bricks 9 --data 6 --parity 2 --seed 7 | grep -q '^rebuilding'
+# The same three phases at a narrow code width: 12289 bytes is three
+# whole pages, so the 6+2 gateway cuts it 3+2 (4097-byte shards, the last
+# with a one-byte ragged tail) — every get byte-verified. (The 4 KiB run
+# above is t + 1 = 3 copies; the 1 MiB + 1 run keeps the full 6+2.)
+./target/release/nsr workload --ops 40 --object-bytes 12289 --objects 16 \
+    --bricks 9 --data 6 --parity 2 --seed 7 | grep -q '^rebuilding'
 ./target/release/nsr bench --suite serving --smoke --out-dir "$SMOKE_DIR"
 ./target/release/nsr bench --check --out-dir "$SMOKE_DIR"
 bench_gate serving

@@ -3,7 +3,7 @@
 //! pipelined shard fan-out over pooled per-brick connections (one
 //! outstanding request per brick, replies assembled in shard-index
 //! order so results are deterministic by construction), routes reads
-//! around dead bricks (degraded reconstruction from any `k` healthy
+//! around dead bricks (degraded reconstruction from any `k'` healthy
 //! shards), retries transient transport faults with capped exponential
 //! backoff plus seeded jitter, and runs the failure detector + rebuild
 //! coordinator that re-replicates a dead brick's shards onto spares.
@@ -51,6 +51,12 @@
 //! window, and write them back from the same buffers. There is no
 //! per-shard `Vec` and no concatenation anywhere on the read path (DESIGN
 //! §3h has the before/after count).
+//!
+//! Code width: an object of `n` bytes is cut into `data_shards_for(n,
+//! k)` data shards — one per whole page, at least one, at most the
+//! configured `k` — plus the same `t` parity shards, so no shard is
+//! smaller than a page and a one-page object is `t + 1` copies. The width
+//! is not stored: every path reads it back as `layout.len() − t`.
 //!
 //! Consistency model: an object's metadata (length + shard layout) is
 //! committed only after every shard of a put has been acknowledged, so
@@ -104,7 +110,8 @@ impl Default for RetryPolicy {
 /// Gateway tuning.
 #[derive(Debug, Clone)]
 pub struct GatewayConfig {
-    /// Data shards per object (`k`).
+    /// Data shards of the widest object (`k`): an object narrower than
+    /// `k` pages is cut one way per whole page (see [`data_shards_for`]).
     pub data_shards: usize,
     /// Parity shards per object (`t` — the tolerated concurrent
     /// failures).
@@ -157,7 +164,8 @@ pub struct ObjectMeta {
     pub len: u64,
     /// Length of each shard.
     pub shard_len: u32,
-    /// Brick id holding shard `pos`, for `pos` in `0..r`.
+    /// Brick id holding shard `pos`, for `pos` in `0..k' + t`, where
+    /// `k'` is the object's own data width.
     pub layout: Vec<u32>,
 }
 
@@ -191,7 +199,7 @@ pub enum ReadMode {
     /// All data shards came straight from their bricks.
     Healthy,
     /// At least one shard was unavailable; the object was erasure-
-    /// reconstructed from `k` surviving shards.
+    /// reconstructed from `k'` surviving shards.
     Degraded,
 }
 
@@ -225,10 +233,24 @@ const REPAIR_WINDOW_BYTES: usize = 2 << 20;
 /// Most objects in one repair or scrub window, whatever their size.
 const REPAIR_WINDOW_OBJECTS: usize = 32;
 
+/// Bytes of one page: no object is cut into data shards smaller than
+/// this.
+pub const PAGE_BYTES: usize = 4096;
+
+/// Data shards of a `len`-byte object on a gateway whose widest code has
+/// `k`: one per whole page of the object, at least one and at most `k`.
+/// A shard below a page costs a brick round trip for less than a page of
+/// data; a one-page object is stored as `t + 1` copies instead (the
+/// `(1, t)` Reed–Solomon generator is all ones).
+pub fn data_shards_for(len: usize, k: usize) -> usize {
+    (len / PAGE_BYTES).clamp(1, k)
+}
+
 /// A striping gateway over a fixed set of brick daemons.
 pub struct Gateway {
     cfg: GatewayConfig,
-    codec: ReedSolomon,
+    /// One codec per data width: `codecs[w - 1]` is `w + t`.
+    codecs: Vec<ReedSolomon>,
     pool: ConnectionPool,
     detector: Mutex<FailureDetector>,
     meta: Mutex<BTreeMap<u64, ObjectMeta>>,
@@ -263,14 +285,19 @@ impl Gateway {
                 ),
             });
         }
-        let codec = ReedSolomon::new(cfg.data_shards, cfg.parity_shards)?;
+        // The widest first: a geometry it refuses is refused as configured.
+        let widest = ReedSolomon::new(cfg.data_shards, cfg.parity_shards)?;
+        let mut codecs = (1..cfg.data_shards)
+            .map(|k| ReedSolomon::new(k, cfg.parity_shards))
+            .collect::<Result<Vec<_>, _>>()?;
+        codecs.push(widest);
         let detector = FailureDetector::new(clock, cfg.detector.clone(), 0..bricks.len() as u32);
         let mut pool = ConnectionPool::new(bricks, cfg.timeout, cfg.pool_size);
         pool.start_keepalive(cfg.keepalive_refresh);
         let rng = StdRng::seed_from_u64(cfg.jitter_seed);
         Ok(Gateway {
             cfg,
-            codec,
+            codecs,
             pool,
             detector: Mutex::new(detector),
             meta: Mutex::new(BTreeMap::new()),
@@ -281,14 +308,20 @@ impl Gateway {
         })
     }
 
-    /// Shards per object (`k + t`).
+    /// Shards of the widest object (`k + t`).
     pub fn redundancy(&self) -> usize {
-        self.codec.total_shards()
+        self.cfg.data_shards + self.cfg.parity_shards
     }
 
     /// Concurrent brick failures the code tolerates (`t`).
     pub fn tolerated(&self) -> usize {
-        self.codec.parity_shards()
+        self.cfg.parity_shards
+    }
+
+    /// The code of an object whose layout is `width` bricks wide: `width
+    /// − t` data shards and `t` parity.
+    fn codec(&self, width: usize) -> &ReedSolomon {
+        &self.codecs[width - self.tolerated() - 1]
     }
 
     /// Number of bricks the gateway addresses.
@@ -477,8 +510,11 @@ impl Gateway {
         adopted
     }
 
-    /// Stores `data` as `object`, erasure-coded across `k + t` healthy
-    /// bricks. Metadata commits only after every shard is acknowledged.
+    /// Stores `data` as `object`, erasure-coded across `k' + t` healthy
+    /// bricks, `k'` being [`data_shards_for`] its length. Metadata
+    /// commits only after every shard is acknowledged; then the shards of
+    /// an older version that the new layout does not overwrite are
+    /// deleted, best effort.
     ///
     /// # Errors
     ///
@@ -486,7 +522,7 @@ impl Gateway {
     /// when a shard of `data` would exceed [`MAX_SHARD_LEN`]; otherwise
     /// the transport and placement errors of the fan-out.
     pub fn put(&self, object: u64, data: &[u8]) -> Result<(), Error> {
-        let max = self.codec.data_shards().saturating_mul(MAX_SHARD_LEN);
+        let max = self.cfg.data_shards.saturating_mul(MAX_SHARD_LEN);
         if data.len() > max {
             return Err(Error::ObjectTooLarge {
                 len: data.len(),
@@ -508,9 +544,9 @@ impl Gateway {
         // serial retry path redials connections, so every shard request
         // re-announces this same context.
         let ctx = nsr_obs::current_context();
-        let r = self.redundancy();
         let mut excluded: BTreeSet<u32> = BTreeSet::new();
         let (shards, shard_len) = self.encode_object(data, scratch)?;
+        let r = shards.len();
         // A brick that fails all its retries mid-put is excluded and the
         // whole put restarted on a fresh layout — up to three layouts
         // before the error propagates.
@@ -543,14 +579,25 @@ impl Gateway {
             let mut done = acked(&sent);
             match self.settle_stores(&stores, &mut done, ctx) {
                 None => {
-                    self.meta.lock().expect("meta lock").insert(
-                        object,
-                        ObjectMeta {
-                            len: data.len() as u64,
-                            shard_len,
-                            layout,
-                        },
-                    );
+                    let meta = ObjectMeta {
+                        len: data.len() as u64,
+                        shard_len,
+                        layout: layout.clone(),
+                    };
+                    let old = self.meta.lock().expect("meta lock").insert(object, meta);
+                    // The old version's shards this put did not overwrite:
+                    // positions past the new width, and positions whose
+                    // brick changed. A dead brick is skipped; adoption
+                    // wipes it before it serves again.
+                    if let Some(old) = old.filter(|old| old.layout != layout) {
+                        let readable = self.readable(&old.layout);
+                        for (at, &brick) in old.layout.iter().enumerate() {
+                            if readable[at] && layout.get(at) != Some(&brick) {
+                                let pos = at as u32;
+                                self.take_back((brick, DataRequest::DeleteShard { object, pos }));
+                            }
+                        }
+                    }
                     obs::PUTS.inc();
                     return Ok(());
                 }
@@ -576,8 +623,9 @@ impl Gateway {
         })
     }
 
-    /// Reads `object`, reconstructing from any `k` shards when bricks
-    /// are down. Returns the bytes and whether the read was degraded.
+    /// Reads `object`, reconstructing from any `k'` of its shards when
+    /// bricks are down (`k'` is the object's own data width). Returns the
+    /// bytes and whether the read was degraded.
     pub fn get(&self, object: u64) -> Result<(Vec<u8>, ReadMode), Error> {
         let mut span = Span::enter("net.get");
         span.field("object", || Json::Num(object as f64));
@@ -589,16 +637,10 @@ impl Gateway {
             .get(&object)
             .cloned()
             .ok_or(Error::ObjectNotFound { object })?;
-        let r = self.redundancy();
-        let k = self.codec.data_shards();
-        let readable: Vec<bool> = {
-            let det = self.detector.lock().expect("detector lock");
-            meta.layout
-                .iter()
-                .map(|&b| det.health(b).map(Health::readable).unwrap_or(false))
-                .collect()
-        };
-        // The result is allocated once, k whole shards wide (the tail
+        let r = meta.layout.len();
+        let k = r - self.tolerated();
+        let readable = self.readable(&meta.layout);
+        // The result is allocated once, k' whole shards wide (the tail
         // shard's padding is cut off at the end), and every data shard is
         // fetched — or, if its brick is gone, rebuilt — straight into
         // its slice of it. Parity lands in scratch buffers that exist
@@ -735,10 +777,10 @@ impl Gateway {
             .filter(|(_, m)| m.layout.iter().any(|b| failed.contains(b)))
             .map(|(&id, m)| (id, m.clone()))
             .collect();
-        let r = self.redundancy();
-        let k = self.codec.data_shards();
-        let mut window = Window::new(self.cfg.fanout, r);
+        let mut window = Window::new(self.cfg.fanout);
         for (id, m) in objects {
+            let r = m.layout.len();
+            let k = r - self.tolerated();
             let lost: Vec<usize> = (0..r)
                 .filter(|&pos| failed.contains(&m.layout[pos]))
                 .collect();
@@ -779,7 +821,7 @@ impl Gateway {
             let targets: Vec<u32> = (0..lost.len())
                 .map(|i| spares[(id as usize + i) % spares.len()])
                 .collect();
-            if window.is_full_before(m.shard_len) {
+            if window.is_full_before(&m) {
                 self.repair_window(&mut window, &mut report, &mut span, ctx)?;
             }
             window.push(id, m, sources, lost, targets);
@@ -824,13 +866,13 @@ impl Gateway {
         if window.plans.is_empty() {
             return Ok(());
         }
-        let k = self.codec.data_shards();
+        let t = self.tolerated();
         let mut laps = obs::WindowLaps::start();
         let Window { plans, bufs, .. } = &mut *window;
         let wanted: Vec<(usize, usize)> = plans
             .iter()
             .enumerate()
-            .flat_map(|(j, plan)| plan.sources[..k].iter().map(move |&pos| (j, pos)))
+            .flat_map(|(j, plan)| plan.sources[..plan.k(t)].iter().map(move |&pos| (j, pos)))
             .collect();
         let requests: Vec<(u32, DataRequest<'_>)> =
             wanted.iter().map(|&(j, pos)| plans[j].fetch(pos)).collect();
@@ -844,6 +886,7 @@ impl Gateway {
         let mut cut: Option<Cut> = None;
         let mut complete = 0;
         for (j, plan) in plans.iter().enumerate() {
+            let k = plan.k(t);
             let mut present = vec![false; plan.meta.layout.len()];
             for ((&(_, pos), &request), res) in results.by_ref().take(k) {
                 let res = res.unwrap_or_else(|| self.fetch_one(request, &mut bufs[j][pos], ctx));
@@ -976,7 +1019,7 @@ impl Gateway {
     /// An object whose missing shards cannot all be restored this pass
     /// — a layout brick is unhealthy, or a write raced a fresh death —
     /// lands in [`RepairReport::deferred_objects`]; call again once the
-    /// cluster settles. Objects with fewer than `k` shards anywhere land
+    /// cluster settles. Objects with fewer than `k'` shards anywhere land
     /// in [`RepairReport::lost_objects`].
     pub fn scrub_repair(&self) -> Result<RepairReport, Error> {
         let mut span = Span::enter("net.scrub");
@@ -991,14 +1034,13 @@ impl Gateway {
             .iter()
             .map(|(&id, m)| (id, m.clone()))
             .collect();
-        let r = self.redundancy();
-        let mut window = Window::new(self.cfg.fanout, r);
+        let mut window = Window::new(self.cfg.fanout);
         for (id, m) in objects {
             // Probe every healthy layout brick.
-            let probe: Vec<usize> = (0..r)
+            let probe: Vec<usize> = (0..m.layout.len())
                 .filter(|&pos| healthy.binary_search(&m.layout[pos]).is_ok())
                 .collect();
-            if window.is_full_before(m.shard_len) {
+            if window.is_full_before(&m) {
                 self.scrub_window(&mut window, &mut report, ctx)?;
             }
             window.push(id, m, probe, Vec::new(), Vec::new());
@@ -1026,8 +1068,7 @@ impl Gateway {
         if window.plans.is_empty() {
             return Ok(());
         }
-        let r = self.redundancy();
-        let k = self.codec.data_shards();
+        let t = self.tolerated();
         let mut laps = obs::WindowLaps::start();
         let Window { plans, bufs, .. } = &mut *window;
         let wanted: Vec<(usize, usize)> = plans
@@ -1045,6 +1086,7 @@ impl Gateway {
         let mut restorable = Vec::new();
         for (j, plan) in plans.iter_mut().enumerate() {
             let (id, layout) = (plan.id, &plan.meta.layout);
+            let (r, k) = (layout.len(), plan.k(t));
             let mut present = vec![false; r];
             let mut unavailable = r - plan.sources.len();
             for ((&(_, pos), &request), res) in results.by_ref().take(plan.sources.len()) {
@@ -1176,21 +1218,29 @@ impl Gateway {
                 .split(',')
                 .map(|s| s.parse::<u32>().map_err(|_| bad()))
                 .collect::<Result<Vec<u32>, Error>>()?;
-            // `get` sizes its result from these two before any brick has
-            // answered: a shard must be one a put can have written, and k
-            // of them must hold the object.
-            let holds = self.codec.data_shards() as u64 * u64::from(shard_len);
-            if shard_len == 0 || shard_len as usize > MAX_SHARD_LEN || len > holds {
-                return Err(Error::Decode {
-                    what: format!("object {id}: shard_len {shard_len} cannot hold len {len}"),
-                });
-            }
-            if layout.len() != self.redundancy() {
+            // Any width from t + 1 to k + t: the width rule may have
+            // changed since the export (one that predates it is k + t
+            // wide at every length), so it is not checked against `len`.
+            let t = self.tolerated();
+            if !(t + 1..=self.redundancy()).contains(&layout.len()) {
                 return Err(Error::Decode {
                     what: format!(
-                        "object {id} layout has {} entries, geometry needs {}",
+                        "object {id} layout has {} entries, geometry needs {} to {}",
                         layout.len(),
+                        t + 1,
                         self.redundancy()
+                    ),
+                });
+            }
+            // `get` sizes its result from these two before any brick has
+            // answered: the shard must be the one a put of `len` bytes at
+            // this width writes, and no larger than a frame carries.
+            let k = (layout.len() - t) as u64;
+            if u64::from(shard_len) != len.div_ceil(k).max(1) || shard_len as usize > MAX_SHARD_LEN
+            {
+                return Err(Error::Decode {
+                    what: format!(
+                        "object {id}: shard_len {shard_len} is not that of len {len} over {k} data shards"
                     ),
                 });
             }
@@ -1216,19 +1266,20 @@ impl Gateway {
         Ok(())
     }
 
-    /// Splits `data` into `k + t` shard views for a put. The `k` data
-    /// shards borrow straight from the caller's bytes (owned only when
-    /// a tail shard needs zero padding); the `t` parity shards are
-    /// computed into `scratch`, whose buffers are resized to fit and
-    /// borrowed — a steady-state put of a constant object size touches
-    /// no allocator at all.
+    /// Splits `data` into `k' + t` shard views for a put, `k'` being
+    /// [`data_shards_for`] its length. The `k'` data shards borrow
+    /// straight from the caller's bytes (owned only when a tail shard
+    /// needs zero padding); the `t` parity shards are computed into
+    /// `scratch`, whose buffers are resized to fit and borrowed — a
+    /// steady-state put of a constant object size touches no allocator
+    /// at all.
     fn encode_object<'a>(
         &self,
         data: &'a [u8],
         scratch: &'a mut Vec<Vec<u8>>,
     ) -> Result<(Vec<ShardBuf<'a>>, u32), Error> {
-        let k = self.codec.data_shards();
-        let t = self.codec.parity_shards();
+        let t = self.tolerated();
+        let k = data_shards_for(data.len(), self.cfg.data_shards);
         let shard_len = data.len().div_ceil(k).max(1);
         let mut shards: Vec<ShardBuf<'a>> = Vec::with_capacity(k + t);
         for pos in 0..k {
@@ -1246,9 +1297,19 @@ impl Gateway {
         for p in scratch.iter_mut() {
             p.resize(shard_len, 0);
         }
-        self.codec.encode_parity_into(&shards, &mut scratch[..])?;
+        self.codec(k + t)
+            .encode_parity_into(&shards, &mut scratch[..])?;
         shards.extend(scratch.iter().map(|p| ShardBuf::Borrowed(p.as_slice())));
         Ok((shards, shard_len as u32))
+    }
+
+    /// Whether the detector believes each brick of `layout` can serve.
+    fn readable(&self, layout: &[u32]) -> Vec<bool> {
+        let det = self.detector.lock().expect("detector lock");
+        layout
+            .iter()
+            .map(|&b| det.health(b).map(Health::readable).unwrap_or(false))
+            .collect()
     }
 
     /// One attempt of `f` against a pooled connection to brick `id` —
@@ -1350,10 +1411,10 @@ impl Gateway {
         })
     }
 
-    /// Rebuilds positions `want` of a stripe from the shards marked
-    /// `present` (at least `k`), straight into their buffers in `stripe`
-    /// and nothing else — `get` asks for its missing data shards, rebuild
-    /// and scrub for the shards they are about to write back.
+    /// Rebuilds positions `want` of a `k' + t`-wide stripe from the shards
+    /// marked `present` (at least `k'`), straight into their buffers in
+    /// `stripe` and nothing else — `get` asks for its missing data shards,
+    /// rebuild and scrub for the shards they are about to write back.
     fn rebuild_shards(
         &self,
         stripe: &mut [&mut [u8]],
@@ -1361,8 +1422,9 @@ impl Gateway {
         want: &[usize],
     ) -> Result<(), Error> {
         let absent: Vec<usize> = (0..present.len()).filter(|&pos| !present[pos]).collect();
-        let plan = self.codec.plan_reconstruction(&absent)?;
-        Ok(self.codec.reconstruct_into(&plan, stripe, want)?)
+        let codec = self.codec(present.len());
+        let plan = codec.plan_reconstruction(&absent)?;
+        Ok(codec.reconstruct_into(&plan, stripe, want)?)
     }
 
     /// The per-shard retry path of a store: every write in `stores` not yet
@@ -1393,8 +1455,9 @@ impl Gateway {
     }
 
     /// Deletes, best effort, a shard a store landed that is not to be
-    /// committed: an orphan of a failed put, or a write past a repair
-    /// window's cut.
+    /// committed — an orphan of a failed put, or a write past a repair
+    /// window's cut — or an old version's shard that a committed put did
+    /// not overwrite.
     fn take_back(&self, (brick, store): (u32, DataRequest<'_>)) {
         let (object, pos) = store.shard();
         let _ = self.shard_op(brick, "delete_shard", |c| c.delete_shard(object, pos));
@@ -1500,6 +1563,11 @@ struct Plan {
 }
 
 impl Plan {
+    /// The object's data width, `k'`.
+    fn k(&self, t: usize) -> usize {
+        self.meta.layout.len() - t
+    }
+
     /// The fetch of position `at` from its layout brick.
     fn fetch(&self, at: usize) -> (u32, DataRequest<'static>) {
         let (object, pos) = (self.id, at as u32);
@@ -1533,33 +1601,31 @@ struct Window {
     /// Most objects: [`REPAIR_WINDOW_OBJECTS`], or one — an object at a
     /// time, the serial reference — with the fan-out off.
     cap: usize,
-    r: usize,
 }
 
 impl Window {
-    fn new(fanout: bool, r: usize) -> Window {
+    fn new(fanout: bool) -> Window {
         Window {
             plans: Vec::new(),
             bufs: Vec::new(),
             bytes: 0,
             cap: if fanout { REPAIR_WINDOW_OBJECTS } else { 1 },
-            r,
         }
     }
 
-    /// Whether an object of `shard_len`-byte shards must wait for the
-    /// next window: this one holds its object cap, or the object's stripe
-    /// would take it past [`REPAIR_WINDOW_BYTES`]. An empty window takes
-    /// an object of any size.
-    fn is_full_before(&self, shard_len: u32) -> bool {
-        let bytes = self.r * shard_len as usize;
+    /// Whether the object `meta` describes must wait for the next window:
+    /// this one holds its object cap, or the object's stripe would take it
+    /// past [`REPAIR_WINDOW_BYTES`]. An empty window takes an object of
+    /// any size.
+    fn is_full_before(&self, meta: &ObjectMeta) -> bool {
         !self.plans.is_empty()
-            && (self.plans.len() == self.cap || self.bytes + bytes > REPAIR_WINDOW_BYTES)
+            && (self.plans.len() == self.cap
+                || self.bytes + stripe_bytes(meta) > REPAIR_WINDOW_BYTES)
     }
 
-    /// Plans one more object, its buffers made one shard long (stale
-    /// bytes are harmless: a position counts only once fetched or
-    /// rebuilt).
+    /// Plans one more object, one buffer per layout position, each one
+    /// shard long (stale bytes are harmless: a position counts only once
+    /// fetched or rebuilt).
     fn push(
         &mut self,
         id: u64,
@@ -1570,12 +1636,13 @@ impl Window {
     ) {
         let j = self.plans.len();
         if self.bufs.len() == j {
-            self.bufs.push(vec![Vec::new(); self.r]);
+            self.bufs.push(Vec::new());
         }
+        self.bufs[j].resize_with(meta.layout.len(), Vec::new);
         for buf in &mut self.bufs[j] {
             buf.resize(meta.shard_len as usize, 0);
         }
-        self.bytes += self.r * meta.shard_len as usize;
+        self.bytes += stripe_bytes(&meta);
         self.plans.push(Plan {
             id,
             meta,
@@ -1591,6 +1658,11 @@ impl Window {
     }
 }
 
+/// Bytes of one object's whole stripe, parity included.
+fn stripe_bytes(meta: &ObjectMeta) -> usize {
+    meta.layout.len() * meta.shard_len as usize
+}
+
 /// Whether each store of a [`Gateway::round`] was acknowledged.
 fn acked(sent: &[Option<Result<(), Error>>]) -> Vec<bool> {
     sent.iter().map(|res| matches!(res, Some(Ok(())))).collect()
@@ -1603,7 +1675,7 @@ fn recv_fetch(c: &mut BrickClient, request: DataRequest<'_>, dst: &mut [u8]) -> 
 }
 
 /// The stripe view a `get` fetches and rebuilds through: the result
-/// buffer cut into its `k` data shards, then the parity scratch buffers
+/// buffer cut into its `k'` data shards, then the parity scratch buffers
 /// (empty until a read needs them).
 fn data_and_parity<'a>(
     data: &'a mut [u8],
@@ -1652,6 +1724,58 @@ mod tests {
         assert_eq!(rotate_pick(&healthy, 1, 5), vec![1, 2, 3, 4, 5]);
         assert_eq!(rotate_pick(&healthy, 5, 5), vec![5, 0, 1, 2, 3]);
         assert_eq!(rotate_pick(&healthy, 6, 5), vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn width_rule_cuts_one_data_shard_per_whole_page() {
+        const K: usize = 6;
+        let table = [
+            (0, 1),
+            (1, 1),
+            (4095, 1),
+            (4096, 1),
+            (8191, 1),
+            (8192, 2),
+            (K * 4096 - 1, K - 1),
+            (K * 4096, K),
+            (64 * 1024, K),
+            (1024 * 1024, K),
+        ];
+        for (len, width) in table {
+            assert_eq!(data_shards_for(len, K), width, "{len} bytes");
+            // No shard below a page, unless the object is one shard.
+            if width > 1 {
+                assert!(len.div_ceil(width) >= PAGE_BYTES, "{len} bytes");
+            }
+        }
+    }
+
+    #[test]
+    fn import_takes_every_width_from_t_plus_one_to_k_plus_t() {
+        let cfg = GatewayConfig::new(3, 2);
+        let addrs: Vec<SocketAddr> = (0..6)
+            .map(|i| format!("127.0.0.1:{}", 23000 + i).parse().unwrap())
+            .collect();
+        let gw = Gateway::connect(addrs, cfg).expect("gateway");
+        let import = |layout: &str, shard_len: u32| {
+            gw.import_meta(&format!(
+                "nsr-net-meta/v1\nobject 1 len 10 shard_len {shard_len} layout {layout}\n"
+            ))
+        };
+        // Whatever the width rule says for 10 bytes (one data shard), the
+        // shard must be the one a put at the layout's width cuts.
+        for (layout, shard_len) in [("0,1,2", 10), ("0,1,2,3", 5), ("0,1,2,3,4", 4)] {
+            import(layout, shard_len).expect(layout);
+            import(layout, shard_len + 1).expect_err(layout);
+        }
+        // Widths t and k + t + 1.
+        for (layout, shard_len) in [("0,1", 10), ("0,1,2,3,4,5", 3)] {
+            let err = import(layout, shard_len).expect_err(layout);
+            assert!(
+                matches!(&err, Error::Decode { what } if what.contains("geometry needs 3 to 5")),
+                "{err}"
+            );
+        }
     }
 
     #[test]
@@ -1713,10 +1837,12 @@ mod tests {
         }
         gw.import_meta("nsr-net-meta/v1\nobject 1 len 10 shard_len 4 layout 0,1,2,3,4\n")
             .expect("3 x 4 bytes hold 10");
-        // The shard cap is the one the put path enforces, to the byte.
+        // The shard cap is the one the put path enforces, to the byte
+        // (each object three shards long, as a put at 3 + 2 cuts it).
         let at_cap = |shard_len: usize| {
+            let len = 3 * shard_len;
             gw.import_meta(&format!(
-                "nsr-net-meta/v1\nobject 1 len 10 shard_len {shard_len} layout 0,1,2,3,4\n"
+                "nsr-net-meta/v1\nobject 1 len {len} shard_len {shard_len} layout 0,1,2,3,4\n"
             ))
         };
         at_cap(MAX_SHARD_LEN).expect("the largest shard a put writes");

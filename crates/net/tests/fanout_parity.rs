@@ -33,7 +33,9 @@ use std::time::Duration;
 
 use nsr_net::client::BrickClient;
 use nsr_net::detector::DetectorConfig;
-use nsr_net::gateway::{Gateway, GatewayConfig, ReadMode, RepairReport, RetryPolicy};
+use nsr_net::gateway::{
+    data_shards_for, Gateway, GatewayConfig, ReadMode, RepairReport, RetryPolicy, PAGE_BYTES,
+};
 use nsr_net::local::{ClusterState, LocalCluster, Pace};
 use nsr_net::Error;
 
@@ -87,9 +89,23 @@ fn layouts(gw: &Gateway) -> Vec<(u64, Vec<u32>)> {
 
 /// Deterministic per-object payload with a length that exercises both
 /// sub-shard objects and multi-KiB stripes, including lengths that are
-/// not multiples of `k`.
+/// not multiples of `k`. Objects shorter than `k` pages are stored
+/// narrower than `k + t`.
 fn payload(object: u64) -> Vec<u8> {
-    let len = 37 + (object as usize * 7919) % (48 * 1024);
+    patterned(object, 37 + (object as usize * 7919) % (48 * 1024))
+}
+
+/// `payload`'s bytes at least three pages long: at `k` ≤ 3, as in every
+/// repair script that names layouts or counts deferrals, each object keeps
+/// the full `k + t` width.
+fn wide_payload(object: u64) -> Vec<u8> {
+    patterned(
+        object,
+        3 * PAGE_BYTES + (object as usize * 7919) % (48 * 1024),
+    )
+}
+
+fn patterned(object: u64, len: usize) -> Vec<u8> {
     (0..len)
         .map(|i| (object as usize).wrapping_mul(31).wrapping_add(i * 131) as u8)
         .collect()
@@ -159,7 +175,7 @@ fn fanout_degraded_read_survives_exactly_t_dead_bricks() {
     // layout bricks is the worst still-recoverable case. Kill the two
     // *data* holders so the read is a full parity reconstruction.
     let mut c = cluster(6, 2, 2, true, 2);
-    let want = payload(1);
+    let want = wide_payload(1);
     c.gw.put(1, &want).expect("put");
     let layout = c.gw.object_layout(1).expect("layout");
     assert_eq!(layout.len(), 4);
@@ -172,14 +188,33 @@ fn fanout_degraded_read_survives_exactly_t_dead_bricks() {
 }
 
 /// Geometry of the read-shape matrix: 3 + 2 on exactly five bricks, and
-/// object ids that are multiples of five, so every layout is
-/// `[0, 1, 2, 3, 4]` — bricks 0–2 hold data, 3–4 parity.
+/// object ids that are multiples of five, so every layout is `[0, 1, ..,
+/// k' + t - 1]` — bricks `0..k'` hold data, the next `t` parity — where
+/// `k'` is the width rule's for the object's length: `[0, 1, 2, 3, 4]`
+/// from three pages up.
 const K: usize = 3;
 const T: usize = 2;
 
-/// Empty, sub-stripe, one byte per shard, whole small shards, a padded
-/// tail past 64 KiB, and shards larger than any socket read buffer.
-const SHAPE_LENS: [usize; 7] = [0, 1, K - 1, K, 6 * 1024, 64 * 1024 + 1, 1024 * 1024 + 3];
+/// Empty, one to `K` bytes, one and a half pages, both sides of every
+/// width boundary (one data shard below two pages, two below three, three
+/// from there, the last with a ragged tail), a padded tail past 64 KiB,
+/// and shards larger than any socket read buffer.
+const SHAPE_LENS: [usize; 14] = [
+    0,
+    1,
+    K - 1,
+    K,
+    PAGE_BYTES - 1,
+    PAGE_BYTES,
+    6 * 1024,
+    2 * PAGE_BYTES - 1,
+    2 * PAGE_BYTES,
+    K * PAGE_BYTES - 1,
+    K * PAGE_BYTES,
+    K * PAGE_BYTES + 1,
+    64 * 1024 + 1,
+    1024 * 1024 + 3,
+];
 
 /// What is out of reach when the reads run.
 #[derive(Debug, Clone, Copy)]
@@ -217,7 +252,8 @@ fn shapes_transcript(fanout: bool, pool_size: usize, fault: Fault) -> Vec<(usize
         .collect();
     for &(object, len) in &objects {
         c.gw.put(object, &shaped_payload(object, len)).expect("put");
-        assert_eq!(c.gw.object_layout(object), Some(vec![0, 1, 2, 3, 4]));
+        let width = (data_shards_for(len, K) + T) as u32;
+        assert_eq!(c.gw.object_layout(object), Some((0..width).collect()));
     }
     match fault {
         Fault::Down(bricks) => bricks.iter().for_each(|&id| {
@@ -237,8 +273,35 @@ fn shapes_transcript(fanout: bool, pool_size: usize, fault: Fault) -> Vec<(usize
         .collect()
 }
 
+/// What a get of the `len`-byte `object` returns under `fault`, from its
+/// width alone: its layout is bricks `0..k' + t`, more than `t` of them
+/// out of reach is a typed loss, and a read is degraded when a data
+/// position is out of reach.
+fn expected(object: u64, len: usize, fault: Fault) -> ReadOutcome {
+    let k = data_shards_for(len, K);
+    let out: Vec<usize> = match fault {
+        Fault::Down(bricks) => bricks.iter().copied().filter(|&b| b < k + T).collect(),
+        Fault::Deleted => vec![1],
+    };
+    if out.len() > T {
+        return Err(Error::DataLoss {
+            object,
+            missing: out.len(),
+            tolerated: T,
+        });
+    }
+    let mode = if out.iter().any(|&pos| pos < k) {
+        ReadMode::Degraded
+    } else {
+        ReadMode::Healthy
+    };
+    Ok((shaped_payload(object, len), mode))
+}
+
 #[test]
 fn get_matches_serial_on_every_shape_at_every_pool_size() {
+    // The read mode of every full-width (k + t) object under each fault;
+    // narrower objects read as `expected` derives from their width.
     let readable = [
         (Fault::Down(&[]), ReadMode::Healthy),
         (Fault::Down(&[0]), ReadMode::Degraded),
@@ -254,7 +317,13 @@ fn get_matches_serial_on_every_shape_at_every_pool_size() {
         let reference = shapes_transcript(false, 1, fault);
         for (i, (len, got)) in reference.iter().enumerate() {
             let object = (i * (K + T)) as u64;
-            let want = Ok((shaped_payload(object, *len), mode));
+            let want = expected(object, *len, fault);
+            if data_shards_for(*len, K) == K {
+                assert!(
+                    want == Ok((shaped_payload(object, *len), mode)),
+                    "{fault:?}, {len}-byte object: the full-width mode"
+                );
+            }
             assert!(got == &want, "{fault:?}, {len}-byte object, serial");
         }
         for pool_size in [1usize, 2, 8] {
@@ -262,16 +331,26 @@ fn get_matches_serial_on_every_shape_at_every_pool_size() {
             assert!(fast == reference, "{fault:?}, pool_size = {pool_size}");
         }
     }
-    // One brick past t: a typed loss with the same accounting both ways.
+    // One brick past t of a full-width layout: a typed loss with the
+    // same accounting both ways (a narrower layout holds fewer of these
+    // bricks, and reads or loses as `expected` says).
     for fault in [Fault::Down(&[0, 1, 2]), Fault::Down(&[1, 3, 4])] {
         let reference = shapes_transcript(false, 1, fault);
-        for (i, (_, got)) in reference.iter().enumerate() {
-            let lost = Err(Error::DataLoss {
-                object: (i * (K + T)) as u64,
-                missing: T + 1,
-                tolerated: T,
-            });
-            assert_eq!(got, &lost, "{fault:?}, serial");
+        for (i, (len, got)) in reference.iter().enumerate() {
+            let object = (i * (K + T)) as u64;
+            let want = expected(object, *len, fault);
+            if data_shards_for(*len, K) == K {
+                let lost = Err(Error::DataLoss {
+                    object,
+                    missing: T + 1,
+                    tolerated: T,
+                });
+                assert_eq!(
+                    want, lost,
+                    "{fault:?}, {len}-byte object: the full-width loss"
+                );
+            }
+            assert!(got == &want, "{fault:?}, {len}-byte object, serial");
         }
         for pool_size in [1usize, 2, 8] {
             let fast = shapes_transcript(true, pool_size, fault);
@@ -398,7 +477,7 @@ fn repair_interrupted_by_a_source_death_matches_serial_and_resumes() {
     // and nobody's spare before it: obj0 repairs, obj7 cannot reach k.
     fn script(fanout: bool, pool_size: usize) -> Vec<RepairStep> {
         let objects: Vec<u64> = (0..10).collect();
-        interrupted_repair(fanout, pool_size, &objects, payload, &[7, 8])
+        interrupted_repair(fanout, pool_size, &objects, wide_payload, &[7, 8])
     }
     let reference = assert_repair_parity(script);
     let resumed = reference[1].0.as_ref().expect("resumed pass");
@@ -416,7 +495,7 @@ fn repair_interrupted_by_a_spare_death_matches_serial_and_resumes() {
     // fails, and must take it back to leave what the serial path leaves.
     fn script(fanout: bool, pool_size: usize) -> Vec<RepairStep> {
         let objects: Vec<u64> = (0..10).filter(|&o| o != 1).collect();
-        interrupted_repair(fanout, pool_size, &objects, payload, &[6])
+        interrupted_repair(fanout, pool_size, &objects, wide_payload, &[6])
     }
     let reference = assert_repair_parity(script);
     let (interrupted, (_, inventories)) = &reference[0];
@@ -441,7 +520,7 @@ fn scrub_after_an_emptied_brick_rejoins_matches_serial() {
     fn script(fanout: bool, pool_size: usize) -> Vec<RepairStep> {
         let mut c = cluster(5, 2, 2, fanout, pool_size);
         for object in 0..10u64 {
-            c.gw.put(object, &payload(object)).expect("put");
+            c.gw.put(object, &wide_payload(object)).expect("put");
         }
         c.kill(0).expect("kill");
         c.kill(1).expect("kill");
@@ -449,7 +528,7 @@ fn scrub_after_an_emptied_brick_rejoins_matches_serial() {
         c.rejoin(0).expect("rejoin");
         c.rejoin(1).expect("rejoin");
         steps.push((c.gw.scrub_repair(), c.state().expect("state")));
-        assert_all_healthy(&c, payload);
+        assert_all_healthy(&c, wide_payload);
         steps.push((c.gw.scrub_repair(), c.state().expect("state")));
         steps
     }

@@ -11,9 +11,13 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::Duration;
 
+use nsr_erasure::rs::ReedSolomon;
+use nsr_net::client::BrickClient;
 use nsr_net::clock::MockClock;
 use nsr_net::detector::{DetectorConfig, Health};
-use nsr_net::gateway::{Gateway, GatewayConfig, ReadMode, RetryPolicy};
+use nsr_net::gateway::{
+    data_shards_for, Gateway, GatewayConfig, ReadMode, RetryPolicy, PAGE_BYTES,
+};
 use nsr_net::local::{LocalCluster, Pace};
 use nsr_net::Error;
 use nsr_rng::rngs::StdRng;
@@ -40,6 +44,10 @@ fn cluster(bricks: usize, data: usize, parity: usize) -> LocalCluster {
     }
     cluster
 }
+
+/// Two pages: at `k = 2` an object this long keeps the full `k + t`
+/// width that the layout vectors and counts below are written for.
+const WIDE: usize = 2 * PAGE_BYTES;
 
 fn payload(object: u64, len: usize) -> Vec<u8> {
     (0..len)
@@ -80,7 +88,7 @@ fn degraded_read_routes_around_undetected_dead_brick() {
 fn death_triggers_rebuild_to_spare_and_healthy_reads() {
     let mut cluster = cluster(4, 2, 1);
     for id in 0..6u64 {
-        cluster.gw.put(id, &payload(id, 4_096)).expect("put");
+        cluster.gw.put(id, &payload(id, WIDE)).expect("put");
     }
     // Brick 1 appears in some layouts (4 bricks, r=3 → each object
     // skips exactly one brick).
@@ -94,7 +102,7 @@ fn death_triggers_rebuild_to_spare_and_healthy_reads() {
         let layout = cluster.gw.object_layout(id).expect("layout");
         assert!(!layout.contains(&1), "obj{id} still references dead brick");
         let (back, mode) = cluster.gw.get(id).expect("get after rebuild");
-        assert_eq!(back, payload(id, 4_096));
+        assert_eq!(back, payload(id, WIDE));
         assert_eq!(mode, ReadMode::Healthy);
     }
     // The drained brick is out of rebuilding, still out of service.
@@ -112,8 +120,8 @@ fn rebuild_interruption_checkpoints_and_resumes() {
     let mut cluster = cluster(8, 2, 2);
     // Layout rotation over 8 healthy bricks: obj0 → [0,1,2,3],
     // obj5 → [5,6,7,0].
-    cluster.gw.put(0, &payload(0, 4_096)).expect("put 0");
-    cluster.gw.put(5, &payload(5, 4_096)).expect("put 5");
+    cluster.gw.put(0, &payload(0, WIDE)).expect("put 0");
+    cluster.gw.put(5, &payload(5, WIDE)).expect("put 5");
     assert_eq!(cluster.gw.object_layout(0).unwrap(), vec![0, 1, 2, 3]);
     assert_eq!(cluster.gw.object_layout(5).unwrap(), vec![5, 6, 7, 0]);
 
@@ -171,7 +179,7 @@ fn rebuild_interruption_checkpoints_and_resumes() {
 fn no_spare_defers_objects_and_scrub_restores_after_rejoin() {
     let mut cluster = cluster(4, 2, 1);
     for id in 0..6u64 {
-        cluster.gw.put(id, &payload(id, 4_096)).expect("put");
+        cluster.gw.put(id, &payload(id, WIDE)).expect("put");
     }
     // Layout rotation: obj o → bricks [o%4, o+1, o+2]. Dead {0, 3}:
     // objects 0,1,4,5 lose exactly 1 shard but every survivor {1,2} is
@@ -191,7 +199,7 @@ fn no_spare_defers_objects_and_scrub_restores_after_rejoin() {
     // objects 1 and 5 only lost parity (brick 3) and read clean.
     for id in [0u64, 1, 4, 5] {
         let (back, mode) = cluster.gw.get(id).expect("deferred object readable");
-        assert_eq!(back, payload(id, 4_096));
+        assert_eq!(back, payload(id, WIDE));
         let expect_mode = if id % 4 == 0 {
             ReadMode::Degraded
         } else {
@@ -232,7 +240,7 @@ fn no_spare_defers_objects_and_scrub_restores_after_rejoin() {
     // Full redundancy restored in place: same layouts, healthy reads.
     for id in [0u64, 1, 4, 5] {
         let (back, mode) = cluster.gw.get(id).expect("get after scrub");
-        assert_eq!(back, payload(id, 4_096));
+        assert_eq!(back, payload(id, WIDE));
         assert_eq!(mode, ReadMode::Healthy);
     }
     // A second scrub finds nothing to do.
@@ -246,8 +254,8 @@ fn no_spare_defers_objects_and_scrub_restores_after_rejoin() {
 #[test]
 fn coordinator_restart_resumes_from_committed_metadata() {
     let mut cluster = cluster(8, 2, 2);
-    cluster.gw.put(0, &payload(0, 4_096)).expect("put 0");
-    cluster.gw.put(5, &payload(5, 4_096)).expect("put 5");
+    cluster.gw.put(0, &payload(0, WIDE)).expect("put 0");
+    cluster.gw.put(5, &payload(5, WIDE)).expect("put 5");
     cluster.kill(0).expect("kill");
     cluster.stop(5).expect("stop");
     cluster.stop(6).expect("stop");
@@ -284,7 +292,7 @@ fn coordinator_restart_resumes_from_committed_metadata() {
         "finished move not redone after restart"
     );
     assert_eq!(report.lost_objects, vec![5]);
-    assert_eq!(gw2.get(0).expect("obj0 readable").0, payload(0, 4_096));
+    assert_eq!(gw2.get(0).expect("obj0 readable").0, payload(0, WIDE));
 }
 
 /// Reads every acknowledged object back and compares it byte for byte.
@@ -391,4 +399,171 @@ fn seeded_random_ops_keep_acknowledged_objects_exact_within_t() {
             assert_eq!(mode, ReadMode::Healthy, "round {round}: obj{key}");
         }
     }
+}
+
+/// Every running brick holds exactly the shards the committed layouts
+/// point at: none that no layout names (an orphan), and none missing.
+fn assert_exact_inventories(cluster: &LocalCluster, context: &str) {
+    let (_, inventories) = cluster.state().expect("state");
+    for (brick, inventory) in inventories.iter().enumerate() {
+        let Some(inventory) = inventory else {
+            continue;
+        };
+        let mut want: Vec<(u64, u32)> = Vec::new();
+        for object in cluster.gw.object_ids() {
+            let layout = cluster.gw.object_layout(object).expect("layout");
+            let here = (0..layout.len()).filter(|&pos| layout[pos] == brick as u32);
+            want.extend(here.map(|pos| (object, pos as u32)));
+        }
+        want.sort_unstable();
+        assert_eq!(inventory, &want, "{context}: brick {brick}");
+    }
+}
+
+/// An overwrite that changes an object's layout — to another width, or
+/// to other bricks after a death — deletes the old shards it did not
+/// overwrite once it commits.
+#[test]
+fn an_overwrite_onto_a_new_layout_leaves_no_orphan_shards() {
+    // 6 + 2 on nine bricks: 64 KiB is eight shards wide, 4 KiB three.
+    let mut cluster = cluster(9, 6, 2);
+    let key = 3;
+    for (step, len) in [64 * 1024, PAGE_BYTES, 64 * 1024].into_iter().enumerate() {
+        let data = payload(step as u64, len);
+        cluster.gw.put(key, &data).expect("put");
+        let layout = cluster.gw.object_layout(key).expect("layout");
+        assert_eq!(layout.len(), data_shards_for(len, 6) + 2, "step {step}");
+        assert_eq!(cluster.gw.get(key).expect("get").0, data, "step {step}");
+        assert_exact_inventories(&cluster, &format!("{len}-byte step {step}"));
+    }
+    // A layout brick dies: the next overwrite is laid out over the eight
+    // healthy bricks, and every position lands on another brick.
+    let before = cluster.gw.object_layout(key).expect("layout");
+    cluster.kill(before[0] as usize).expect("kill");
+    let data = payload(9, 64 * 1024);
+    cluster.gw.put(key, &data).expect("put with a brick dead");
+    let after = cluster.gw.object_layout(key).expect("layout");
+    assert!(before.iter().zip(&after).all(|(a, b)| a != b), "{after:?}");
+    assert_exact_inventories(&cluster, "overwrite onto other bricks");
+    cluster.rejoin(before[0] as usize).expect("rejoin");
+    assert_exact_inventories(&cluster, "after the rejoin");
+    assert_eq!(cluster.gw.get(key).expect("get"), (data, ReadMode::Healthy));
+}
+
+/// Metadata exported before the width rule — every object `k + t` wide,
+/// whatever its length — imports and reads back; the next overwrite
+/// re-cuts the object at its own width and takes back the rest.
+#[test]
+fn a_full_width_export_of_a_one_page_object_imports_and_reads_back() {
+    let cluster = cluster(9, 6, 2);
+    // Eight 683-byte shards on bricks 0..8, as a 6 + 2 put of 4 KiB wrote
+    // them before the width rule.
+    let data = payload(1, PAGE_BYTES);
+    let shard_len = PAGE_BYTES.div_ceil(6);
+    let mut padded = data.clone();
+    padded.resize(6 * shard_len, 0);
+    let data_shards: Vec<&[u8]> = padded.chunks(shard_len).collect();
+    let stripe = ReedSolomon::new(6, 2)
+        .expect("codec")
+        .encode(&data_shards)
+        .expect("encode");
+    for (pos, shard) in stripe.iter().enumerate() {
+        let mut brick = BrickClient::connect(cluster.addrs()[pos], Duration::from_millis(300))
+            .expect("connect behind the gateway");
+        brick.put_shard(1, pos as u32, shard).expect("put shard");
+    }
+    let export = format!(
+        "nsr-net-meta/v1\nobject 1 len {PAGE_BYTES} shard_len {shard_len} layout 0,1,2,3,4,5,6,7\n"
+    );
+    cluster
+        .gw
+        .import_meta(&export)
+        .expect("a full-width export");
+    assert_eq!(cluster.gw.export_meta(), export);
+    assert_eq!(cluster.gw.get(1).expect("get"), (data, ReadMode::Healthy));
+    let data = payload(2, PAGE_BYTES);
+    cluster.gw.put(1, &data).expect("overwrite");
+    assert_eq!(cluster.gw.object_layout(1).expect("layout").len(), 3);
+    assert_eq!(cluster.gw.get(1).expect("get"), (data, ReadMode::Healthy));
+    assert_exact_inventories(&cluster, "after the overwrite");
+}
+
+/// A one-page object is `t + 1` whole copies, and takes every fault path
+/// a full-width object takes: read around `t` dead copies, re-copied onto
+/// spares, restored in place by a scrub, and lost — typed — at `t + 1`.
+#[test]
+fn a_one_page_object_is_t_plus_one_copies_through_every_fault_path() {
+    let mut cluster = cluster(9, 6, 2);
+    let data = payload(4, PAGE_BYTES);
+    cluster.gw.put(4, &data).expect("put");
+    let layout = cluster.gw.object_layout(4).expect("layout");
+    assert_eq!(layout.len(), 3, "t + 1 copies");
+    for (pos, &brick) in layout.iter().enumerate() {
+        let mut client =
+            BrickClient::connect(cluster.addrs()[brick as usize], Duration::from_millis(300))
+                .expect("connect behind the gateway");
+        assert_eq!(
+            client.get_shard(4, pos as u32).expect("copy"),
+            data,
+            "pos {pos}"
+        );
+    }
+
+    // t copies' bricks die, the data copy among them: the read rebuilds
+    // it from the last copy, and a repair pass re-copies both onto spares.
+    cluster.kill(layout[0] as usize).expect("kill");
+    cluster.kill(layout[1] as usize).expect("kill");
+    assert_eq!(
+        cluster.gw.get(4).expect("degraded get"),
+        (data.clone(), ReadMode::Degraded)
+    );
+    let report = cluster.gw.repair_all().expect("repair");
+    assert_eq!(report.shards_moved, 2);
+    assert_eq!(report.bytes_moved, 2 * PAGE_BYTES as u64);
+    assert_eq!(report.objects_repaired, 1);
+    assert_eq!(report.lost_objects, Vec::<u64>::new());
+    assert_eq!(report.deferred_objects, Vec::<u64>::new());
+    let repaired = cluster.gw.object_layout(4).expect("layout");
+    assert_eq!(repaired[2], layout[2], "the surviving copy stays");
+    assert!(!repaired.contains(&layout[0]) && !repaired.contains(&layout[1]));
+    assert_eq!(
+        cluster.gw.get(4).expect("get after repair"),
+        (data.clone(), ReadMode::Healthy)
+    );
+    assert_exact_inventories(&cluster, "after the repair");
+
+    // One copy's brick comes back empty, still in the layout: the read is
+    // degraded until a scrub writes the copy back in place.
+    let emptied = repaired[0] as usize;
+    cluster.kill(emptied).expect("kill");
+    cluster.rejoin(emptied).expect("rejoin");
+    assert_eq!(
+        cluster.gw.get(4).expect("get with a copy missing"),
+        (data.clone(), ReadMode::Degraded)
+    );
+    let scrub = cluster.gw.scrub_repair().expect("scrub");
+    assert_eq!((scrub.shards_moved, scrub.objects_repaired), (1, 1));
+    assert_eq!(cluster.gw.object_layout(4), Some(repaired.clone()));
+    assert_eq!(
+        cluster.gw.get(4).expect("get after scrub"),
+        (data, ReadMode::Healthy)
+    );
+    assert_exact_inventories(&cluster, "after the scrub");
+
+    // t + 1 copies gone: a typed loss, on reads and in the repair report.
+    for &brick in &repaired {
+        cluster.kill(brick as usize).expect("kill");
+    }
+    assert_eq!(
+        cluster.gw.get(4),
+        Err(Error::DataLoss {
+            object: 4,
+            missing: 3,
+            tolerated: 2
+        })
+    );
+    assert_eq!(
+        cluster.gw.repair_all().expect("repair").lost_objects,
+        vec![4]
+    );
 }

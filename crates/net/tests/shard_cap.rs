@@ -4,7 +4,7 @@
 //! pooled lane is dropped or redialled on its account. One test function:
 //! the pool counters are process-wide.
 
-use nsr_net::gateway::GatewayConfig;
+use nsr_net::gateway::{GatewayConfig, PAGE_BYTES};
 use nsr_net::local::{LocalCluster, Pace};
 use nsr_net::wire::MAX_SHARD_LEN;
 use nsr_net::Error;
@@ -15,7 +15,8 @@ fn an_object_past_the_shard_cap_is_refused_before_any_lane_is_used() {
     const K: usize = 2;
     let cluster = LocalCluster::start(3, GatewayConfig::new(K, 1), Pace::Wall).expect("cluster");
     let gw = &cluster.gw;
-    gw.put(1, b"warm every lane").expect("warm-up put");
+    // K pages: the full K + 1 width, so every brick's lane is dialled.
+    gw.put(1, &[7u8; K * PAGE_BYTES]).expect("warm-up put");
     let reconnects = nsr_net::obs::POOL_RECONNECTS.get();
 
     // Lazily zeroed and never touched: only its length is looked at.
