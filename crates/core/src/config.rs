@@ -6,13 +6,13 @@ use std::sync::{Arc, Mutex};
 
 use nsr_markov::{BatchProgram, BatchSolver};
 
-use crate::internal_raid::InternalRaidSystem;
+use crate::internal_raid::{self, InternalRaidSystem};
 use crate::metrics::Reliability;
-use crate::no_raid::NoRaidSystem;
+use crate::no_raid::{self, NoRaidSystem};
 use crate::params::{Duplex, Params};
 use crate::raid::{ArrayModel, ArrayRates, InternalRaid};
 use crate::rebuild::{distributed_rebuild, restripe, RebuildRate, TransferAmounts};
-use crate::recursive::RecursiveModel;
+use crate::recursive::{self, RecursiveModel};
 use crate::scope::{critical_fraction, HParams};
 use crate::units::{Bytes, BytesPerSec, Hours, PerHour};
 use crate::{Error, Result};
@@ -134,15 +134,16 @@ impl Configuration {
     }
 
     /// The paper's closed-form reliability alone — pure arithmetic, no
-    /// chain solve. The planner's first pass runs on this.
+    /// chain built or solved. The planner's first pass reads the same
+    /// closed form off each grid point's model point.
     ///
     /// # Errors
     ///
     /// The validation and feasibility errors of
     /// [`Configuration::evaluate`].
     pub fn closed_form(&self, params: &Params) -> Result<Reliability> {
-        let (point, chain) = ModelClass::new(*self, params)?.at(params)?;
-        chain.closed_form(point.logical_capacity)
+        let (geometry, point) = ModelClass::new(*self, params)?.at(params)?;
+        geometry.closed_form(&point)
     }
 
     /// The model point of this configuration under `params`: its rebuild
@@ -157,10 +158,7 @@ impl Configuration {
     /// The validation and feasibility errors of
     /// [`Configuration::evaluate`] that come before the chain.
     pub fn model(&self, params: &Params) -> Result<ModelPoint> {
-        let sys = &params.system;
-        ModelClass::new(*self, params)?
-            .geometry(sys.node_count, sys.redundancy_set_size)?
-            .point(sys.capacity_utilization, sys.rebuild_bw_utilization)
+        Ok(ModelClass::new(*self, params)?.at(params)?.1)
     }
 
     /// Builds the exact CTMC underlying this configuration — the chain the
@@ -174,7 +172,8 @@ impl Configuration {
     ///
     /// Same conditions as [`Configuration::evaluate`].
     pub fn exact_chain(&self, params: &Params) -> Result<(nsr_markov::Ctmc, nsr_markov::StateId)> {
-        let (_, chain) = ModelClass::new(*self, params)?.at(params)?;
+        let (geometry, point) = ModelClass::new(*self, params)?.at(params)?;
+        let chain = geometry.chain_at(&point)?;
         let (skeleton, root) = self.skeleton()?;
         let mut rates = Vec::new();
         chain.transition_rates_into(&mut rates);
@@ -254,12 +253,19 @@ impl ModelClass {
     }
 
     /// Stages 2 and 3 at the point `params` describes, `params` being
-    /// the parameters this class was built from, and the point's chain.
-    fn at(&self, params: &Params) -> Result<(ModelPoint, ChainModel)> {
+    /// the parameters this class was built from.
+    fn at(&self, params: &Params) -> Result<(ModelGeometry, ModelPoint)> {
         let sys = &params.system;
         let geometry = self.geometry(sys.node_count, sys.redundancy_set_size)?;
         let point = geometry.point(sys.capacity_utilization, sys.rebuild_bw_utilization)?;
-        Ok((point, geometry.chain_at(&point)?))
+        Ok((geometry, point))
+    }
+
+    /// Usable fraction of raw capacity in redundancy sets of `set_size`
+    /// at capacity utilization `utilization` (see
+    /// [`crate::plan::storage_efficiency`]).
+    pub(crate) fn efficiency(&self, set_size: u32, utilization: f64) -> f64 {
+        self.config.code_and_raid_share(set_size, self.drives) * utilization
     }
 
     /// Stage 2: the geometry of `nodes` nodes in redundancy sets of
@@ -286,7 +292,6 @@ impl ModelClass {
             amounts,
             shape,
             raw_capacity: nodes as f64 * self.drives as f64 * self.drive_capacity,
-            efficiency: self.config.code_and_raid_share(set_size, self.drives),
         })
     }
 }
@@ -302,8 +307,6 @@ pub(crate) struct ModelGeometry {
     shape: Shape,
     /// `N·d·C`.
     raw_capacity: f64,
-    /// Usable share of raw capacity before the spare pool.
-    efficiency: f64,
 }
 
 /// What a geometry's chain needs beyond its rates: the `h` family
@@ -365,6 +368,41 @@ impl ModelGeometry {
         let c = &self.class;
         let array = ArrayModel::new(c.config.internal, c.drives, c.lambda_d, mu_repair, c.c_her)?;
         Ok(array.rates_paper())
+    }
+
+    /// The paper's closed-form reliability of `point`, a point of this
+    /// geometry, read off its rates and this geometry: the printed no-IR
+    /// forms (the appendix theorem beyond `t = 3`) or the IR form. No
+    /// chain is built, but the point meets the checks its chain would
+    /// make, with the same errors.
+    ///
+    /// # Errors
+    ///
+    /// The refusals of [`ModelGeometry::chain_at`], then
+    /// [`Reliability::from_mttdl`]'s.
+    pub(crate) fn closed_form(&self, point: &ModelPoint) -> Result<Reliability> {
+        let c = &self.class;
+        let (t, n) = (c.config.node_ft, self.nodes);
+        let (lambda_n, lambda_d) = (point.node_failure_rate, point.drive_failure_rate);
+        let (mu_n, mu_repair) = (point.node_rebuild.rate, point.drive_repair.rate);
+        let mttdl = match point.sector {
+            Sector::NoRaid(h) => {
+                let rates = [lambda_n.0, lambda_d.0, mu_n.0, mu_repair.0];
+                recursive::check(t, rates)?;
+                no_raid::mttdl_printed(t, n, self.set_size, c.drives, rates, c.c_her, &h)
+            }
+            Sector::Ir { array, k_t } => {
+                internal_raid::check(n, t, lambda_n, array, mu_n)?;
+                let rates = [
+                    lambda_n.0,
+                    array.lambda_array.0,
+                    array.lambda_sector.0,
+                    mu_n.0,
+                ];
+                internal_raid::mttdl_closed(n, t, rates, k_t)
+            }
+        };
+        Reliability::from_mttdl(mttdl, point.logical_capacity)
     }
 
     /// The chain model of `point`, a point of this geometry.
@@ -429,12 +467,6 @@ impl ModelGeometry {
         let r = self.set_size as f64;
         let t = self.class.config.node_ft as f64;
         Bytes(self.raw_capacity * utilization * (r - t) / r)
-    }
-
-    /// Usable fraction of raw capacity at capacity utilization
-    /// `utilization` (see [`crate::plan::storage_efficiency`]).
-    pub(crate) fn efficiency(&self, utilization: f64) -> f64 {
-        self.efficiency * utilization
     }
 }
 
@@ -535,16 +567,6 @@ pub(crate) enum ChainModel {
 }
 
 impl ChainModel {
-    /// The paper's closed-form reliability of a point of logical
-    /// capacity `capacity`.
-    pub(crate) fn closed_form(&self, capacity: Bytes) -> Result<Reliability> {
-        let mttdl = match self {
-            ChainModel::NoRaid(sys) => sys.mttdl_paper(),
-            ChainModel::Ir(sys) => sys.mttdl_paper(),
-        };
-        Reliability::from_mttdl(mttdl, capacity)
-    }
-
     /// The point's rate vector, in the class skeleton's transition order.
     fn transition_rates_into(&self, rates: &mut Vec<f64>) {
         match self {
@@ -677,11 +699,11 @@ impl CachedEvaluator {
     /// Body of [`CachedEvaluator::evaluate`], split out so the tracing
     /// span can observe the result.
     fn evaluate_class(&mut self, class: &ModelClass, params: &Params) -> Result<Evaluation> {
-        let (point, chain) = class.at(params)?;
-        let exact = self.exact_mttdl(&chain)?;
+        let (geometry, point) = class.at(params)?;
+        let exact = self.exact_mttdl(&geometry.chain_at(&point)?)?;
         Ok(Evaluation {
             config: self.config,
-            closed_form: chain.closed_form(point.logical_capacity)?,
+            closed_form: geometry.closed_form(&point)?,
             exact: Reliability::from_mttdl(exact, point.logical_capacity)?,
             node_rebuild: point.node_rebuild,
             drive_repair: point.drive_repair,

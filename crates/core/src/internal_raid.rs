@@ -101,20 +101,7 @@ impl InternalRaidSystem {
         mu_n: PerHour,
         k_t: impl FnOnce() -> Result<f64>,
     ) -> Result<InternalRaidSystem> {
-        if n <= t {
-            return Err(Error::infeasible(
-                "node set must be larger than fault tolerance",
-            ));
-        }
-        if !(lambda_n.0 > 0.0 && lambda_n.0.is_finite()) {
-            return Err(Error::invalid("node failure rate must be positive"));
-        }
-        if !(mu_n.0 > 0.0 && mu_n.0.is_finite()) {
-            return Err(Error::invalid("node rebuild rate must be positive"));
-        }
-        if !(array.lambda_array.0 >= 0.0 && array.lambda_sector.0 >= 0.0) {
-            return Err(Error::invalid("array rates must be non-negative"));
-        }
+        check(n, t, lambda_n, array, mu_n)?;
         let k_t = k_t()?;
         Ok(InternalRaidSystem {
             n,
@@ -240,22 +227,12 @@ impl InternalRaidSystem {
         Ok(Hours(analysis.mean_time_to_absorption(root)?))
     }
 
-    /// The paper's closed-form approximation, generalized to any `t`:
-    ///
-    /// ```text
-    /// MTTDL ≈ μ_N^t / ( N(N−1)···(N−t) · (λ_N+λ_D)^t · (λ_N+λ_D+k_t·λ_S) )
-    /// ```
-    ///
-    /// For `t = 1, 2, 3` this is literally `MTTDL_{IR,NFT1..3}` of §4.2
+    /// The paper's closed-form approximation, generalized to any `t`
+    /// ([`mttdl_closed`] at this model's rates). For `t = 1, 2, 3` this is literally `MTTDL_{IR,NFT1..3}` of §4.2
     /// (with `k₁ = 1`).
     pub fn mttdl_paper(&self) -> Hours {
-        let lam = self.lambda_n + self.lambda_d_array;
-        let mut denom = 1.0;
-        for i in 0..=self.t {
-            denom *= (self.n - i) as f64;
-        }
-        denom *= lam.powi(self.t as i32) * (lam + self.k_t * self.lambda_s);
-        Hours(self.mu_n.powi(self.t as i32) / denom)
+        let rates = [self.lambda_n, self.lambda_d_array, self.lambda_s, self.mu_n];
+        mttdl_closed(self.n, self.t, rates, self.k_t)
     }
 
     /// The *exact* closed form printed for NFT 1:
@@ -320,6 +297,58 @@ impl InternalRaidSystem {
             .absorption_probability(root, sector)
             .map_err(Into::into)
     }
+}
+
+/// The checks an internal-RAID chain makes of its node set size `n`,
+/// fault tolerance `t` and rates, in order.
+///
+/// # Errors
+///
+/// * [`Error::Infeasible`] if `n <= t`.
+/// * [`Error::InvalidParams`] for a node failure or rebuild rate that is
+///   not positive and finite, or a negative array rate.
+pub(crate) fn check(
+    n: u32,
+    t: u32,
+    lambda_n: PerHour,
+    array: ArrayRates,
+    mu_n: PerHour,
+) -> Result<()> {
+    if n <= t {
+        return Err(Error::infeasible(
+            "node set must be larger than fault tolerance",
+        ));
+    }
+    if !(lambda_n.0 > 0.0 && lambda_n.0.is_finite()) {
+        return Err(Error::invalid("node failure rate must be positive"));
+    }
+    if !(mu_n.0 > 0.0 && mu_n.0.is_finite()) {
+        return Err(Error::invalid("node rebuild rate must be positive"));
+    }
+    if !(array.lambda_array.0 >= 0.0 && array.lambda_sector.0 >= 0.0) {
+        return Err(Error::invalid("array rates must be non-negative"));
+    }
+    Ok(())
+}
+
+/// The paper's closed-form approximation at node set size `n`, fault
+/// tolerance `t`, rates `[λ_N, λ_D, λ_S, μ_N]` (per hour: node failure,
+/// array failure, sector error in a critical re-stripe, node rebuild)
+/// and critical fraction `k_t`, generalized to any `t`: plain
+/// arithmetic, no chain.
+///
+/// ```text
+/// MTTDL ≈ μ_N^t / ( N(N−1)···(N−t) · (λ_N+λ_D)^t · (λ_N+λ_D+k_t·λ_S) )
+/// ```
+pub(crate) fn mttdl_closed(n: u32, t: u32, rates: [f64; 4], k_t: f64) -> Hours {
+    let [lambda_n, lambda_array, lambda_sector, mu_n] = rates;
+    let lam = lambda_n + lambda_array;
+    let mut denom = 1.0;
+    for i in 0..=t {
+        denom *= (n - i) as f64;
+    }
+    denom *= lam.powi(t as i32) * (lam + k_t * lambda_sector);
+    Hours(mu_n.powi(t as i32) / denom)
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! [`NoRaidSystem::mttdl_paper`] formulas are verified (in tests and in
 //! `tests/recursive_model.rs`) to be special cases of it.
 
-use crate::recursive::RecursiveModel;
+use crate::recursive::{self, RecursiveModel};
 use crate::scope::HParams;
 use crate::units::{Hours, PerHour};
 use crate::Result;
@@ -115,64 +115,12 @@ impl NoRaidSystem {
 
     /// The MTTDL approximation *as printed* for `t = 1` (§4.3), `t = 2, 3`
     /// (Figure 12); other `t` fall back to the appendix theorem, of which
-    /// the printed forms are special cases.
-    ///
-    /// The `λ_D` appearing in the paper's Fig-12 denominators is read as
-    /// `λ_d` (there is no array-failure rate without internal RAID; the
-    /// appendix confirms the factor is `L(μ_d, μ_N) = μ_dλ_N + μ_N·dλ_d`).
+    /// the printed forms are special cases ([`mttdl_printed`] at this
+    /// model's rates).
     pub fn mttdl_paper(&self) -> Hours {
-        let nf = self.n as f64;
-        let rf = self.r as f64;
-        let df = self.d as f64;
-        let (ln, ld, mn, md) = (self.lambda_n, self.lambda_d, self.mu_n, self.mu_d);
-        let c = self.c_her;
-        match self.t {
-            1 => {
-                // MTTDL ≈ μ_dμ_N / ( N(N−1)(λ_N+dλ_d)(μ_dλ_N+dμ_Nλ_d)
-                //                    + N·d·h·μ_dμ_N(λ_d+λ_N) ),  h = (R−1)·C·HER
-                let h = (rf - 1.0) * c;
-                let den = nf * (nf - 1.0) * (ln + df * ld) * (md * ln + df * mn * ld)
-                    + nf * df * h * md * mn * (ld + ln);
-                Hours(md * mn / den)
-            }
-            2 => {
-                // Figure 12, NFT 2.
-                let den = nf
-                    * (nf - 1.0)
-                    * (nf - 2.0)
-                    * (ln + df * ld)
-                    * (md * ln + df * mn * ld).powi(2)
-                    + nf * (rf - 1.0)
-                        * (rf - 2.0)
-                        * c
-                        * df
-                        * md
-                        * mn
-                        * (ld + ln)
-                        * (md * ln + mn * ld);
-                Hours((md * mn).powi(2) / den)
-            }
-            3 => {
-                // Figure 12, NFT 3.
-                let den = nf
-                    * (nf - 1.0)
-                    * (nf - 2.0)
-                    * (nf - 3.0)
-                    * (ln + df * ld)
-                    * (md * ln + df * mn * ld).powi(3)
-                    + nf * (rf - 1.0)
-                        * (rf - 2.0)
-                        * (rf - 3.0)
-                        * c
-                        * df
-                        * md
-                        * mn
-                        * (ld + ln)
-                        * (md * ln + mn * ld).powi(2);
-                Hours((md * mn).powi(3) / den)
-            }
-            _ => self.mttdl_theorem(),
-        }
+        let rates = [self.lambda_n, self.lambda_d, self.mu_n, self.mu_d];
+        let h = self.recursive.h_params();
+        mttdl_printed(self.t, self.n, self.r, self.d, rates, self.c_her, h)
     }
 
     /// The appendix's general-`k` closed-form approximation (Figure A1).
@@ -194,6 +142,71 @@ impl NoRaidSystem {
     /// [`NoRaidSystem::mttdl_exact`]).
     pub fn mttdl_lemma(&self) -> Hours {
         self.recursive.mttdl_lemma()
+    }
+}
+
+/// The MTTDL approximation *as printed* at node fault tolerance `t`,
+/// node set size `n`, redundancy set size `r`, `d` drives per node, rates
+/// `[λ_N, λ_d, μ_N, μ_d]` (per hour) and `C·HER`: §4.3's form for
+/// `t = 1`, Figure 12's for `t = 2, 3`, and the appendix theorem over `h`
+/// for any other `t`. Plain arithmetic, no chain.
+///
+/// The `λ_D` appearing in the paper's Fig-12 denominators is read as
+/// `λ_d` (there is no array-failure rate without internal RAID; the
+/// appendix confirms the factor is `L(μ_d, μ_N) = μ_dλ_N + μ_N·dλ_d`).
+pub(crate) fn mttdl_printed(
+    t: u32,
+    n: u32,
+    r: u32,
+    d: u32,
+    rates: [f64; 4],
+    c_her: f64,
+    h: &HParams,
+) -> Hours {
+    let nf = n as f64;
+    let rf = r as f64;
+    let df = d as f64;
+    let [ln, ld, mn, md] = rates;
+    let c = c_her;
+    match t {
+        1 => {
+            // MTTDL ≈ μ_dμ_N / ( N(N−1)(λ_N+dλ_d)(μ_dλ_N+dμ_Nλ_d)
+            //                    + N·d·h·μ_dμ_N(λ_d+λ_N) ),  h = (R−1)·C·HER
+            let h = (rf - 1.0) * c;
+            let den = nf * (nf - 1.0) * (ln + df * ld) * (md * ln + df * mn * ld)
+                + nf * df * h * md * mn * (ld + ln);
+            Hours(md * mn / den)
+        }
+        2 => {
+            // Figure 12, NFT 2.
+            let den = nf
+                * (nf - 1.0)
+                * (nf - 2.0)
+                * (ln + df * ld)
+                * (md * ln + df * mn * ld).powi(2)
+                + nf * (rf - 1.0) * (rf - 2.0) * c * df * md * mn * (ld + ln) * (md * ln + mn * ld);
+            Hours((md * mn).powi(2) / den)
+        }
+        3 => {
+            // Figure 12, NFT 3.
+            let den = nf
+                * (nf - 1.0)
+                * (nf - 2.0)
+                * (nf - 3.0)
+                * (ln + df * ld)
+                * (md * ln + df * mn * ld).powi(3)
+                + nf * (rf - 1.0)
+                    * (rf - 2.0)
+                    * (rf - 3.0)
+                    * c
+                    * df
+                    * md
+                    * mn
+                    * (ld + ln)
+                    * (md * ln + mn * ld).powi(2);
+            Hours((md * mn).powi(3) / den)
+        }
+        _ => recursive::mttdl_theorem(t, n, d, rates, h),
     }
 }
 

@@ -274,6 +274,9 @@ pub struct PlanPoint {
     /// `μ_N` and the drive repair rate the point stage derived: with the
     /// point's geometry, what pass 2 rebuilds the chain from.
     repair: [PerHour; 2],
+    /// The ranks of the two costs among their axes' distinct values
+    /// ([`GridTables`]): what the dominance kernel buckets by.
+    cost_rank: [u32; 2],
 }
 
 /// A frontier member: a survivor with its exact-CTMC objectives.
@@ -384,17 +387,73 @@ impl Pass1 {
     }
 }
 
-/// The first model-point stage for every `(fault tolerance, internal
-/// RAID)` pair of the grid, `t` outermost — the order of those two axes
-/// in a grid index.
-fn model_classes(base: &Params, space: &ConfigSpace) -> Vec<Result<ModelClass>> {
-    let mut classes = Vec::with_capacity(space.node_ft.len() * space.internal.len());
-    for &t in &space.node_ft {
-        for &internal in &space.internal {
-            classes.push(Configuration::new(internal, t).and_then(|c| ModelClass::new(c, base)));
+/// What a search derives from its grid once, before pass 1: the first
+/// model-point stage of every class, and each cost's rank on its axis.
+///
+/// The raw/usable overhead is a function of `(k, class, spare
+/// fraction)` alone — not of `N`, nor of the bandwidth — so it is
+/// computed once per such combo and every point copies it. Ranking the
+/// at most `|k|·|t|·|IR|·|spares|` overheads and the bandwidth axis
+/// gives every point its dominance bucket without hashing a cost.
+struct GridTables {
+    /// Every `(fault tolerance, internal RAID)` pair's class, `t`
+    /// outermost — the order of those two axes in a grid index.
+    classes: Vec<Result<ModelClass>>,
+    /// Raw/usable overhead per `(k, class, spare fraction)` combo,
+    /// row-major in grid order; NaN under a failed class, whose points
+    /// are all infeasible.
+    overhead: Vec<f64>,
+    /// Each overhead's rank, then each bandwidth's rank ([`ranks`]).
+    rank: [Vec<u32>; 2],
+    /// The number of distinct overheads, then of distinct bandwidths.
+    levels: [usize; 2],
+}
+
+impl GridTables {
+    fn new(base: &Params, space: &ConfigSpace) -> GridTables {
+        let mut classes = Vec::with_capacity(space.node_ft.len() * space.internal.len());
+        for &t in &space.node_ft {
+            for &internal in &space.internal {
+                classes
+                    .push(Configuration::new(internal, t).and_then(|c| ModelClass::new(c, base)));
+            }
+        }
+        let combos = space.data_shards.len() * classes.len() * space.spare_frac.len();
+        let mut overhead = Vec::with_capacity(combos);
+        for &k in &space.data_shards {
+            for class in &classes {
+                for &spare_frac in &space.spare_frac {
+                    overhead.push(class.as_ref().map_or(f64::NAN, |class| {
+                        let set_size = k + class.config().node_fault_tolerance();
+                        1.0 / class.efficiency(set_size, 1.0 - spare_frac)
+                    }));
+                }
+            }
+        }
+        let (overhead_rank, overheads) = ranks(&overhead);
+        let (bandwidth_rank, bandwidths) = ranks(&space.rebuild_bw);
+        GridTables {
+            classes,
+            overhead,
+            rank: [overhead_rank, bandwidth_rank],
+            levels: [overheads, bandwidths],
         }
     }
-    classes
+}
+
+/// Each value's rank among the distinct values of `values` in ascending
+/// order, and how many distinct values there are. Values equal under
+/// [`ord`] — `-0.0` and `+0.0` among them — share a rank, so comparing
+/// ranks is comparing the values.
+fn ranks(values: &[f64]) -> (Vec<u32>, usize) {
+    let mut distinct: Vec<u64> = values.iter().map(|&v| ord(v)).collect();
+    distinct.sort_unstable();
+    distinct.dedup();
+    let rank = values
+        .iter()
+        .map(|&v| distinct.partition_point(|&d| d < ord(v)) as u32)
+        .collect();
+    (rank, distinct.len())
 }
 
 /// Closed-form pass for geometry `g` — the `g`-th `(nodes, k, t,
@@ -404,17 +463,20 @@ fn model_classes(base: &Params, space: &ConfigSpace) -> Vec<Result<ModelClass>> 
 /// returns the geometry for pass 2 (`None` if it failed).
 fn pass1_geometry(
     space: &ConfigSpace,
-    classes: &[Result<ModelClass>],
+    tables: &GridTables,
     g: usize,
     emit: &mut impl FnMut(usize, std::result::Result<PlanPoint, &Error>),
 ) -> Option<ModelGeometry> {
     // `g` is row-major over (nodes, k, class), the class index running
-    // over (t, internal RAID) as `model_classes` lists them.
+    // over (t, internal RAID) as `GridTables::classes` lists them.
+    let classes = &tables.classes;
     let rest = g / classes.len();
     let k = space.data_shards[rest % space.data_shards.len()];
     let nodes = space.nodes[rest / space.data_shards.len()];
     let per_geometry = space.spare_frac.len() * space.rebuild_bw.len();
     let first = g * per_geometry;
+    // The geometry's first `(k, class, spare fraction)` combo.
+    let combos = (g % (space.data_shards.len() * classes.len())) * space.spare_frac.len();
     let geometry = classes[g % classes.len()]
         .as_ref()
         .map_err(Error::clone)
@@ -429,10 +491,12 @@ fn pass1_geometry(
         }
     };
     let config = geometry.config();
+    let [overhead_rank, bandwidth_rank] = &tables.rank;
     let mut idx = first;
-    for &spare_frac in &space.spare_frac {
+    for (s, &spare_frac) in space.spare_frac.iter().enumerate() {
         let utilization = 1.0 - spare_frac;
-        for &rebuild_bw in &space.rebuild_bw {
+        let combo = combos + s;
+        for (b, &rebuild_bw) in space.rebuild_bw.iter().enumerate() {
             let point = GridPoint {
                 nodes,
                 data_shards: k,
@@ -442,18 +506,17 @@ fn pass1_geometry(
                 rebuild_bw,
             };
             let planned = geometry.point(utilization, rebuild_bw).and_then(|model| {
-                let closed = geometry
-                    .chain_at(&model)?
-                    .closed_form(model.logical_capacity)?;
+                let closed = geometry.closed_form(&model)?;
                 Ok(PlanPoint {
                     index: idx,
                     point,
                     config,
-                    cost_overhead: 1.0 / geometry.efficiency(utilization),
+                    cost_overhead: tables.overhead[combo],
                     cost_rebuild_bw: rebuild_bw,
                     closed_mttdl_hours: closed.mttdl_hours,
                     closed_events_pb_year: closed.events_per_pb_year,
                     repair: [model.node_rebuild.rate, model.drive_repair.rate],
+                    cost_rank: [overhead_rank[combo], bandwidth_rank[b]],
                 })
             });
             match planned {
@@ -476,11 +539,11 @@ fn pass1_geometry(
 pub fn closed_form_pass(base: &Params, space: &ConfigSpace) -> Result<Vec<Result<PlanPoint>>> {
     base.validate()?;
     space.validate()?;
-    let classes = model_classes(base, space);
-    let geometries = space.nodes.len() * space.data_shards.len() * classes.len();
+    let tables = GridTables::new(base, space);
+    let geometries = space.nodes.len() * space.data_shards.len() * tables.classes.len();
     let mut out = Vec::with_capacity(space.len());
     for g in 0..geometries {
-        pass1_geometry(space, &classes, g, &mut |_, p| {
+        pass1_geometry(space, &tables, g, &mut |_, p| {
             out.push(p.map_err(Error::clone))
         });
     }
@@ -514,21 +577,24 @@ fn ord(x: f64) -> u64 {
     }
 }
 
-/// One point of a dominance question, every coordinate through [`ord`]:
-/// `key` is its two costs and the objective pair it offers as a
-/// dominator, `asked` the pair a dominator has to beat. The frontier
-/// filter offers and asks with the exact objectives; pruning offers the
-/// pessimistic bounds and asks with the optimistic ones.
+/// One point of a dominance question: `cost` is its two costs' ranks
+/// on their axes ([`GridTables`]), `offered` the objective pair it offers
+/// as a dominator and `asked` the pair a dominator has to beat, both
+/// through [`ord`]. The frontier filter offers and asks with the exact
+/// objectives; pruning offers the pessimistic bounds and asks with the
+/// optimistic ones.
 #[derive(Debug, Clone, Copy)]
 struct DomPoint {
-    key: [u64; 4],
+    cost: [u32; 2],
+    offered: [u64; 2],
     asked: [u64; 2],
 }
 
 impl DomPoint {
-    fn new(cost: [f64; 2], offered: [f64; 2], asked: [f64; 2]) -> DomPoint {
+    fn new(cost: [u32; 2], offered: [f64; 2], asked: [f64; 2]) -> DomPoint {
         DomPoint {
-            key: [cost[0], cost[1], offered[0], offered[1]].map(ord),
+            cost,
+            offered: offered.map(ord),
             asked: asked.map(ord),
         }
     }
@@ -565,82 +631,75 @@ impl Staircase {
     }
 }
 
-/// For every point `P`, whether some point `Q` with a different key is
-/// `≤ P` in both costs and offers objectives `≤ P.asked` (`<` in both
-/// when `strict`).
+/// For every point `P`, whether some point `Q` with a different cost
+/// and offered pair is `≤ P` in both costs and offers objectives
+/// `≤ P.asked` (`<` in both when `strict`). `levels` is the number of
+/// ranks on each cost axis.
 ///
-/// Points are visited in lexicographic key order with one [`Staircase`]
-/// of offered pairs per distinct second cost. Every `Q` that answers
-/// for `P` sorts strictly before it — weakly smaller everywhere and not
-/// identical, or, under `strict`, offering less than `P.asked`, which is
-/// at most what `P` offers (were it not, `P` would only be kept, never
-/// wrongly dropped) — so each run of identical keys is queried against
-/// the staircases at or below its second cost and only then inserted:
-/// identical vectors neither dominate nor are dominated, and a point
-/// never answers for itself. `O(N·L·log N)` for `L` distinct second
-/// costs.
+/// Points are visited in lexicographic (costs, offered) order with one
+/// [`Staircase`] of offered pairs per second-cost rank. Every `Q` that
+/// answers for `P` sorts strictly before it — weakly smaller everywhere
+/// and not identical, or, under `strict`, offering less than `P.asked`,
+/// which is at most what `P` offers (were it not, `P` would only be
+/// kept, never wrongly dropped) — so each run of identical vectors is
+/// queried against the staircases at or below its second cost and only
+/// then inserted: identical vectors neither dominate nor are dominated,
+/// and a point never answers for itself. `O(N·L·log N)` for `L` ranks
+/// of the second cost.
 ///
-/// The key order is built without sorting every key, because a grid
-/// repeats its cost pairs many times over (the benchmark grid has 1,116
-/// pairs among 11,472 points): points are bucketed by cost pair through
-/// a hash map, the distinct pairs are sorted, and each bucket is sorted
-/// by its offered pair alone.
-fn dominated(points: &[DomPoint], strict: bool) -> Vec<bool> {
-    // Every point's bucket, numbered in order of first appearance.
-    let mut ids: HashMap<(u64, u64), usize> = HashMap::new();
-    let mut pairs: Vec<[u64; 2]> = Vec::new();
-    let bucket: Vec<usize> = points
-        .iter()
-        .map(|p| {
-            *ids.entry((p.key[0], p.key[1])).or_insert_with(|| {
-                pairs.push([p.key[0], p.key[1]]);
-                pairs.len() - 1
-            })
-        })
-        .collect();
-    // Buckets in cost order, then a counting sort of the points into
-    // them (ascending index within a bucket).
-    let mut by_cost: Vec<usize> = (0..pairs.len()).collect();
-    by_cost.sort_unstable_by_key(|&b| pairs[b]);
-    let mut rank = vec![0; pairs.len()];
-    for (r, &b) in by_cost.iter().enumerate() {
-        rank[b] = r;
+/// The order needs no comparison of costs: the ranks name each point's
+/// cost bucket, in cost order, so a counting sort places the points in
+/// their buckets (ascending index within one) and each bucket is sorted
+/// by its offered pair alone — a grid repeats its cost pairs many times
+/// over (the benchmark grid has 1,116 pairs among 11,472 points).
+fn dominated(points: &[DomPoint], levels: [usize; 2], strict: bool) -> Vec<bool> {
+    let bucket = |p: &DomPoint| p.cost[0] as usize * levels[1] + p.cost[1] as usize;
+    let mut starts = vec![0; levels[0] * levels[1] + 1];
+    for p in points {
+        starts[bucket(p) + 1] += 1;
     }
-    let mut starts = vec![0; pairs.len() + 1];
-    for &b in &bucket {
-        starts[rank[b] + 1] += 1;
-    }
-    for r in 0..pairs.len() {
-        starts[r + 1] += starts[r];
+    for b in 1..starts.len() {
+        starts[b] += starts[b - 1];
     }
     let mut next = starts.clone();
     let mut order = vec![0; points.len()];
-    for (i, &b) in bucket.iter().enumerate() {
-        order[next[rank[b]]] = i;
-        next[rank[b]] += 1;
+    for (i, p) in points.iter().enumerate() {
+        order[next[bucket(p)]] = i;
+        next[bucket(p)] += 1;
     }
-    let mut levels: Vec<u64> = pairs.iter().map(|p| p[1]).collect();
-    levels.sort_unstable();
-    levels.dedup();
-    let mut stairs: Vec<Staircase> = levels.iter().map(|_| Staircase::default()).collect();
+    let mut stairs: Vec<Staircase> = (0..levels[1]).map(|_| Staircase::default()).collect();
 
     let mut out = vec![false; points.len()];
-    for (r, &b) in by_cost.iter().enumerate() {
-        let c2 = pairs[b][1];
-        let members = &mut order[starts[r]..starts[r + 1]];
-        members.sort_unstable_by_key(|&i| (points[i].key[2], points[i].key[3], i));
-        let at_or_below = levels.partition_point(|&l| l <= c2);
-        for run in members.chunk_by(|&a, &b| points[a].key == points[b].key) {
+    for members in starts.windows(2).map(|w| w[0]..w[1]) {
+        let members = &mut order[members];
+        let Some(&first) = members.first() else {
+            continue;
+        };
+        let level = points[first].cost[1] as usize;
+        members.sort_unstable_by_key(|&i| (points[i].offered, i));
+        for run in members.chunk_by(|&a, &b| points[a].offered == points[b].offered) {
             for &i in run {
-                out[i] = stairs[..at_or_below]
+                out[i] = stairs[..=level]
                     .iter()
                     .any(|s| s.covers(points[i].asked, strict));
             }
-            let [_, _, x, y] = points[run[0]].key;
-            stairs[at_or_below - 1].insert([x, y]);
+            stairs[level].insert(points[run[0]].offered);
         }
     }
     out
+}
+
+/// The pessimistic and the optimistic objective pair of `p` over a
+/// `years` mission. exact_mttdl ∈ [cf/(1+γ), cf/(1−γ)], and both
+/// objectives are monotone decreasing in MTTDL, so they are bracketed by
+/// evaluating at the band's ends.
+fn guard_bounds(p: &PlanPoint, years: f64) -> [[f64; 2]; 2] {
+    [PRUNE_GUARD, -PRUNE_GUARD].map(|guard| {
+        [
+            p.closed_events_pb_year * (1.0 + guard),
+            mission_loss(p.closed_mttdl_hours / (1.0 + guard), years),
+        ]
+    })
 }
 
 /// Indices of `feasible` that survive guard-band pruning, in input
@@ -649,24 +708,15 @@ fn dominated(points: &[DomPoint], strict: bool) -> Vec<bool> {
 /// A point `P` is pruned iff some other point `Q` has
 /// `cost(Q) ≤ cost(P)` componentwise *and* `ub(Q) < lb(P)` in both
 /// objectives — which proves `exact(Q)` strictly dominates `exact(P)`.
-fn prune(feasible: &[PlanPoint], years: f64) -> Vec<usize> {
-    // exact_mttdl ∈ [cf/(1+γ), cf/(1−γ)] ⇒ objectives (both monotone
-    // decreasing in MTTDL) are bracketed by evaluating at the bounds:
-    // `bound(p, γ)` is the pessimistic pair, `bound(p, −γ)` the optimistic.
-    let bound = |p: &PlanPoint, guard: f64| {
-        [
-            p.closed_events_pb_year * (1.0 + guard),
-            mission_loss(p.closed_mttdl_hours / (1.0 + guard), years),
-        ]
-    };
+fn prune(feasible: &[PlanPoint], levels: [usize; 2], years: f64) -> Vec<usize> {
     let coords: Vec<DomPoint> = feasible
         .iter()
         .map(|p| {
-            let cost = [p.cost_overhead, p.cost_rebuild_bw];
-            DomPoint::new(cost, bound(p, PRUNE_GUARD), bound(p, -PRUNE_GUARD))
+            let [pessimistic, optimistic] = guard_bounds(p, years);
+            DomPoint::new(p.cost_rank, pessimistic, optimistic)
         })
         .collect();
-    let pruned = dominated(&coords, true);
+    let pruned = dominated(&coords, levels, true);
     (0..feasible.len()).filter(|&i| !pruned[i]).collect()
 }
 
@@ -710,7 +760,7 @@ pub fn plan_search(base: &Params, space: &ConfigSpace, opts: &PlanOptions) -> Re
     // per work item, each worker collecting its own feasible points;
     // chunks are claimed in ascending order, so one worker's list is
     // already in grid order.
-    let classes = model_classes(base, space);
+    let tables = GridTables::new(base, space);
     let per_geometry = space.spare_frac.len() * space.rebuild_bw.len();
     let share = || Pass1 {
         feasible: Vec::with_capacity(total.div_ceil(workers)),
@@ -720,7 +770,7 @@ pub fn plan_search(base: &Params, space: &ConfigSpace, opts: &PlanOptions) -> Re
         total / per_geometry,
         workers,
         share,
-        |part, g| pass1_geometry(space, &classes, g, &mut |idx, p| part.record(idx, p)),
+        |part, g| pass1_geometry(space, &tables, g, &mut |idx, p| part.record(idx, p)),
         identity,
     );
     let mut parts = parts.into_iter();
@@ -748,7 +798,7 @@ pub fn plan_search(base: &Params, space: &ConfigSpace, opts: &PlanOptions) -> Re
     let survivors: Vec<usize> = if opts.exhaustive {
         (0..feasible.len()).collect()
     } else {
-        prune(&feasible, years)
+        prune(&feasible, tables.levels, years)
     };
     let pruned = feasible.len() - survivors.len();
     clock.lap(&mut span, &crate::obs::PLAN_PRUNE_SECONDS);
@@ -819,11 +869,10 @@ pub fn plan_search(base: &Params, space: &ConfigSpace, opts: &PlanOptions) -> Re
         .iter()
         .map(|f| {
             let objectives = [f.exact_events_pb_year, f.exact_mission_loss];
-            let cost = [f.point.cost_overhead, f.point.cost_rebuild_bw];
-            DomPoint::new(cost, objectives, objectives)
+            DomPoint::new(f.point.cost_rank, objectives, objectives)
         })
         .collect();
-    let off_frontier = dominated(&coords, false);
+    let off_frontier = dominated(&coords, tables.levels, false);
     let mut frontier: Vec<FrontierPoint> = exact
         .into_iter()
         .zip(off_frontier)
@@ -1237,12 +1286,59 @@ mod tests {
     /// A raw kernel input: costs, offered objectives, asked objectives.
     type Raw = ([f64; 2], [f64; 2], [f64; 2]);
 
+    /// The kernel on raw inputs, each cost ranked on its axis as
+    /// [`GridTables`] ranks a grid's.
     fn kernel(raw: &[Raw], strict: bool) -> Vec<bool> {
+        let axis = |d: usize| ranks(&raw.iter().map(|r| r.0[d]).collect::<Vec<_>>());
+        let ((first, n_first), (second, n_second)) = (axis(0), axis(1));
         let points: Vec<DomPoint> = raw
             .iter()
-            .map(|&(c, o, a)| DomPoint::new(c, o, a))
+            .enumerate()
+            .map(|(i, &(_, o, a))| DomPoint::new([first[i], second[i]], o, a))
             .collect();
-        dominated(&points, strict)
+        dominated(&points, [n_first, n_second], strict)
+    }
+
+    /// The kernel as it was before costs came ranked, kept as an oracle:
+    /// every coordinate through [`ord`], points bucketed by their cost
+    /// pair through a hash map, the distinct pairs sorted, each bucket
+    /// sorted by its offered pair.
+    fn dominated_hashed(raw: &[Raw], strict: bool) -> Vec<bool> {
+        let key = |i: usize| {
+            let (c, o, _) = raw[i];
+            [c[0], c[1], o[0], o[1]].map(ord)
+        };
+        let mut ids: HashMap<(u64, u64), usize> = HashMap::new();
+        let mut buckets: Vec<([u64; 2], Vec<usize>)> = Vec::new();
+        for i in 0..raw.len() {
+            let [c0, c1, _, _] = key(i);
+            let b = *ids.entry((c0, c1)).or_insert_with(|| {
+                buckets.push(([c0, c1], Vec::new()));
+                buckets.len() - 1
+            });
+            buckets[b].1.push(i);
+        }
+        buckets.sort_unstable_by_key(|b| b.0);
+        let mut levels: Vec<u64> = buckets.iter().map(|b| b.0[1]).collect();
+        levels.sort_unstable();
+        levels.dedup();
+        let mut stairs: Vec<Staircase> = levels.iter().map(|_| Staircase::default()).collect();
+        let mut out = vec![false; raw.len()];
+        for ([_, c2], mut members) in buckets {
+            members.sort_unstable_by_key(|&i| (key(i)[2], key(i)[3], i));
+            let at_or_below = levels.partition_point(|&l| l <= c2);
+            for run in members.chunk_by(|&a, &b| key(a) == key(b)) {
+                for &i in run {
+                    let asked = raw[i].2.map(ord);
+                    out[i] = stairs[..at_or_below]
+                        .iter()
+                        .any(|s| s.covers(asked, strict));
+                }
+                let [_, _, x, y] = key(run[0]);
+                stairs[at_or_below - 1].insert([x, y]);
+            }
+        }
+        out
     }
 
     /// The pruning scan the kernel replaced, kept as its oracle: the
@@ -1356,18 +1452,124 @@ mod tests {
             let levels = rng.random_range_usize(1, 51);
             let one_first_cost = case % 5 == 4;
             let raw = colliding_points(&mut rng, n, levels, one_first_cost, false);
+            let got = kernel(&raw, true);
             assert_eq!(
-                kernel(&raw, true),
+                got,
                 pruned_quadratic(&raw),
                 "pruning, case {case}: n {n}, {levels} levels"
             );
+            assert_eq!(got, dominated_hashed(&raw, true), "pruning, case {case}");
             let raw = colliding_points(&mut rng, n, levels, one_first_cost, true);
+            let got = kernel(&raw, false);
             assert_eq!(
-                kernel(&raw, false),
+                got,
                 dominated_quadratic(&raw),
                 "frontier, case {case}: n {n}, {levels} levels"
             );
+            assert_eq!(got, dominated_hashed(&raw, false), "frontier, case {case}");
         }
+    }
+
+    #[test]
+    fn grid_ranks_bucket_colliding_overheads_as_the_oracles_do() {
+        // k = 2, t = 1 and k = 4, t = 2 keep the same 2/3 of raw
+        // capacity, as do k = 1, t = 1 and k = 3, t = 3, so overheads
+        // collide across (k, t, internal RAID). N = 3 and 5 make the wide
+        // sets infeasible there, t = 0 everywhere; the bandwidth axis is
+        // listed out of order.
+        let space = ConfigSpace {
+            nodes: vec![3, 5, 16],
+            data_shards: vec![1, 2, 3, 4, 6],
+            node_ft: vec![0, 1, 2, 3],
+            internal: InternalRaid::all().to_vec(),
+            spare_frac: vec![0.0, 0.5],
+            rebuild_bw: vec![0.4, 0.1, 0.2],
+        };
+        let base = Params::baseline();
+        let tables = GridTables::new(&base, &space);
+        let pass = closed_form_pass(&base, &space).unwrap();
+        let feasible: Vec<PlanPoint> = pass.iter().filter_map(|p| p.clone().ok()).collect();
+        assert!(feasible.len() < space.len());
+        let feasible_at = |n: u32, k: u32, t: u32| {
+            feasible
+                .iter()
+                .any(|p| (p.point.nodes, p.point.data_shards, p.point.node_ft) == (n, k, t))
+        };
+        assert!(feasible_at(16, 4, 2) && !feasible_at(5, 4, 2) && !feasible_at(3, 4, 2));
+
+        // Equal pairs share a rank and rank order is sorted pair order.
+        let pairs = |p: &PlanPoint| [p.cost_overhead, p.cost_rebuild_bw];
+        let combos = |key: fn(&PlanPoint) -> [u64; 4]| {
+            let mut seen: Vec<[u64; 4]> = feasible.iter().map(key).collect();
+            seen.sort_unstable();
+            seen.dedup();
+            seen.len()
+        };
+        let distinct_costs = combos(|p| [p.cost_overhead, p.cost_rebuild_bw, 0.0, 0.0].map(ord));
+        let distinct_cells = combos(|p| {
+            let t = u64::from(p.point.node_ft);
+            let k = u64::from(p.point.data_shards);
+            [
+                k,
+                t << 8 | p.point.internal as u64,
+                ord(p.point.spare_frac),
+                ord(p.point.rebuild_bw),
+            ]
+        });
+        assert!(
+            distinct_costs < distinct_cells,
+            "{distinct_costs} of {distinct_cells}"
+        );
+        for a in &feasible {
+            for b in &feasible {
+                let by_value = pairs(a).map(ord).cmp(&pairs(b).map(ord));
+                assert_eq!(a.cost_rank.cmp(&b.cost_rank), by_value, "{a:?} {b:?}");
+            }
+        }
+
+        // The prune and the frontier filter decide as the hashed and
+        // quadratic oracles do on the float costs.
+        let years = 5.0;
+        let raw: Vec<Raw> = feasible
+            .iter()
+            .map(|p| {
+                let [pessimistic, optimistic] = guard_bounds(p, years);
+                (pairs(p), pessimistic, optimistic)
+            })
+            .collect();
+        let survivors = prune(&feasible, tables.levels, years);
+        let pruned: Vec<bool> = (0..feasible.len())
+            .map(|i| !survivors.contains(&i))
+            .collect();
+        assert!(pruned.iter().any(|&p| p) && !survivors.is_empty());
+        assert_eq!(pruned, pruned_quadratic(&raw));
+        assert_eq!(pruned, dominated_hashed(&raw, true));
+        let objectives = |p: &PlanPoint| {
+            [
+                p.closed_events_pb_year,
+                mission_loss(p.closed_mttdl_hours, years),
+            ]
+        };
+        let raw: Vec<Raw> = feasible
+            .iter()
+            .map(|p| (pairs(p), objectives(p), objectives(p)))
+            .collect();
+        let coords: Vec<DomPoint> = feasible
+            .iter()
+            .map(|p| DomPoint::new(p.cost_rank, objectives(p), objectives(p)))
+            .collect();
+        let off_frontier = dominated(&coords, tables.levels, false);
+        assert_eq!(off_frontier, dominated_quadratic(&raw));
+        assert_eq!(off_frontier, dominated_hashed(&raw, false));
+    }
+
+    #[test]
+    fn ranks_share_equal_values_in_ascending_order() {
+        assert_eq!(ranks(&[]), (vec![], 0));
+        assert_eq!(
+            ranks(&[0.5, -0.0, 1.0, 0.0, 0.5, -1.0]),
+            (vec![2, 1, 3, 1, 2, 0], 4)
+        );
     }
 
     #[test]

@@ -118,24 +118,7 @@ impl RecursiveModel {
         mu_d: PerHour,
         h: impl FnOnce() -> Result<HParams>,
     ) -> Result<RecursiveModel> {
-        if k > MAX_EXACT_FAULT_TOLERANCE {
-            return Err(Error::UnsupportedFaultTolerance {
-                requested: k,
-                max: MAX_EXACT_FAULT_TOLERANCE,
-            });
-        }
-        for (name, rate) in [
-            ("λ_N", lambda_n.0),
-            ("λ_d", lambda_d.0),
-            ("μ_N", mu_n.0),
-            ("μ_d", mu_d.0),
-        ] {
-            if !(rate > 0.0 && rate.is_finite()) {
-                return Err(Error::invalid(format!(
-                    "{name} must be positive and finite"
-                )));
-            }
-        }
+        check(k, [lambda_n.0, lambda_d.0, mu_n.0, mu_d.0])?;
         Ok(RecursiveModel {
             k,
             n,
@@ -416,53 +399,79 @@ impl RecursiveModel {
         LemmaParts { det, sdet, num }
     }
 
-    /// The appendix's `L(x, y) = x·λ_N + y·d·λ_d`.
-    fn l(&self, x: f64, y: f64) -> f64 {
-        x * self.lambda_n + y * self.d as f64 * self.lambda_d
-    }
-
-    /// The recursive operator `L_k` over the whole ordered family `h⁽ᵏ⁾`
-    /// (`L_1(H) = L(H₁, H₂)`;
-    /// `L_j(H) = L(μ_d·L_{j−1}(H_first), μ_N·L_{j−1}(H_second))`). The
-    /// first half of an ordered set continues with `N`, the second with
-    /// `d`, so a sub-family is named by the drive failures its words
-    /// already hold, and `L_j` over the sub-family holding `i` of them
-    /// reads only `L_{j−1}` at `i` and `i + 1`: the `2^k`-leaf recursion
-    /// collapses to `k(k+1)/2` applications of `L`, each computed once,
-    /// level by level in place.
-    fn l_rec(&self) -> f64 {
-        let k = self.k as usize;
-        let mut level = [0.0; MAX_EXACT_FAULT_TOLERANCE as usize + 1];
-        for (drives, slot) in level.iter_mut().enumerate().take(k) {
-            *slot = self.l(
-                self.h.by_drive_count(drives as u32),
-                self.h.by_drive_count(drives as u32 + 1),
-            );
-        }
-        for width in (1..k).rev() {
-            for drives in 0..width {
-                level[drives] = self.l(self.mu_d * level[drives], self.mu_n * level[drives + 1]);
-            }
-        }
-        level[0]
-    }
-
-    /// The Figure A1 closed-form approximation for arbitrary `k`.
+    /// The Figure A1 closed-form approximation for arbitrary `k`
+    /// ([`mttdl_theorem`] at this model's rates).
     pub fn mttdl_theorem(&self) -> Hours {
-        let nf = self.n as f64;
-        let df = self.d as f64;
-        let k = self.k;
-        let num = (self.mu_n * self.mu_d).powi(k as i32);
-        let mut falling = 1.0; // N(N−1)···(N−k+1)
-        for i in 0..k {
-            falling *= nf - i as f64;
-        }
-        let failure_term = (nf - k as f64)
-            * (self.lambda_n + df * self.lambda_d)
-            * self.l(self.mu_d, self.mu_n).powi(k as i32);
-        let sector_term = self.mu_n * self.mu_d * self.l_rec();
-        Hours(num / (falling * (failure_term + sector_term)))
+        let rates = [self.lambda_n, self.lambda_d, self.mu_n, self.mu_d];
+        mttdl_theorem(self.k, self.n, self.d, rates, &self.h)
     }
+}
+
+/// The checks a no-internal-RAID chain makes of its fault tolerance `k`
+/// and its rates `[λ_N, λ_d, μ_N, μ_d]` (per hour), in order.
+///
+/// # Errors
+///
+/// * [`Error::UnsupportedFaultTolerance`] if
+///   `k > MAX_EXACT_FAULT_TOLERANCE`.
+/// * [`Error::InvalidParams`] naming the first rate that is not positive
+///   and finite.
+pub(crate) fn check(k: u32, rates: [f64; 4]) -> Result<()> {
+    if k > MAX_EXACT_FAULT_TOLERANCE {
+        return Err(Error::UnsupportedFaultTolerance {
+            requested: k,
+            max: MAX_EXACT_FAULT_TOLERANCE,
+        });
+    }
+    for (name, rate) in ["λ_N", "λ_d", "μ_N", "μ_d"].into_iter().zip(rates) {
+        if !(rate > 0.0 && rate.is_finite()) {
+            return Err(Error::invalid(format!(
+                "{name} must be positive and finite"
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// The Figure A1 closed-form approximation at fault tolerance `k`, node
+/// set size `n`, `d` drives per node, rates `[λ_N, λ_d, μ_N, μ_d]` (per
+/// hour) and sector-error family `h`: plain arithmetic, no chain.
+pub(crate) fn mttdl_theorem(k: u32, n: u32, d: u32, rates: [f64; 4], h: &HParams) -> Hours {
+    let [lambda_n, lambda_d, mu_n, mu_d] = rates;
+    let nf = n as f64;
+    let df = d as f64;
+    // The appendix's `L(x, y) = x·λ_N + y·d·λ_d`.
+    let l = |x: f64, y: f64| x * lambda_n + y * df * lambda_d;
+    let num = (mu_n * mu_d).powi(k as i32);
+    let mut falling = 1.0; // N(N−1)···(N−k+1)
+    for i in 0..k {
+        falling *= nf - i as f64;
+    }
+    let failure_term = (nf - k as f64) * (lambda_n + df * lambda_d) * l(mu_d, mu_n).powi(k as i32);
+    // The recursive operator `L_k` over the whole ordered family `h⁽ᵏ⁾`
+    // (`L_1(H) = L(H₁, H₂)`;
+    // `L_j(H) = L(μ_d·L_{j−1}(H_first), μ_N·L_{j−1}(H_second))`). The
+    // first half of an ordered set continues with `N`, the second with
+    // `d`, so a sub-family is named by the drive failures its words
+    // already hold, and `L_j` over the sub-family holding `i` of them
+    // reads only `L_{j−1}` at `i` and `i + 1`: the `2^k`-leaf recursion
+    // collapses to `k(k+1)/2` applications of `L`, each computed once,
+    // level by level in place.
+    let k = k as usize;
+    let mut level = [0.0; MAX_EXACT_FAULT_TOLERANCE as usize + 1];
+    for (drives, slot) in level.iter_mut().enumerate().take(k) {
+        *slot = l(
+            h.by_drive_count(drives as u32),
+            h.by_drive_count(drives as u32 + 1),
+        );
+    }
+    for width in (1..k).rev() {
+        for drives in 0..width {
+            level[drives] = l(mu_d * level[drives], mu_n * level[drives + 1]);
+        }
+    }
+    let sector_term = mu_n * mu_d * level[0];
+    Hours(num / (falling * (failure_term + sector_term)))
 }
 
 /// `(det, Sdet, Num)` triple carried through the Lemma recursion.

@@ -98,9 +98,11 @@ pub(crate) fn claim_chunk(rows: usize, workers: usize) -> usize {
 /// output is deterministic for any worker count. Each worker threads its
 /// own `S` (from `init`) through its calls and hands it to `finish` on
 /// its own thread once it has claimed its last chunk; the `finish`
-/// results come back alongside the outputs, one per worker. Workers
-/// record under the caller's open trace span, as inline work does, and
-/// `workers <= 1` runs inline with no thread machinery at all.
+/// results come back alongside the outputs, one per worker. No more
+/// workers start than there are items: a worker with nothing to claim
+/// would only cost a thread. Workers record under the caller's open
+/// trace span, as inline work does, and one worker runs inline with no
+/// thread machinery at all.
 pub(crate) fn parallel_map<S, T, R>(
     total: usize,
     workers: usize,
@@ -112,7 +114,8 @@ where
     T: Send,
     R: Send,
 {
-    if workers <= 1 || total <= 1 {
+    let workers = workers.min(total);
+    if workers <= 1 {
         let mut state = init();
         let out = (0..total).map(|i| work(&mut state, i)).collect();
         return (out, vec![finish(state)]);
@@ -693,6 +696,21 @@ mod tests {
             assert!((1..=cores.max(1)).contains(&w), "rows = {rows}, w = {w}");
             assert!(w <= rows.max(1), "rows = {rows}, w = {w}");
         }
+    }
+
+    #[test]
+    fn parallel_map_starts_no_more_workers_than_items() {
+        let count = |n: &mut usize, i: usize| {
+            *n += 1;
+            i * 10
+        };
+        let (out, finished) = parallel_map(3, 64, || 0, count, |n| n);
+        assert_eq!(out, [0, 10, 20]);
+        assert_eq!(finished.len(), 3);
+        assert_eq!(finished.iter().sum::<usize>(), 3);
+        let (out, finished) = parallel_map(0, 64, || 0, count, |n| n);
+        assert!(out.is_empty());
+        assert_eq!(finished, [0]);
     }
 
     #[test]
