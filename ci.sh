@@ -55,6 +55,21 @@ if [ -n "$BARE_BRICKS" ]; then
     exit 1
 fi
 
+echo "==> one walk per chain (no hand-built chain in nsr-core)"
+# Each of the paper's chains is written once, as an nsr_markov::ChainWalk
+# whose three sinks give the rated chain, the skeleton the evaluator
+# compiles and the rate vector it solves. A chain built with CtmcBuilder
+# beside its walk would be a second description that nothing holds to
+# the first, so a new chain is written as a walk. availability.rs
+# rewires an existing chain rather than describing one, and is the one
+# file allowed.
+HAND_BUILT="$(grep -rl --include='*.rs' 'CtmcBuilder' crates/core/src \
+    | grep -vxF -e crates/core/src/availability.rs || true)"
+if [ -n "$HAND_BUILT" ]; then
+    echo "ERROR: CtmcBuilder in nsr-core outside availability.rs (write the chain as a ChainWalk):" $HAND_BUILT >&2
+    exit 1
+fi
+
 echo "==> recorded results (nsr figures vs results/)"
 # results/ is the output of `nsr figures` at default flags, and every
 # record in it is deterministic (fixed seeds), so the regenerated

@@ -788,6 +788,18 @@ mod tests {
     }
 
     #[test]
+    fn bench_refuses_a_missing_out_dir_before_running_a_suite() {
+        let dir = std::env::temp_dir().join(format!("nsr-bench-missing-{}", std::process::id()));
+        let dir_s = dir.to_str().unwrap();
+        // Refused up front: a suite that ran would fail only at its write,
+        // with the writer's error instead of this one.
+        let err = run(&["bench", "--suite", "plan", "--out-dir", dir_s]).unwrap_err();
+        assert!(err.0.contains(dir_s), "{}", err.0);
+        assert!(err.0.contains("not an existing directory"), "{}", err.0);
+        assert!(!dir.exists());
+    }
+
+    #[test]
     fn bench_compare_diffs_reports() {
         let dir = std::env::temp_dir().join(format!("nsr-cmp-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();

@@ -525,6 +525,14 @@ pub(crate) fn bench(args: &ParsedArgs) -> Result<String> {
         return Ok(out);
     }
 
+    // Refused before the first suite runs, not at the first write after
+    // it: a full suite takes minutes.
+    if !out_dir.is_dir() {
+        return Err(CliError(format!(
+            "--out-dir {}: not an existing directory",
+            out_dir.display()
+        )));
+    }
     for name in names {
         let suite = suites::run_suite(name, mode).map_err(CliError)?;
         out.push_str(&suite.render_human());

@@ -4,11 +4,11 @@
 
 use std::sync::{Arc, Mutex};
 
-use nsr_markov::{BatchProgram, BatchSolver};
+use nsr_markov::{BatchProgram, BatchSolver, ChainSink, ChainWalk, StateId};
 
 use crate::internal_raid::{self, InternalRaidSystem};
 use crate::metrics::Reliability;
-use crate::no_raid::{self, NoRaidSystem};
+use crate::no_raid;
 use crate::params::{Duplex, Params};
 use crate::raid::{ArrayModel, ArrayRates, InternalRaid};
 use crate::rebuild::{distributed_rebuild, restripe, RebuildRate, TransferAmounts};
@@ -66,12 +66,8 @@ impl Configuration {
         let r = set_size as f64;
         let t = self.node_ft as f64;
         let d = drives as f64;
-        let internal = match self.internal {
-            InternalRaid::None => 1.0,
-            InternalRaid::Raid5 => (d - 1.0) / d,
-            InternalRaid::Raid6 => (d - 2.0) / d,
-        };
-        (r - t) / r * internal
+        let f = self.internal.tolerance() as f64;
+        (r - t) / r * ((d - f) / d)
     }
 
     /// The nine §3 configurations, grouped by fault tolerance then RAID
@@ -173,19 +169,7 @@ impl Configuration {
     /// Same conditions as [`Configuration::evaluate`].
     pub fn exact_chain(&self, params: &Params) -> Result<(nsr_markov::Ctmc, nsr_markov::StateId)> {
         let (geometry, point) = ModelClass::new(*self, params)?.at(params)?;
-        let chain = geometry.chain_at(&point)?;
-        let (skeleton, root) = self.skeleton()?;
-        let mut rates = Vec::new();
-        chain.transition_rates_into(&mut rates);
-        Ok((skeleton.with_rates(&rates)?, root))
-    }
-
-    /// The chain topology of this configuration's class and its root.
-    fn skeleton(&self) -> Result<(nsr_markov::Ctmc, nsr_markov::StateId)> {
-        match self.internal {
-            InternalRaid::None => RecursiveModel::skeleton(self.node_ft),
-            _ => InternalRaidSystem::skeleton(self.node_ft),
-        }
+        Ok(geometry.chain_at(&point)?.rated()?)
     }
 }
 
@@ -427,23 +411,20 @@ impl ModelGeometry {
 
     fn chain_with(&self, mu_n: PerHour, mu_repair: PerHour, sector: Sector) -> Result<ChainModel> {
         let c = &self.class;
-        let (t, n, r, d) = (c.config.node_ft, self.nodes, self.set_size, c.drives);
+        let (t, n, d) = (c.config.node_ft, self.nodes, c.drives);
         Ok(match sector {
-            Sector::NoRaid(h) => ChainModel::NoRaid(NoRaidSystem::with_h(
+            Sector::NoRaid(h) => ChainModel::NoRaid(RecursiveModel::with_h(
                 t,
                 n,
-                r,
                 d,
                 c.lambda_n,
                 c.lambda_d,
                 mu_n,
                 mu_repair,
-                c.c_her,
                 || Ok(h),
             )?),
             Sector::Ir { array, k_t } => ChainModel::Ir(InternalRaidSystem::with_k_t(
                 n,
-                r,
                 t,
                 c.lambda_n,
                 array,
@@ -559,19 +540,18 @@ impl ModelPoint {
     }
 }
 
-/// The paper's model of one point: a [`NoRaidSystem`] or an
-/// [`InternalRaidSystem`].
+/// The paper's chain at one point: the appendix's [`RecursiveModel`]
+/// or an [`InternalRaidSystem`].
 pub(crate) enum ChainModel {
-    NoRaid(NoRaidSystem),
+    NoRaid(RecursiveModel),
     Ir(InternalRaidSystem),
 }
 
-impl ChainModel {
-    /// The point's rate vector, in the class skeleton's transition order.
-    fn transition_rates_into(&self, rates: &mut Vec<f64>) {
+impl ChainWalk for ChainModel {
+    fn walk<S: ChainSink>(&self, sink: &mut S) -> nsr_markov::Result<StateId> {
         match self {
-            ChainModel::NoRaid(sys) => sys.recursive().transition_rates_into(rates),
-            ChainModel::Ir(sys) => sys.transition_rates_into(rates),
+            ChainModel::NoRaid(sys) => sys.walk(sink),
+            ChainModel::Ir(sys) => sys.walk(sink),
         }
     }
 }
@@ -589,11 +569,12 @@ static PROGRAMS: Mutex<Vec<(TopologyKey, Arc<BatchProgram>)>> = Mutex::new(Vec::
 /// structure depends on. RAID 5 and RAID 6 share the birth–death chain.
 type TopologyKey = (bool, u32);
 
-/// The shared program for `config`'s topology class, compiling it if
-/// this is the class's first use in the process. Compilation happens
-/// under the lock (once per class) and emits no span or event, so a
-/// trace does not depend on which evaluator happened to come first.
-fn program_for(config: Configuration) -> Result<Arc<BatchProgram>> {
+/// The shared program for `config`'s topology class, compiling it from
+/// the skeleton of `chain`, a point of that class, if this is the
+/// class's first use in the process. Compilation happens under the lock
+/// (once per class) and emits no span or event, so a trace does not
+/// depend on which evaluator happened to come first.
+fn program_for(config: Configuration, chain: &ChainModel) -> Result<Arc<BatchProgram>> {
     let key: TopologyKey = (config.internal != InternalRaid::None, config.node_ft);
     let mut programs = PROGRAMS
         .lock()
@@ -601,7 +582,7 @@ fn program_for(config: Configuration) -> Result<Arc<BatchProgram>> {
     if let Some((_, program)) = programs.iter().find(|(k, _)| *k == key) {
         return Ok(Arc::clone(program));
     }
-    let (skeleton, root) = config.skeleton()?;
+    let (skeleton, root) = chain.skeleton()?;
     let program = Arc::new(BatchProgram::compile(&skeleton, root)?);
     programs.push((key, Arc::clone(&program)));
     Ok(program)
@@ -714,7 +695,7 @@ impl CachedEvaluator {
     /// then one rate-vector fill and one numeric elimination per call.
     pub(crate) fn exact_mttdl(&mut self, chain: &ChainModel) -> Result<Hours> {
         if self.solver.is_none() {
-            self.solver = Some(BatchSolver::with_program(program_for(self.config)?));
+            self.solver = Some(BatchSolver::with_program(program_for(self.config, chain)?));
             crate::obs::SKELETON_BUILDS.inc();
             self.skeleton_builds += 1;
         } else {
@@ -722,7 +703,7 @@ impl CachedEvaluator {
             self.skeleton_reuses += 1;
         }
         let solver = self.solver.as_mut().expect("bound above");
-        chain.transition_rates_into(&mut self.rates);
+        chain.rates_into(&mut self.rates)?;
         Ok(Hours(solver.solve_mtta(&self.rates)?))
     }
 }

@@ -20,7 +20,7 @@
 //! (with the `k_t` generalization of [`crate::scope::critical_fraction`]),
 //! of which the printed formulas are special cases.
 
-use nsr_markov::{AbsorbingAnalysis, Ctmc, CtmcBuilder, StateId};
+use nsr_markov::{AbsorbingAnalysis, ChainSink, ChainWalk, Ctmc, StateId};
 
 use crate::raid::ArrayRates;
 use crate::scope::critical_fraction;
@@ -58,7 +58,6 @@ pub const LOSS_BY_SECTOR: &str = "loss:sector";
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InternalRaidSystem {
     n: u32,
-    r: u32,
     t: u32,
     lambda_n: f64,
     lambda_d_array: f64,
@@ -84,9 +83,7 @@ impl InternalRaidSystem {
         array: ArrayRates,
         mu_n: PerHour,
     ) -> Result<InternalRaidSystem> {
-        Self::with_k_t(n, r, t, lambda_n, array, mu_n, || {
-            critical_fraction(n, r, t)
-        })
+        Self::with_k_t(n, t, lambda_n, array, mu_n, || critical_fraction(n, r, t))
     }
 
     /// [`InternalRaidSystem::new`] with the critical fraction from `k_t`,
@@ -94,7 +91,6 @@ impl InternalRaidSystem {
     /// over the fraction their geometry computed.
     pub(crate) fn with_k_t(
         n: u32,
-        r: u32,
         t: u32,
         lambda_n: PerHour,
         array: ArrayRates,
@@ -105,7 +101,6 @@ impl InternalRaidSystem {
         let k_t = k_t()?;
         Ok(InternalRaidSystem {
             n,
-            r,
             t,
             lambda_n: lambda_n.0,
             lambda_d_array: array.lambda_array.0,
@@ -130,89 +125,15 @@ impl InternalRaidSystem {
         PerHour(self.lambda_n + self.lambda_d_array)
     }
 
-    /// The chain *topology* for node fault tolerance `t` and its
-    /// fully-operational root state: the same states, labels and
-    /// transition order as [`Self::ctmc`] with placeholder `1.0` rates.
-    /// The topology is a function of `t` alone (RAID 5 and RAID 6 share
-    /// it), which is what lets one compiled elimination program serve
-    /// every parameter point of a fault tolerance. The construction never
-    /// emits duplicate `(from, to)` pairs, so skeleton transitions
-    /// correspond 1:1 to [`Self::transition_rates`] entries.
-    ///
-    /// # Errors
-    ///
-    /// Builder failures cannot occur.
-    pub fn skeleton(t: u32) -> Result<(Ctmc, StateId)> {
-        let mut b = CtmcBuilder::new();
-        let states: Vec<StateId> = (0..=t)
-            .map(|i| b.add_state(format!("failed:{i}")))
-            .collect();
-        let loss_failure = b.add_state(LOSS_BY_FAILURE);
-        let loss_sector = b.add_state(LOSS_BY_SECTOR);
-
-        for i in 0..t as usize {
-            b.add_transition(states[i], states[i + 1], 1.0)?;
-            b.add_transition(states[i + 1], states[i], 1.0)?;
-        }
-        b.add_transition(states[t as usize], loss_failure, 1.0)?;
-        b.add_transition(states[t as usize], loss_sector, 1.0)?;
-        Ok((b.build()?, states[0]))
-    }
-
-    /// [`Self::skeleton`] for this model's fault tolerance, without the
-    /// root, for rate-only rescaling via [`Self::transition_rates`] and
-    /// [`Ctmc::with_rates`].
+    /// Builds the node-level CTMC (Figure 5/6/7 generalized to any `t`),
+    /// with distinct absorbing states for failure-driven and sector-driven
+    /// loss: the rated chain of this model's [`ChainWalk`].
     ///
     /// # Errors
     ///
     /// Cannot fail for a constructed model.
-    pub fn chain_skeleton(&self) -> Result<Ctmc> {
-        Ok(Self::skeleton(self.t)?.0)
-    }
-
-    /// The transition rates of the chain, in the exact order the
-    /// skeleton's transitions were added — the rate vector for
-    /// [`Ctmc::with_rates`] on [`Self::chain_skeleton`]. A zero sector
-    /// rate (`λ_S = 0`) is dropped by `with_rates`, exactly as the
-    /// builder drops zero-rate transitions.
-    pub fn transition_rates(&self) -> Vec<f64> {
-        let mut rates = Vec::new();
-        self.transition_rates_into(&mut rates);
-        rates
-    }
-
-    /// [`Self::transition_rates`] written into a caller-owned buffer
-    /// (cleared first), so a sweep reuses one allocation across points.
-    pub fn transition_rates_into(&self, rates: &mut Vec<f64>) {
-        let (nf, lam, mu) = (
-            self.n as f64,
-            self.lambda_n + self.lambda_d_array,
-            self.mu_n,
-        );
-        rates.clear();
-        rates.reserve(2 * self.t as usize + 2);
-        for i in 0..self.t {
-            let remaining = nf - i as f64;
-            rates.push(remaining * lam);
-            rates.push(mu);
-        }
-        let last = nf - self.t as f64;
-        rates.push(last * lam);
-        rates.push(last * self.k_t * self.lambda_s);
-    }
-
-    /// Builds the node-level CTMC (Figure 5/6/7 generalized to any `t`),
-    /// with distinct absorbing states for failure-driven and sector-driven
-    /// loss.
-    ///
-    /// Implemented as [`Self::chain_skeleton`] +
-    /// [`Self::transition_rates`] + [`Ctmc::with_rates`], so a chain
-    /// assembled from a *cached* skeleton is equal to this one by
-    /// construction.
     pub fn ctmc(&self) -> Result<Ctmc> {
-        Ok(self
-            .chain_skeleton()?
-            .with_rates(&self.transition_rates())?)
+        Ok(self.rated()?.0)
     }
 
     /// Exact MTTDL by solving the node-level CTMC.
@@ -221,9 +142,8 @@ impl InternalRaidSystem {
     ///
     /// Propagates Markov-solver failures.
     pub fn mttdl_exact(&self) -> Result<Hours> {
-        let ctmc = self.ctmc()?;
+        let (ctmc, root) = self.rated()?;
         let analysis = AbsorbingAnalysis::new(&ctmc)?;
-        let root = ctmc.state_by_label("failed:0").expect("root state exists");
         Ok(Hours(analysis.mean_time_to_absorption(root)?))
     }
 
@@ -287,15 +207,37 @@ impl InternalRaidSystem {
     ///
     /// Propagates Markov-solver failures.
     pub fn sector_loss_share(&self) -> Result<f64> {
-        let ctmc = self.ctmc()?;
+        let (ctmc, root) = self.rated()?;
+        let sector = ctmc.state_by_label(LOSS_BY_SECTOR).expect("loss state");
         let analysis = AbsorbingAnalysis::new(&ctmc)?;
-        let root = ctmc.state_by_label("failed:0").expect("root state exists");
-        let sector = ctmc
-            .state_by_label(LOSS_BY_SECTOR)
-            .expect("loss state exists");
-        analysis
-            .absorption_probability(root, sector)
-            .map_err(Into::into)
+        Ok(analysis.absorption_probability(root, sector)?)
+    }
+}
+
+/// The chain for node fault tolerance `t`: states `failed:0..=t` (state
+/// `i` is id `i`), then the two loss states. The topology is a function
+/// of `t` alone (RAID 5 and RAID 6 share it), which is what lets one
+/// compiled elimination program serve every parameter point of a fault
+/// tolerance. A zero sector rate (`λ_S = 0`) drops its transition from
+/// the rated chain.
+impl ChainWalk for InternalRaidSystem {
+    fn walk<S: ChainSink>(&self, sink: &mut S) -> nsr_markov::Result<StateId> {
+        let t = self.t as usize;
+        for i in 0..=t {
+            sink.state(|| format!("failed:{i}"));
+        }
+        let loss_failure = sink.state(|| LOSS_BY_FAILURE.into());
+        let loss_sector = sink.state(|| LOSS_BY_SECTOR.into());
+        let (nf, lam) = (self.n as f64, self.lambda_n + self.lambda_d_array);
+        for i in 0..t {
+            let (up, down) = (StateId::new(i), StateId::new(i + 1));
+            sink.edge(up, down, (nf - i as f64) * lam)?;
+            sink.edge(down, up, self.mu_n)?;
+        }
+        let (last, full) = (nf - t as f64, StateId::new(t));
+        sink.edge(full, loss_failure, last * lam)?;
+        sink.edge(full, loss_sector, last * self.k_t * self.lambda_s)?;
+        Ok(StateId::new(0))
     }
 }
 
@@ -364,23 +306,6 @@ mod tests {
 
     fn system(t: u32) -> InternalRaidSystem {
         InternalRaidSystem::new(64, 8, t, PerHour(2.5e-6), rates(), PerHour(0.28)).unwrap()
-    }
-
-    #[test]
-    fn skeleton_plus_rates_reproduces_ctmc_exactly() {
-        for t in 1..=3 {
-            let s = system(t);
-            let skeleton = s.chain_skeleton().unwrap();
-            let rates = s.transition_rates();
-            assert_eq!(skeleton.transitions().len(), rates.len(), "t = {t}");
-            let cached = skeleton.with_rates(&rates).unwrap();
-            let direct = s.ctmc().unwrap();
-            assert_eq!(cached.len(), direct.len(), "t = {t}");
-            for st in direct.states() {
-                assert_eq!(cached.label(st), direct.label(st), "t = {t}");
-            }
-            assert_eq!(cached.transitions(), direct.transitions(), "t = {t}");
-        }
     }
 
     #[test]

@@ -36,14 +36,7 @@ use crate::Result;
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct NoRaidSystem {
-    t: u32,
-    n: u32,
     r: u32,
-    d: u32,
-    lambda_n: f64,
-    lambda_d: f64,
-    mu_n: f64,
-    mu_d: f64,
     c_her: f64,
     recursive: RecursiveModel,
 }
@@ -68,36 +61,9 @@ impl NoRaidSystem {
         mu_d: PerHour,
         c_her: f64,
     ) -> Result<NoRaidSystem> {
-        Self::with_h(t, n, r, d, lambda_n, lambda_d, mu_n, mu_d, c_her, || {
-            HParams::new(t, n, r, d, c_her)
-        })
-    }
-
-    /// [`NoRaidSystem::new`] with the `h` family from `h` (see
-    /// [`RecursiveModel::with_h`]).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn with_h(
-        t: u32,
-        n: u32,
-        r: u32,
-        d: u32,
-        lambda_n: PerHour,
-        lambda_d: PerHour,
-        mu_n: PerHour,
-        mu_d: PerHour,
-        c_her: f64,
-        h: impl FnOnce() -> Result<HParams>,
-    ) -> Result<NoRaidSystem> {
-        let recursive = RecursiveModel::with_h(t, n, d, lambda_n, lambda_d, mu_n, mu_d, h)?;
+        let recursive = RecursiveModel::new(t, n, r, d, lambda_n, lambda_d, mu_n, mu_d, c_her)?;
         Ok(NoRaidSystem {
-            t,
-            n,
             r,
-            d,
-            lambda_n: lambda_n.0,
-            lambda_d: lambda_d.0,
-            mu_n: mu_n.0,
-            mu_d: mu_d.0,
             c_her,
             recursive,
         })
@@ -105,7 +71,7 @@ impl NoRaidSystem {
 
     /// Node fault tolerance `t`.
     pub fn fault_tolerance(&self) -> u32 {
-        self.t
+        self.recursive.k
     }
 
     /// The underlying recursive (appendix) model.
@@ -118,9 +84,9 @@ impl NoRaidSystem {
     /// the printed forms are special cases ([`mttdl_printed`] at this
     /// model's rates).
     pub fn mttdl_paper(&self) -> Hours {
-        let rates = [self.lambda_n, self.lambda_d, self.mu_n, self.mu_d];
-        let h = self.recursive.h_params();
-        mttdl_printed(self.t, self.n, self.r, self.d, rates, self.c_her, h)
+        let m = &self.recursive;
+        let rates = [m.lambda_n, m.lambda_d, m.mu_n, m.mu_d];
+        mttdl_printed(m.k, m.n, self.r, m.d, rates, self.c_her, &m.h)
     }
 
     /// The appendix's general-`k` closed-form approximation (Figure A1).

@@ -12,7 +12,7 @@
 //!
 //! which feed the node-level models of [`crate::internal_raid`].
 
-use nsr_markov::{AbsorbingAnalysis, Ctmc, CtmcBuilder, StateId};
+use nsr_markov::{AbsorbingAnalysis, ChainSink, ChainWalk, Ctmc, StateId};
 
 use crate::units::{Hours, PerHour};
 use crate::{Error, Result};
@@ -193,44 +193,14 @@ impl ArrayModel {
 
     /// Builds the array CTMC (Figure 1 for RAID 5, Figure 4 for RAID 6)
     /// with *two* distinct absorbing states, [`LOSS_BY_DRIVES`] and
-    /// [`LOSS_BY_SECTOR`], so the two loss paths can be separated.
+    /// [`LOSS_BY_SECTOR`], so the two loss paths can be separated: the
+    /// rated chain of this model's [`ChainWalk`].
+    ///
+    /// # Errors
+    ///
+    /// Cannot fail for a constructed model.
     pub fn ctmc(&self) -> Result<Ctmc> {
-        let (d, lam, mu) = (self.d as f64, self.lambda_d, self.mu);
-        let f = self.raid.tolerance(); // 1 for RAID 5, 2 for RAID 6
-                                       // The linearized uncorrectable probability can exceed 1 for very
-                                       // wide arrays; the exact chain saturates it.
-        let h = self.uncorrectable_probability().min(1.0);
-        let mut b = CtmcBuilder::new();
-        let degraded: Vec<StateId> = (0..=f)
-            .map(|i| b.add_state(format!("failed:{i}")))
-            .collect();
-        let loss_drives = b.add_state(LOSS_BY_DRIVES);
-        let loss_sector = b.add_state(LOSS_BY_SECTOR);
-
-        for i in 0..f {
-            let remaining = d - i as f64;
-            if i + 1 == f {
-                // Entering the critical state: the subsequent re-stripe may
-                // hit an uncorrectable sector error.
-                b.add_transition(
-                    degraded[i as usize],
-                    degraded[(i + 1) as usize],
-                    remaining * lam * (1.0 - h),
-                )?;
-                b.add_transition(degraded[i as usize], loss_sector, remaining * lam * h)?;
-            } else {
-                b.add_transition(
-                    degraded[i as usize],
-                    degraded[(i + 1) as usize],
-                    remaining * lam,
-                )?;
-            }
-            // Re-stripe completes, restoring one level of redundancy.
-            b.add_transition(degraded[(i + 1) as usize], degraded[i as usize], mu)?;
-        }
-        // One failure beyond the tolerance loses data.
-        b.add_transition(degraded[f as usize], loss_drives, (d - f as f64) * lam)?;
-        Ok(b.build()?)
+        Ok(self.rated()?.0)
     }
 
     /// Exact MTTDL from the CTMC.
@@ -240,9 +210,8 @@ impl ArrayModel {
     /// Propagates Markov-solver failures (cannot occur for validated
     /// parameters).
     pub fn mttdl_exact(&self) -> Result<Hours> {
-        let ctmc = self.ctmc()?;
+        let (ctmc, root) = self.rated()?;
         let analysis = AbsorbingAnalysis::new(&ctmc)?;
-        let root = ctmc.state_by_label("failed:0").expect("root state exists");
         Ok(Hours(analysis.mean_time_to_absorption(root)?))
     }
 
@@ -322,15 +291,10 @@ impl ArrayModel {
     ///
     /// Propagates Markov-solver failures.
     pub fn rates_exact(&self) -> Result<ArrayRates> {
-        let ctmc = self.ctmc()?;
+        let (ctmc, root) = self.rated()?;
         let analysis = AbsorbingAnalysis::new(&ctmc)?;
-        let root = ctmc.state_by_label("failed:0").expect("root state exists");
-        let drives = ctmc
-            .state_by_label(LOSS_BY_DRIVES)
-            .expect("loss state exists");
-        let sector = ctmc
-            .state_by_label(LOSS_BY_SECTOR)
-            .expect("loss state exists");
+        let loss = |label| ctmc.state_by_label(label).expect("loss state");
+        let (drives, sector) = (loss(LOSS_BY_DRIVES), loss(LOSS_BY_SECTOR));
         let mttdl = analysis.mean_time_to_absorption(root)?;
         let p_drives = analysis.absorption_probability(root, drives)?;
         let p_sector = analysis.absorption_probability(root, sector)?;
@@ -338,6 +302,40 @@ impl ArrayModel {
             lambda_array: PerHour(p_drives / mttdl),
             lambda_sector: PerHour(p_sector / mttdl),
         })
+    }
+}
+
+/// The array chain: states `failed:0..=f` for the internal tolerance `f`
+/// (state `i` is id `i`), then the two loss states.
+impl ChainWalk for ArrayModel {
+    fn walk<S: ChainSink>(&self, sink: &mut S) -> nsr_markov::Result<StateId> {
+        let (d, lam, mu) = (self.d as f64, self.lambda_d, self.mu);
+        let f = self.raid.tolerance() as usize; // 1 for RAID 5, 2 for RAID 6
+                                                // The linearized uncorrectable probability can exceed 1 for very
+                                                // wide arrays; the exact chain saturates it.
+        let h = self.uncorrectable_probability().min(1.0);
+        for i in 0..=f {
+            sink.state(|| format!("failed:{i}"));
+        }
+        let loss_drives = sink.state(|| LOSS_BY_DRIVES.into());
+        let loss_sector = sink.state(|| LOSS_BY_SECTOR.into());
+        for i in 0..f {
+            let (up, down) = (StateId::new(i), StateId::new(i + 1));
+            let remaining = d - i as f64;
+            if i + 1 == f {
+                // Entering the critical state: the subsequent re-stripe may
+                // hit an uncorrectable sector error.
+                sink.edge(up, down, remaining * lam * (1.0 - h))?;
+                sink.edge(up, loss_sector, remaining * lam * h)?;
+            } else {
+                sink.edge(up, down, remaining * lam)?;
+            }
+            // Re-stripe completes, restoring one level of redundancy.
+            sink.edge(down, up, mu)?;
+        }
+        // One failure beyond the tolerance loses data.
+        sink.edge(StateId::new(f), loss_drives, (d - f as f64) * lam)?;
+        Ok(StateId::new(0))
     }
 }
 

@@ -25,7 +25,7 @@
 //! the two can be checked against each other for any `k` — which is exactly
 //! the validation the paper could only assert symbolically.
 
-use nsr_markov::{AbsorbingAnalysis, Ctmc, CtmcBuilder, StateId};
+use nsr_markov::{AbsorbingAnalysis, ChainSink, ChainWalk, Ctmc, StateId};
 
 use crate::scope::HParams;
 use crate::units::{Hours, PerHour};
@@ -65,14 +65,14 @@ pub const LOSS_BY_SECTOR: &str = "loss:sector";
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecursiveModel {
-    k: u32,
-    n: u32,
-    d: u32,
-    lambda_n: f64,
-    lambda_d: f64,
-    mu_n: f64,
-    mu_d: f64,
-    h: HParams,
+    pub(crate) k: u32,
+    pub(crate) n: u32,
+    pub(crate) d: u32,
+    pub(crate) lambda_n: f64,
+    pub(crate) lambda_d: f64,
+    pub(crate) mu_n: f64,
+    pub(crate) mu_d: f64,
+    pub(crate) h: HParams,
 }
 
 impl RecursiveModel {
@@ -161,139 +161,15 @@ impl RecursiveModel {
         s
     }
 
-    /// The chain *topology* for fault tolerance `k` and its
-    /// fully-operational root state: the same states, labels and
-    /// transition order as [`Self::ctmc`], with every rate set to a
-    /// placeholder `1.0`. The topology is a function of `k` alone — no
-    /// parameter enters it — which is what lets one compiled elimination
-    /// program serve every parameter point of a fault tolerance. The
-    /// placeholder mapping is exact because the construction never emits
-    /// duplicate `(from, to)` pairs, so skeleton transitions correspond
-    /// 1:1 to [`Self::transition_rates`] entries.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::UnsupportedFaultTolerance`] if
-    /// `k > MAX_EXACT_FAULT_TOLERANCE`; builder failures cannot occur.
-    pub fn skeleton(k: u32) -> Result<(Ctmc, StateId)> {
-        if k > MAX_EXACT_FAULT_TOLERANCE {
-            return Err(Error::UnsupportedFaultTolerance {
-                requested: k,
-                max: MAX_EXACT_FAULT_TOLERANCE,
-            });
-        }
-        let mut b = CtmcBuilder::new();
-        // states[depth][idx]
-        let mut states: Vec<Vec<StateId>> = Vec::with_capacity(k as usize + 1);
-        for depth in 0..=k {
-            let row: Vec<StateId> = (0..(1usize << depth))
-                .map(|idx| b.add_state(Self::label(k, depth, idx)))
-                .collect();
-            states.push(row);
-        }
-        let loss_failure = b.add_state(LOSS_BY_FAILURE);
-        let loss_sector = b.add_state(LOSS_BY_SECTOR);
-
-        for depth in 0..k {
-            for idx in 0..(1usize << depth) {
-                let from = states[depth as usize][idx];
-                let child_n = states[depth as usize + 1][idx << 1];
-                let child_d = states[depth as usize + 1][(idx << 1) | 1];
-                b.add_transition(from, child_n, 1.0)?;
-                b.add_transition(from, child_d, 1.0)?;
-                if depth + 1 == k {
-                    b.add_transition(from, loss_sector, 1.0)?;
-                }
-                b.add_transition(child_n, from, 1.0)?;
-                b.add_transition(child_d, from, 1.0)?;
-            }
-        }
-        // Full-depth states: any further failure is data loss.
-        for &s in &states[k as usize] {
-            b.add_transition(s, loss_failure, 1.0)?;
-        }
-        Ok((b.build()?, states[0][0]))
-    }
-
-    /// [`Self::skeleton`] for this model's fault tolerance, without the
-    /// root. Pair with [`Self::transition_rates`] and
-    /// [`Ctmc::with_rates`] to rescale the chain without rebuilding it.
+    /// Builds the CTMC of the recursive construction, with the absorbing
+    /// state split into [`LOSS_BY_FAILURE`] and [`LOSS_BY_SECTOR`]: the
+    /// rated chain of this model's [`ChainWalk`].
     ///
     /// # Errors
     ///
     /// Cannot fail for a constructed model.
-    pub fn chain_skeleton(&self) -> Result<Ctmc> {
-        Ok(Self::skeleton(self.k)?.0)
-    }
-
-    /// The transition rates of the chain, in the exact order the
-    /// skeleton's transitions were added — the rate vector for
-    /// [`Ctmc::with_rates`] on [`Self::chain_skeleton`].
-    pub fn transition_rates(&self) -> Vec<f64> {
-        let mut rates = Vec::new();
-        self.transition_rates_into(&mut rates);
-        rates
-    }
-
-    /// [`Self::transition_rates`] written into a caller-owned buffer
-    /// (cleared first), so a sweep reuses one allocation across points.
-    pub fn transition_rates_into(&self, rates: &mut Vec<f64>) {
-        let k = self.k;
-        let nf = self.n as f64;
-        let df = self.d as f64;
-        let (lam_n, lam_d, mu_n, mu_d) = (self.lambda_n, self.lambda_d, self.mu_n, self.mu_d);
-        rates.clear();
-        rates.reserve(5 * ((1usize << k) - 1) + (1usize << k));
-        for depth in 0..k {
-            let remaining = nf - depth as f64;
-            for idx in 0..(1usize << depth) {
-                let drives_so_far = (idx as u64).count_ones();
-                if depth + 1 == k {
-                    // The next failure makes some redundancy set critical;
-                    // its rebuild may hit an uncorrectable sector error.
-                    // The paper's h_α are *linearized* probabilities
-                    // (expected error counts); they can exceed 1 at k = 1
-                    // with baseline C·HER. The exact chain needs genuine
-                    // probabilities, so saturate at 1 (see
-                    // `HParams`-based `linear_validity`). At saturation a
-                    // child rate becomes exactly 0 and `with_rates` drops
-                    // the transition, just as the builder would.
-                    let h_n = self.h.by_drive_count(drives_so_far).min(1.0);
-                    let h_d = self.h.by_drive_count(drives_so_far + 1).min(1.0);
-                    rates.push(remaining * lam_n * (1.0 - h_n));
-                    rates.push(remaining * df * lam_d * (1.0 - h_d));
-                    rates.push(remaining * (lam_n * h_n + df * lam_d * h_d));
-                } else {
-                    rates.push(remaining * lam_n);
-                    rates.push(remaining * df * lam_d);
-                }
-                rates.push(mu_n);
-                rates.push(mu_d);
-            }
-        }
-        let last = nf - k as f64;
-        for _ in 0..(1usize << k) {
-            rates.push(last * (lam_n + df * lam_d));
-        }
-    }
-
-    /// Builds the CTMC of the recursive construction, with the absorbing
-    /// state split into [`LOSS_BY_FAILURE`] and [`LOSS_BY_SECTOR`].
-    ///
-    /// Implemented as [`Self::chain_skeleton`] +
-    /// [`Self::transition_rates`] + [`Ctmc::with_rates`], so a chain
-    /// assembled from a *cached* skeleton is equal to this one by
-    /// construction.
-    ///
-    /// # Errors
-    ///
-    /// Propagates builder failures (cannot occur for validated parameters
-    /// as long as all `h_α < 1`, which [`HParams::new`] guarantees at
-    /// construction-parameter validation time).
     pub fn ctmc(&self) -> Result<Ctmc> {
-        Ok(self
-            .chain_skeleton()?
-            .with_rates(&self.transition_rates())?)
+        Ok(self.rated()?.0)
     }
 
     /// Exact MTTDL: build the chain, factor `R = −Q_B`, evaluate
@@ -303,11 +179,8 @@ impl RecursiveModel {
     ///
     /// Propagates Markov-solver failures.
     pub fn mttdl_exact(&self) -> Result<Hours> {
-        let ctmc = self.ctmc()?;
+        let (ctmc, root) = self.rated()?;
         let analysis = AbsorbingAnalysis::new(&ctmc)?;
-        let root = ctmc
-            .state_by_label(&Self::label(self.k, 0, 0))
-            .expect("root state exists");
         Ok(Hours(analysis.mean_time_to_absorption(root)?))
     }
 
@@ -317,17 +190,10 @@ impl RecursiveModel {
     ///
     /// Propagates Markov-solver failures.
     pub fn sector_loss_share(&self) -> Result<f64> {
-        let ctmc = self.ctmc()?;
+        let (ctmc, root) = self.rated()?;
+        let sector = ctmc.state_by_label(LOSS_BY_SECTOR).expect("loss state");
         let analysis = AbsorbingAnalysis::new(&ctmc)?;
-        let root = ctmc
-            .state_by_label(&Self::label(self.k, 0, 0))
-            .expect("root state exists");
-        let sector = ctmc
-            .state_by_label(LOSS_BY_SECTOR)
-            .expect("loss state exists");
-        analysis
-            .absorption_probability(root, sector)
-            .map_err(Into::into)
+        Ok(analysis.absorption_probability(root, sector)?)
     }
 
     /// Exact MTTDL via the appendix Lemma's determinant recursion:
@@ -404,6 +270,66 @@ impl RecursiveModel {
     pub fn mttdl_theorem(&self) -> Hours {
         let rates = [self.lambda_n, self.lambda_d, self.mu_n, self.mu_d];
         mttdl_theorem(self.k, self.n, self.d, rates, &self.h)
+    }
+}
+
+/// The chain for fault tolerance `k`. Its topology is a function of `k`
+/// alone — no parameter enters it — which is what lets one compiled
+/// elimination program serve every parameter point of a fault tolerance.
+/// The states are the failure words in depth-major order, so the word of
+/// `depth` letters with index `idx` is state `2^depth − 1 + idx`, followed
+/// by the two loss states.
+impl ChainWalk for RecursiveModel {
+    fn walk<S: ChainSink>(&self, sink: &mut S) -> nsr_markov::Result<StateId> {
+        let k = self.k;
+        for depth in 0..=k {
+            for idx in 0..(1usize << depth) {
+                sink.state(|| Self::label(k, depth, idx));
+            }
+        }
+        let loss_failure = sink.state(|| LOSS_BY_FAILURE.into());
+        let loss_sector = sink.state(|| LOSS_BY_SECTOR.into());
+        let word = |depth: u32, idx: usize| StateId::new((1usize << depth) - 1 + idx);
+        let nf = self.n as f64;
+        let df = self.d as f64;
+        let (lam_n, lam_d, mu_n, mu_d) = (self.lambda_n, self.lambda_d, self.mu_n, self.mu_d);
+        for depth in 0..k {
+            let remaining = nf - depth as f64;
+            for idx in 0..(1usize << depth) {
+                let from = word(depth, idx);
+                let child_n = word(depth + 1, idx << 1);
+                let child_d = word(depth + 1, (idx << 1) | 1);
+                if depth + 1 == k {
+                    // The next failure makes some redundancy set critical;
+                    // its rebuild may hit an uncorrectable sector error.
+                    // The paper's h_α are *linearized* probabilities
+                    // (expected error counts); they can exceed 1 at k = 1
+                    // with baseline C·HER. The exact chain needs genuine
+                    // probabilities, so saturate at 1 (see
+                    // `HParams`-based `linear_validity`). At saturation a
+                    // child rate becomes exactly 0 and the rated chain
+                    // drops the transition.
+                    let drives_so_far = (idx as u64).count_ones();
+                    let h_n = self.h.by_drive_count(drives_so_far).min(1.0);
+                    let h_d = self.h.by_drive_count(drives_so_far + 1).min(1.0);
+                    sink.edge(from, child_n, remaining * lam_n * (1.0 - h_n))?;
+                    sink.edge(from, child_d, remaining * df * lam_d * (1.0 - h_d))?;
+                    let sector = remaining * (lam_n * h_n + df * lam_d * h_d);
+                    sink.edge(from, loss_sector, sector)?;
+                } else {
+                    sink.edge(from, child_n, remaining * lam_n)?;
+                    sink.edge(from, child_d, remaining * df * lam_d)?;
+                }
+                sink.edge(child_n, from, mu_n)?;
+                sink.edge(child_d, from, mu_d)?;
+            }
+        }
+        // Full-depth states: any further failure is data loss.
+        let last = nf - k as f64;
+        for idx in 0..(1usize << k) {
+            sink.edge(word(k, idx), loss_failure, last * (lam_n + df * lam_d))?;
+        }
+        Ok(word(0, 0))
     }
 }
 
@@ -514,26 +440,6 @@ mod tests {
     }
 
     #[test]
-    fn skeleton_plus_rates_reproduces_ctmc_exactly() {
-        // Covers k = 1, where h_N saturates to 1 at these parameters and
-        // the zero-rate child transition must be dropped by `with_rates`
-        // exactly as the builder drops it.
-        for k in 1..=5 {
-            let m = model(k);
-            let skeleton = m.chain_skeleton().unwrap();
-            let rates = m.transition_rates();
-            assert_eq!(skeleton.transitions().len(), rates.len(), "k = {k}");
-            let cached = skeleton.with_rates(&rates).unwrap();
-            let direct = m.ctmc().unwrap();
-            assert_eq!(cached.len(), direct.len(), "k = {k}");
-            for s in direct.states() {
-                assert_eq!(cached.label(s), direct.label(s), "k = {k}");
-            }
-            assert_eq!(cached.transitions(), direct.transitions(), "k = {k}");
-        }
-    }
-
-    #[test]
     fn labels_match_appendix_convention() {
         let m = model(3);
         assert_eq!(RecursiveModel::label(3, 0, 0), "000");
@@ -541,10 +447,10 @@ mod tests {
         assert_eq!(RecursiveModel::label(3, 1, 1), "d00");
         assert_eq!(RecursiveModel::label(3, 2, 0b10), "dN0");
         assert_eq!(RecursiveModel::label(3, 3, 0b101), "dNd");
-        // The skeleton's root is the all-operational word.
-        let (skeleton, root) = RecursiveModel::skeleton(3).unwrap();
+        // The walk's root is the all-operational word.
+        let (skeleton, root) = m.skeleton().unwrap();
         assert_eq!(skeleton.state_by_label("000"), Some(root));
-        assert_eq!(m.chain_skeleton().unwrap().len(), skeleton.len());
+        assert_eq!(m.ctmc().unwrap().len(), skeleton.len());
     }
 
     #[test]

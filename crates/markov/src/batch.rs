@@ -328,21 +328,6 @@ impl BatchSolver {
         }
     }
 
-    /// Builds a solver with the root looked up by label.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::InvalidArgument`] if no state carries the label, plus the
-    /// conditions of [`BatchProgram::compile`].
-    pub fn from_label(skeleton: &Ctmc, root_label: &str) -> Result<BatchSolver> {
-        let root = skeleton
-            .state_by_label(root_label)
-            .ok_or(Error::InvalidArgument {
-                what: "root label not found in skeleton",
-            })?;
-        BatchSolver::new(skeleton, root)
-    }
-
     /// Number of transient states.
     pub fn dim(&self) -> usize {
         self.program.m
@@ -643,6 +628,5 @@ mod tests {
             BatchSolver::new(&skel, dead),
             Err(Error::StateNotTransient { .. })
         ));
-        assert!(BatchSolver::from_label(&skel, "nope").is_err());
     }
 }

@@ -9,6 +9,12 @@ use crate::{Error, Result};
 pub struct StateId(pub(crate) usize);
 
 impl StateId {
+    /// The state with dense index `index`: a [`ChainWalk`] that declares
+    /// its states in id order names them by arithmetic.
+    pub fn new(index: usize) -> StateId {
+        StateId(index)
+    }
+
     /// Dense index of the state (creation order).
     pub fn index(self) -> usize {
         self.0
@@ -122,6 +128,94 @@ impl CtmcBuilder {
             return Err(Error::EmptyChain);
         }
         Ok(Ctmc::from_parts(self.labels, self.transitions))
+    }
+}
+
+/// What a [`ChainWalk`] writes into.
+pub trait ChainSink {
+    /// Declares the next state; only a sink that keeps labels calls
+    /// `label`.
+    fn state(&mut self, label: impl FnOnce() -> String) -> StateId;
+
+    /// Emits the transition `from → to` at `rate`. A sink that builds a
+    /// chain refuses what [`CtmcBuilder::add_transition`] refuses.
+    fn edge(&mut self, from: StateId, to: StateId, rate: f64) -> Result<()>;
+}
+
+/// A chain written once, as a walk: it declares every state in id order,
+/// then emits every transition with its rate, in an order no rate changes
+/// and with no `(from, to)` pair twice. Three sinks read the one walk:
+/// the rated chain, the skeleton a [`crate::BatchProgram`] compiles and
+/// the rate vector that program solves, so the skeleton's transitions and
+/// the rate vector match one for one by construction.
+pub trait ChainWalk {
+    /// Runs the walk into `sink` and returns the root state.
+    fn walk<S: ChainSink>(&self, sink: &mut S) -> Result<StateId>;
+
+    /// The chain at the walk's rates, and its root. A zero rate drops its
+    /// transition, as [`Ctmc::with_rates`] does.
+    fn rated(&self) -> Result<(Ctmc, StateId)> {
+        let mut b = CtmcBuilder::new();
+        let root = self.walk(&mut b)?;
+        Ok((b.build()?, root))
+    }
+
+    /// The chain's topology, and its root: every transition kept, at a
+    /// placeholder rate of `1.0`.
+    fn skeleton(&self) -> Result<(Ctmc, StateId)> {
+        let mut b = Skeleton(CtmcBuilder::new());
+        let root = self.walk(&mut b)?;
+        Ok((b.0.build()?, root))
+    }
+
+    /// The walk's rates, zeros included, one per [`ChainWalk::skeleton`]
+    /// transition, into `rates` (cleared first). Formats no label, and
+    /// allocates nothing once `rates` has held them.
+    fn rates_into(&self, rates: &mut Vec<f64>) -> Result<()> {
+        rates.clear();
+        self.walk(&mut Rates { rates, states: 0 }).map(drop)
+    }
+}
+
+/// The rated sink.
+impl ChainSink for CtmcBuilder {
+    fn state(&mut self, label: impl FnOnce() -> String) -> StateId {
+        self.add_state(label())
+    }
+
+    fn edge(&mut self, from: StateId, to: StateId, rate: f64) -> Result<()> {
+        self.add_transition(from, to, rate).map(drop)
+    }
+}
+
+/// The skeleton sink: a builder that keeps every edge at rate `1.0`.
+struct Skeleton(CtmcBuilder);
+
+impl ChainSink for Skeleton {
+    fn state(&mut self, label: impl FnOnce() -> String) -> StateId {
+        self.0.state(label)
+    }
+
+    fn edge(&mut self, from: StateId, to: StateId, _rate: f64) -> Result<()> {
+        self.0.edge(from, to, 1.0)
+    }
+}
+
+/// The rate sink: counts states, pushes rates.
+struct Rates<'a> {
+    rates: &'a mut Vec<f64>,
+    states: usize,
+}
+
+impl ChainSink for Rates<'_> {
+    fn state(&mut self, _label: impl FnOnce() -> String) -> StateId {
+        self.states += 1;
+        StateId(self.states - 1)
+    }
+
+    fn edge(&mut self, _from: StateId, _to: StateId, rate: f64) -> Result<()> {
+        self.rates.push(rate);
+        Ok(())
     }
 }
 

@@ -204,13 +204,11 @@ impl Ctmc {
     /// Rebuilds the chain with the same states and transition *structure*
     /// but new rates, one per entry of [`Ctmc::transitions`] in order.
     ///
-    /// This is the sweep engine's topology-reuse primitive: a parameter
-    /// sweep changes only rates, never the shape of the chain, so the
-    /// chain is built once per configuration and re-rated per sweep
-    /// point. Transitions whose new rate is zero are dropped, exactly as
-    /// [`crate::CtmcBuilder::add_transition`] drops them — the result is
-    /// indistinguishable from rebuilding the chain from scratch with the
-    /// new rates.
+    /// Applied to a [`crate::ChainWalk`]'s skeleton and rate vector it
+    /// gives the walk's rated chain: transitions whose new rate is zero
+    /// are dropped, exactly as [`crate::CtmcBuilder::add_transition`]
+    /// drops them, so the result is indistinguishable from rebuilding
+    /// the chain from scratch with the new rates.
     ///
     /// # Errors
     ///

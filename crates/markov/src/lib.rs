@@ -8,6 +8,8 @@
 //!
 //! * [`CtmcBuilder`] / [`Ctmc`] — construct a chain from labelled states
 //!   and transition rates, and inspect its infinitesimal generator `Q`.
+//! * [`ChainWalk`] — a chain written once, read by three sinks: the rated
+//!   chain, the skeleton a [`BatchProgram`] compiles and its rate vector.
 //! * [`AbsorbingAnalysis`] — mean time to absorption (the paper's MTTDL),
 //!   absorption probabilities, expected state occupancies, `det(R)` and
 //!   `κ∞(R)`, all from one subtraction-free GTH elimination of the dense
@@ -75,7 +77,7 @@ mod solutions;
 pub use absorbing::AbsorbingAnalysis;
 pub use batch::{BatchProgram, BatchSolver};
 pub use birth_death::{birth_death_gamma, birth_death_mtta};
-pub use builder::{CtmcBuilder, StateId};
+pub use builder::{ChainSink, ChainWalk, CtmcBuilder, StateId};
 pub use classify::{strongly_connected_components, validate_absorbing, AbsorbingDiagnosis};
 pub use ctmc::{validate_generator, Ctmc, Transition};
 pub use dot::{to_dot, DotOptions};
