@@ -207,12 +207,16 @@ struct Rates<'a> {
     states: usize,
 }
 
+/// Inlined across crates: a walk is instantiated in the crate that
+/// defines it, and a call per rate costs as much as the push.
 impl ChainSink for Rates<'_> {
+    #[inline]
     fn state(&mut self, _label: impl FnOnce() -> String) -> StateId {
         self.states += 1;
         StateId(self.states - 1)
     }
 
+    #[inline]
     fn edge(&mut self, _from: StateId, _to: StateId, rate: f64) -> Result<()> {
         self.rates.push(rate);
         Ok(())
