@@ -281,6 +281,44 @@ mod tests {
         ));
     }
 
+    /// `ok ⇄ degraded → lost`, with the repair rate `mu` (possibly 0).
+    struct Repairable {
+        mu: f64,
+    }
+
+    impl ChainWalk for Repairable {
+        fn walk<S: ChainSink>(&self, sink: &mut S) -> Result<StateId> {
+            let ok = sink.state(|| "ok".into());
+            let degraded = sink.state(|| "degraded".into());
+            let lost = sink.state(|| "lost".into());
+            sink.edge(ok, degraded, 2.0)?;
+            sink.edge(degraded, ok, self.mu)?;
+            sink.edge(degraded, lost, 1.0)?;
+            Ok(ok)
+        }
+    }
+
+    #[test]
+    fn the_three_sinks_read_one_walk() {
+        for mu in [10.0, 0.0] {
+            let walk = Repairable { mu };
+            let (skeleton, root) = walk.skeleton().unwrap();
+            let mut rates = vec![7.0];
+            walk.rates_into(&mut rates).unwrap();
+            // The skeleton keeps the zero-rate edge; the rate vector holds
+            // its zero; the rated chain drops it, as `with_rates` does.
+            assert_eq!(skeleton.transitions().len(), 3);
+            assert!(skeleton.transitions().iter().all(|t| t.rate == 1.0));
+            assert_eq!(rates, [2.0, mu, 1.0]);
+            let (rated, rated_root) = walk.rated().unwrap();
+            let rescaled = skeleton.with_rates(&rates).unwrap();
+            assert_eq!(rated.transitions(), rescaled.transitions());
+            assert_eq!(rated.transitions().len(), if mu > 0.0 { 3 } else { 2 });
+            assert_eq!((root, rated_root), (StateId(0), StateId(0)));
+            assert_eq!(rated.label(StateId(2)), "lost");
+        }
+    }
+
     #[test]
     fn state_id_display_and_index() {
         let mut b = CtmcBuilder::new();
