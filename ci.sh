@@ -367,6 +367,11 @@ fi
 ./target/release/nsr bench --suite plan --smoke --out-dir "$SMOKE_DIR"
 bench_gate plan
 
+echo "==> cargo doc --no-deps --workspace (rustdoc warnings are errors)"
+# A broken or private intra-doc link renders as dead text; keep the
+# generated docs clean the way clippy keeps the code clean.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 

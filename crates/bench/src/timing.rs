@@ -9,7 +9,7 @@
 //!
 //! Two entry styles:
 //!
-//! * [`bench`] / [`bench_throughput`] — print-and-forget, kept for ad-hoc
+//! * [`bench()`] / [`bench_throughput`] — print-and-forget, kept for ad-hoc
 //!   use in the figure binaries.
 //! * [`Timing::measure`] — returns a [`Measurement`] that the suite layer
 //!   ([`crate::suites`]) collects into the machine-readable
@@ -155,7 +155,7 @@ pub fn bench<T>(name: &str, mut f: impl FnMut() -> T) {
     bench_throughput(name, 0, &mut f);
 }
 
-/// Like [`bench`], but also reports MiB/s for `bytes` processed per call
+/// Like [`bench()`], but also reports MiB/s for `bytes` processed per call
 /// when `bytes > 0`.
 pub fn bench_throughput<T>(name: &str, bytes: u64, f: &mut impl FnMut() -> T) {
     println!("{}", Timing::full().measure(name, bytes, f).render());

@@ -5,7 +5,7 @@
 //! (restore from backup/replica). This module closes the loss states of a
 //! configuration's chain with a restore transition and solves the
 //! resulting irreducible chain's stationary distribution — the same move
-//! the Petal/Snappy-Disk comparison ([4] in the paper) uses to talk about
+//! the Petal/Snappy-Disk comparison (\[4\] in the paper) uses to talk about
 //! availability rather than durability.
 
 use nsr_markov::{stationary_distribution, CtmcBuilder};

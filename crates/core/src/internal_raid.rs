@@ -148,7 +148,7 @@ impl InternalRaidSystem {
     }
 
     /// The paper's closed-form approximation, generalized to any `t`
-    /// ([`mttdl_closed`] at this model's rates). For `t = 1, 2, 3` this is literally `MTTDL_{IR,NFT1..3}` of §4.2
+    /// (`mttdl_closed` at this model's rates). For `t = 1, 2, 3` this is literally `MTTDL_{IR,NFT1..3}` of §4.2
     /// (with `k₁ = 1`).
     pub fn mttdl_paper(&self) -> Hours {
         let rates = [self.lambda_n, self.lambda_d_array, self.lambda_s, self.mu_n];

@@ -81,7 +81,7 @@ impl NoRaidSystem {
 
     /// The MTTDL approximation *as printed* for `t = 1` (§4.3), `t = 2, 3`
     /// (Figure 12); other `t` fall back to the appendix theorem, of which
-    /// the printed forms are special cases ([`mttdl_printed`] at this
+    /// the printed forms are special cases (`mttdl_printed` at this
     /// model's rates).
     pub fn mttdl_paper(&self) -> Hours {
         let m = &self.recursive;

@@ -266,7 +266,7 @@ impl RecursiveModel {
     }
 
     /// The Figure A1 closed-form approximation for arbitrary `k`
-    /// ([`mttdl_theorem`] at this model's rates).
+    /// (`mttdl_theorem` at this model's rates).
     pub fn mttdl_theorem(&self) -> Hours {
         let rates = [self.lambda_n, self.lambda_d, self.mu_n, self.mu_d];
         mttdl_theorem(self.k, self.n, self.d, rates, &self.h)

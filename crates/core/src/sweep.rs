@@ -195,7 +195,7 @@ pub fn auto_workers(rows: usize) -> usize {
 /// the paper's formula, no chain solve. Rows are claimed from a shared
 /// atomic counter in small chunks (work-stealing — rows whose
 /// configurations go infeasible early are cheaper than feasible ones;
-/// see [`claim_chunk`] for why claims are chunked) and merged back **by
+/// see `claim_chunk` for why claims are chunked) and merged back **by
 /// row index**, so the output is deterministic and byte-identical for
 /// every worker count, including `1`: evaluation is pure and each row is
 /// produced by exactly one worker from the same `(base, x)` inputs.

@@ -12,9 +12,11 @@
 //! (`put_shard`, `get_shard`, …) are a send and a receive, and control
 //! frames go through `request`. A fetched shard lands where the caller
 //! says: `recv_shard_into` reads the payload from the socket straight
-//! into a caller-supplied slice (what the gateway uses — one copy, no
-//! allocation), `recv_shard` / `get_shard` into a fresh `Vec` for callers
-//! with nowhere to put it yet. Retry, backoff and routing policy live in
+//! into a caller-supplied slice (one copy, no allocation),
+//! `recv_shard_append` onto the end of a caller's `Vec`, into capacity
+//! nothing zero-filled (a healthy get lands its data shards so), and
+//! `recv_shard` / `get_shard` into a fresh `Vec` for callers with nowhere
+//! to put it yet. Retry, backoff and routing policy live in
 //! the gateway's connection pool, which redials a fresh `BrickClient`
 //! when an operation fails.
 
@@ -24,8 +26,8 @@ use std::time::Duration;
 
 use crate::error::Error;
 use crate::wire::{
-    read_frame, read_shard_into, reply_code, write_batch, write_frame, DataRequest, Frame,
-    ShardReply,
+    read_frame, read_shard_append, read_shard_into, reply_code, write_batch, write_frame,
+    DataRequest, Frame, ShardReply,
 };
 
 /// Fields of a heartbeat acknowledgement.
@@ -170,11 +172,28 @@ impl BrickClient {
         pos: u32,
         dst: &mut [u8],
     ) -> Result<(), Error> {
-        match read_shard_into(&mut self.reader, dst)? {
-            ShardReply::Filled => Ok(()),
-            ShardReply::Other(reply) => Err(fetch_refused(op, object, pos, reply)),
-            ShardReply::Eof => Err(closed_before_reply()),
-        }
+        landed(op, object, pos, read_shard_into(&mut self.reader, dst)?)
+    }
+
+    /// Reads the reply to an outstanding fetch of an `n`-byte shard onto
+    /// the end of `out`, into its spare capacity, which is never
+    /// zero-filled first (see [`read_shard_append`]). Errors are
+    /// [`recv_shard_into`](Self::recv_shard_into)'s, and leave `out` at
+    /// its prior length.
+    pub fn recv_shard_append(
+        &mut self,
+        op: &'static str,
+        object: u64,
+        pos: u32,
+        out: &mut Vec<u8>,
+        n: usize,
+    ) -> Result<(), Error> {
+        landed(
+            op,
+            object,
+            pos,
+            read_shard_append(&mut self.reader, out, n)?,
+        )
     }
 
     /// Stores one shard.
@@ -283,6 +302,16 @@ fn closed_before_reply() -> Error {
     Error::Io {
         op: "read_reply",
         detail: "connection closed before reply".to_string(),
+    }
+}
+
+/// Types what a shard fetch found on the wire: the shard, in place, is
+/// `Ok`.
+fn landed(op: &'static str, object: u64, pos: u32, reply: ShardReply) -> Result<(), Error> {
+    match reply {
+        ShardReply::Filled => Ok(()),
+        ShardReply::Other(reply) => Err(fetch_refused(op, object, pos, reply)),
+        ShardReply::Eof => Err(closed_before_reply()),
     }
 }
 

@@ -8,14 +8,16 @@
 //! backoff plus seeded jitter, and runs the failure detector + rebuild
 //! coordinator that re-replicates a dead brick's shards onto spares.
 //!
-//! The data path has one fan-out, a round (`Gateway::round`, the
-//! gateway's only call to [`ConnectionPool::fanout`]): a list of `(brick,
-//! DataRequest)` pairs, each brick's requests sent in one write — a brick
-//! named once gets the bare request, one named more than once a
-//! [`Frame::Batch`](crate::wire::Frame::Batch) — then each reply read
-//! into where the caller says, in request order. A get is one round of
-//! `GetShard`s and a put one of `PutShard`s, one per layout brick, so
-//! every brick gets a bare request. Whatever a round missed in transit
+//! The data path has one fan-out, a round (`Gateway::round_ahead`, the
+//! gateway's only call to [`ConnectionPool::fanout_ahead`]): a list of
+//! `(brick, DataRequest)` pairs, each brick's requests sent in one write
+//! — a brick named once gets the bare request, one named more than once
+//! a [`Frame::Batch`](crate::wire::Frame::Batch) — then each reply read
+//! into where the caller says, in request order, with a bounded number
+//! of bricks' requests on the wire ahead of the reply being read. A get
+//! is one round of `GetShard`s and a put one of `PutShard`s, one per
+//! layout brick, so every brick gets a bare request; only a get of large
+//! shards bounds its read-ahead, every other round sends all at once. Whatever a round missed in transit
 //! takes the per-shard retry path (`fetch_one`, `settle_stores`), which
 //! sends the same `DataRequest` through the same writer, alone.
 //!
@@ -43,12 +45,17 @@
 //!
 //! Copy budget: a fetched shard goes from its socket straight to where
 //! it is needed. A fetch lands in a caller-supplied buffer; `get`
-//! allocates its result once and hands each data position its slice of
-//! it, and a degraded `get` rebuilds only the missing *data* positions,
-//! directly into their slices (parity gets scratch buffers, and only once
-//! a data brick is out of reach). Rebuild and scrub land shards in owned
-//! per-position buffers, one set per window slot, kept from window to
-//! window, and write them back from the same buffers. There is no
+//! reserves its result once and appends each data shard to it in
+//! position order, so a healthy result is never zero-filled. A position
+//! the round missed is zero-filled and takes the retry path into its
+//! slice, and a degraded `get` rebuilds only the missing *data*
+//! positions, directly into their slices (parity gets scratch buffers,
+//! and only once a data brick is out of reach). A get of shards at least
+//! the socket read buffer's size keeps one brick's request ahead of the
+//! reply it reads, so at most two replies are in flight. Rebuild and
+//! scrub land shards in owned per-position buffers, one set per window
+//! slot, kept from window to window, and write them back from the same
+//! buffers. There is no
 //! per-shard `Vec` and no concatenation anywhere on the read path (DESIGN
 //! §3h has the before/after count).
 //!
@@ -83,7 +90,7 @@ use crate::detector::{DetectorConfig, FailureDetector, Health, Transition};
 use crate::error::Error;
 use crate::obs;
 use crate::pool::ConnectionPool;
-use crate::wire::{DataRequest, MAX_SHARD_LEN};
+use crate::wire::{DataRequest, IO_READ_BUF_LEN, MAX_SHARD_LEN};
 
 /// Capped exponential backoff with jitter for transient transport
 /// faults.
@@ -232,6 +239,19 @@ const REPAIR_WINDOW_BYTES: usize = 2 << 20;
 
 /// Most objects in one repair or scrub window, whatever their size.
 const REPAIR_WINDOW_OBJECTS: usize = 32;
+
+/// A round's read-ahead with no bound: every request is on the wire
+/// before the first reply is read. Puts, repair, scrub and gets of
+/// shards that fit the socket read buffer go so.
+const ALL_AT_ONCE: usize = usize::MAX;
+
+/// A get's read-ahead once its shards are at least `IO_READ_BUF_LEN`,
+/// the size the reader lands straight from the socket: the reply being
+/// read and one brick ahead of it. Sent all at once, six 171 KiB replies
+/// wait in socket buffers and leave the cache before the first is
+/// copied; one ahead keeps a brick's send overlapping the gateway's
+/// copy of the reply before it (EXPERIMENTS §Bounded read-ahead).
+const LARGE_GET_DEPTH: usize = 2;
 
 /// Bytes of one page: no object is cut into data shards smaller than
 /// this.
@@ -640,22 +660,29 @@ impl Gateway {
         let r = meta.layout.len();
         let k = r - self.tolerated();
         let readable = self.readable(&meta.layout);
-        // The result is allocated once, k' whole shards wide (the tail
-        // shard's padding is cut off at the end), and every data shard is
-        // fetched — or, if its brick is gone, rebuilt — straight into
-        // its slice of it. Parity lands in scratch buffers that exist
-        // only once a read needs them.
+        // The result is reserved once, k' whole shards wide (the tail
+        // shard's padding is cut off at the end), and never zero-filled
+        // on a healthy read: the round reads the data shards in position
+        // order and appends each to it. A data position the round missed
+        // is zero-filled, then fetched — or, if its brick is gone,
+        // rebuilt — straight into its slice. Parity lands in scratch
+        // buffers that exist only once a read needs them.
         let shard_len = meta.shard_len as usize;
-        let mut out = vec![0u8; k * shard_len];
+        let mut out: Vec<u8> = Vec::with_capacity(k * shard_len);
         let mut parity: Vec<Vec<u8>> = vec![Vec::new(); r - k];
         let mut present = vec![false; r];
-        // Fetches `positions` — one round, then the retry path for what
-        // it missed — marks those that landed and returns their number.
+        let depth = if shard_len >= IO_READ_BUF_LEN {
+            LARGE_GET_DEPTH
+        } else {
+            ALL_AT_ONCE
+        };
+        // Fetches `positions` (ascending) — one round, then the retry
+        // path for what it missed — marks those that landed and returns
+        // their number.
         let mut fetch = |positions: &[usize]| {
             for &pos in positions.iter().filter(|&&pos| pos >= k) {
                 parity[pos - k] = vec![0u8; shard_len];
             }
-            let mut stripe = data_and_parity(&mut out, &mut parity, shard_len);
             let requests: Vec<(u32, DataRequest<'_>)> = positions
                 .iter()
                 .map(|&at| {
@@ -663,9 +690,25 @@ impl Gateway {
                     (meta.layout[at], DataRequest::GetShard { object, pos })
                 })
                 .collect();
-            let sent = self.round(&requests, ctx, None, |i, c| {
-                recv_fetch(c, requests[i].1, stripe[positions[i]])
+            // A data shard is appended after zero-filling any position
+            // before it that missed; one read out of position order (the
+            // round keeps a get's order, so only defensively) lands in
+            // its slice.
+            let sent = self.round_ahead(&requests, ctx, None, depth, |i, c| {
+                let (pos, request) = (positions[i], requests[i].1);
+                let at = pos * shard_len;
+                if pos >= k {
+                    recv_fetch(c, request, &mut parity[pos - k])
+                } else if out.len() <= at {
+                    out.resize(at, 0);
+                    let (object, pos) = request.shard();
+                    c.recv_shard_append(request.name(), object, pos, &mut out, shard_len)
+                } else {
+                    recv_fetch(c, request, &mut out[at..at + shard_len])
+                }
             });
+            out.resize(k * shard_len, 0);
+            let mut stripe = data_and_parity(&mut out, &mut parity, shard_len);
             let mut landed = 0;
             for ((res, &request), &pos) in sent.into_iter().zip(&requests).zip(positions) {
                 let res = res.unwrap_or_else(|| self.fetch_one(request, stripe[pos], ctx));
@@ -1324,23 +1367,40 @@ impl Gateway {
         self.pool.with(id, op, f)
     }
 
-    /// The gateway's one fan-out round, its only call to
-    /// [`ConnectionPool::fanout`]: each brick named in `requests` (all of
-    /// one kind) gets its requests, in order, through one `send_batch` —
-    /// bare when the brick is named once, as every brick is in a get or a
-    /// put, since a layout never names a brick twice — and `recv(i,
-    /// client)` then reads the reply to request `i`. The outcomes are
-    /// aligned with `requests`; `None` leaves a request to the caller's
-    /// per-request retry path: it failed in transit, or was never sent, as
-    /// nothing is with `cfg.fanout` off (the serial reference). A reply
-    /// that breaks the stream fails the rest of its brick's requests and
-    /// drops the lane; a failed connect or send fails all of them.
-    /// `rounds`, if given, counts the round.
+    /// The gateway's one fan-out round, with every request on the wire
+    /// before the first reply is read: [`round_ahead`](Self::round_ahead)
+    /// at `ALL_AT_ONCE`. Puts, repair and scrub go through it.
     fn round(
         &self,
         requests: &[(u32, DataRequest<'_>)],
         ctx: Option<SpanContext>,
         rounds: Option<&'static Counter>,
+        recv: impl FnMut(usize, &mut BrickClient) -> Result<(), Error>,
+    ) -> Vec<Option<Result<(), Error>>> {
+        self.round_ahead(requests, ctx, rounds, ALL_AT_ONCE, recv)
+    }
+
+    /// The gateway's one fan-out, its only call to
+    /// [`ConnectionPool::fanout_ahead`]: each brick named in `requests`
+    /// (all of one kind) gets its requests, in order, through one
+    /// `send_batch` — bare when the brick is named once, as every brick is
+    /// in a get or a put, since a layout never names a brick twice — and
+    /// `recv(i, client)` then reads the reply to request `i`, with at most
+    /// `depth` bricks' requests on the wire at once. When no brick is
+    /// named twice the replies are read in request order; otherwise brick
+    /// by brick, each brick's in request order. The outcomes are aligned
+    /// with `requests`; `None` leaves a request to the caller's
+    /// per-request retry path: it failed in transit, or was never sent, as
+    /// nothing is with `cfg.fanout` off (the serial reference). A reply
+    /// that breaks the stream fails the rest of its brick's requests and
+    /// drops the lane; a failed connect or send fails all of them.
+    /// `rounds`, if given, counts the round.
+    fn round_ahead(
+        &self,
+        requests: &[(u32, DataRequest<'_>)],
+        ctx: Option<SpanContext>,
+        rounds: Option<&'static Counter>,
+        depth: usize,
         mut recv: impl FnMut(usize, &mut BrickClient) -> Result<(), Error>,
     ) -> Vec<Option<Result<(), Error>>> {
         let mut results: Vec<Option<Result<(), Error>>> = vec![None; requests.len()];
@@ -1350,10 +1410,17 @@ impl Gateway {
         if let Some(rounds) = rounds {
             rounds.inc();
         }
-        // The requests in brick order (stable, so each brick's keep
-        // theirs): brick `bricks[g]` gets `batch[starts[g]..starts[g + 1]]`.
+        // The requests grouped by brick (stable, so each brick's keep
+        // their order), or in request order when every group is one:
+        // brick `bricks[g]` gets `batch[starts[g]..starts[g + 1]]`.
         let mut order: Vec<usize> = (0..requests.len()).collect();
         order.sort_by_key(|&i| requests[i].0);
+        if order
+            .windows(2)
+            .all(|w| requests[w[0]].0 != requests[w[1]].0)
+        {
+            order.sort_unstable();
+        }
         let batch: Vec<DataRequest<'_>> = order.iter().map(|&i| requests[i].1).collect();
         let (mut bricks, mut starts) = (Vec::new(), Vec::new());
         for (n, &i) in order.iter().enumerate() {
@@ -1364,9 +1431,10 @@ impl Gateway {
         }
         starts.push(order.len());
         let group = |g: usize| starts[g]..starts[g + 1];
-        let per_brick = self.pool.fanout(
+        let per_brick = self.pool.fanout_ahead(
             &bricks,
             requests[0].1.name(),
+            depth,
             |g, c| {
                 send_ctx(c, ctx)?;
                 c.send_batch(&batch[group(g)])

@@ -13,12 +13,16 @@
 //! is untouched.
 //!
 //! The pool is also where the pipelined shard fan-out lives:
-//! [`ConnectionPool::fanout`] locks one lane per brick, runs a send
-//! phase and then a receive phase in caller order, which keeps one
-//! request outstanding per brick while replies are still assembled
-//! deterministically by index.
+//! [`ConnectionPool::fanout_ahead`] locks one lane per brick, then walks
+//! the bricks in caller order, reading each reply while at most `depth`
+//! requests are on the wire, the one being read included. Each brick has
+//! one request outstanding at most, and replies are assembled
+//! deterministically by index. [`ConnectionPool::fanout`] is the same
+//! walk with every request sent before the first reply is read. A bound
+//! matters for large replies: six 171 KiB shards requested at once wait
+//! in socket buffers, out of cache, until the reader gets to them.
 //!
-//! Locking protocol: `fanout` acquires lane locks in ascending brick-id
+//! Locking protocol: a fan-out acquires lane locks in ascending brick-id
 //! order, one brick at a time and never the same brick twice, which
 //! makes concurrent fan-outs deadlock-free; the keepalive thread only
 //! ever `try_lock`s, so it can never stall a serving request.
@@ -149,23 +153,41 @@ impl ConnectionPool {
         res
     }
 
-    /// Pipelined scatter-gather over the bricks in `ids`: locks one lane
-    /// per brick in ascending brick-id order, runs `send` for every index
-    /// in caller order, then `recv` for every index in caller order. Each
-    /// connection carries exactly one outstanding request, so a failure
-    /// on one brick never desyncs another — the result vector is
-    /// per-index, aligned with `ids`, and indices that failed in
-    /// transport or framing have had their connection dropped.
+    /// Pipelined scatter-gather over the bricks in `ids` with every
+    /// request on the wire before the first reply is read:
+    /// [`fanout_ahead`](Self::fanout_ahead) at a depth of `ids.len()`.
+    pub fn fanout<T>(
+        &self,
+        ids: &[u32],
+        op: &'static str,
+        send: impl FnMut(usize, &mut BrickClient) -> Result<(), Error>,
+        recv: impl FnMut(usize, &mut BrickClient) -> Result<T, Error>,
+    ) -> Vec<Result<T, Error>> {
+        self.fanout_ahead(ids, op, ids.len(), send, recv)
+    }
+
+    /// Pipelined scatter-gather over the bricks in `ids` with bounded
+    /// read-ahead: locks one lane per brick in ascending brick-id order,
+    /// then, in caller order, runs `recv` for each index once `send` has
+    /// run for it and for the indices after it up to `depth` requests in
+    /// all (at least one: depth 1 is one request at a time, depth 2 one
+    /// brick ahead of the reply being read). Each connection carries
+    /// exactly one outstanding request, so a failure on one brick never
+    /// desyncs another: the result vector is per-index, aligned with
+    /// `ids`, and indices that failed in transport or framing have had
+    /// their connection dropped. The depth changes only how many replies
+    /// wait at once, never what any index returns.
     ///
     /// A brick named at more than one index is served at the first only.
     /// Every later index gets the transient [`Error::DuplicateBrick`]
     /// without waiting for a lane: with one lane per brick, or every
     /// other lane busy, that wait would be on the lane this call already
     /// holds, forever. Callers retry it per shard after the fan-out.
-    pub fn fanout<T>(
+    pub fn fanout_ahead<T>(
         &self,
         ids: &[u32],
         op: &'static str,
+        depth: usize,
         mut send: impl FnMut(usize, &mut BrickClient) -> Result<(), Error>,
         mut recv: impl FnMut(usize, &mut BrickClient) -> Result<T, Error>,
     ) -> Vec<Result<T, Error>> {
@@ -186,29 +208,36 @@ impl ConnectionPool {
                 Err(e) => results[i] = Some(Err(e)),
             }
         }
-        // Send phase, caller order.
+        // Caller order: before reply `i` is read, every request up to
+        // index `i + depth - 1` is on the wire.
+        let mut sent = 0;
         for i in 0..ids.len() {
-            if results[i].is_some() {
-                continue;
+            let window = ids.len().min(i.saturating_add(depth.max(1)));
+            for j in sent..window {
+                if results[j].is_some() {
+                    continue;
+                }
+                let slot = guards[j].as_mut().expect("acquired");
+                if let Err(e) = send(j, slot.client.as_mut().expect("connected")) {
+                    slot.client = None;
+                    results[j] = Some(Err(e));
+                }
             }
-            let slot = guards[i].as_mut().expect("acquired");
-            if let Err(e) = send(i, slot.client.as_mut().expect("connected")) {
-                slot.client = None;
-                results[i] = Some(Err(e));
+            if i == 0 {
+                // The first window is on the wire. Yielding once lets
+                // any brick thread that is runnable but has not run
+                // answer before the first read, so it finds the reply
+                // already buffered. It does not make the fan-out two
+                // context switches: on one CPU (Linux 6.18, 6+2
+                // geometry, 683-byte shards, all sent at once) a woken
+                // brick thread mostly preempts the gateway while it
+                // sends, and the gateway thread takes ~4.3 involuntary
+                // switches and no voluntary ones per 6-shard get
+                // (`nonvoluntary_ctxt_switches` in
+                // `/proc/thread-self/status`, 20,000 gets).
+                std::thread::yield_now();
             }
-        }
-        // Every request is on the wire. Yielding once lets any brick
-        // thread that is runnable but has not run answer before the
-        // receive loop below reads, so it finds replies already
-        // buffered. It does not make the fan-out two context switches:
-        // on one CPU (Linux 6.18, 6+2 geometry, 683-byte shards) a woken
-        // brick thread mostly preempts the gateway during the send
-        // phase, and the gateway thread takes ~4.3 involuntary switches
-        // and no voluntary ones per 6-shard get (`nonvoluntary_ctxt_switches`
-        // in `/proc/thread-self/status`, 20,000 gets).
-        std::thread::yield_now();
-        // Receive phase, caller order — deterministic assembly.
-        for i in 0..ids.len() {
+            sent = window;
             if results[i].is_some() {
                 continue;
             }
@@ -224,8 +253,8 @@ impl ConnectionPool {
     }
 
     /// Locks a lane of brick `id`: the first free lane if any, else
-    /// blocks on lane 0. Multi-brick callers go through `fanout`, whose
-    /// ascending-id acquisition of distinct bricks keeps this
+    /// blocks on lane 0. Multi-brick callers go through `fanout_ahead`,
+    /// whose ascending-id acquisition of distinct bricks keeps this
     /// deadlock-free.
     fn lock_lane(&self, id: u32) -> MutexGuard<'_, Slot> {
         let lanes = &self.inner.lanes[id as usize];
@@ -359,6 +388,64 @@ mod tests {
         assert!(pool.with(0, "heartbeat", |c| c.heartbeat(9)).is_ok());
         stop_brick(a);
         ha.join().expect("join").expect("run");
+    }
+
+    /// Read-ahead changes how many requests are on the wire, never what
+    /// an index returns: with the middle of three bricks shut down after
+    /// its lane was dialed, one at a time, one ahead and all at once give
+    /// the same per-index results, and the broken lane is dropped while
+    /// the live bricks' lanes stay warm.
+    #[test]
+    fn read_ahead_depth_never_changes_a_result() {
+        let (a, ha) = start_brick(0);
+        let (c, hc) = start_brick(2);
+        let acked = |r: &Result<(u64, u32), Error>| r.clone().ok();
+        for depth in [1, 2, usize::MAX] {
+            let (b, hb) = start_brick(1);
+            let pool = ConnectionPool::new(vec![a, b, c], Duration::from_millis(300), 1);
+            for id in 0..3 {
+                pool.with(id, "heartbeat", |c| c.heartbeat(0))
+                    .expect("warm");
+            }
+            stop_brick(b);
+            hb.join().expect("join").expect("run");
+            let results = pool.fanout_ahead(
+                &[0, 1, 2],
+                "heartbeat",
+                depth,
+                |i, c| c.send_request(&Frame::Heartbeat { seq: i as u64 }),
+                |_i, c| match c.recv_reply()? {
+                    Frame::HeartbeatAck { seq, brick_id, .. } => Ok((seq, brick_id)),
+                    other => panic!("not an ack: {other:?}"),
+                },
+            );
+            let ctx = format!("depth {depth}: {results:?}");
+            assert_eq!(
+                results.iter().map(acked).collect::<Vec<_>>(),
+                [Some((0, 0)), None, Some((2, 2))],
+                "{ctx}"
+            );
+            assert!(
+                results[1].as_ref().is_err_and(Error::breaks_stream),
+                "{ctx}"
+            );
+            let connected = |id: usize| {
+                pool.inner.lanes[id][0]
+                    .lock()
+                    .expect("slot")
+                    .client
+                    .is_some()
+            };
+            assert_eq!(
+                (0..3).map(connected).collect::<Vec<_>>(),
+                [true, false, true],
+                "{ctx}"
+            );
+        }
+        for (addr, handle) in [(a, ha), (c, hc)] {
+            stop_brick(addr);
+            handle.join().expect("join").expect("run");
+        }
     }
 
     /// With one lane per brick, locking the brick's lane a second time

@@ -27,7 +27,7 @@
 //! any) and the requests' [`Frame::encode`]s, concatenated. The brick
 //! answers either shape through one reply writer, `Gather`.
 
-use std::io::{BufRead, IoSlice, Read, Write};
+use std::io::{BufRead, BufReader, IoSlice, Read, Write};
 
 use crate::error::Error;
 
@@ -765,6 +765,51 @@ pub enum ShardReply {
 /// as [`Error::ShardLength`]: `dst` is untouched and the stream is still
 /// in sync, so the connection stays usable.
 pub fn read_shard_into(r: &mut impl BufRead, dst: &mut [u8]) -> Result<ShardReply, Error> {
+    read_shard_with(r, dst.len(), |r, len| read_body(r, dst, len))
+}
+
+/// Reads the reply to a fetch of an `n`-byte shard as
+/// [`read_shard_into`] does, but appends the payload to `out` instead of
+/// overwriting a slice, so `out`'s spare capacity is never zero-filled
+/// first: the bytes the reader already buffered are copied, the rest is
+/// read from the stream under the reader straight into the capacity
+/// (`Read::take` and `read_to_end`, std's safe path into uninitialised
+/// memory). Reserve the capacity beforehand or `out` grows.
+///
+/// Outcomes, typed errors and the stream position after each are exactly
+/// [`read_shard_into`]'s with an `n`-byte destination, and every outcome
+/// but [`ShardReply::Filled`] leaves `out` at its prior length.
+pub fn read_shard_append<R: Read>(
+    r: &mut BufReader<R>,
+    out: &mut Vec<u8>,
+    n: usize,
+) -> Result<ShardReply, Error> {
+    read_shard_with(r, n, |r, len| {
+        let start = out.len();
+        let head = r.buffer().len().min(n);
+        out.extend_from_slice(&r.buffer()[..head]);
+        r.consume(head);
+        let rest = (n - head) as u64;
+        let landed = match r.get_mut().take(rest).read_to_end(out) {
+            Ok(got) if got as u64 == rest => return Ok(()),
+            Ok(_) => Err(truncated(len)),
+            Err(e) => Err(Error::from_io("read_frame", &e)),
+        };
+        out.truncate(start);
+        landed
+    })
+}
+
+/// The one reader of a shard-fetch reply under [`read_shard_into`] and
+/// [`read_shard_append`]: checks the header, the tag and the payload
+/// count, hands a `ShardData` frame whose payload is `want` bytes to
+/// `land` (with the frame length, for its truncation error), and skips a
+/// well-formed shard of any other length whole.
+fn read_shard_with<R: BufRead>(
+    r: &mut R,
+    want: usize,
+    land: impl FnOnce(&mut R, usize) -> Result<(), Error>,
+) -> Result<ShardReply, Error> {
     let Some((len, tag)) = read_header(r)? else {
         return Ok(ShardReply::Eof);
     };
@@ -774,18 +819,18 @@ pub fn read_shard_into(r: &mut impl BufRead, dst: &mut [u8]) -> Result<ShardRepl
     if let Err(verdict) = read_bulk_head::<4>(r, len, tag) {
         return verdict.map(ShardReply::Other);
     }
-    if len - 5 == dst.len() {
-        read_body(r, dst, len)?;
+    let found = len - 5;
+    if found == want {
+        land(r, len)?;
         return Ok(ShardReply::Filled);
     }
-    let found = len - 5;
     let skipped = std::io::copy(&mut r.take(found as u64), &mut std::io::sink())
         .map_err(|e| Error::from_io("read_frame", &e))?;
     if skipped < found as u64 {
         return Err(truncated(len));
     }
     Err(Error::ShardLength {
-        expected: dst.len(),
+        expected: want,
         found,
     })
 }

@@ -9,10 +9,11 @@
 //! the only variable is the serving path.
 //!
 //! A second read script covers every shape a get can take — object
-//! lengths from empty to a padded 1 MiB stripe, crossed with which
-//! shards are out of reach and how the gateway finds out — and holds
-//! bytes, `ReadMode` and the typed loss past `t` to the serial path and
-//! to the payload.
+//! lengths from empty to a padded 1 MiB stripe, the large ones also at
+//! layouts that wrap past the last brick, crossed with which shards are
+//! out of reach and how the gateway finds out — and holds bytes,
+//! `ReadMode` and the typed loss past `t` to the serial path and to the
+//! payload.
 //!
 //! The repair path gets the same treatment: a kill script — detected
 //! deaths, deaths the detector has not seen yet (a source or a spare
@@ -187,11 +188,13 @@ fn fanout_degraded_read_survives_exactly_t_dead_bricks() {
     assert_eq!(mode, ReadMode::Degraded);
 }
 
-/// Geometry of the read-shape matrix: 3 + 2 on exactly five bricks, and
-/// object ids that are multiples of five, so every layout is `[0, 1, ..,
-/// k' + t - 1]` — bricks `0..k'` hold data, the next `t` parity — where
-/// `k'` is the width rule's for the object's length: `[0, 1, 2, 3, 4]`
-/// from three pages up.
+/// Geometry of the read-shape matrix: 3 + 2 on exactly five bricks.
+/// Object `o` is laid out from brick `o mod 5` on, wrapping past brick 4
+/// to brick 0 (`brick_of`), over `k' + t` bricks, where `k'` is the
+/// width rule's for the object's length: all five from three pages up.
+/// The shapes sit at multiples of five, so their layouts are `[0, 1, ..,
+/// k' + t - 1]` — bricks `0..k'` hold data, the next `t` parity — and the
+/// wrapped shapes at every other start.
 const K: usize = 3;
 const T: usize = 2;
 
@@ -215,6 +218,28 @@ const SHAPE_LENS: [usize; 14] = [
     64 * 1024 + 1,
     1024 * 1024 + 3,
 ];
+
+/// The shapes stored once more at every layout that wraps: position
+/// order is then not brick order, so a get that read its data shards in
+/// brick order, or landed one in the slice of another, shows.
+const WRAPPED_LENS: [usize; 2] = [64 * 1024 + 1, 1024 * 1024 + 3];
+
+/// The brick holding position `pos` of `object`.
+fn brick_of(object: u64, pos: usize) -> usize {
+    (object as usize + pos) % (K + T)
+}
+
+/// Every object the shape matrix stores, with its length: each shape
+/// from brick 0, then each wrapped shape from bricks 1 to 4.
+fn shape_objects() -> Vec<(u64, usize)> {
+    let n = (K + T) as u64;
+    let plain = SHAPE_LENS.iter().zip(0..).map(|(&len, i)| (i * n, len));
+    let wrapped = WRAPPED_LENS
+        .iter()
+        .zip(SHAPE_LENS.len() as u64..)
+        .flat_map(|(&len, i)| (1..n).map(move |start| (i * n + start, len)));
+    plain.chain(wrapped).collect()
+}
 
 /// What is out of reach when the reads run.
 #[derive(Debug, Clone, Copy)]
@@ -242,45 +267,49 @@ fn shaped_payload(object: u64, len: usize) -> Vec<u8> {
 
 type ReadOutcome = Result<(Vec<u8>, ReadMode), Error>;
 
-/// Stores one object per length, applies `fault`, reads each back.
-fn shapes_transcript(fanout: bool, pool_size: usize, fault: Fault) -> Vec<(usize, ReadOutcome)> {
+/// Stores every object of `shape_objects`, applies `fault`, reads each
+/// back: `(object, length, outcome)`.
+fn shapes_transcript(
+    fanout: bool,
+    pool_size: usize,
+    fault: Fault,
+) -> Vec<(u64, usize, ReadOutcome)> {
     let mut c = cluster(K + T, K, T, fanout, pool_size);
-    let objects: Vec<(u64, usize)> = SHAPE_LENS
-        .iter()
-        .enumerate()
-        .map(|(i, &len)| ((i * (K + T)) as u64, len))
-        .collect();
+    let objects = shape_objects();
     for &(object, len) in &objects {
         c.gw.put(object, &shaped_payload(object, len)).expect("put");
-        let width = (data_shards_for(len, K) + T) as u32;
-        assert_eq!(c.gw.object_layout(object), Some((0..width).collect()));
+        let width = data_shards_for(len, K) + T;
+        let layout = (0..width).map(|pos| brick_of(object, pos) as u32).collect();
+        assert_eq!(c.gw.object_layout(object), Some(layout));
     }
     match fault {
         Fault::Down(bricks) => bricks.iter().for_each(|&id| {
             c.kill(id).expect("kill");
         }),
         Fault::Deleted => {
-            let mut brick = BrickClient::connect(c.addrs()[1], Duration::from_millis(300))
-                .expect("connect behind the gateway");
             for &(object, _) in &objects {
+                let addr = c.addrs()[brick_of(object, 1)];
+                let mut brick = BrickClient::connect(addr, Duration::from_millis(300))
+                    .expect("connect behind the gateway");
                 brick.delete_shard(object, 1).expect("delete");
             }
         }
     }
     objects
         .iter()
-        .map(|&(object, len)| (len, c.gw.get(object)))
+        .map(|&(object, len)| (object, len, c.gw.get(object)))
         .collect()
 }
 
 /// What a get of the `len`-byte `object` returns under `fault`, from its
-/// width alone: its layout is bricks `0..k' + t`, more than `t` of them
-/// out of reach is a typed loss, and a read is degraded when a data
-/// position is out of reach.
+/// layout alone: more than `t` of its positions out of reach is a typed
+/// loss, and a read is degraded when a data position is out of reach.
 fn expected(object: u64, len: usize, fault: Fault) -> ReadOutcome {
     let k = data_shards_for(len, K);
     let out: Vec<usize> = match fault {
-        Fault::Down(bricks) => bricks.iter().copied().filter(|&b| b < k + T).collect(),
+        Fault::Down(bricks) => (0..k + T)
+            .filter(|&pos| bricks.contains(&brick_of(object, pos)))
+            .collect(),
         Fault::Deleted => vec![1],
     };
     if out.len() > T {
@@ -300,8 +329,9 @@ fn expected(object: u64, len: usize, fault: Fault) -> ReadOutcome {
 
 #[test]
 fn get_matches_serial_on_every_shape_at_every_pool_size() {
-    // The read mode of every full-width (k + t) object under each fault;
-    // narrower objects read as `expected` derives from their width.
+    // The read mode of every full-width (k + t) object laid out from
+    // brick 0 under each fault; narrower and wrapped objects read as
+    // `expected` derives from their layout.
     let readable = [
         (Fault::Down(&[]), ReadMode::Healthy),
         (Fault::Down(&[0]), ReadMode::Degraded),
@@ -315,16 +345,18 @@ fn get_matches_serial_on_every_shape_at_every_pool_size() {
     ];
     for (fault, mode) in readable {
         let reference = shapes_transcript(false, 1, fault);
-        for (i, (len, got)) in reference.iter().enumerate() {
-            let object = (i * (K + T)) as u64;
-            let want = expected(object, *len, fault);
-            if data_shards_for(*len, K) == K {
+        for (object, len, got) in &reference {
+            let want = expected(*object, *len, fault);
+            if data_shards_for(*len, K) == K && brick_of(*object, 0) == 0 {
                 assert!(
-                    want == Ok((shaped_payload(object, *len), mode)),
+                    want == Ok((shaped_payload(*object, *len), mode)),
                     "{fault:?}, {len}-byte object: the full-width mode"
                 );
             }
-            assert!(got == &want, "{fault:?}, {len}-byte object, serial");
+            assert!(
+                got == &want,
+                "{fault:?}, {len}-byte object {object}, serial"
+            );
         }
         for pool_size in [1usize, 2, 8] {
             let fast = shapes_transcript(true, pool_size, fault);
@@ -336,21 +368,23 @@ fn get_matches_serial_on_every_shape_at_every_pool_size() {
     // bricks, and reads or loses as `expected` says).
     for fault in [Fault::Down(&[0, 1, 2]), Fault::Down(&[1, 3, 4])] {
         let reference = shapes_transcript(false, 1, fault);
-        for (i, (len, got)) in reference.iter().enumerate() {
-            let object = (i * (K + T)) as u64;
-            let want = expected(object, *len, fault);
+        for (object, len, got) in &reference {
+            let want = expected(*object, *len, fault);
             if data_shards_for(*len, K) == K {
                 let lost = Err(Error::DataLoss {
-                    object,
+                    object: *object,
                     missing: T + 1,
                     tolerated: T,
                 });
                 assert_eq!(
                     want, lost,
-                    "{fault:?}, {len}-byte object: the full-width loss"
+                    "{fault:?}, {len}-byte object {object}: the full-width loss"
                 );
             }
-            assert!(got == &want, "{fault:?}, {len}-byte object, serial");
+            assert!(
+                got == &want,
+                "{fault:?}, {len}-byte object {object}, serial"
+            );
         }
         for pool_size in [1usize, 2, 8] {
             let fast = shapes_transcript(true, pool_size, fault);

@@ -11,14 +11,17 @@
 //! differentially: over the same bytes, delivered in the same dribbles,
 //! `read_shard_into` must land exactly the payload `read_frame` would
 //! have returned, or return the identical frame or the identical error.
+//! The append reader the gateway's get uses must report what
+//! `read_shard_into` reports, append the same payload, and on any other
+//! outcome leave its `Vec` at its prior length.
 //! The spare-taking reader the brick uses is held to the same outcome
 //! whatever its spare buffer holds.
 
 use std::io::{BufReader, Read};
 
 use nsr_net::wire::{
-    read_frame, read_frame_reusing, read_shard_into, write_batch, DataRequest, Frame, ShardReply,
-    MAX_FRAME_LEN,
+    read_frame, read_frame_reusing, read_shard_append, read_shard_into, write_batch, DataRequest,
+    Frame, ShardReply, MAX_FRAME_LEN,
 };
 use nsr_net::Error;
 use nsr_rng::rngs::StdRng;
@@ -268,11 +271,34 @@ fn shard_frame(len: usize) -> Frame {
     }
 }
 
+/// What the append reader must keep of what `out` held before it ran.
+const PREFIX: [u8; 3] = [0xAB; 3];
+
+/// Reads `bytes` with the append reader onto `PREFIX`, in a `Vec` that
+/// has to grow and in one reserved for the shard, and requires
+/// `read_shard_into`'s outcome (`got`, payload in `dst`): on `Filled`
+/// the payload after the prefix, on anything else the prefix alone.
+fn assert_append_agrees(bytes: &[u8], chunk: usize, got: &Result<ShardReply, Error>, dst: &[u8]) {
+    for reserve in [0, dst.len()] {
+        let mut out = Vec::with_capacity(PREFIX.len() + reserve);
+        out.extend_from_slice(&PREFIX);
+        let appended = read_shard_append(&mut dribble(bytes, chunk), &mut out, dst.len());
+        let ctx = format!("{} bytes, dst {}, {chunk} per read", bytes.len(), dst.len());
+        assert_eq!(&appended, got, "append reader: {ctx}");
+        assert_eq!(out[..PREFIX.len()], PREFIX, "prefix kept: {ctx}");
+        match appended {
+            Ok(ShardReply::Filled) => assert_eq!(&out[PREFIX.len()..], dst, "appended: {ctx}"),
+            _ => assert_eq!(out.len(), PREFIX.len(), "out at its prior length: {ctx}"),
+        }
+    }
+}
+
 /// Reads `bytes` once with each reader and requires the same outcome.
 fn assert_same_outcome(bytes: &[u8], dst_len: usize, chunk: usize) {
     let want = read_frame(&mut dribble(bytes, chunk));
     let mut dst = vec![0xCD; dst_len];
     let got = read_shard_into(&mut dribble(bytes, chunk), &mut dst);
+    assert_append_agrees(bytes, chunk, &got, &dst);
     let ctx = format!("{} bytes, dst {dst_len}, {chunk} per read", bytes.len());
     match (want, got) {
         (Ok(None), Ok(ShardReply::Eof)) => {}
@@ -472,6 +498,12 @@ fn wrong_sized_shard_is_typed_and_leaves_the_stream_in_sync() {
                 );
                 assert!(!err.breaks_stream(), "the lane survives");
                 assert_eq!(read_frame(&mut r), Ok(Some(next.clone())));
+                // The append reader: the same error, `out` as it was.
+                let mut r = dribble(&stream, chunk);
+                let mut out = PREFIX.to_vec();
+                assert_eq!(read_shard_append(&mut r, &mut out, dst_len), Err(err));
+                assert_eq!(out, PREFIX);
+                assert_eq!(read_frame(&mut r), Ok(Some(next.clone())));
             }
             // And after a shard that did fit.
             let mut r = dribble(&stream, chunk);
@@ -480,6 +512,18 @@ fn wrong_sized_shard_is_typed_and_leaves_the_stream_in_sync() {
             assert_eq!(shard_frame(len), Frame::ShardData { data: dst });
             assert_eq!(read_frame(&mut r), Ok(Some(next.clone())));
             assert_eq!(read_shard_into(&mut r, &mut []), Ok(ShardReply::Eof));
+            let mut r = dribble(&stream, chunk);
+            let mut out = Vec::with_capacity(len);
+            assert_eq!(
+                read_shard_append(&mut r, &mut out, len),
+                Ok(ShardReply::Filled)
+            );
+            assert_eq!(shard_frame(len), Frame::ShardData { data: out });
+            assert_eq!(read_frame(&mut r), Ok(Some(next.clone())));
+            assert_eq!(
+                read_shard_append(&mut r, &mut Vec::new(), 0),
+                Ok(ShardReply::Eof)
+            );
         }
     }
 }

@@ -543,7 +543,7 @@ fn flush_to_retained() {
 /// resume from — repeated scrapes never replay a line. A cursor behind
 /// the retained window (the buffer trimmed past it) silently skips to
 /// the oldest retained line; a cursor past the end returns nothing.
-/// Lines handed out stay retained until [`RETAIN_CAP`] pushes them out,
+/// Lines handed out stay retained until `RETAIN_CAP` pushes them out,
 /// so a second consumer at an older cursor still sees them.
 pub fn trace_delta(cursor: u64, max_lines: usize) -> (u64, Vec<String>) {
     flush_to_retained();

@@ -661,7 +661,7 @@ pub(crate) struct Trajectory {
 
 /// Runs [`FaultPlan`]s against a [`SystemSim`]'s engine.
 ///
-/// The engine loop ([`Campaign::trajectory`]) is the only competing-hazards
+/// The engine loop (`Campaign::trajectory`) is the only competing-hazards
 /// loop of the aggregate model: [`SystemSim::simulate_one`] runs it with
 /// nothing injected and no horizon.
 #[derive(Debug, Clone)]

@@ -36,12 +36,12 @@
 //! * **Horizon pruning**: events past the mission end are never pushed.
 //!   At baseline MTTFs only ~25 % of entities fail within a decade, so
 //!   the queue stays far smaller than the cell. Arming decides most of
-//!   those misses without a logarithm ([`StartHorizon`]), at mission
+//!   those misses without a logarithm (`StartHorizon`), at mission
 //!   start and at every re-arm. A cell's initial survivors are all known
 //!   before its first event, so they load as one counting-sorted run
 //!   beside the heap ([`EventQueue::push_all`]), popped in O(1): about
 //!   four of every five pops the heap would otherwise serve.
-//! * **One arming kernel** ([`StartHorizon::arm`]): every arming is a
+//! * **One arming kernel** (`StartHorizon::arm`): every arming is a
 //!   range of entities on one clock — a cell's nodes, then its drives, at
 //!   mission start and at a reset after a loss; a repaired node, then its
 //!   surviving drives; a repaired drive, a range of one. The kernel draws
