@@ -8,7 +8,7 @@
 //! backoff plus seeded jitter, and runs the failure detector + rebuild
 //! coordinator that re-replicates a dead brick's shards onto spares.
 //!
-//! The data path has one fan-out, a round (`Gateway::round_ahead`, the
+//! The data path has one fan-out, a round (`Gateway::round`, the
 //! gateway's only call to [`ConnectionPool::fanout_ahead`]): a list of
 //! `(brick, DataRequest)` pairs, each brick's requests sent in one write
 //! — a brick named once gets the bare request, one named more than once
@@ -249,8 +249,12 @@ const ALL_AT_ONCE: usize = usize::MAX;
 /// the size the reader lands straight from the socket: the reply being
 /// read and one brick ahead of it. Sent all at once, six 171 KiB replies
 /// wait in socket buffers and leave the cache before the first is
-/// copied; one ahead keeps a brick's send overlapping the gateway's
-/// copy of the reply before it (EXPERIMENTS §Bounded read-ahead).
+/// copied. Pinned to one CPU, depth 1 and 2 read alike; with the bricks
+/// free to run beside the gateway, depth 1 waits through each brick in
+/// turn and reads ~25 % slower than all at once, depth 2 about as fast.
+/// Off the pin a bounded round's p99 suffers more in minutes of host
+/// CPU steal (EXPERIMENTS §Bounded read-ahead, "Depth 1 against
+/// depth 2, off the pin").
 const LARGE_GET_DEPTH: usize = 2;
 
 /// Bytes of one page: no object is cut into data shards smaller than
@@ -595,7 +599,7 @@ impl Gateway {
             // Every shard request goes out before any reply is awaited;
             // a position that misses (stale connection, fresh death)
             // takes the per-shard retry path.
-            let sent = self.round(&stores, ctx, None, |_, c| c.recv_put_reply());
+            let sent = self.round(&stores, ctx, None, ALL_AT_ONCE, |_, c| c.recv_put_reply());
             let mut done = acked(&sent);
             match self.settle_stores(&stores, &mut done, ctx) {
                 None => {
@@ -694,7 +698,7 @@ impl Gateway {
             // before it that missed; one read out of position order (the
             // round keeps a get's order, so only defensively) lands in
             // its slice.
-            let sent = self.round_ahead(&requests, ctx, None, depth, |i, c| {
+            let sent = self.round(&requests, ctx, None, depth, |i, c| {
                 let (pos, request) = (positions[i], requests[i].1);
                 let at = pos * shard_len;
                 if pos >= k {
@@ -919,10 +923,16 @@ impl Gateway {
             .collect();
         let requests: Vec<(u32, DataRequest<'_>)> =
             wanted.iter().map(|&(j, pos)| plans[j].fetch(pos)).collect();
-        let sent = self.round(&requests, ctx, Some(&obs::REBUILD_ROUNDS), |i, c| {
-            let (j, pos) = wanted[i];
-            recv_fetch(c, requests[i].1, &mut bufs[j][pos])
-        });
+        let sent = self.round(
+            &requests,
+            ctx,
+            Some(&obs::REBUILD_ROUNDS),
+            ALL_AT_ONCE,
+            |i, c| {
+                let (j, pos) = wanted[i];
+                recv_fetch(c, requests[i].1, &mut bufs[j][pos])
+            },
+        );
         let mut results = wanted.iter().zip(&requests).zip(sent);
         // Object by object: retries, then reconstruct. `complete` objects
         // go on to the store round; `cut` is what stopped the next one.
@@ -969,9 +979,13 @@ impl Gateway {
             .zip(bufs.iter())
             .flat_map(|(plan, bufs)| plan.stores(bufs))
             .collect();
-        let sent = self.round(&stores, ctx, Some(&obs::REBUILD_ROUNDS), |_, c| {
-            c.recv_put_reply()
-        });
+        let sent = self.round(
+            &stores,
+            ctx,
+            Some(&obs::REBUILD_ROUNDS),
+            ALL_AT_ONCE,
+            |_, c| c.recv_put_reply(),
+        );
         let mut landed = acked(&sent);
         laps.lap(obs::Phase::Put);
         let mut repaired = 0;
@@ -1121,10 +1135,16 @@ impl Gateway {
             .collect();
         let requests: Vec<(u32, DataRequest<'_>)> =
             wanted.iter().map(|&(j, pos)| plans[j].fetch(pos)).collect();
-        let sent = self.round(&requests, ctx, Some(&obs::REBUILD_ROUNDS), |i, c| {
-            let (j, pos) = wanted[i];
-            recv_fetch(c, requests[i].1, &mut bufs[j][pos])
-        });
+        let sent = self.round(
+            &requests,
+            ctx,
+            Some(&obs::REBUILD_ROUNDS),
+            ALL_AT_ONCE,
+            |i, c| {
+                let (j, pos) = wanted[i];
+                recv_fetch(c, requests[i].1, &mut bufs[j][pos])
+            },
+        );
         let mut results = wanted.iter().zip(&requests).zip(sent);
         let mut restorable = Vec::new();
         for (j, plan) in plans.iter_mut().enumerate() {
@@ -1165,9 +1185,13 @@ impl Gateway {
             .iter()
             .flat_map(|&j| plans[j].stores(&bufs[j]))
             .collect();
-        let sent = self.round(&stores, ctx, Some(&obs::REBUILD_ROUNDS), |_, c| {
-            c.recv_put_reply()
-        });
+        let sent = self.round(
+            &stores,
+            ctx,
+            Some(&obs::REBUILD_ROUNDS),
+            ALL_AT_ONCE,
+            |_, c| c.recv_put_reply(),
+        );
         let mut done = acked(&sent);
         laps.lap(obs::Phase::Put);
         let mut repaired = 0;
@@ -1367,19 +1391,6 @@ impl Gateway {
         self.pool.with(id, op, f)
     }
 
-    /// The gateway's one fan-out round, with every request on the wire
-    /// before the first reply is read: [`round_ahead`](Self::round_ahead)
-    /// at `ALL_AT_ONCE`. Puts, repair and scrub go through it.
-    fn round(
-        &self,
-        requests: &[(u32, DataRequest<'_>)],
-        ctx: Option<SpanContext>,
-        rounds: Option<&'static Counter>,
-        recv: impl FnMut(usize, &mut BrickClient) -> Result<(), Error>,
-    ) -> Vec<Option<Result<(), Error>>> {
-        self.round_ahead(requests, ctx, rounds, ALL_AT_ONCE, recv)
-    }
-
     /// The gateway's one fan-out, its only call to
     /// [`ConnectionPool::fanout_ahead`]: each brick named in `requests`
     /// (all of one kind) gets its requests, in order, through one
@@ -1395,7 +1406,7 @@ impl Gateway {
     /// that breaks the stream fails the rest of its brick's requests and
     /// drops the lane; a failed connect or send fails all of them.
     /// `rounds`, if given, counts the round.
-    fn round_ahead(
+    fn round(
         &self,
         requests: &[(u32, DataRequest<'_>)],
         ctx: Option<SpanContext>,
@@ -1410,16 +1421,19 @@ impl Gateway {
         if let Some(rounds) = rounds {
             rounds.inc();
         }
-        // The requests grouped by brick (stable, so each brick's keep
-        // their order), or in request order when every group is one:
-        // brick `bricks[g]` gets `batch[starts[g]..starts[g + 1]]`.
+        // The requests in request order, or grouped by brick (stable, so
+        // each brick's keep their order) when a brick is named twice:
+        // brick `bricks[g]` gets `batch[starts[g]..starts[g + 1]]`. The
+        // scan for a repeat stops at the first one, so it is quadratic in
+        // the bricks, not in the requests.
         let mut order: Vec<usize> = (0..requests.len()).collect();
-        order.sort_by_key(|&i| requests[i].0);
-        if order
-            .windows(2)
-            .all(|w| requests[w[0]].0 != requests[w[1]].0)
-        {
-            order.sort_unstable();
+        let repeats = (1..requests.len()).any(|i| {
+            requests[..i]
+                .iter()
+                .any(|(brick, _)| *brick == requests[i].0)
+        });
+        if repeats {
+            order.sort_by_key(|&i| requests[i].0);
         }
         let batch: Vec<DataRequest<'_>> = order.iter().map(|&i| requests[i].1).collect();
         let (mut bricks, mut starts) = (Vec::new(), Vec::new());
