@@ -70,6 +70,27 @@ if [ -n "$HAND_BUILT" ]; then
     exit 1
 fi
 
+echo "==> one data-request call (every shard request the gateway sends goes through Gateway::round)"
+# A round batches its requests, retries what it missed and returns one
+# result per request; fetches, stores and clean-up deletes all go through
+# it, so a change to how the gateway addresses a shard is made once. A
+# shard request sent anywhere else in gateway.rs (send_batch, or a
+# put_shard/get_shard/delete_shard helper) would be a second path with
+# its own retries, so it fails here. Comment lines are skipped; the body
+# of `fn round` is the one place allowed.
+STRAY_SENDS="$(awk '
+    /^    fn round\(/ { in_round = 1 }
+    in_round && /^    }$/ { in_round = 0; next }
+    !in_round && !/^[[:space:]]*\/\// && /(send_batch|put_shard|get_shard|delete_shard)[[:space:]]*\(/ {
+        print FILENAME ":" FNR ": " $0
+    }
+' crates/net/src/gateway.rs)"
+if [ -n "$STRAY_SENDS" ]; then
+    echo "ERROR: shard requests sent outside Gateway::round:" >&2
+    echo "$STRAY_SENDS" >&2
+    exit 1
+fi
+
 echo "==> recorded results (nsr figures vs results/)"
 # results/ is the output of `nsr figures` at default flags, and every
 # record in it is deterministic (fixed seeds), so the regenerated

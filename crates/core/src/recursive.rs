@@ -141,11 +141,6 @@ impl RecursiveModel {
         (1usize << (self.k + 1)) - 1
     }
 
-    /// The `h`-parameter family in use.
-    pub fn h_params(&self) -> &HParams {
-        &self.h
-    }
-
     /// The label of the state with failure word encoded by `(depth, idx)`
     /// in the chain for fault tolerance `k`: a word of `depth` letters
     /// (bit `0 = N`, `1 = d`, MSB first) padded with `0`s to length `k` —

@@ -328,11 +328,6 @@ impl BatchSolver {
         }
     }
 
-    /// Number of transient states.
-    pub fn dim(&self) -> usize {
-        self.program.m
-    }
-
     /// Number of skeleton transitions (the expected rate-vector length).
     pub fn transitions(&self) -> usize {
         self.program.scatter.len()

@@ -138,6 +138,11 @@ impl BrickClient {
         self.recv_ok("put_shard")
     }
 
+    /// Reads the reply to an outstanding delete-shard request.
+    pub fn recv_delete_reply(&mut self) -> Result<(), Error> {
+        self.recv_ok("delete_shard")
+    }
+
     /// Reads an `Ok` reply (`op` names the request in errors).
     fn recv_ok(&mut self, op: &'static str) -> Result<(), Error> {
         match self.recv_reply()? {
@@ -211,7 +216,7 @@ impl BrickClient {
     /// Removes one shard (idempotent).
     pub fn delete_shard(&mut self, object: u64, pos: u32) -> Result<(), Error> {
         self.send_batch(&[DataRequest::DeleteShard { object, pos }])?;
-        self.recv_ok("delete_shard")
+        self.recv_delete_reply()
     }
 
     /// Sends a liveness probe.

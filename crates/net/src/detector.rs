@@ -47,11 +47,6 @@ pub enum Health {
 }
 
 impl Health {
-    /// Whether the brick may be selected as a write / rebuild target.
-    pub fn writable(self) -> bool {
-        matches!(self, Health::Healthy)
-    }
-
     /// Whether the brick is worth contacting for a read at all.
     pub fn readable(self) -> bool {
         matches!(self, Health::Healthy | Health::Suspect)

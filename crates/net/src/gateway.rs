@@ -8,24 +8,33 @@
 //! backoff plus seeded jitter, and runs the failure detector + rebuild
 //! coordinator that re-replicates a dead brick's shards onto spares.
 //!
-//! The data path has one fan-out, a round (`Gateway::round`, the
-//! gateway's only call to [`ConnectionPool::fanout_ahead`]): a list of
-//! `(brick, DataRequest)` pairs, each brick's requests sent in one write
-//! — a brick named once gets the bare request, one named more than once
-//! a [`Frame::Batch`](crate::wire::Frame::Batch) — then each reply read
+//! Every data request the gateway sends goes through one call, a round
+//! (`Gateway::round`, the gateway's only call to
+//! [`ConnectionPool::fanout_ahead`]): a list of `(brick, DataRequest)`
+//! pairs, each brick's requests sent in one write — a brick named once
+//! gets the bare request, one named more than once a
+//! [`Frame::Batch`](crate::wire::Frame::Batch) — then each reply read
 //! into where the caller says, in request order, with a bounded number
 //! of bricks' requests on the wire ahead of the reply being read. A get
 //! is one round of `GetShard`s and a put one of `PutShard`s, one per
 //! layout brick, so every brick gets a bare request; only a get of large
-//! shards bounds its read-ahead, every other round sends all at once. Whatever a round missed in transit
-//! takes the per-shard retry path (`fetch_one`, `settle_stores`), which
-//! sends the same `DataRequest` through the same writer, alone.
+//! shards bounds its read-ahead, every other round sends all at once.
+//!
+//! A round settles every request it is given and returns one result per
+//! request. What the batched send missed takes the per-request retry
+//! path inside the round: the same `DataRequest`, alone, through the
+//! same writer, its reply read by the same receive, under the retry
+//! policy. A store the round did not land is retried whatever it saw, a
+//! fetch only when it missed in transit; a delete is best effort and
+//! gets one attempt. The fallback reads (a get's spare parity, a
+//! repair's spare sources) are rounds of one, and every clean-up delete
+//! is a round without trace context.
 //!
 //! Fan-out determinism contract: the round never changes *what* a
 //! request returns, only how many are in flight. With `fanout: false` in
-//! [`GatewayConfig`] it sends nothing and every request takes the retry
-//! path, serially — the reference the fan-out must match — and results
-//! are assembled by index either way.
+//! [`GatewayConfig`] a round sends nothing batched and every request
+//! takes the retry path, serially and in order — the reference the
+//! fan-out must match — and results are assembled by index either way.
 //!
 //! Rebuild and scrub work through objects in windows (up to
 //! `REPAIR_WINDOW_BYTES` of stripe buffers, at most
@@ -46,11 +55,12 @@
 //! Copy budget: a fetched shard goes from its socket straight to where
 //! it is needed. A fetch lands in a caller-supplied buffer; `get`
 //! reserves its result once and appends each data shard to it in
-//! position order, so a healthy result is never zero-filled. A position
-//! the round missed is zero-filled and takes the retry path into its
-//! slice, and a degraded `get` rebuilds only the missing *data*
-//! positions, directly into their slices (parity gets scratch buffers,
-//! and only once a data brick is out of reach). A get of shards at least
+//! position order, so a healthy result is never zero-filled. A data
+//! position the batched send missed is zero-filled once a later one
+//! lands, and its retry lands in its slice; a degraded `get` rebuilds
+//! only the missing *data* positions, directly into their slices
+//! (parity gets scratch buffers, and only once a data brick is out of
+//! reach). A get of shards at least
 //! the socket read buffer's size keeps one brick's request ahead of the
 //! reply it reads, so at most two replies are in flight. Rebuild and
 //! scrub land shards in owned per-position buffers, one set per window
@@ -90,7 +100,7 @@ use crate::detector::{DetectorConfig, FailureDetector, Health, Transition};
 use crate::error::Error;
 use crate::obs;
 use crate::pool::ConnectionPool;
-use crate::wire::{DataRequest, IO_READ_BUF_LEN, MAX_SHARD_LEN};
+use crate::wire::{DataRequest, IO_READ_BUF_LEN, MAX_BATCH_LEN, MAX_SHARD_LEN};
 
 /// Capped exponential backoff with jitter for transient transport
 /// faults.
@@ -411,15 +421,6 @@ impl Gateway {
         transitions
     }
 
-    /// Seconds since each brick's scrape-snapshot sequence last advanced
-    /// (per the piggybacked heartbeat-ack signal), in brick-id order.
-    pub fn snapshot_ages(&self) -> Vec<(u32, f64)> {
-        let det = self.detector.lock().expect("detector lock");
-        (0..self.pool.len() as u32)
-            .filter_map(|id| det.snapshot_age_s(id).map(|age| (id, age)))
-            .collect()
-    }
-
     /// One collector round: scrapes every brick that answers and merges
     /// the snapshots into the labeled cluster registry, resuming each
     /// brick's trace stream from its stored cursor. Returns the brick
@@ -517,9 +518,7 @@ impl Gateway {
         let mut adopted = Vec::new();
         for id in rejoined {
             if let Ok(entries) = self.shard_op(id, "list_shards", |c| c.list_shards()) {
-                for (object, pos) in entries {
-                    let _ = self.shard_op(id, "delete_shard", |c| c.delete_shard(object, pos));
-                }
+                self.delete_shards(entries.into_iter().map(|shard| (id, shard)));
             }
             if self
                 .detector
@@ -598,47 +597,38 @@ impl Gateway {
                 .collect();
             // Every shard request goes out before any reply is awaited;
             // a position that misses (stale connection, fresh death)
-            // takes the per-shard retry path.
-            let sent = self.round(&stores, ctx, None, ALL_AT_ONCE, |_, c| c.recv_put_reply());
-            let mut done = acked(&sent);
-            match self.settle_stores(&stores, &mut done, ctx) {
-                None => {
-                    let meta = ObjectMeta {
-                        len: data.len() as u64,
-                        shard_len,
-                        layout: layout.clone(),
-                    };
-                    let old = self.meta.lock().expect("meta lock").insert(object, meta);
-                    // The old version's shards this put did not overwrite:
-                    // positions past the new width, and positions whose
-                    // brick changed. A dead brick is skipped; adoption
-                    // wipes it before it serves again.
-                    if let Some(old) = old.filter(|old| old.layout != layout) {
-                        let readable = self.readable(&old.layout);
-                        for (at, &brick) in old.layout.iter().enumerate() {
-                            if readable[at] && layout.get(at) != Some(&brick) {
-                                let pos = at as u32;
-                                self.take_back((brick, DataRequest::DeleteShard { object, pos }));
-                            }
-                        }
-                    }
-                    obs::PUTS.inc();
-                    return Ok(());
+            // is retried alone inside the round.
+            let stored = self.round(&stores, ctx, None, ALL_AT_ONCE, |_, c| c.recv_put_reply());
+            if let Some((at, err)) = first_failure(&stored) {
+                // Metadata never committed: scrub the orphan shards (best
+                // effort, every one that landed) and rule the first failed
+                // brick out of the next layout.
+                self.delete_shards(landed(&stores, &stored));
+                excluded.insert(layout[at]);
+                if excluded.len() + r > self.brick_count() {
+                    return Err(err);
                 }
-                Some((at, err)) => {
-                    // Metadata never committed: scrub the orphan shards
-                    // (best effort, including fanned-out ones past the
-                    // failure) and rule the failed brick out of the next
-                    // layout.
-                    for (&store, _) in stores.iter().zip(&done).filter(|(_, &done)| done) {
-                        self.take_back(store);
-                    }
-                    excluded.insert(layout[at]);
-                    if excluded.len() + r > self.brick_count() {
-                        return Err(err);
-                    }
-                }
+                continue;
             }
+            let meta = ObjectMeta {
+                len: data.len() as u64,
+                shard_len,
+                layout: layout.clone(),
+            };
+            let old = self.meta.lock().expect("meta lock").insert(object, meta);
+            // The old version's shards this put did not overwrite:
+            // positions past the new width, and positions whose brick
+            // changed, deleted in one round, best effort. A dead brick is
+            // skipped; adoption wipes it before it serves again.
+            if let Some(old) = old.filter(|old| old.layout != layout) {
+                let readable = self.readable(&old.layout);
+                let stale = (0..old.layout.len())
+                    .filter(|&at| readable[at] && layout.get(at) != Some(&old.layout[at]))
+                    .map(|at| (old.layout[at], (object, at as u32)));
+                self.delete_shards(stale);
+            }
+            obs::PUTS.inc();
+            return Ok(());
         }
         Err(Error::RetriesExhausted {
             op: "put",
@@ -667,10 +657,11 @@ impl Gateway {
         // The result is reserved once, k' whole shards wide (the tail
         // shard's padding is cut off at the end), and never zero-filled
         // on a healthy read: the round reads the data shards in position
-        // order and appends each to it. A data position the round missed
-        // is zero-filled, then fetched — or, if its brick is gone,
-        // rebuilt — straight into its slice. Parity lands in scratch
-        // buffers that exist only once a read needs them.
+        // order and appends each to it. A data position still missing
+        // when a later one lands is zero-filled, and its retry — or, if
+        // its brick is gone, its rebuild — lands straight in its slice.
+        // Parity lands in scratch buffers that exist only once a read
+        // needs them.
         let shard_len = meta.shard_len as usize;
         let mut out: Vec<u8> = Vec::with_capacity(k * shard_len);
         let mut parity: Vec<Vec<u8>> = vec![Vec::new(); r - k];
@@ -680,9 +671,8 @@ impl Gateway {
         } else {
             ALL_AT_ONCE
         };
-        // Fetches `positions` (ascending) — one round, then the retry
-        // path for what it missed — marks those that landed and returns
-        // their number.
+        // Fetches `positions` (ascending) in one round, marks those that
+        // landed and returns their number.
         let mut fetch = |positions: &[usize]| {
             for &pos in positions.iter().filter(|&&pos| pos >= k) {
                 parity[pos - k] = vec![0u8; shard_len];
@@ -695,10 +685,9 @@ impl Gateway {
                 })
                 .collect();
             // A data shard is appended after zero-filling any position
-            // before it that missed; one read out of position order (the
-            // round keeps a get's order, so only defensively) lands in
-            // its slice.
-            let sent = self.round(&requests, ctx, None, depth, |i, c| {
+            // before it that missed; a retry of a position that a later
+            // one has passed lands in its slice.
+            let fetched = self.round(&requests, ctx, None, depth, |i, c| {
                 let (pos, request) = (positions[i], requests[i].1);
                 let at = pos * shard_len;
                 if pos >= k {
@@ -712,14 +701,10 @@ impl Gateway {
                 }
             });
             out.resize(k * shard_len, 0);
-            let mut stripe = data_and_parity(&mut out, &mut parity, shard_len);
-            let mut landed = 0;
-            for ((res, &request), &pos) in sent.into_iter().zip(&requests).zip(positions) {
-                let res = res.unwrap_or_else(|| self.fetch_one(request, stripe[pos], ctx));
+            for (res, &pos) in fetched.iter().zip(positions) {
                 present[pos] = res.is_ok();
-                landed += usize::from(res.is_ok());
             }
-            landed
+            fetched.iter().filter(|res| res.is_ok()).count()
         };
         // Every readable data position (a healthy read needs nothing
         // else), plus just enough readable parity to reach k when data
@@ -894,15 +879,15 @@ impl Gateway {
         Ok(report)
     }
 
-    /// Repairs the objects of one window and empties it: one batched
-    /// fetch round over their primary sources, then — object by object —
-    /// the per-shard retry path for whatever missed and the reconstruct;
-    /// one batched store round onto the spares, then — object by object,
-    /// in order — the retry path for unacknowledged writes and the
-    /// commit. The window is cut at the first object that cannot
-    /// complete: the objects before it commit, nothing of it or after it
-    /// does, and every shard the store round landed past the cut is taken
-    /// back, exactly as if the objects had been repaired one at a time.
+    /// Repairs the objects of one window and empties it: one round of
+    /// fetches over their primary sources, then — object by object — a
+    /// round of one per spare source while a fetch is short, and the
+    /// reconstruct; one round of stores onto the spares, then — object by
+    /// object, in order — the commit. The window is cut at the first
+    /// object that cannot complete: the objects before it commit, nothing
+    /// of it or after it does, and every shard the store round landed
+    /// past the cut is deleted again, exactly as if the objects had been
+    /// repaired one at a time.
     fn repair_window(
         &self,
         window: &mut Window,
@@ -923,7 +908,7 @@ impl Gateway {
             .collect();
         let requests: Vec<(u32, DataRequest<'_>)> =
             wanted.iter().map(|&(j, pos)| plans[j].fetch(pos)).collect();
-        let sent = self.round(
+        let fetched = self.round(
             &requests,
             ctx,
             Some(&obs::REBUILD_ROUNDS),
@@ -933,16 +918,16 @@ impl Gateway {
                 recv_fetch(c, requests[i].1, &mut bufs[j][pos])
             },
         );
-        let mut results = wanted.iter().zip(&requests).zip(sent);
-        // Object by object: retries, then reconstruct. `complete` objects
-        // go on to the store round; `cut` is what stopped the next one.
+        let mut fetched = wanted.iter().zip(fetched);
+        // Object by object: the spare sources, then reconstruct.
+        // `complete` objects go on to the store round; `cut` is what
+        // stopped the next one.
         let mut cut: Option<Cut> = None;
         let mut complete = 0;
         for (j, plan) in plans.iter().enumerate() {
             let k = plan.k(t);
             let mut present = vec![false; plan.meta.layout.len()];
-            for ((&(_, pos), &request), res) in results.by_ref().take(k) {
-                let res = res.unwrap_or_else(|| self.fetch_one(request, &mut bufs[j][pos], ctx));
+            for (&(_, pos), res) in fetched.by_ref().take(k) {
                 present[pos] = res.is_ok();
             }
             // Any shortfall walks the remaining sources one at a time.
@@ -951,10 +936,11 @@ impl Gateway {
                 if have >= k {
                     break;
                 }
-                if self
-                    .fetch_one(plan.fetch(pos), &mut bufs[j][pos], ctx)
-                    .is_ok()
-                {
+                let source = [plan.fetch(pos)];
+                let res = self.round(&source, ctx, None, ALL_AT_ONCE, |_, c| {
+                    recv_fetch(c, source[0].1, &mut bufs[j][pos])
+                });
+                if res[0].is_ok() {
                     present[pos] = true;
                     have += 1;
                 }
@@ -979,14 +965,13 @@ impl Gateway {
             .zip(bufs.iter())
             .flat_map(|(plan, bufs)| plan.stores(bufs))
             .collect();
-        let sent = self.round(
+        let stored = self.round(
             &stores,
             ctx,
             Some(&obs::REBUILD_ROUNDS),
             ALL_AT_ONCE,
             |_, c| c.recv_put_reply(),
         );
-        let mut landed = acked(&sent);
         laps.lap(obs::Phase::Put);
         let mut repaired = 0;
         // Each object's writes are `stores[from..to]`.
@@ -994,8 +979,7 @@ impl Gateway {
         for plan in plans {
             let (id, lost, targets) = (plan.id, &plan.lost, &plan.targets);
             let to = from + lost.len();
-            let failure = self.settle_stores(&stores[from..to], &mut landed[from..to], ctx);
-            laps.lap(obs::Phase::Put);
+            let failure = first_failure(&stored[from..to]);
             // Per-shard commit, strictly in lost-position order and only
             // up to the first failed write: each new home is durable in
             // the layout immediately, exactly as the serial path leaves
@@ -1008,12 +992,10 @@ impl Gateway {
             if let Some((at, err)) = failure {
                 // Shards the store round landed past the failed write, of
                 // this object or a later one, were never committed; the
-                // serial path would not have written them, so take them
-                // back (best effort).
-                let past = stores.iter().zip(&landed).skip(from + at + 1);
-                for (&store, _) in past.filter(|(_, &landed)| landed) {
-                    self.take_back(store);
-                }
+                // serial path would not have kept them, so delete them
+                // (best effort).
+                let past = from + at + 1;
+                self.delete_shards(landed(&stores[past..], &stored[past..]));
                 cut = Some(match err {
                     // The chosen spare died between health snapshot and
                     // transfer — same interruption semantics as a source
@@ -1111,11 +1093,9 @@ impl Gateway {
     }
 
     /// Scrubs the objects of one window (their `sources` are the positions
-    /// to probe) and empties it: one batched probe round, the per-shard
-    /// retry path for whatever missed in transit, a reconstruct per
-    /// object with shards to restore, one batched store round back to
-    /// the layout bricks, then per object the retry path for
-    /// unacknowledged writes.
+    /// to probe) and empties it: one round of probes, a reconstruct per
+    /// object with shards to restore, and one round of stores back to the
+    /// layout bricks.
     fn scrub_window(
         &self,
         window: &mut Window,
@@ -1135,7 +1115,7 @@ impl Gateway {
             .collect();
         let requests: Vec<(u32, DataRequest<'_>)> =
             wanted.iter().map(|&(j, pos)| plans[j].fetch(pos)).collect();
-        let sent = self.round(
+        let probed = self.round(
             &requests,
             ctx,
             Some(&obs::REBUILD_ROUNDS),
@@ -1145,15 +1125,15 @@ impl Gateway {
                 recv_fetch(c, requests[i].1, &mut bufs[j][pos])
             },
         );
-        let mut results = wanted.iter().zip(&requests).zip(sent);
+        let mut probed = wanted.iter().zip(probed);
         let mut restorable = Vec::new();
         for (j, plan) in plans.iter_mut().enumerate() {
             let (id, layout) = (plan.id, &plan.meta.layout);
             let (r, k) = (layout.len(), plan.k(t));
             let mut present = vec![false; r];
             let mut unavailable = r - plan.sources.len();
-            for ((&(_, pos), &request), res) in results.by_ref().take(plan.sources.len()) {
-                match res.unwrap_or_else(|| self.fetch_one(request, &mut bufs[j][pos], ctx)) {
+            for (&(_, pos), res) in probed.by_ref().take(plan.sources.len()) {
+                match res {
                     Ok(()) => present[pos] = true,
                     // Absent, or there at the wrong size: restore it.
                     Err(Error::ShardNotFound { .. } | Error::ShardLength { .. }) => {
@@ -1185,14 +1165,13 @@ impl Gateway {
             .iter()
             .flat_map(|&j| plans[j].stores(&bufs[j]))
             .collect();
-        let sent = self.round(
+        let stored = self.round(
             &stores,
             ctx,
             Some(&obs::REBUILD_ROUNDS),
             ALL_AT_ONCE,
             |_, c| c.recv_put_reply(),
         );
-        let mut done = acked(&sent);
         laps.lap(obs::Phase::Put);
         let mut repaired = 0;
         // Each object's writes are `stores[from..to]`.
@@ -1201,12 +1180,10 @@ impl Gateway {
             let plan = &plans[j];
             let (id, lost, targets) = (plan.id, &plan.lost, &plan.targets);
             let to = from + lost.len();
-            let failure = self.settle_stores(&stores[from..to], &mut done[from..to], ctx);
-            laps.lap(obs::Phase::Put);
             // The layout never changes, so a restored shard counts where
-            // it landed — including one the store round wrote past a
-            // failed position, which the next pass will find present.
-            for i in (0..lost.len()).filter(|&i| done[from + i]) {
+            // it landed — including one past a failed position, which the
+            // next pass will find present.
+            for i in (0..lost.len()).filter(|&i| stored[from + i].is_ok()) {
                 let (pos, brick, bytes) = (lost[i], targets[i], plan.meta.shard_len as u64);
                 report.shards_moved += 1;
                 report.bytes_moved += bytes;
@@ -1221,7 +1198,7 @@ impl Gateway {
                 });
             }
             laps.lap(obs::Phase::Commit);
-            if failure.is_some() {
+            if stored[from..to].iter().any(Result::is_err) {
                 report.deferred_objects.push(id);
             } else {
                 repaired += 1;
@@ -1391,21 +1368,29 @@ impl Gateway {
         self.pool.with(id, op, f)
     }
 
-    /// The gateway's one fan-out, its only call to
-    /// [`ConnectionPool::fanout_ahead`]: each brick named in `requests`
-    /// (all of one kind) gets its requests, in order, through one
-    /// `send_batch` — bare when the brick is named once, as every brick is
-    /// in a get or a put, since a layout never names a brick twice — and
-    /// `recv(i, client)` then reads the reply to request `i`, with at most
-    /// `depth` bricks' requests on the wire at once. When no brick is
-    /// named twice the replies are read in request order; otherwise brick
-    /// by brick, each brick's in request order. The outcomes are aligned
-    /// with `requests`; `None` leaves a request to the caller's
-    /// per-request retry path: it failed in transit, or was never sent, as
-    /// nothing is with `cfg.fanout` off (the serial reference). A reply
-    /// that breaks the stream fails the rest of its brick's requests and
-    /// drops the lane; a failed connect or send fails all of them.
-    /// `rounds`, if given, counts the round.
+    /// The gateway's one call for data requests, and its only call to
+    /// [`ConnectionPool::fanout_ahead`]: settles every request in
+    /// `requests` (all of one kind) and returns one result per request,
+    /// aligned with them.
+    ///
+    /// Each brick named gets its requests, in order, through one
+    /// `send_batch` — bare when the brick is named once, as every brick
+    /// is in a get or a put, since a layout never names a brick twice —
+    /// and `recv(i, client)` then reads the reply to request `i`, with at
+    /// most `depth` bricks' requests on the wire at once. When no brick
+    /// is named twice the replies are read in request order; otherwise
+    /// brick by brick, each brick's in request order. A reply that breaks
+    /// the stream fails the rest of its brick's requests and drops the
+    /// lane; a failed connect or send fails all of them. `rounds`, if
+    /// given, counts this batched send.
+    ///
+    /// Then, in request order, the retry path takes what the batched
+    /// send missed: the request alone, after the trace context, its
+    /// reply read by the same `recv`, under the retry policy. A store is
+    /// retried unless it landed, a fetch only when it missed in transit;
+    /// a delete is best effort and is sent once. With `cfg.fanout` off
+    /// nothing is batched and every request takes the retry path — the
+    /// serial reference.
     fn round(
         &self,
         requests: &[(u32, DataRequest<'_>)],
@@ -1413,84 +1398,86 @@ impl Gateway {
         rounds: Option<&'static Counter>,
         depth: usize,
         mut recv: impl FnMut(usize, &mut BrickClient) -> Result<(), Error>,
-    ) -> Vec<Option<Result<(), Error>>> {
-        let mut results: Vec<Option<Result<(), Error>>> = vec![None; requests.len()];
-        if !self.cfg.fanout || requests.is_empty() {
-            return results;
-        }
-        if let Some(rounds) = rounds {
-            rounds.inc();
-        }
-        // The requests in request order, or grouped by brick (stable, so
-        // each brick's keep their order) when a brick is named twice:
-        // brick `bricks[g]` gets `batch[starts[g]..starts[g + 1]]`. The
-        // scan for a repeat stops at the first one, so it is quadratic in
-        // the bricks, not in the requests.
-        let mut order: Vec<usize> = (0..requests.len()).collect();
-        let repeats = (1..requests.len()).any(|i| {
-            requests[..i]
-                .iter()
-                .any(|(brick, _)| *brick == requests[i].0)
-        });
-        if repeats {
-            order.sort_by_key(|&i| requests[i].0);
-        }
-        let batch: Vec<DataRequest<'_>> = order.iter().map(|&i| requests[i].1).collect();
-        let (mut bricks, mut starts) = (Vec::new(), Vec::new());
-        for (n, &i) in order.iter().enumerate() {
-            if bricks.last() != Some(&requests[i].0) {
-                bricks.push(requests[i].0);
-                starts.push(n);
+    ) -> Vec<Result<(), Error>> {
+        let mut seen: Vec<Option<Result<(), Error>>> = vec![None; requests.len()];
+        if self.cfg.fanout && !requests.is_empty() {
+            if let Some(rounds) = rounds {
+                rounds.inc();
             }
-        }
-        starts.push(order.len());
-        let group = |g: usize| starts[g]..starts[g + 1];
-        let per_brick = self.pool.fanout_ahead(
-            &bricks,
-            requests[0].1.name(),
-            depth,
-            |g, c| {
-                send_ctx(c, ctx)?;
-                c.send_batch(&batch[group(g)])
-            },
-            |g, c| {
-                for &i in &order[group(g)] {
-                    match recv(i, c) {
-                        Err(e) if e.breaks_stream() => return Err(e),
-                        res => results[i] = Some(res),
+            // The requests in request order, or grouped by brick (stable,
+            // so each brick's keep their order) when a brick is named
+            // twice: brick `bricks[g]` gets `batch[starts[g]..starts[g +
+            // 1]]`. The scan for a repeat stops at the first one, so it is
+            // quadratic in the bricks, not in the requests.
+            let mut order: Vec<usize> = (0..requests.len()).collect();
+            let repeats = (1..requests.len()).any(|i| {
+                requests[..i]
+                    .iter()
+                    .any(|(brick, _)| *brick == requests[i].0)
+            });
+            if repeats {
+                order.sort_by_key(|&i| requests[i].0);
+            }
+            let batch: Vec<DataRequest<'_>> = order.iter().map(|&i| requests[i].1).collect();
+            let (mut bricks, mut starts) = (Vec::new(), Vec::new());
+            for (n, &i) in order.iter().enumerate() {
+                if bricks.last() != Some(&requests[i].0) {
+                    bricks.push(requests[i].0);
+                    starts.push(n);
+                }
+            }
+            starts.push(order.len());
+            let group = |g: usize| starts[g]..starts[g + 1];
+            let per_brick = self.pool.fanout_ahead(
+                &bricks,
+                requests[0].1.name(),
+                depth,
+                |g, c| {
+                    send_ctx(c, ctx)?;
+                    c.send_batch(&batch[group(g)])
+                },
+                |g, c| {
+                    for &i in &order[group(g)] {
+                        match recv(i, c) {
+                            Err(e) if e.breaks_stream() => return Err(e),
+                            res => seen[i] = Some(res),
+                        }
+                    }
+                    Ok(())
+                },
+            );
+            for (g, res) in per_brick.into_iter().enumerate() {
+                if let Err(e) = res {
+                    for &i in &order[group(g)] {
+                        seen[i].get_or_insert_with(|| Err(e.clone()));
                     }
                 }
-                Ok(())
-            },
-        );
-        for (g, res) in per_brick.into_iter().enumerate() {
-            if let Err(e) = res {
-                for &i in &order[group(g)] {
-                    results[i].get_or_insert_with(|| Err(e.clone()));
-                }
             }
         }
-        let in_transit = |res: &Result<(), Error>| matches!(res, Err(e) if e.is_transient());
+        let mut results = Vec::with_capacity(requests.len());
+        for (i, (seen, &(brick, request))) in seen.into_iter().zip(requests).enumerate() {
+            let alone = |c: &mut BrickClient| {
+                send_ctx(c, ctx)?;
+                c.send_batch(&[request])?;
+                recv(i, c)
+            };
+            let op = request.name();
+            results.push(match (seen, request) {
+                (Some(Ok(())), _) => Ok(()),
+                // A delete gets one attempt: the batched one, if it was made.
+                (None, DataRequest::DeleteShard { .. }) => self.shard_op(brick, op, alone),
+                (Some(Err(e)), DataRequest::DeleteShard { .. }) => Err(e),
+                // A fetch's typed answer (`ShardNotFound`) stands; a store
+                // is retried whatever the round saw.
+                (Some(Err(e)), DataRequest::GetShard { .. } | DataRequest::RebuildFetch { .. })
+                    if !e.is_transient() =>
+                {
+                    Err(e)
+                }
+                _ => self.shard_op_with_retry(brick, op, alone),
+            });
+        }
         results
-            .into_iter()
-            .map(|res| res.filter(|res| !in_transit(res)))
-            .collect()
-    }
-
-    /// The per-shard retry path of a fetch: `request` (a `GetShard` or a
-    /// `RebuildFetch`) to `brick`, the shard into `dst`, under the retry
-    /// policy.
-    fn fetch_one(
-        &self,
-        (brick, request): (u32, DataRequest<'_>),
-        dst: &mut [u8],
-        ctx: Option<SpanContext>,
-    ) -> Result<(), Error> {
-        self.shard_op_with_retry(brick, request.name(), |c| {
-            send_ctx(c, ctx)?;
-            c.send_batch(&[request])?;
-            recv_fetch(c, request, dst)
-        })
     }
 
     /// Rebuilds positions `want` of a `k' + t`-wide stripe from the shards
@@ -1509,40 +1496,20 @@ impl Gateway {
         Ok(codec.reconstruct_into(&plan, stripe, want)?)
     }
 
-    /// The per-shard retry path of a store: every write in `stores` not yet
-    /// `done` goes to its brick, in order (put_shard is idempotent, so
-    /// overlap with a round that did land is harmless), until one fails
-    /// its retries; that one is returned with its index.
-    fn settle_stores(
-        &self,
-        stores: &[(u32, DataRequest<'_>)],
-        done: &mut [bool],
-        ctx: Option<SpanContext>,
-    ) -> Option<(usize, Error)> {
-        for (i, &(brick, store)) in stores.iter().enumerate() {
-            if done[i] {
-                continue;
-            }
-            let put = self.shard_op_with_retry(brick, "put_shard", |c| {
-                send_ctx(c, ctx)?;
-                c.send_batch(&[store])?;
-                c.recv_put_reply()
+    /// Deletes `shards` (each a brick and the `(object, pos)` it holds),
+    /// best effort, in rounds of at most [`MAX_BATCH_LEN`] requests, the
+    /// most a brick takes in one batch. A clean-up sends no trace context
+    /// and is not counted as a rebuild round.
+    fn delete_shards(&self, shards: impl IntoIterator<Item = (u32, (u64, u32))>) {
+        let deletes: Vec<(u32, DataRequest<'_>)> = shards
+            .into_iter()
+            .map(|(brick, (object, pos))| (brick, DataRequest::DeleteShard { object, pos }))
+            .collect();
+        for deletes in deletes.chunks(MAX_BATCH_LEN as usize) {
+            self.round(deletes, None, None, ALL_AT_ONCE, |_, c| {
+                c.recv_delete_reply()
             });
-            match put {
-                Ok(()) => done[i] = true,
-                Err(e) => return Some((i, e)),
-            }
         }
-        None
-    }
-
-    /// Deletes, best effort, a shard a store landed that is not to be
-    /// committed — an orphan of a failed put, or a write past a repair
-    /// window's cut — or an old version's shard that a committed put did
-    /// not overwrite.
-    fn take_back(&self, (brick, store): (u32, DataRequest<'_>)) {
-        let (object, pos) = store.shard();
-        let _ = self.shard_op(brick, "delete_shard", |c| c.delete_shard(object, pos));
     }
 
     /// Counts and types a pass cut short by a source or spare that
@@ -1745,9 +1712,19 @@ fn stripe_bytes(meta: &ObjectMeta) -> usize {
     meta.layout.len() * meta.shard_len as usize
 }
 
-/// Whether each store of a [`Gateway::round`] was acknowledged.
-fn acked(sent: &[Option<Result<(), Error>>]) -> Vec<bool> {
-    sent.iter().map(|res| matches!(res, Some(Ok(())))).collect()
+/// The first request of `results` that failed, and its error.
+fn first_failure(results: &[Result<(), Error>]) -> Option<(usize, Error)> {
+    let at = results.iter().position(Result::is_err)?;
+    Some((at, results[at].clone().unwrap_err()))
+}
+
+/// The shard of every store in `stores` that landed, with its brick.
+fn landed<'a>(
+    stores: &'a [(u32, DataRequest<'_>)],
+    stored: &'a [Result<(), Error>],
+) -> impl Iterator<Item = (u32, (u64, u32))> + 'a {
+    let landed = stores.iter().zip(stored).filter(|(_, res)| res.is_ok());
+    landed.map(|((brick, store), _)| (*brick, store.shard()))
 }
 
 /// Reads the reply to fetch `request` straight into `dst`.

@@ -221,23 +221,6 @@ const TAG_ERROR_REPLY: u8 = 0x44;
 const TAG_SCRAPE_REPLY: u8 = 0x45;
 
 impl Frame {
-    /// Whether this frame is a request (gateway → brick).
-    pub fn is_request(&self) -> bool {
-        matches!(
-            self,
-            Frame::PutShard { .. }
-                | Frame::GetShard { .. }
-                | Frame::DeleteShard { .. }
-                | Frame::Heartbeat { .. }
-                | Frame::ListShards
-                | Frame::RebuildFetch { .. }
-                | Frame::Shutdown
-                | Frame::TraceCtx { .. }
-                | Frame::Scrape { .. }
-                | Frame::Batch { .. }
-        )
-    }
-
     /// Whether this frame is a data request: one of the four kinds a
     /// [`Frame::Batch`] may carry.
     pub fn is_data_request(&self) -> bool {

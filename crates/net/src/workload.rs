@@ -191,18 +191,6 @@ impl PhaseStats {
         self.ops as f64 / self.seconds
     }
 
-    /// The `q`-quantile (`0.0..=1.0`) of all op latencies (puts and
-    /// gets pooled), in seconds. Returns 0 for an empty phase.
-    pub fn latency_percentile_s(&self, q: f64) -> f64 {
-        let mut all: Vec<f64> = self
-            .put_latencies_s
-            .iter()
-            .chain(self.get_latencies_s.iter())
-            .copied()
-            .collect();
-        percentile(&mut all, q)
-    }
-
     /// The `q`-quantile of get latencies only, in seconds.
     pub fn get_percentile_s(&self, q: f64) -> f64 {
         let mut v = self.get_latencies_s.clone();
