@@ -91,6 +91,32 @@ if [ -n "$STRAY_SENDS" ]; then
     exit 1
 fi
 
+echo "==> one worker pool (the model crates start threads only in parallel_map)"
+# nsr_core::sweep::parallel_map decides how deterministic model work is
+# claimed, traced and merged: the sweep, the planner, the fleet and the
+# system simulator all run on it. A thread started anywhere else in
+# nsr-core, nsr-sim or nsr-markov would be a second pool with its own
+# lane and parent rules, so it fails here. Comment lines and top-level
+# `#[cfg(test)] mod tests` blocks are skipped; the body of
+# `parallel_map` is the one place allowed.
+STRAY_THREADS="$(find crates/core/src crates/sim/src crates/markov/src -name '*.rs' | sort | xargs awk '
+    FNR == 1 { in_tests = 0; in_pool = 0; cfg_test = 0 }
+    /^#\[cfg\(test\)\]$/ { cfg_test = 1; next }
+    cfg_test && /^mod tests \{/ { in_tests = 1 }
+    { cfg_test = 0 }
+    in_tests && /^}$/ { in_tests = 0; next }
+    /^pub(\(crate\))? fn parallel_map[<(]/ { in_pool = 1 }
+    in_pool && /^}$/ { in_pool = 0; next }
+    !in_tests && !in_pool && !/^[[:space:]]*\/\// && /thread::(scope|spawn|Builder)/ {
+        print FILENAME ":" FNR ": " $0
+    }
+')"
+if [ -n "$STRAY_THREADS" ]; then
+    echo "ERROR: threads started outside nsr_core::sweep::parallel_map:" >&2
+    echo "$STRAY_THREADS" >&2
+    exit 1
+fi
+
 echo "==> recorded results (nsr figures vs results/)"
 # results/ is the output of `nsr figures` at default flags, and every
 # record in it is deterministic (fixed seeds), so the regenerated

@@ -56,7 +56,7 @@ use crate::config::{CachedEvaluator, Configuration, Evaluation, ModelClass, Mode
 use crate::metrics::Reliability;
 use crate::params::Params;
 use crate::raid::InternalRaid;
-use crate::sweep::parallel_map;
+use crate::sweep::{claim_chunk, parallel_map};
 use crate::units::{Bytes, PerHour, HOURS_PER_YEAR};
 use crate::{Error, Result};
 
@@ -769,6 +769,7 @@ pub fn plan_search(base: &Params, space: &ConfigSpace, opts: &PlanOptions) -> Re
     let (geometries, parts) = parallel_map(
         total / per_geometry,
         workers,
+        claim_chunk(total / per_geometry, workers),
         share,
         |part, g| pass1_geometry(space, &tables, g, &mut |idx, p| part.record(idx, p)),
         identity,
@@ -810,6 +811,7 @@ pub fn plan_search(base: &Params, space: &ConfigSpace, opts: &PlanOptions) -> Re
     let (solved, evaluators) = parallel_map(
         survivors.len(),
         workers,
+        claim_chunk(survivors.len(), workers),
         HashMap::new,
         |evaluators, i| {
             let p = &feasible[survivors[i]];

@@ -93,19 +93,21 @@ pub(crate) fn claim_chunk(rows: usize, workers: usize) -> usize {
     (rows / (workers * 4)).clamp(1, 8)
 }
 
-/// The one worker pool of the crate: runs `work` over `0..total` with
-/// chunked work-claiming ([`claim_chunk`]) and merges by index, so the
-/// output is deterministic for any worker count. Each worker threads its
-/// own `S` (from `init`) through its calls and hands it to `finish` on
-/// its own thread once it has claimed its last chunk; the `finish`
-/// results come back alongside the outputs, one per worker. No more
-/// workers start than there are items: a worker with nothing to claim
-/// would only cost a thread. Workers record under the caller's open
-/// trace span, as inline work does, and one worker runs inline with no
-/// thread machinery at all.
-pub(crate) fn parallel_map<S, T, R>(
+/// The model crates' one worker pool, which the sweep, the planner, the
+/// fleet and the system simulator run on: maps `work` over `0..total`
+/// and merges by index, so the output is the same for any worker count.
+/// Workers claim runs of `claim` items (at least 1) from a shared
+/// counter; sweep and planner rows claim `claim_chunk` runs. Each
+/// worker threads its own `S` (from `init`) through its calls and hands
+/// it to `finish` on its own thread after its last claim; the `finish`
+/// results come back one per worker, in worker order. No more workers
+/// start than there are items. Worker `w` records on trace lane `w + 1`
+/// under the caller's open span; one worker runs inline, on the caller's
+/// lane, with no thread machinery at all.
+pub fn parallel_map<S, T, R>(
     total: usize,
     workers: usize,
+    claim: usize,
     init: impl Fn() -> S + Sync,
     work: impl Fn(&mut S, usize) -> T + Sync,
     finish: impl Fn(S) -> R + Sync,
@@ -120,6 +122,7 @@ where
         let out = (0..total).map(|i| work(&mut state, i)).collect();
         return (out, vec![finish(state)]);
     }
+    let claim = claim.max(1);
     let next = AtomicUsize::new(0);
     let (next, init, work, finish) = (&next, &init, &work, &finish);
     let parent = nsr_obs::current_parent();
@@ -131,13 +134,12 @@ where
                     let _adopted = nsr_obs::adopt_parent(parent);
                     let mut state = init();
                     let mut mine = Vec::new();
-                    let chunk = claim_chunk(total, workers);
                     loop {
-                        let start = next.fetch_add(chunk, Ordering::Relaxed);
+                        let start = next.fetch_add(claim, Ordering::Relaxed);
                         if start >= total {
                             break;
                         }
-                        let end = (start + chunk).min(total);
+                        let end = (start + claim).min(total);
                         for i in start..end {
                             mine.push((i, work(&mut state, i)));
                         }
@@ -151,8 +153,7 @@ where
             .map(|h| h.join().expect("pool worker panicked"))
             .collect()
     });
-    let mut slots: Vec<Option<T>> = Vec::with_capacity(total);
-    slots.resize_with(total, || None);
+    let mut slots: Vec<Option<T>> = std::iter::repeat_with(|| None).take(total).collect();
     let mut finished = Vec::with_capacity(workers);
     for (mine, r) in per_worker {
         finished.push(r);
@@ -231,6 +232,7 @@ where
     let (rows, _) = parallel_map(
         xs.len(),
         workers,
+        claim_chunk(xs.len(), workers),
         Instant::now,
         |_, i| eval_row(base, configs, xs[i], &set),
         |start| crate::obs::WORKER_SECONDS.observe(start.elapsed().as_secs_f64()),
@@ -704,11 +706,11 @@ mod tests {
             *n += 1;
             i * 10
         };
-        let (out, finished) = parallel_map(3, 64, || 0, count, |n| n);
+        let (out, finished) = parallel_map(3, 64, 1, || 0, count, |n| n);
         assert_eq!(out, [0, 10, 20]);
         assert_eq!(finished.len(), 3);
         assert_eq!(finished.iter().sum::<usize>(), 3);
-        let (out, finished) = parallel_map(0, 64, || 0, count, |n| n);
+        let (out, finished) = parallel_map(0, 64, 1, || 0, count, |n| n);
         assert!(out.is_empty());
         assert_eq!(finished, [0]);
     }

@@ -570,8 +570,8 @@ impl Gateway {
         let mut excluded: BTreeSet<u32> = BTreeSet::new();
         let (shards, shard_len) = self.encode_object(data, scratch)?;
         let r = shards.len();
-        // A brick that fails all its retries mid-put is excluded and the
-        // whole put restarted on a fresh layout — up to three layouts
+        // Every brick that fails all its retries mid-put is excluded and
+        // the whole put restarted on a fresh layout — up to three layouts
         // before the error propagates.
         for _layout_attempt in 0..3 {
             let healthy: Vec<u32> = self
@@ -599,12 +599,13 @@ impl Gateway {
             // a position that misses (stale connection, fresh death)
             // is retried alone inside the round.
             let stored = self.round(&stores, ctx, None, ALL_AT_ONCE, |_, c| c.recv_put_reply());
-            if let Some((at, err)) = first_failure(&stored) {
+            if let Some((_, err)) = first_failure(&stored) {
                 // Metadata never committed: scrub the orphan shards (best
-                // effort, every one that landed) and rule the first failed
-                // brick out of the next layout.
+                // effort, every one that landed) and rule every brick whose
+                // store failed out of the next layout.
                 self.delete_shards(landed(&stores, &stored));
-                excluded.insert(layout[at]);
+                let failed = layout.iter().zip(&stored).filter(|(_, res)| res.is_err());
+                excluded.extend(failed.map(|(brick, _)| *brick));
                 if excluded.len() + r > self.brick_count() {
                     return Err(err);
                 }

@@ -823,10 +823,9 @@ fn a_get_around_a_data_brick_stopped_unseen_matches_serial() {
 fn a_put_of_fresh_keys_around_two_bricks_stopped_unseen_matches_serial() {
     // 3+2; bricks 1 and 3 stop before the detector notices, so the first
     // layout of every put below names both, and both miss in one round.
-    // The put rules out the first failed brick and lays the object out
-    // again, until it lands or too few bricks are left: over eight bricks
-    // the third layout lands; over six the second layout fails and the
-    // put returns its error. Either way no shard of a layout that failed
+    // The put rules out every failed brick and lays the object out again,
+    // until it lands or too few bricks are left: over eight bricks the
+    // second layout lands; over six the first layout's error returns. Either way no shard of a layout that failed
     // stays behind. Fresh keys only: a failed overwrite deletes the old
     // version's shards, a known loss that this test leaves out.
     fn script(bricks: usize, fanout: bool, pool_size: usize) -> Vec<ServeStep<Vec<u32>>> {
@@ -848,7 +847,7 @@ fn a_put_of_fresh_keys_around_two_bricks_stopped_unseen_matches_serial() {
     }
     let landed = assert_serve_parity(|fanout, pool_size| script(8, fanout, pool_size));
     for (object, put, (_, inventories)) in &landed {
-        let layout = put.as_ref().expect("the third layout lands");
+        let layout = put.as_ref().expect("the second layout lands");
         assert!(!layout.contains(&1) && !layout.contains(&3), "{layout:?}");
         for (brick, inventory) in inventories.iter().enumerate() {
             let held = inventory

@@ -71,11 +71,11 @@
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::time::Instant;
 
 use nsr_core::config::Configuration;
 use nsr_core::params::Params;
+use nsr_core::sweep::parallel_map;
 use nsr_core::units::HOURS_PER_YEAR;
 use nsr_obs::Json;
 use nsr_rng::rngs::StdRng;
@@ -1110,10 +1110,11 @@ impl FleetSim {
         }
     }
 
-    /// Runs the mission. `workers == 0` uses the machine's available
-    /// parallelism. The outcome — every counter and loss record — is a
-    /// pure function of `seed` and the fleet geometry, independent of
-    /// `workers`.
+    /// Runs the mission on [`parallel_map`]: workers claim the fleet's
+    /// 64-cell shards one at a time, and one worker runs inline.
+    /// `workers == 0` uses the machine's available parallelism. The
+    /// outcome — every counter and loss record — is a pure function of
+    /// `seed` and the fleet geometry, independent of `workers`.
     ///
     /// # Errors
     ///
@@ -1134,37 +1135,22 @@ impl FleetSim {
         let crng = CounterRng::new(seed);
         let model = self.cell_model();
 
-        let next = AtomicUsize::new(0);
-        let per_worker: Vec<Result<Tally>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let (next, crng, model) = (&next, &crng, &model);
-                    scope.spawn(move || {
-                        nsr_obs::set_trace_lane(u64::from(w) + 1);
-                        let mut cell = Cell::new(model.per_cell);
-                        let mut tally = Tally::default();
-                        loop {
-                            let s = next.fetch_add(1, AtomicOrdering::Relaxed);
-                            if s >= shard_count {
-                                return Ok(tally);
-                            }
-                            let first = s as u64 * CELLS_PER_SHARD;
-                            for c in first..(first + CELLS_PER_SHARD).min(self.cells) {
-                                cell.run(model, crng, c, &mut tally)?;
-                            }
-                        }
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("fleet worker panicked"))
-                .collect()
-        });
-
+        let (shards, tallies) = parallel_map(
+            shard_count,
+            workers as usize,
+            1,
+            || (Cell::new(model.per_cell), Tally::default()),
+            |(cell, tally), s| {
+                let first = s as u64 * CELLS_PER_SHARD;
+                (first..(first + CELLS_PER_SHARD).min(self.cells))
+                    .try_for_each(|c| cell.run(&model, &crng, c, tally))
+            },
+            |(_, tally)| tally,
+        );
+        shards.into_iter().collect::<Result<()>>()?;
         let mut merged = Tally::default();
-        for tally in per_worker {
-            merged.absorb(tally?);
+        for tally in tallies {
+            merged.absorb(tally);
         }
         merged.losses.sort_by(|a, b| {
             a.time_hours

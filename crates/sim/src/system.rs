@@ -28,6 +28,7 @@ use nsr_rng::{Rng, SeedableRng};
 use nsr_core::config::Configuration;
 use nsr_core::params::Params;
 use nsr_core::scope::HParams;
+use nsr_core::sweep::parallel_map;
 use nsr_core::units::HOURS_PER_YEAR;
 use nsr_markov::simulate::Estimate;
 
@@ -290,18 +291,16 @@ impl SystemSim {
             crate::obs::WORKER_SAMPLES_PER_S.observe(samples as f64 / secs.max(1e-9));
         }
         let mttdl = Estimate::from_samples(&times);
-        let capacity_pb = self.rates.capacity_pb;
-        Ok(SimOutcome {
-            events_per_pb_year: HOURS_PER_YEAR / (mttdl.mean * capacity_pb),
-            sector_share: sector as f64 / samples as f64,
-            mean_failures_per_loss: failures as f64 / samples as f64,
-            mean_spare_consumed: spare / samples as f64,
-            mttdl,
-        })
+        Ok(self.outcome(mttdl, sector as f64, failures as f64, spare))
     }
 
-    /// Like [`SystemSim::run`], but splits the samples over `threads`
-    /// OS threads (each with its own deterministic RNG stream).
+    /// Like [`SystemSim::run`], but splits the samples into up to
+    /// `threads` chunks ([`SampleSplit`]) and runs them on
+    /// [`parallel_map`], one chunk per claim: chunk `i` is
+    /// `run(split.chunk(i), run_seed(seed, i))`, and the chunks merge in
+    /// index order, so the outcome does not depend on which worker ran
+    /// which chunk. Each chunk's `sim.worker` event records under the
+    /// caller's open span.
     ///
     /// # Errors
     ///
@@ -314,66 +313,65 @@ impl SystemSim {
             });
         }
         let split = SampleSplit::new(samples, threads);
-        let results: Vec<Result<SimOutcome>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..split.threads())
-                .map(|i| {
-                    let chunk = split.chunk(i);
-                    let sim = self.clone();
-                    scope.spawn(move || {
-                        nsr_obs::set_trace_lane(u64::from(i) + 1);
-                        let r = sim.run(chunk, run_seed(seed, u64::from(i)));
-                        if let Ok(o) = &r {
-                            nsr_obs::trace::event("sim.worker", || {
-                                vec![
-                                    ("worker", nsr_obs::Json::Num(f64::from(i))),
-                                    ("samples", nsr_obs::Json::Num(o.mttdl.n as f64)),
-                                ]
-                            });
-                        }
-                        r
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("sim thread panicked"))
-                .collect()
-        });
-        // Merge: reconstruct a pooled estimate from per-thread summaries.
-        let mut all_means: Vec<(f64, f64, u64)> = Vec::new(); // (mean, stderr, n)
-        let mut sector = 0.0;
-        let mut failures = 0.0;
-        let mut spare = 0.0;
-        let mut total_n = 0u64;
-        for r in results {
-            let o = r?;
-            let n = o.mttdl.n;
-            all_means.push((o.mttdl.mean, o.mttdl.std_err, n));
-            sector += o.sector_share * n as f64;
-            failures += o.mean_failures_per_loss * n as f64;
-            spare += o.mean_spare_consumed * n as f64;
-            total_n += n;
-        }
-        let mean = all_means.iter().map(|(m, _, n)| m * *n as f64).sum::<f64>() / total_n as f64;
+        let chunks = split.threads() as usize;
+        let (results, _) = parallel_map(
+            chunks,
+            chunks,
+            1,
+            || (),
+            |(), i| {
+                let i = i as u32;
+                let r = self.run(split.chunk(i), run_seed(seed, u64::from(i)));
+                if let Ok(o) = &r {
+                    nsr_obs::trace::event("sim.worker", || {
+                        vec![
+                            ("worker", nsr_obs::Json::Num(f64::from(i))),
+                            ("samples", nsr_obs::Json::Num(o.mttdl.n as f64)),
+                        ]
+                    });
+                }
+                r
+            },
+            |()| (),
+        );
+        // Merge: reconstruct a pooled estimate from per-chunk summaries.
+        let outcomes = results.into_iter().collect::<Result<Vec<SimOutcome>>>()?;
+        let total_n: u64 = outcomes.iter().map(|o| o.mttdl.n).sum();
+        let pooled = |f: fn(&SimOutcome) -> f64| -> f64 {
+            outcomes.iter().map(|o| f(o) * o.mttdl.n as f64).sum()
+        };
         // Pooled variance of the mean from per-chunk standard errors
         // (conservative: ignores between-chunk mean spread).
-        let var_sum: f64 = all_means
+        let var_sum: f64 = outcomes
             .iter()
-            .map(|(_, se, n)| (se * se) * (*n as f64 / total_n as f64).powi(2) * 1.0)
+            .map(|o| {
+                (o.mttdl.std_err * o.mttdl.std_err) * (o.mttdl.n as f64 / total_n as f64).powi(2)
+            })
             .sum();
         let mttdl = Estimate {
-            mean,
+            mean: pooled(|o| o.mttdl.mean) / total_n as f64,
             std_err: var_sum.sqrt(),
             n: total_n,
         };
-        let capacity_pb = self.rates.capacity_pb;
-        Ok(SimOutcome {
-            events_per_pb_year: HOURS_PER_YEAR / (mttdl.mean * capacity_pb),
-            sector_share: sector / total_n as f64,
-            mean_failures_per_loss: failures / total_n as f64,
-            mean_spare_consumed: spare / total_n as f64,
+        Ok(self.outcome(
             mttdl,
-        })
+            pooled(|o| o.sector_share),
+            pooled(|o| o.mean_failures_per_loss),
+            pooled(|o| o.mean_spare_consumed),
+        ))
+    }
+
+    /// The outcome of the `mttdl.n` samples behind `mttdl`, from their
+    /// sector-error losses, failure events and spare consumed, summed.
+    fn outcome(&self, mttdl: Estimate, sector: f64, failures: f64, spare: f64) -> SimOutcome {
+        let n = mttdl.n as f64;
+        SimOutcome {
+            events_per_pb_year: HOURS_PER_YEAR / (mttdl.mean * self.rates.capacity_pb),
+            sector_share: sector / n,
+            mean_failures_per_loss: failures / n,
+            mean_spare_consumed: spare / n,
+            mttdl,
+        }
     }
 
     /// Convenience wrapper returning just the MTTDL estimate.
@@ -386,8 +384,8 @@ impl SystemSim {
     }
 }
 
-/// How [`SystemSim::run_parallel`] divides `samples` across worker
-/// threads.
+/// How [`SystemSim::run_parallel`] divides `samples` into chunks, one
+/// per worker.
 ///
 /// [`SampleSplit::new`] is total over the full `u64 × u32` input domain:
 /// the worker count is clamped in `u64` so it is at least 1 and never
@@ -428,7 +426,7 @@ impl SampleSplit {
         self.threads
     }
 
-    /// The chunk assigned to worker `i` (for `i < threads()`).
+    /// The sample count of chunk `i` (for `i < threads()`).
     pub fn chunk(&self, i: u32) -> u64 {
         self.per + u64::from(u64::from(i) < self.extra)
     }

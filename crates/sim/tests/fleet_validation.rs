@@ -42,7 +42,7 @@ fn same_seed_is_byte_identical_at_any_worker_count() {
         let sim = fleet(internal, t, 300 * 64, 5.0);
         let baseline = sim.run(2026, 1).unwrap();
         let trace = baseline.canonical_trace();
-        for workers in [4u32, 16] {
+        for workers in [2u32, 4, 16] {
             let out = sim.run(2026, workers).unwrap();
             assert_eq!(baseline, out, "outcome drifted at {workers} workers");
             assert_eq!(
