@@ -34,24 +34,56 @@ fi
 ./target/release/nsr help > "$SMOKE_DIR/usage-help.txt"
 diff "$SMOKE_DIR/usage-bare.txt" "$SMOKE_DIR/usage-help.txt"
 
-echo "==> one in-process cluster (loopback bricks behind a gateway)"
+echo "==> one cluster harness (bricks, brick processes and the serving run)"
 # Every test, command and bench suite that runs bricks behind a gateway
-# in one process starts them through nsr_net::local::LocalCluster. This
-# list is the one place that names where else a brick server may be
-# bound: the harness itself, the `nsr brick` command (the address the
-# user gives it), and the tests that need a brick or a ConnectionPool
-# without a gateway. The repo benchmark's benchmark/src/cluster.rs keeps
-# its own bricks until the next benchmark change (ROADMAP item 2).
-# Whole files are matched (-z), so a call wrapped across lines or given
-# its address in a constant is caught too.
+# starts them through nsr_net::local::LocalCluster, as threads of its own
+# process or as `nsr brick` child processes, and the healthy -> degraded
+# -> rebuilding serving run is nsr_net::workload::serving_run. This step
+# is the one place that names the files allowed an exception:
+# - HARNESS, the harness itself, is the one file in nsr-net that starts
+#   or kills a child process (std::process::Command, Child);
+# - SERVING_RUN is the one non-test file that calls both run_phase and
+#   repair_all (a second one would be a second serving run);
+# - a brick server may also be bound by the `nsr brick` command (the
+#   address the user gives it) and by the tests that need a brick or a
+#   ConnectionPool without a gateway. The repo benchmark's
+#   benchmark/src/cluster.rs keeps its own bricks until the next
+#   benchmark change (ROADMAP item 2).
+# Brick binds match whole files (-z), so a call wrapped across lines or
+# given its address in a constant is caught too; the other two scans
+# skip comment lines, and the serving scan skips each file's tests.
+HARNESS=crates/net/src/local.rs
+SERVING_RUN=crates/net/src/workload.rs
 BARE_BRICKS="$(grep -rlzP --include='*.rs' 'BrickServer::bind\s*\(' \
     crates tests examples benchmark/src \
-    | grep -vxF -e crates/net/src/local.rs -e crates/cli/src/net_cmds.rs \
+    | grep -vxF -e "$HARNESS" -e crates/cli/src/net_cmds.rs \
         -e crates/net/src/brick.rs -e crates/net/src/pool.rs \
         -e crates/net/tests/batch_frames.rs -e crates/net/tests/bare_trace.rs \
         -e crates/net/tests/pool_lanes.rs -e benchmark/src/cluster.rs || true)"
 if [ -n "$BARE_BRICKS" ]; then
     echo "ERROR: brick servers bound outside nsr_net::local:" $BARE_BRICKS >&2
+    exit 1
+fi
+STRAY_PROCS="$(find crates/net/src -name '*.rs' ! -path "$HARNESS" | sort | xargs awk '
+    !/^[[:space:]]*\/\// && /(^|[^[:alnum:]_])(Command|Child)([^[:alnum:]_]|$)/ {
+        print FILENAME ":" FNR ": " $0
+    }
+')"
+if [ -n "$STRAY_PROCS" ]; then
+    echo "ERROR: child processes handled in nsr-net outside $HARNESS:" >&2
+    echo "$STRAY_PROCS" >&2
+    exit 1
+fi
+SERVING_RUNS="$(find crates/*/src examples benchmark/src -name '*.rs' | sort | xargs awk '
+    FNR == 1 { in_tests = 0 }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
+    in_tests || /^[[:space:]]*\/\// { next }
+    /run_phase[[:space:]]*\(/ { phase[FILENAME] = 1 }
+    /repair_all[[:space:]]*\(/ { repair[FILENAME] = 1 }
+    END { for (f in phase) if (f in repair) print f }
+' | grep -vxF -e "$SERVING_RUN" || true)"
+if [ -n "$SERVING_RUNS" ]; then
+    echo "ERROR: run_phase and repair_all called together outside $SERVING_RUN:" $SERVING_RUNS >&2
     exit 1
 fi
 

@@ -782,8 +782,8 @@ pub fn net_suite(mode: Mode) -> Result<Suite, String> {
 /// iterated medians: a cluster state cannot be replayed without
 /// re-killing a brick.
 pub fn serving_suite(mode: Mode) -> Result<Suite, String> {
-    use nsr_net::local::{loopback_config, LocalCluster, Pace};
-    use nsr_net::workload::{populate, run_phase, KeyDist, PhaseStats, WorkloadSpec};
+    use nsr_net::local::loopback_config;
+    use nsr_net::workload::{serving_run, KeyDist, WorkloadSpec};
 
     let (obj_bytes, ops, label) = match mode {
         Mode::Full => (64 * 1024usize, 2000usize, "64k"),
@@ -797,64 +797,37 @@ pub fn serving_suite(mode: Mode) -> Result<Suite, String> {
         dist: KeyDist::Zipfian { theta: 0.99 },
         seed: 42,
     };
-
-    let mut cluster =
-        LocalCluster::start(4, loopback_config(2, 1), Pace::Wall).map_err(err("cluster"))?;
-    for _ in 0..8 {
-        cluster.pump();
+    let run = serving_run(&spec, 4, loopback_config(2, 1)).map_err(err("serving run"))?;
+    if let Err(e) = &run.repair {
+        return Err(format!("repair during rebuilding phase: {e}"));
     }
-    populate(&cluster.gw, &spec).map_err(err("populate"))?;
 
     let mut results = Vec::new();
-    let push_phase = |results: &mut Vec<Measurement>, phase: &str, s: &PhaseStats| {
+    let row = |name: String, seconds: f64| Measurement {
+        name,
+        ns_per_iter: (seconds * 1e9).max(1.0),
+        bytes_per_iter: 0,
+        items_per_iter: 0,
+    };
+    for (phase, s) in run.phases() {
         results.push(Measurement {
-            name: format!("serving/{phase}_{label}"),
-            ns_per_iter: (s.seconds / s.ops.max(1) as f64 * 1e9).max(1.0),
             bytes_per_iter: s.bytes / s.ops.max(1) as u64,
-            items_per_iter: 0,
+            ..row(
+                format!("serving/{phase}_{label}"),
+                s.seconds / s.ops.max(1) as f64,
+            )
         });
         for (tag, q) in [("p50", 0.50), ("p95", 0.95), ("p99", 0.99)] {
-            results.push(Measurement {
-                name: format!("serving/get_{phase}_{tag}_{label}"),
-                ns_per_iter: (s.get_percentile_s(q) * 1e9).max(1.0),
-                bytes_per_iter: 0,
-                items_per_iter: 0,
-            });
+            let name = format!("serving/get_{phase}_{tag}_{label}");
+            results.push(row(name, s.get_percentile_s(q)));
         }
-    };
-
-    let healthy = run_phase(&cluster.gw, &spec, 0).map_err(err("healthy phase"))?;
-    push_phase(&mut results, "healthy", &healthy);
-    for (tag, q) in [("p50", 0.50), ("p99", 0.99)] {
-        results.push(Measurement {
-            name: format!("serving/put_healthy_{tag}_{label}"),
-            ns_per_iter: (healthy.put_percentile_s(q) * 1e9).max(1.0),
-            bytes_per_iter: 0,
-            items_per_iter: 0,
-        });
+        if phase == "healthy" {
+            for (tag, q) in [("p50", 0.50), ("p99", 0.99)] {
+                let name = format!("serving/put_healthy_{tag}_{label}");
+                results.push(row(name, run.healthy.put_percentile_s(q)));
+            }
+        }
     }
-
-    // Degraded: kill brick 1 (a data-shard holder for most layouts) and
-    // wait for the detector before serving the same op stream again.
-    cluster.kill(1).map_err(err("kill brick 1"))?;
-    let degraded = run_phase(&cluster.gw, &spec, 1).map_err(err("degraded phase"))?;
-    push_phase(&mut results, "degraded", &degraded);
-
-    // Rebuilding: serve while the repair pass runs on another thread.
-    let (rebuilding, repair) = std::thread::scope(|s| {
-        let repair = s.spawn(|| cluster.gw.repair_all());
-        let stats = run_phase(&cluster.gw, &spec, 2);
-        (stats, repair.join())
-    });
-    let rebuilding = rebuilding.map_err(err("rebuilding phase"))?;
-    push_phase(&mut results, "rebuilding", &rebuilding);
-    match repair {
-        Ok(Ok(_)) => {}
-        Ok(Err(e)) => return Err(format!("repair during rebuilding phase: {e}")),
-        Err(_) => return Err("repair thread panicked".to_string()),
-    }
-
-    cluster.shutdown().map_err(err("shutdown"))?;
     Ok(Suite {
         suite: "serving",
         mode,

@@ -265,16 +265,16 @@ pub fn gateway(args: &ParsedArgs) -> Result<String> {
 /// `nsr workload [--objects N --object-bytes B --ops N --read-pct P
 /// --dist zipfian|uniform --theta F --seed S --bricks N --data K
 /// --parity T]`: a YCSB-style serving benchmark over an in-process
-/// loopback cluster. Spawns the bricks, populates the working set, then
-/// replays the same seeded op stream through three cluster states —
-/// healthy, degraded (one brick killed and declared dead), and
-/// rebuilding (repair running concurrently with serving) — and reports
-/// per-phase throughput plus p50/p95/p99 op latencies. The op streams
-/// are a pure function of `(seed, phase)`, so two runs with the same
-/// arguments issue identical key/op sequences.
+/// loopback cluster. Runs [`nsr_net::workload::serving_run`] — the
+/// same seeded op stream through three cluster states: healthy,
+/// degraded (one brick killed and declared dead), and rebuilding
+/// (repair running concurrently with serving) — and reports per-phase
+/// throughput plus p50/p95/p99 op latencies. The op streams are a pure
+/// function of `(seed, phase)`, so two runs with the same arguments
+/// issue identical key/op sequences.
 pub fn workload(args: &ParsedArgs) -> Result<String> {
-    use nsr_net::local::{loopback_config, LocalCluster, Pace};
-    use nsr_net::workload::{populate, run_phase, KeyDist, PhaseStats, WorkloadSpec};
+    use nsr_net::local::loopback_config;
+    use nsr_net::workload::{serving_run, KeyDist, WorkloadSpec};
 
     let spec = WorkloadSpec {
         objects: args.get_or("objects", 64u64)?,
@@ -297,21 +297,9 @@ pub fn workload(args: &ParsedArgs) -> Result<String> {
     let brick_count = args.get_or("bricks", 4usize)?;
     let data_shards = args.get_or("data", 2usize)?;
     let parity_shards = args.get_or("parity", 1usize)?;
-    if brick_count <= data_shards + parity_shards {
-        return Err(CliError(format!(
-            "need more than {} bricks for a {data_shards}+{parity_shards} stripe \
-             to survive the degraded phase",
-            data_shards + parity_shards
-        )));
-    }
-
     let mut cfg = loopback_config(data_shards, parity_shards);
     cfg.jitter_seed = spec.seed;
-    let mut cluster = LocalCluster::start(brick_count, cfg, Pace::Wall)?;
-    for _ in 0..8 {
-        cluster.pump();
-    }
-    populate(&cluster.gw, &spec)?;
+    let run = serving_run(&spec, brick_count, cfg)?;
 
     let mut out = String::new();
     let _ = writeln!(
@@ -331,8 +319,7 @@ pub fn workload(args: &ParsedArgs) -> Result<String> {
         out,
         "cluster: {brick_count} bricks, geometry {data_shards}+{parity_shards}"
     );
-
-    let phase_line = |out: &mut String, name: &str, s: &PhaseStats| {
+    for (name, s) in run.phases() {
         let us = |v: f64| v * 1e6;
         let _ = writeln!(
             out,
@@ -349,42 +336,15 @@ pub fn workload(args: &ParsedArgs) -> Result<String> {
             us(s.put_percentile_s(0.50)),
             us(s.put_percentile_s(0.99)),
         );
-    };
-
-    let healthy = run_phase(&cluster.gw, &spec, 0)?;
-    phase_line(&mut out, "healthy", &healthy);
-
-    // Degraded phase: kill brick 1 (a data-shard holder for most
-    // layouts) and wait for the detector to declare it dead, so reads
-    // over its shards reconstruct.
-    cluster.kill(1)?;
-    let degraded = run_phase(&cluster.gw, &spec, 1)?;
-    phase_line(&mut out, "degraded", &degraded);
-
-    // Rebuilding phase: the repair pass runs concurrently with serving —
-    // the serving numbers show what rebuild traffic costs the clients.
-    let (rebuilding, repair) = std::thread::scope(|s| {
-        let repair = s.spawn(|| cluster.gw.repair_all());
-        let stats = run_phase(&cluster.gw, &spec, 2);
-        (stats, repair.join())
-    });
-    let rebuilding = rebuilding?;
-    phase_line(&mut out, "rebuilding", &rebuilding);
-    match repair {
-        Ok(Ok(report)) => {
-            let _ = writeln!(
-                out,
-                "repair: moved {} shard(s), {} B, {} object(s) repaired",
-                report.shards_moved, report.bytes_moved, report.objects_repaired
-            );
-        }
-        Ok(Err(e)) => {
-            let _ = writeln!(out, "repair deferred: {e}");
-        }
-        Err(_) => return Err(CliError("repair thread panicked".into())),
     }
-
-    cluster.shutdown()?;
+    let _ = match &run.repair {
+        Ok(report) => writeln!(
+            out,
+            "repair: moved {} shard(s), {} B, {} object(s) repaired",
+            report.shards_moved, report.bytes_moved, report.objects_repaired
+        ),
+        Err(e) => writeln!(out, "repair deferred: {e}"),
+    };
     Ok(out)
 }
 

@@ -1,9 +1,11 @@
-//! The kill-9 campaign harness behind `nsr cluster-inject`: spawns N
-//! brick daemons as child processes, drives a gateway against them,
-//! kill-9s victims on a seeded [`FaultPlan`] schedule (plan hours scaled
-//! onto a wall-clock axis), and verifies the erasure contract on real
-//! processes — zero data loss at or below `t` concurrent failures,
-//! correct *typed* loss above `t`.
+//! The kill-9 campaign behind `nsr cluster-inject`: starts N bricks as
+//! child processes through the cluster harness
+//! ([`LocalCluster`] on [`BrickHost::Processes`]), kill-9s victims on a
+//! seeded [`FaultPlan`] schedule (plan hours scaled onto a wall-clock
+//! axis), and verifies the erasure contract on real processes — zero
+//! data loss at or below `t` concurrent failures, correct *typed* loss
+//! above `t`. How a brick is started, silenced and brought back is the
+//! harness's; this module owns the schedule, the phases and the verdict.
 //!
 //! Determinism contract: the campaign's verdict and loss signatures are
 //! a pure function of `(plan, seed, bricks, objects)`. Everything that
@@ -13,12 +15,7 @@
 //! `info` lines which are explicitly excluded from the replay
 //! comparison.
 
-use std::collections::BTreeSet;
-use std::io::{BufRead, BufReader};
-use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use nsr_obs::{Json, Span};
@@ -26,11 +23,10 @@ use nsr_rng::rngs::StdRng;
 use nsr_rng::{Rng, SeedableRng};
 use nsr_sim::faultinject::{FaultKind, FaultPlan};
 
-use crate::clock::WallClock;
 use crate::detector::{Health, Transition};
 use crate::error::Error;
-use crate::gateway::{Gateway, ReadMode};
-use crate::local::{loopback_config, PROBE_INTERVAL};
+use crate::gateway::ReadMode;
+use crate::local::{loopback_config, BrickHost, LocalCluster, Pace};
 use crate::workload::object_payload;
 
 /// Campaign parameters.
@@ -108,8 +104,6 @@ pub struct CampaignOutcome {
     /// Timing and progress stats — informational, excluded from replay
     /// comparison.
     pub info_lines: Vec<String>,
-    /// Whether any committed object was lost.
-    pub any_loss: bool,
     /// Detection latencies (seconds) observed for kill-9'd bricks.
     pub detection_latencies_s: Vec<f64>,
     /// One `(label, jsonl)` telemetry part per brick *process* when
@@ -135,100 +129,6 @@ impl CampaignOutcome {
             out.push('\n');
         }
         out
-    }
-}
-
-struct BrickProc {
-    addr: SocketAddr,
-    child: Child,
-    // Held open so the child never blocks on a closed stdout pipe.
-    _stdout: BufReader<std::process::ChildStdout>,
-}
-
-impl BrickProc {
-    fn kill9(&mut self) {
-        // On Unix, `Child::kill` delivers SIGKILL — the un-trappable
-        // kill-9 the campaign is named for.
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-/// Kills every remaining child on scope exit so an assertion failure
-/// never leaks brick processes.
-struct Fleet {
-    procs: Vec<Option<BrickProc>>,
-}
-
-impl Drop for Fleet {
-    fn drop(&mut self) {
-        for p in self.procs.iter_mut().flatten() {
-            p.kill9();
-        }
-    }
-}
-
-impl Fleet {
-    fn addr(&self, id: usize) -> SocketAddr {
-        self.procs[id].as_ref().expect("brick alive").addr
-    }
-}
-
-fn spawn_brick(exe: &std::path::Path, id: u32, label: Option<&str>) -> Result<BrickProc, Error> {
-    let mut args = vec![
-        "brick".to_string(),
-        "--listen".to_string(),
-        "127.0.0.1:0".to_string(),
-        "--id".to_string(),
-        id.to_string(),
-    ];
-    if let Some(label) = label {
-        args.push("--obs".to_string());
-        args.push("--label".to_string());
-        args.push(label.to_string());
-    }
-    let mut child = Command::new(exe)
-        .args(&args)
-        .stdin(Stdio::null())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .map_err(|e| Error::Io {
-            op: "spawn_brick",
-            detail: format!("{}: {}", exe.display(), e.kind()),
-        })?;
-    let stdout = child.stdout.take().expect("piped stdout");
-    let mut reader = BufReader::new(stdout);
-    let mut line = String::new();
-    reader.read_line(&mut line).map_err(|e| Error::Io {
-        op: "spawn_brick",
-        detail: format!("reading announce line: {}", e.kind()),
-    })?;
-    let addr = line
-        .strip_prefix("LISTENING ")
-        .and_then(|s| s.trim().parse::<SocketAddr>().ok())
-        .ok_or_else(|| Error::Protocol {
-            what: format!(
-                "brick {id} announced `{}`, expected `LISTENING <addr>`",
-                line.trim()
-            ),
-        })?;
-    Ok(BrickProc {
-        addr,
-        child,
-        _stdout: reader,
-    })
-}
-
-/// Generational brick label — the process identity behind trace
-/// stitching. Generation 0 is `brick-{id}`; every restart of the same
-/// brick id gets `brick-{id}-r{gen}`, so a killed process and its
-/// replacement never collapse into one node of the merged causal tree.
-fn brick_label(id: u32, generation: u32) -> String {
-    if generation == 0 {
-        format!("brick-{id}")
-    } else {
-        format!("brick-{id}-r{generation}")
     }
 }
 
@@ -307,44 +207,32 @@ pub fn run_campaign(cfg: &ClusterConfig) -> Result<CampaignOutcome, Error> {
     let mut info = Vec::new();
 
     // --- Spawn phase -----------------------------------------------------
-    // Per-brick restart generation, feeding the generational labels
-    // that keep a killed process and its replacement distinct in the
-    // merged trace.
-    let mut generations = vec![0u32; cfg.bricks];
-    let mut brick_parts: Vec<(String, String)> = Vec::new();
-    let mut fleet = Fleet {
-        procs: (0..cfg.bricks as u32)
-            .map(|id| {
-                let label = cfg.obs.then(|| brick_label(id, 0));
-                spawn_brick(&cfg.brick_exe, id, label.as_deref()).map(Some)
-            })
-            .collect::<Result<Vec<_>, Error>>()?,
+    // Fast detector pacing so the whole campaign stays in CI budget.
+    let mut gw_cfg = loopback_config(k, t);
+    gw_cfg.jitter_seed = cfg.seed;
+    gw_cfg.pool_size = cfg.pool_size;
+    let host = BrickHost::Processes {
+        exe: cfg.brick_exe.clone(),
+        obs: cfg.obs,
     };
-    let addrs: Vec<SocketAddr> = (0..cfg.bricks).map(|i| fleet.addr(i)).collect();
+    let mut cluster = LocalCluster::start_on(host, cfg.bricks, gw_cfg, Pace::Wall)?;
+    let mut brick_parts: Vec<(String, String)> = Vec::new();
     info.push(format!(
         "spawned {} bricks in {:?}",
         cfg.bricks,
         started.elapsed()
     ));
-
-    // Fast detector pacing so the whole campaign stays in CI budget.
-    let mut gw_cfg = loopback_config(k, t);
-    gw_cfg.jitter_seed = cfg.seed;
-    gw_cfg.pool_size = cfg.pool_size;
-    let gw = Gateway::with_clock(addrs, gw_cfg, Arc::new(WallClock::new()))?;
     let mut transitions: Vec<Transition> = Vec::new();
-    let pump = |gw: &Gateway, transitions: &mut Vec<Transition>| {
-        transitions.extend(gw.pump_heartbeats());
-        std::thread::sleep(PROBE_INTERVAL);
-    };
     for _ in 0..8 {
-        pump(&gw, &mut transitions);
+        transitions.extend(cluster.pump());
     }
 
     // --- Load phase ------------------------------------------------------
     let above_t = schedule.len() > t;
     for id in 0..cfg.objects as u64 {
-        gw.put(id, &object_payload(cfg.seed, id, cfg.object_bytes))?;
+        cluster
+            .gw
+            .put(id, &object_payload(cfg.seed, id, cfg.object_bytes))?;
     }
     info.push(format!(
         "loaded {} objects in {:?}",
@@ -356,10 +244,12 @@ pub fn run_campaign(cfg: &ClusterConfig) -> Result<CampaignOutcome, Error> {
     // Victims drawn without replacement from a seeded RNG. For plans
     // above t the layout set is frozen (no concurrent puts) so the loss
     // set replays exactly; at or below t, puts stay active through the
-    // kill to prove the lossless path under live writes.
+    // kill to prove the lossless path under live writes. Victims due at
+    // once are stopped with no pump between them, so a burst stays a
+    // burst.
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut alive: Vec<u32> = (0..cfg.bricks as u32).collect();
-    let mut victims: Vec<u32> = Vec::new();
+    let mut alive: Vec<usize> = (0..cfg.bricks).collect();
+    let mut victims: Vec<usize> = Vec::new();
     for _ in &schedule {
         let pick = rng.random_range_usize(0, alive.len());
         victims.push(alive.remove(pick));
@@ -371,73 +261,47 @@ pub fn run_campaign(cfg: &ClusterConfig) -> Result<CampaignOutcome, Error> {
     let live_writes = !above_t && cfg.fault_window_writes;
     let fault_t0 = Instant::now();
     let mut next_extra_object = 1_000_000u64;
-    let mut killed_at: Vec<(u32, Instant)> = Vec::new();
-    for (i, (hours, _)) in schedule.iter().enumerate() {
+    let mut put_extra = |cluster: &LocalCluster| {
+        let object = next_extra_object;
+        next_extra_object += 1;
+        cluster
+            .gw
+            .put(object, &object_payload(cfg.seed, object, cfg.object_bytes))
+    };
+    for (&victim, (hours, _)) in victims.iter().zip(&schedule) {
         let due = Duration::from_millis((hours * cfg.ms_per_hour as f64) as u64);
         while fault_t0.elapsed() < due {
             if live_writes {
-                gw.put(
-                    next_extra_object,
-                    &object_payload(cfg.seed, next_extra_object, cfg.object_bytes),
-                )?;
-                next_extra_object += 1;
+                put_extra(&cluster)?;
             }
-            pump(&gw, &mut transitions);
+            transitions.extend(cluster.pump());
         }
-        let victim = victims[i];
         if cfg.obs {
             // Last-chance harvest: kill -9 destroys everything the
             // scrape path hasn't shipped, and the registry entry must
             // not survive to pollute the brick id's next incarnation.
-            gw.collect_scrapes(1 << 20);
-            if let Some(t) = gw.take_collected(victim) {
+            cluster.gw.collect_scrapes(1 << 20);
+            if let Some(t) = cluster.gw.take_collected(victim as u32) {
                 brick_parts.push((t.label.clone(), render_brick_part(&t)));
             }
         }
-        fleet.procs[victim as usize]
-            .as_mut()
-            .expect("alive")
-            .kill9();
-        killed_at.push((victim, Instant::now()));
+        cluster.stop(victim)?;
         nsr_obs::trace::event("net.cluster.kill9", || {
             vec![("brick", Json::Num(victim as f64))]
         });
         if live_writes {
             // Keep writing straight through the failure window.
-            gw.put(
-                next_extra_object,
-                &object_payload(cfg.seed, next_extra_object, cfg.object_bytes),
-            )?;
-            next_extra_object += 1;
+            put_extra(&cluster)?;
         }
     }
     info.push(format!("killed bricks {victims:?}"));
 
     // --- Settle phase: wait for detection --------------------------------
-    let victim_set: BTreeSet<u32> = victims.iter().copied().collect();
-    let settle_deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        pump(&gw, &mut transitions);
-        let all_dead = gw
-            .health_summary()
-            .iter()
-            .filter(|(id, _)| victim_set.contains(id))
-            .all(|&(_, h)| matches!(h, Health::Dead | Health::Rebuilding));
-        if all_dead {
-            break;
-        }
-        if Instant::now() > settle_deadline {
-            return Err(Error::Protocol {
-                what: format!(
-                    "victims {victims:?} not declared dead within 10 s: {:?}",
-                    gw.health_summary()
-                ),
-            });
-        }
-    }
+    transitions.extend(cluster.pump_until(&victims, Health::Dead, "campaign: wait for Dead")?);
+    let is_victim = |brick: u32| victims.contains(&(brick as usize));
     let detection_latencies_s: Vec<f64> = transitions
         .iter()
-        .filter(|tr| tr.to == Health::Dead && victim_set.contains(&tr.brick))
+        .filter(|tr| tr.to == Health::Dead && is_victim(tr.brick))
         .filter_map(|tr| tr.detection_latency_s)
         .collect();
     info.push(format!(
@@ -451,13 +315,14 @@ pub fn run_campaign(cfg: &ClusterConfig) -> Result<CampaignOutcome, Error> {
     // Expected loss, frozen at detection time: objects with more than t
     // shards on victim bricks. (For below-t plans this is empty by
     // construction.)
+    let gw = &cluster.gw;
     let mut expected_lost: Vec<u64> = Vec::new();
     for id in gw.object_ids() {
         let overlap = gw
             .object_layout(id)
             .expect("committed object")
             .iter()
-            .filter(|b| victim_set.contains(b))
+            .filter(|&&b| is_victim(b))
             .count();
         if overlap > t {
             expected_lost.push(id);
@@ -466,68 +331,36 @@ pub fn run_campaign(cfg: &ClusterConfig) -> Result<CampaignOutcome, Error> {
 
     // --- Rebuild phase ---------------------------------------------------
     let rebuild_t0 = Instant::now();
-    let mut total_moved = 0u64;
-    let mut total_bytes = 0u64;
-    let deferred;
     let mut attempts = 0;
-    loop {
+    let report = loop {
         attempts += 1;
         match gw.repair_all() {
-            Ok(report) => {
-                total_moved += report.shards_moved;
-                total_bytes += report.bytes_moved;
-                deferred = report.deferred_objects.len();
-                break;
-            }
+            Ok(report) => break report,
             Err(Error::RebuildInterrupted { .. }) if attempts < 16 => {
                 // A source died mid-transfer; let detection catch up and
                 // resume from the per-shard checkpoint.
-                pump(&gw, &mut transitions);
+                cluster.pump();
             }
             Err(e) => return Err(e),
         }
-    }
+    };
     info.push(format!(
-        "rebuild moved {total_moved} shards ({total_bytes} B) in {:?}, {deferred} object(s) deferred (no spare)",
-        rebuild_t0.elapsed()
+        "rebuild moved {} shards ({} B) in {:?}, {} object(s) deferred (no spare)",
+        report.shards_moved,
+        report.bytes_moved,
+        rebuild_t0.elapsed(),
+        report.deferred_objects.len()
     ));
 
     // --- Rejoin phase: restart victims on fresh ports --------------------
     for &victim in &victims {
-        let label = if cfg.obs {
-            generations[victim as usize] += 1;
-            Some(brick_label(victim, generations[victim as usize]))
-        } else {
-            None
-        };
-        let proc = spawn_brick(&cfg.brick_exe, victim, label.as_deref())?;
-        gw.set_brick_addr(victim, proc.addr);
-        fleet.procs[victim as usize] = Some(proc);
+        cluster.restart(victim)?;
         nsr_obs::trace::event("net.cluster.restart", || {
             vec![("brick", Json::Num(victim as f64))]
         });
     }
-    let rejoin_deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        pump(&gw, &mut transitions);
-        gw.adopt_rejoined();
-        let all_healthy = gw
-            .health_summary()
-            .iter()
-            .filter(|(id, _)| victim_set.contains(id))
-            .all(|&(_, h)| h == Health::Healthy);
-        if all_healthy {
-            break;
-        }
-        if Instant::now() > rejoin_deadline {
-            return Err(Error::Protocol {
-                what: format!(
-                    "restarted victims not re-adopted within 10 s: {:?}",
-                    gw.health_summary()
-                ),
-            });
-        }
-    }
+    cluster.pump_until(&victims, Health::Healthy, "campaign: wait for Healthy")?;
+    let gw = &cluster.gw;
 
     // --- Scrub phase -----------------------------------------------------
     // Rejoined bricks come back empty (adoption wipes stale shards) and
@@ -552,7 +385,7 @@ pub fn run_campaign(cfg: &ClusterConfig) -> Result<CampaignOutcome, Error> {
                 ),
             });
         }
-        pump(&gw, &mut transitions);
+        cluster.pump();
     }
     info.push(format!(
         "scrub restored {scrub_restored} shard(s) in {:?}",
@@ -571,7 +404,6 @@ pub fn run_campaign(cfg: &ClusterConfig) -> Result<CampaignOutcome, Error> {
     let chunk = object_ids.len().div_ceil(workers).max(1);
     let mut results: Vec<VerifyRead> = Vec::with_capacity(object_ids.len());
     std::thread::scope(|s| {
-        let gw = &gw;
         let handles: Vec<_> = object_ids
             .chunks(chunk)
             .map(|ids| s.spawn(move || ids.iter().map(|&id| (id, gw.get(id))).collect::<Vec<_>>()))
@@ -659,7 +491,6 @@ pub fn run_campaign(cfg: &ClusterConfig) -> Result<CampaignOutcome, Error> {
     Ok(CampaignOutcome {
         verdict_lines,
         info_lines: info,
-        any_loss: !losses.is_empty(),
         detection_latencies_s,
         brick_parts,
     })

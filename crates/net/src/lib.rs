@@ -20,19 +20,22 @@
 //!   deadline can drop them.
 //! - [`workload`] — a seeded YCSB-style serving workload (zipfian or
 //!   uniform keys, put/get mix) with per-phase throughput and latency
-//!   percentiles, driven over healthy, degraded, and rebuilding
-//!   cluster states by the CLI and the `serving` bench suite.
+//!   percentiles, and [`workload::serving_run`], the one healthy →
+//!   degraded → rebuilding run that the CLI and the `serving` bench
+//!   suite format.
 //! - [`detector`] — φ-style heartbeat failure detection with the
 //!   explicit health state machine healthy → suspect → dead →
 //!   rebuilding → rejoined, on a pluggable [`clock`] so tests are
 //!   clock-free and deterministic.
-//! - [`local`] — the in-process cluster: brick threads on loopback
-//!   behind one gateway, on a mock or the wall clock, with stop, kill,
-//!   restart, rejoin, inventory and a teardown that joins every brick;
-//!   what the store's tests, `nsr workload` and the `net` and `serving`
-//!   bench suites run on, and the one loopback gateway config.
-//! - [`cluster`] — the `nsr cluster-inject` harness: spawns brick
-//!   child processes, kill-9s them on a seeded `nsr-sim` `FaultPlan`
+//! - [`local`] — the cluster harness: bricks on loopback behind one
+//!   gateway, as threads of this process or as `nsr brick` child
+//!   processes, on a mock or the wall clock, with stop, kill, restart,
+//!   rejoin, a wait for a set of bricks, inventory and a teardown that
+//!   stops every brick; every brick the repo starts behind a gateway
+//!   starts here (the repo benchmark's own bricks aside), and the one
+//!   loopback gateway config lives here.
+//! - [`cluster`] — the `nsr cluster-inject` campaign: kill-9s the
+//!   harness's brick processes on a seeded `nsr-sim` `FaultPlan`
 //!   schedule, and asserts the erasure contract (zero loss at or below
 //!   `t` concurrent failures, correct typed loss above `t`).
 //!

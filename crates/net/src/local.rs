@@ -1,18 +1,23 @@
-//! The in-process cluster: `N` brick threads on `127.0.0.1:0` behind one
+//! The cluster harness: `N` bricks on `127.0.0.1:0` behind one
 //! [`Gateway`], on a [`MockClock`] ([`Pace::Mock`], so every health
-//! transition replays exactly) or the wall clock ([`Pace::Wall`]). The
-//! store's tests, `nsr workload` and the `net` and `serving` bench suites
-//! run on it; the kill -9 campaign ([`crate::cluster`]) runs child
-//! processes instead but shares [`loopback_config`].
+//! transition replays exactly) or the wall clock ([`Pace::Wall`]). Every
+//! brick the repo starts behind a gateway starts here (the repo
+//! benchmark's own bricks aside), as a thread of this process (the
+//! store's tests, `nsr workload`, the `net` and `serving` bench suites)
+//! or as an `nsr brick` child process (the kill -9 campaign,
+//! [`crate::cluster`]); see [`BrickHost`].
 //!
-//! A brick is stopped with an orderly `Shutdown` frame: to the gateway it
-//! simply stops answering, like a kill -9. Dropping the cluster drops the
-//! gateway, then stops and joins every running brick, so no exit path (an
-//! early `?`, a brick never declared dead, a panicking test) leaks a brick
-//! thread; [`LocalCluster::shutdown`] does the same and reports errors.
+//! A stopped brick simply stops answering: a thread gets an orderly
+//! `Shutdown` frame, which the gateway cannot tell from a kill -9, and
+//! a process gets SIGKILL. Dropping the cluster drops the gateway, then
+//! stops every running brick, so no exit path (an early `?`, a brick
+//! never declared dead, a panicking test) leaks a brick thread or
+//! process; [`LocalCluster::shutdown`] does the same and reports errors.
 
-use std::io::ErrorKind;
+use std::io::{BufRead, BufReader, ErrorKind};
 use std::net::SocketAddr;
+use std::path::PathBuf;
+use std::process::{Child, ChildStdout, Command, Stdio};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -20,24 +25,25 @@ use std::time::Duration;
 use crate::brick::{BrickConfig, BrickServer};
 use crate::client::BrickClient;
 use crate::clock::{Clock, MockClock, WallClock};
-use crate::detector::{DetectorConfig, Health};
+use crate::detector::{DetectorConfig, Health, Transition};
 use crate::error::Error;
 use crate::gateway::{Gateway, GatewayConfig, RetryPolicy};
 
-/// The heartbeat cadence of a wall-clock cluster and of the kill -9
-/// campaign, and the interval [`loopback_config`]'s detector expects.
+/// The heartbeat cadence of a wall-clock cluster, and the interval
+/// [`loopback_config`]'s detector expects.
 pub const PROBE_INTERVAL: Duration = Duration::from_millis(20);
 
 /// Mock seconds one [`Pace::Mock`] pump advances the clock by.
 const MOCK_STEP_S: f64 = 0.5;
 
-/// Pumps `kill` and `rejoin` make on a [`Pace::Mock`] cluster before they
-/// give up: 16 mock seconds, where a detection takes about 7 pumps, so a
-/// regression that slows detection or adoption fails the wait.
+/// Pumps [`LocalCluster::pump_until`] makes on a [`Pace::Mock`] cluster
+/// before it gives up: 16 mock seconds, where a detection takes about 7
+/// pumps, so a regression that slows detection or adoption fails the
+/// wait.
 const MOCK_ROUNDS: usize = 32;
 
-/// Pumps `kill` and `rejoin` make on a [`Pace::Wall`] cluster before they
-/// give up: 10 s of 20 ms probes, slack for a loaded host.
+/// Pumps [`LocalCluster::pump_until`] makes on a [`Pace::Wall`] cluster
+/// before it gives up: 10 s of 20 ms probes, slack for a loaded host.
 const WALL_ROUNDS: usize = 500;
 
 /// Deadline of the harness's own control connections.
@@ -72,11 +78,31 @@ pub enum Pace {
     Wall,
 }
 
+/// Where a cluster's bricks run.
+#[derive(Debug, Clone)]
+pub enum BrickHost {
+    /// Threads of this process, each configured like this template (its
+    /// `id` replaced by the brick's index).
+    Threads(BrickConfig),
+    /// Child processes of the `nsr` binary at `exe`, each started as
+    /// `nsr brick --listen 127.0.0.1:0 --id N`.
+    Processes {
+        /// The `nsr` binary.
+        exe: PathBuf,
+        /// Start every brick with `--obs --label L`, so its telemetry
+        /// can be scraped and stitched. `L` is `brick-N`, then
+        /// `brick-N-rG` after the brick's `G`th restart, so a killed
+        /// process and its replacement never collapse into one node of
+        /// the stitched causal tree.
+        obs: bool,
+    },
+}
+
 /// The gateway's metadata export and every brick's sorted
 /// `list_shards()` (`None` for a stopped brick).
 pub type ClusterState = (String, Vec<Option<Vec<(u64, u32)>>>);
 
-/// Brick threads behind one gateway; brick id = index.
+/// Bricks behind one gateway; brick id = index.
 pub struct LocalCluster {
     /// The gateway. Declared first, so it is dropped before the bricks.
     pub gw: Gateway,
@@ -86,29 +112,29 @@ pub struct LocalCluster {
 }
 
 impl LocalCluster {
-    /// Starts `bricks` default bricks behind a gateway built from `cfg`.
-    /// No heartbeat is pumped yet.
+    /// Starts `bricks` default brick threads behind a gateway built from
+    /// `cfg`. No heartbeat is pumped yet.
     pub fn start(bricks: usize, cfg: GatewayConfig, pace: Pace) -> Result<LocalCluster, Error> {
-        Self::start_with(&BrickConfig::new(0), bricks, cfg, pace)
+        Self::start_on(BrickHost::Threads(BrickConfig::new(0)), bricks, cfg, pace)
     }
 
-    /// [`start`](Self::start) with every brick configured like `brick`
-    /// (its `id` replaced by the brick's index).
-    pub fn start_with(
-        brick: &BrickConfig,
+    /// [`start`](Self::start) with the bricks on `host`.
+    pub fn start_on(
+        host: BrickHost,
         bricks: usize,
         cfg: GatewayConfig,
         pace: Pace,
     ) -> Result<LocalCluster, Error> {
         let mut set = Bricks {
-            template: brick.clone(),
+            host,
             addrs: Vec::with_capacity(bricks),
             running: Vec::with_capacity(bricks),
+            restarts: vec![0; bricks],
         };
         for id in 0..bricks {
-            let (addr, handle) = set.bind(id)?;
+            let (addr, brick) = set.bind(id)?;
             set.addrs.push(addr);
-            set.running.push(Some(handle));
+            set.running.push(Some(brick));
         }
         let mock = (pace == Pace::Mock).then(MockClock::new);
         let clock: Arc<dyn Clock> = match &mock {
@@ -130,74 +156,88 @@ impl LocalCluster {
     }
 
     /// One detector round: advance the mock clock half a second, or sleep
-    /// [`PROBE_INTERVAL`], then probe every brick.
-    pub fn pump(&self) {
+    /// [`PROBE_INTERVAL`], then probe every brick. Returns the health
+    /// transitions the round made.
+    pub fn pump(&self) -> Vec<Transition> {
         match &self.mock {
             Some(mock) => mock.advance(MOCK_STEP_S),
             None => std::thread::sleep(PROBE_INTERVAL),
         }
-        self.gw.pump_heartbeats();
+        self.gw.pump_heartbeats()
     }
 
     /// Stops brick `id` (if it runs) without a detector round, so the
-    /// gateway still plans around it. Fails if its accept loop failed or
-    /// the shutdown was not delivered.
+    /// gateway still plans around it. A thread fails the stop if its
+    /// accept loop failed or the shutdown was not delivered; a process
+    /// is killed and reaped.
     pub fn stop(&mut self, id: usize) -> Result<(), Error> {
         self.bricks.stop(id)
     }
 
     /// Stops brick `id` (if it runs) and pumps until the detector declares
-    /// it dead; returns the clock time from the stop to `Dead`, or an
-    /// error naming the brick and every brick's health after 32 mock or
-    /// 500 wall-clock pumps.
+    /// it dead; returns the clock time from the stop to `Dead`, or fails
+    /// like [`pump_until`](Self::pump_until).
     pub fn kill(&mut self, id: usize) -> Result<Duration, Error> {
         self.bricks.stop(id)?;
         let stopped = self.clock.now_s();
-        self.pump_until(id, Health::Dead, "kill: wait for Dead")?;
+        self.pump_until(&[id], Health::Dead, "kill: wait for Dead")?;
         Ok(Duration::from_secs_f64(self.clock.now_s() - stopped))
     }
 
     /// Restarts brick `id` empty on a fresh port (stopping it first if it
-    /// runs) and points the gateway at it, without a detector round.
+    /// runs) and points the gateway at it, without a detector round. A
+    /// process comes back under its next generation's label.
     pub fn restart(&mut self, id: usize) -> Result<(), Error> {
         self.bricks.stop(id)?;
-        let (addr, handle) = self.bricks.bind(id)?;
+        self.bricks.restarts[id] += 1;
+        let (addr, brick) = self.bricks.bind(id)?;
         self.bricks.addrs[id] = addr;
-        self.bricks.running[id] = Some(handle);
+        self.bricks.running[id] = Some(brick);
         self.gw.set_brick_addr(id as u32, addr);
         Ok(())
     }
 
     /// [`restart`](Self::restart)s brick `id`, then pumps and adopts
     /// rejoined bricks until it is healthy, or fails like
-    /// [`kill`](Self::kill).
+    /// [`pump_until`](Self::pump_until).
     pub fn rejoin(&mut self, id: usize) -> Result<(), Error> {
         self.restart(id)?;
-        self.pump_until(id, Health::Healthy, "rejoin: wait for Healthy")
+        self.pump_until(&[id], Health::Healthy, "rejoin: wait for Healthy")?;
+        Ok(())
     }
 
-    /// Pumps until brick `id` is `want`, adopting rejoined bricks on the
-    /// way when `want` is `Healthy`.
-    fn pump_until(&self, id: usize, want: Health, op: &'static str) -> Result<(), Error> {
+    /// Pumps until every brick in `ids` is `want`, adopting rejoined
+    /// bricks on the way when `want` is `Healthy`, and returns the
+    /// transitions the pumps made. After 32 mock or 500 wall-clock pumps
+    /// it fails with an [`Error::Io`] whose `op` is `op` and whose detail
+    /// names the first brick still short of `want` and every brick's
+    /// health.
+    pub fn pump_until(
+        &self,
+        ids: &[usize],
+        want: Health,
+        op: &'static str,
+    ) -> Result<Vec<Transition>, Error> {
         let rounds = match self.mock {
             Some(_) => MOCK_ROUNDS,
             None => WALL_ROUNDS,
         };
+        let mut transitions = Vec::new();
+        let mut health = Vec::new();
         for _ in 0..rounds {
-            self.pump();
+            transitions.extend(self.pump());
             if want == Health::Healthy {
                 self.gw.adopt_rejoined();
             }
-            if self.gw.health_summary()[id].1 == want {
-                return Ok(());
+            health = self.gw.health_summary();
+            if ids.iter().all(|&id| health[id].1 == want) {
+                return Ok(transitions);
             }
         }
+        let id = ids.iter().find(|&&id| health[id].1 != want).unwrap_or(&0);
         Err(Error::Io {
             op,
-            detail: format!(
-                "brick {id} not {want:?} after {rounds} pumps; health {:?}",
-                self.gw.health_summary()
-            ),
+            detail: format!("brick {id} not {want:?} after {rounds} pumps; health {health:?}"),
         })
     }
 
@@ -218,8 +258,8 @@ impl LocalCluster {
         Ok((self.gw.export_meta(), inventories))
     }
 
-    /// Drops the gateway, then stops and joins every running brick,
-    /// returning the first brick's error (the rest are still joined).
+    /// Drops the gateway, then stops every running brick, returning the
+    /// first brick's error (the rest are still stopped).
     pub fn shutdown(self) -> Result<(), Error> {
         let LocalCluster { gw, mut bricks, .. } = self;
         drop(gw);
@@ -227,31 +267,60 @@ impl LocalCluster {
     }
 }
 
-/// The brick threads: their own type, so that a dropped [`LocalCluster`]
-/// drops its gateway first and then runs this `Drop`.
+/// One running brick.
+enum Brick {
+    Thread(JoinHandle<Result<(), Error>>),
+    /// Held for its `Drop`, which kills and reaps the child.
+    Process(#[allow(dead_code)] BrickProcess),
+}
+
+/// The bricks: their own type, so that a dropped [`LocalCluster`] drops
+/// its gateway first and then runs this `Drop`.
 struct Bricks {
-    template: BrickConfig,
+    host: BrickHost,
     addrs: Vec<SocketAddr>,
-    running: Vec<Option<JoinHandle<Result<(), Error>>>>,
+    running: Vec<Option<Brick>>,
+    /// Restarts per brick id: a process's label generation.
+    restarts: Vec<u32>,
 }
 
 impl Bricks {
-    /// Binds and spawns an empty brick `id` on a fresh loopback port.
-    fn bind(&self, id: usize) -> Result<(SocketAddr, JoinHandle<Result<(), Error>>), Error> {
-        let mut cfg = self.template.clone();
-        cfg.id = id as u32;
-        Ok(BrickServer::bind("127.0.0.1:0", cfg)?.spawn())
+    /// Starts an empty brick `id` on a fresh loopback port.
+    fn bind(&self, id: usize) -> Result<(SocketAddr, Brick), Error> {
+        match &self.host {
+            BrickHost::Threads(template) => {
+                let mut cfg = template.clone();
+                cfg.id = id as u32;
+                let (addr, handle) = BrickServer::bind("127.0.0.1:0", cfg)?.spawn();
+                Ok((addr, Brick::Thread(handle)))
+            }
+            BrickHost::Processes { exe, obs } => {
+                let mut cmd = Command::new(exe);
+                cmd.args(["brick", "--listen", "127.0.0.1:0", "--id", &id.to_string()]);
+                if *obs {
+                    let label = match self.restarts[id] {
+                        0 => format!("brick-{id}"),
+                        generation => format!("brick-{id}-r{generation}"),
+                    };
+                    cmd.args(["--obs", "--label", &label]);
+                }
+                let (addr, process) = BrickProcess::spawn(cmd, id)?;
+                Ok((addr, Brick::Process(process)))
+            }
+        }
     }
 
-    /// Stops and joins brick `id`. The thread is joined only once it is
-    /// known to end: the shutdown was delivered, or the connection was
-    /// refused (the accept loop has returned, and its own error explains
-    /// why). Any other failure (a timeout, a failed write) leaves the
-    /// brick listed as running and is returned, rather than blocking in
-    /// a join that may never return.
+    /// Stops brick `id`. A process is killed and reaped. A thread is
+    /// joined only once it is known to end: the shutdown was delivered,
+    /// or the connection was refused (the accept loop has returned, and
+    /// its own error explains why). Any other failure (a timeout, a
+    /// failed write) leaves the thread listed as running and is
+    /// returned, rather than blocking in a join that may never return.
     fn stop(&mut self, id: usize) -> Result<(), Error> {
-        let Some(handle) = self.running[id].take() else {
-            return Ok(());
+        let handle = match self.running[id].take() {
+            // Dropping a process kills and reaps it.
+            None | Some(Brick::Process(_)) => return Ok(()),
+            Some(Brick::Thread(handle)) => handle,
         };
         let sent =
             BrickClient::connect(self.addrs[id], CONTROL_TIMEOUT).and_then(|mut c| c.shutdown());
@@ -263,7 +332,7 @@ impl Bricks {
                 detail,
             }) if detail == refused => {}
             Err(e) => {
-                self.running[id] = Some(handle);
+                self.running[id] = Some(Brick::Thread(handle));
                 return Err(e);
             }
         }
@@ -280,9 +349,59 @@ impl Bricks {
     }
 }
 
+/// A brick child process, killed and reaped when dropped.
+struct BrickProcess {
+    child: Child,
+    // Held open so the child never blocks on a closed stdout pipe.
+    stdout: BufReader<ChildStdout>,
+}
+
+impl BrickProcess {
+    /// Starts `cmd`, an `nsr brick` command line, and reads the
+    /// `LISTENING <addr>` line the brick announces before it serves.
+    fn spawn(mut cmd: Command, id: usize) -> Result<(SocketAddr, BrickProcess), Error> {
+        let mut child = cmd
+            .stdin(Stdio::null())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .map_err(|e| Error::Io {
+                op: "spawn_brick",
+                detail: format!("{}: {}", cmd.get_program().to_string_lossy(), e.kind()),
+            })?;
+        let stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+        let mut process = BrickProcess { child, stdout };
+        let mut line = String::new();
+        process.stdout.read_line(&mut line).map_err(|e| Error::Io {
+            op: "spawn_brick",
+            detail: format!("reading announce line: {}", e.kind()),
+        })?;
+        let addr = line
+            .strip_prefix("LISTENING ")
+            .and_then(|s| s.trim().parse().ok())
+            .ok_or_else(|| Error::Protocol {
+                what: format!(
+                    "brick {id} announced `{}`, expected `LISTENING <addr>`",
+                    line.trim()
+                ),
+            })?;
+        Ok((addr, process))
+    }
+}
+
+impl Drop for BrickProcess {
+    fn drop(&mut self) {
+        // On Unix, `Child::kill` delivers SIGKILL: the brick gets no
+        // chance to answer, flush or say goodbye.
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
 impl Drop for Bricks {
-    /// Best effort: a brick whose shutdown could not be delivered is left
-    /// running (its handle detaches) rather than blocking the drop.
+    /// Best effort: a brick thread whose shutdown could not be delivered
+    /// is left running (its handle detaches) rather than blocking the
+    /// drop; every process is killed and reaped.
     fn drop(&mut self) {
         let _ = self.stop_all();
     }
@@ -320,6 +439,31 @@ mod tests {
         for id in [0, 2, 3] {
             assert_eq!(health(&cluster, id), Health::Healthy, "brick {id}");
         }
+        cluster.shutdown().expect("shutdown");
+    }
+
+    #[test]
+    fn one_wait_covers_a_burst_and_returns_its_transitions() {
+        let mut cluster = mock_cluster();
+        cluster.stop(1).expect("stop");
+        cluster.stop(3).expect("stop");
+        let transitions = cluster
+            .pump_until(&[1, 3], Health::Dead, "burst")
+            .expect("both dead");
+        for id in [1, 3] {
+            assert_eq!(health(&cluster, id), Health::Dead, "brick {id}");
+            let dead = transitions
+                .iter()
+                .filter(|t| t.brick == id as u32 && t.to == Health::Dead)
+                .count();
+            assert_eq!(dead, 1, "brick {id}: {transitions:?}");
+        }
+        cluster.restart(1).expect("restart");
+        cluster.restart(3).expect("restart");
+        cluster
+            .pump_until(&[1, 3], Health::Healthy, "burst")
+            .expect("both healthy");
+        assert!((0..4).all(|id| health(&cluster, id) == Health::Healthy));
         cluster.shutdown().expect("shutdown");
     }
 

@@ -1,4 +1,5 @@
-//! A seeded YCSB-style serving workload for the gateway.
+//! A seeded YCSB-style serving workload for the gateway, and the
+//! three-phase serving run built on it.
 //!
 //! The serving-path benchmarks need sustained load with a realistic key
 //! popularity skew, not a single hot object — a zipfian request stream
@@ -9,6 +10,12 @@
 //! count, read/write mix, [`KeyDist`], seed) plus [`populate`] and
 //! [`run_phase`] drivers that report per-phase throughput and latency
 //! percentiles in a [`PhaseStats`].
+//!
+//! [`serving_run`] is the one healthy → degraded → rebuilding run on a
+//! [`LocalCluster`] of brick threads: populate, a healthy phase, kill a
+//! brick, a degraded phase, then `repair_all` on a scoped thread beside
+//! the rebuilding phase. `nsr workload` and the `serving` bench suite
+//! both call it and only format its [`ServingRun`].
 //!
 //! Everything is seeded and replayable: the op sequence is a pure
 //! function of the spec, and payloads are a pure function of
@@ -24,7 +31,8 @@ use nsr_rng::rngs::StdRng;
 use nsr_rng::{Rng, SeedableRng};
 
 use crate::error::Error;
-use crate::gateway::{Gateway, ReadMode};
+use crate::gateway::{Gateway, GatewayConfig, ReadMode, RepairReport};
+use crate::local::{LocalCluster, Pace};
 use crate::obs;
 
 /// Key popularity distribution for the request stream.
@@ -74,6 +82,30 @@ impl Default for WorkloadSpec {
     }
 }
 
+impl WorkloadSpec {
+    /// Checks the spec before any brick starts: at least one object, a
+    /// read percentage of at most 100, and a zipfian `theta` in `(0, 1)`.
+    /// The error names the field.
+    pub fn validate(&self) -> Result<(), Error> {
+        let invalid = |what: String| Err(Error::InvalidConfig { what });
+        if self.objects == 0 {
+            return invalid("objects must be at least 1".to_string());
+        }
+        if self.read_pct > 100 {
+            return invalid(format!(
+                "read_pct must be at most 100, got {}",
+                self.read_pct
+            ));
+        }
+        match self.dist {
+            KeyDist::Zipfian { theta } if !(theta > 0.0 && theta < 1.0) => {
+                invalid(format!("zipfian theta must be in (0, 1), got {theta}"))
+            }
+            _ => Ok(()),
+        }
+    }
+}
+
 /// The deterministic payload for `object` under `seed`. Workload runs
 /// and the cluster campaign both write and verify with it, so reads can
 /// be checked without a shadow store.
@@ -96,12 +128,9 @@ struct ZipfianGen {
 }
 
 impl ZipfianGen {
+    /// Needs `n ≥ 1` and `theta` in `(0, 1)`, which
+    /// [`WorkloadSpec::validate`] checks.
     fn new(n: u64, theta: f64) -> ZipfianGen {
-        assert!(n > 0, "zipfian over an empty key space");
-        assert!(
-            theta > 0.0 && theta < 1.0,
-            "zipfian theta must be in (0, 1), got {theta}"
-        );
         let zeta = |items: u64| {
             (1..=items)
                 .map(|i| 1.0 / (i as f64).powf(theta))
@@ -138,11 +167,12 @@ enum KeyPicker {
 }
 
 impl KeyPicker {
-    fn new(spec: &WorkloadSpec) -> KeyPicker {
-        match spec.dist {
+    fn new(spec: &WorkloadSpec) -> Result<KeyPicker, Error> {
+        spec.validate()?;
+        Ok(match spec.dist {
             KeyDist::Uniform => KeyPicker::Uniform,
             KeyDist::Zipfian { theta } => KeyPicker::Zipfian(ZipfianGen::new(spec.objects, theta)),
-        }
+        })
     }
 
     fn next<R: Rng + ?Sized>(&self, rng: &mut R, n: u64) -> u64 {
@@ -232,11 +262,11 @@ pub fn populate(gw: &Gateway, spec: &WorkloadSpec) -> Result<(), Error> {
 ///
 /// `phase` seasons the op-stream seed so successive phases of one spec
 /// draw different (but still replayable) streams. Each get's payload is
-/// verified against [`object_payload`]; a mismatch or any transport
-/// error fails the phase. Latencies also feed the
+/// verified against [`object_payload`]; a mismatch, an invalid spec or
+/// any transport error fails the phase. Latencies also feed the
 /// `net.serving.{put,get}_s` histograms when metrics are enabled.
 pub fn run_phase(gw: &Gateway, spec: &WorkloadSpec, phase: u64) -> Result<PhaseStats, Error> {
-    let picker = KeyPicker::new(spec);
+    let picker = KeyPicker::new(spec)?;
     let mut rng = StdRng::seed_from_u64(spec.seed ^ phase.wrapping_mul(0xA076_1D64_78BD_642F));
     let mut stats = PhaseStats::default();
     let started = Instant::now();
@@ -278,12 +308,90 @@ pub fn run_phase(gw: &Gateway, spec: &WorkloadSpec, phase: u64) -> Result<PhaseS
     Ok(stats)
 }
 
+/// What one [`serving_run`] measured: the three phases and the repair
+/// that ran beside the last one.
+#[derive(Debug)]
+pub struct ServingRun {
+    /// Every brick up.
+    pub healthy: PhaseStats,
+    /// Brick 1 declared dead; gets over its shards reconstruct.
+    pub degraded: PhaseStats,
+    /// Served while `repair_all` ran on another thread.
+    pub rebuilding: PhaseStats,
+    /// That repair's report, or the error it stopped on. Whether the
+    /// error fails the run is the caller's call: `nsr workload` prints
+    /// it, the `serving` bench suite fails on it.
+    pub repair: Result<RepairReport, Error>,
+}
+
+impl ServingRun {
+    /// The three phases by name, in the order they ran.
+    pub fn phases(&self) -> [(&'static str, &PhaseStats); 3] {
+        [
+            ("healthy", &self.healthy),
+            ("degraded", &self.degraded),
+            ("rebuilding", &self.rebuilding),
+        ]
+    }
+}
+
+/// The three-phase serving run: checks `spec` and the brick count,
+/// starts `bricks` brick threads behind a gateway built from `cfg` on
+/// the wall clock, populates the key space, then replays `spec`'s op
+/// stream (phase seeds 0, 1, 2) healthy, degraded (brick 1 killed and
+/// declared dead) and rebuilding (`repair_all` beside the phase). A
+/// phase's error fails the run; the repair's is returned in
+/// [`ServingRun::repair`].
+pub fn serving_run(
+    spec: &WorkloadSpec,
+    bricks: usize,
+    cfg: GatewayConfig,
+) -> Result<ServingRun, Error> {
+    spec.validate()?;
+    let stripe = cfg.data_shards + cfg.parity_shards;
+    if bricks <= stripe {
+        return Err(Error::InvalidConfig {
+            what: format!(
+                "need more than {stripe} bricks for a {}+{} stripe to survive the degraded phase",
+                cfg.data_shards, cfg.parity_shards
+            ),
+        });
+    }
+    let mut cluster = LocalCluster::start(bricks, cfg, Pace::Wall)?;
+    for _ in 0..8 {
+        cluster.pump();
+    }
+    populate(&cluster.gw, spec)?;
+    let healthy = run_phase(&cluster.gw, spec, 0)?;
+    // Brick 1 holds a data shard of most layouts.
+    cluster.kill(1)?;
+    let degraded = run_phase(&cluster.gw, spec, 1)?;
+    // The rebuilding phase serves beside the repair pass, so its numbers
+    // show what rebuild traffic costs the clients.
+    let (rebuilding, repair) = std::thread::scope(|s| {
+        let repair = s.spawn(|| cluster.gw.repair_all());
+        let stats = run_phase(&cluster.gw, spec, 2);
+        let repair = repair
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        (stats, repair)
+    });
+    let rebuilding = rebuilding?;
+    cluster.shutdown()?;
+    Ok(ServingRun {
+        healthy,
+        degraded,
+        rebuilding,
+        repair,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn op_stream(spec: &WorkloadSpec, phase: u64) -> Vec<(u64, bool)> {
-        let picker = KeyPicker::new(spec);
+        let picker = KeyPicker::new(spec).expect("valid spec");
         let mut rng = StdRng::seed_from_u64(spec.seed ^ phase.wrapping_mul(0xA076_1D64_78BD_642F));
         (0..spec.ops)
             .map(|_| {

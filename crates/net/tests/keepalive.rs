@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use nsr_net::brick::BrickConfig;
 use nsr_net::gateway::ReadMode;
-use nsr_net::local::{loopback_config, LocalCluster, Pace};
+use nsr_net::local::{loopback_config, BrickHost, LocalCluster, Pace};
 
 /// Brick-side idle read deadline. Short so the test's idle stretch
 /// stays well under a second (the production default is 2 s).
@@ -29,7 +29,7 @@ fn cluster(keepalive_refresh: Duration) -> LocalCluster {
     brick.write_timeout = BRICK_DEADLINE;
     let mut cfg = loopback_config(2, 1);
     cfg.keepalive_refresh = keepalive_refresh;
-    let c = LocalCluster::start_with(&brick, 4, cfg, Pace::Wall).expect("cluster");
+    let c = LocalCluster::start_on(BrickHost::Threads(brick), 4, cfg, Pace::Wall).expect("cluster");
     for _ in 0..8 {
         c.pump();
     }

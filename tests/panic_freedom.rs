@@ -4,6 +4,8 @@
 //! zeros, out-of-range indices) from the in-repo PRNG; the property being
 //! tested is simply that each call completes and yields `Err`.
 
+use nsr_cli::args::ParsedArgs;
+use nsr_cli::commands::dispatch;
 use nsr_core::config::Configuration;
 use nsr_core::params::Params;
 use nsr_core::raid::InternalRaid;
@@ -226,4 +228,33 @@ fn sim_and_fault_plans_reject_invalid_input() {
     let plan = FaultPlan::pure_exponential(1e6).unwrap();
     let campaign = Campaign::new(&sim, &plan);
     assert!(campaign.run_many(0, 1).is_err());
+}
+
+#[test]
+fn workload_rejects_an_out_of_range_spec_naming_the_field() {
+    let cases: [(&[&str], &str); 8] = [
+        (&["--theta", "1.5"], "theta"),
+        (&["--theta", "0"], "theta"),
+        (&["--theta", "1"], "theta"),
+        (&["--theta", "NaN"], "theta"),
+        (&["--read-pct", "150"], "read_pct"),
+        (&["--read-pct", "101"], "read_pct"),
+        (&["--objects", "0"], "objects"),
+        (&["--dist", "uniform", "--objects", "0"], "objects"),
+    ];
+    for (bad, field) in cases {
+        let argv = ["workload", "--ops", "10", "--object-bytes", "4096"]
+            .iter()
+            .chain(bad)
+            .map(|s| s.to_string());
+        let result = ParsedArgs::parse(argv).and_then(|args| dispatch(&args));
+        let Err(err) = result else {
+            panic!("nsr workload {bad:?} was accepted");
+        };
+        let err = err.to_string();
+        assert!(
+            err.starts_with("invalid configuration:") && err.contains(field),
+            "nsr workload {bad:?}: {err}"
+        );
+    }
 }
