@@ -149,6 +149,30 @@ if [ -n "$STRAY_THREADS" ]; then
     exit 1
 fi
 
+echo "==> the gateway side starts no thread (bricks bound a frame, not an idle wait)"
+# A brick waits out an idle connection instead of dropping it, so the
+# gateway needs nothing of its own to keep its lanes open: every frame
+# on a lane comes from a caller. A thread started in crates/net/src
+# outside brick.rs (whose threads are the accept loop and one handler
+# per connection) fails here.
+# Comment lines and top-level `#[cfg(test)] mod tests` blocks are
+# skipped, as in the step above.
+GATEWAY_THREADS="$(find crates/net/src -name '*.rs' ! -name brick.rs | sort | xargs awk '
+    FNR == 1 { in_tests = 0; cfg_test = 0 }
+    /^#\[cfg\(test\)\]$/ { cfg_test = 1; next }
+    cfg_test && /^mod tests \{/ { in_tests = 1 }
+    { cfg_test = 0 }
+    in_tests && /^}$/ { in_tests = 0; next }
+    !in_tests && !/^[[:space:]]*\/\// && /thread::(spawn|Builder)/ {
+        print FILENAME ":" FNR ": " $0
+    }
+')"
+if [ -n "$GATEWAY_THREADS" ]; then
+    echo "ERROR: threads started in crates/net/src outside brick.rs:" >&2
+    echo "$GATEWAY_THREADS" >&2
+    exit 1
+fi
+
 echo "==> recorded results (nsr figures vs results/)"
 # results/ is the output of `nsr figures` at default flags, and every
 # record in it is deterministic (fixed seeds), so the regenerated
@@ -360,7 +384,7 @@ echo "==> serving smoke (workload generator, pool metrics, serving bench gate)"
 ./target/release/nsr workload --ops 120 --object-bytes 4096 --seed 42 \
     --metrics-out "$SMOKE_DIR/workload-metrics.jsonl" | grep -q '^rebuilding'
 ./target/release/nsr obs-check --file "$SMOKE_DIR/workload-metrics.jsonl" \
-    --require net.pool.reuses,net.pool.keepalives,net.serving.put_s,net.serving.get_s
+    --require net.pool.reuses,net.serving.put_s,net.serving.get_s
 # The same three phases with objects larger than any socket read buffer:
 # 1 MiB + 1 at 6+2 is 171 KiB shards with a zero-padded tail, so healthy
 # gets land in place past the buffer, degraded gets reconstruct into the

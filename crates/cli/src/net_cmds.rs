@@ -15,7 +15,7 @@ use std::time::Duration;
 use nsr_net::brick::{BrickConfig, BrickServer};
 use nsr_net::cluster::{run_campaign, ClusterConfig};
 use nsr_net::detector::Health;
-use nsr_net::gateway::{Gateway, GatewayConfig};
+use nsr_net::gateway::{Gateway, GatewayConfig, RepairReport};
 
 use crate::args::ParsedArgs;
 use crate::{CliError, Result};
@@ -136,8 +136,9 @@ fn serve_gateway_telemetry(
 /// `nsr gateway --bricks a,b,c [--data K --parity T] [--rounds N]
 /// [--telemetry ADDR]`: connects to running bricks, writes a few demo
 /// objects, then watches — each round pumps heartbeats, prints health
-/// transitions, auto-repairs after deaths, and proves the data is still
-/// readable. `--rounds 0` (the default) runs until killed; the README
+/// transitions, auto-repairs after deaths (`repair_round`: onto spares,
+/// then a scrub once a rejoined brick is adopted), and proves the data is
+/// still readable. `--rounds 0` (the default) runs until killed; the README
 /// quickstart drives this against two bricks and a kill -9.
 ///
 /// `--telemetry ADDR` turns the gateway into a scrapeable process: it
@@ -191,6 +192,9 @@ pub fn gateway(args: &ParsedArgs) -> Result<String> {
     std::io::stdout().flush().ok();
 
     let mut round = 0u64;
+    // The last repair report printed: a round that would print the same
+    // (an object deferred round after round) prints nothing.
+    let mut repaired = String::new();
     loop {
         round += 1;
         if telemetry.is_some() {
@@ -210,30 +214,10 @@ pub fn gateway(args: &ParsedArgs) -> Result<String> {
                 tr.to.name()
             );
         }
-        let failed: Vec<u32> = gw
-            .health_summary()
-            .into_iter()
-            .filter(|&(_, h)| matches!(h, Health::Dead | Health::Rebuilding))
-            .map(|(id, _)| id)
-            .collect();
-        if !failed.is_empty() {
-            match gw.repair_all() {
-                Ok(report) if report.shards_moved > 0 => {
-                    println!(
-                        "repair: moved {} shard(s), {} B, {} object(s) back to full redundancy",
-                        report.shards_moved, report.bytes_moved, report.objects_repaired
-                    );
-                }
-                Ok(report) => {
-                    if !report.lost_objects.is_empty() {
-                        println!("repair: objects {:?} beyond repair", report.lost_objects);
-                    }
-                }
-                Err(e) => println!("repair deferred: {e}"),
-            }
-        }
-        for rejoined in gw.adopt_rejoined() {
-            println!("brick {rejoined} rejoined as a spare");
+        let report = repair_round(&gw);
+        if report != repaired {
+            print!("{report}");
+            repaired = report;
         }
         if round.is_multiple_of(10) {
             let mut readable = 0usize;
@@ -259,6 +243,72 @@ pub fn gateway(args: &ParsedArgs) -> Result<String> {
             return Ok(format!("gateway exiting after {round} round(s)\n"));
         }
         std::thread::sleep(Duration::from_millis(500));
+    }
+}
+
+/// The daemon round's repair step, returning the lines it reports:
+/// re-replicates what failed bricks held onto spares, adopts rejoined
+/// bricks as spares, and scrubs once it has adopted one. Adoption wipes
+/// a brick, so until the scrub every layout that names it is one failure
+/// closer to loss; the scrub also restores the objects an earlier repair
+/// deferred for want of a spare. What a scrub defers waits for the next
+/// adoption.
+fn repair_round(gw: &Gateway) -> String {
+    let mut out = String::new();
+    let failed = gw
+        .health_summary()
+        .into_iter()
+        .any(|(_, h)| matches!(h, Health::Dead | Health::Rebuilding));
+    if failed {
+        match gw.repair_all() {
+            Ok(report) => {
+                if report.shards_moved > 0 {
+                    let _ = writeln!(
+                        out,
+                        "repair: moved {} shard(s), {} B, {} object(s) back to full redundancy",
+                        report.shards_moved, report.bytes_moved, report.objects_repaired
+                    );
+                }
+                report_unrepaired(&mut out, "repair", &report);
+            }
+            Err(e) => {
+                let _ = writeln!(out, "repair deferred: {e}");
+            }
+        }
+    }
+    let adopted = gw.adopt_rejoined();
+    for id in &adopted {
+        let _ = writeln!(out, "brick {id} rejoined as a spare");
+    }
+    if !adopted.is_empty() {
+        match gw.scrub_repair() {
+            Ok(report) => {
+                let _ = writeln!(out, "scrub: restored {} shard(s)", report.shards_moved);
+                report_unrepaired(&mut out, "scrub", &report);
+            }
+            Err(e) => {
+                let _ = writeln!(out, "scrub deferred: {e}");
+            }
+        }
+    }
+    out
+}
+
+/// The lines naming what a repair or scrub pass could not make whole.
+fn report_unrepaired(out: &mut String, pass: &str, report: &RepairReport) {
+    if !report.deferred_objects.is_empty() {
+        let _ = writeln!(
+            out,
+            "{pass}: objects {:?} deferred (still readable, not yet whole)",
+            report.deferred_objects
+        );
+    }
+    if !report.lost_objects.is_empty() {
+        let _ = writeln!(
+            out,
+            "{pass}: objects {:?} beyond repair",
+            report.lost_objects
+        );
     }
 }
 
@@ -475,4 +525,50 @@ fn write_cluster_artifacts(
         let _ = writeln!(out, "info wrote {}", path.display());
     }
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use nsr_net::local::{LocalCluster, Pace};
+
+    use super::*;
+
+    /// Two failures one at a time at 1+1: the round after brick 0 comes
+    /// back must leave every object whole again, so losing brick 1 next
+    /// loses nothing. Adopting the rejoined brick wipes it; without a
+    /// scrub every layout still names an empty brick 0.
+    #[test]
+    fn a_round_that_adopts_a_brick_restores_redundancy_before_the_next_failure() {
+        let mut c = LocalCluster::start(2, GatewayConfig::new(1, 1), Pace::Mock).expect("cluster");
+        for _ in 0..10 {
+            c.pump();
+        }
+        let objects: Vec<Vec<u8>> = (0..4u8).map(|id| vec![id; 1024]).collect();
+        for (id, data) in objects.iter().enumerate() {
+            c.gw.put(id as u64, data).expect("put");
+        }
+        c.kill(0).expect("brick 0 dead");
+        let first = repair_round(&c.gw);
+        assert!(
+            first.contains("repair: objects [0, 1, 2, 3] deferred"),
+            "{first}"
+        );
+        c.restart(0).expect("restart");
+        let mut rounds = 0;
+        while c.gw.health_summary()[0].1 != Health::Rejoined {
+            rounds += 1;
+            assert!(rounds < 32, "brick 0 never rejoined");
+            c.pump();
+        }
+        let second = repair_round(&c.gw);
+        assert_eq!(
+            second,
+            "brick 0 rejoined as a spare\nscrub: restored 4 shard(s)\n"
+        );
+        c.stop(1).expect("stop brick 1");
+        for (id, data) in objects.iter().enumerate() {
+            let (got, _) = c.gw.get(id as u64).expect("get after the second failure");
+            assert_eq!(&got, data, "object {id}");
+        }
+    }
 }

@@ -1,7 +1,12 @@
 //! The brick daemon: a TCP server storing erasure-coded shards keyed by
-//! `(object, pos)`, one handler thread per connection, every socket
-//! operation bounded by read/write timeouts so a stalled peer can never
-//! wedge a handler forever.
+//! `(object, pos)`, one handler thread per connection. Every frame is
+//! bounded by read/write timeouts, so a peer that stalls mid-frame can
+//! never wedge a handler; the wait *between* frames is not. An idle
+//! connection is not a fault: its handler wakes once per read deadline
+//! to see whether the brick was stopped, and otherwise waits on until
+//! the peer closes the socket (a dropped gateway, or a killed process
+//! whose kernel closes it). A peer that vanishes without closing (a
+//! host crash) therefore leaves one parked handler per pooled lane.
 //!
 //! Shards live in memory — the paper's brick is a storage *node* model,
 //! and what this layer exercises is the distributed-systems surface
@@ -20,7 +25,7 @@
 //! effort, and the connection dropped: nothing in it is served.
 
 use std::collections::BTreeMap;
-use std::io;
+use std::io::{self, BufRead};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -202,13 +207,27 @@ fn handle_connection(
     let mut batch: Vec<Frame> = Vec::new();
     let mut replies: Vec<Reply> = Vec::new();
     loop {
+        // Wait for the first byte of the next frame. A deadline that
+        // expires here is idleness, not a fault: a stopped brick's
+        // handler leaves, any other waits on. This is the read the
+        // frame's header would have made, so serving costs no syscall.
+        match reader.fill_buf() {
+            // Peer closed cleanly between frames — normal teardown.
+            Ok([]) => return Ok(()),
+            Ok(_) => {}
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => match Error::from_io("read_frame", &e) {
+                Error::Timeout { .. } if stop.load(Ordering::SeqCst) => return Ok(()),
+                Error::Timeout { .. } => continue,
+                e => return Err(e),
+            },
+        }
         let request = match read_frame_reusing(&mut reader, &mut spare) {
             Ok(Some(f)) => f,
-            // Peer closed cleanly between frames — normal teardown.
             Ok(None) => return Ok(()),
-            // Idle or stalled past the read deadline: drop the
-            // connection (the client reconnects). This is what keeps a
-            // wedged peer from pinning a handler thread forever.
+            // Stalled past the read deadline mid-frame: drop the
+            // connection. This is what keeps a wedged peer from pinning
+            // a handler thread forever.
             Err(Error::Timeout { .. }) => return Ok(()),
             Err(e @ Error::Decode { .. }) => return Err(refuse(&mut writer, e)),
             Err(e) => return Err(e),
@@ -588,6 +607,78 @@ mod tests {
         let mut c = BrickClient::connect(addr, Duration::from_secs(2)).expect("reconnect");
         assert!(c.heartbeat(1).is_ok(), "brick still serving after garbage");
         c.shutdown().expect("shutdown");
+        handle.join().expect("join").expect("run");
+    }
+
+    /// Read deadline of the raw-socket tests below.
+    const DEADLINE: Duration = Duration::from_millis(300);
+
+    /// A brick with a [`DEADLINE`] read deadline, and a raw connection to
+    /// it that waits up to two deadlines for a reply.
+    fn start_raw() -> (
+        SocketAddr,
+        std::thread::JoinHandle<Result<(), Error>>,
+        TcpStream,
+    ) {
+        let mut cfg = BrickConfig::new(7);
+        cfg.read_timeout = DEADLINE;
+        let (addr, handle) = BrickServer::bind("127.0.0.1:0", cfg).expect("bind").spawn();
+        let raw = TcpStream::connect(addr).expect("connect");
+        raw.set_read_timeout(Some(2 * DEADLINE)).expect("timeout");
+        (addr, handle, raw)
+    }
+
+    /// Reads until the brick closes the connection, or fails after the
+    /// raw socket's own two-deadline wait.
+    fn await_close(raw: &mut TcpStream) {
+        use std::io::Read;
+        let mut buf = [0u8; 64];
+        loop {
+            match raw.read(&mut buf) {
+                Ok(0) => return,
+                Ok(_) => {}
+                Err(e) if e.kind() == io::ErrorKind::ConnectionReset => return,
+                Err(e) => panic!("connection still open after two deadlines: {e}"),
+            }
+        }
+    }
+
+    #[test]
+    fn an_idle_connection_outlives_the_read_deadline() {
+        let (addr, handle, mut raw) = start_raw();
+        std::thread::sleep(3 * DEADLINE);
+        write_frame(&mut raw, &Frame::Heartbeat { seq: 3 }).expect("send after idle");
+        let reply = crate::wire::read_frame(&mut io::BufReader::new(&raw)).expect("reply");
+        assert!(
+            matches!(
+                reply,
+                Some(Frame::HeartbeatAck {
+                    seq: 3,
+                    brick_id: 7,
+                    ..
+                })
+            ),
+            "{reply:?}"
+        );
+        BrickClient::connect(addr, DEADLINE)
+            .and_then(|mut c| c.shutdown())
+            .expect("shutdown");
+        handle.join().expect("join").expect("run");
+        // A stopped brick's parked handler still leaves within a deadline.
+        await_close(&mut raw);
+    }
+
+    #[test]
+    fn a_peer_stalled_mid_frame_is_dropped_within_two_deadlines() {
+        use std::io::Write;
+        let (addr, handle, mut raw) = start_raw();
+        let start = std::time::Instant::now();
+        raw.write_all(&[9, 0]).expect("half a length prefix");
+        await_close(&mut raw);
+        assert!(start.elapsed() < 2 * DEADLINE, "{:?}", start.elapsed());
+        BrickClient::connect(addr, DEADLINE)
+            .and_then(|mut c| c.shutdown())
+            .expect("shutdown");
         handle.join().expect("join").expect("run");
     }
 }

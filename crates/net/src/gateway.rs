@@ -145,11 +145,6 @@ pub struct GatewayConfig {
     /// extra lanes serve concurrent callers without head-of-line
     /// blocking.
     pub pool_size: usize,
-    /// Refresh idle pooled connections after this long — keep it well
-    /// below the brick's read deadline (2 s by default) or idle
-    /// connections get dropped and the next request pays a
-    /// reconnect-plus-retry. Zero disables the keepalive thread.
-    pub keepalive_refresh: Duration,
     /// Serve put/get and run rebuild/scrub through the pipelined shard
     /// fan-out fast path. `false` forces the serial per-shard reference
     /// path the fan-out must match byte-for-byte (the property tests
@@ -168,7 +163,6 @@ impl GatewayConfig {
             detector: DetectorConfig::default(),
             jitter_seed: 0,
             pool_size: 2,
-            keepalive_refresh: Duration::from_millis(1000),
             fanout: true,
         }
     }
@@ -326,8 +320,7 @@ impl Gateway {
             .collect::<Result<Vec<_>, _>>()?;
         codecs.push(widest);
         let detector = FailureDetector::new(clock, cfg.detector.clone(), 0..bricks.len() as u32);
-        let mut pool = ConnectionPool::new(bricks, cfg.timeout, cfg.pool_size);
-        pool.start_keepalive(cfg.keepalive_refresh);
+        let pool = ConnectionPool::new(bricks, cfg.timeout, cfg.pool_size);
         let rng = StdRng::seed_from_u64(cfg.jitter_seed);
         Ok(Gateway {
             cfg,

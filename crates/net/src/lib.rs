@@ -4,7 +4,8 @@
 //! storage bricks that the reliability models describe:
 //!
 //! - [`brick`] — a TCP daemon storing erasure-coded shards, one handler
-//!   thread per connection, bounded timeouts on every socket op.
+//!   thread per connection, a bounded timeout on every frame; an idle
+//!   connection stays open until its peer closes it.
 //! - [`wire`] — the length-prefixed binary protocol between gateway and
 //!   bricks (put/get/delete shard, heartbeat, rebuild transfer), strict
 //!   decoding with typed errors and no panics on hostile bytes.
@@ -15,9 +16,8 @@
 //!   `k` surviving shards, retries transient faults with capped
 //!   exponential backoff + seeded jitter, and coordinates rebuild.
 //! - [`pool`] — the per-brick connection pool under the gateway:
-//!   persistent client lanes with transparent reconnect and a keepalive
-//!   thread that refreshes idle connections before the brick's read
-//!   deadline can drop them.
+//!   persistent client lanes with transparent reconnect; it sends no
+//!   frame of its own and starts no thread.
 //! - [`workload`] — a seeded YCSB-style serving workload (zipfian or
 //!   uniform keys, put/get mix) with per-phase throughput and latency
 //!   percentiles, and [`workload::serving_run`], the one healthy →

@@ -24,9 +24,6 @@ pub static RETRIES: Counter = Counter::new("net.gateway.retries");
 pub static POOL_REUSES: Counter = Counter::new("net.pool.reuses");
 /// Pool checkouts that had to dial a fresh connection.
 pub static POOL_RECONNECTS: Counter = Counter::new("net.pool.reconnects");
-/// Idle pooled connections refreshed by the keepalive thread before the
-/// brick's read deadline could drop them.
-pub static POOL_KEEPALIVES: Counter = Counter::new("net.pool.keepalives");
 /// Gateway put latency in seconds, observed by the serving workload.
 pub static SERVING_PUT_S: Histogram = Histogram::new("net.serving.put_s");
 /// Gateway get latency in seconds, observed by the serving workload.
@@ -76,7 +73,6 @@ pub fn register() {
     RETRIES.register();
     POOL_REUSES.register();
     POOL_RECONNECTS.register();
-    POOL_KEEPALIVES.register();
     SERVING_PUT_S.register();
     SERVING_GET_S.register();
     HEALTHY_BRICKS.register();

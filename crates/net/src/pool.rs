@@ -1,16 +1,11 @@
 //! Per-brick connection pool: persistent [`BrickClient`] slots with
-//! idle-deadline-aware keepalive and transparent reconnect.
+//! transparent reconnect.
 //!
-//! Bricks drop connections that stay idle past their read deadline
-//! (2 s by default), so a naive client pays a redial — and, because the
-//! stale socket fails mid-request first, a retry with a backoff sleep —
-//! on the first request after any idle stretch. The pool removes both
-//! costs: every brick gets a fixed set of connection *lanes* that are
-//! dialed on demand, reused across requests, and refreshed by a
-//! background keepalive thread that heartbeats any connected lane
-//! approaching the idle deadline. Keepalive probes are wire-level only —
-//! they never feed the failure detector, so campaign replay determinism
-//! is untouched.
+//! Every brick gets a fixed set of connection *lanes* that are dialed on
+//! demand and reused across requests. A brick bounds each frame, not the
+//! wait for the next one, so a lane left idle stays connected for as long
+//! as both ends are up: the pool sends nothing of its own and starts no
+//! thread.
 //!
 //! The pool is also where the pipelined shard fan-out lives:
 //! [`ConnectionPool::fanout_ahead`] locks one lane per brick, then walks
@@ -24,56 +19,38 @@
 //!
 //! Locking protocol: a fan-out acquires lane locks in ascending brick-id
 //! order, one brick at a time and never the same brick twice, which
-//! makes concurrent fan-outs deadlock-free; the keepalive thread only
-//! ever `try_lock`s, so it can never stall a serving request.
+//! makes concurrent fan-outs deadlock-free.
 
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::sync::{Mutex, MutexGuard};
+use std::time::Duration;
 
 use crate::client::BrickClient;
 use crate::error::Error;
 use crate::obs;
 
-/// Sequence number used by keepalive probes — distinct from the
-/// detector's monotonically increasing heartbeat sequence so the two
-/// kinds of probe are distinguishable in a packet capture.
-const KEEPALIVE_SEQ: u64 = u64::MAX;
-
 struct Slot {
     client: Option<BrickClient>,
-    last_used: Instant,
 }
 
 impl Slot {
-    /// Books the outcome of one exchange on this lane: a completed one —
-    /// success or a well-framed typed error reply — refreshes the idle
-    /// clock; one that broke the transport or the framing leaves the
-    /// stream in an unknown state, so the connection is dropped.
+    /// Books the outcome of one exchange on this lane: one that broke
+    /// the transport or the framing leaves the stream in an unknown
+    /// state, so the connection is dropped; a completed one — success or
+    /// a well-framed typed error reply — keeps it.
     fn settle<T>(&mut self, res: &Result<T, Error>) {
-        match res {
-            Err(e) if e.breaks_stream() => self.client = None,
-            _ => self.last_used = Instant::now(),
+        if res.as_ref().is_err_and(Error::breaks_stream) {
+            self.client = None;
         }
     }
 }
 
-struct PoolInner {
+/// A pool of persistent brick connections (see the module docs).
+pub struct ConnectionPool {
     addrs: Mutex<Vec<SocketAddr>>,
     /// `lanes[brick][lane]` — one mutexed slot per connection.
     lanes: Vec<Vec<Mutex<Slot>>>,
     timeout: Duration,
-    stop: AtomicBool,
-    /// Pairs with `wake` so `Drop` can interrupt the keepalive sleep.
-    stop_mutex: Mutex<()>,
-    wake: Condvar,
-}
-
-/// A pool of persistent brick connections (see the module docs).
-pub struct ConnectionPool {
-    inner: Arc<PoolInner>,
-    keepalive: Option<std::thread::JoinHandle<()>>,
 }
 
 impl ConnectionPool {
@@ -81,55 +58,32 @@ impl ConnectionPool {
     /// connections per brick, all unconnected until first use.
     pub fn new(addrs: Vec<SocketAddr>, timeout: Duration, lanes: usize) -> ConnectionPool {
         let lanes = lanes.max(1);
-        let slot = || {
-            Mutex::new(Slot {
-                client: None,
-                last_used: Instant::now(),
-            })
-        };
+        let slot = || Mutex::new(Slot { client: None });
         let lanes = (0..addrs.len())
             .map(|_| (0..lanes).map(|_| slot()).collect())
             .collect();
         ConnectionPool {
-            inner: Arc::new(PoolInner {
-                addrs: Mutex::new(addrs),
-                lanes,
-                timeout,
-                stop: AtomicBool::new(false),
-                stop_mutex: Mutex::new(()),
-                wake: Condvar::new(),
-            }),
-            keepalive: None,
+            addrs: Mutex::new(addrs),
+            lanes,
+            timeout,
         }
-    }
-
-    /// Starts the background keepalive thread: any connected lane idle
-    /// for `refresh` or longer is re-warmed with a heartbeat, keeping it
-    /// below the brick's read deadline (`refresh` must be comfortably
-    /// smaller than that deadline). A zero `refresh` disables keepalive.
-    pub fn start_keepalive(&mut self, refresh: Duration) {
-        if refresh.is_zero() || self.keepalive.is_some() {
-            return;
-        }
-        let inner = Arc::clone(&self.inner);
-        self.keepalive = Some(std::thread::spawn(move || keepalive_loop(&inner, refresh)));
     }
 
     /// Number of bricks the pool addresses.
     pub fn len(&self) -> usize {
-        self.inner.lanes.len()
+        self.lanes.len()
     }
 
     /// Whether the pool addresses zero bricks.
     pub fn is_empty(&self) -> bool {
-        self.inner.lanes.is_empty()
+        self.lanes.is_empty()
     }
 
     /// Replaces the address of brick `id` (a killed brick restarts on a
     /// fresh port) and drops every cached connection to the old address.
     pub fn set_addr(&self, id: u32, addr: SocketAddr) {
-        self.inner.addrs.lock().expect("addrs lock")[id as usize] = addr;
-        for lane in &self.inner.lanes[id as usize] {
+        self.addrs.lock().expect("addrs lock")[id as usize] = addr;
+        for lane in &self.lanes[id as usize] {
             lane.lock().expect("slot lock").client = None;
         }
     }
@@ -146,7 +100,7 @@ impl ConnectionPool {
         f: impl FnOnce(&mut BrickClient) -> Result<T, Error>,
     ) -> Result<T, Error> {
         let mut slot = self.lock_lane(id);
-        self.inner.ensure_connected(&mut slot, id, op)?;
+        self.ensure_connected(&mut slot, id, op)?;
         let client = slot.client.as_mut().expect("connected");
         let res = f(client);
         slot.settle(&res);
@@ -203,7 +157,7 @@ impl ConnectionPool {
                 continue;
             }
             let mut slot = self.lock_lane(ids[i]);
-            match self.inner.ensure_connected(&mut slot, ids[i], op) {
+            match self.ensure_connected(&mut slot, ids[i], op) {
                 Ok(()) => guards[i] = Some(slot),
                 Err(e) => results[i] = Some(Err(e)),
             }
@@ -257,7 +211,7 @@ impl ConnectionPool {
     /// whose ascending-id acquisition of distinct bricks keeps this
     /// deadlock-free.
     fn lock_lane(&self, id: u32) -> MutexGuard<'_, Slot> {
-        let lanes = &self.inner.lanes[id as usize];
+        let lanes = &self.lanes[id as usize];
         for lane in lanes {
             if let Ok(guard) = lane.try_lock() {
                 return guard;
@@ -265,21 +219,7 @@ impl ConnectionPool {
         }
         lanes[0].lock().expect("slot lock")
     }
-}
 
-impl Drop for ConnectionPool {
-    fn drop(&mut self) {
-        self.inner.stop.store(true, Ordering::SeqCst);
-        let _unused = self.inner.stop_mutex.lock().expect("stop lock");
-        self.inner.wake.notify_all();
-        drop(_unused);
-        if let Some(handle) = self.keepalive.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl PoolInner {
     fn ensure_connected(&self, slot: &mut Slot, id: u32, op: &'static str) -> Result<(), Error> {
         if slot.client.is_some() {
             obs::POOL_REUSES.inc();
@@ -292,54 +232,14 @@ impl PoolInner {
         })?;
         obs::POOL_RECONNECTS.inc();
         slot.client = Some(client);
-        slot.last_used = Instant::now();
         Ok(())
-    }
-}
-
-fn keepalive_loop(inner: &PoolInner, refresh: Duration) {
-    // Wake often enough that a lane is always refreshed within
-    // ~1.25 × refresh of its last use.
-    let step = (refresh / 4).max(Duration::from_millis(5));
-    loop {
-        let guard = inner.stop_mutex.lock().expect("stop lock");
-        let (guard, _) = inner
-            .wake
-            .wait_timeout(guard, step)
-            .expect("keepalive wait");
-        drop(guard);
-        if inner.stop.load(Ordering::SeqCst) {
-            return;
-        }
-        for lanes in &inner.lanes {
-            for lane in lanes {
-                // A busy lane is by definition not idle — skip it rather
-                // than ever blocking a serving request.
-                let Ok(mut slot) = lane.try_lock() else {
-                    continue;
-                };
-                if slot.client.is_none() || slot.last_used.elapsed() < refresh {
-                    continue;
-                }
-                let alive = slot
-                    .client
-                    .as_mut()
-                    .expect("connected")
-                    .heartbeat(KEEPALIVE_SEQ)
-                    .is_ok();
-                if alive {
-                    slot.last_used = Instant::now();
-                    obs::POOL_KEEPALIVES.inc();
-                } else {
-                    slot.client = None;
-                }
-            }
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::brick::{BrickConfig, BrickServer};
     use crate::wire::Frame;
@@ -429,13 +329,7 @@ mod tests {
                 results[1].as_ref().is_err_and(Error::breaks_stream),
                 "{ctx}"
             );
-            let connected = |id: usize| {
-                pool.inner.lanes[id][0]
-                    .lock()
-                    .expect("slot")
-                    .client
-                    .is_some()
-            };
+            let connected = |id: usize| pool.lanes[id][0].lock().expect("slot").client.is_some();
             assert_eq!(
                 (0..3).map(connected).collect::<Vec<_>>(),
                 [true, false, true],
@@ -479,24 +373,6 @@ mod tests {
         );
         // The fan-out released its lane: a per-shard retry gets through.
         assert!(pool.with(0, "heartbeat", |c| c.heartbeat(1)).is_ok());
-        stop_brick(addr);
-        handle.join().expect("join").expect("run");
-    }
-
-    #[test]
-    fn keepalive_outlives_a_short_brick_deadline() {
-        let mut cfg = BrickConfig::new(0);
-        cfg.read_timeout = Duration::from_millis(250);
-        let (addr, handle) = BrickServer::bind("127.0.0.1:0", cfg).expect("bind").spawn();
-        let mut pool = ConnectionPool::new(vec![addr], Duration::from_millis(300), 1);
-        pool.start_keepalive(Duration::from_millis(60));
-        pool.with(0, "heartbeat", |c| c.heartbeat(0)).expect("warm");
-        // Idle well past the brick's read deadline: without keepalive
-        // the brick would have dropped the connection and the next
-        // request on it would fail.
-        std::thread::sleep(Duration::from_millis(700));
-        pool.with(0, "heartbeat", |c| c.heartbeat(1))
-            .expect("connection survived the idle stretch");
         stop_brick(addr);
         handle.join().expect("join").expect("run");
     }

@@ -3,9 +3,9 @@
 //!
 //! The serving-path benchmarks need sustained load with a realistic key
 //! popularity skew, not a single hot object — a zipfian request stream
-//! keeps some pooled connections hot and lets others idle toward the
-//! brick's read deadline, which is exactly the regime where the pool's
-//! keepalive and the fan-out fast path earn their keep. This module
+//! keeps some pooled connections hot and lets others idle, which is
+//! exactly the regime where the pool's lane reuse and the fan-out fast
+//! path earn their keep. This module
 //! provides that stream: a [`WorkloadSpec`] (key count, object size, op
 //! count, read/write mix, [`KeyDist`], seed) plus [`populate`] and
 //! [`run_phase`] drivers that report per-phase throughput and latency

@@ -10,7 +10,6 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 use nsr_net::gateway::{GatewayConfig, ReadMode};
 use nsr_net::local::{LocalCluster, Pace};
@@ -67,10 +66,8 @@ fn steady_state_gets_allocate_only_their_results_unzeroed() {
     const OBJECT: usize = 1024 * 1024;
     const GETS: u64 = 100;
 
-    let mut cfg = GatewayConfig::new(K, T);
-    // No background probes while the counters run.
-    cfg.keepalive_refresh = Duration::ZERO;
-    let cluster = LocalCluster::start(BRICKS, cfg, Pace::Wall).expect("cluster");
+    let cluster =
+        LocalCluster::start(BRICKS, GatewayConfig::new(K, T), Pace::Wall).expect("cluster");
     let gw = &cluster.gw;
 
     let data: Vec<u8> = (0..OBJECT).map(|i| (i * 31 + i / 509) as u8).collect();

@@ -10,7 +10,6 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 use nsr_net::gateway::GatewayConfig;
 use nsr_net::local::{LocalCluster, Pace};
@@ -62,10 +61,8 @@ fn steady_state_overwrites_make_no_shard_sized_allocation() {
     const OBJECT: usize = K * 170 * 1024;
     const OVERWRITES: usize = 100;
 
-    let mut cfg = GatewayConfig::new(K, T);
-    // No background probes while the counter runs.
-    cfg.keepalive_refresh = Duration::ZERO;
-    let cluster = LocalCluster::start(BRICKS, cfg, Pace::Wall).expect("cluster");
+    let cluster =
+        LocalCluster::start(BRICKS, GatewayConfig::new(K, T), Pace::Wall).expect("cluster");
     let gw = &cluster.gw;
 
     let mut data: Vec<u8> = (0..OBJECT).map(|i| (i * 31 + 7) as u8).collect();
