@@ -414,6 +414,10 @@ diff "$SMOKE_DIR/sweep-w1.csv" "$SMOKE_DIR/sweep-w4.csv"
     --require core.sweep.runs,markov.batch.solves
 grep -q '"name":"markov.batch.solves","schema":"nsr-obs/v1","value":0}' \
     "$SMOKE_DIR/sweep-metrics.jsonl"
+# A sweep reads the worker clock only with metrics on: the snapshot must
+# still hold its workers' time (at least one observation).
+grep '"name":"core.sweep.worker_seconds"' "$SMOKE_DIR/sweep-metrics.jsonl" \
+    | grep -q '"count":[1-9][0-9]*,"kind":"histogram"'
 
 echo "==> planner smoke (grid search, golden frontier, plan bench gate)"
 # The 3x3x3 golden grid must reproduce the checked-in frontier CSV

@@ -136,7 +136,7 @@ fn serve_gateway_telemetry(
 /// `nsr gateway --bricks a,b,c [--data K --parity T] [--rounds N]
 /// [--telemetry ADDR]`: connects to running bricks, writes a few demo
 /// objects, then watches — each round pumps heartbeats, prints health
-/// transitions, auto-repairs after deaths (`repair_round`: onto spares,
+/// transitions, auto-repairs after deaths (`RepairRound`: onto spares,
 /// then a scrub once a rejoined brick is adopted), and proves the data is
 /// still readable. `--rounds 0` (the default) runs until killed; the README
 /// quickstart drives this against two bricks and a kill -9.
@@ -192,6 +192,7 @@ pub fn gateway(args: &ParsedArgs) -> Result<String> {
     std::io::stdout().flush().ok();
 
     let mut round = 0u64;
+    let mut repairs = RepairRound::default();
     // The last repair report printed: a round that would print the same
     // (an object deferred round after round) prints nothing.
     let mut repaired = String::new();
@@ -214,7 +215,7 @@ pub fn gateway(args: &ParsedArgs) -> Result<String> {
                 tr.to.name()
             );
         }
-        let report = repair_round(&gw);
+        let (report, _) = repairs.run(&gw);
         if report != repaired {
             print!("{report}");
             repaired = report;
@@ -246,52 +247,82 @@ pub fn gateway(args: &ParsedArgs) -> Result<String> {
     }
 }
 
-/// The daemon round's repair step, returning the lines it reports:
-/// re-replicates what failed bricks held onto spares, adopts rejoined
-/// bricks as spares, and scrubs once it has adopted one. Adoption wipes
-/// a brick, so until the scrub every layout that names it is one failure
-/// closer to loss; the scrub also restores the objects an earlier repair
-/// deferred for want of a spare. What a scrub defers waits for the next
-/// adoption.
-fn repair_round(gw: &Gateway) -> String {
-    let mut out = String::new();
-    let failed = gw
-        .health_summary()
-        .into_iter()
-        .any(|(_, h)| matches!(h, Health::Dead | Health::Rebuilding));
-    if failed {
-        match gw.repair_all() {
-            Ok(report) => {
-                if report.shards_moved > 0 {
-                    let _ = writeln!(
-                        out,
-                        "repair: moved {} shard(s), {} B, {} object(s) back to full redundancy",
-                        report.shards_moved, report.bytes_moved, report.objects_repaired
-                    );
+/// The daemon round's repair step: re-replicates what failed bricks held
+/// onto spares, adopts rejoined bricks as spares, and scrubs once it has
+/// adopted one. Adoption wipes a brick, so until the scrub every layout
+/// that names it is one failure closer to loss; the scrub also restores
+/// the objects an earlier repair deferred for want of a spare. What a
+/// scrub defers waits for the next adoption.
+///
+/// A repair pass that finished leaves the bricks' health as it found it
+/// but for its own `Dead → Rebuilding` marks. Until that health changes
+/// a second pass could only re-plan and re-defer the same objects, so
+/// the round skips it and reports what the pass left unrepaired, which
+/// is what the second pass would report. An interrupted pass is retried
+/// the next round, and a round with no failed brick forgets the pass.
+#[derive(Default)]
+struct RepairRound {
+    /// The health a finished repair pass left, and the lines naming what
+    /// it could not make whole.
+    settled: Option<(Vec<(u32, Health)>, String)>,
+}
+
+impl RepairRound {
+    /// One round's repair step: the lines it reports, and whether it ran
+    /// a repair pass.
+    fn run(&mut self, gw: &Gateway) -> (String, bool) {
+        let mut out = String::new();
+        let health = gw.health_summary();
+        let failed = health
+            .iter()
+            .any(|(_, h)| matches!(h, Health::Dead | Health::Rebuilding));
+        let settled = self
+            .settled
+            .as_ref()
+            .filter(|(seen, _)| failed && *seen == health);
+        let pass = failed && settled.is_none();
+        if let Some((_, unrepaired)) = settled {
+            out.push_str(unrepaired);
+        } else if failed {
+            self.settled = None;
+            match gw.repair_all() {
+                Ok(report) => {
+                    if report.shards_moved > 0 {
+                        let _ = writeln!(
+                            out,
+                            "repair: moved {} shard(s), {} B, {} object(s) back to full redundancy",
+                            report.shards_moved, report.bytes_moved, report.objects_repaired
+                        );
+                    }
+                    let mut unrepaired = String::new();
+                    report_unrepaired(&mut unrepaired, "repair", &report);
+                    out.push_str(&unrepaired);
+                    self.settled = Some((gw.health_summary(), unrepaired));
                 }
-                report_unrepaired(&mut out, "repair", &report);
+                Err(e) => {
+                    let _ = writeln!(out, "repair deferred: {e}");
+                }
             }
-            Err(e) => {
-                let _ = writeln!(out, "repair deferred: {e}");
+        } else {
+            self.settled = None;
+        }
+        let adopted = gw.adopt_rejoined();
+        for id in &adopted {
+            let _ = writeln!(out, "brick {id} rejoined as a spare");
+        }
+        if !adopted.is_empty() {
+            match gw.scrub_repair() {
+                Ok(report) => {
+                    let _ = writeln!(out, "scrub: restored {} shard(s)", report.shards_moved);
+                    report_unrepaired(&mut out, "scrub", &report);
+                }
+                Err(e) => {
+                    let _ = writeln!(out, "scrub deferred: {e}");
+                }
             }
         }
+        (out, pass)
     }
-    let adopted = gw.adopt_rejoined();
-    for id in &adopted {
-        let _ = writeln!(out, "brick {id} rejoined as a spare");
-    }
-    if !adopted.is_empty() {
-        match gw.scrub_repair() {
-            Ok(report) => {
-                let _ = writeln!(out, "scrub: restored {} shard(s)", report.shards_moved);
-                report_unrepaired(&mut out, "scrub", &report);
-            }
-            Err(e) => {
-                let _ = writeln!(out, "scrub deferred: {e}");
-            }
-        }
-    }
-    out
 }
 
 /// The lines naming what a repair or scrub pass could not make whole.
@@ -548,7 +579,8 @@ mod tests {
             c.gw.put(id as u64, data).expect("put");
         }
         c.kill(0).expect("brick 0 dead");
-        let first = repair_round(&c.gw);
+        let mut repairs = RepairRound::default();
+        let (first, _) = repairs.run(&c.gw);
         assert!(
             first.contains("repair: objects [0, 1, 2, 3] deferred"),
             "{first}"
@@ -560,7 +592,7 @@ mod tests {
             assert!(rounds < 32, "brick 0 never rejoined");
             c.pump();
         }
-        let second = repair_round(&c.gw);
+        let (second, _) = repairs.run(&c.gw);
         assert_eq!(
             second,
             "brick 0 rejoined as a spare\nscrub: restored 4 shard(s)\n"
@@ -570,5 +602,60 @@ mod tests {
             let (got, _) = c.gw.get(id as u64).expect("get after the second failure");
             assert_eq!(&got, data, "object {id}");
         }
+    }
+
+    /// A brick that stays dead is repaired once, not every round: with
+    /// no spare at 1+1 a second pass could only re-defer the same
+    /// objects. When the health changes — the brick back and adopted,
+    /// then dead again — the round repairs again.
+    #[test]
+    fn a_repair_pass_runs_once_per_change_of_health() {
+        let mut c = LocalCluster::start(2, GatewayConfig::new(1, 1), Pace::Mock).expect("cluster");
+        for _ in 0..10 {
+            c.pump();
+        }
+        let objects: Vec<Vec<u8>> = (0..4u8).map(|id| vec![id; 1024]).collect();
+        for (id, data) in objects.iter().enumerate() {
+            c.gw.put(id as u64, data).expect("put");
+        }
+        let deferred = "repair: objects [0, 1, 2, 3] deferred (still readable, not yet whole)\n";
+        c.kill(0).expect("brick 0 dead");
+        let mut repairs = RepairRound::default();
+        let mut passes = 0;
+        for round in 0..6 {
+            c.pump();
+            let (report, pass) = repairs.run(&c.gw);
+            passes += usize::from(pass);
+            // What the one pass deferred, every round, as a rerun would say.
+            assert_eq!(report, deferred, "round {round}");
+        }
+        assert_eq!(passes, 1);
+
+        c.restart(0).expect("restart");
+        let mut rounds = 0;
+        while c.gw.health_summary()[0].1 != Health::Rejoined {
+            rounds += 1;
+            assert!(rounds < 32, "brick 0 never rejoined");
+            c.pump();
+        }
+        let (report, pass) = repairs.run(&c.gw);
+        assert!(!pass, "no brick is failed");
+        assert_eq!(
+            report,
+            "brick 0 rejoined as a spare\nscrub: restored 4 shard(s)\n"
+        );
+        for (id, data) in objects.iter().enumerate() {
+            assert_eq!(c.gw.object_layout(id as u64).expect("layout").len(), 2);
+            let (got, _) = c.gw.get(id as u64).expect("get after the scrub");
+            assert_eq!(&got, data, "object {id}");
+        }
+
+        c.kill(0).expect("brick 0 dead again");
+        let (report, pass) = repairs.run(&c.gw);
+        assert!(pass, "the health changed: {report}");
+        assert_eq!(report, deferred);
+        let (report, pass) = repairs.run(&c.gw);
+        assert!(!pass);
+        assert_eq!(report, deferred);
     }
 }

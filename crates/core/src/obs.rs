@@ -27,7 +27,8 @@ pub static SKELETON_BUILDS: Counter = Counter::new("core.sweep.skeleton_builds")
 /// Exact solves through an evaluator's already-bound program (every
 /// later point: rates rewritten, one numeric elimination).
 pub static SKELETON_REUSES: Counter = Counter::new("core.sweep.skeleton_reuses");
-/// Wall seconds each worker spent inside one sweep run.
+/// Wall seconds each worker spent inside one sweep run; the clock is read
+/// only while metrics are on.
 pub static WORKER_SECONDS: Histogram = Histogram::new("core.sweep.worker_seconds");
 
 /// Planner grid searches run (`plan::plan_search` calls).

@@ -29,7 +29,13 @@
 //!    turns closed-form comparisons into *proofs* about exact values: if
 //!    `Q`'s costs are ≤ `P`'s and `Q`'s pessimistic objectives beat
 //!    `P`'s optimistic ones, `Q` exactly-dominates `P` and `P` cannot be
-//!    on the exact frontier. Only survivors are solved exactly: each
+//!    on the exact frontier. The band brackets events per PB-year and
+//!    the MTTDL itself, not mission loss: the loss `−expm1(−T/m)` never
+//!    increases as `m` grows, so the MTTDL band prunes every point the
+//!    loss band would, without an `exp_m1` per bound. It prunes more
+//!    only where two losses tie in floating point (loss saturates at
+//!    exactly 1.0); such a point is still exactly dominated, strictly in
+//!    events and weakly in loss. Only survivors are solved exactly: each
 //!    chain is rebuilt from its geometry and the repair rates pass 1
 //!    derived, and solved through a [`CachedEvaluator`] (compiled GTH
 //!    programs shared per topology class, process-wide).
@@ -42,14 +48,19 @@
 //!
 //! Pruning and the closing frontier filter ask the same question — is
 //! another point no costlier and better in both objectives — of one
-//! grouped-order-and-staircase kernel (`dominated`), near-linear in the
-//! grid.
+//! bucket-and-staircase kernel (`dominated`), near-linear in the grid.
+//! A pruning point never asks a dominator for more than it offers
+//! itself (`asked ≤ offered`: its optimistic bounds are below its
+//! pessimistic ones), so no point can strictly answer for itself or an
+//! identical twin, and the kernel inserts a whole cost bucket before it
+//! queries it; the frontier filter, where a point asks exactly what it
+//! offers, sorts each bucket and inserts each run of identical vectors
+//! only after querying it.
 //!
 //! Determinism contract: results are merged by grid index and every
 //! per-point computation is pure, so the report (and its CSV rendering)
 //! is byte-identical for every `--workers` count, pruned or exhaustive.
 
-use std::collections::HashMap;
 use std::convert::identity;
 
 use crate::config::{CachedEvaluator, Configuration, Evaluation, ModelClass, ModelGeometry};
@@ -551,17 +562,23 @@ pub fn closed_form_pass(base: &Params, space: &ConfigSpace) -> Result<Vec<Result
 }
 
 /// The exact reliability of a pass-1 point on `geometry`, through the
-/// worker's evaluator for its configuration.
+/// worker's evaluator for its configuration. A worker holds one
+/// evaluator per configuration it has solved, at most `|t|·|IR|` of
+/// them, so a scan finds it.
 fn solve_exact(
-    evaluators: &mut HashMap<Configuration, CachedEvaluator>,
+    evaluators: &mut Vec<CachedEvaluator>,
     geometry: &ModelGeometry,
     p: &PlanPoint,
 ) -> Result<Reliability> {
     let [mu_n, mu_repair] = p.repair;
-    let exact = evaluators
-        .entry(p.config)
-        .or_insert_with(|| CachedEvaluator::new(p.config))
-        .exact_mttdl(&geometry.chain(mu_n, mu_repair)?)?;
+    let at = match evaluators.iter().position(|e| e.config() == p.config) {
+        Some(at) => at,
+        None => {
+            evaluators.push(CachedEvaluator::new(p.config));
+            evaluators.len() - 1
+        }
+    };
+    let exact = evaluators[at].exact_mttdl(&geometry.chain(mu_n, mu_repair)?)?;
     Reliability::from_mttdl(exact, geometry.logical_capacity(1.0 - p.point.spare_frac))
 }
 
@@ -633,27 +650,44 @@ impl Staircase {
 
 /// For every point `P`, whether some point `Q` with a different cost
 /// and offered pair is `≤ P` in both costs and offers objectives
-/// `≤ P.asked` (`<` in both when `strict`). `levels` is the number of
-/// ranks on each cost axis.
+/// `≤ P.asked` (`<` in both when `strict`). `dom` gives a point's
+/// [`DomPoint`]; `levels` is the number of ranks on each cost axis.
 ///
-/// Points are visited in lexicographic (costs, offered) order with one
-/// [`Staircase`] of offered pairs per second-cost rank. Every `Q` that
-/// answers for `P` sorts strictly before it — weakly smaller everywhere
-/// and not identical, or, under `strict`, offering less than `P.asked`,
-/// which is at most what `P` offers (were it not, `P` would only be
-/// kept, never wrongly dropped) — so each run of identical vectors is
-/// queried against the staircases at or below its second cost and only
-/// then inserted: identical vectors neither dominate nor are dominated,
-/// and a point never answers for itself. `O(N·L·log N)` for `L` ranks
-/// of the second cost.
+/// Points are visited bucket by bucket in cost order with one
+/// [`Staircase`] of offered pairs per second-cost rank; a bucket's
+/// points are queried against the staircases at or below its second
+/// cost. Every `Q` that answers for `P` from another bucket has a first
+/// cost no larger and so was visited before it. Within a bucket:
+///
+/// * under `strict` no point asks more than it offers (`asked ≤
+///   offered`, as the guard band gives), so `Q.offered < P.asked` rules
+///   out `P` itself and every identical twin: the whole bucket is
+///   inserted first and then queried, with no sort;
+/// * otherwise the bucket is sorted by its offered pair and each run of
+///   identical vectors is queried before it is inserted: every `Q` that
+///   answers for `P` sorts strictly before it, identical vectors neither
+///   dominate nor are dominated, and a point never answers for itself.
+///
+/// `O(N·L·log N)` for `L` ranks of the second cost.
 ///
 /// The order needs no comparison of costs: the ranks name each point's
 /// cost bucket, in cost order, so a counting sort places the points in
-/// their buckets (ascending index within one) and each bucket is sorted
-/// by its offered pair alone — a grid repeats its cost pairs many times
-/// over (the benchmark grid has 1,116 pairs among 11,472 points).
-fn dominated(points: &[DomPoint], levels: [usize; 2], strict: bool) -> Vec<bool> {
-    let bucket = |p: &DomPoint| p.cost[0] as usize * levels[1] + p.cost[1] as usize;
+/// their buckets (ascending index within one) — a grid repeats its cost
+/// pairs many times over (the benchmark grid has 1,116 pairs among
+/// 11,472 points). A point's objectives are read through `dom` when its
+/// bucket is visited, into one bucket's list, not into an array of every
+/// point's coordinates up front: on the benchmark grid building that
+/// 460 KB array cost about 0.11 ms of a 0.40 ms prune.
+fn dominated<T>(
+    points: &[T],
+    levels: [usize; 2],
+    strict: bool,
+    dom: impl Fn(&T) -> DomPoint,
+) -> Vec<bool> {
+    let bucket = |p: &T| {
+        let [first, second] = dom(p).cost;
+        first as usize * levels[1] + second as usize
+    };
     let mut starts = vec![0; levels[0] * levels[1] + 1];
     for p in points {
         starts[bucket(p) + 1] += 1;
@@ -670,34 +704,60 @@ fn dominated(points: &[DomPoint], levels: [usize; 2], strict: bool) -> Vec<bool>
     let mut stairs: Vec<Staircase> = (0..levels[1]).map(|_| Staircase::default()).collect();
 
     let mut out = vec![false; points.len()];
-    for members in starts.windows(2).map(|w| w[0]..w[1]) {
-        let members = &mut order[members];
-        let Some(&first) = members.first() else {
+    let mut members: Vec<(DomPoint, usize)> = Vec::new();
+    for range in starts.windows(2).map(|w| w[0]..w[1]) {
+        members.clear();
+        members.extend(order[range].iter().map(|&i| (dom(&points[i]), i)));
+        let Some(&(first, _)) = members.first() else {
             continue;
         };
-        let level = points[first].cost[1] as usize;
-        members.sort_unstable_by_key(|&i| (points[i].offered, i));
-        for run in members.chunk_by(|&a, &b| points[a].offered == points[b].offered) {
-            for &i in run {
-                out[i] = stairs[..=level]
-                    .iter()
-                    .any(|s| s.covers(points[i].asked, strict));
+        let level = first.cost[1] as usize;
+        // The point's own level first: on the benchmark grid every pruned
+        // point has an answer that shares its second cost.
+        let query = |stairs: &[Staircase], p: &DomPoint| {
+            stairs[..=level]
+                .iter()
+                .rev()
+                .any(|s| s.covers(p.asked, strict))
+        };
+        if strict {
+            for (p, _) in &members {
+                debug_assert!(p.asked[0] <= p.offered[0] && p.asked[1] <= p.offered[1]);
+                stairs[level].insert(p.offered);
             }
-            stairs[level].insert(points[run[0]].offered);
+            for (p, i) in &members {
+                out[*i] = query(&stairs, p);
+            }
+            continue;
+        }
+        members.sort_unstable_by_key(|&(p, i)| (p.offered, i));
+        for run in members.chunk_by(|a, b| a.0.offered == b.0.offered) {
+            for (p, i) in run {
+                out[*i] = query(&stairs, p);
+            }
+            stairs[level].insert(run[0].0.offered);
         }
     }
     out
 }
 
-/// The pessimistic and the optimistic objective pair of `p` over a
-/// `years` mission. exact_mttdl ∈ [cf/(1+γ), cf/(1−γ)], and both
-/// objectives are monotone decreasing in MTTDL, so they are bracketed by
-/// evaluating at the band's ends.
-fn guard_bounds(p: &PlanPoint, years: f64) -> [[f64; 2]; 2] {
+/// The pessimistic and the optimistic objective pair of `p`: events per
+/// PB-year and the closed-form MTTDL, negated so that smaller is better
+/// on both. exact_mttdl ∈ [cf/(1+γ), cf/(1−γ)] and events per PB-year
+/// fall as MTTDL grows, so both are bracketed by the band's ends.
+///
+/// The second objective a frontier compares is mission loss, not MTTDL,
+/// but the loss `−expm1(−T/m)` never increases as `m` grows: wherever
+/// the loss band would have `ub(Q) < lb(P)`, the MTTDL band has it too.
+/// Where two losses tie in floating point (a weak configuration's loss
+/// saturates at exactly 1.0) the MTTDL band can prune a point the loss
+/// band keeps; that point is still exactly dominated — strictly in
+/// events, weakly in loss — which is all DESIGN §3j's chain needs.
+fn guard_bounds(p: &PlanPoint) -> [[f64; 2]; 2] {
     [PRUNE_GUARD, -PRUNE_GUARD].map(|guard| {
         [
             p.closed_events_pb_year * (1.0 + guard),
-            mission_loss(p.closed_mttdl_hours / (1.0 + guard), years),
+            -(p.closed_mttdl_hours / (1.0 + guard)),
         ]
     })
 }
@@ -707,16 +767,13 @@ fn guard_bounds(p: &PlanPoint, years: f64) -> [[f64; 2]; 2] {
 ///
 /// A point `P` is pruned iff some other point `Q` has
 /// `cost(Q) ≤ cost(P)` componentwise *and* `ub(Q) < lb(P)` in both
-/// objectives — which proves `exact(Q)` strictly dominates `exact(P)`.
-fn prune(feasible: &[PlanPoint], levels: [usize; 2], years: f64) -> Vec<usize> {
-    let coords: Vec<DomPoint> = feasible
-        .iter()
-        .map(|p| {
-            let [pessimistic, optimistic] = guard_bounds(p, years);
-            DomPoint::new(p.cost_rank, pessimistic, optimistic)
-        })
-        .collect();
-    let pruned = dominated(&coords, levels, true);
+/// objectives of [`guard_bounds`] — which proves `exact(Q)` dominates
+/// `exact(P)`, strictly in events.
+fn prune(feasible: &[PlanPoint], levels: [usize; 2]) -> Vec<usize> {
+    let pruned = dominated(feasible, levels, true, |p| {
+        let [pessimistic, optimistic] = guard_bounds(p);
+        DomPoint::new(p.cost_rank, pessimistic, optimistic)
+    });
     (0..feasible.len()).filter(|&i| !pruned[i]).collect()
 }
 
@@ -799,7 +856,7 @@ pub fn plan_search(base: &Params, space: &ConfigSpace, opts: &PlanOptions) -> Re
     let survivors: Vec<usize> = if opts.exhaustive {
         (0..feasible.len()).collect()
     } else {
-        prune(&feasible, tables.levels, years)
+        prune(&feasible, tables.levels)
     };
     let pruned = feasible.len() - survivors.len();
     clock.lap(&mut span, &crate::obs::PLAN_PRUNE_SECONDS);
@@ -812,7 +869,7 @@ pub fn plan_search(base: &Params, space: &ConfigSpace, opts: &PlanOptions) -> Re
         survivors.len(),
         workers,
         claim_chunk(survivors.len(), workers),
-        HashMap::new,
+        Vec::new,
         |evaluators, i| {
             let p = &feasible[survivors[i]];
             let geometry = geometries[p.index / per_geometry]
@@ -822,10 +879,8 @@ pub fn plan_search(base: &Params, space: &ConfigSpace, opts: &PlanOptions) -> Re
         },
         identity,
     );
-    let (skeleton_builds, skeleton_reuses) = evaluators
-        .iter()
-        .flat_map(HashMap::values)
-        .fold((0, 0), |(b, r), e| {
+    let (skeleton_builds, skeleton_reuses) =
+        evaluators.iter().flatten().fold((0, 0), |(b, r), e| {
             (b + e.skeleton_builds(), r + e.skeleton_reuses())
         });
     crate::obs::PLAN_SKELETON_BUILDS.add(skeleton_builds);
@@ -867,14 +922,10 @@ pub fn plan_search(base: &Params, space: &ConfigSpace, opts: &PlanOptions) -> Re
     crate::obs::PLAN_GUARD_VIOLATIONS.add(guard_violations as u64);
 
     // Exact 4-objective Pareto frontier over the solved set.
-    let coords: Vec<DomPoint> = exact
-        .iter()
-        .map(|f| {
-            let objectives = [f.exact_events_pb_year, f.exact_mission_loss];
-            DomPoint::new(f.point.cost_rank, objectives, objectives)
-        })
-        .collect();
-    let off_frontier = dominated(&coords, tables.levels, false);
+    let off_frontier = dominated(&exact, tables.levels, false, |f| {
+        let objectives = [f.exact_events_pb_year, f.exact_mission_loss];
+        DomPoint::new(f.point.cost_rank, objectives, objectives)
+    });
     let mut frontier: Vec<FrontierPoint> = exact
         .into_iter()
         .zip(off_frontier)
@@ -1030,6 +1081,8 @@ pub fn min_rebuild_block_for_target(
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
     use crate::metrics::TARGET_EVENTS_PER_PB_YEAR;
     use crate::units::Hours;
@@ -1298,7 +1351,7 @@ mod tests {
             .enumerate()
             .map(|(i, &(_, o, a))| DomPoint::new([first[i], second[i]], o, a))
             .collect();
-        dominated(&points, [n_first, n_second], strict)
+        dominated(&points, [n_first, n_second], strict, |&p| p)
     }
 
     /// The kernel as it was before costs came ranked, kept as an oracle:
@@ -1535,11 +1588,11 @@ mod tests {
         let raw: Vec<Raw> = feasible
             .iter()
             .map(|p| {
-                let [pessimistic, optimistic] = guard_bounds(p, years);
+                let [pessimistic, optimistic] = guard_bounds(p);
                 (pairs(p), pessimistic, optimistic)
             })
             .collect();
-        let survivors = prune(&feasible, tables.levels, years);
+        let survivors = prune(&feasible, tables.levels);
         let pruned: Vec<bool> = (0..feasible.len())
             .map(|i| !survivors.contains(&i))
             .collect();
@@ -1560,9 +1613,91 @@ mod tests {
             .iter()
             .map(|p| DomPoint::new(p.cost_rank, objectives(p), objectives(p)))
             .collect();
-        let off_frontier = dominated(&coords, tables.levels, false);
+        let off_frontier = dominated(&coords, tables.levels, false, |&p| p);
         assert_eq!(off_frontier, dominated_quadratic(&raw));
         assert_eq!(off_frontier, dominated_hashed(&raw, false));
+    }
+
+    /// The mission-loss band pruning bracketed before it bracketed the
+    /// MTTDL, kept as its oracle: each bound's loss over a `years`
+    /// mission.
+    fn guard_bounds_loss(p: &PlanPoint, years: f64) -> [[f64; 2]; 2] {
+        [PRUNE_GUARD, -PRUNE_GUARD].map(|guard| {
+            [
+                p.closed_events_pb_year * (1.0 + guard),
+                mission_loss(p.closed_mttdl_hours / (1.0 + guard), years),
+            ]
+        })
+    }
+
+    #[test]
+    fn the_mttdl_band_prunes_every_point_the_loss_band_prunes() {
+        use nsr_rng::{Rng, SeedableRng};
+        // Low MTTFs and long missions saturate many losses at 1.0.
+        let space = ConfigSpace {
+            nodes: vec![8, 32, 128],
+            data_shards: vec![1, 2, 4, 8],
+            node_ft: vec![1, 2, 3],
+            internal: InternalRaid::all().to_vec(),
+            spare_frac: vec![0.0, 0.25],
+            rebuild_bw: vec![0.05, 0.2, 0.5],
+        };
+        let mut rng = nsr_rng::rngs::StdRng::seed_from_u64(0x5EED_0049);
+        let (mut by_loss, mut by_mttdl_only) = (0, 0);
+        for b in 0..48 {
+            let mut base = Params::baseline();
+            base.drive.mttf = Hours(300_000.0 * rng.random_range_f64(0.01, 10.0));
+            base.node.mttf = Hours(400_000.0 * rng.random_range_f64(0.01, 10.0));
+            base.drive.hard_error_rate_per_bit = 10f64.powf(rng.random_range_f64(-17.0, -13.5));
+            let years = rng.random_range_f64(0.5, 100.0);
+            let tables = GridTables::new(&base, &space);
+            let feasible: Vec<PlanPoint> = closed_form_pass(&base, &space)
+                .unwrap()
+                .into_iter()
+                .filter_map(Result::ok)
+                .collect();
+            let loss_band = |p: &PlanPoint| {
+                let [pessimistic, optimistic] = guard_bounds_loss(p, years);
+                DomPoint::new(p.cost_rank, pessimistic, optimistic)
+            };
+            let pruned_by_loss = dominated(&feasible, tables.levels, true, loss_band);
+            let survivors = prune(&feasible, tables.levels);
+            for (i, p) in feasible.iter().enumerate() {
+                let pruned = survivors.binary_search(&i).is_err();
+                assert!(
+                    pruned || !pruned_by_loss[i],
+                    "base {b}, point {i}: the loss band prunes it, the MTTDL band keeps it"
+                );
+                by_loss += usize::from(pruned_by_loss[i]);
+                if !pruned || pruned_by_loss[i] {
+                    continue;
+                }
+                // Pruned through the MTTDL band alone: every witness ties
+                // with it in loss.
+                by_mttdl_only += 1;
+                let [_, optimistic] = guard_bounds(p);
+                let witnesses: Vec<&PlanPoint> = feasible
+                    .iter()
+                    .filter(|q| {
+                        let [pessimistic, _] = guard_bounds(q);
+                        q.cost_rank[0] <= p.cost_rank[0]
+                            && q.cost_rank[1] <= p.cost_rank[1]
+                            && pessimistic[0] < optimistic[0]
+                            && pessimistic[1] < optimistic[1]
+                    })
+                    .collect();
+                let asked = guard_bounds_loss(p, years)[1][1];
+                assert!(!witnesses.is_empty(), "base {b}, point {i}");
+                assert!(
+                    witnesses
+                        .iter()
+                        .all(|q| guard_bounds_loss(q, years)[0][1] == asked),
+                    "base {b}, point {i}"
+                );
+            }
+        }
+        assert!(by_loss > 10_000, "only {by_loss} points pruned");
+        assert!(by_mttdl_only > 0, "no loss tie exercised");
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! configurations at every point; Figure 13's baseline lives here too.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
 
 use crate::config::Configuration;
 use crate::metrics::Reliability;
@@ -233,9 +232,13 @@ where
         xs.len(),
         workers,
         claim_chunk(xs.len(), workers),
-        Instant::now,
+        nsr_obs::metrics_timer,
         |_, i| eval_row(base, configs, xs[i], &set),
-        |start| crate::obs::WORKER_SECONDS.observe(start.elapsed().as_secs_f64()),
+        |start| {
+            if let Some(start) = start {
+                crate::obs::WORKER_SECONDS.observe(start.elapsed().as_secs_f64());
+            }
+        },
     );
 
     Ok(Sweep {

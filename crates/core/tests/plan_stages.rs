@@ -9,12 +9,15 @@
 //! node and duplex — and a grid whose every axis has several values,
 //! every pass-1 point must equal the one-point closed form and storage
 //! efficiency bit for bit, every infeasible point must fail with the
-//! same error text, and every frontier member's exact MTTDL must equal
-//! `evaluate`'s.
+//! same error text, every frontier member's exact MTTDL must equal
+//! `evaluate`'s, and the pruned search must print the exhaustive
+//! search's frontier CSV byte for byte.
 
 use nsr_core::config::Configuration;
 use nsr_core::params::{Duplex, Params};
-use nsr_core::plan::{closed_form_pass, plan_search, storage_efficiency, ConfigSpace, PlanOptions};
+use nsr_core::plan::{
+    closed_form_pass, frontier_csv, plan_search, storage_efficiency, ConfigSpace, PlanOptions,
+};
 use nsr_core::raid::InternalRaid;
 use nsr_core::units::{Bytes, Gbps, Hours};
 use nsr_rng::rngs::StdRng;
@@ -56,6 +59,7 @@ fn stage_tables_equal_the_one_point_path_on_random_bases() {
     let space = grid();
     let mut rng = StdRng::seed_from_u64(0x0057_a9e5_0034);
     let (mut feasible, mut infeasible, mut solved) = (0, 0, 0);
+    let (mut pruned_bases, mut points_pruned) = (0, 0);
     for b in 0..BASES {
         let base = base(&mut rng);
         let pass = closed_form_pass(&base, &space).expect("valid base and grid");
@@ -120,9 +124,29 @@ fn stage_tables_equal_the_one_point_path_on_random_bases() {
             );
             solved += 1;
         }
+
+        // Guard-band pruning must not move the frontier off the baseline
+        // either.
+        let pruned = plan_search(&base, &space, &PlanOptions::default()).expect("the same search");
+        assert_eq!(
+            frontier_csv(&pruned),
+            frontier_csv(&report),
+            "base {b}: the pruned frontier differs from the exhaustive one"
+        );
+        if !pruned.exhaustive_fallback {
+            pruned_bases += 1;
+            points_pruned += pruned.pruned;
+        }
     }
     // Both sides of every check must be exercised.
     assert!(feasible >= 10_000, "only {feasible} feasible points");
     assert!(infeasible >= 5_000, "only {infeasible} infeasible points");
     assert!(solved >= 500, "only {solved} frontier points checked");
+    // 58 of the 64 bases prune (9,792 points); the rest fall back to the
+    // exhaustive search outside the guard band.
+    assert!(
+        pruned_bases >= BASES / 2,
+        "only {pruned_bases} bases pruned"
+    );
+    assert!(points_pruned >= 5_000, "only {points_pruned} points pruned");
 }
